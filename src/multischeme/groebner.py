@@ -10,6 +10,7 @@ for those components, which is how syzygies are extracted.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
 
 
 class ResourceGuardExceeded(RuntimeError):
@@ -34,13 +35,18 @@ DEFAULT_GUARD = Guard()
 
 
 class Vec:
-    """An element of a free module R^r; immutable by convention."""
+    """An element of a free module R^r; immutable by convention.
 
-    __slots__ = ("ring", "data")
+    ``lead()`` is computed once and cached, so ``data`` must never be mutated
+    after construction: build a new Vec instead.
+    """
+
+    __slots__ = ("ring", "data", "_lead")
 
     def __init__(self, ring, data):
         self.ring = ring
         self.data = data
+        self._lead = None
 
     @classmethod
     def from_poly(cls, f, comp=0):
@@ -119,9 +125,11 @@ class Vec:
 
     def lead(self):
         """((component, exps), coeff) under position-over-term order."""
-        okey = self.ring.order.key
-        k = min(self.data, key=lambda t: (t[0], _NegKey(okey(t[1]))))
-        return k, self.data[k]
+        if self._lead is None:
+            lkey = self.ring.order.lead_key
+            k = min(self.data, key=lambda t: (t[0], lkey(t[1])))
+            self._lead = (k, self.data[k])
+        return self._lead
 
     def monic(self):
         if not self.data:
@@ -147,21 +155,6 @@ class Vec:
         return "<%s>" % inner
 
 
-class _NegKey:
-    """Reverses comparison of a wrapped key (for the min() in Vec.lead)."""
-
-    __slots__ = ("k",)
-
-    def __init__(self, k):
-        self.k = k
-
-    def __lt__(self, other):
-        return other.k < self.k
-
-    def __eq__(self, other):
-        return self.k == other.k
-
-
 def _divides(a, b):
     return all(x <= y for x, y in zip(a, b))
 
@@ -178,13 +171,19 @@ def _nf_vec(v, basis):
     ring = v.ring
     field = ring.field
     p = ring.char
-    okey = ring.order.key
+    lkey = ring.order.lead_key
     leads = [(g.lead(), g) for g in basis if g]
     work = dict(v.data)
+    # The terms of ``work``, greatest first.  An entry whose monomial has left
+    # ``work`` (cancelled, or re-created and already handled) is skipped.
+    heap = [(j, lkey(e), e) for j, e in work]
+    heapify(heap)
     rem = {}
-    while work:
-        jc, ec = min(work, key=lambda t: (t[0], _NegKey(okey(t[1]))))
-        cc = work[jc, ec]
+    while heap:
+        jc, _, ec = heappop(heap)
+        cc = work.get((jc, ec))
+        if cc is None:
+            continue
         hit = None
         for ((jg, eg), cg), g in leads:
             if jg == jc and _divides(eg, ec):
@@ -197,12 +196,16 @@ def _nf_vec(v, basis):
             eg, cg, g = hit
             factor = cc * field.inv(cg)
             shift = tuple(a - b for a, b in zip(ec, eg))
+            # the lead term cancels (jc, ec) itself; every other term is smaller
             for (jg2, eg2), cg2 in g.data.items():
-                k = (jg2, tuple(a + b for a, b in zip(eg2, shift)))
+                e = tuple(a + b for a, b in zip(eg2, shift))
+                k = (jg2, e)
                 s = work.get(k, 0) - factor * cg2
                 if p:
                     s %= p
                 if s:
+                    if k not in work:
+                        heappush(heap, (jg2, lkey(e), e))
                     work[k] = s
                 else:
                     work.pop(k, None)
@@ -237,16 +240,21 @@ def buchberger(vecs, guard=None):
         lcm = tuple(max(a, b) for a, b in zip(ei, ej))
         return (sum(lcm), ci, lcm)
 
+    # ``pairs`` holds the pending pairs for the chain criterion; ``queue`` pops
+    # them by (degree, i, j).
     pairs = {}
+    queue = []
     for i in range(len(G)):
         for j in range(i):
             info = lcm_info(j, i)
             if info is not None:
                 pairs[(j, i)] = info
+                queue.append((info[0], j, i))
+    heapify(queue)
 
-    while pairs:
-        (i, j), (deg, comp, lcm) = min(pairs.items(), key=lambda kv: (kv[1][0], kv[0]))
-        del pairs[(i, j)]
+    while queue:
+        _, i, j = heappop(queue)
+        deg, comp, lcm = pairs.pop((i, j))
         guard.check_degree(deg)
         (ci, ei), _ = G[i].lead()
         (cj, ej), _ = G[j].lead()
@@ -277,6 +285,7 @@ def buchberger(vecs, guard=None):
                 info = lcm_info(k, new)
                 if info is not None:
                     pairs[(k, new)] = info
+                    heappush(queue, (info[0], k, new))
             if rank1 and max(j2 for j2, _ in rem.data) != 0:
                 rank1 = False
 
@@ -288,7 +297,7 @@ def interreduce(G):
     G = [g for g in G if g]
     if not G:
         return []
-    okey = G[0].ring.order.key
+    lkey = G[0].ring.order.lead_key
     G.sort(key=lambda g: sum(g.lead()[0][1]))
     minimal = []
     for g in G:
@@ -302,7 +311,7 @@ def interreduce(G):
         r = _nf_vec(g, others)
         if r:
             out.append(r.monic())
-    out.sort(key=lambda g: (g.lead()[0][0], _NegKey(okey(g.lead()[0][1]))))
+    out.sort(key=lambda g: (g.lead()[0][0], lkey(g.lead()[0][1])))
     return out
 
 
@@ -335,11 +344,6 @@ def syzygies(vecs, rank=None, guard=None):
         if all(j >= rank for j, _ in g.data):
             out.append(Vec(ring, {(j - rank, e): c for (j, e), c in g.data.items()}))
     return out
-
-
-def kernel_of_map(columns, rank, guard=None):
-    """Kernel of R^s -> R^rank sending e_i to columns[i]; gens in R^s."""
-    return syzygies(columns, rank=rank, guard=guard)
 
 
 def module_contains(v, gb):

@@ -249,24 +249,11 @@ def dense_to_p_basis(dense):
         if lead.denominator != 1:
             raise ValueError("not an integer combination of the P basis")
         out[m] = int(lead)
-        pm = _p_dense(m)
+        pm = _shifted_binom_dense(m, 0)
         dense = [a - lead * b for a, b in zip(dense, pm)]
         while dense and dense[-1] == 0:
             dense.pop()
     return HilbertPoly.make(out)
-
-
-def _p_dense(m):
-    """Dense Fraction coefficients of P_m(t) = binom(t + m, m)."""
-    coeffs = [Fraction(1)]
-    for j in range(1, m + 1):
-        # multiply by (t + j)
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i] += c * j
-            nxt[i + 1] += c
-        coeffs = nxt
-    return [c / factorial(m) for c in coeffs]
 
 
 def hilbert_polynomial_from_series(series):

@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .groebner import Vec, buchberger, kernel_of_map, module_contains, syzygies
+from .groebner import Vec, buchberger, module_contains, syzygies
 
 
 def columns_to_vecs(ring, matrix):
@@ -263,7 +263,7 @@ class Resolution:
                 return False
         for i in range(len(self.maps) - 1):
             cols = columns_to_vecs(self.ring, self.maps[i])
-            ker = kernel_of_map(cols, len(self.degrees[i]), guard=guard)
+            ker = syzygies(cols, rank=len(self.degrees[i]), guard=guard)
             img = columns_to_vecs(self.ring, self.maps[i + 1])
             gb = buchberger(img, guard=guard)
             if not all(module_contains(v, gb) for v in ker):

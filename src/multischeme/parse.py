@@ -70,16 +70,25 @@ def parse_ring(text):
     order = GREVLEX
     for part in parts[1:]:
         if part.startswith("char"):
-            char = int(part[4:].strip())
+            char = _count(part[4:].strip(), "characteristic")
         elif part == "grevlex":
             order = GREVLEX
         elif part == "lex":
             order = LEX
         elif part.startswith("block"):
-            order = TermOrder("block", front=int(part[5:].strip("() ")))
+            order = TermOrder("block", front=_count(part[5:].strip("() "), "block size"))
         else:
             raise ParseError("unknown ring option %r" % part)
-    return PolyRing(names, char=char, order=order)
+    try:
+        return PolyRing(names, char=char, order=order)
+    except ValueError as exc:  # duplicate names or a non-prime characteristic
+        raise ParseError(str(exc)) from None
+
+
+def _count(text, what):
+    if not text.isdigit():
+        raise ParseError("%s must be a non-negative integer, got %r" % (what, text))
+    return int(text)
 
 
 def parse_poly(ring, text):

@@ -103,6 +103,17 @@ class TermOrder:
             )
         raise ValueError("unknown order %r" % self.kind)
 
+    def lead_key(self, exps):
+        """A key whose ascending order is this order's descending order."""
+        if self.kind == "grevlex":
+            return (-sum(exps), exps[::-1])
+        if self.kind == "lex":
+            return tuple(-e for e in exps)
+        if self.kind == "block":
+            f, r = exps[: self.front], exps[self.front:]
+            return (-sum(f), f[::-1], -sum(r), r[::-1])
+        raise ValueError("unknown order %r" % self.kind)
+
 
 GREVLEX = TermOrder("grevlex")
 LEX = TermOrder("lex")

@@ -18,7 +18,7 @@ from .families import build_family
 from .groebner import ResourceGuardExceeded, Vec, syzygies, submodule_equal
 from .hilbert import (
     HilbertPoly,
-    _p_dense,
+    _shifted_binom_dense,
     degree3_catalog,
     dense_to_p_basis,
     euler_characteristic,
@@ -395,7 +395,7 @@ def _scn_degree3_catalog(rec, opts):
             tag = "n=%d:%s" % (n, name)
             dense = [0] * (p.degree() + 1)
             for m, c in p.as_dict().items():
-                for i, coef in enumerate(_p_dense(m)):
+                for i, coef in enumerate(_shifted_binom_dense(m, 0)):
                     dense[i] += c * coef
             rec.check(tag + ":roundtrip", p, dense_to_p_basis(dense))
             verdict, match = reduced_degree3_membership(p, n)

@@ -79,6 +79,21 @@ def test_bad_subcommand_is_usage_error(capsys):
     assert exc.value.code == 3
 
 
+@pytest.mark.parametrize(
+    "decl, message",
+    [
+        ("ring z,x,y / char 4", "prime"),
+        ("ring z,x,x,y", "duplicate"),
+        ("ring z,x,y / char abc", "integer"),
+    ],
+)
+def test_bad_ring_declaration_is_usage_error(tmp_path, capsys, decl, message):
+    p = tmp_path / "bad.ms"
+    p.write_text(decl + "\n(x, y)\n")
+    assert main(["gb", str(p)]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_max_degree_guard_makes_inconclusive(tmp_path, capsys):
     p = tmp_path / "deep.ms"
     p.write_text("ring x,y / char 0 / grevlex\n(x^5 - y^4, x*y^4 - x^3)\n")

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from multischeme.ring import (
     GREVLEX,
     LEX,
     PolyRing,
+    TermOrder,
     linear_substitution,
 )
 
@@ -135,3 +137,11 @@ def test_modular_arithmetic_commutes_with_reduction(a, b, p):
     product = f0 * g0
     reduced = ringp.poly({e: c.numerator % p for e, c in product.terms.items()})
     assert fp * gp == reduced
+
+
+@pytest.mark.parametrize(
+    "order", [GREVLEX, LEX, TermOrder("block", front=1), TermOrder("block", front=2)]
+)
+def test_lead_key_ascending_is_key_descending(order):
+    exps = [e for e in itertools.product(range(4), repeat=4) if sum(e) <= 3]
+    assert sorted(exps, key=order.lead_key) == sorted(exps, key=order.key, reverse=True)
