@@ -19,12 +19,12 @@ from .modules import GradedModule, free_resolution, minors
 
 
 class Ideal:
-    """An ideal with cached Groebner bases (one per term order)."""
+    """An ideal with its Groebner basis (in the ring's order) and series cached."""
 
     def __init__(self, ring, gens):
         self.ring = ring
         self.gens = tuple(g for g in gens if g)
-        self._gb = {}
+        self._gb = None
         self._series = None
 
     @classmethod
@@ -34,10 +34,9 @@ class Ideal:
         return cls(ring, parse_ideal(ring, text))
 
     def groebner(self, guard=None):
-        key = self.ring.order
-        if key not in self._gb:
-            self._gb[key] = groebner_basis(self.gens, guard=guard)
-        return self._gb[key]
+        if self._gb is None:
+            self._gb = groebner_basis(self.gens, guard=guard)
+        return self._gb
 
     def reduce(self, f, guard=None):
         return normal_form(f, self.groebner(guard=guard))
@@ -84,17 +83,17 @@ class Ideal:
         return self.hilbert_series(guard=guard).dimension_degree()
 
     def codimension(self, guard=None):
-        dim, _ = self.dimension_degree(guard=guard)
-        return (self.ring.nvars - 1) - dim
+        return (self.ring.nvars - 1) - self.dimension_degree(guard=guard)[0]
 
     def minimal_gens(self, guard=None):
         """A minimal homogeneous generating set (greedy by degree)."""
         gens = sorted((g for g in self.gens if g), key=lambda g: g.degree())
-        kept = []
+        kept, span = [], None
         for g in gens:
-            if kept and Ideal(self.ring, kept).contains(g, guard=guard):
+            if span is not None and span.contains(g, guard=guard):
                 continue
             kept.append(g)
+            span = Ideal(self.ring, kept)
         return kept
 
     def __repr__(self):
@@ -210,8 +209,16 @@ def same_zero_locus(a, b, guard=None):
 
 
 def is_irrelevant_primary(ideal, guard=None):
-    """Empty projective zero locus: every variable is in the radical."""
-    return all(radical_contains(ideal, v, guard=guard) for v in ideal.ring.gens())
+    """Empty projective zero locus, for a homogeneous ideal only.
+
+    V(I) in P^(n-1) is empty exactly when R/I has Krull dimension <= 0,
+    i.e. when the Hilbert series of the ideal's own cached basis has no
+    pole left at t = 1 (Cox-Little-O'Shea, *Ideals, Varieties, and
+    Algorithms*, Ch. 9 Sec. 3; Bayer-Stillman, JSC 14, 1992).
+    """
+    if not all(g.is_homogeneous() for g in ideal.gens):
+        raise ValueError("projective zero locus of an inhomogeneous ideal")
+    return ideal.dimension_degree(guard=guard)[0] < 0
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +308,13 @@ def ext_annihilator(ideal, i, resolution=None, guard=None):
     return intersect_many(parts, guard=guard)
 
 
+def ext_window(ideal, codim, guard=None):
+    """(i, ann Ext^i(R/I, R)) for codim < i < nvars, from one resolution."""
+    res = quotient_resolution(ideal, guard=guard)
+    for i in range(codim + 1, ideal.ring.nvars):
+        yield i, ext_annihilator(ideal, i, resolution=res, guard=guard)
+
+
 def quotient_resolution(ideal, guard=None):
     """Minimal free resolution of R/I."""
     gens = ideal.minimal_gens(guard=guard)
@@ -332,19 +346,7 @@ def unmixed_part(ideal, witness=None, guard=None):
 
 def is_unmixed(ideal, guard=None):
     """No embedded components away from the irrelevant ideal."""
-    ring = ideal.ring
-    n = ring.nvars
-    if ideal.is_zero():
+    if ideal.is_zero() or ideal.dimension_degree(guard=guard)[0] < 0:
         return True
-    dim, _ = ideal.dimension_degree(guard=guard)
-    if dim < 0:
-        return True
-    c = ideal.codimension(guard=guard)
-    res = quotient_resolution(ideal, guard=guard)
-    for i in range(c + 1, n):
-        ann = ext_annihilator(ideal, i, resolution=res, guard=guard)
-        if ann.is_one(guard=guard):
-            continue
-        if ann.codimension(guard=guard) <= i:
-            return False
-    return True
+    window = ext_window(ideal, ideal.codimension(guard=guard), guard=guard)
+    return all(ann.codimension(guard=guard) > i for i, ann in window)

@@ -28,7 +28,7 @@ class Rationals:
         return Fraction(1)
 
     def inv(self, a):
-        return 1 / a
+        return 1 / Fraction(a)
 
     def __repr__(self):
         return "QQ"
@@ -40,11 +40,30 @@ class Rationals:
         return hash("QQ")
 
 
+# Miller-Rabin with the primes up to 41 as bases has no strong pseudoprime
+# below _MR_BOUND (Sorenson-Webster, Math. Comp. 86, 2017), so it is exact there.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def _is_prime(p):
+    if p < 2 or any(p % q == 0 for q in _MR_BASES):
+        return p in _MR_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d * 2^s with d odd
+    for a in _MR_BASES:
+        powers = [pow(a, (p - 1) >> (s - r), p) for r in range(s)]
+        if powers[0] != 1 and p - 1 not in powers:
+            return False
+    return True
+
+
 class PrimeField:
     """The field F_p for a prime p; elements are ints in [0, p)."""
 
     def __init__(self, p):
-        if p < 2 or any(p % q == 0 for q in range(2, min(p, 1 + int(p ** 0.5) + 1))):
+        if p >= _MR_BOUND:
+            raise ValueError("characteristic must be below %d: %r" % (_MR_BOUND, p))
+        if not _is_prime(p):
             raise ValueError("characteristic must be prime: %r" % p)
         self.p = p
         self.char = p

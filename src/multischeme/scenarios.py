@@ -35,6 +35,7 @@ from .structures import (
     is_locally_CM,
     is_S1,
     layer_quotient_rows,
+    lift_kernel,
     thicken,
 )
 
@@ -486,25 +487,14 @@ def _thicken_by_layer(st, filt, j, guard=None):
         base = MultiStructure(emb, filt.ideals[j], check=False, guard=guard)
         return thicken(base, rows, guard=guard).ideal
     sub = emb.support_ring()
-    vecs = []
-    for o in range(len(gens)):
-        data = {}
-        for i in range(layer.rank):
-            for e, c in lift[o][i].terms.items():
-                data[(i, e)] = c
-        vecs.append(Vec(sub, data))
+    vecs = [
+        Vec(sub, {(i, e): c for i in range(layer.rank) for e, c in lift[o][i].terms.items()})
+        for o in range(len(gens))
+    ]
     kernel = syzygies(
         vecs + layer.relation_vecs(), rank=layer.rank, guard=guard
     )
-    lifted = []
-    for h in kernel:
-        f = ring.zero()
-        for o, g in enumerate(gens):
-            ho = h.component(o)
-            if ho:
-                f = f + emb.extend(ho) * g
-        if f:
-            lifted.append(f)
+    lifted = lift_kernel(emb, kernel, gens)
     ix = emb.support_ideal()
     return ix.times(filt.ideals[j]).plus(Ideal(ring, lifted))
 

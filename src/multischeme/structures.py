@@ -15,10 +15,9 @@ from .groebner import Vec, syzygies
 from .hilbert import HilbertSeries, module_hilbert_series
 from .ideals import (
     Ideal,
-    ext_annihilator,
+    ext_window,
     intersect_many,
     is_irrelevant_primary,
-    quotient_resolution,
     radical_contains,
     same_zero_locus,
     unmixed_part,
@@ -141,12 +140,7 @@ class MultiStructure:
         )
 
     def is_S1(self):
-        return self._memo(
-            "s1",
-            lambda: unmixed_part(self.ideal, guard=self.guard).equals(
-                self.ideal, guard=self.guard
-            ),
-        )
+        return self._memo("s1", lambda: is_S1(self.ideal, guard=self.guard))
 
     def locally_cm(self):
         return self._memo(
@@ -321,15 +315,8 @@ def is_locally_CM(ideal_or_structure, codim, guard=None):
         else ideal_or_structure
     )
     ring = ideal.ring
-    res = quotient_resolution(ideal, guard=guard)
-    bad = []
-    for i in range(codim + 1, ring.nvars):
-        ann = ext_annihilator(ideal, i, resolution=res, guard=guard)
-        if ann.is_one(guard=guard):
-            continue
-        if is_irrelevant_primary(ann, guard=guard):
-            continue
-        bad.append(ann)
+    window = ext_window(ideal, codim, guard=guard)
+    bad = [ann for _, ann in window if not is_irrelevant_primary(ann, guard=guard)]
     if not bad:
         return True, Ideal(ring, [ring.one()])
     return False, intersect_many(bad, guard=guard)
@@ -382,10 +369,9 @@ def thicken(structure, rows, check_surjective=True, guard=None):
             % (len(rows[0]) if rows else 0, len(gens))
         )
     if check_surjective:
-        size = q
-        mm = minors(rows, size)
-        if not mm or not is_irrelevant_primary(Ideal(sub, mm), guard=guard):
-            locus = Ideal(sub, mm)
+        mm = minors(rows, q)
+        locus = Ideal(sub, mm)
+        if not mm or not is_irrelevant_primary(locus, guard=guard):
             raise StructureError(
                 "quotient rows are not surjective; degeneracy locus (%s)"
                 % ", ".join(str(m) for m in locus.gens)
@@ -394,18 +380,18 @@ def thicken(structure, rows, check_surjective=True, guard=None):
         Vec(sub, {(i, e): c for i, f in enumerate(col) for e, c in f.terms.items()})
         for col in ([row[j] for row in rows] for j in range(len(gens)))
     ]
-    kernel = syzygies(cols, rank=q, guard=guard)
-    lifted = []
-    for h in kernel:
-        f = ring.zero()
-        for i, g in enumerate(gens):
-            hi = h.component(i)
-            if hi:
-                f = f + emb.extend(hi) * g
-        if f:
-            lifted.append(f)
+    lifted = lift_kernel(emb, syzygies(cols, rank=q, guard=guard), gens)
     new_ideal = ix.times(iy).plus(Ideal(ring, lifted))
     return MultiStructure(emb, new_ideal, check=True, guard=guard)
+
+
+def lift_kernel(emb, kernel, gens):
+    """The nonzero sums sum_i h_i * gens[i] over the kernel vectors h."""
+    sums = (
+        sum((emb.extend(h.component(i)) * g for i, g in enumerate(gens)), emb.ring.zero())
+        for h in kernel
+    )
+    return [f for f in sums if f]
 
 
 def layer_quotient_rows(filtration, j):

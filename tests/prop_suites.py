@@ -12,6 +12,7 @@ from multischeme.ideals import (
     ext_annihilator,
     fitting_ideal,
     is_irrelevant_primary,
+    radical_contains,
     saturate,
 )
 from multischeme.modules import GradedModule
@@ -176,10 +177,30 @@ def ext_window_triviality(seed, count=COUNT):
     return count
 
 
+def irrelevance_agrees_with_radical(seed, count=COUNT):
+    """The Hilbert-series emptiness test agrees with its definition: every
+    variable lies in the radical."""
+    rng = random.Random(seed)
+    verdicts = []
+    for _ in range(count):
+        ring = _random_ring(rng)
+        gens = [
+            _random_homogeneous(rng, ring, rng.randint(1, 2))
+            for _ in range(rng.randint(1, ring.nvars + 1))
+        ]
+        ideal = Ideal(ring, gens)
+        expected = all(radical_contains(ideal, v) for v in ring.gens())
+        assert is_irrelevant_primary(ideal) == expected
+        verdicts.append(expected)
+    assert 0.2 < sum(verdicts) / count < 0.8
+    return count
+
+
 ALL_SUITES = {
     "ring-axioms": ring_axioms,
     "groebner-determinism": groebner_determinism,
     "saturation-idempotence": saturation_idempotence,
     "fitting-invariance": fitting_invariance,
     "ext-window-triviality": ext_window_triviality,
+    "irrelevance-agrees-with-radical": irrelevance_agrees_with_radical,
 }

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -85,6 +86,9 @@ def test_bad_subcommand_is_usage_error(capsys):
         ("ring z,x,y / char 4", "prime"),
         ("ring z,x,x,y", "duplicate"),
         ("ring z,x,y / char abc", "integer"),
+        ("ring z,x,y / char %d" % (2**61 + 1), "prime"),
+        ("ring z,x,y / char 3317044064679887385961981", "below"),
+        ("ring z,x,y / char %d" % (2**89 - 1), "below"),
     ],
 )
 def test_bad_ring_declaration_is_usage_error(tmp_path, capsys, decl, message):
@@ -92,6 +96,16 @@ def test_bad_ring_declaration_is_usage_error(tmp_path, capsys, decl, message):
     p.write_text(decl + "\n(x, y)\n")
     assert main(["gb", str(p)]) == 3
     assert message in capsys.readouterr().err
+
+
+def test_large_prime_characteristic_is_accepted_quickly(tmp_path, capsys):
+    # 2^61 - 1 is prime; trial division up to its square root never finished
+    p = tmp_path / "big.ms"
+    p.write_text("ring z,x,y / char %d\n(x^2 - 3*y, y*z)\n" % (2**61 - 1))
+    start = time.perf_counter()
+    assert main(["gb", str(p)]) == 0
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().out.strip() == "(x^2 + %d*y, z*y)" % (2**61 - 4)
 
 
 def test_max_degree_guard_makes_inconclusive(tmp_path, capsys):

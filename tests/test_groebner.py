@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from multischeme.groebner import (
@@ -152,3 +154,16 @@ def test_normal_form_when_a_cancelled_monomial_reappears(char):
     assert normal_form(v, basis) == ring.const(-1)
     vecs = [Vec.from_poly(g) for g in basis]
     assert normal_form(Vec.from_poly(v), vecs).data == _naive_normal_form(Vec.from_poly(v), vecs).data
+
+
+def test_char0_basis_of_int_coefficients_is_exact(ring):
+    # x^2 normalised by 1/3 used to give the float 0.333... in char 0
+    def gens(c):
+        return [Vec(ring, {(0, (2, 0)): c(3), (0, (0, 2)): c(1)}), Vec(ring, {(0, (1, 1)): c(1)})]
+
+    from_int = buchberger(gens(int))
+    from_fraction = buchberger(gens(Fraction))
+    assert [v.data for v in from_int] == [v.data for v in from_fraction]
+    coeffs = [c for v in from_int for c in v.data.values()]
+    assert coeffs and all(type(c) is Fraction for c in coeffs)
+    assert Fraction(1, 3) in coeffs

@@ -96,6 +96,12 @@ def test_radical_membership(ring):
 def test_irrelevant_primary_detection(ring):
     assert is_irrelevant_primary(_ideal(ring, "(x^2, y, z0^3)"))
     assert not is_irrelevant_primary(_ideal(ring, "(x, y)"))
+    assert not is_irrelevant_primary(Ideal(ring, []))
+    assert is_irrelevant_primary(_ideal(ring, "(1)"))
+    assert is_irrelevant_primary(_ideal(ring, "(z0^2, x^2, y^2)"))
+    assert not is_irrelevant_primary(_ideal(ring, "(x^2, x*y)"))
+    with pytest.raises(ValueError, match="inhomogeneous"):
+        is_irrelevant_primary(_ideal(ring, "(x^2, y, z0 - 1)"))
 
 
 def test_exact_division(ring):
@@ -170,3 +176,26 @@ def test_dimension_degree_and_codimension(ring):
 def test_minimal_gens_drops_redundant(ring):
     I = _ideal(ring, "(x, y, x^2 + y^2)")
     assert sorted(map(str, I.minimal_gens())) == ["x", "y"]
+
+
+def test_minimal_gens_builds_one_basis_per_kept_generator(ring, monkeypatch):
+    import multischeme.ideals as ideals
+
+    I = _ideal(ring, "(x, y, x^2 + y^2, x*y, z0*x - y, z0^2, x^2*z0, z0^2 + x*y)")
+    # the kept list of the former loop, which built a fresh Ideal per candidate
+    expected = []
+    for g in sorted(I.gens, key=lambda g: g.degree()):
+        if not (expected and Ideal(ring, expected).contains(g)):
+            expected.append(g)
+    calls = []
+    counted = ideals.groebner_basis
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(ideals, "groebner_basis", counting)
+    kept = I.minimal_gens()
+    assert kept == expected
+    assert sorted(map(str, kept)) == ["x", "y", "z0^2"]
+    assert len(calls) <= len(kept)

@@ -34,6 +34,24 @@ def test_prime_field_coefficients_stay_reduced():
     assert all(0 <= c < 3 for c in (x.scale(2) * x.scale(2)).terms.values())
 
 
+def test_prime_characteristic_check_matches_trial_division():
+    def accepted(p):
+        try:
+            PolyRing(("x",), char=p)
+        except ValueError:
+            return False
+        return True
+
+    for p in range(2, 3000):
+        assert accepted(p) == all(p % q for q in range(2, int(p**0.5) + 1)), p
+    # strong pseudoprimes to the first 4, 9 and 12 prime bases
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not accepted(n)
+    assert accepted(2**61 - 1)
+    assert not accepted((2**19 - 1) * (2**61 - 1))
+    assert not accepted(2**89 - 1)  # prime, but above the certified bound
+
+
 def test_negation_in_prime_characteristic_normalizes():
     ring = PolyRing(("x",), char=5)
     x = ring.var("x")
