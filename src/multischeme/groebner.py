@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
+from operator import le
 
 
 class ResourceGuardExceeded(RuntimeError):
@@ -156,7 +157,7 @@ class Vec:
 
 
 def _divides(a, b):
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def normal_form(v, basis):
@@ -172,7 +173,10 @@ def _nf_vec(v, basis):
     field = ring.field
     p = ring.char
     lkey = ring.order.lead_key
-    leads = [(g.lead(), g) for g in basis if g]
+    leads = {}  # component -> its leads in basis order; the first divisor reduces
+    for g in filter(None, basis):
+        (jg, eg), cg = g.lead()
+        leads.setdefault(jg, []).append((eg, cg, g))
     work = dict(v.data)
     # The terms of ``work``, greatest first.  An entry whose monomial has left
     # ``work`` (cancelled, or re-created and already handled) is skipped.
@@ -184,31 +188,28 @@ def _nf_vec(v, basis):
         cc = work.get((jc, ec))
         if cc is None:
             continue
-        hit = None
-        for ((jg, eg), cg), g in leads:
-            if jg == jc and _divides(eg, ec):
-                hit = (eg, cg, g)
+        for eg, cg, g in leads.get(jc, ()):
+            if all(map(le, eg, ec)):
                 break
-        if hit is None:
+        else:
             rem[(jc, ec)] = cc
             del work[jc, ec]
-        else:
-            eg, cg, g = hit
-            factor = cc * field.inv(cg)
-            shift = tuple(a - b for a, b in zip(ec, eg))
-            # the lead term cancels (jc, ec) itself; every other term is smaller
-            for (jg2, eg2), cg2 in g.data.items():
-                e = tuple(a + b for a, b in zip(eg2, shift))
-                k = (jg2, e)
-                s = work.get(k, 0) - factor * cg2
-                if p:
-                    s %= p
-                if s:
-                    if k not in work:
-                        heappush(heap, (jg2, lkey(e), e))
-                    work[k] = s
-                else:
-                    work.pop(k, None)
+            continue
+        factor = cc * field.inv(cg)
+        shift = tuple(a - b for a, b in zip(ec, eg))
+        # the lead term cancels (jc, ec) itself; every other term is smaller
+        for (jg2, eg2), cg2 in g.data.items():
+            e = tuple(a + b for a, b in zip(eg2, shift))
+            k = (jg2, e)
+            s = work.get(k, 0) - factor * cg2
+            if p:
+                s %= p
+            if s:
+                if k not in work:
+                    heappush(heap, (jg2, lkey(e), e))
+                work[k] = s
+            else:
+                work.pop(k, None)
     return Vec(ring, rem)
 
 

@@ -1,8 +1,8 @@
 """Exact multivariate polynomial arithmetic over Q or a prime field.
 
 Polynomials are immutable dicts mapping exponent tuples to nonzero field
-elements.  Coefficients are ``fractions.Fraction`` in characteristic 0 and
-plain ints reduced mod p in characteristic p.  No floating point anywhere.
+elements: ints or ``fractions.Fraction``s in characteristic 0 (see ``Rationals``)
+and ints reduced mod p in characteristic p.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -12,23 +12,26 @@ from fractions import Fraction
 
 
 class Rationals:
-    """The field Q, with Fraction coefficients."""
+    """The field Q.  An element is an ``int`` or a ``Fraction``, never a float:
+    ``coerce``, ``zero``, ``one`` and ``inv`` return an ``int`` for an integral
+    value, mixed arithmetic is exact and ``Fraction(n, 1) == n``, hash included."""
 
     char = 0
 
     def coerce(self, v):
-        if isinstance(v, Fraction):
+        if type(v) is int:
             return v
-        return Fraction(v)
+        v = Fraction(v)
+        return v.numerator if v.denominator == 1 else v
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def inv(self, a):
-        return 1 / Fraction(a)
+        return int(a) if a in (1, -1) else self.coerce(1 / Fraction(a))
 
     def __repr__(self):
         return "QQ"

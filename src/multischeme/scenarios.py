@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import time
+import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -54,7 +55,7 @@ class ScenarioOptions:
 @dataclass
 class ScenarioResult:
     id: str
-    status: str                 # PASS | FAIL | INCONCLUSIVE
+    status: str                 # PASS | FAIL | INCONCLUSIVE | ERROR
     elapsed: float
     diffs: list = field(default_factory=list)
     certificates: dict = field(default_factory=dict)
@@ -548,7 +549,7 @@ def scenario_ids():
 
 
 def run_scenario(scenario_id, options=None):
-    """Execute one scenario; resource-guard overruns are INCONCLUSIVE."""
+    """Execute one scenario; a guard overrun is INCONCLUSIVE, any other exception ERROR."""
     if scenario_id not in _SCENARIOS:
         raise ValueError(
             "unknown scenario %r; choose from %s" % (scenario_id, scenario_ids())
@@ -564,6 +565,10 @@ def run_scenario(scenario_id, options=None):
     except ResourceGuardExceeded as exc:
         status = "INCONCLUSIVE"
         rec.certificates["resource_guard"] = str(exc)
+    except Exception as exc:
+        status = "ERROR"
+        rec.certificates["error"] = "%s: %s" % (type(exc).__name__, exc)
+        rec.certificates["traceback"] = traceback.format_exc()
     elapsed = time.monotonic() - start
     return ScenarioResult(
         id=scenario_id,
@@ -577,7 +582,7 @@ def run_scenario(scenario_id, options=None):
 
 
 def exit_code(results):
-    if any(r.status == "FAIL" for r in results):
+    if any(r.status in ("FAIL", "ERROR") for r in results):
         return 1
     if any(r.status == "INCONCLUSIVE" for r in results):
         return 2
@@ -606,6 +611,8 @@ def emit_report(results, fmt="text"):
             lines.append("    computed %s" % d["computed"])
         if r.status == "INCONCLUSIVE" and "resource_guard" in r.certificates:
             lines.append("    guard    %s" % r.certificates["resource_guard"])
+        if r.status == "ERROR":
+            lines.append("    error    %s" % r.certificates["error"])
     passed = sum(1 for r in results if r.status == "PASS")
     lines.append("%d/%d scenarios passed" % (passed, len(results)))
     return "\n".join(lines), code

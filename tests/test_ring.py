@@ -8,6 +8,7 @@ from multischeme.ring import (
     GREVLEX,
     LEX,
     PolyRing,
+    Rationals,
     TermOrder,
     linear_substitution,
 )
@@ -23,6 +24,21 @@ def test_rational_arithmetic_is_exact(ring):
     f = x.scale(Fraction(1, 3)) + y.scale(Fraction(1, 6))
     g = f + f + f + f + f + f
     assert g == x.scale(2) + y
+
+
+def test_rationals_hand_out_ints_for_integral_values(ring):
+    qq = Rationals()
+    integral = [qq.coerce(3), qq.coerce(Fraction(6, 2)), qq.zero(), qq.one()]
+    integral += [qq.inv(1), qq.inv(Fraction(1, 2))]
+    assert all(type(v) is int for v in integral)
+    assert qq.inv(2) == Fraction(1, 2) and type(qq.inv(2)) is Fraction
+    assert qq.inv(-1) == -1 and type(qq.inv(Fraction(-1))) is int
+    assert qq.coerce(Fraction(6, 4)) == Fraction(3, 2)
+    x, y = ring.var("x"), ring.var("y")
+    f = (x.scale(3) + y.scale(Fraction(1, 2))) * (x - y.scale(2))
+    coeffs = list(f.terms.values()) + list(f.monic().terms.values())
+    coeffs += [qq.inv(c) for c in coeffs]
+    assert all(type(c) in (int, Fraction) for c in coeffs)
 
 
 def test_prime_field_coefficients_stay_reduced():

@@ -4,6 +4,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from multischeme import scenarios
 from multischeme.groebner import Guard
 from multischeme.scenarios import (
     ScenarioOptions,
@@ -50,6 +51,24 @@ def test_guard_overrun_is_inconclusive_not_pass():
     result = run_scenario("example-2.9", opts)
     assert result.status == "INCONCLUSIVE"
     assert "resource_guard" in result.certificates
+
+
+def test_crashing_scenario_is_error_and_the_next_still_runs(monkeypatch):
+    def crash(rec, opts):
+        raise KeyError("boom")
+
+    monkeypatch.setitem(scenarios._SCENARIOS, "thm-3.6", crash)
+    results = [run_scenario("thm-3.6"), run_scenario("example-2.9")]
+    assert [r.status for r in results] == ["ERROR", "PASS"]
+    assert results[0].certificates["error"] == "KeyError: 'boom'"
+    text, code = emit_report(results, fmt="json")
+    assert code == 1 and exit_code(results[:1]) == 1
+    schema = json.loads(
+        resources.files("multischeme.data").joinpath("report.schema.json").read_text()
+    )
+    jsonschema.validate(json.loads(text), schema)
+    text, code = emit_report(results, fmt="text")
+    assert "    error    KeyError: 'boom'" in text.splitlines() and code == 1
 
 
 def test_char_filter_is_recorded():
