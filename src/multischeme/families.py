@@ -54,10 +54,6 @@ def _monomials(ring, vars_, degree):
     return out
 
 
-def _power_ideal(ring, vars_, degree):
-    return _monomials(ring, vars_, degree)
-
-
 def _primitive(nu=2, n=2, char=0, guard=None):
     """One-dimensional-fiber structures on a codimension-two linear support:
     the three thickenings of (x^nu, y) to multiplicity nu + 1."""
@@ -108,7 +104,7 @@ def _koszul(n=2, extend=False, char=0, guard=None):
         Ideal(sub, [ring.transfer(f, sub) for f in F]), guard=guard
     ):
         raise StructureError("forms F_i have a common projective zero")
-    gens = _koszul_binomials(ring, F, x, y, n) + _power_ideal(ring, ("x", "y"), n + 1)
+    gens = _koszul_binomials(ring, F, x, y, n) + _monomials(ring, ("x", "y"), n + 1)
     emb = Embedding(ring, ("x", "y"))
     structure = MultiStructure(emb, Ideal(ring, gens), guard=guard)
     mult = n * (n + 1) // 2 + 1
@@ -139,7 +135,7 @@ def _nystruktur(char=0, guard=None):
         Ideal(sub, [ring.transfer(p, sub) for p in P]), guard=guard
     ):
         raise StructureError("forms P_i have a common projective zero")
-    gens = [P[0] * x * x + P[1] * x * y + P[2] * y * y] + _power_ideal(
+    gens = [P[0] * x * x + P[1] * x * y + P[2] * y * y] + _monomials(
         ring, ("x", "y"), 3
     )
     emb = Embedding(ring, ("x", "y"))
@@ -168,7 +164,7 @@ def _bundle(char=0, guard=None):
     ):
         raise StructureError("forms f_i have a common projective zero")
     linear = f[0] * xv[0] + f[1] * xv[1] + f[2] * xv[2]
-    gens = [linear] + _power_ideal(ring, ("x1", "x2", "x3"), 2)
+    gens = [linear] + _monomials(ring, ("x1", "x2", "x3"), 2)
     emb = Embedding(ring, ("x1", "x2", "x3"))
     structure = MultiStructure(emb, Ideal(ring, gens), guard=guard)
     manifest = [
@@ -231,7 +227,7 @@ def _split(n=2, a=0, b=0, char=0, guard=None):
     rels_a = block(tuples_a, x_names)
     rels_b = block(tuples_b, w_names)
     support = x_names + w_names
-    squares = _power_ideal(ring, support, 2)
+    squares = _monomials(ring, support, 2)
     emb = Embedding(ring, support)
     triple = MultiStructure(
         emb, Ideal(ring, rels_a + rels_b + squares), guard=guard
@@ -242,7 +238,7 @@ def _split(n=2, a=0, b=0, char=0, guard=None):
         Ideal(
             ring,
             rels_a + [ring.var(nm) for nm in w_names]
-            + _power_ideal(ring, x_names, 2),
+            + _monomials(ring, x_names, 2),
         ),
         guard=guard,
     )
@@ -251,7 +247,7 @@ def _split(n=2, a=0, b=0, char=0, guard=None):
         Ideal(
             ring,
             rels_b + [ring.var(nm) for nm in x_names]
-            + _power_ideal(ring, w_names, 2),
+            + _monomials(ring, w_names, 2),
         ),
         guard=guard,
     )
@@ -290,7 +286,7 @@ def _ci_subsets(c=2, char=0, guard=None):
     ring = PolyRing(("z0", "z1", "z2", "x", "y"), char=char)
     F = [ring.var("x"), ring.var("y")]
     emb = Embedding(ring, ("x", "y"))
-    squares = _power_ideal(ring, ("x", "y"), 2)
+    squares = _monomials(ring, ("x", "y"), 2)
     subsets = [(), (0,), (1,), (0, 1)]
     structures = []
     manifest = []

@@ -100,25 +100,6 @@ class Ideal:
         return "Ideal(%s)" % ", ".join(str(g) for g in self.gens)
 
 
-def poly_divide_exact(f, g):
-    """q with f = q*g; raises when the division is not exact."""
-    ring = f.ring
-    q = ring.zero()
-    r = f
-    (eg, cg) = g.lead()
-    inv = ring.field.inv(cg)
-    while r:
-        (er, cr) = r.lead()
-        if not all(a >= b for a, b in zip(er, eg)):
-            raise ArithmeticError("inexact polynomial division")
-        shift = tuple(a - b for a, b in zip(er, eg))
-        c = cr * inv
-        term = ring.poly({shift: c})
-        q = q + term
-        r = r - term * g
-    return q
-
-
 def eliminate(ideal, names, guard=None):
     """Generators of ideal ∩ k[remaining variables], in the original ring."""
     ring = ideal.ring
@@ -249,19 +230,6 @@ def module_colon(im_gens, v, rank, guard=None):
     ring = v.ring
     syz = syzygies([v] + list(im_gens), rank=rank, guard=guard)
     return Ideal(ring, [s.component(0) for s in syz])
-
-
-def module_annihilator(module, guard=None):
-    """Annihilator of coker(relations) = intersection of colons by the units."""
-    ring = module.ring
-    rel = module.relation_vecs()
-    parts = [
-        module_colon(rel, Vec.unit(ring, i), module.rank, guard=guard)
-        for i in range(module.rank)
-    ]
-    if not parts:
-        return Ideal(ring, [ring.one()])
-    return intersect_many(parts, guard=guard)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,11 @@ modules; generator degrees are tracked so twists and Hilbert data make sense.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .groebner import Vec, buchberger, module_contains, syzygies
+from .ring import poly_divide_exact
 
 
 def columns_to_vecs(ring, matrix):
@@ -35,12 +36,6 @@ def vecs_to_columns(ring, vecs, nrows):
     return matrix
 
 
-def transpose(ring, matrix):
-    if not matrix:
-        return []
-    return [[matrix[i][j] for i in range(len(matrix))] for j in range(len(matrix[0]))]
-
-
 def mat_mul(ring, a, b):
     """Product of polynomial matrices."""
     if not a or not b:
@@ -57,32 +52,44 @@ def mat_mul(ring, a, b):
     return out
 
 
+def _bareiss(matrix):
+    """Fraction-free echelon elimination (Bareiss, Math. Comp. 22, 1968).
+
+    Returns (rank over the fraction field, determinant or None when the
+    matrix is not square).  Once k pivots are eliminated every remaining
+    entry is a (k+1)-minor of the input, so the division by the previous
+    pivot is exact (Sylvester's identity).
+    """
+    m = [list(row) for row in matrix]
+    nrows, ncols = len(m), len(m[0]) if m else 0
+    sign, prev, r = 1, None, 0
+    for c in range(ncols):
+        if r == nrows:
+            break
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        p = m[r][c]
+        for i in range(r + 1, nrows):
+            q = m[i][c]
+            for j in range(c + 1, ncols):
+                e = p * m[i][j] - q * m[r][j]
+                m[i][j] = e if prev is None else poly_divide_exact(e, prev)
+        prev = p
+        r += 1
+    if nrows != ncols:
+        return r, None
+    if r < nrows:
+        return r, matrix[0][0].ring.zero()
+    return r, prev if sign > 0 else -prev
+
+
 def determinant(matrix):
-    """Cofactor-expansion determinant of a square polynomial matrix."""
-    n = len(matrix)
-    ring = matrix[0][0].ring
-    memo = {}
-
-    def det(rows, cols):
-        if not rows:
-            return ring.one()
-        key = (rows, cols)
-        if key in memo:
-            return memo[key]
-        r = rows[0]
-        rest = rows[1:]
-        total = ring.zero()
-        for idx, c in enumerate(cols):
-            entry = matrix[r][c]
-            if entry.is_zero():
-                continue
-            sub = det(rest, cols[:idx] + cols[idx + 1:])
-            term = entry * sub
-            total = total + term if idx % 2 == 0 else total - term
-        memo[key] = total
-        return total
-
-    return det(tuple(range(n)), tuple(range(n)))
+    """Determinant of a square polynomial matrix."""
+    return _bareiss(matrix)[1]
 
 
 def minors(matrix, k):
@@ -103,14 +110,8 @@ def minors(matrix, k):
 
 
 def matrix_rank(matrix):
-    """Rank over the fraction field, via largest nonvanishing minor."""
-    if not matrix:
-        return 0
-    bound = min(len(matrix), len(matrix[0]))
-    for k in range(bound, 0, -1):
-        if any(m for m in minors(matrix, k)):
-            return k
-    return 0
+    """Rank over the fraction field."""
+    return _bareiss(matrix)[0]
 
 
 @dataclass
@@ -140,30 +141,20 @@ class GradedModule:
     def relation_degrees(self):
         return [v.degree_with(self.gen_degrees) for v in self.relation_vecs()]
 
-    def minimal(self, guard=None):
-        """Minimal presentation: prune constant pivots from the relations."""
-        return self.minimal_with_map()[0]
-
     def minimal_with_map(self):
         """(minimal presentation, lift) with lift[i][j] expressing the image
         of original generator i on the surviving generators j."""
-        degs = list(self.gen_degrees)
-        rel = [list(r) for r in self.relations]
-        lift = [
-            [self.ring.one() if i == j else self.ring.zero() for j in range(self.rank)]
-            for i in range(self.rank)
-        ]
-        degs, rel, lift = _prune_presentation(self.ring, degs, rel, lift)
-        if rel and rel[0]:
-            keep = [j for j in range(len(rel[0])) if any(row[j] for row in rel)]
-            rel = [[row[j] for j in keep] for row in rel]
-        return GradedModule(self.ring, tuple(degs), rel), lift
-
-    def is_zero(self, guard=None):
-        gb = buchberger(self.relation_vecs(), guard=guard)
-        return all(
-            module_contains(Vec.unit(self.ring, i), gb) for i in range(self.rank)
-        )
+        ring = self.ring
+        rows, _, rel, steps = _prune_units(ring, self.relations)
+        zero = ring.zero()
+        lift = {a: [ring.one() if a == b else zero for b in rows] for a in rows}
+        for a, subst in reversed(steps):
+            row = [zero] * len(rows)
+            for i, c in subst.items():
+                row = [x + c * y if y else x for x, y in zip(row, lift[i])]
+            lift[a] = row
+        degs = tuple(self.gen_degrees[a] for a in rows)
+        return GradedModule(ring, degs, rel), [lift[a] for a in range(self.rank)]
 
     def to_json(self):
         return {
@@ -188,48 +179,39 @@ def _ring_decl(ring):
     return format_ring(ring)
 
 
-def _prune_presentation(ring, degs, rel, lift):
-    """Remove generators hit by unit relation entries, tracking the lift.
+def _prune_units(ring, matrix):
+    """Cancel the unit entries of a presentation matrix, then drop zero columns.
 
-    The pruned generator a satisfies g_a = -(1/p) * sum_{i != a} rel[i][b] g_i
-    (from the pivot column b), which is back-substituted into ``lift``.
+    Repeatedly takes the first nonzero constant entry (a, b) in row-major
+    order, clears the rest of row a by column operations and removes row a
+    and column b.  Returns (rows, cols, pruned, steps): the original indices
+    of the surviving rows and columns, the pruned matrix, and per pivot
+    ``(a, {i: c})`` with g_a = sum c * g_i in the cokernel.
     """
+    m = [list(row) for row in matrix]
+    rows = list(range(len(m)))
+    cols = list(range(len(m[0]))) if m else []
+    steps = []
     while True:
-        pivot = _find_unit(rel)
+        pivot = next(
+            ((a, b) for a in rows for b in cols if m[a][b] and m[a][b].is_constant()),
+            None,
+        )
         if pivot is None:
-            return degs, rel, lift
+            break
         a, b = pivot
-        p = rel[a][b]
-        inv = ring.field.inv(p.constant())
-        ncols = len(rel[0])
-        for j in range(ncols):
-            if j == b:
-                continue
-            f = rel[a][j].scale(inv)
+        inv = ring.field.inv(m[a][b].constant())
+        rows.remove(a)
+        cols.remove(b)
+        hit = [i for i in rows if m[i][b]]
+        for j in cols:
+            f = m[a][j].scale(inv)
             if f:
-                for i in range(len(rel)):
-                    rel[i][j] = rel[i][j] - f * rel[i][b]
-        subst = {
-            i: (-rel[i][b].scale(inv)) for i in range(len(rel)) if i != a and rel[i][b]
-        }
-        for o in range(len(lift)):
-            ca = lift[o][a]
-            if ca:
-                for i, coeff in subst.items():
-                    lift[o][i] = lift[o][i] + ca * coeff
-        lift = [[row[i] for i in range(len(row)) if i != a] for row in lift]
-        rel = [[rel[i][j] for j in range(ncols) if j != b] for i in range(len(rel)) if i != a]
-        degs = [d for i, d in enumerate(degs) if i != a]
-        if rel and not rel[0]:
-            rel = [[] for _ in rel]
-
-
-def _find_unit(matrix):
-    for i, row in enumerate(matrix):
-        for j, e in enumerate(row):
-            if e and e.is_constant():
-                return (i, j)
-    return None
+                for i in hit:
+                    m[i][j] = m[i][j] - f * m[i][b]
+        steps.append((a, {i: -m[i][b].scale(inv) for i in hit}))
+    cols = [j for j in cols if any(m[i][j] for i in rows)]
+    return rows, cols, [[m[i][j] for j in cols] for i in rows], steps
 
 
 @dataclass
@@ -271,76 +253,29 @@ class Resolution:
         return True
 
 
-def free_resolution(module, max_length=None, guard=None):
+def free_resolution(module, guard=None):
     """Minimal graded free resolution of a GradedModule (coker presentation).
 
     Each syzygy step is pruned before the next one, so every map has entries
-    in the irrelevant maximal ideal and the length is bounded by the number
-    of variables.
+    in the irrelevant maximal ideal and, by the syzygy theorem, the length is
+    at most the number of variables.
     """
     ring = module.ring
-    if max_length is None:
-        max_length = ring.nvars + 1
     res = Resolution(ring, [list(module.gen_degrees)], [])
     current = module.relation_vecs()
-    current_degs = [v.degree_with(module.gen_degrees) for v in current]
-    while current and len(res.maps) < max_length:
-        res.maps.append(vecs_to_columns(ring, current, len(res.degrees[-1])))
-        res.degrees.append(list(current_degs))
-        i = len(res.maps) - 1
-        while True:
-            pivot = _find_unit(res.maps[i])
-            if pivot is None:
-                break
-            _prune_pivot(res, i, *pivot)
-        _drop_zero_columns(res, i)
-        if not res.degrees[-1]:
-            res.degrees.pop()
-            res.maps.pop()
+    degs = [v.degree_with(module.gen_degrees) for v in current]
+    while current:
+        matrix = vecs_to_columns(ring, current, len(res.degrees[-1]))
+        rows, cols, pruned, _ = _prune_units(ring, matrix)
+        if res.maps:
+            res.maps[-1] = [[row[a] for a in rows] for row in res.maps[-1]]
+        res.degrees[-1] = [res.degrees[-1][a] for a in rows]
+        if not cols:
             break
+        res.maps.append(pruned)
+        res.degrees.append([degs[b] for b in cols])
         current = syzygies(
-            columns_to_vecs(ring, res.maps[i]), rank=len(res.degrees[i]), guard=guard
+            columns_to_vecs(ring, pruned), rank=len(rows), guard=guard
         )
-        current_degs = [v.degree_with(res.degrees[i + 1]) for v in current]
+        degs = [v.degree_with(res.degrees[-1]) for v in current]
     return res
-
-
-def _drop_zero_columns(res, i):
-    """Remove zero relation columns in the freshly appended last map."""
-    A = res.maps[i]
-    if not A:
-        res.degrees[i + 1] = []
-        return
-    keep = [j for j in range(len(A[0])) if any(row[j] for row in A)]
-    if len(keep) != len(A[0]):
-        res.maps[i] = [[row[j] for j in keep] for row in A]
-        res.degrees[i + 1] = [res.degrees[i + 1][j] for j in keep]
-
-
-def _prune_pivot(res, i, a, b):
-    """Cancel the free summand seen by unit entry (a, b) of maps[i]."""
-    ring = res.ring
-    A = res.maps[i]
-    p = A[a][b]
-    inv = ring.field.inv(p.constant())
-    ncols = len(A[0])
-    nrows = len(A)
-    B = res.maps[i + 1] if i + 1 < len(res.maps) else None
-    C = res.maps[i - 1] if i > 0 else None
-    for j in range(ncols):
-        if j == b:
-            continue
-        f = A[a][j].scale(inv)
-        if f:
-            for r in range(nrows):
-                A[r][j] = A[r][j] - f * A[r][b]
-            if B is not None:
-                for c in range(len(B[0])):
-                    B[b][c] = B[b][c] + f * B[j][c]
-    res.maps[i] = [[A[r][j] for j in range(ncols) if j != b] for r in range(nrows) if r != a]
-    if B is not None:
-        res.maps[i + 1] = [row for r, row in enumerate(B) if r != b]
-    if C is not None:
-        res.maps[i - 1] = [[row[c] for c in range(len(row)) if c != a] for row in C]
-    res.degrees[i].pop(a)
-    res.degrees[i + 1].pop(b)

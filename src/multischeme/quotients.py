@@ -21,6 +21,7 @@ from itertools import combinations_with_replacement
 
 from .ideals import Ideal, is_irrelevant_primary
 from .modules import determinant
+from .ring import nullspace
 
 
 def monomials_of_degree(ring, d):
@@ -35,44 +36,6 @@ def monomials_of_degree(ring, d):
             e[i] += 1
         out.append(tuple(e))
     return out
-
-
-def _nullspace(field, rows, ncols):
-    """Basis of the kernel of the matrix (list of coefficient rows)."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = field.inv(m[r][c])
-        m[r] = [x * inv for x in m[r]]
-        if field.char:
-            m[r] = [x % field.char for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-                if field.char:
-                    m[i] = [x % field.char for x in m[i]]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [field.zero()] * ncols
-        v[fc] = field.one()
-        for pr, pc in enumerate(pivots):
-            v[pc] = -m[pr][fc]
-            if field.char:
-                v[pc] %= field.char
-        basis.append(v)
-    return basis
 
 
 class _LCG:
@@ -141,10 +104,7 @@ def solution_space(module, twist):
                     eqs.setdefault(key, [fieldk.zero()] * ncols)
                     eqs[key][col] = eqs[key][col] + cm
         rows.extend(eqs.values())
-    basis = _nullspace(fieldk, rows, ncols) if rows else [
-        [fieldk.one() if k == j else fieldk.zero() for k in range(ncols)]
-        for j in range(ncols)
-    ]
+    basis = nullspace(fieldk, rows, ncols)
     maps = []
     for v in basis:
         row = []

@@ -112,19 +112,6 @@ class TermOrder:
     kind: str = "grevlex"
     front: int = 0
 
-    def key(self, exps):
-        if self.kind == "grevlex":
-            return (sum(exps), tuple(-e for e in reversed(exps)))
-        if self.kind == "lex":
-            return tuple(exps)
-        if self.kind == "block":
-            f, r = exps[: self.front], exps[self.front:]
-            return (
-                (sum(f), tuple(-e for e in reversed(f))),
-                (sum(r), tuple(-e for e in reversed(r))),
-            )
-        raise ValueError("unknown order %r" % self.kind)
-
     def lead_key(self, exps):
         """A key whose ascending order is this order's descending order."""
         if self.kind == "grevlex":
@@ -187,9 +174,6 @@ class PolyRing:
         return [self.var(n) for n in self.names]
 
     # -- derived rings -----------------------------------------------------
-
-    def with_order(self, order):
-        return PolyRing(self.names, self.char, order)
 
     def extended(self, new_names, front=True):
         """Add variables (in front by default) with a block elimination order."""
@@ -358,8 +342,7 @@ class Polynomial:
 
     def lead(self):
         """(exponent tuple, coefficient) of the leading term."""
-        key = self.ring.order.key
-        e = max(self.terms, key=key)
+        e = min(self.terms, key=self.ring.order.lead_key)
         return e, self.terms[e]
 
     def lead_exp(self):
@@ -405,8 +388,8 @@ class Polynomial:
         return self.terms.get(tuple(exps), self.ring.field.zero())
 
     def sorted_terms(self):
-        key = self.ring.order.key
-        return sorted(self.terms.items(), key=lambda t: key(t[0]), reverse=True)
+        key = self.ring.order.lead_key
+        return sorted(self.terms.items(), key=lambda t: key(t[0]))
 
     # -- substitution ------------------------------------------------------
 
@@ -485,7 +468,8 @@ def linear_substitution(ring, matrix, var_names=None):
     n = len(var_names)
     if len(matrix) != n or any(len(r) != n for r in matrix):
         raise ValueError("matrix shape mismatch")
-    if not _invertible(ring.field, [list(r) for r in matrix]):
+    coerced = [[ring.field.coerce(x) for x in row] for row in matrix]
+    if nullspace(ring.field, coerced, n):
         raise ValueError("substitution matrix is singular")
     images = {}
     for i, name in enumerate(var_names):
@@ -496,20 +480,58 @@ def linear_substitution(ring, matrix, var_names=None):
     return images
 
 
-def _invertible(field, m):
-    n = len(m)
-    m = [[field.coerce(x) for x in row] for row in m]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
+def nullspace(field, rows, ncols):
+    """Basis of the kernel of a matrix over ``field`` (list of coefficient rows)."""
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][c]), None)
         if piv is None:
-            return False
-        m[col], m[piv] = m[piv], m[col]
-        inv = field.inv(m[col][col])
-        for r in range(col + 1, n):
-            if m[r][col]:
-                factor = m[r][col] * inv
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = field.inv(m[r][c])
+        m[r] = [x * inv for x in m[r]]
+        if field.char:
+            m[r] = [x % field.char for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
                 if field.char:
-                    m[r] = [(a - factor * b) % field.char for a, b in zip(m[r], m[col])]
-                else:
-                    m[r] = [a - factor * b for a, b in zip(m[r], m[col])]
-    return True
+                    m[i] = [x % field.char for x in m[i]]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        v = [field.zero()] * ncols
+        v[fc] = field.one()
+        for pr, pc in enumerate(pivots):
+            v[pc] = -m[pr][fc]
+            if field.char:
+                v[pc] %= field.char
+        basis.append(v)
+    return basis
+
+
+def poly_divide_exact(f, g):
+    """q with f = q*g; raises when the division is not exact."""
+    ring = f.ring
+    q = ring.zero()
+    r = f
+    (eg, cg) = g.lead()
+    inv = ring.field.inv(cg)
+    while r:
+        (er, cr) = r.lead()
+        if not all(a >= b for a, b in zip(er, eg)):
+            raise ArithmeticError("inexact polynomial division")
+        shift = tuple(a - b for a, b in zip(er, eg))
+        c = cr * inv
+        term = ring.poly({shift: c})
+        q = q + term
+        r = r - term * g
+    return q

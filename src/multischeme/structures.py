@@ -189,14 +189,12 @@ class MultiStructure:
                 {
                     "ideal": format_ideal(i.groebner(guard=self.guard)),
                     "locally_cm": flags[j],
-                    "unmixed": True,
                 }
                 for j, i in enumerate(filt.ideals)
             ],
             "layers": layers,
             "verdicts": {"cm": cm, "s1": self.is_S1(), "type_i": type1},
             "certificates": {
-                "witnesses": [],
                 "ext_indices": list(range(self.embedding.codim + 1, self.embedding.ring.nvars)),
                 "non_cm_locus": None if cm else format_ideal(locus.groebner(guard=self.guard)),
             },
@@ -333,7 +331,7 @@ def is_locally_free(module, rank, guard=None):
     expected = g - rank
     if expected < 0:
         raise StructureError("expected rank exceeds generator count")
-    actual = matrix_rank(rel) if rel and rel[0] else 0
+    actual = matrix_rank(rel)
     if actual < expected:
         raise StructureError(
             "module rank %d exceeds expected %d" % (g - actual, rank)

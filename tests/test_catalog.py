@@ -3,6 +3,7 @@ import json
 import pytest
 
 from multischeme.catalog import CatalogError, load_catalog, table_ids
+from multischeme.ideals import quotient_resolution
 
 
 def test_table_ids_and_counts():
@@ -21,6 +22,17 @@ def test_characteristic_rows():
     assert pairs and all(e.chars == (0, 2) for e in pairs)
     only2 = [e for e in entries if e.chars == (2,)]
     assert only2  # characteristic-two-only entries exist
+
+
+def test_resolutions_of_row_ideals_and_filtration_terms_verify():
+    checked = 0
+    for entry in load_catalog():
+        for char in entry.chars:
+            st = entry.structure(char=char)
+            for ideal in [st.ideal] + list(st.filtration().ideals):
+                assert quotient_resolution(ideal).verify(), (entry.id, char, ideal)
+                checked += 1
+    assert checked == 156
 
 
 def test_unknown_table_rejected():

@@ -10,14 +10,13 @@ from multischeme.ideals import (
     intersect,
     is_irrelevant_primary,
     is_unmixed,
-    poly_divide_exact,
     radical_contains,
     same_zero_locus,
     saturate,
     unmixed_part,
 )
 from multischeme.modules import GradedModule
-from multischeme.ring import PolyRing
+from multischeme.ring import PolyRing, poly_divide_exact
 
 
 @pytest.fixture

@@ -1,5 +1,9 @@
+import random
+from itertools import combinations
+
 import pytest
 
+from multischeme.groebner import Vec, buchberger, module_contains
 from multischeme.modules import (
     GradedModule,
     Resolution,
@@ -49,6 +53,88 @@ def test_matrix_rank(ring):
     assert matrix_rank([[x, y], [y, x]]) == 2
     assert matrix_rank([[x, y], [x, y]]) == 1
     assert matrix_rank([[ring.zero(), ring.zero()]]) == 0
+
+
+def _cofactor_det(m):
+    """Reference determinant: Laplace expansion along the first row."""
+    if not m:
+        return 1
+    total = 0
+    for j, entry in enumerate(m[0]):
+        if entry:
+            sub = [row[:j] + row[j + 1:] for row in m[1:]]
+            term = entry * _cofactor_det(sub)
+            total = term + total if j % 2 == 0 else -term + total
+    return total
+
+
+def _minor_rank(m):
+    """Reference rank: the size of the largest nonvanishing minor."""
+    for k in range(min(len(m), len(m[0])), 0, -1):
+        for rows in combinations(range(len(m)), k):
+            for cols in combinations(range(len(m[0])), k):
+                if _cofactor_det([[m[i][j] for j in cols] for i in rows]):
+                    return k
+    return 0
+
+
+def _random_matrix(ring, rng, nrows, ncols):
+    def entry():
+        terms = {}
+        for _ in range(rng.randint(0, 3)):
+            d = rng.randint(0, 2)
+            a = rng.randint(0, d)
+            terms[(a, d - a)] = rng.randint(-3, 3)
+        return ring.poly(terms)
+
+    m = [[entry() for _ in range(ncols)] for _ in range(nrows)]
+    if rng.random() < 0.3:  # a zero column
+        j = rng.randrange(ncols)
+        for row in m:
+            row[j] = ring.zero()
+    if nrows >= 2 and rng.random() < 0.4:  # a row dependent on the others
+        f, g = entry(), entry()
+        i, k = rng.sample(range(nrows), 2)
+        others = [r for r in range(nrows) if r not in (i, k)]
+        m[i] = [f * a + (g * m[others[0]][j] if others else 0) for j, a in enumerate(m[k])]
+    return m
+
+
+@pytest.mark.parametrize("char", [0, 5])
+def test_determinant_and_rank_match_cofactor_and_minor_references(char):
+    ring = PolyRing(("x", "y"), char=char)
+    rng = random.Random(char)
+    deficient = 0
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        m = _random_matrix(ring, rng, n, n)
+        assert determinant(m) == ring.zero() + _cofactor_det(m)
+        assert matrix_rank(m) == _minor_rank(m)
+        deficient += matrix_rank(m) < n
+        shape = (rng.randint(1, 4), rng.randint(1, 4))
+        m = _random_matrix(ring, rng, *shape)
+        assert matrix_rank(m) == _minor_rank(m)
+    assert deficient >= 10  # rank-deficient square cases are exercised
+
+
+def test_minimal_presentation_back_substitutes_chained_pivots(ring):
+    x, y = ring.gens()
+    one, zero = ring.one(), ring.zero()
+    # g0 = x*g1 is cancelled first, then g1 = y*g2, so g0 = x*y*g2
+    rel = [[one, zero, zero], [-x, one, x], [zero, -y, y * y]]
+    mod = GradedModule(ring, (2, 1, 0), rel)
+    minimal, lift = mod.minimal_with_map()
+    assert minimal.gen_degrees == (0,)
+    assert minimal.relations == [[x * y + y * y]]
+    assert lift == [[x * y], [y], [one]]
+    # every original generator equals its lift modulo the original relations
+    gb = buchberger(mod.relation_vecs())
+    survivors = [2]
+    for o, row in enumerate(lift):
+        diff = Vec.unit(ring, o)
+        for s, c in zip(survivors, row):
+            diff = diff.sub(Vec.unit(ring, s).mul_poly(c))
+        assert module_contains(diff, gb)
 
 
 def test_column_vec_round_trip(ring):
