@@ -15,7 +15,7 @@ from importlib import resources
 import jsonschema
 
 from .ideals import Ideal
-from .parse import parse_poly, parse_ring
+from .parse import parse_ring
 from .ring import PolyRing
 from .structures import Embedding, MultiStructure
 
@@ -37,7 +37,6 @@ class CatalogEntry:
     chars: tuple          # characteristics the entry is asserted in
     dim_only: int = None  # entry only valid at this support dimension
     char2_pair: str = None
-    witness: str = None
     instantiation: dict = field(default_factory=dict)
     metadata: dict = field(default_factory=dict)
     provenance: str = ""
@@ -61,11 +60,6 @@ class CatalogEntry:
         return MultiStructure(
             emb, Ideal.parse(ring, self.gens_text), check=check, guard=guard
         )
-
-    def witness_poly(self, char=None):
-        if self.witness is None:
-            return None
-        return parse_poly(self.ring(char=char), self.witness)
 
 
 def _data_text(name):
@@ -119,7 +113,6 @@ def load_catalog(which="all", path=None):
                 chars=chars,
                 dim_only=e.get("dim_only"),
                 char2_pair=e.get("char2_pair"),
-                witness=e.get("witness"),
                 instantiation=e.get("instantiation", {}),
                 metadata=e.get("metadata", {}),
                 provenance=e["provenance"],

@@ -105,7 +105,8 @@ class Vec:
             data = {k: v * c % p for k, v in self.data.items()}
             data = {k: v for k, v in data.items() if v}
         else:
-            data = {k: v * c for k, v in self.data.items()}
+            coerce = self.ring.field.coerce
+            data = {k: coerce(v * c) for k, v in self.data.items()}
         return Vec(self.ring, data)
 
     def mul_term(self, exps, c):
@@ -117,12 +118,6 @@ class Vec:
             if w:
                 data[(j, tuple(a + b for a, b in zip(e, exps)))] = w
         return Vec(self.ring, data)
-
-    def mul_poly(self, f):
-        out = Vec(self.ring, {})
-        for e, c in f.terms.items():
-            out = out.add(self.mul_term(e, c))
-        return out
 
     def lead(self):
         """((component, exps), coeff) under position-over-term order."""

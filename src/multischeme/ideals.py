@@ -19,13 +19,23 @@ from .modules import GradedModule, free_resolution, minors
 
 
 class Ideal:
-    """An ideal with its Groebner basis (in the ring's order) and series cached."""
+    """An ideal with its Groebner basis (in the ring's order), Hilbert series,
+    minimal resolution of R/I and Ext^i(R/I, R) annihilators cached."""
 
     def __init__(self, ring, gens):
         self.ring = ring
         self.gens = tuple(g for g in gens if g)
         self._gb = None
         self._series = None
+        self._res = None
+        self._ext = {}  # i -> ann Ext^i(R/I, R)
+
+    @classmethod
+    def from_basis(cls, ring, basis):
+        """The ideal generated by a reduced Groebner basis, kept as its basis."""
+        out = cls(ring, basis)
+        out._gb = list(out.gens)
+        return out
 
     @classmethod
     def parse(cls, ring, text):
@@ -137,12 +147,11 @@ def colon(ideal, f, guard=None):
     if f.is_zero():
         raise ValueError("colon by zero")
     # syzygy formulation: h*f + sum a_i g_i = 0  =>  h in (I : f)
-    vecs = [Vec.from_poly(f)] + [Vec.from_poly(g) for g in ideal.gens]
     if not ideal.gens:
         return Ideal(ring, [])
+    vecs = [Vec.from_poly(f)] + [Vec.from_poly(g) for g in ideal.groebner(guard=guard)]
     syz = syzygies(vecs, rank=1, guard=guard)
-    firsts = [s.component(0) for s in syz]
-    return Ideal(ring, Ideal(ring, firsts).groebner(guard=guard))
+    return Ideal.from_basis(ring, groebner_basis([s.component(0) for s in syz], guard=guard))
 
 
 def colon_ideal(ideal, other, guard=None):
@@ -248,13 +257,20 @@ def _transpose_columns(matrix, ring):
     return cols
 
 
-def ext_annihilator(ideal, i, resolution=None, guard=None):
-    """Annihilator of Ext^i(R/I, R); the unit ideal when the Ext vanishes."""
-    ring = ideal.ring
+def ext_annihilator(ideal, i, guard=None):
+    """Annihilator of Ext^i(R/I, R), cached on the ideal; the unit ideal when
+    the Ext vanishes."""
     if i < 0:
         raise ValueError("negative cohomological index")
-    if resolution is None:
-        resolution = quotient_resolution(ideal, guard=guard)
+    if i not in ideal._ext:
+        ideal._ext[i] = _ext_annihilator(ideal, i, guard)
+    return ideal._ext[i]
+
+
+def _ext_annihilator(ideal, i, guard):
+    """ann(ker d_{i+1}^T / im d_i^T), over the cached resolution of R/I."""
+    ring = ideal.ring
+    resolution = quotient_resolution(ideal, guard=guard)
     L = resolution.length
     if i > L:
         return Ideal(ring, [ring.one()])
@@ -277,39 +293,72 @@ def ext_annihilator(ideal, i, resolution=None, guard=None):
 
 
 def ext_window(ideal, codim, guard=None):
-    """(i, ann Ext^i(R/I, R)) for codim < i < nvars, from one resolution."""
+    """(i, ann Ext^i(R/I, R)) for codim < i <= pd(R/I), read from the ideal's
+    cache.  Ext^i vanishes beyond pd(R/I) = the resolution's length; the term
+    i = nvars (depth R/I = 0) has an irrelevant annihilator."""
     res = quotient_resolution(ideal, guard=guard)
-    for i in range(codim + 1, ideal.ring.nvars):
-        yield i, ext_annihilator(ideal, i, resolution=res, guard=guard)
+    for i in range(codim + 1, res.length + 1):
+        yield i, ext_annihilator(ideal, i, guard=guard)
 
 
 def quotient_resolution(ideal, guard=None):
-    """Minimal free resolution of R/I."""
-    gens = ideal.minimal_gens(guard=guard)
-    return free_resolution(GradedModule(ideal.ring, (0,), [gens]), guard=guard)
+    """Minimal free resolution of R/I, computed once and cached on the ideal.
+
+    It starts from the cached reduced basis; ``free_resolution`` prunes the
+    unit entries of the first syzygies, which drops the redundant elements.
+    """
+    if ideal._res is None:
+        top = GradedModule(ideal.ring, (0,), [ideal.groebner(guard=guard)])
+        ideal._res = free_resolution(top, guard=guard)
+    return ideal._res
 
 
-def unmixed_part(ideal, witness=None, guard=None):
-    """Equidimensional hull: the intersection of top-dimensional components.
+def unmixed_part(ideal, guard=None):
+    """Equidimensional hull: the intersection of the top-dimensional primary
+    components, returned on its reduced basis.
 
-    With a ``witness`` polynomial (vanishing on every embedded component but
-    on no top component) this is a saturation; otherwise it is computed as
-    the annihilator of the codimension-th Ext module.
+    Let c = codim I.  Every associated prime of codimension i > c contains
+    ann Ext^i(R/I, R), and no codimension-c prime P does, since (R/I)_P is
+    Artinian (Eisenbud-Huneke-Vasconcelos, *Direct methods for primary
+    decomposition*, Invent. Math. 110, 1992, Thm 1.1).  So from each
+    non-unit annihilator of the window c < i <= pd(R/I), the first basis
+    element a with codim(I + (a)) > c is taken, and I : g^infinity for their
+    product g is the hull.  Where no basis element avoids the top primes
+    (this happens in any characteristic), I is saturated by the annihilator
+    ideal itself, which is exact.  A hull equal to I keeps I's cached
+    basis, series and resolution.
+
+    The window comes from the resolution and annihilators cached on the
+    ideal (``quotient_resolution``, ``ext_annihilator``).
     """
     ring = ideal.ring
     if ideal.is_zero():
         return ideal
-    dim, _ = ideal.dimension_degree(guard=guard)
-    if dim < 0:
+    if ideal.dimension_degree(guard=guard)[0] < 0:
         return Ideal(ring, [ring.one()])
-    if witness is not None:
-        if ideal.contains(witness, guard=guard):
-            raise ValueError("witness lies in the ideal")
-        sat, _ = saturate(ideal, witness, guard=guard)
-        return sat
     c = ideal.codimension(guard=guard)
-    hull = ext_annihilator(ideal, c, guard=guard)
-    return Ideal(ring, Ideal(ring, hull.gens).groebner(guard=guard))
+    basis = ideal.groebner(guard=guard)
+    g, whole = ring.one(), []
+    for _, ann in ext_window(ideal, c, guard=guard):
+        if ann.is_one(guard=guard):
+            continue
+        a = next(
+            (a for a in ann.groebner(guard=guard)
+             if Ideal(ring, basis + [a]).codimension(guard=guard) > c),
+            None,
+        )
+        if a is None:
+            whole.append(ann)
+        else:
+            g = g * a
+    hull = ideal
+    for f in whole if g.is_constant() else [g] + whole:
+        hull = saturate(hull, f, guard=guard)[0]
+    if hull is not ideal:  # saturate returns its input when nothing changes
+        return Ideal.from_basis(ring, hull.groebner(guard=guard))
+    same = Ideal.from_basis(ring, basis)
+    same._series, same._res, same._ext = ideal._series, ideal._res, ideal._ext
+    return same
 
 
 def is_unmixed(ideal, guard=None):
@@ -317,4 +366,4 @@ def is_unmixed(ideal, guard=None):
     if ideal.is_zero() or ideal.dimension_degree(guard=guard)[0] < 0:
         return True
     window = ext_window(ideal, ideal.codimension(guard=guard), guard=guard)
-    return all(ann.codimension(guard=guard) > i for i, ann in window)
+    return all(ann.codimension(guard=guard) > i for i, ann in window if i < ideal.ring.nvars)

@@ -138,9 +138,6 @@ class GradedModule:
     def relation_vecs(self):
         return columns_to_vecs(self.ring, self.relations)
 
-    def relation_degrees(self):
-        return [v.degree_with(self.gen_degrees) for v in self.relation_vecs()]
-
     def minimal_with_map(self):
         """(minimal presentation, lift) with lift[i][j] expressing the image
         of original generator i on the surviving generators j."""
@@ -156,27 +153,6 @@ class GradedModule:
         degs = tuple(self.gen_degrees[a] for a in rows)
         return GradedModule(ring, degs, rel), [lift[a] for a in range(self.rank)]
 
-    def to_json(self):
-        return {
-            "ring": _ring_decl(self.ring),
-            "gen_twists": self.twists(),
-            "matrix": [[str(e) for e in row] for row in self.relations],
-        }
-
-    @classmethod
-    def from_json(cls, data):
-        from .parse import parse_poly, parse_ring
-
-        ring = parse_ring(data["ring"])
-        degs = tuple(-t for t in data["gen_twists"])
-        rel = [[parse_poly(ring, e) for e in row] for row in data["matrix"]]
-        return cls(ring, degs, rel)
-
-
-def _ring_decl(ring):
-    from .parse import format_ring
-
-    return format_ring(ring)
 
 
 def _prune_units(ring, matrix):

@@ -364,12 +364,6 @@ class Polynomial:
         degs = {sum(e) for e in self.terms}
         return len(degs) <= 1
 
-    def homogeneous_parts(self):
-        parts = {}
-        for e, c in self.terms.items():
-            parts.setdefault(sum(e), {})[e] = c
-        return {d: Polynomial(self.ring, t) for d, t in sorted(parts.items())}
-
     def is_constant(self):
         return all(sum(e) == 0 for e in self.terms)
 

@@ -18,7 +18,6 @@ from .ideals import (
     ext_window,
     intersect_many,
     is_irrelevant_primary,
-    radical_contains,
     same_zero_locus,
     unmixed_part,
 )
@@ -95,8 +94,12 @@ class MultiStructure:
                 raise StructureError("inhomogeneous generator %s" % g)
             if not ix.contains(g, guard=self.guard):
                 raise StructureError("generator %s not supported on X" % g)
-        for v in ix.gens:
-            if not radical_contains(self.ideal, v, guard=self.guard):
+        # for homogeneous I_Y, v lies in rad(I_Y) exactly when I_Y at v = 1
+        # has no zero, i.e. is the unit ideal
+        ring = self.embedding.ring
+        for v in self.embedding.support_vars:
+            at_one = [g.substitute({v: ring.one()}) for g in self.ideal.gens]
+            if not Ideal(ring, at_one).is_one(guard=self.guard):
                 raise StructureError("radical of I_Y misses %s" % v)
 
     def _memo(self, key, fn):
@@ -133,11 +136,8 @@ class MultiStructure:
     def hilbert_polynomial(self):
         return self._memo("hilb", lambda: self.ideal.hilbert_polynomial(guard=self.guard))
 
-    def filtration(self, witness=None):
-        key = ("filtration", witness)
-        return self._memo(
-            key, lambda: s1_filtration(self, witness=witness, guard=self.guard)
-        )
+    def filtration(self):
+        return self._memo("filtration", lambda: s1_filtration(self, guard=self.guard))
 
     def is_S1(self):
         return self._memo("s1", lambda: is_S1(self.ideal, guard=self.guard))
@@ -221,19 +221,17 @@ class Filtration:
         return len(self.ideals)
 
 
-def s1_filtration(structure, witness=None, guard=None):
+def s1_filtration(structure, guard=None):
     """Filtration by unmixed parts of I_Y + I_X^{j+1}, with layer modules."""
     emb = structure.embedding
     iy = structure.ideal
     ix = emb.support_ideal()
     k = structure.nilpotency_index()
-    ideals = []
-    for j in range(k + 1):
-        if j == 0:
-            ideals.append(ix)
-            continue
-        total = iy.plus(ix.power(j + 1))
-        ideals.append(unmixed_part(total, witness=witness, guard=guard))
+    ideals = [ix]
+    for j in range(1, k + 1):
+        # I_X^(k+1) lies in I_Y, so the last sum is I_Y and shares its caches
+        total = iy if j == k else iy.plus(ix.power(j + 1))
+        ideals.append(unmixed_part(total, guard=guard))
     # sanity: chain inclusions
     for j in range(len(ideals) - 1):
         if not ideals[j].contains_ideal(ideals[j + 1], guard=guard):

@@ -14,6 +14,7 @@ from multischeme.ideals import (
     is_irrelevant_primary,
     radical_contains,
     saturate,
+    unmixed_part,
 )
 from multischeme.modules import GradedModule
 from multischeme.ring import PolyRing
@@ -196,6 +197,38 @@ def irrelevance_agrees_with_radical(seed, count=COUNT):
     return count
 
 
+def _random_form(rng, ring, degree):
+    f = ring.zero()
+    while not f:
+        f = _random_homogeneous(rng, ring, degree)
+    return f
+
+
+def hull_matches_ext_annihilator(seed, count=COUNT):
+    """The equidimensional hull from one saturation equals ann Ext^c(R/I, R)
+    on ideals with embedded, irrelevant and lower-dimensional components."""
+    rng = random.Random(seed)
+    grown = 0
+    for k in range(count):
+        ring = PolyRing(("a", "b", "c", "d"), char=rng.choice((0, 2, 5)))
+        top = Ideal(ring, [_random_form(rng, ring, rng.randint(1, 2)) for _ in range(rng.randint(1, 2))])
+        line = _random_form(rng, ring, 1)
+        kind = k % 4
+        if kind == 0:  # the top part alone, usually unmixed
+            ideal = top
+        elif kind == 1:  # embedded along top + (line)
+            ideal = top.times(Ideal(ring, top.gens + (line,)))
+        elif kind == 2:  # embedded irrelevant component
+            ideal = top.times(Ideal(ring, ring.gens()))
+        else:  # a lower-dimensional linear component
+            ideal = top.times(Ideal(ring, [line] + [_random_form(rng, ring, 1) for _ in range(2)]))
+        hull = unmixed_part(ideal)
+        assert hull.equals(ext_annihilator(ideal, ideal.codimension()))
+        grown += not hull.equals(ideal)
+    assert grown > count // 4
+    return count
+
+
 ALL_SUITES = {
     "ring-axioms": ring_axioms,
     "groebner-determinism": groebner_determinism,
@@ -203,4 +236,5 @@ ALL_SUITES = {
     "fitting-invariance": fitting_invariance,
     "ext-window-triviality": ext_window_triviality,
     "irrelevance-agrees-with-radical": irrelevance_agrees_with_radical,
+    "hull-matches-ext-annihilator": hull_matches_ext_annihilator,
 }

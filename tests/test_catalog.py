@@ -49,15 +49,6 @@ def test_entry_accessors():
         entry.ring(char=13)
 
 
-def test_witnesses_parse_when_declared():
-    for e in load_catalog():
-        w = e.witness_poly()
-        if e.witness is not None:
-            assert w is not None and not w.is_zero()
-        else:
-            assert w is None
-
-
 def test_schema_violation_reported(tmp_path):
     bad = {"tables": [{"id": "t", "ring": "ring x,y / char 0 / grevlex"}]}
     p = tmp_path / "cat.json"

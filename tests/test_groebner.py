@@ -177,3 +177,12 @@ def test_char0_basis_of_int_coefficients_is_exact(ring):
     coeffs = [c for v in from_int for c in v.data.values()]
     assert coeffs and all(type(c) in (int, Fraction) for c in coeffs)
     assert Fraction(1, 3) in coeffs
+
+
+def test_vec_scale_keeps_integral_rational_coefficients_as_ints(ring):
+    v = Vec(ring, {(0, (1, 0)): 3, (1, (0, 1)): 6, (1, (1, 0)): 1})
+    monic = v.monic()
+    assert monic.data == {(0, (1, 0)): 1, (1, (0, 1)): 2, (1, (1, 0)): Fraction(1, 3)}
+    assert [type(c) for c in monic.data.values()] == [int, int, Fraction]
+    scaled = v.scale(Fraction(2, 3))
+    assert [type(c) for c in scaled.data.values()] == [int, int, Fraction]

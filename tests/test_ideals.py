@@ -10,6 +10,7 @@ from multischeme.ideals import (
     intersect,
     is_irrelevant_primary,
     is_unmixed,
+    quotient_resolution,
     radical_contains,
     same_zero_locus,
     saturate,
@@ -158,11 +159,29 @@ def test_unmixed_part_strips_embedded_component():
     hull = unmixed_part(I)
     expected = Ideal.parse(ring, "(x^2 + z0*y, x*y, y^2)")
     assert hull.equals(expected)
-    # witness route agrees
-    sat_hull = unmixed_part(I, witness=ring.var("z0"))
-    assert sat_hull.equals(expected)
-    with pytest.raises(ValueError):
-        unmixed_part(I, witness=ring.var("y") ** 2)
+    assert hull.gens == tuple(expected.groebner())
+
+
+@pytest.mark.parametrize("char", [0, 2, 5])
+def test_unmixed_part_saturates_by_the_annihilator_when_no_element_avoids_top_primes(char):
+    ring = PolyRing(("a", "b", "c", "d"), char=char)
+    I = Ideal.parse(ring, "(a^3*b, a^2*b^2, a*b^3, a^2*c, a*b*c, b^2*c, c^2)")
+    assert I.codimension() == 2
+    ann = ext_annihilator(I, 3)
+    assert ann.equals(Ideal.parse(ring, "(a^2, a*b, b^2, c)"))
+    # every basis element lies in a top prime, (a, c) or (b, c)
+    assert all(Ideal(ring, I.groebner() + [f]).codimension() == 2 for f in ann.groebner())
+    hull = unmixed_part(I)
+    assert hull.equals(ext_annihilator(I, 2))
+    assert hull.equals(Ideal.parse(ring, "(a*b, c)"))
+
+
+def test_unmixed_part_of_an_unmixed_ideal_keeps_its_caches(ring):
+    I = _ideal(ring, "(x^2 + z0*y, y^2, 2*y^2 + x^2 + z0*y)")
+    hull = unmixed_part(I)
+    assert hull.gens == tuple(I.groebner())
+    assert hull.hilbert_series() is I.hilbert_series()
+    assert quotient_resolution(hull) is quotient_resolution(I)
 
 
 def test_dimension_degree_and_codimension(ring):

@@ -133,7 +133,7 @@ def test_minimal_presentation_back_substitutes_chained_pivots(ring):
     for o, row in enumerate(lift):
         diff = Vec.unit(ring, o)
         for s, c in zip(survivors, row):
-            diff = diff.sub(Vec.unit(ring, s).mul_poly(c))
+            diff = diff.sub(Vec.from_poly(c, s))
         assert module_contains(diff, gb)
 
 
@@ -161,14 +161,6 @@ def test_minimal_presentation_prunes_unit_pivot(ring):
     # original generator 1 maps to x times the survivor
     assert lift[1][0] == x
     assert lift[0][0] == ring.one()
-
-
-def test_graded_module_json_round_trip(ring):
-    x, y = ring.gens()
-    mod = GradedModule(ring, (0, 0), [[x, y], [y, ring.zero()]])
-    back = GradedModule.from_json(mod.to_json())
-    assert back.gen_degrees == mod.gen_degrees
-    assert back.relations == mod.relations
 
 
 def test_free_resolution_of_two_variable_quotient(ring):

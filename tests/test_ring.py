@@ -136,13 +136,11 @@ def test_transfer_between_rings_matches_names():
         big.transfer(big.var("x"), small)
 
 
-def test_homogeneous_parts_split_by_degree(ring):
+def test_is_homogeneous_by_total_degree(ring):
     x, y, _ = ring.gens()
     f = x + x * y + y
-    parts = f.homogeneous_parts()
-    assert parts[1] == x + y
-    assert parts[2] == x * y
     assert not f.is_homogeneous()
+    assert (x + y).is_homogeneous()
     assert (x * y).is_homogeneous()
 
 

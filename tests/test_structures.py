@@ -3,7 +3,7 @@ import json
 import pytest
 
 from multischeme.hilbert import HilbertPoly
-from multischeme.ideals import Ideal
+from multischeme.ideals import Ideal, radical_contains
 from multischeme.modules import GradedModule
 from multischeme.ring import PolyRing
 from multischeme.structures import (
@@ -44,6 +44,29 @@ def test_structure_validation_rejects_wrong_support(ring):
         _structure(ring, "(x^2, y^2, z0)")  # z0 not supported on X
     with pytest.raises(StructureError):
         _structure(ring, "(x^2 + x, y)")  # inhomogeneous
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(x^2, y)",
+        "(x^2 + z0*y, y^2)",
+        "(x^2, x*y, z0*y^2)",
+        "(x^2, x*y, z0*y^2, z1*y^2)",
+        "(x*z0 + y*z1, x^2, y^2)",
+        "(x^3, x*y*z1, y^2*z0)",
+    ],
+)
+def test_support_check_at_one_agrees_with_the_radical(ring, text):
+    st = MultiStructure.parse(ring, text, check=False)
+    expected = all(radical_contains(st.ideal, ring.var(v)) for v in ("x", "y"))
+    try:
+        st.validate()
+        verdict = True
+    except StructureError as exc:
+        assert "radical of I_Y misses" in str(exc)
+        verdict = False
+    assert verdict == expected
 
 
 def test_nilpotency_index_and_multiplicity(ring):
