@@ -54,6 +54,13 @@ def _monomials(ring, vars_, degree):
     return out
 
 
+def _require_no_common_zero(ring, forms, label, guard):
+    """Forms in the z-variables must have no common zero on their P^n."""
+    sub = ring.subring(tuple(n for n in ring.names if n.startswith("z")))
+    if not is_irrelevant_primary(Ideal(sub, [ring.transfer(f, sub) for f in forms]), guard=guard):
+        raise StructureError("forms %s have a common projective zero" % label)
+
+
 def _primitive(nu=2, n=2, char=0, guard=None):
     """One-dimensional-fiber structures on a codimension-two linear support:
     the three thickenings of (x^nu, y) to multiplicity nu + 1."""
@@ -99,11 +106,8 @@ def _koszul(n=2, extend=False, char=0, guard=None):
     ring = PolyRing(names, char=char)
     x, y = ring.var("x"), ring.var("y")
     F = [ring.var("z%d" % i) for i in range(n + 1)]
-    sub = PolyRing(tuple("z%d" % i for i in range(nz)), char=char)
-    if not extend and not is_irrelevant_primary(
-        Ideal(sub, [ring.transfer(f, sub) for f in F]), guard=guard
-    ):
-        raise StructureError("forms F_i have a common projective zero")
+    if not extend:
+        _require_no_common_zero(ring, F, "F_i", guard)
     gens = _koszul_binomials(ring, F, x, y, n) + _monomials(ring, ("x", "y"), n + 1)
     emb = Embedding(ring, ("x", "y"))
     structure = MultiStructure(emb, Ideal(ring, gens), guard=guard)
@@ -130,11 +134,7 @@ def _nystruktur(char=0, guard=None):
     ring = PolyRing(("z0", "z1", "z2", "x", "y"), char=char)
     x, y = ring.var("x"), ring.var("y")
     P = [ring.var("z0"), ring.var("z1"), ring.var("z2")]
-    sub = PolyRing(("z0", "z1", "z2"), char=char)
-    if not is_irrelevant_primary(
-        Ideal(sub, [ring.transfer(p, sub) for p in P]), guard=guard
-    ):
-        raise StructureError("forms P_i have a common projective zero")
+    _require_no_common_zero(ring, P, "P_i", guard)
     gens = [P[0] * x * x + P[1] * x * y + P[2] * y * y] + _monomials(
         ring, ("x", "y"), 3
     )
@@ -158,11 +158,7 @@ def _bundle(char=0, guard=None):
     ring = PolyRing(("z0", "z1", "z2", "x1", "x2", "x3"), char=char)
     f = [ring.var("z0"), ring.var("z1"), ring.var("z2")]
     xv = [ring.var("x1"), ring.var("x2"), ring.var("x3")]
-    sub = PolyRing(("z0", "z1", "z2"), char=char)
-    if not is_irrelevant_primary(
-        Ideal(sub, [ring.transfer(g, sub) for g in f]), guard=guard
-    ):
-        raise StructureError("forms f_i have a common projective zero")
+    _require_no_common_zero(ring, f, "f_i", guard)
     linear = f[0] * xv[0] + f[1] * xv[1] + f[2] * xv[2]
     gens = [linear] + _monomials(ring, ("x1", "x2", "x3"), 2)
     emb = Embedding(ring, ("x1", "x2", "x3"))

@@ -15,7 +15,7 @@ from .groebner import (
     syzygies,
 )
 from .hilbert import ideal_hilbert_series
-from .modules import GradedModule, free_resolution, minors
+from .modules import GradedModule, columns_to_vecs, free_resolution, minors
 
 
 class Ideal:
@@ -245,18 +245,6 @@ def module_colon(im_gens, v, rank, guard=None):
 # Ext annihilators and unmixedness
 
 
-def _transpose_columns(matrix, ring):
-    """Columns of the transposed matrix, as Vecs (rows become columns)."""
-    cols = []
-    for a, row in enumerate(matrix):
-        data = {}
-        for b, entry in enumerate(row):
-            for e, c in entry.terms.items():
-                data[(b, e)] = c
-        cols.append(Vec(ring, data))
-    return cols
-
-
 def ext_annihilator(ideal, i, guard=None):
     """Annihilator of Ext^i(R/I, R), cached on the ideal; the unit ideal when
     the Ext vanishes."""
@@ -278,12 +266,12 @@ def _ext_annihilator(ideal, i, guard):
     if i == L:
         kernel = [Vec.unit(ring, b) for b in range(rank_i)]
     else:
-        nxt_cols = _transpose_columns(resolution.map_matrix(i + 1), ring)
+        nxt_cols = columns_to_vecs(ring, list(zip(*resolution.map_matrix(i + 1))))
         kernel = syzygies(nxt_cols, rank=len(resolution.degrees[i + 1]), guard=guard)
     if i == 0:
         image = []
     else:
-        image = _transpose_columns(resolution.map_matrix(i), ring)
+        image = columns_to_vecs(ring, list(zip(*resolution.map_matrix(i))))
     gb_im = buchberger(image, guard=guard)
     nontrivial = [k for k in kernel if not module_contains(k, gb_im)]
     if not nontrivial:

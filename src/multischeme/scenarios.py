@@ -36,7 +36,6 @@ from .structures import (
     is_locally_CM,
     is_S1,
     layer_quotient_rows,
-    lift_kernel,
     thicken,
 )
 
@@ -465,37 +464,10 @@ def _scn_koszul(rec, opts):
     )
 
 
-def _thicken_by_layer(st, filt, j, guard=None):
-    """Thicken filtration term j by its layer quotient; next-term candidate.
-
-    When the layer is presented freely this goes through the public
-    row-matrix interface; otherwise the kernel of the map onto the presented
-    layer is computed directly (lift columns modulo relation columns).
-    """
-    emb = st.embedding
-    ring = emb.ring
-    layer = filt.layers[j]
-    gens, lift = filt.layer_lifts[j]
-    if not (layer.relations and layer.relations[0]):
-        rows = layer_quotient_rows(filt, j)
-        base = MultiStructure(emb, filt.ideals[j], check=False, guard=guard)
-        return thicken(base, rows, guard=guard).ideal
-    sub = emb.support_ring()
-    vecs = [
-        Vec(sub, {(i, e): c for i in range(layer.rank) for e, c in lift[o][i].terms.items()})
-        for o in range(len(gens))
-    ]
-    kernel = syzygies(
-        vecs + layer.relation_vecs(), rank=layer.rank, guard=guard
-    )
-    lifted = lift_kernel(emb, kernel, gens)
-    ix = emb.support_ideal()
-    return ix.times(filt.ideals[j]).plus(Ideal(ring, lifted))
-
-
 def _scn_thicken_roundtrip(rec, opts):
-    """Thickening each filtration term by its layer quotient rows must
-    reproduce the next term, for every type-I entry of multiplicity <= 4."""
+    """Thickening each filtration term by its layer quotient, free or
+    presented, must reproduce the next term, for every type-I entry of
+    multiplicity <= 4."""
     entries = [
         e
         for e in load_catalog("thm-3.6") + load_catalog("thm-3.8")
@@ -511,11 +483,12 @@ def _scn_thicken_roundtrip(rec, opts):
             filt = st.filtration()
             rec.check(tag + ":reaches-top", True, filt.reaches_top)
             for j in range(len(filt.ideals) - 1):
-                candidate = _thicken_by_layer(st, filt, j, guard=opts.guard)
+                base = MultiStructure(st.embedding, filt.ideals[j], check=False)
+                candidate = thicken(base, *layer_quotient_rows(filt, j), guard=opts.guard)
                 rec.check_ideal(
                     "%s:step-%d" % (tag, j),
                     filt.ideals[j + 1],
-                    candidate,
+                    candidate.ideal,
                     opts.guard,
                 )
 

@@ -21,7 +21,7 @@ from .ideals import (
     same_zero_locus,
     unmixed_part,
 )
-from .modules import GradedModule, matrix_rank, minors
+from .modules import GradedModule, columns_to_vecs, matrix_rank, minors
 
 
 class StructureError(ValueError):
@@ -34,19 +34,22 @@ class Embedding:
 
     ring: object
     support_vars: tuple
+    # I_X, built once so every caller shares its basis, series and resolution
+    _support: Ideal = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.support_vars = tuple(self.support_vars)
         missing = [v for v in self.support_vars if v not in self.ring._index]
         if missing:
             raise StructureError("unknown support variables %r" % missing)
+        self._support = Ideal(self.ring, [self.ring.var(v) for v in self.support_vars])
 
     @property
     def codim(self):
         return len(self.support_vars)
 
     def support_ideal(self):
-        return Ideal(self.ring, [self.ring.var(v) for v in self.support_vars])
+        return self._support
 
     def support_ring(self):
         rest = tuple(n for n in self.ring.names if n not in self.support_vars)
@@ -212,13 +215,9 @@ class Filtration:
 
     ideals: list
     layers: list             # GradedModules over the support ring
-    layer_series: list       # HilbertSeries over the ambient ring (differences)
     layer_polynomials: list  # HilbertPoly per layer
     reaches_top: bool        # I_k == I_Y (holds exactly when Y is S1)
     layer_lifts: list        # per layer: (gens of I_j, lift matrix to minimal gens)
-
-    def __len__(self):
-        return len(self.ideals)
 
 
 def s1_filtration(structure, guard=None):
@@ -238,16 +237,14 @@ def s1_filtration(structure, guard=None):
             raise StructureError("filtration terms fail to nest at step %d" % j)
     reaches_top = ideals[-1].equals(iy, guard=guard)
     layers = []
-    series = []
     polys = []
     lifts = []
     for j in range(len(ideals) - 1):
         layer, ser, lift = layer_module(emb, ideals[j], ideals[j + 1], guard=guard)
         layers.append(layer)
-        series.append(ser)
         polys.append(ser.polynomial())
         lifts.append(lift)
-    return Filtration(ideals, layers, series, polys, reaches_top, lifts)
+    return Filtration(ideals, layers, polys, reaches_top, lifts)
 
 
 def layer_module(emb, upper, lower, guard=None):
@@ -299,17 +296,12 @@ def _mul_one_minus_t(numer):
     return {d: c for d, c in out.items() if c}
 
 
-def is_locally_CM(ideal_or_structure, codim, guard=None):
+def is_locally_CM(ideal, codim, guard=None):
     """(verdict, non-CM locus ideal).
 
     True when every Ext^i annihilator beyond the codimension has empty
     projective zero set; the locus is the union of the nontrivial supports.
     """
-    ideal = (
-        ideal_or_structure.ideal
-        if isinstance(ideal_or_structure, MultiStructure)
-        else ideal_or_structure
-    )
     ring = ideal.ring
     window = ext_window(ideal, codim, guard=guard)
     bad = [ann for _, ann in window if not is_irrelevant_primary(ann, guard=guard)]
@@ -342,64 +334,56 @@ def is_locally_free(module, rank, guard=None):
     return is_irrelevant_primary(fitt, guard=guard)
 
 
-def thicken(structure, rows, check_surjective=True, guard=None):
-    """Thicken Y by a quotient of I_Y/(I_X I_Y) onto a free module O^q.
+def thicken(structure, rows, relations=(), guard=None):
+    """Thicken Y by a quotient L = coker(relations) of I_Y/(I_X I_Y).
 
     ``rows`` is a q x s matrix over the support ring, s = number of minimal
-    generators of I_Y.  The new ideal is I_X*I_Y plus the lifts of the kernel
-    of the row map.
+    generators of I_Y; ``relations`` is L's q x r relation matrix, laid out
+    as ``GradedModule.relations`` (empty: L = O^q).  The map must be onto:
+    the q-minors of [rows | relations] have no common zero, as Supp L =
+    V(Fitt_0 L).  The new ideal is I_X*I_Y plus the lifts sum_i h_i g_i of
+    the kernel vectors h of [rows | relations] (components >= s dropped).
     """
     emb = structure.embedding
     ring = emb.ring
     iy = structure.ideal
-    ix = emb.support_ideal()
     gens = iy.minimal_gens(guard=guard)
     sub = emb.support_ring()
-    rows = [
-        [f if f.ring == sub else f.ring.transfer(f, sub) for f in row] for row in rows
-    ]
     q = len(rows)
     if any(len(r) != len(gens) for r in rows):
         raise StructureError(
             "row length %d does not match %d minimal generators"
             % (len(rows[0]) if rows else 0, len(gens))
         )
-    if check_surjective:
-        mm = minors(rows, q)
-        locus = Ideal(sub, mm)
-        if not mm or not is_irrelevant_primary(locus, guard=guard):
-            raise StructureError(
-                "quotient rows are not surjective; degeneracy locus (%s)"
-                % ", ".join(str(m) for m in locus.gens)
-            )
-    cols = [
-        Vec(sub, {(i, e): c for i, f in enumerate(col) for e, c in f.terms.items()})
-        for col in ([row[j] for row in rows] for j in range(len(gens)))
+    relations = relations or [[] for _ in rows]
+    if len(relations) != q:
+        raise StructureError("%d relation rows for %d quotient rows" % (len(relations), q))
+    matrix = [
+        [f if f.ring == sub else f.ring.transfer(f, sub) for f in list(row) + list(rel)]
+        for row, rel in zip(rows, relations)
     ]
-    lifted = lift_kernel(emb, syzygies(cols, rank=q, guard=guard), gens)
-    new_ideal = ix.times(iy).plus(Ideal(ring, lifted))
+    mm = minors(matrix, q)
+    locus = Ideal(sub, mm)
+    if not mm or not is_irrelevant_primary(locus, guard=guard):
+        raise StructureError(
+            "quotient rows are not surjective; degeneracy locus (%s)"
+            % ", ".join(str(m) for m in locus.gens)
+        )
+    kernel = syzygies(columns_to_vecs(sub, matrix), rank=q, guard=guard)
+    lifted = (
+        sum((emb.extend(h.component(i)) * g for i, g in enumerate(gens)), ring.zero())
+        for h in kernel
+    )
+    new_ideal = emb.support_ideal().times(iy).plus(Ideal(ring, lifted))
     return MultiStructure(emb, new_ideal, check=True, guard=guard)
 
 
-def lift_kernel(emb, kernel, gens):
-    """The nonzero sums sum_i h_i * gens[i] over the kernel vectors h."""
-    sums = (
-        sum((emb.extend(h.component(i)) * g for i, g in enumerate(gens)), emb.ring.zero())
-        for h in kernel
-    )
-    return [f for f in sums if f]
-
-
 def layer_quotient_rows(filtration, j):
-    """Rows of the quotient map I_j/(I_X I_j) -> L_j on minimal generators.
-
-    Only valid when L_j is presented without relations (free); this is the
-    map used in the thickening round-trip.
-    """
+    """(rows, relations) of the quotient map I_j/(I_X I_j) -> L_j on the
+    minimal generators of I_j: the arguments of ``thicken`` that rebuild
+    I_{j+1} from I_j."""
     layer = filtration.layers[j]
-    if layer.relations and layer.relations[0]:
-        raise StructureError("layer %d is not free; no row matrix available" % j)
     gens, lift = filtration.layer_lifts[j]
     # lift[o][i]: coefficient of surviving generator i in the image of gen o
-    q = layer.rank
-    return [[lift[o][i] for o in range(len(gens))] for i in range(q)]
+    rows = [[lift[o][i] for o in range(len(gens))] for i in range(layer.rank)]
+    return rows, layer.relations

@@ -238,3 +238,14 @@ ALL_SUITES = {
     "irrelevance-agrees-with-radical": irrelevance_agrees_with_radical,
     "hull-matches-ext-annihilator": hull_matches_ext_annihilator,
 }
+
+SEED = 20260823
+_COUNTS = {}
+
+
+def suite_count(name, seed=SEED):
+    """Instance count of one suite at one seed, run at most once per process
+    (the unit tests and the acceptance gate read the same counts)."""
+    if (name, seed) not in _COUNTS:
+        _COUNTS[name, seed] = ALL_SUITES[name](seed)
+    return _COUNTS[name, seed]

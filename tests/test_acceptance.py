@@ -4,16 +4,7 @@ at exact equality."""
 
 import pytest
 
-from prop_suites import ALL_SUITES
-from multischeme.scenarios import run_scenario
-
-_RESULTS = {}
-
-
-def _scenario(sid):
-    if sid not in _RESULTS:
-        _RESULTS[sid] = run_scenario(sid)
-    return _RESULTS[sid]
+from prop_suites import ALL_SUITES, suite_count
 
 
 @pytest.fixture
@@ -34,57 +25,58 @@ def report(request):
     return _report
 
 
-def _scenario_criterion(report, name, sids):
-    results = [_scenario(s) for s in sids]
-    ok = all(r.status == "PASS" for r in results)
-    detail = "; ".join(
-        "%s=%s %s" % (r.id, r.status, r.diffs) for r in results if r.status != "PASS"
-    )
-    report(name, ok, detail)
+@pytest.fixture
+def scenario_criterion(report, scenario_result):
+    def _criterion(name, sids):
+        results = [scenario_result(s) for s in sids]
+        ok = all(r.status == "PASS" for r in results)
+        detail = "; ".join(
+            "%s=%s %s" % (r.id, r.status, r.diffs) for r in results if r.status != "PASS"
+        )
+        report(name, ok, detail)
+
+    return _criterion
 
 
-def test_criterion_01_filtration_reproduction(report):
-    _scenario_criterion(report, "1 filtration reproduction", ["example-2.9"])
+def test_criterion_01_filtration_reproduction(scenario_criterion):
+    scenario_criterion("1 filtration reproduction", ["example-2.9"])
 
 
-def test_criterion_02_classification_tables(report):
-    _scenario_criterion(
-        report, "2 classification tables", ["thm-3.6", "thm-3.8", "thm-3.14"]
-    )
+def test_criterion_02_classification_tables(scenario_criterion):
+    scenario_criterion("2 classification tables", ["thm-3.6", "thm-3.8", "thm-3.14"])
 
 
-def test_criterion_03_hilbert_additivity(report):
+def test_criterion_03_hilbert_additivity(scenario_criterion):
     # additivity is asserted inside the table scenarios for every entry
-    _scenario_criterion(
-        report, "3 Hilbert additivity", ["thm-3.6", "thm-3.8", "thm-3.14"]
-    )
+    scenario_criterion("3 Hilbert additivity", ["thm-3.6", "thm-3.8", "thm-3.14"])
 
 
-def test_criterion_04_characteristic_dichotomy(report):
-    _scenario_criterion(report, "4 characteristic dichotomy", ["char-dichotomy"])
+def test_criterion_04_characteristic_dichotomy(scenario_criterion):
+    scenario_criterion("4 characteristic dichotomy", ["char-dichotomy"])
 
 
-def test_criterion_05_nonexistence_certificates(report):
-    _scenario_criterion(report, "5 non-existence certificates", ["nonexistence-3.3"])
+def test_criterion_05_nonexistence_certificates(scenario_criterion):
+    scenario_criterion("5 non-existence certificates", ["nonexistence-3.3"])
 
 
-def test_criterion_06_non_type_one_family(report):
-    _scenario_criterion(report, "6 non-type-I family", ["thm-5.1"])
+def test_criterion_06_non_type_one_family(scenario_criterion):
+    scenario_criterion("6 non-type-I family", ["thm-5.1"])
 
 
-def test_criterion_07_resolution_euler_arithmetic(report):
-    _scenario_criterion(report, "7 resolution Euler arithmetic", ["hm-hilbert"])
+def test_criterion_07_resolution_euler_arithmetic(scenario_criterion):
+    scenario_criterion("7 resolution Euler arithmetic", ["hm-hilbert"])
 
 
-def test_criterion_08_degree3_catalog(report):
-    _scenario_criterion(report, "8 degree-3 catalog", ["degree3-catalog"])
+def test_criterion_08_degree3_catalog(scenario_criterion):
+    scenario_criterion("8 degree-3 catalog", ["degree3-catalog"])
 
 
-def test_criterion_09_thickening_round_trip(report):
-    _scenario_criterion(report, "9 thickening round-trip", ["thicken-roundtrip"])
+def test_criterion_09_thickening_round_trip(scenario_criterion):
+    scenario_criterion("9 thickening round-trip", ["thicken-roundtrip"])
 
 
 def test_criterion_10_property_suites(report):
-    counts = {name: fn(20260823) for name, fn in ALL_SUITES.items()}
+    # the counts tests/test_properties.py asserts, at the same seed
+    counts = {name: suite_count(name) for name in ALL_SUITES}
     ok = all(c == 200 for c in counts.values())
     report("10 property suites (200 instances)", ok, str(counts))

@@ -1,4 +1,5 @@
 import json
+import os
 from importlib import resources
 
 import jsonschema
@@ -27,22 +28,22 @@ def test_unknown_scenario_rejected():
         run_scenario("no-such-scenario")
 
 
-def test_example_scenario_passes():
-    result = run_scenario("example-2.9")
+def test_example_scenario_passes(scenario_result):
+    result = scenario_result("example-2.9")
     assert result.status == "PASS"
     assert result.diffs == []
 
 
-def test_hilbert_scenarios_pass_quickly():
+def test_hilbert_scenarios_pass_quickly(scenario_result):
     for sid in ("hm-hilbert", "degree3-catalog", "ci-lattice-4.24"):
-        result = run_scenario(sid)
+        result = scenario_result(sid)
         assert result.status == "PASS", (sid, result.diffs)
 
 
-def test_split_and_koszul_scenarios_pass():
+def test_split_and_koszul_scenarios_pass(scenario_result):
     # the remaining scenarios not covered by the acceptance gate
     for sid in ("koszul-3.11", "split-4.16"):
-        result = run_scenario(sid)
+        result = scenario_result(sid)
         assert result.status == "PASS", (sid, result.diffs)
 
 
@@ -87,9 +88,9 @@ def test_exit_code_logic():
     assert exit_code([]) == 0
 
 
-def test_report_json_validates_against_schema():
+def test_report_json_validates_against_schema(scenario_result):
     results = [
-        run_scenario("hm-hilbert"),
+        scenario_result("hm-hilbert"),
         ScenarioResult(
             "b", "FAIL", 0.1, diffs=[{"check": "c", "expected": "1", "computed": "2"}]
         ),
@@ -117,3 +118,15 @@ def test_report_text_format():
     assert lines[0].startswith("PASS") and "a" in lines[0]
     assert any("expected 1" in l for l in lines)
     assert lines[-1] == "1/2 scenarios passed"
+
+
+def test_verify_all_report_matches_pinned(scenario_result):
+    # the `ms verify all --format json` report with `elapsed` stripped: the
+    # status, diffs and certificates of all 13 scenarios are pinned
+    text, code = emit_report([scenario_result(s) for s in scenario_ids()], fmt="json")
+    report = json.loads(text)
+    for scenario in report["scenarios"]:
+        del scenario["elapsed"]
+    with open(os.path.join(os.path.dirname(__file__), "data", "verify_all.json")) as fh:
+        assert report == json.load(fh)
+    assert code == 0

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from multischeme.catalog import load_catalog
 from multischeme.hilbert import HilbertPoly
 from multischeme.ideals import Ideal, radical_contains
 from multischeme.modules import GradedModule
@@ -152,16 +153,44 @@ def test_thicken_rejects_degenerate_rows(ring):
         thicken(st, [[sub.var("z0"), sub.zero()]])
     with pytest.raises(StructureError):
         thicken(st, [[sub.one()]])
+    with pytest.raises(StructureError):
+        thicken(st, [[sub.one(), sub.zero()]], [[sub.one()], [sub.one()]])
+
+
+def test_thicken_by_a_presented_quotient(ring):
+    st = _structure(ring, "(x, y)")
+    sub = st.embedding.support_ring()
+    # L = O/(z1): the row (1, 0) maps x onto L and y to 0, so z1*x joins the kernel
+    thick = thicken(st, [[sub.one(), sub.zero()]], [[sub.var("z1")]])
+    assert thick.ideal.equals(Ideal.parse(ring, "(x^2, y, z1*x)"))
+    assert thicken(st, [[sub.one(), sub.zero()]]).ideal.equals(Ideal.parse(ring, "(x^2, y)"))
+
+
+def test_thicken_rejects_a_presented_quotient_it_does_not_reach(ring):
+    st = _structure(ring, "(x, y)")
+    sub = st.embedding.support_ring()
+    # the 1-minors of [z1, 0 | z1] all vanish at z1 = 0
+    with pytest.raises(StructureError):
+        thicken(st, [[sub.var("z1"), sub.zero()]], [[sub.var("z1")]])
 
 
 def test_layer_quotient_rows_round_trip(ring):
-    st = _structure(ring, "(x^2 + z0*y, y^2)")
-    filt = st.filtration()
-    rows = layer_quotient_rows(filt, 0)
-    assert len(rows) == filt.layers[0].rank
-    base = MultiStructure(st.embedding, filt.ideals[0], check=True)
-    thick = thicken(base, rows)
-    assert thick.ideal.equals(filt.ideals[1])
+    # a free layer of a small example, and the presented rank-3 layer of
+    # thm-3.8/5 (three relation columns)
+    presented = next(e for e in load_catalog("thm-3.8") if e.id == "thm-3.8/5")
+    cases = [
+        (_structure(ring, "(x^2 + z0*y, y^2)"), 0, 0),
+        (presented.structure(char=0, check=False), 1, 3),
+    ]
+    for st, j, relation_cols in cases:
+        filt = st.filtration()
+        rows, relations = layer_quotient_rows(filt, j)
+        assert len(rows) == len(relations) == filt.layers[j].rank
+        assert relations == filt.layers[j].relations
+        assert all(len(r) == relation_cols for r in relations)
+        base = MultiStructure(st.embedding, filt.ideals[j], check=True)
+        thick = thicken(base, rows, relations)
+        assert thick.ideal.equals(filt.ideals[j + 1])
 
 
 def test_is_locally_cm_on_plain_ideal(ring):
