@@ -2,15 +2,18 @@
 
 The series of R/I is computed from the lead-term ideal by pivot recursion on
 monomial generators.  Hilbert polynomials are written in the basis
-P_i(t) = binom(t + i, i), whose coefficients are integers for the numerical
-polynomials arising here.
+P_i(t) = binom(t + i, i), whose generating function is 1/(1-t)^(i+1).  Every
+polynomial comes from a series q(t)/(1-t)^n by integer division: write
+q = q(1) + (1-t)*q', take q(1) as the coefficient of P_(n-1) and recurse on
+q'/(1-t)^(n-1) (Bruns-Herzog, Cohen-Macaulay Rings, 4.1).  Twisted free
+modules, Euler sums and dense input are turned into series first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial
+from math import comb
 
 from .groebner import Vec, buchberger
 
@@ -111,13 +114,26 @@ class HilbertSeries:
 
     def value(self, t):
         """Exact dimension of the degree-t graded piece."""
-        if t < 0:
-            return 0
         n = self.nvars
         return sum(c * comb(t - i + n - 1, n - 1) for i, c in self.numerator if t - i >= 0)
 
     def polynomial(self):
-        return hilbert_polynomial_from_series(self)
+        """Hilbert polynomial in the P-basis, by repeated division by (1-t).
+
+        Cross-checked against the exact dimension count at five consecutive
+        degrees from the agreement bound on.
+        """
+        numer = self.numer_dict()
+        start = max(max(numer, default=0) - self.nvars + 1, 0)
+        coeffs = {}
+        for i in reversed(range(self.nvars)):
+            coeffs[i] = sum(numer.values())
+            numer = _divide_by_one_minus_t(_poly_add(numer, {0: coeffs[i]}, sign=-1))
+        hp = HilbertPoly.make(coeffs)
+        for t in range(start, start + 5):
+            if hp(t) != self.value(t):
+                raise ArithmeticError("Hilbert polynomial disagrees with series at t=%d" % t)
+        return hp
 
     def __add__(self, other):
         assert self.nvars == other.nvars
@@ -131,10 +147,10 @@ class HilbertSeries:
 
 
 def _divide_by_one_minus_t(numer):
-    # divide a polynomial with p(1) = 0 by (1 - t)
+    # divide a Laurent polynomial with p(1) = 0 by (1 - t)
     out = {}
     acc = 0
-    for d in range(max(numer) + 1):
+    for d in range(min(numer, default=0), max(numer, default=-1) + 1):
         acc += numer.get(d, 0)
         if acc:
             out[d] = acc
@@ -154,7 +170,7 @@ def hilbert_series_of_leads(lead_exps_by_comp, gen_degrees, nvars):
 def ideal_hilbert_series(ring, groebner_polys):
     """Series of R/I from a Groebner basis of I."""
     leads = [g.lead_exp() for g in groebner_polys if g]
-    return HilbertSeries.make(monomial_numerator(leads, ring.nvars), ring.nvars)
+    return hilbert_series_of_leads({0: leads}, (0,), ring.nvars)
 
 
 def module_hilbert_series(module, guard=None):
@@ -237,52 +253,23 @@ def dense_to_p_basis(dense):
     """Convert dense coefficients [c_0, c_1*t, ...] to the P-basis.
 
     Raises ValueError when the polynomial is not an integer combination of
-    the P_i (i.e. not numerical in this basis).
+    the P_i, i.e. not integer-valued (the P_i are a Z-basis of those).
     """
-    dense = [Fraction(c) for c in dense]
-    while dense and dense[-1] == 0:
-        dense.pop()
-    out = {}
-    while dense:
-        m = len(dense) - 1
-        lead = dense[-1] * factorial(m)
-        if lead.denominator != 1:
-            raise ValueError("not an integer combination of the P basis")
-        out[m] = int(lead)
-        pm = _shifted_binom_dense(m, 0)
-        dense = [a - lead * b for a, b in zip(dense, pm)]
-        while dense and dense[-1] == 0:
-            dense.pop()
-    return HilbertPoly.make(out)
-
-
-def hilbert_polynomial_from_series(series):
-    """Hilbert polynomial of the series, in the P-basis.
-
-    Internally cross-checked against the exact dimension count at five
-    consecutive degrees from the agreement bound on.
-    """
-    n = series.nvars
-    numer = series.numer_dict()
-    if not numer:
-        return HilbertPoly.zero()
-    dense = [Fraction(0)] * n
-    for i, c in numer.items():
-        shifted = _shifted_binom_dense(n - 1, -i)
-        for k, v in enumerate(shifted):
-            dense[k] += c * v
-    hp = dense_to_p_basis(dense)
-    start = max(max(numer) - n + 1, 0)
-    for t in range(start, start + 5):
-        if hp(t) != series.value(t):
-            raise ArithmeticError("Hilbert polynomial disagrees with series at t=%d" % t)
-    return hp
+    n = len(dense)
+    values = [sum(Fraction(c) * t**k for k, c in enumerate(dense)) for t in range(n)]
+    if any(v.denominator != 1 for v in values):
+        raise ValueError("not an integer combination of the P basis")
+    # sum_t p(t) s^t = q(s)/(1-s)^n with q the first n terms of (1-s)^n sum_t p(t) s^t
+    numer = {
+        d: sum((-1) ** j * comb(n, j) * int(values[d - j]) for j in range(d + 1))
+        for d in range(n)
+    }
+    return HilbertSeries.make(numer, n).polynomial()
 
 
 def twisted_free_hilbert(n, twist, rank=1):
     """Hilbert polynomial of O(twist)^rank on P^n, i.e. rank * P_n(t + twist)."""
-    dense = [rank * c for c in _shifted_binom_dense(n, twist)]
-    return dense_to_p_basis(dense)
+    return HilbertSeries.make({-twist: rank}, n + 1).polynomial()
 
 
 def euler_characteristic(n, terms):
@@ -291,12 +278,12 @@ def euler_characteristic(n, terms):
     terms[i] lists the twisted free summands of the i-th module; signs
     alternate starting with + for i = 0.
     """
-    total = HilbertPoly.zero()
+    numer = {}
     for i, summands in enumerate(terms):
         sign = 1 if i % 2 == 0 else -1
         for twist, rank in summands:
-            total = total + twisted_free_hilbert(n, twist, rank).scale(sign)
-    return total
+            numer = _poly_add(numer, {-twist: sign * rank})
+    return HilbertSeries.make(numer, n + 1).polynomial()
 
 
 # ---------------------------------------------------------------------------
@@ -355,14 +342,3 @@ def reduced_degree3_membership(p, n):
         return True, "three-linear-spaces-a=%d" % a
     return False, None
 
-
-def _shifted_binom_dense(m, shift):
-    """Dense coefficients of binom(t + shift + m, m) as a polynomial in t."""
-    coeffs = [Fraction(1)]
-    for j in range(1, m + 1):
-        nxt = [Fraction(0)] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i] += c * (j + shift)
-            nxt[i + 1] += c
-        coeffs = nxt
-    return [c / factorial(m) for c in coeffs]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .groebner import Vec, syzygies
-from .hilbert import HilbertSeries, module_hilbert_series
+from .hilbert import module_hilbert_series
 from .ideals import (
     Ideal,
     ext_window,
@@ -226,7 +226,8 @@ def s1_filtration(structure, guard=None):
     iy = structure.ideal
     ix = emb.support_ideal()
     k = structure.nilpotency_index()
-    ideals = [ix]
+    # with k = 0, I_Y = I_X: start from I_Y so both share one resolution
+    ideals = [iy if k == 0 else ix]
     for j in range(1, k + 1):
         # I_X^(k+1) lies in I_Y, so the last sum is I_Y and shares its caches
         total = iy if j == k else iy.plus(ix.power(j + 1))
@@ -280,20 +281,11 @@ def layer_module(emb, upper, lower, guard=None):
 
 def _check_layer_series(layer, ambient_diff, guard=None):
     """The presentation's series must equal the ideal-quotient difference."""
-    own = module_hilbert_series(layer, guard=guard)
-    gap = ambient_diff.nvars - own.nvars
-    numer = own.numer_dict()
-    for _ in range(gap):
-        numer = {d: c for d, c in _mul_one_minus_t(numer).items()}
-    if tuple(sorted(numer.items())) != ambient_diff.numerator:
+    own, pole = module_hilbert_series(layer, guard=guard).reduced()
+    ambient, ambient_pole = ambient_diff.reduced()
+    # two zero series are equal whatever their pole orders
+    if own != ambient or (own and pole != ambient_pole):
         raise StructureError("layer Hilbert series mismatch")
-
-
-def _mul_one_minus_t(numer):
-    out = dict(numer)
-    for d, c in numer.items():
-        out[d + 1] = out.get(d + 1, 0) - c
-    return {d: c for d, c in out.items() if c}
 
 
 def is_locally_CM(ideal, codim, guard=None):

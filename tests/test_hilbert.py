@@ -1,7 +1,10 @@
+import random
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
+from multischeme.catalog import load_catalog
 from multischeme.groebner import groebner_basis
 from multischeme.hilbert import (
     HilbertPoly,
@@ -67,6 +70,8 @@ def test_twisted_free_hilbert_oracles():
     assert twisted_free_hilbert(2, -1) == HilbertPoly.make({2: 1, 1: -1})
     assert twisted_free_hilbert(2, -2) == HilbertPoly.make({2: 1, 1: -2, 0: 1})
     assert twisted_free_hilbert(1, -3, rank=2) == HilbertPoly.make({1: 2, 0: -6})
+    assert twisted_free_hilbert(2, 1) == HilbertPoly.make({2: 1, 1: 1, 0: 1})
+    assert twisted_free_hilbert(3, 2, rank=2) == HilbertPoly.make({3: 2, 2: 4, 1: 6, 0: 8})
 
 
 def test_dense_to_p_basis_round_trip():
@@ -76,6 +81,14 @@ def test_dense_to_p_basis_round_trip():
     assert [hp(t) for t in range(4)] == [1, 3, 7, 13]
     with pytest.raises(ValueError):
         dense_to_p_basis([0, Fraction(1, 3)])
+
+
+def test_dense_to_p_basis_integer_valued_fractions_and_empty():
+    # (t^2 + t)/2 takes integer values: P_2 - P_1
+    hp = dense_to_p_basis([0, Fraction(1, 2), Fraction(1, 2)])
+    assert hp == HilbertPoly.make({2: 1, 1: -1})
+    assert dense_to_p_basis([]) == HilbertPoly.zero()
+    assert dense_to_p_basis([0, 0]) == HilbertPoly.zero()
 
 
 def test_hilbert_poly_arithmetic_and_str():
@@ -96,6 +109,14 @@ def test_euler_characteristic_of_resolution():
     assert chi == HilbertPoly.make({4: 2, 3: 5, 2: 5, 0: -10})
 
 
+def test_euler_characteristic_with_positive_twists():
+    # Euler sequence 0 -> O -> O(1)^3 -> T -> 0 on P^2
+    chi = euler_characteristic(2, [[(1, 3)], [(0, 1)]])
+    assert chi == HilbertPoly.make({2: 2, 1: 3, 0: 3})
+    # O(2) - O(1) on P^1 is the constant 1
+    assert euler_characteristic(1, [[(2, 1)], [(1, 1)]]) == HilbertPoly.make({0: 1})
+
+
 def test_module_series_matches_ideal_series():
     ring = PolyRing(("x", "y"))
     x, y = ring.gens()
@@ -113,6 +134,13 @@ def test_series_sub_and_add():
     assert isinstance(c, HilbertSeries)
     assert [c.value(t) for t in range(4)] == [0, 1, 2, 3]
     assert (b + c).numerator == a.numerator
+
+
+def test_laurent_series_values_and_polynomial():
+    # t^-2/(1-t)^2 is the series of S(2) over k[z0, z1]: t + 3 from t = -2 on
+    s = HilbertSeries.make({-2: 1}, 2)
+    assert [s.value(t) for t in range(-3, 2)] == [0, 1, 2, 3, 4]
+    assert s.polynomial() == twisted_free_hilbert(1, 2) == HilbertPoly.make({1: 1, 0: 2})
 
 
 def test_degree3_catalog_membership():
@@ -140,3 +168,58 @@ def test_degree3_catalog_entries_have_lead_three():
 def test_hilbert_poly_json_shape():
     hp = HilbertPoly.make({2: 2, 0: -1})
     assert hilb_to_json(hp) == {"basis": "P", "coeffs": {"2": 2, "0": -1}}
+
+
+def _dense_fraction_polynomial(series):
+    """The former series -> polynomial route, kept as a reference: expand
+    each t^i/(1-t)^n into dense Fraction coefficients of binom(t - i + n - 1,
+    n - 1), then peel P-basis terms off the top."""
+
+    def shifted_binom(m, shift):
+        coeffs = [Fraction(1)]
+        for j in range(1, m + 1):
+            nxt = [Fraction(0)] * (len(coeffs) + 1)
+            for i, c in enumerate(coeffs):
+                nxt[i] += c * (j + shift)
+                nxt[i + 1] += c
+            coeffs = nxt
+        return [c / factorial(m) for c in coeffs]
+
+    n = series.nvars
+    dense = [Fraction(0)] * n
+    for i, c in series.numerator:
+        for k, v in enumerate(shifted_binom(n - 1, -i)):
+            dense[k] += c * v
+    out = {}
+    while dense and dense[-1] == 0:
+        dense.pop()
+    while dense:
+        m = len(dense) - 1
+        lead = dense[-1] * factorial(m)
+        assert lead.denominator == 1
+        out[m] = int(lead)
+        dense = [a - lead * b for a, b in zip(dense, shifted_binom(m, 0))]
+        while dense and dense[-1] == 0:
+            dense.pop()
+    return HilbertPoly.make(out)
+
+
+def test_polynomial_matches_the_dense_fraction_reference():
+    checked = 0
+    for entry in load_catalog():
+        for char in entry.chars:
+            st = entry.structure(char=char)
+            filt = st.filtration()
+            series = [i.hilbert_series() for i in [st.ideal] + list(filt.ideals)]
+            series += [module_hilbert_series(layer) for layer in filt.layers]
+            for s in series:
+                assert s.polynomial() == _dense_fraction_polynomial(s), (entry.id, char, s)
+                checked += 1
+    assert checked == 244  # 156 ideal series and 88 layer series
+    rng = random.Random(8)
+    for _ in range(200):
+        nvars = rng.randint(1, 5)
+        lo = rng.randint(-4, 2)
+        numer = {d: rng.randint(-5, 5) for d in range(lo, lo + rng.randint(1, 6))}
+        s = HilbertSeries.make(numer, nvars)
+        assert s.polynomial() == _dense_fraction_polynomial(s), s

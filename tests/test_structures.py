@@ -3,7 +3,7 @@ import json
 import pytest
 
 from multischeme.catalog import load_catalog
-from multischeme.hilbert import HilbertPoly
+from multischeme.hilbert import HilbertPoly, HilbertSeries
 from multischeme.ideals import Ideal, radical_contains
 from multischeme.modules import GradedModule
 from multischeme.ring import PolyRing
@@ -11,6 +11,7 @@ from multischeme.structures import (
     Embedding,
     MultiStructure,
     StructureError,
+    _check_layer_series,
     is_locally_CM,
     is_locally_free,
     layer_quotient_rows,
@@ -110,6 +111,46 @@ def test_filtration_shape_and_type_one(ring):
     for hp in filt.layer_polynomials:
         total = total + hp
     assert total == st.hilbert_polynomial()
+
+
+def test_reduced_structure_filtration_starts_from_its_own_ideal(monkeypatch):
+    import multischeme.ideals as ideals
+
+    entry = next(e for e in load_catalog("thm-3.6") if e.id == "thm-3.6/1")
+    st = entry.structure()
+    assert st.nilpotency_index() == 0
+    calls = []
+    counted = ideals.free_resolution
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(ideals, "free_resolution", counting)
+    filt = st.filtration()
+    assert filt.ideals[0] is st.ideal
+    assert st.locally_cm()[0] and st.is_type_I() == (True, [True])
+    # R/(x, y) is resolved once, for the CM verdict and the term-0 flag
+    assert len(calls) == 1
+
+
+def test_layer_series_check(ring):
+    st = _structure(ring, "(x^2 + z0*y, y^2)")
+    filt = st.filtration()
+    layer = filt.layers[0]
+    diff = filt.ideals[1].hilbert_series() - filt.ideals[0].hilbert_series()
+    # the layer lives over k[z0, z1], the difference over k[z0, z1, x, y]
+    assert layer.ring.nvars == 2 and diff.nvars == 4
+    _check_layer_series(layer, diff)
+    wrong = diff + HilbertSeries.make({3: 1}, 4)
+    with pytest.raises(StructureError, match="layer Hilbert series mismatch"):
+        _check_layer_series(layer, wrong)
+    # equal numerators over different pole orders are different series
+    sub = layer.ring
+    with pytest.raises(StructureError, match="layer Hilbert series mismatch"):
+        _check_layer_series(GradedModule(sub, (0,), [[]]), HilbertSeries.make({0: 1}, 3))
+    # a zero layer matches a zero difference whatever the pole orders
+    _check_layer_series(GradedModule(sub, (0,), [[sub.one()]]), HilbertSeries.make({}, 4))
 
 
 def test_report_shape(ring):
