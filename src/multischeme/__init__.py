@@ -13,7 +13,6 @@ from .hilbert import HilbertPoly, HilbertSeries, dense_to_p_basis, twisted_free_
 from .ideals import (
     Ideal,
     colon,
-    colon_ideal,
     eliminate,
     ext_annihilator,
     fitting_ideal,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .groebner import Vec, buchberger
+from .groebner import buchberger
 
 
 # ---------------------------------------------------------------------------

@@ -121,57 +121,43 @@ def eliminate(ideal, names, guard=None):
     return Ideal(ring, [elim_ring.transfer(g, ring) for g in keep])
 
 
-def intersect(a, b, guard=None):
-    """a ∩ b via the homogenizing-variable elimination trick."""
-    ring = a.ring
+def intersect(*ideals, guard=None):
+    """The intersection of the ideals, folded pairwise by the t-trick
+    a ∩ b = (t*a + (1 - t)*b) ∩ R in one ring extended by t."""
+    ring = ideals[0].ring
     t = ring.fresh_name("t")
     ext = ring.extended((t,), front=True)
     tv = ext.var(t)
-    gens = [tv * ring.transfer(f, ext) for f in a.gens]
-    gens += [(ext.one() - tv) * ring.transfer(g, ext) for g in b.gens]
-    gb = groebner_basis(gens, guard=guard)
-    keep = [g for g in gb if t not in g.variables()]
-    return Ideal(ring, [ext.transfer(g, ring) for g in keep])
-
-
-def intersect_many(ideals, guard=None):
-    out = None
-    for i in ideals:
-        out = i if out is None else intersect(out, i, guard=guard)
+    out = ideals[0]
+    for b in ideals[1:]:
+        gens = [tv * ring.transfer(f, ext) for f in out.gens]
+        gens += [(ext.one() - tv) * ring.transfer(g, ext) for g in b.gens]
+        gb = groebner_basis(gens, guard=guard)
+        out = Ideal(ring, [ext.transfer(g, ring) for g in gb if t not in g.variables()])
     return out
 
 
 def colon(ideal, f, guard=None):
-    """ideal : (f) for a single polynomial f."""
-    ring = ideal.ring
+    """ideal : f, on its reduced basis, for a polynomial f; for an ideal f it
+    is the intersection of the colons by f's generators."""
+    if isinstance(f, Ideal):
+        if f.is_zero():
+            raise ValueError("colon by zero ideal")
+        return intersect(*(colon(ideal, g, guard=guard) for g in f.gens), guard=guard)
     if f.is_zero():
         raise ValueError("colon by zero")
-    # syzygy formulation: h*f + sum a_i g_i = 0  =>  h in (I : f)
-    if not ideal.gens:
-        return Ideal(ring, [])
-    vecs = [Vec.from_poly(f)] + [Vec.from_poly(g) for g in ideal.groebner(guard=guard)]
-    syz = syzygies(vecs, rank=1, guard=guard)
-    return Ideal.from_basis(ring, groebner_basis([s.component(0) for s in syz], guard=guard))
-
-
-def colon_ideal(ideal, other, guard=None):
-    """ideal : other for an ideal ``other``."""
-    parts = [colon(ideal, f, guard=guard) for f in other.gens if f]
-    if not parts:
-        raise ValueError("colon by zero ideal")
-    return intersect_many(parts, guard=guard)
+    basis = [Vec.from_poly(g) for g in ideal.groebner(guard=guard)]
+    quotient = module_colon(basis, Vec.from_poly(f), 1, guard=guard)
+    return Ideal.from_basis(ideal.ring, quotient.groebner(guard=guard))
 
 
 def saturate(ideal, f, guard=None):
-    """(ideal : f^infinity, e) with e the least exponent reaching the limit."""
-    if isinstance(f, Ideal):
-        step = lambda j: colon_ideal(j, f, guard=guard)
-    else:
-        step = lambda j: colon(j, f, guard=guard)
+    """(ideal : f^infinity, e) with e the least exponent reaching the limit;
+    f is a polynomial or an ideal."""
     current = ideal
     e = 0
     while True:
-        nxt = step(current)
+        nxt = colon(current, f, guard=guard)
         if nxt.equals(current, guard=guard):
             return current, e
         current = nxt
@@ -277,7 +263,7 @@ def _ext_annihilator(ideal, i, guard):
     if not nontrivial:
         return Ideal(ring, [ring.one()])
     parts = [module_colon(image, k, rank_i, guard=guard) for k in nontrivial]
-    return intersect_many(parts, guard=guard)
+    return intersect(*parts, guard=guard)
 
 
 def ext_window(ideal, codim, guard=None):

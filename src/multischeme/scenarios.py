@@ -30,7 +30,6 @@ from .parse import format_ideal
 from .quotients import line_bundle_quotients
 from .ring import PolyRing
 from .structures import (
-    Embedding,
     MultiStructure,
     is_locally_CM,
     is_S1,

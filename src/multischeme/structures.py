@@ -13,14 +13,7 @@ from dataclasses import dataclass, field
 
 from .groebner import Vec, syzygies
 from .hilbert import module_hilbert_series
-from .ideals import (
-    Ideal,
-    ext_window,
-    intersect_many,
-    is_irrelevant_primary,
-    same_zero_locus,
-    unmixed_part,
-)
+from .ideals import Ideal, ext_window, intersect, is_irrelevant_primary, unmixed_part
 from .modules import GradedModule, columns_to_vecs, matrix_rank, minors
 
 
@@ -143,7 +136,8 @@ class MultiStructure:
         return self._memo("filtration", lambda: s1_filtration(self, guard=self.guard))
 
     def is_S1(self):
-        return self._memo("s1", lambda: is_S1(self.ideal, guard=self.guard))
+        # the last filtration term is the hull of I_Y (I_Y = I_X, prime, at k = 0)
+        return self.filtration().reaches_top
 
     def locally_cm(self):
         return self._memo(
@@ -198,7 +192,9 @@ class MultiStructure:
             "layers": layers,
             "verdicts": {"cm": cm, "s1": self.is_S1(), "type_i": type1},
             "certificates": {
-                "ext_indices": list(range(self.embedding.codim + 1, self.embedding.ring.nvars)),
+                "ext_indices": [
+                    i for i, _ in ext_window(self.ideal, self.embedding.codim, guard=self.guard)
+                ],
                 "non_cm_locus": None if cm else format_ideal(locus.groebner(guard=self.guard)),
             },
             "seed": seed,
@@ -251,14 +247,14 @@ def s1_filtration(structure, guard=None):
 def layer_module(emb, upper, lower, guard=None):
     """L = upper/(I_X*upper + lower) presented over the support ring.
 
-    Returns (presentation, Hilbert series of the layer, (gens, lift)).
+    The relations are the syzygies of upper's minimal generators g against
+    lower's generators, restricted to the support ring.  Returns
+    (presentation, Hilbert series of the layer, (gens, lift)).
     """
-    ring = emb.ring
-    ix = emb.support_ideal()
     gens = upper.minimal_gens(guard=guard)
-    modulus = ix.times(upper).plus(lower)
-    # relations: h with sum h_i g_i ∈ modulus
-    vecs = [Vec.from_poly(g) for g in gens] + [Vec.from_poly(m) for m in modulus.gens]
+    # sum h_i g_i in I_X*upper + lower iff h is in (relations modulo lower)
+    # + I_X*R^s; restricting kills I_X, so taking lower alone loses nothing
+    vecs = [Vec.from_poly(g) for g in gens] + [Vec.from_poly(m) for m in lower.gens]
     syz = syzygies(vecs, rank=1, guard=guard)
     sub = emb.support_ring()
     degs = tuple(g.degree() for g in gens)
@@ -299,7 +295,7 @@ def is_locally_CM(ideal, codim, guard=None):
     bad = [ann for _, ann in window if not is_irrelevant_primary(ann, guard=guard)]
     if not bad:
         return True, Ideal(ring, [ring.one()])
-    return False, intersect_many(bad, guard=guard)
+    return False, intersect(*bad, guard=guard)
 
 
 def is_S1(ideal, guard=None):

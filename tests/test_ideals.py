@@ -3,7 +3,6 @@ import pytest
 from multischeme.ideals import (
     Ideal,
     colon,
-    colon_ideal,
     eliminate,
     ext_annihilator,
     fitting_ideal,
@@ -51,9 +50,16 @@ def test_colon_oracles(ring):
     x, y = ring.var("x"), ring.var("y")
     assert colon(I, x).equals(_ideal(ring, "(x, y)"))
     assert colon(I, y).equals(_ideal(ring, "(x)"))
-    assert colon_ideal(I, _ideal(ring, "(x, y)")).equals(_ideal(ring, "(x)"))
-    with pytest.raises(ValueError):
+    assert colon(I, _ideal(ring, "(x, y)")).equals(_ideal(ring, "(x)"))
+    # the colon by a polynomial comes back on its reduced basis
+    assert colon(I, x).gens == tuple(_ideal(ring, "(x, y)").groebner())
+    assert colon(Ideal(ring, []), x).is_zero()
+    with pytest.raises(ValueError, match="colon by zero$"):
         colon(I, ring.zero())
+    with pytest.raises(ValueError, match="colon by zero ideal"):
+        colon(I, Ideal(ring, []))
+    with pytest.raises(ValueError, match="colon by zero ideal"):
+        colon(I, Ideal(ring, [ring.zero()]))
 
 
 def test_saturation_oracles(ring):
@@ -82,6 +88,15 @@ def test_intersection_oracle(ring):
     assert intersect(a, b).equals(_ideal(ring, "(x*y)"))
     c = intersect(_ideal(ring, "(x, y)"), _ideal(ring, "(x, z0)"))
     assert c.equals(_ideal(ring, "(x, y*z0)"))
+
+
+def test_intersect_of_several_ideals(ring):
+    a, b, c = (_ideal(ring, t) for t in ("(x^2, y)", "(x, y^2)", "(z0, x*y)"))
+    three = intersect(a, b, c)
+    assert three.equals(intersect(intersect(a, b), c))
+    assert three.equals(intersect(a, intersect(b, c)))
+    assert three.equals(_ideal(ring, "(x^2*z0, x*y, y^2*z0)"))
+    assert intersect(a) is a
 
 
 def test_radical_membership(ring):

@@ -1,0 +1,45 @@
+"""Every name a package module imports is used in that module.
+
+``__init__.py`` is left out: its imports are the package's re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "multischeme"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source):
+    """Names bound by the imports of ``source`` and never read in it."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported.setdefault(name, node.lineno)
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_unused_import_check_sees_through_attributes_and_aliases():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as j\n"
+        "from re import compile, sub\n"
+        "def f():\n"
+        "    from math import pi\n"
+        "    return os.path.join(j.dumps(compile('x')))\n"
+    )
+    assert unused_imports(source) == [(4, "sub"), (6, "pi")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []

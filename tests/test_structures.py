@@ -3,9 +3,11 @@ import json
 import pytest
 
 from multischeme.catalog import load_catalog
+from multischeme.families import build_family
+from multischeme.groebner import Vec, submodule_equal, syzygies
 from multischeme.hilbert import HilbertPoly, HilbertSeries
 from multischeme.ideals import Ideal, radical_contains
-from multischeme.modules import GradedModule
+from multischeme.modules import GradedModule, columns_to_vecs
 from multischeme.ring import PolyRing
 from multischeme.structures import (
     Embedding,
@@ -14,6 +16,8 @@ from multischeme.structures import (
     _check_layer_series,
     is_locally_CM,
     is_locally_free,
+    is_S1,
+    layer_module,
     layer_quotient_rows,
     thicken,
 )
@@ -88,6 +92,92 @@ def test_s1_and_cm_verdicts(ring):
     assert cm and locus.is_one()
     bad = MultiStructure.parse(ring, "(x^2 + z0*y, y^2, x^3)")
     assert not bad.is_S1()
+
+
+def _theorem_rows():
+    """Every thm-3.6 and thm-3.8 row, in characteristic 0."""
+    return [
+        (e.id, e.structure(char=0))
+        for table in ("thm-3.6", "thm-3.8")
+        for e in load_catalog(table)
+        if 0 in e.chars
+    ]
+
+
+def test_structure_s1_verdict_is_the_filtration_reaching_the_top(ring):
+    rows = _theorem_rows()
+    rows.append(("embedded point", _structure(ring, "(x^2 + z0*y, y^2, x^3)")))
+    for name, st in rows:
+        assert st.is_S1() == is_S1(st.ideal), name
+    assert not rows[-1][1].is_S1()
+
+
+def test_report_computes_each_hull_once(monkeypatch):
+    import multischeme.structures as structures
+
+    entry = next(e for e in load_catalog("thm-3.8") if e.id == "thm-3.8/1")
+    st = entry.structure(char=0)
+    calls = []
+    counted = structures.unmixed_part
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return counted(*args, **kwargs)
+
+    monkeypatch.setattr(structures, "unmixed_part", counting)
+    rep = st.report()
+    assert rep["verdicts"]["s1"] is True
+    # one hull per filtration term past I_X; I_Y's own is the last of them
+    assert st.nilpotency_index() == 3
+    assert len(calls) == 3
+
+
+def test_report_lists_the_ext_indices_it_read(ring):
+    # a complete intersection: pd(R/I) = codim = 2, so the window is empty
+    assert _structure(ring, "(x^2, y)").report()["certificates"]["ext_indices"] == []
+    # a plane with an embedded line is read at i = 2 = pd(R/I) only
+    mixed = MultiStructure(Embedding(ring, ("x",)), Ideal.parse(ring, "(x^2, x*y)"), check=False)
+    assert mixed.report()["certificates"]["ext_indices"] == [2]
+
+
+def test_layer_relations_modulo_the_lower_term_match_the_full_modulus(monkeypatch):
+    """layer_module takes the relations of I_j's generators modulo I_{j+1}
+    only; restricted to the support ring they generate the same submodule
+    as the relations modulo the full I_X*I_j + I_{j+1}."""
+    presented = []
+    original = GradedModule.minimal_with_map
+
+    def recording(self):
+        presented.append(self)
+        return original(self)
+
+    rows = _theorem_rows()
+    rows.append(("nontypeI(1,2)", build_family("nontypeI", a=1, b=2).structures[0]))
+    layers = 0
+    for name, st in rows:
+        emb, filt = st.embedding, st.filtration()
+        sub = emb.support_ring()
+        for upper, lower in zip(filt.ideals, filt.ideals[1:]):
+            monkeypatch.setattr(GradedModule, "minimal_with_map", recording)
+            layer_module(emb, upper, lower)
+            monkeypatch.setattr(GradedModule, "minimal_with_map", original)
+            # the presentation is the first module layer_module minimalizes
+            ours = columns_to_vecs(sub, presented[0].relations)
+            del presented[:]
+            gens = upper.minimal_gens()
+            modulus = emb.support_ideal().times(upper).plus(lower)
+            vecs = [Vec.from_poly(g) for g in gens + list(modulus.gens)]
+            full = [
+                Vec(sub, {
+                    (i, e): c
+                    for i in range(len(gens))
+                    for e, c in emb.restrict(s.component(i)).terms.items()
+                })
+                for s in syzygies(vecs, rank=1)
+            ]
+            assert submodule_equal(ours, [v for v in full if v]), (name, layers)
+            layers += 1
+    assert layers == 29
 
 
 def test_non_cm_locus_is_reported():
