@@ -9,10 +9,10 @@ polynomial where one is known in closed form).  Parameter preconditions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 from .hilbert import HilbertPoly, twisted_free_hilbert
 from .ideals import Ideal, is_irrelevant_primary
+from .quotients import monomials_of_degree
 from .ring import PolyRing
 from .structures import Embedding, MultiStructure, StructureError
 
@@ -44,14 +44,8 @@ def build_family(name, char=0, guard=None, **params):
 
 def _monomials(ring, vars_, degree):
     """All monomials of the given degree in the listed variables."""
-    gens = [ring.var(v) for v in vars_]
-    out = []
-    for combo in combinations_with_replacement(range(len(gens)), degree):
-        m = ring.one()
-        for i in combo:
-            m = m * gens[i]
-        out.append(m)
-    return out
+    sub = ring.subring(tuple(vars_))
+    return [sub.transfer(sub.poly({e: 1}), ring) for e in monomials_of_degree(sub, degree)]
 
 
 def _require_no_common_zero(ring, forms, label, guard):
@@ -169,17 +163,6 @@ def _bundle(char=0, guard=None):
     return Family("bundle", {"char": char}, [structure], manifest)
 
 
-def _weight_tuples(n, w):
-    """All (n+1)-tuples of non-negative integers with sum w."""
-    if n == 0:
-        return [(w,)]
-    out = []
-    for first in range(w + 1):
-        for rest in _weight_tuples(n - 1, w - first):
-            out.append((first,) + rest)
-    return out
-
-
 def _split(n=2, a=0, b=0, char=0, guard=None):
     """The split-bundle triple structure on a linear P^n: one block of
     binomial relations per line-bundle summand plus the squares of all
@@ -187,11 +170,13 @@ def _split(n=2, a=0, b=0, char=0, guard=None):
     double substructures (one per summand)."""
     if a < 0 or b < 0:
         raise ValueError("twists a, b must be non-negative")
-    tuples_a = _weight_tuples(n, a + 1)
-    tuples_b = _weight_tuples(n, b + 1)
+    z_names = tuple("z%d" % i for i in range(n + 1))
+    # exponents in ascending lex order: the x and w names follow it
+    base = PolyRing(z_names)
+    tuples_a = monomials_of_degree(base, a + 1)[::-1]
+    tuples_b = monomials_of_degree(base, b + 1)[::-1]
     x_names = tuple("x%d" % i for i in range(len(tuples_a)))
     w_names = tuple("w%d" % i for i in range(len(tuples_b)))
-    z_names = tuple("z%d" % i for i in range(n + 1))
     ring = PolyRing(z_names + x_names + w_names, char=char)
     z = [ring.var(nm) for nm in z_names]
 

@@ -68,9 +68,6 @@ class Vec:
         terms = {e: c for (j, e), c in self.data.items() if j == i}
         return self.ring.poly(terms)
 
-    def components(self):
-        return sorted({j for j, _ in self.data})
-
     def add(self, other):
         p = self.ring.char
         data = dict(self.data)
@@ -225,66 +222,51 @@ def buchberger(vecs, guard=None):
     G = [v.monic() for v in vecs if v]
     if not G:
         return []
-    ring = G[0].ring
-    rank1 = all(max(j for j, _ in g.data) == 0 for g in G) if G else True
-
-    def lcm_info(i, j):
-        (ci, ei), _ = G[i].lead()
-        (cj, ej), _ = G[j].lead()
-        if ci != cj:
-            return None
-        lcm = tuple(max(a, b) for a, b in zip(ei, ej))
-        return (sum(lcm), ci, lcm)
-
-    # ``pairs`` holds the pending pairs for the chain criterion; ``queue`` pops
-    # them by (degree, i, j).
+    # remainders of rank-1 input stay in component 0
+    rank1 = all(j == 0 for g in G for j, _ in g.data)
+    leads = []  # leads[i] = (component, exps) of G[i]
+    # ``pairs`` maps the pending pairs (i, j), i < j, to their lcm for the
+    # chain criterion; ``queue`` pops them by (degree, i, j).
     pairs = {}
     queue = []
-    for i in range(len(G)):
-        for j in range(i):
-            info = lcm_info(j, i)
-            if info is not None:
-                pairs[(j, i)] = info
-                queue.append((info[0], j, i))
-    heapify(queue)
 
+    def add_pairs(g):
+        new = len(leads)
+        comp, exps = g.lead()[0]
+        for k, (ck, ek) in enumerate(leads):
+            if ck == comp:
+                lcm = tuple(map(max, ek, exps))
+                pairs[(k, new)] = lcm
+                heappush(queue, (sum(lcm), k, new))
+        leads.append((comp, exps))
+
+    for g in G:
+        add_pairs(g)
     while queue:
-        _, i, j = heappop(queue)
-        deg, comp, lcm = pairs.pop((i, j))
+        deg, i, j = heappop(queue)
+        lcm = pairs.pop((i, j))
         guard.check_degree(deg)
-        (ci, ei), _ = G[i].lead()
-        (cj, ej), _ = G[j].lead()
+        (comp, ei), (_, ej) = leads[i], leads[j]
         # product criterion (valid only in the ideal case)
         if rank1 and all(a == 0 or b == 0 for a, b in zip(ei, ej)):
             continue
         # chain criterion
-        skip = False
-        for k in range(len(G)):
-            if k in (i, j):
-                continue
-            (ck, ek), _ = G[k].lead()
-            if ck == comp and _divides(ek, lcm):
-                a, b = min(i, k), max(i, k)
-                c, d = min(j, k), max(j, k)
-                if (a, b) not in pairs and (c, d) not in pairs:
-                    skip = True
-                    break
-        if skip:
-            continue
-        rem = _nf_vec(_spair(G[i], G[j]), G)
-        if rem:
-            rem = rem.monic()
-            G.append(rem)
-            guard.check_basis(len(G))
-            new = len(G) - 1
-            for k in range(new):
-                info = lcm_info(k, new)
-                if info is not None:
-                    pairs[(k, new)] = info
-                    heappush(queue, (info[0], k, new))
-            if rank1 and max(j2 for j2, _ in rem.data) != 0:
-                rank1 = False
-
+        for k, (ck, ek) in enumerate(leads):
+            if (
+                ck == comp
+                and k != i
+                and k != j
+                and _divides(ek, lcm)
+                and (min(i, k), max(i, k)) not in pairs
+                and (min(j, k), max(j, k)) not in pairs
+            ):
+                break
+        else:
+            rem = _nf_vec(_spair(G[i], G[j]), G)
+            if rem:
+                G.append(rem.monic())
+                guard.check_basis(len(G))
+                add_pairs(G[-1])
     return interreduce(G)
 
 

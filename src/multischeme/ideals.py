@@ -96,15 +96,16 @@ class Ideal:
         return (self.ring.nvars - 1) - self.dimension_degree(guard=guard)[0]
 
     def minimal_gens(self, guard=None):
-        """A minimal homogeneous generating set (greedy by degree)."""
-        gens = sorted((g for g in self.gens if g), key=lambda g: g.degree())
-        kept, span = [], None
-        for g in gens:
-            if span is not None and span.contains(g, guard=guard):
-                continue
-            kept.append(g)
-            span = Ideal(self.ring, kept)
-        return kept
+        """A minimal homogeneous generating set, sorted by degree.
+
+        These are the generators of the first map of ``quotient_resolution``,
+        a subset of the reduced basis.  That resolution's maps have no unit
+        entries, so by graded Nakayama none of them is redundant.  Without a
+        map (the zero or the unit ideal) it is the reduced basis.
+        """
+        res = quotient_resolution(self, guard=guard)
+        gens = res.maps[0][0] if res.maps else self.groebner(guard=guard)
+        return sorted(gens, key=lambda g: g.degree())
 
     def __repr__(self):
         return "Ideal(%s)" % ", ".join(str(g) for g in self.gens)
@@ -114,7 +115,7 @@ def eliminate(ideal, names, guard=None):
     """Generators of ideal ∩ k[remaining variables], in the original ring."""
     ring = ideal.ring
     rest = [n for n in ring.names if n not in names]
-    elim_ring = ring.subring(tuple(rest)).extended(tuple(names), front=True)
+    elim_ring = ring.subring(tuple(rest)).extended(tuple(names))
     moved = [ring.transfer(g, elim_ring) for g in ideal.gens]
     gb = groebner_basis(moved, guard=guard)
     keep = [g for g in gb if not (g.variables() & set(names))]
@@ -126,7 +127,7 @@ def intersect(*ideals, guard=None):
     a ∩ b = (t*a + (1 - t)*b) ∩ R in one ring extended by t."""
     ring = ideals[0].ring
     t = ring.fresh_name("t")
-    ext = ring.extended((t,), front=True)
+    ext = ring.extended((t,))
     tv = ext.var(t)
     out = ideals[0]
     for b in ideals[1:]:
@@ -170,7 +171,7 @@ def radical_contains(ideal, f, guard=None):
     if f.is_zero():
         return True
     t = ring.fresh_name("t")
-    ext = ring.extended((t,), front=True)
+    ext = ring.extended((t,))
     gens = [ring.transfer(g, ext) for g in ideal.gens]
     gens.append(ext.one() - ext.var(t) * ring.transfer(f, ext))
     gb = groebner_basis(gens, guard=guard)
@@ -266,12 +267,13 @@ def _ext_annihilator(ideal, i, guard):
     return intersect(*parts, guard=guard)
 
 
-def ext_window(ideal, codim, guard=None):
-    """(i, ann Ext^i(R/I, R)) for codim < i <= pd(R/I), read from the ideal's
-    cache.  Ext^i vanishes beyond pd(R/I) = the resolution's length; the term
+def ext_window(ideal, guard=None):
+    """(i, ann Ext^i(R/I, R)) for codim I < i <= pd(R/I), read from the
+    ideal's cache; the codimension comes from its cached Hilbert series.
+    Ext^i vanishes beyond pd(R/I) = the resolution's length; the term
     i = nvars (depth R/I = 0) has an irrelevant annihilator."""
     res = quotient_resolution(ideal, guard=guard)
-    for i in range(codim + 1, res.length + 1):
+    for i in range(ideal.codimension(guard=guard) + 1, res.length + 1):
         yield i, ext_annihilator(ideal, i, guard=guard)
 
 
@@ -313,7 +315,7 @@ def unmixed_part(ideal, guard=None):
     c = ideal.codimension(guard=guard)
     basis = ideal.groebner(guard=guard)
     g, whole = ring.one(), []
-    for _, ann in ext_window(ideal, c, guard=guard):
+    for _, ann in ext_window(ideal, guard=guard):
         if ann.is_one(guard=guard):
             continue
         a = next(
@@ -339,5 +341,5 @@ def is_unmixed(ideal, guard=None):
     """No embedded components away from the irrelevant ideal."""
     if ideal.is_zero() or ideal.dimension_degree(guard=guard)[0] < 0:
         return True
-    window = ext_window(ideal, ideal.codimension(guard=guard), guard=guard)
+    window = ext_window(ideal, guard=guard)
     return all(ann.codimension(guard=guard) > i for i, ann in window if i < ideal.ring.nvars)

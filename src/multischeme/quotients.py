@@ -145,14 +145,14 @@ def _certificate(module, basis, degs):
         # square system of linear forms: check the coefficient matrix of the
         # generic combination is identically singular
         names = ["a%d" % k for k in range(len(basis))]
-        sym = ring.extended(tuple(names), front=True)
+        sym = ring.extended(tuple(names))
         rows = []
         for i in support:
             entries = []
             for var in ring.names:
                 coeff = sym.zero()
                 for k, row in enumerate(basis):
-                    c = row[i].coeff_of(_unit_exp(ring, var))
+                    c = row[i].coeff_of(ring.var(var).lead_exp())
                     if c:
                         coeff = coeff + sym.var(names[k]).scale(c)
                 entries.append(coeff)
@@ -165,12 +165,6 @@ def _certificate(module, basis, degs):
                 "identically singular; its kernel is a common zero" % (m, m),
             }
     return None
-
-
-def _unit_exp(ring, var):
-    e = [0] * ring.nvars
-    e[ring._index[var]] = 1
-    return tuple(e)
 
 
 def line_bundle_quotients(module, twist_range, samples=100, seed=0, guard=None):

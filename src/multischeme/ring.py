@@ -175,15 +175,10 @@ class PolyRing:
 
     # -- derived rings -----------------------------------------------------
 
-    def extended(self, new_names, front=True):
-        """Add variables (in front by default) with a block elimination order."""
-        if front:
-            names = tuple(new_names) + self.names
-            order = TermOrder("block", front=len(new_names))
-        else:
-            names = self.names + tuple(new_names)
-            order = self.order
-        return PolyRing(names, self.char, order)
+    def extended(self, new_names):
+        """Add variables in front, with a block order that eliminates them."""
+        order = TermOrder("block", front=len(new_names))
+        return PolyRing(tuple(new_names) + self.names, self.char, order)
 
     def subring(self, names):
         return PolyRing(names, self.char, self.order)

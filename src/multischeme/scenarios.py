@@ -347,7 +347,7 @@ def _scn_nontype1(rec, opts):
         if len(bad) == 1:
             z_ideal = st.filtration().ideals[bad[0]]
             rec.check(tag + ":term-s1", True, is_S1(z_ideal, guard=opts.guard))
-            _, locus = is_locally_CM(z_ideal, 2, guard=opts.guard)
+            _, locus = is_locally_CM(z_ideal, guard=opts.guard)
             expected_locus = Ideal(
                 st.embedding.ring,
                 [st.embedding.ring.var(v) for v in locus_vars],

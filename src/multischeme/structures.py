@@ -37,10 +37,6 @@ class Embedding:
             raise StructureError("unknown support variables %r" % missing)
         self._support = Ideal(self.ring, [self.ring.var(v) for v in self.support_vars])
 
-    @property
-    def codim(self):
-        return len(self.support_vars)
-
     def support_ideal(self):
         return self._support
 
@@ -74,7 +70,7 @@ class MultiStructure:
             ideal = Ideal(embedding.ring, ideal)
         self.ideal = ideal
         self.guard = guard
-        self._cache = {}
+        self._filtration = None
         if check:
             self.validate()
 
@@ -98,67 +94,42 @@ class MultiStructure:
             if not Ideal(ring, at_one).is_one(guard=self.guard):
                 raise StructureError("radical of I_Y misses %s" % v)
 
-    def _memo(self, key, fn):
-        if key not in self._cache:
-            self._cache[key] = fn()
-        return self._cache[key]
-
     def nilpotency_index(self):
         """Minimal k with I_X^{k+1} ⊆ I_Y."""
-
-        def compute():
-            ix = self.embedding.support_ideal()
-            k = 0
-            while True:
-                power = ix.power(k + 1)
-                if self.ideal.contains_ideal(power, guard=self.guard):
-                    return k
-                k += 1
-                if k > 64:
-                    raise StructureError("nilpotency index exceeds 64")
-
-        return self._memo("nilpotency", compute)
+        ix = self.embedding.support_ideal()
+        for k in range(65):
+            if self.ideal.contains_ideal(ix.power(k + 1), guard=self.guard):
+                return k
+        raise StructureError("nilpotency index exceeds 64")
 
     def multiplicity(self):
-        def compute():
-            dim_y, deg_y = self.ideal.dimension_degree(guard=self.guard)
-            dim_x, deg_x = self.embedding.support_ideal().dimension_degree(guard=self.guard)
-            if dim_y != dim_x or deg_y % deg_x:
-                raise StructureError("degree ratio is not an integer multiplicity")
-            return deg_y // deg_x
-
-        return self._memo("multiplicity", compute)
+        dim_y, deg_y = self.ideal.dimension_degree(guard=self.guard)
+        dim_x, deg_x = self.embedding.support_ideal().dimension_degree(guard=self.guard)
+        if dim_y != dim_x or deg_y % deg_x:
+            raise StructureError("degree ratio is not an integer multiplicity")
+        return deg_y // deg_x
 
     def hilbert_polynomial(self):
-        return self._memo("hilb", lambda: self.ideal.hilbert_polynomial(guard=self.guard))
+        return self.ideal.hilbert_polynomial(guard=self.guard)
 
     def filtration(self):
-        return self._memo("filtration", lambda: s1_filtration(self, guard=self.guard))
+        # the built Filtration has no Ideal to live on, so it is kept here
+        if self._filtration is None:
+            self._filtration = s1_filtration(self, guard=self.guard)
+        return self._filtration
 
     def is_S1(self):
         # the last filtration term is the hull of I_Y (I_Y = I_X, prime, at k = 0)
         return self.filtration().reaches_top
 
     def locally_cm(self):
-        return self._memo(
-            "cm",
-            lambda: is_locally_CM(
-                self.ideal, self.embedding.codim, guard=self.guard
-            ),
-        )
+        return is_locally_CM(self.ideal, guard=self.guard)
 
     def is_type_I(self):
         """(verdict, per-term CM flags); requires the filtration."""
-
-        def compute():
-            filt = self.filtration()
-            flags = [
-                is_locally_CM(i, self.embedding.codim, guard=self.guard)[0]
-                for i in filt.ideals
-            ]
-            return all(flags) and filt.reaches_top, flags
-
-        return self._memo("type1", compute)
+        filt = self.filtration()
+        flags = [is_locally_CM(i, guard=self.guard)[0] for i in filt.ideals]
+        return all(flags) and filt.reaches_top, flags
 
     def report(self, seed=None):
         from .parse import format_ideal, format_ring
@@ -192,9 +163,7 @@ class MultiStructure:
             "layers": layers,
             "verdicts": {"cm": cm, "s1": self.is_S1(), "type_i": type1},
             "certificates": {
-                "ext_indices": [
-                    i for i, _ in ext_window(self.ideal, self.embedding.codim, guard=self.guard)
-                ],
+                "ext_indices": [i for i, _ in ext_window(self.ideal, guard=self.guard)],
                 "non_cm_locus": None if cm else format_ideal(locus.groebner(guard=self.guard)),
             },
             "seed": seed,
@@ -284,14 +253,15 @@ def _check_layer_series(layer, ambient_diff, guard=None):
         raise StructureError("layer Hilbert series mismatch")
 
 
-def is_locally_CM(ideal, codim, guard=None):
+def is_locally_CM(ideal, guard=None):
     """(verdict, non-CM locus ideal).
 
-    True when every Ext^i annihilator beyond the codimension has empty
-    projective zero set; the locus is the union of the nontrivial supports.
+    True when every Ext^i annihilator beyond the ideal's own codimension
+    (``ext_window``) has empty projective zero set; the locus is the union
+    of the nontrivial supports.
     """
     ring = ideal.ring
-    window = ext_window(ideal, codim, guard=guard)
+    window = ext_window(ideal, guard=guard)
     bad = [ann for _, ann in window if not is_irrelevant_primary(ann, guard=guard)]
     if not bad:
         return True, Ideal(ring, [ring.one()])

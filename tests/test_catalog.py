@@ -3,7 +3,7 @@ import json
 import pytest
 
 from multischeme.catalog import CatalogError, load_catalog, table_ids
-from multischeme.ideals import quotient_resolution
+from multischeme.ideals import Ideal, quotient_resolution
 
 
 def test_table_ids_and_counts():
@@ -33,6 +33,19 @@ def test_resolutions_of_row_ideals_and_filtration_terms_verify():
                 assert quotient_resolution(ideal).verify(), (entry.id, char, ideal)
                 checked += 1
     assert checked == 156
+
+
+def test_minimal_gens_of_row_ideals_and_filtration_terms_are_minimal():
+    for entry in load_catalog():
+        for char in entry.chars:
+            st = entry.structure(char=char)
+            for ideal in [st.ideal] + list(st.filtration().ideals):
+                gens = ideal.minimal_gens()
+                where = (entry.id, char, ideal)
+                assert len(gens) == len(quotient_resolution(ideal).degrees[1]), where
+                assert Ideal(ideal.ring, gens).equals(ideal), where
+                degrees = [g.degree() for g in gens]
+                assert degrees == sorted(degrees), where
 
 
 def test_unknown_table_rejected():

@@ -59,6 +59,15 @@ def test_split_family_decomposes():
     assert da.multiplicity() == 2 and db.multiplicity() == 2
     assert triple.hilbert_polynomial() == fam.manifest[0]["hilb"]
     assert triple.ideal.contains_ideal(Ideal(triple.embedding.ring, []))
+    # the x and w names follow the z-exponents in ascending lex order
+    assert [str(g) for g in triple.ideal.gens[:6]] == [
+        "z0*x0 - z1*x1",
+        "z0*z1*w0 - z1^2*w1",
+        "z0^2*w0 - z0*z1*w1",
+        "z0^2*w0 - z1^2*w2",
+        "z0*z1*w1 - z1^2*w2",
+        "z0^2*w1 - z0*z1*w2",
+    ]
     # each double contains the triple
     assert da.ideal.contains_ideal(triple.ideal) or triple.ideal.contains_ideal(da.ideal)
 

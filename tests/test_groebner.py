@@ -186,3 +186,28 @@ def test_vec_scale_keeps_integral_rational_coefficients_as_ints(ring):
     assert [type(c) for c in monic.data.values()] == [int, int, Fraction]
     scaled = v.scale(Fraction(2, 3))
     assert [type(c) for c in scaled.data.values()] == [int, int, Fraction]
+
+
+def test_spair_count_is_pinned(monkeypatch):
+    """The pair order and the product and chain criteria decide how many
+    S-pairs are formed; these counts pin both on a rank-1 and a module input."""
+    import multischeme.groebner as groebner
+
+    calls = []
+    spair = groebner._spair
+
+    def counting(f, g):
+        calls.append(1)
+        return spair(f, g)
+
+    monkeypatch.setattr(groebner, "_spair", counting)
+    ring = PolyRing(("a", "b", "c", "d"))
+    cyclic4 = parse_ideal(
+        ring, "(a + b + c + d, a*b + b*c + c*d + d*a, a*b*c + b*c*d + c*d*a + d*a*b, a*b*c*d - 1)"
+    )
+    assert len(buchberger([Vec.from_poly(f) for f in cyclic4])) == 7
+    assert len(calls) == 11
+    del calls[:]
+    quadrics = parse_ideal(ring, "(a^2, a*b, b^2, c*a, c*d, d^2)")
+    assert len(syzygies([Vec.from_poly(f) for f in quadrics], rank=1)) == 11
+    assert len(calls) == 23

@@ -211,6 +211,11 @@ def test_minimal_gens_drops_redundant(ring):
     assert sorted(map(str, I.minimal_gens())) == ["x", "y"]
 
 
+def test_minimal_gens_of_the_zero_and_unit_ideals_are_their_bases(ring):
+    assert Ideal(ring, []).minimal_gens() == []
+    assert [str(g) for g in _ideal(ring, "(x, x + 1)").minimal_gens()] == ["1"]
+
+
 def test_minimal_gens_builds_one_basis_per_kept_generator(ring, monkeypatch):
     import multischeme.ideals as ideals
 

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -34,7 +35,7 @@ def _structure(ring, text):
 
 def test_embedding_basics(ring):
     emb = Embedding(ring, ("x", "y"))
-    assert emb.codim == 2
+    assert emb.support_ideal().codimension() == 2
     assert emb.support_ring().names == ("z0", "z1")
     f = ring.var("z0") ** 2 + ring.var("x") * ring.var("z1")
     assert emb.restrict(f) == emb.support_ring().var("z0") ** 2
@@ -183,7 +184,7 @@ def test_layer_relations_modulo_the_lower_term_match_the_full_modulus(monkeypatc
 def test_non_cm_locus_is_reported():
     ring = PolyRing(("z0", "z1", "x", "y"))
     # a plane with an embedded line: fails CM along x = y = 0
-    cm, locus = is_locally_CM(Ideal.parse(ring, "(x^2, x*y)"), 1)
+    cm, locus = is_locally_CM(Ideal.parse(ring, "(x^2, x*y)"))
     assert not cm
     assert locus.equals(Ideal.parse(ring, "(x, y)"))
 
@@ -325,5 +326,47 @@ def test_layer_quotient_rows_round_trip(ring):
 
 
 def test_is_locally_cm_on_plain_ideal(ring):
-    ok, locus = is_locally_CM(Ideal.parse(ring, "(x^3, y)"), 2)
+    ok, locus = is_locally_CM(Ideal.parse(ring, "(x^3, y)"))
     assert ok and locus.is_one()
+
+
+def _pinned_structures():
+    ring = PolyRing(("z0", "z1", "z2", "x", "y"))
+    entry = next(e for e in load_catalog("thm-3.8") if e.id == "thm-3.8/5")
+    return {
+        "example-2.9": MultiStructure.parse(ring, "(x^2 + z0*y, y^2)"),
+        "thm-3.8/5@p0": entry.structure(char=0),
+        "nontypeI(1,2)": build_family("nontypeI", a=1, b=2).structures[0],
+    }
+
+
+def test_report_matches_pinned():
+    # thm-3.8/5 has a presented layer; nontypeI(1,2) a non-CM term
+    path = os.path.join(os.path.dirname(__file__), "data", "pinned_reports.json")
+    with open(path) as fh:
+        pinned = json.load(fh)
+    reports = {name: st.report() for name, st in _pinned_structures().items()}
+    assert json.loads(json.dumps(reports)) == pinned
+
+
+def test_verdicts_after_report_resolve_nothing(monkeypatch):
+    import multischeme.ideals as ideals
+    import multischeme.structures as structures
+
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name, st in _pinned_structures().items():
+        rep = st.report()
+        monkeypatch.setattr(ideals, "free_resolution", counting("resolution", ideals.free_resolution))
+        monkeypatch.setattr(structures, "unmixed_part", counting("hull", structures.unmixed_part))
+        assert st.is_type_I() == (rep["verdicts"]["type_i"], [t["locally_cm"] for t in rep["filtration"]])
+        assert st.locally_cm()[0] == rep["verdicts"]["cm"]
+        monkeypatch.undo()
+        assert calls == [], name
