@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 from importlib import resources
@@ -130,3 +131,16 @@ def test_verify_all_report_matches_pinned(scenario_result):
     with open(os.path.join(os.path.dirname(__file__), "data", "verify_all.json")) as fh:
         assert report == json.load(fh)
     assert code == 0
+
+
+def test_scenario_digests_match_pinned(scenario_result, scenario_texts):
+    # one SHA-256 per scenario over the text of every value its checks
+    # computed, so a change in what a scenario builds shows even where its
+    # verdicts still agree
+    digests = {}
+    for sid in scenario_ids():
+        assert scenario_result(sid).status == "PASS", sid
+        text = "\n".join(scenario_texts[sid])
+        digests[sid] = hashlib.sha256(text.encode()).hexdigest()
+    with open(os.path.join(os.path.dirname(__file__), "data", "scenario_digests.json")) as fh:
+        assert digests == json.load(fh)
