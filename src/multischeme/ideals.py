@@ -15,7 +15,7 @@ from .groebner import (
     syzygies,
 )
 from .hilbert import ideal_hilbert_series
-from .modules import GradedModule, columns_to_vecs, free_resolution, minors
+from .modules import GradedModule, free_resolution, minors
 
 
 class Ideal:
@@ -104,7 +104,7 @@ class Ideal:
         map (the zero or the unit ideal) it is the reduced basis.
         """
         res = quotient_resolution(self, guard=guard)
-        gens = res.maps[0][0] if res.maps else self.groebner(guard=guard)
+        gens = [v.component(0) for v in res.maps[0]] if res.maps else self.groebner(guard=guard)
         return sorted(gens, key=lambda g: g.degree())
 
     def __repr__(self):
@@ -249,22 +249,29 @@ def _ext_annihilator(ideal, i, guard):
     L = resolution.length
     if i > L:
         return Ideal(ring, [ring.one()])
-    rank_i = len(resolution.degrees[i])
+    ranks = [len(degs) for degs in resolution.degrees]
     if i == L:
-        kernel = [Vec.unit(ring, b) for b in range(rank_i)]
+        kernel = [Vec.unit(ring, b) for b in range(ranks[i])]
     else:
-        nxt_cols = columns_to_vecs(ring, list(zip(*resolution.map_matrix(i + 1))))
-        kernel = syzygies(nxt_cols, rank=len(resolution.degrees[i + 1]), guard=guard)
-    if i == 0:
-        image = []
-    else:
-        image = columns_to_vecs(ring, list(zip(*resolution.map_matrix(i))))
+        dual = _transpose(ring, resolution.maps[i], ranks[i])
+        kernel = syzygies(dual, rank=ranks[i + 1], guard=guard)
+    image = _transpose(ring, resolution.maps[i - 1], ranks[i - 1]) if i else []
     gb_im = buchberger(image, guard=guard)
     nontrivial = [k for k in kernel if not module_contains(k, gb_im)]
     if not nontrivial:
         return Ideal(ring, [ring.one()])
-    parts = [module_colon(image, k, rank_i, guard=guard) for k in nontrivial]
+    parts = [module_colon(image, k, ranks[i], guard=guard) for k in nontrivial]
     return intersect(*parts, guard=guard)
+
+
+def _transpose(ring, cols, nrows):
+    """The columns of the transpose of the map into R^nrows whose columns
+    are ``cols``."""
+    out = [{} for _ in range(nrows)]
+    for j, v in enumerate(cols):
+        for (i, e), c in v.data.items():
+            out[i][(j, e)] = c
+    return [Vec(ring, data) for data in out]
 
 
 def ext_window(ideal, guard=None):

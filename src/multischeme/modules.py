@@ -15,40 +15,33 @@ from .ring import poly_divide_exact
 
 def columns_to_vecs(ring, matrix):
     """rows x cols polynomial matrix -> list of column Vecs."""
-    if not matrix:
-        return []
-    ncols = len(matrix[0])
-    out = []
-    for j in range(ncols):
-        data = {}
-        for i, row in enumerate(matrix):
-            for e, c in row[j].terms.items():
-                data[(i, e)] = c
-        out.append(Vec(ring, data))
-    return out
+    return [
+        Vec(ring, {(i, e): c for i, row in enumerate(matrix) for e, c in row[j].terms.items()})
+        for j in range(len(matrix[0]) if matrix else 0)
+    ]
 
 
 def vecs_to_columns(ring, vecs, nrows):
-    matrix = [[ring.zero() for _ in vecs] for _ in range(nrows)]
-    for j, v in enumerate(vecs):
-        for i in range(nrows):
-            matrix[i][j] = v.component(i)
-    return matrix
+    """list of column Vecs -> nrows x len(vecs) polynomial matrix."""
+    zero = ring.zero()
+    split = [_components(v) for v in vecs]
+    return [[parts.get(i, zero) for parts in split] for i in range(nrows)]
 
 
-def mat_mul(ring, a, b):
-    """Product of polynomial matrices."""
-    if not a or not b:
-        return []
-    out = [[ring.zero() for _ in range(len(b[0]))] for _ in range(len(a))]
-    for i in range(len(a)):
-        for k in range(len(b)):
-            aik = a[i][k]
-            if aik.is_zero():
-                continue
-            for j in range(len(b[0])):
-                if b[k][j]:
-                    out[i][j] = out[i][j] + aik * b[k][j]
+def _components(v):
+    """{component: polynomial} of a Vec, in one pass over its terms."""
+    parts = {}
+    for (i, e), c in v.data.items():
+        parts.setdefault(i, {})[e] = c
+    return {i: v.ring.poly(terms) for i, terms in sorted(parts.items())}
+
+
+def _apply(cols, v):
+    """The image of v under the map whose column j is ``cols[j]``: the sum
+    of c * x^e * cols[j] over the terms c * x^e * e_j of v."""
+    out = Vec(v.ring, {})
+    for (j, e), c in v.data.items():
+        out = out.add(cols[j].mul_term(e, c))
     return out
 
 
@@ -142,7 +135,7 @@ class GradedModule:
         """(minimal presentation, lift) with lift[i][j] expressing the image
         of original generator i on the surviving generators j."""
         ring = self.ring
-        rows, _, rel, steps = _prune_units(ring, self.relations)
+        rows, _, rel, steps = _prune_units(ring, self.relation_vecs(), self.rank)
         zero = ring.zero()
         lift = {a: [ring.one() if a == b else zero for b in rows] for a in rows}
         for a, subst in reversed(steps):
@@ -151,52 +144,60 @@ class GradedModule:
                 row = [x + c * y if y else x for x, y in zip(row, lift[i])]
             lift[a] = row
         degs = tuple(self.gen_degrees[a] for a in rows)
-        return GradedModule(ring, degs, rel), [lift[a] for a in range(self.rank)]
+        minimal = GradedModule(ring, degs, vecs_to_columns(ring, rel, len(rows)))
+        return minimal, [lift[a] for a in range(self.rank)]
 
 
+def _prune_units(ring, cols, nrows):
+    """Cancel the unit entries of a presentation, given as column Vecs with
+    components < nrows, then drop zero columns.
 
-def _prune_units(ring, matrix):
-    """Cancel the unit entries of a presentation matrix, then drop zero columns.
-
-    Repeatedly takes the first nonzero constant entry (a, b) in row-major
-    order, clears the rest of row a by column operations and removes row a
-    and column b.  Returns (rows, cols, pruned, steps): the original indices
-    of the surviving rows and columns, the pruned matrix, and per pivot
-    ``(a, {i: c})`` with g_a = sum c * g_i in the cokernel.
+    Repeatedly takes the least (row a, column b) such that column b has the
+    unit term (a, zero exponent) -- in a homogeneous column that term is the
+    whole entry -- clears the rest of row a by column operations and removes
+    row a and column b.  Returns (rows, kept, pruned, steps): the original
+    indices of the surviving rows and columns, the surviving columns
+    renumbered onto the surviving rows, and per pivot ``(a, {i: c})`` with
+    g_a = sum c * g_i in the cokernel.
     """
-    m = [list(row) for row in matrix]
-    rows = list(range(len(m)))
-    cols = list(range(len(m[0]))) if m else []
+    zero = ring._zero_exp
+    live = dict(enumerate(cols))
+    rows = list(range(nrows))
     steps = []
     while True:
-        pivot = next(
-            ((a, b) for a in rows for b in cols if m[a][b] and m[a][b].is_constant()),
-            None,
+        pivot = min(
+            ((i, b) for b, v in live.items() for i, e in v.data if e == zero),
+            default=None,
         )
         if pivot is None:
             break
         a, b = pivot
-        inv = ring.field.inv(m[a][b].constant())
+        col = live.pop(b)
+        col = col.scale(ring.field.inv(col.data[(a, zero)]))
+        for j, v in live.items():
+            entry = Vec(ring, {k: c for k, c in v.data.items() if k[0] == a})
+            if entry:
+                live[j] = v.sub(_apply({a: col}, entry))
         rows.remove(a)
-        cols.remove(b)
-        hit = [i for i in rows if m[i][b]]
-        for j in cols:
-            f = m[a][j].scale(inv)
-            if f:
-                for i in hit:
-                    m[i][j] = m[i][j] - f * m[i][b]
-        steps.append((a, {i: -m[i][b].scale(inv) for i in hit}))
-    cols = [j for j in cols if any(m[i][j] for i in rows)]
-    return rows, cols, [[m[i][j] for j in cols] for i in rows], steps
+        steps.append((a, {i: -f for i, f in _components(col).items() if i != a}))
+    new = {i: k for k, i in enumerate(rows)}
+    kept = [j for j, v in live.items() if v]
+    pruned = [Vec(ring, {(new[i], e): c for (i, e), c in live[j].data.items()}) for j in kept]
+    return rows, kept, pruned, steps
 
 
 @dataclass
 class Resolution:
-    """A complex F_0 <- F_1 <- ... ; maps[i] presents F_{i+1} -> F_i."""
+    """A complex F_0 <- F_1 <- ... of free modules.
+
+    maps[i] is d_{i+1} : F_{i+1} -> F_i as its list of column Vecs, one per
+    generator of F_{i+1}, whose components index the generators of F_i.
+    Module presentations (``GradedModule.relations``) stay matrices.
+    """
 
     ring: object
     degrees: list  # degrees[i] = generator degrees of F_i
-    maps: list     # maps[i] = rows x cols matrix, rows = len(degrees[i])
+    maps: list     # maps[i] = len(degrees[i + 1]) column Vecs in F_i
 
     @property
     def length(self):
@@ -209,21 +210,14 @@ class Resolution:
                 table[(i, d)] = table.get((i, d), 0) + 1
         return table
 
-    def map_matrix(self, i):
-        """Matrix of d_i : F_i -> F_{i-1} (1-based differential index)."""
-        return self.maps[i - 1]
-
     def verify(self, guard=None):
         """Check d_i o d_{i+1} = 0 and exactness at each interior step."""
-        for i in range(len(self.maps) - 1):
-            prod = mat_mul(self.ring, self.maps[i], self.maps[i + 1])
-            if any(e for row in prod for e in row):
-                return False
-        for i in range(len(self.maps) - 1):
-            cols = columns_to_vecs(self.ring, self.maps[i])
-            ker = syzygies(cols, rank=len(self.degrees[i]), guard=guard)
-            img = columns_to_vecs(self.ring, self.maps[i + 1])
-            gb = buchberger(img, guard=guard)
+        pairs = list(zip(self.maps, self.maps[1:]))
+        if any(_apply(d, v) for d, nxt in pairs for v in nxt):
+            return False
+        for i, (d, nxt) in enumerate(pairs):
+            ker = syzygies(d, rank=len(self.degrees[i]), guard=guard)
+            gb = buchberger(nxt, guard=guard)
             if not all(module_contains(v, gb) for v in ker):
                 return False
         return True
@@ -239,19 +233,15 @@ def free_resolution(module, guard=None):
     ring = module.ring
     res = Resolution(ring, [list(module.gen_degrees)], [])
     current = module.relation_vecs()
-    degs = [v.degree_with(module.gen_degrees) for v in current]
     while current:
-        matrix = vecs_to_columns(ring, current, len(res.degrees[-1]))
-        rows, cols, pruned, _ = _prune_units(ring, matrix)
+        degs = [v.degree_with(res.degrees[-1]) for v in current]
+        rows, cols, pruned, _ = _prune_units(ring, current, len(res.degrees[-1]))
         if res.maps:
-            res.maps[-1] = [[row[a] for a in rows] for row in res.maps[-1]]
+            res.maps[-1] = [res.maps[-1][a] for a in rows]
         res.degrees[-1] = [res.degrees[-1][a] for a in rows]
         if not cols:
             break
         res.maps.append(pruned)
         res.degrees.append([degs[b] for b in cols])
-        current = syzygies(
-            columns_to_vecs(ring, pruned), rank=len(rows), guard=guard
-        )
-        degs = [v.degree_with(res.degrees[-1]) for v in current]
+        current = syzygies(pruned, rank=len(rows), guard=guard)
     return res

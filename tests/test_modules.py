@@ -3,14 +3,15 @@ from itertools import combinations
 
 import pytest
 
+from multischeme import modules
 from multischeme.groebner import Vec, buchberger, module_contains
 from multischeme.modules import (
     GradedModule,
     Resolution,
+    _prune_units,
     columns_to_vecs,
     determinant,
     free_resolution,
-    mat_mul,
     matrix_rank,
     minors,
     vecs_to_columns,
@@ -179,15 +180,118 @@ def test_free_resolution_of_free_module_is_trivial(ring):
     assert res.betti() == {(0, 0): 1, (0, -1): 1}
 
 
+def _column(ring, *entries):
+    """The column Vec with the given polynomial entries."""
+    return columns_to_vecs(ring, [[f] for f in entries])[0]
+
+
 def test_resolution_verify_rejects_non_complex(ring):
     x, y = ring.gens()
-    bad = Resolution(ring, [[0], [1], [2]], [[[x, y]], [[x], [y]]])
+    d1 = [_column(ring, x), _column(ring, y)]
+    d2 = [_column(ring, x, y)]
+    bad = Resolution(ring, [[0], [1, 1], [2]], [d1, d2])
     # d1 o d2 = x^2 + y^2 != 0
     assert not bad.verify()
 
 
-def test_mat_mul_matches_hand_product(ring):
+def test_resolution_verify_rejects_a_complex_that_is_not_exact(ring):
     x, y = ring.gens()
-    a = [[x, y]]
-    b = [[y], [x]]
-    assert mat_mul(ring, a, b) == [[x * y + y * x]]
+    d1 = [_column(ring, x), _column(ring, y)]
+    d2 = [_column(ring, y * y, -x * y)]
+    res = Resolution(ring, [[0], [1, 1], [3]], [d1, d2])
+    # d1 o d2 = x*y^2 - y*x*y = 0, but the kernel element (y, -x) of d1 is
+    # not in the image y * (y, -x) of d2
+    assert all(not modules._apply(d1, v) for v in d2)
+    assert not res.verify()
+    assert Resolution(ring, res.degrees[:2] + [[2]], [d1, [_column(ring, y, -x)]]).verify()
+
+
+def test_free_resolution_converts_only_its_input(monkeypatch):
+    ring = PolyRing(("x", "y", "z"))
+    x, y, z = ring.gens()
+    # a redundant generator, so the first syzygies carry a unit to prune
+    mod = GradedModule(ring, (0,), [[x * x, x * y, y * z, x * x + x * y]])
+    calls = {"columns_to_vecs": 0, "vecs_to_columns": 0}
+
+    def counting(name):
+        original = getattr(modules, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(modules, name, wrapped)
+
+    counting("columns_to_vecs")
+    counting("vecs_to_columns")
+    res = free_resolution(mod)
+    assert res.betti() == {(0, 0): 1, (1, 2): 3, (2, 3): 2}
+    assert calls == {"columns_to_vecs": 1, "vecs_to_columns": 0}
+
+
+def _matrix_prune_units(ring, matrix):
+    """Reference pruner on a polynomial matrix: repeatedly cancels the first
+    nonzero constant entry (a, b) in row-major order by column operations,
+    then drops zero columns; returns (rows, cols, pruned matrix, steps)."""
+    m = [list(row) for row in matrix]
+    rows = list(range(len(m)))
+    cols = list(range(len(m[0]))) if m else []
+    steps = []
+    while True:
+        pivot = next(
+            ((a, b) for a in rows for b in cols if m[a][b] and m[a][b].is_constant()),
+            None,
+        )
+        if pivot is None:
+            break
+        a, b = pivot
+        inv = ring.field.inv(m[a][b].constant())
+        rows.remove(a)
+        cols.remove(b)
+        hit = [i for i in rows if m[i][b]]
+        for j in cols:
+            f = m[a][j].scale(inv)
+            if f:
+                for i in hit:
+                    m[i][j] = m[i][j] - f * m[i][b]
+        steps.append((a, {i: -m[i][b].scale(inv) for i in hit}))
+    cols = [j for j in cols if any(m[i][j] for i in rows)]
+    return rows, cols, [[m[i][j] for j in cols] for i in rows], steps
+
+
+def _random_presentation(ring, rng):
+    """A homogeneous presentation whose low-degree columns have constant,
+    often unit, entries."""
+    degs = [rng.randint(0, 2) for _ in range(rng.randint(2, 5))]
+
+    def form(d):
+        if d < 0:
+            return ring.zero()
+        terms = {}
+        for _ in range(rng.randint(1, 3)):
+            e = [0] * ring.nvars
+            for _ in range(d):
+                e[rng.randrange(ring.nvars)] += 1
+            terms[tuple(e)] = rng.randint(-2, 2)
+        return ring.poly(terms)
+
+    col_degs = [rng.randint(min(degs), max(degs) + 2) for _ in range(rng.randint(1, 5))]
+    return GradedModule(ring, degs, [[form(c - d) for c in col_degs] for d in degs])
+
+
+@pytest.mark.parametrize("char", [0, 5])
+def test_column_pruner_matches_the_matrix_reference(char):
+    ring = PolyRing(("x", "y", "z"), char=char)
+    rng = random.Random(char)
+    pivots = chained = 0
+    for _ in range(200):
+        mod = _random_presentation(ring, rng)
+        rows, cols, pruned, steps = _prune_units(ring, mod.relation_vecs(), mod.rank)
+        ref_rows, ref_cols, ref_pruned, ref_steps = _matrix_prune_units(ring, mod.relations)
+        assert (rows, cols, steps) == (ref_rows, ref_cols, ref_steps)
+        assert vecs_to_columns(ring, pruned, len(rows)) == ref_pruned
+        cancelled = {a for a, _ in steps}
+        pivots += len(steps)
+        # a substitution naming a generator that a later pivot cancels
+        chained += any(i in cancelled for _, subst in steps for i in subst)
+    assert pivots >= 100 and chained >= 20
