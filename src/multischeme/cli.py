@@ -22,6 +22,7 @@ from .catalog import CatalogError, load_catalog, table_ids
 from .groebner import Guard, ResourceGuardExceeded
 from .ideals import Ideal
 from .parse import ParseError, format_ideal, parse_ring
+from .ring import PrimeField
 from .scenarios import ScenarioOptions, emit_report, run_scenario, scenario_ids
 from .structures import Embedding, MultiStructure, StructureError, hilb_to_json
 
@@ -79,6 +80,25 @@ def _read_input(path):
 
 class _UsageError(Exception):
     pass
+
+
+def _budget(text):
+    """A non-negative degree budget."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("degree budget must be non-negative: %d" % value)
+    return value
+
+
+def _characteristic(text):
+    """0 or a prime, checked by building its field as a ring declaration does."""
+    char = int(text)
+    if char:
+        try:
+            PrimeField(char)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return char
 
 
 def _structure(ring, support, ideal, guard):
@@ -165,7 +185,7 @@ def build_parser():
     parser = _Parser(prog="ms", description="multiple-structure workbench")
     parser.add_argument(
         "--max-degree",
-        type=int,
+        type=_budget,
         default=None,
         help="degree budget for Groebner computations",
     )
@@ -190,7 +210,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run verification scenarios")
     p.add_argument("scenario", help="scenario id or 'all'")
-    p.add_argument("--char", type=int, default=None)
+    p.add_argument("--char", type=_characteristic, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(fn=_cmd_verify)
@@ -205,7 +225,7 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    guard = Guard(max_degree=args.max_degree) if args.max_degree else None
+    guard = None if args.max_degree is None else Guard(max_degree=args.max_degree)
     try:
         return args.fn(args, guard)
     except _UsageError as exc:

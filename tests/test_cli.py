@@ -114,6 +114,27 @@ def test_max_degree_guard_makes_inconclusive(tmp_path, capsys):
     assert main(["--max-degree", "2", "gb", str(p)]) == 2
 
 
+def test_max_degree_zero_is_a_budget_not_the_default(infile, capsys):
+    # the default budget of 40 computes this basis; a budget of 0 must not
+    assert main(["--max-degree", "0", "gb", infile]) == 2
+    assert "exceeds budget 0" in capsys.readouterr().err
+
+
+def test_negative_max_degree_is_a_usage_error(infile, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--max-degree", "-1", "gb", infile])
+    assert exc.value.code == 3
+    assert "non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("char, message", [(4, "prime"), (-3, "prime"), (2**82, "below")])
+def test_verify_rejects_a_characteristic_that_is_not_a_field(char, message, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "thm-3.6", "--char", str(char)])
+    assert exc.value.code == 3
+    assert message in capsys.readouterr().err
+
+
 def test_catalog_list(capsys):
     assert main(["catalog", "list"]) == 0
     out = capsys.readouterr().out.splitlines()
