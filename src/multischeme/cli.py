@@ -22,7 +22,7 @@ from .catalog import CatalogError, load_catalog, table_ids
 from .groebner import Guard, ResourceGuardExceeded
 from .ideals import Ideal
 from .parse import ParseError, format_ideal, parse_ring
-from .ring import PrimeField
+from .ring import PolyRing
 from .scenarios import ScenarioOptions, emit_report, run_scenario, scenario_ids
 from .structures import Embedding, MultiStructure, StructureError, hilb_to_json
 
@@ -82,23 +82,12 @@ class _UsageError(Exception):
     pass
 
 
-def _budget(text):
-    """A non-negative degree budget."""
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("degree budget must be non-negative: %d" % value)
-    return value
-
-
 def _characteristic(text):
     """0 or a prime, checked by building its field as a ring declaration does."""
-    char = int(text)
-    if char:
-        try:
-            PrimeField(char)
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(str(exc)) from None
-    return char
+    try:
+        return PolyRing((), char=int(text)).char
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _structure(ring, support, ideal, guard):
@@ -185,7 +174,7 @@ def build_parser():
     parser = _Parser(prog="ms", description="multiple-structure workbench")
     parser.add_argument(
         "--max-degree",
-        type=_budget,
+        type=int,
         default=None,
         help="degree budget for Groebner computations",
     )
@@ -225,6 +214,8 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.max_degree is not None and args.max_degree < 0:
+        parser.error("--max-degree must be non-negative, got %d" % args.max_degree)
     guard = None if args.max_degree is None else Guard(max_degree=args.max_degree)
     try:
         return args.fn(args, guard)

@@ -164,14 +164,8 @@ def _prune_units(ring, cols, nrows):
     live = dict(enumerate(cols))
     rows = list(range(nrows))
     steps = []
-    while True:
-        pivot = min(
-            ((i, b) for b, v in live.items() for i, e in v.data if e == zero),
-            default=None,
-        )
-        if pivot is None:
-            break
-        a, b = pivot
+    while units := [(i, b) for b, v in live.items() for i, e in v.data if e == zero]:
+        a, b = min(units)
         col = live.pop(b)
         col = col.scale(ring.field.inv(col.data[(a, zero)]))
         for j, v in live.items():
@@ -188,12 +182,9 @@ def _prune_units(ring, cols, nrows):
 
 @dataclass
 class Resolution:
-    """A complex F_0 <- F_1 <- ... of free modules.
-
-    maps[i] is d_{i+1} : F_{i+1} -> F_i as its list of column Vecs, one per
-    generator of F_{i+1}, whose components index the generators of F_i.
-    Module presentations (``GradedModule.relations``) stay matrices.
-    """
+    """A complex F_0 <- F_1 <- ...; maps[i] is d_{i+1} : F_{i+1} -> F_i as its
+    column Vecs, one per generator of F_{i+1}, with components indexing the
+    generators of F_i.  Presentations (``GradedModule.relations``) are matrices."""
 
     ring: object
     degrees: list  # degrees[i] = generator degrees of F_i
@@ -212,10 +203,9 @@ class Resolution:
 
     def verify(self, guard=None):
         """Check d_i o d_{i+1} = 0 and exactness at each interior step."""
-        pairs = list(zip(self.maps, self.maps[1:]))
-        if any(_apply(d, v) for d, nxt in pairs for v in nxt):
-            return False
-        for i, (d, nxt) in enumerate(pairs):
+        for i, (d, nxt) in enumerate(zip(self.maps, self.maps[1:])):
+            if any(_apply(d, v) for v in nxt):
+                return False
             ker = syzygies(d, rank=len(self.degrees[i]), guard=guard)
             gb = buchberger(nxt, guard=guard)
             if not all(module_contains(v, gb) for v in ker):
