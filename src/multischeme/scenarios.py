@@ -24,7 +24,7 @@ from .hilbert import (
     euler_characteristic,
     reduced_degree3_membership,
 )
-from .ideals import Ideal, same_zero_locus
+from .ideals import Ideal, same_zero_locus, unmixed_part
 from .modules import GradedModule, matrix_rank
 from .parse import format_ideal
 from .quotients import line_bundle_quotients
@@ -340,6 +340,9 @@ def _scn_nontype1(rec, opts):
         rec.check(tag + ":multiplicity", a * b + 2, st.multiplicity())
         rec.check(tag + ":multiplicity-manifest", expect["multiplicity"], st.multiplicity())
         rec.check(tag + ":locally-cm", True, st.locally_cm()[0])
+        # locally CM, so S1: I_Y is its own hull
+        hull = unmixed_part(st.ideal, guard=opts.guard)
+        rec.check_ideal(tag + ":s1-hull", st.ideal, hull, opts.guard)
         verdict, flags = st.is_type_I()
         rec.check(tag + ":type-i", False, verdict)
         bad = [j for j, f in enumerate(flags) if not f]
@@ -433,6 +436,9 @@ def _scn_ci_lattice(rec, opts):
         tag = "S=%s" % (S,)
         rec.check(tag + ":multiplicity", expect["multiplicity"], st.multiplicity())
         rec.check(tag + ":locally-cm", True, st.locally_cm()[0])
+        # locally CM, so S1: I_Y is its own hull
+        hull = unmixed_part(st.ideal, guard=opts.guard)
+        rec.check_ideal(tag + ":s1-hull", st.ideal, hull, opts.guard)
     for i, S in enumerate(subsets):
         for j, T in enumerate(subsets):
             # Z_S inside Z_T as schemes means I_T inside I_S as ideals
@@ -453,6 +459,8 @@ def _scn_koszul(rec, opts):
     expect = fam.manifest[0]
     rec.check("multiplicity", expect["multiplicity"], st.multiplicity())
     rec.check("locally-cm", True, st.locally_cm()[0])
+    # locally CM, so S1: I_Y is its own hull
+    rec.check_ideal("s1-hull", st.ideal, unmixed_part(st.ideal, guard=opts.guard), opts.guard)
     rec.check("hilbert", expect["hilb"], st.hilbert_polynomial())
     ext = build_family("koszul", n=2, extend=True, guard=opts.guard)
     st_e = ext.structures[0]
