@@ -175,7 +175,7 @@ def ideal_hilbert_series(ring, groebner_polys):
 
 def module_hilbert_series(module, guard=None):
     """Series of a GradedModule presentation coker(F1 -> F0)."""
-    gb = buchberger(module.relation_vecs(), guard=guard)
+    gb = buchberger(module.relations, guard=guard)
     by_comp = {}
     for g in gb:
         (j, e), _ = g.lead()

@@ -212,13 +212,8 @@ def fitting_ideal(module, r):
     g = module.rank
     if r >= g:
         return Ideal(ring, [ring.one()])
-    if r < 0:
-        return Ideal(ring, [])
-    rel = module.relations
-    if not rel or not rel[0]:
-        return Ideal(ring, [])
-    mm = [m for m in minors(rel, g - r) if m]
-    return Ideal(ring, mm)
+    # for r < 0 there are no (g - r)-minors
+    return Ideal(ring, [m for m in minors(module.matrix(), g - r) if m])
 
 
 def module_colon(im_gens, v, rank, guard=None):
@@ -291,8 +286,8 @@ def quotient_resolution(ideal, guard=None):
     unit entries of the first syzygies, which drops the redundant elements.
     """
     if ideal._res is None:
-        top = GradedModule(ideal.ring, (0,), [ideal.groebner(guard=guard)])
-        ideal._res = free_resolution(top, guard=guard)
+        columns = [Vec.from_poly(g) for g in ideal.groebner(guard=guard)]
+        ideal._res = free_resolution(GradedModule(ideal.ring, (0,), columns), guard=guard)
     return ideal._res
 
 

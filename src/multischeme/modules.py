@@ -1,7 +1,10 @@
 """Graded modules, free resolutions, and Betti data.
 
-A graded module is presented as coker of a homogeneous matrix between free
-modules; generator degrees are tracked so twists and Hilbert data make sense.
+A graded module is presented as coker of a homogeneous map between free
+modules, stored as its column Vecs; generator degrees are tracked so twists
+and Hilbert data make sense.  Polynomial matrices appear only at the edges:
+a hand-written presentation is converted once, and minors and ranks read
+``GradedModule.matrix()``.
 """
 
 from __future__ import annotations
@@ -109,17 +112,30 @@ def matrix_rank(matrix):
 
 @dataclass
 class GradedModule:
-    """coker of a homogeneous matrix; gen i generates in degree gen_degrees[i]."""
+    """coker of a homogeneous map onto F_0 = sum R(-gen_degrees[i]).
+
+    ``relations`` are the map's columns as Vecs with components < rank.  A
+    rows x cols polynomial matrix (rows == rank) is accepted and converted
+    to its columns here, once.
+    """
 
     ring: object
     gen_degrees: tuple
-    relations: list  # rows x cols polynomial matrix, rows == len(gen_degrees)
+    relations: list  # column Vecs in F_0
 
     def __post_init__(self):
         self.gen_degrees = tuple(self.gen_degrees)
-        for col in columns_to_vecs(self.ring, self.relations):
+        rel = list(self.relations)
+        if not all(isinstance(v, Vec) for v in rel):
+            if len(rel) != self.rank or len({len(row) for row in rel}) > 1:
+                raise ValueError("relation matrix shape does not match %d generators" % self.rank)
+            rel = columns_to_vecs(self.ring, rel)
+        for col in rel:
+            if any(i >= self.rank for i, _ in col.data):
+                raise ValueError("relation column outside rank %d" % self.rank)
             if not col.is_homogeneous_with(self.gen_degrees):
                 raise ValueError("inhomogeneous relation column")
+        self.relations = rel
 
     @property
     def rank(self):
@@ -128,14 +144,15 @@ class GradedModule:
     def twists(self):
         return [-d for d in self.gen_degrees]
 
-    def relation_vecs(self):
-        return columns_to_vecs(self.ring, self.relations)
+    def matrix(self):
+        """The relations as a rank x len(relations) polynomial matrix."""
+        return vecs_to_columns(self.ring, self.relations, self.rank)
 
     def minimal_with_map(self):
         """(minimal presentation, lift) with lift[i][j] expressing the image
         of original generator i on the surviving generators j."""
         ring = self.ring
-        rows, _, rel, steps = _prune_units(ring, self.relation_vecs(), self.rank)
+        rows, _, rel, steps = _prune_units(ring, self.relations, self.rank)
         zero = ring.zero()
         lift = {a: [ring.one() if a == b else zero for b in rows] for a in rows}
         for a, subst in reversed(steps):
@@ -144,8 +161,7 @@ class GradedModule:
                 row = [x + c * y if y else x for x, y in zip(row, lift[i])]
             lift[a] = row
         degs = tuple(self.gen_degrees[a] for a in rows)
-        minimal = GradedModule(ring, degs, vecs_to_columns(ring, rel, len(rows)))
-        return minimal, [lift[a] for a in range(self.rank)]
+        return GradedModule(ring, degs, rel), [lift[a] for a in range(self.rank)]
 
 
 def _prune_units(ring, cols, nrows):
@@ -184,7 +200,7 @@ def _prune_units(ring, cols, nrows):
 class Resolution:
     """A complex F_0 <- F_1 <- ...; maps[i] is d_{i+1} : F_{i+1} -> F_i as its
     column Vecs, one per generator of F_{i+1}, with components indexing the
-    generators of F_i.  Presentations (``GradedModule.relations``) are matrices."""
+    generators of F_i, the form of ``GradedModule.relations``."""
 
     ring: object
     degrees: list  # degrees[i] = generator degrees of F_i
@@ -222,7 +238,7 @@ def free_resolution(module, guard=None):
     """
     ring = module.ring
     res = Resolution(ring, [list(module.gen_degrees)], [])
-    current = module.relation_vecs()
+    current = module.relations
     while current:
         degs = [v.degree_with(res.degrees[-1]) for v in current]
         rows, cols, pruned, _ = _prune_units(ring, current, len(res.degrees[-1]))

@@ -79,40 +79,28 @@ def solution_space(module, twist):
     ring = module.ring
     fieldk = ring.field
     degs = [gd + twist for gd in module.gen_degrees]
-    slots = []
+    monos = [monomials_of_degree(ring, d) for d in degs]
     index = {}
-    for i, d in enumerate(degs):
-        for e in monomials_of_degree(ring, d):
-            index[(i, e)] = len(slots)
-            slots.append((i, e))
-    if not slots:
+    for i, es in enumerate(monos):
+        for e in es:
+            index[(i, e)] = len(index)
+    if not index:
         return []
+    ncols = len(index)
     rows = []
-    ncols = len(slots)
-    rel = module.relations
-    ncolumns = len(rel[0]) if rel and rel[0] else 0
-    for j in range(ncolumns):
+    # one equation per monomial of each relation column's image
+    for rel in module.relations:
         eqs = {}
-        for i in range(module.rank):
-            phi = rel[i][j]
-            if phi.is_zero():
-                continue
-            for e in monomials_of_degree(ring, degs[i]):
-                col = index[(i, e)]
-                for em, cm in phi.terms.items():
-                    key = tuple(a + b for a, b in zip(e, em))
-                    eqs.setdefault(key, [fieldk.zero()] * ncols)
-                    eqs[key][col] = eqs[key][col] + cm
+        for (i, em), cm in rel.data.items():
+            for e in monos[i]:
+                key = tuple(a + b for a, b in zip(e, em))
+                eqs.setdefault(key, [fieldk.zero()] * ncols)[index[(i, e)]] += cm
         rows.extend(eqs.values())
     basis = nullspace(fieldk, rows, ncols)
-    maps = []
-    for v in basis:
-        row = []
-        for i in range(module.rank):
-            terms = {e: v[index[(i, e)]] for e in monomials_of_degree(ring, degs[i])}
-            row.append(ring.poly(terms))
-        maps.append(row)
-    return maps
+    return [
+        [ring.poly({e: v[index[(i, e)]] for e in es}) for i, es in enumerate(monos)]
+        for v in basis
+    ]
 
 
 def _is_surjection(ring, row, guard=None):

@@ -44,17 +44,16 @@ class Embedding:
         rest = tuple(n for n in self.ring.names if n not in self.support_vars)
         return self.ring.subring(rest)
 
-    def restrict(self, f):
-        """Image of f in the support ring (set the support variables to zero)."""
-        sub = self.support_ring()
-        terms = {}
-        drop = {self.ring._index[v] for v in self.support_vars}
-        for e, c in f.terms.items():
-            if any(e[i] for i in drop):
-                continue
-            new = tuple(ei for i, ei in enumerate(e) if i not in drop)
-            terms[new] = c
-        return sub.poly(terms)
+    def restrict(self, v, n):
+        """Image of the first n components of v in the support ring's free
+        module of rank n (set the support variables to zero)."""
+        drop = {self.ring._index[x] for x in self.support_vars}
+        keep = [k for k in range(self.ring.nvars) if k not in drop]
+        return Vec(self.support_ring(), {
+            (i, tuple(e[k] for k in keep)): c
+            for (i, e), c in v.data.items()
+            if i < n and not any(e[k] for k in drop)
+        })
 
     def extend(self, f):
         """Transfer a support-ring polynomial into the ambient ring."""
@@ -224,18 +223,10 @@ def layer_module(emb, upper, lower, guard=None):
     # sum h_i g_i in I_X*upper + lower iff h is in (relations modulo lower)
     # + I_X*R^s; restricting kills I_X, so taking lower alone loses nothing
     vecs = [Vec.from_poly(g) for g in gens] + [Vec.from_poly(m) for m in lower.gens]
-    syz = syzygies(vecs, rank=1, guard=guard)
-    sub = emb.support_ring()
+    # the nonzero restrictions, in syzygy order (which fixes the pivot order)
+    restricted = (emb.restrict(s, len(gens)) for s in syzygies(vecs, rank=1, guard=guard))
     degs = tuple(g.degree() for g in gens)
-    columns = []
-    for s in syz:
-        col = [emb.restrict(s.component(i)) for i in range(len(gens))]
-        if any(col):
-            columns.append(col)
-    rel = [[columns[c][i] for c in range(len(columns))] for i in range(len(gens))]
-    if not columns:
-        rel = [[] for _ in gens]
-    presented = GradedModule(sub, degs, rel)
+    presented = GradedModule(emb.support_ring(), degs, [v for v in restricted if v])
     minimal, lift = presented.minimal_with_map()
     hs_upper = upper.hilbert_series(guard=guard)
     hs_lower = lower.hilbert_series(guard=guard)
@@ -275,7 +266,7 @@ def is_S1(ideal, guard=None):
 def is_locally_free(module, rank, guard=None):
     """Locally free of the given rank on Proj of the support ring."""
     g = module.rank
-    rel = module.relations
+    rel = module.matrix()
     expected = g - rank
     if expected < 0:
         raise StructureError("expected rank exceeds generator count")
@@ -297,7 +288,7 @@ def thicken(structure, rows, relations=(), guard=None):
 
     ``rows`` is a q x s matrix over the support ring, s = number of minimal
     generators of I_Y; ``relations`` is L's q x r relation matrix, laid out
-    as ``GradedModule.relations`` (empty: L = O^q).  The map must be onto:
+    as ``GradedModule.matrix()`` (empty: L = O^q).  The map must be onto:
     the q-minors of [rows | relations] have no common zero, as Supp L =
     V(Fitt_0 L).  The new ideal is I_X*I_Y plus the lifts sum_i h_i g_i of
     the kernel vectors h of [rows | relations] (components >= s dropped).
@@ -344,4 +335,4 @@ def layer_quotient_rows(filtration, j):
     gens, lift = filtration.layer_lifts[j]
     # lift[o][i]: coefficient of surviving generator i in the image of gen o
     rows = [[lift[o][i] for o in range(len(gens))] for i in range(layer.rank)]
-    return rows, layer.relations
+    return rows, layer.matrix()

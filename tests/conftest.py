@@ -1,7 +1,10 @@
 """Fixtures shared across test modules."""
 
+import sys
+
 import pytest
 
+from multischeme import modules
 from multischeme.scenarios import _ideal_text, _Recorder, _text, run_scenario
 
 
@@ -42,3 +45,27 @@ def scenario_result(scenario_texts):
         return results[sid]
 
     return get
+
+
+@pytest.fixture
+def conversions(monkeypatch):
+    """``conversions()`` starts counting the calls of the matrix <-> column
+    Vec conversions, through every module of the package that binds them,
+    and returns the live counts."""
+
+    def start():
+        calls = {}
+        for name in ("columns_to_vecs", "vecs_to_columns"):
+            original = getattr(modules, name)
+            calls[name] = 0
+
+            def wrapped(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            for key, mod in list(sys.modules.items()):
+                if key.split(".")[0] == "multischeme" and getattr(mod, name, None) is original:
+                    monkeypatch.setattr(mod, name, wrapped)
+        return calls
+
+    return start

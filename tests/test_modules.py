@@ -5,6 +5,7 @@ import pytest
 
 from multischeme import modules
 from multischeme.groebner import Vec, buchberger, module_contains
+from multischeme.hilbert import module_hilbert_series
 from multischeme.modules import (
     GradedModule,
     Resolution,
@@ -16,6 +17,7 @@ from multischeme.modules import (
     minors,
     vecs_to_columns,
 )
+from multischeme.quotients import solution_space
 from multischeme.ring import PolyRing
 
 
@@ -126,10 +128,10 @@ def test_minimal_presentation_back_substitutes_chained_pivots(ring):
     mod = GradedModule(ring, (2, 1, 0), rel)
     minimal, lift = mod.minimal_with_map()
     assert minimal.gen_degrees == (0,)
-    assert minimal.relations == [[x * y + y * y]]
+    assert minimal.matrix() == [[x * y + y * y]]
     assert lift == [[x * y], [y], [one]]
     # every original generator equals its lift modulo the original relations
-    gb = buchberger(mod.relation_vecs())
+    gb = buchberger(mod.relations)
     survivors = [2]
     for o, row in enumerate(lift):
         diff = Vec.unit(ring, o)
@@ -151,6 +153,22 @@ def test_inhomogeneous_relation_rejected(ring):
         GradedModule(ring, (0, 1), [[x], [x]])
 
 
+def test_presentation_shape_must_match_the_generators():
+    ring = PolyRing(("x", "y", "z"))
+    x, y, z = ring.gens()
+    bad = [
+        ((0,), [[x], [y]]),        # two rows for one generator
+        ((0, 0), [[x, y], [z]]),   # ragged rows
+        ((0, 0), [[x]]),           # one row for two generators
+        ((0,), [Vec.from_poly(x, 1)]),  # a column outside rank 1
+    ]
+    for degs, relations in bad:
+        with pytest.raises(ValueError):
+            GradedModule(ring, degs, relations)
+    (col,) = GradedModule(ring, (0, 0), [[x], [y]]).relations
+    assert col.data == {(0, (1, 0, 0)): 1, (1, (0, 1, 0)): 1}
+
+
 def test_minimal_presentation_prunes_unit_pivot(ring):
     x, y = ring.gens()
     # second generator equals x * (first); the unit column kills it
@@ -158,7 +176,8 @@ def test_minimal_presentation_prunes_unit_pivot(ring):
     mod = GradedModule(ring, (0, 1), rel)
     minimal, lift = mod.minimal_with_map()
     assert minimal.gen_degrees == (0,)
-    assert minimal.relations in ([], [[]])
+    assert minimal.relations == []
+    assert minimal.matrix() == [[]]
     # original generator 1 maps to x times the survivor
     assert lift[1][0] == x
     assert lift[0][0] == ring.one()
@@ -206,27 +225,16 @@ def test_resolution_verify_rejects_a_complex_that_is_not_exact(ring):
     assert Resolution(ring, res.degrees[:2] + [[2]], [d1, [_column(ring, y, -x)]]).verify()
 
 
-def test_free_resolution_converts_only_its_input(monkeypatch):
+def test_free_resolution_converts_only_its_input(conversions):
     ring = PolyRing(("x", "y", "z"))
     x, y, z = ring.gens()
-    # a redundant generator, so the first syzygies carry a unit to prune
+    # a redundant generator, so the first syzygies carry a unit to prune;
+    # the matrix is converted here, before the count starts
     mod = GradedModule(ring, (0,), [[x * x, x * y, y * z, x * x + x * y]])
-    calls = {"columns_to_vecs": 0, "vecs_to_columns": 0}
-
-    def counting(name):
-        original = getattr(modules, name)
-
-        def wrapped(*args):
-            calls[name] += 1
-            return original(*args)
-
-        monkeypatch.setattr(modules, name, wrapped)
-
-    counting("columns_to_vecs")
-    counting("vecs_to_columns")
+    calls = conversions()
     res = free_resolution(mod)
     assert res.betti() == {(0, 0): 1, (1, 2): 3, (2, 3): 2}
-    assert calls == {"columns_to_vecs": 1, "vecs_to_columns": 0}
+    assert calls == {"columns_to_vecs": 0, "vecs_to_columns": 0}
 
 
 def _matrix_prune_units(ring, matrix):
@@ -260,8 +268,9 @@ def _matrix_prune_units(ring, matrix):
 
 
 def _random_presentation(ring, rng):
-    """A homogeneous presentation whose low-degree columns have constant,
-    often unit, entries."""
+    """(generator degrees, relation column Vecs) of a homogeneous
+    presentation whose low-degree columns have constant, often unit,
+    entries."""
     degs = [rng.randint(0, 2) for _ in range(rng.randint(2, 5))]
 
     def form(d):
@@ -276,7 +285,11 @@ def _random_presentation(ring, rng):
         return ring.poly(terms)
 
     col_degs = [rng.randint(min(degs), max(degs) + 2) for _ in range(rng.randint(1, 5))]
-    return GradedModule(ring, degs, [[form(c - d) for c in col_degs] for d in degs])
+    entries = [[form(c - d) for c in col_degs] for d in degs]
+    return degs, [
+        Vec(ring, {(i, e): a for i, row in enumerate(entries) for e, a in row[j].terms.items()})
+        for j in range(len(col_degs))
+    ]
 
 
 @pytest.mark.parametrize("char", [0, 5])
@@ -285,9 +298,9 @@ def test_column_pruner_matches_the_matrix_reference(char):
     rng = random.Random(char)
     pivots = chained = 0
     for _ in range(200):
-        mod = _random_presentation(ring, rng)
-        rows, cols, pruned, steps = _prune_units(ring, mod.relation_vecs(), mod.rank)
-        ref_rows, ref_cols, ref_pruned, ref_steps = _matrix_prune_units(ring, mod.relations)
+        mod = GradedModule(ring, *_random_presentation(ring, rng))
+        rows, cols, pruned, steps = _prune_units(ring, mod.relations, mod.rank)
+        ref_rows, ref_cols, ref_pruned, ref_steps = _matrix_prune_units(ring, mod.matrix())
         assert (rows, cols, steps) == (ref_rows, ref_cols, ref_steps)
         assert vecs_to_columns(ring, pruned, len(rows)) == ref_pruned
         cancelled = {a for a, _ in steps}
@@ -295,3 +308,29 @@ def test_column_pruner_matches_the_matrix_reference(char):
         # a substitution naming a generator that a later pivot cancels
         chained += any(i in cancelled for _, subst in steps for i in subst)
     assert pivots >= 100 and chained >= 20
+
+
+@pytest.mark.parametrize("char", [0, 5])
+def test_column_and_matrix_built_twins_agree(char):
+    ring = PolyRing(("x", "y", "z"), char=char)
+    rng = random.Random(char)
+    solutions = 0
+    for _ in range(40):
+        degs, cols = _random_presentation(ring, rng)
+        vec_mod = GradedModule(ring, degs, cols)
+        twin = GradedModule(ring, degs, vec_mod.matrix())
+        assert [v.data for v in twin.relations] == [v.data for v in cols]
+        assert module_hilbert_series(twin) == module_hilbert_series(vec_mod)
+        assert free_resolution(twin).betti() == free_resolution(vec_mod).betti()
+        (m1, lift1), (m2, lift2) = twin.minimal_with_map(), vec_mod.minimal_with_map()
+        assert (m1.gen_degrees, m1.matrix(), lift1) == (m2.gen_degrees, m2.matrix(), lift2)
+        for twist in (-1, 0, 1):
+            rows = solution_space(vec_mod, twist)
+            assert solution_space(twin, twist) == rows
+            solutions += len(rows)
+            # every solution row kills every relation column
+            for row in rows:
+                for col in vec_mod.relations:
+                    image = sum((f * col.component(i) for i, f in enumerate(row)), ring.zero())
+                    assert image.is_zero()
+    assert solutions >= 200

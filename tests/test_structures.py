@@ -8,7 +8,7 @@ from multischeme.families import build_family
 from multischeme.groebner import Vec, submodule_equal, syzygies
 from multischeme.hilbert import HilbertPoly, HilbertSeries
 from multischeme.ideals import Ideal, radical_contains
-from multischeme.modules import GradedModule, columns_to_vecs
+from multischeme.modules import GradedModule
 from multischeme.ring import PolyRing
 from multischeme.structures import (
     Embedding,
@@ -20,6 +20,7 @@ from multischeme.structures import (
     is_S1,
     layer_module,
     layer_quotient_rows,
+    s1_filtration,
     thicken,
 )
 
@@ -38,7 +39,11 @@ def test_embedding_basics(ring):
     assert emb.support_ideal().codimension() == 2
     assert emb.support_ring().names == ("z0", "z1")
     f = ring.var("z0") ** 2 + ring.var("x") * ring.var("z1")
-    assert emb.restrict(f) == emb.support_ring().var("z0") ** 2
+    v = Vec.from_poly(f).add(Vec.from_poly(ring.var("z1"), 1))
+    sub = emb.support_ring()
+    # the support variables go to zero, and only the first n components stay
+    assert emb.restrict(v, 1).data == Vec.from_poly(sub.var("z0") ** 2).data
+    assert emb.restrict(v, 2).component(1) == sub.var("z1")
     assert emb.extend(emb.support_ring().var("z1")) == ring.var("z1")
     with pytest.raises(StructureError):
         Embedding(ring, ("w",))
@@ -157,28 +162,31 @@ def test_layer_relations_modulo_the_lower_term_match_the_full_modulus(monkeypatc
     layers = 0
     for name, st in rows:
         emb, filt = st.embedding, st.filtration()
-        sub = emb.support_ring()
         for upper, lower in zip(filt.ideals, filt.ideals[1:]):
             monkeypatch.setattr(GradedModule, "minimal_with_map", recording)
             layer_module(emb, upper, lower)
             monkeypatch.setattr(GradedModule, "minimal_with_map", original)
             # the presentation is the first module layer_module minimalizes
-            ours = columns_to_vecs(sub, presented[0].relations)
+            ours = presented[0].relations
             del presented[:]
             gens = upper.minimal_gens()
             modulus = emb.support_ideal().times(upper).plus(lower)
             vecs = [Vec.from_poly(g) for g in gens + list(modulus.gens)]
-            full = [
-                Vec(sub, {
-                    (i, e): c
-                    for i in range(len(gens))
-                    for e, c in emb.restrict(s.component(i)).terms.items()
-                })
-                for s in syzygies(vecs, rank=1)
-            ]
+            full = [emb.restrict(s, len(gens)) for s in syzygies(vecs, rank=1)]
             assert submodule_equal(ours, [v for v in full if v]), (name, layers)
             layers += 1
     assert layers == 29
+
+
+def test_s1_filtration_converts_no_presentation(conversions):
+    # layer presentations stay column Vecs from the syzygies to the
+    # minimal presentation and its Hilbert series
+    layers = 0
+    calls = conversions()
+    for name, st in _theorem_rows():
+        layers += len(s1_filtration(st).layers)
+        assert calls == {"columns_to_vecs": 0, "vecs_to_columns": 0}, name
+    assert layers == 26
 
 
 def test_non_cm_locus_is_reported():
@@ -318,7 +326,7 @@ def test_layer_quotient_rows_round_trip(ring):
         filt = st.filtration()
         rows, relations = layer_quotient_rows(filt, j)
         assert len(rows) == len(relations) == filt.layers[j].rank
-        assert relations == filt.layers[j].relations
+        assert relations == filt.layers[j].matrix()
         assert all(len(r) == relation_cols for r in relations)
         base = MultiStructure(st.embedding, filt.ideals[j], check=True)
         thick = thicken(base, rows, relations)
