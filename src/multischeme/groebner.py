@@ -4,7 +4,8 @@ Free-module elements are dicts mapping (component, exponent tuple) to field
 elements.  The module order is position-over-term: lower component index wins,
 ties broken by the ring's monomial order.  Putting the components to be
 eliminated first therefore makes every Groebner basis an elimination basis
-for those components, which is how syzygies are extracted.
+for those components (``buchberger(eliminate=r)``), which is how syzygies are
+extracted.  Reduction reads each basis through one ``lead_index``, built once.
 """
 
 from __future__ import annotations
@@ -152,23 +153,28 @@ def _divides(a, b):
     return all(map(le, a, b))
 
 
+def lead_index(basis):
+    """component -> [(lead exps, lead coeff, Vec)] in basis order; the first divisor reduces."""
+    index = {}
+    for g in filter(None, basis):
+        (j, e), c = g.lead()
+        index.setdefault(j, []).append((e, c, g))
+    return index
+
+
 def normal_form(v, basis):
     """Fully reduce v modulo a list of Vecs (every term, not just the lead)."""
     if isinstance(v, Vec):
-        return _nf_vec(v, basis)
-    vec = _nf_vec(Vec.from_poly(v), [Vec.from_poly(g) for g in basis])
+        return _nf_vec(v, lead_index(basis))
+    vec = _nf_vec(Vec.from_poly(v), lead_index(Vec.from_poly(g) for g in basis))
     return vec.component(0)
 
 
-def _nf_vec(v, basis):
+def _nf_vec(v, index):
     ring = v.ring
     field = ring.field
     p = ring.char
     lkey = ring.order.lead_key
-    leads = {}  # component -> its leads in basis order; the first divisor reduces
-    for g in filter(None, basis):
-        (jg, eg), cg = g.lead()
-        leads.setdefault(jg, []).append((eg, cg, g))
     work = dict(v.data)
     # The terms of ``work``, greatest first.  An entry whose monomial has left
     # ``work`` (cancelled, or re-created and already handled) is skipped.
@@ -180,7 +186,7 @@ def _nf_vec(v, basis):
         cc = work.get((jc, ec))
         if cc is None:
             continue
-        for eg, cg, g in leads.get(jc, ()):
+        for eg, cg, g in index.get(jc, ()):
             if all(map(le, eg, ec)):
                 break
         else:
@@ -216,15 +222,24 @@ def _spair(f, g):
     return mf.sub(mg)
 
 
-def buchberger(vecs, guard=None):
-    """Reduced Groebner basis of the submodule generated by ``vecs``."""
-    guard = guard or DEFAULT_GUARD
+def buchberger(vecs, guard=None, eliminate=0):
+    """Reduced basis of the submodule generated by ``vecs`` meet the components
+    >= ``eliminate``.  Under position-over-term, the basis elements whose lead
+    is there lie there and span that part (Eisenbud, Commutative Algebra,
+    15.10); no other lead divides their terms, so they interreduce alone."""
+    G = _groebner(vecs, guard or DEFAULT_GUARD)
+    return interreduce([g for g in G if g.lead()[0][0] >= eliminate])
+
+
+def _groebner(vecs, guard):
+    """Monic, unreduced Groebner basis: the input, then each S-pair remainder."""
     G = [v.monic() for v in vecs if v]
     if not G:
         return []
     # remainders of rank-1 input stay in component 0
     rank1 = all(j == 0 for g in G for j, _ in g.data)
     leads = []  # leads[i] = (component, exps) of G[i]
+    index = {}  # the lead_index of G, extended with each new element
     # ``pairs`` maps the pending pairs (i, j), i < j, to their lcm for the
     # chain criterion; ``queue`` pops them by (degree, i, j).
     pairs = {}
@@ -232,13 +247,14 @@ def buchberger(vecs, guard=None):
 
     def add_pairs(g):
         new = len(leads)
-        comp, exps = g.lead()[0]
+        (comp, exps), c = g.lead()
         for k, (ck, ek) in enumerate(leads):
             if ck == comp:
                 lcm = tuple(map(max, ek, exps))
                 pairs[(k, new)] = lcm
                 heappush(queue, (sum(lcm), k, new))
         leads.append((comp, exps))
+        index.setdefault(comp, []).append((exps, c, g))
 
     for g in G:
         add_pairs(g)
@@ -262,12 +278,12 @@ def buchberger(vecs, guard=None):
             ):
                 break
         else:
-            rem = _nf_vec(_spair(G[i], G[j]), G)
+            rem = _nf_vec(_spair(G[i], G[j]), index)
             if rem:
                 G.append(rem.monic())
                 guard.check_basis(len(G))
                 add_pairs(G[-1])
-    return interreduce(G)
+    return G
 
 
 def interreduce(G):
@@ -277,18 +293,18 @@ def interreduce(G):
         return []
     lkey = G[0].ring.order.lead_key
     G.sort(key=lambda g: sum(g.lead()[0][1]))
-    minimal = []
+    index = {}  # the lead_index of the minimal elements
     for g in G:
-        j, e = g.lead()[0]
-        if any(m.lead()[0][0] == j and _divides(m.lead()[0][1], e) for m in minimal):
-            continue
-        minimal.append(g)
+        (j, e), c = g.lead()
+        if not any(_divides(m, e) for m, _, _ in index.get(j, ())):
+            index.setdefault(j, []).append((e, c, g))
     out = []
-    for i, g in enumerate(minimal):
-        others = minimal[:i] + minimal[i + 1:]
-        r = _nf_vec(g, others)
-        if r:
-            out.append(r.monic())
+    for g in (g for entries in index.values() for _, _, g in entries):
+        # a lead divides no smaller term of its own component, so g never
+        # reduces its own tail: reducing modulo every minimal element is safe
+        k, c = g.lead()
+        tail = _nf_vec(Vec(g.ring, {t: d for t, d in g.data.items() if t != k}), index)
+        out.append(Vec(g.ring, {k: c, **tail.data}).monic())
     out.sort(key=lambda g: (g.lead()[0][0], lkey(g.lead()[0][1])))
     return out
 
@@ -303,8 +319,8 @@ def syzygies(vecs, rank=None, guard=None):
     """Generators of the syzygy module of ``vecs`` inside R^len(vecs).
 
     ``vecs`` live in a free module of the given rank (default: inferred).
-    Works by computing a Groebner basis of the graph module {(v_i, e_i)} with
-    the target components ordered first.
+    The graph module {(v_i, e_i)} puts the target components first; its basis
+    eliminating them, ``buchberger(eliminate=rank)``, is that of the syzygies.
     """
     vecs = list(vecs)
     if not vecs:
@@ -317,21 +333,21 @@ def syzygies(vecs, rank=None, guard=None):
         data = dict(v.data)
         data[(rank + i, ring._zero_exp)] = ring.field.one()
         aug.append(Vec(ring, data))
-    out = []
-    for g in buchberger(aug, guard=guard):
-        if all(j >= rank for j, _ in g.data):
-            out.append(Vec(ring, {(j - rank, e): c for (j, e), c in g.data.items()}))
-    return out
+    return [
+        Vec(ring, {(j - rank, e): c for (j, e), c in g.data.items()})
+        for g in buchberger(aug, guard=guard, eliminate=rank)
+    ]
 
 
 def module_contains(v, gb):
-    return not _nf_vec(v, gb)
+    """Whether v reduces to 0 modulo the Vecs ``gb`` or their ``lead_index``."""
+    return not _nf_vec(v, gb if isinstance(gb, dict) else lead_index(gb))
 
 
 def submodule_equal(gens_a, gens_b, guard=None):
     """Whether two lists of Vecs generate the same submodule."""
-    ga = buchberger(gens_a, guard=guard)
-    gb = buchberger(gens_b, guard=guard)
+    ga = lead_index(buchberger(gens_a, guard=guard))
+    gb = lead_index(buchberger(gens_b, guard=guard))
     return all(module_contains(v, gb) for v in gens_a) and all(
         module_contains(v, ga) for v in gens_b
     )

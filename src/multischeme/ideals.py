@@ -10,6 +10,7 @@ from .groebner import (
     Vec,
     buchberger,
     groebner_basis,
+    lead_index,
     module_contains,
     normal_form,
     syzygies,
@@ -251,7 +252,7 @@ def _ext_annihilator(ideal, i, guard):
         dual = _transpose(ring, resolution.maps[i], ranks[i])
         kernel = syzygies(dual, rank=ranks[i + 1], guard=guard)
     image = _transpose(ring, resolution.maps[i - 1], ranks[i - 1]) if i else []
-    gb_im = buchberger(image, guard=guard)
+    gb_im = lead_index(buchberger(image, guard=guard))
     nontrivial = [k for k in kernel if not module_contains(k, gb_im)]
     if not nontrivial:
         return Ideal(ring, [ring.one()])

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .groebner import Vec, buchberger, module_contains, syzygies
+from .groebner import Vec, buchberger, lead_index, module_contains, syzygies
 from .ring import poly_divide_exact
 
 
@@ -223,7 +223,7 @@ class Resolution:
             if any(_apply(d, v) for v in nxt):
                 return False
             ker = syzygies(d, rank=len(self.degrees[i]), guard=guard)
-            gb = buchberger(nxt, guard=guard)
+            gb = lead_index(buchberger(nxt, guard=guard))
             if not all(module_contains(v, gb) for v in ker):
                 return False
         return True

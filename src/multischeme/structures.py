@@ -29,6 +29,8 @@ class Embedding:
     support_vars: tuple
     # I_X, built once so every caller shares its basis, series and resolution
     _support: Ideal = field(init=False, compare=False, repr=False)
+    # the support ring, built once so every restricted Vec shares it
+    _sub: object = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.support_vars = tuple(self.support_vars)
@@ -36,13 +38,14 @@ class Embedding:
         if missing:
             raise StructureError("unknown support variables %r" % missing)
         self._support = Ideal(self.ring, [self.ring.var(v) for v in self.support_vars])
+        rest = tuple(n for n in self.ring.names if n not in self.support_vars)
+        self._sub = self.ring.subring(rest)
 
     def support_ideal(self):
         return self._support
 
     def support_ring(self):
-        rest = tuple(n for n in self.ring.names if n not in self.support_vars)
-        return self.ring.subring(rest)
+        return self._sub
 
     def restrict(self, v, n):
         """Image of the first n components of v in the support ring's free
@@ -307,6 +310,8 @@ def thicken(structure, rows, relations=(), guard=None):
     relations = relations or [[] for _ in rows]
     if len(relations) != q:
         raise StructureError("%d relation rows for %d quotient rows" % (len(relations), q))
+    if len({len(rel) for rel in relations}) > 1:
+        raise StructureError("relation rows differ in length: %s" % [len(rel) for rel in relations])
     matrix = [
         [f if f.ring == sub else f.ring.transfer(f, sub) for f in list(row) + list(rel)]
         for row, rel in zip(rows, relations)

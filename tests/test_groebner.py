@@ -1,13 +1,22 @@
+import random
 from fractions import Fraction
 
 import pytest
+from test_modules import _random_presentation
+from test_structures import _theorem_rows
 
+import multischeme.groebner as groebner
 from multischeme.groebner import (
+    DEFAULT_GUARD,
     Guard,
     ResourceGuardExceeded,
     Vec,
+    _divides,
+    _groebner,
     buchberger,
     groebner_basis,
+    interreduce,
+    lead_index,
     module_contains,
     normal_form,
     submodule_equal,
@@ -211,3 +220,142 @@ def test_spair_count_is_pinned(monkeypatch):
     quadrics = parse_ideal(ring, "(a^2, a*b, b^2, c*a, c*d, d^2)")
     assert len(syzygies([Vec.from_poly(f) for f in quadrics], rank=1)) == 11
     assert len(calls) == 23
+
+
+def _reference_interreduce(G):
+    """Interreduction one element at a time: prune divisible leads, then
+    reduce each minimal element modulo all the others."""
+    G = sorted((g for g in G if g), key=lambda g: sum(g.lead()[0][1]))
+    if not G:
+        return []
+    lkey = G[0].ring.order.lead_key
+    minimal = []
+    for g in G:
+        j, e = g.lead()[0]
+        if any(m.lead()[0][0] == j and _divides(m.lead()[0][1], e) for m in minimal):
+            continue
+        minimal.append(g)
+    out = []
+    for i, g in enumerate(minimal):
+        r = normal_form(g, minimal[:i] + minimal[i + 1:])
+        if r:
+            out.append(r.monic())
+    out.sort(key=lambda g: (g.lead()[0][0], lkey(g.lead()[0][1])))
+    return out
+
+
+def _reference_syzygies(vecs, rank):
+    """The full path: interreduce the whole graph-module basis, then keep
+    the elements that lie in the components >= rank."""
+    ring = vecs[0].ring
+    aug = [
+        Vec(ring, {**v.data, (rank + i, ring._zero_exp): ring.field.one()})
+        for i, v in enumerate(vecs)
+    ]
+    return [
+        Vec(ring, {(j - rank, e): c for (j, e), c in g.data.items()})
+        for g in _reference_interreduce(_groebner(aug, DEFAULT_GUARD))
+        if all(j >= rank for j, _ in g.data)
+    ]
+
+
+def _same_vecs(a, b):
+    """Equal Vec lists, in order, with terms in the same order."""
+    return [list(v.data.items()) for v in a] == [list(v.data.items()) for v in b]
+
+
+@pytest.mark.parametrize("char", [0, 5])
+def test_eliminating_before_interreduction_matches_the_full_path(char):
+    ring = PolyRing(("x", "y", "z"), char=char)
+    rng = random.Random(11 + char)
+    cut = 0
+    for _ in range(40):
+        degs, cols = _random_presentation(ring, rng)
+        assert _same_vecs(syzygies(cols, rank=len(degs)), _reference_syzygies(cols, len(degs)))
+        # a nonzero column puts a lead below the rank into the graph basis
+        cut += any(cols)
+    assert cut >= 30
+
+
+def test_eliminating_matches_the_full_path_on_theorem_layers():
+    layers = 0
+    for name, st in _theorem_rows():
+        filt = st.filtration()
+        for upper, lower in zip(filt.ideals, filt.ideals[1:]):
+            gens = upper.minimal_gens()
+            vecs = [Vec.from_poly(g) for g in list(gens) + list(lower.gens)]
+            assert _same_vecs(syzygies(vecs, rank=1), _reference_syzygies(vecs, 1)), name
+            layers += 1
+    assert layers == 26
+
+
+def _random_vecs(ring, rng):
+    """Random Vecs of R^2 with coefficients other than 1, where every third
+    one repeats an earlier lead with a fresh coefficient and tail."""
+    p = ring.char
+
+    def key(t):
+        return t[0], ring.order.lead_key(t[1])
+
+    def coeff():
+        c = rng.choice([-3, -2, 2, 3, 4])
+        return c % p if p else ring.field.coerce(Fraction(c, rng.choice([1, 2])))
+
+    def term():
+        return rng.randrange(2), tuple(rng.randint(0, 2) for _ in range(ring.nvars))
+
+    out = []
+    for k in range(rng.randint(2, 9)):
+        data = {term(): coeff() for _ in range(rng.randint(1, 4))}
+        if out and k % 3 == 2:
+            lead = rng.choice(out).lead()[0]
+            data = {t: c for t, c in data.items() if key(t) > key(lead)}
+            data[lead] = coeff()
+        out.append(Vec(ring, data))
+    return out
+
+
+@pytest.mark.parametrize("char", [0, 5])
+def test_interreduce_with_one_index_matches_reducing_by_the_others(char):
+    ring = PolyRing(("x", "y", "z"), char=char)
+    rng = random.Random(char)
+    repeated = 0
+    for _ in range(200):
+        vecs = _random_vecs(ring, rng)
+        assert _same_vecs(interreduce(vecs), _reference_interreduce(vecs))
+        leads = [v.lead()[0] for v in vecs if v]
+        repeated += len(set(leads)) < len(leads)
+    assert repeated >= 50
+
+
+def test_groebner_extends_its_lead_index_with_every_new_element(monkeypatch):
+    """The index ``_groebner`` passes to each reduction is one dict, and at
+    every reduction it equals the index rebuilt from the basis so far."""
+    seen = []
+    nf = groebner._nf_vec
+
+    def recording(v, index):
+        snapshot = {j: list(entries) for j, entries in index.items()}
+        rem = nf(v, index)
+        seen.append((index, snapshot, bool(rem)))
+        return rem
+
+    monkeypatch.setattr(groebner, "_nf_vec", recording)
+    ring = PolyRing(("a", "b", "c", "d"))
+    cyclic4 = parse_ideal(
+        ring, "(a + b + c + d, a*b + b*c + c*d + d*a, a*b*c + b*c*d + c*d*a + d*a*b, a*b*c*d - 1)"
+    )
+    quadrics = parse_ideal(ring, "(a^2, a*b, b^2, c*a, c*d, 2*d^2 - a*c)")
+    graph = [Vec(ring, {**Vec.from_poly(f).data, (1 + i, ring._zero_exp): 1})
+             for i, f in enumerate(quadrics)]
+    for vecs in ([Vec.from_poly(f) for f in cyclic4], graph):
+        del seen[:]
+        G = _groebner(vecs, DEFAULT_GUARD)
+        assert len({id(index) for index, _, _ in seen}) == 1
+        # one insertion per nonzero remainder, each seen by the next reduction
+        assert sum(nonzero for _, _, nonzero in seen) == len(G) - len(vecs) > 0
+        sizes = [sum(map(len, snapshot.values())) for _, snapshot, _ in seen]
+        assert set(range(len(vecs), len(G))) <= set(sizes) <= set(range(len(vecs), len(G) + 1))
+        for (_, snapshot, _), n in zip(seen, sizes):
+            assert snapshot == lead_index(G[:n])
+        assert seen[-1][0] == lead_index(G)

@@ -49,6 +49,25 @@ def test_embedding_basics(ring):
         Embedding(ring, ("w",))
 
 
+def test_support_ring_is_built_once(ring, monkeypatch):
+    st = _structure(ring, "(x^2 + z0*y, y^2)")
+    emb = st.embedding
+    sub = emb.support_ring()
+    assert sub is emb.support_ring()
+    upper, lower = st.filtration().ideals[:2]
+    restricted = []
+    restrict = Embedding.restrict
+
+    def recording(self, v, n):
+        restricted.append(restrict(self, v, n))
+        return restricted[-1]
+
+    monkeypatch.setattr(Embedding, "restrict", recording)
+    layer, _, _ = layer_module(emb, upper, lower)
+    assert restricted and all(v.ring is sub for v in restricted)
+    assert layer.ring is sub
+
+
 def test_structure_validation_rejects_wrong_support(ring):
     with pytest.raises(StructureError):
         _structure(ring, "(x)")  # radical misses y
@@ -295,6 +314,17 @@ def test_thicken_rejects_degenerate_rows(ring):
         thicken(st, [[sub.one()]])
     with pytest.raises(StructureError):
         thicken(st, [[sub.one(), sub.zero()]], [[sub.one()], [sub.one()]])
+
+
+def test_thicken_rejects_ragged_relation_rows(ring):
+    # the second row's extra entry used to be dropped, giving
+    # (x^2, x*y, x*y, y^2, z0*x + z1*y)
+    st = _structure(ring, "(x, y)")
+    sub = st.embedding.support_ring()
+    z0, z1 = sub.var("z0"), sub.var("z1")
+    rows = [[sub.one(), sub.zero()], [sub.zero(), sub.one()]]
+    with pytest.raises(StructureError, match="relation rows differ in length"):
+        thicken(st, rows, [[z0], [z1, z0]])
 
 
 def test_thicken_by_a_presented_quotient(ring):
