@@ -72,9 +72,11 @@ def _read_input(path):
                 "%s: no support declaration and no default x, y variables" % path
             )
         support = ("x", "y")
-    for v in support:
+    for k, v in enumerate(support):
         if v not in ring.names:
             raise _UsageError("%s: support variable %s not in ring" % (path, v))
+        if v in support[:k]:
+            raise _UsageError("%s: support variable %s repeated" % (path, v))
     return ring, support, ideal
 
 

@@ -163,11 +163,13 @@ def lead_index(basis):
 
 
 def normal_form(v, basis):
-    """Fully reduce v modulo a list of Vecs (every term, not just the lead)."""
+    """Fully reduce v (every term, not just the lead) modulo a list of Vecs,
+    of polynomials when v is one, or their prebuilt ``lead_index``."""
+    if not isinstance(basis, dict):
+        basis = lead_index(g if isinstance(g, Vec) else Vec.from_poly(g) for g in basis)
     if isinstance(v, Vec):
-        return _nf_vec(v, lead_index(basis))
-    vec = _nf_vec(Vec.from_poly(v), lead_index(Vec.from_poly(g) for g in basis))
-    return vec.component(0)
+        return _nf_vec(v, basis)
+    return _nf_vec(Vec.from_poly(v), basis).component(0)
 
 
 def _nf_vec(v, index):

@@ -27,6 +27,7 @@ class Ideal:
         self.ring = ring
         self.gens = tuple(g for g in gens if g)
         self._gb = None
+        self._index = None  # lead_index of the reduced basis, as Vecs
         self._series = None
         self._res = None
         self._ext = {}  # i -> ann Ext^i(R/I, R)
@@ -50,7 +51,9 @@ class Ideal:
         return self._gb
 
     def reduce(self, f, guard=None):
-        return normal_form(f, self.groebner(guard=guard))
+        if self._index is None:
+            self._index = lead_index(Vec.from_poly(g) for g in self.groebner(guard=guard))
+        return normal_form(f, self._index)
 
     def contains(self, f, guard=None):
         return self.reduce(f, guard=guard).is_zero()
@@ -140,17 +143,17 @@ def intersect(*ideals, guard=None):
 
 
 def colon(ideal, f, guard=None):
-    """ideal : f, on its reduced basis, for a polynomial f; for an ideal f it
-    is the intersection of the colons by f's generators."""
+    """ideal : f on its reduced basis, for a polynomial or an ideal f: one
+    ``module_colon`` of I's basis by f's generators in rank 1, so one graph
+    (g_1, ..., g_k, 1) and one Buchberger call."""
     if isinstance(f, Ideal):
         if f.is_zero():
             raise ValueError("colon by zero ideal")
-        return intersect(*(colon(ideal, g, guard=guard) for g in f.gens), guard=guard)
-    if f.is_zero():
+    elif f.is_zero():
         raise ValueError("colon by zero")
+    gens = f.gens if isinstance(f, Ideal) else [f]
     basis = [Vec.from_poly(g) for g in ideal.groebner(guard=guard)]
-    quotient = module_colon(basis, Vec.from_poly(f), 1, guard=guard)
-    return Ideal.from_basis(ideal.ring, quotient.groebner(guard=guard))
+    return module_colon(basis, [Vec.from_poly(g) for g in gens], 1, guard=guard)
 
 
 def saturate(ideal, f, guard=None):
@@ -217,11 +220,25 @@ def fitting_ideal(module, r):
     return Ideal(ring, [m for m in minors(module.matrix(), g - r) if m])
 
 
-def module_colon(im_gens, v, rank, guard=None):
-    """{f : f*v in <im_gens>} inside R^rank."""
-    ring = v.ring
-    syz = syzygies([v] + list(im_gens), rank=rank, guard=guard)
-    return Ideal(ring, [s.component(0) for s in syz])
+def module_colon(im_gens, vs, rank, guard=None):
+    """{f : f*v in <im_gens> for all v in vs} in R^rank, on its reduced basis.
+    Copy k of R^rank holds v_k and im_gens; the graph (v_0, ..., v_{m-1}, 1)
+    puts its 1 in component m*rank, and f*e_{m*rank} is in their span exactly
+    when every f*v_k is in <im_gens>.  Position-over-term puts the copies
+    first, so one Buchberger call eliminating them returns that part's
+    reduced basis (Greuel-Pfister, *A Singular Introduction to Commutative
+    Algebra*, 2.8; Eisenbud, *Commutative Algebra*, 15.10)."""
+    ring, m = vs[0].ring, len(vs)
+
+    def shifted(v, k):
+        return {(j + k * rank, e): c for (j, e), c in v.data.items()}
+
+    graph = {(m * rank, ring._zero_exp): ring.field.one()}
+    for k, v in enumerate(vs):
+        graph.update(shifted(v, k))
+    gens = [Vec(ring, graph)] + [Vec(ring, shifted(g, k)) for k in range(m) for g in im_gens]
+    basis = buchberger(gens, guard=guard, eliminate=m * rank)
+    return Ideal.from_basis(ring, [g.component(m * rank) for g in basis])
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +256,8 @@ def ext_annihilator(ideal, i, guard=None):
 
 
 def _ext_annihilator(ideal, i, guard):
-    """ann(ker d_{i+1}^T / im d_i^T), over the cached resolution of R/I."""
+    """ann(ker d_{i+1}^T / im d_i^T), over the cached resolution of R/I: one
+    ``module_colon`` of the image by every kernel generator outside it."""
     ring = ideal.ring
     resolution = quotient_resolution(ideal, guard=guard)
     L = resolution.length
@@ -256,8 +274,7 @@ def _ext_annihilator(ideal, i, guard):
     nontrivial = [k for k in kernel if not module_contains(k, gb_im)]
     if not nontrivial:
         return Ideal(ring, [ring.one()])
-    parts = [module_colon(image, k, ranks[i], guard=guard) for k in nontrivial]
-    return intersect(*parts, guard=guard)
+    return module_colon(image, nontrivial, ranks[i], guard=guard)
 
 
 def _transpose(ring, cols, nrows):

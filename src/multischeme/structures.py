@@ -37,6 +37,8 @@ class Embedding:
         missing = [v for v in self.support_vars if v not in self.ring._index]
         if missing:
             raise StructureError("unknown support variables %r" % missing)
+        if len(set(self.support_vars)) < len(self.support_vars):
+            raise StructureError("repeated support variables %r" % (self.support_vars,))
         self._support = Ideal(self.ring, [self.ring.var(v) for v in self.support_vars])
         rest = tuple(n for n in self.ring.names if n not in self.support_vars)
         self._sub = self.ring.subring(rest)

@@ -70,6 +70,14 @@ def test_missing_ring_declaration_is_usage_error(tmp_path, capsys):
     assert main(["gb", str(p)]) == 3
 
 
+@pytest.mark.parametrize("command", ["gb", "filt"])
+def test_repeated_support_variable_is_usage_error(tmp_path, capsys, command):
+    p = tmp_path / "repeated.ms"
+    p.write_text(INPUT.replace("support x, y", "support x, x"))
+    assert main([command, str(p)]) == 3
+    assert "support variable x repeated" in capsys.readouterr().err
+
+
 def test_missing_file_is_usage_error(capsys):
     assert main(["gb", "/nonexistent/file.ms"]) == 3
 

@@ -1,7 +1,14 @@
-import pytest
+import random
 
+import pytest
+from prop_suites import _random_form
+from test_modules import _random_presentation
+
+from multischeme.catalog import load_catalog
+from multischeme.groebner import Vec, normal_form, syzygies
 from multischeme.ideals import (
     Ideal,
+    _ext_annihilator,
     colon,
     eliminate,
     ext_annihilator,
@@ -9,6 +16,7 @@ from multischeme.ideals import (
     intersect,
     is_irrelevant_primary,
     is_unmixed,
+    module_colon,
     quotient_resolution,
     radical_contains,
     same_zero_locus,
@@ -62,6 +70,109 @@ def test_colon_oracles(ring):
         colon(I, Ideal(ring, [ring.zero()]))
 
 
+def _syzygy_module_colon(im_gens, vs, rank):
+    """The former module colon: per vector, the first coordinates of the
+    syzygies of [v] + im_gens, then the ``intersect`` fold."""
+    return intersect(*(
+        Ideal(v.ring, [s.component(0) for s in syzygies([v] + list(im_gens), rank=rank)])
+        for v in vs
+    ))
+
+
+def _syzygy_colon(ideal, f):
+    gens = f.gens if isinstance(f, Ideal) else [f]
+    basis = [Vec.from_poly(g) for g in ideal.groebner()]
+    return _syzygy_module_colon(basis, [Vec.from_poly(g) for g in gens], 1)
+
+
+@pytest.mark.parametrize("char", [0, 5])
+def test_one_graph_colon_matches_the_syzygy_reference(char):
+    ring = PolyRing(("x", "y", "z"), char=char)
+    rng = random.Random(char)
+    proper = wide = 0
+    for _ in range(40):
+        # a common factor h makes the colons by h and by ideals through h proper
+        h = _random_form(rng, ring, 1)
+        I = Ideal(ring, [h * _random_form(rng, ring, rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
+                  + [_random_form(rng, ring, rng.randint(2, 3))])
+        J = Ideal(ring, [h] + [_random_form(rng, ring, rng.randint(1, 2)) for _ in range(rng.randint(0, 3))])
+        for f in (h, _random_form(rng, ring, rng.randint(1, 2)), J):
+            quotient = colon(I, f)
+            assert quotient.gens == tuple(_syzygy_colon(I, f).groebner())
+            proper += not quotient.equals(I)
+        for q in quotient.gens:
+            assert all(I.contains(q * g) for g in J.gens)
+        wide += len(J.gens) >= 3
+    assert proper >= 40 and wide >= 10
+
+
+@pytest.mark.parametrize("char", [0, 5])
+def test_one_graph_module_colon_matches_the_syzygy_reference(char):
+    ring = PolyRing(("x", "y", "z"), char=char)
+    rng = random.Random(char)
+    proper = 0
+    for _ in range(30):
+        degs, cols = _random_presentation(ring, rng)
+        rank = len(degs)
+        for m in (1, 2, 3):
+            vs = [cols[0]]
+            for _ in range(m - 1):
+                d = max(degs) + rng.randint(0, 1)
+                forms = [_random_form(rng, ring, d - a) for a in degs]
+                vs.append(Vec(ring, {(i, e): c for i, f in enumerate(forms) for e, c in f.terms.items()}))
+            quotient = module_colon(cols[1:], vs, rank)
+            assert quotient.gens == tuple(_syzygy_module_colon(cols[1:], vs, rank).groebner())
+            proper += not (quotient.is_zero() or quotient.is_one())
+    assert proper >= 10
+
+
+def test_ext_annihilators_of_theorem_rows_match_the_syzygy_reference(monkeypatch):
+    import multischeme.ideals as ideals
+
+    widths = []
+
+    def reference_colon(im_gens, vs, rank, guard):
+        widths.append(len(vs))
+        return _syzygy_module_colon(im_gens, vs, rank)
+
+    for table in ("thm-3.6", "thm-3.8"):
+        for entry in load_catalog(table):
+            for char in entry.chars:
+                I = entry.structure(char=char).ideal
+                for i in range(quotient_resolution(I).length + 1):
+                    expected = ext_annihilator(I, i)
+                    with monkeypatch.context() as mp:
+                        mp.setattr(ideals, "module_colon", reference_colon)
+                        reference = _ext_annihilator(I, i, None)
+                    assert expected.groebner() == reference.groebner(), (entry.id, char, i)
+    # several ext annihilators fold two or more kernel vectors into one graph
+    assert sum(w >= 2 for w in widths) >= 3
+
+
+def test_colon_and_ext_annihilator_are_one_buchberger_without_intersect(ring, monkeypatch):
+    import multischeme.ideals as ideals
+
+    calls = {}
+    for name in ("buchberger", "syzygies", "intersect"):
+        original = getattr(ideals, name)
+        calls[name] = 0
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(ideals, name, counting)
+    I = _ideal(ring, "(x^2 + z0*y, y^2, x^3)")
+    I.groebner()
+    for f in (ring.var("x"), _ideal(ring, "(x, y, z0^2)")):
+        before = dict(calls)
+        colon(I, f)
+        assert {k: calls[k] - before[k] for k in calls} == {"buchberger": 1, "syzygies": 0, "intersect": 0}
+    for i in range(quotient_resolution(I).length + 1):
+        ext_annihilator(I, i)
+    assert calls["intersect"] == 0
+
+
 def test_saturation_oracles(ring):
     I = _ideal(ring, "(x^2, x*y)")
     y = ring.var("y")
@@ -97,6 +208,38 @@ def test_intersect_of_several_ideals(ring):
     assert three.equals(intersect(a, intersect(b, c)))
     assert three.equals(_ideal(ring, "(x^2*z0, x*y, y^2*z0)"))
     assert intersect(a) is a
+
+
+def test_membership_builds_one_lead_index_per_basis(ring, monkeypatch):
+    import multischeme.groebner as groebner
+    import multischeme.ideals as ideals
+
+    I = _ideal(ring, "(x^2 + z0*y, y^2, x^3)")
+    I.groebner()
+    calls = []
+    original = groebner.lead_index
+
+    def counting(basis):
+        calls.append(1)
+        return original(basis)
+
+    for mod in (groebner, ideals):
+        monkeypatch.setattr(mod, "lead_index", counting)
+    other = _ideal(ring, "(x^2*y, y^3, x^2*z0 + z0^2*y, x^4, x*y^2)")
+    assert I.contains_ideal(other)
+    assert not I.contains_ideal(_ideal(ring, "(x, y)"))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("char", [0, 5])
+def test_reduce_by_the_cached_index_equals_the_list_path(char):
+    ring = PolyRing(("x", "y", "z"), char=char)
+    rng = random.Random(char)
+    for _ in range(20):
+        I = Ideal(ring, [_random_form(rng, ring, rng.randint(1, 3)) for _ in range(rng.randint(1, 3))])
+        for _ in range(5):
+            f = _random_form(rng, ring, rng.randint(1, 4))
+            assert I.reduce(f) == normal_form(f, I.groebner())
 
 
 def test_radical_membership(ring):

@@ -47,6 +47,8 @@ def test_embedding_basics(ring):
     assert emb.extend(emb.support_ring().var("z1")) == ring.var("z1")
     with pytest.raises(StructureError):
         Embedding(ring, ("w",))
+    with pytest.raises(StructureError, match="repeated support variables"):
+        Embedding(ring, ("x", "y", "x"))
 
 
 def test_support_ring_is_built_once(ring, monkeypatch):
