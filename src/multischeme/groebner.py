@@ -6,13 +6,21 @@ ties broken by the ring's monomial order.  Putting the components to be
 eliminated first therefore makes every Groebner basis an elimination basis
 for those components (``buchberger(eliminate=r)``), which is how syzygies are
 extracted.  Reduction reads each basis through one ``lead_index``, built once.
+
+Over Q, Buchberger runs on primitive integer vectors (``Vec.primitive``):
+S-pairs cross-multiply the integer leads and a reduction step scales the
+remainder instead of dividing by a lead, so no Fraction arises until the
+reduced basis is made monic, and a normal form is divided once at the end.
+In char p every basis element is monic throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from operator import le
+from math import gcd, lcm
+from operator import add, le, sub
 
 
 class ResourceGuardExceeded(RuntimeError):
@@ -104,7 +112,7 @@ class Vec:
             data = {k: v for k, v in data.items() if v}
         else:
             coerce = self.ring.field.coerce
-            data = {k: coerce(v * c) for k, v in self.data.items()}
+            data = {k: coerce(c * v) for k, v in self.data.items()}
         return Vec(self.ring, data)
 
     def mul_term(self, exps, c):
@@ -114,7 +122,7 @@ class Vec:
         for (j, e), v in self.data.items():
             w = v * c % p if p else v * c
             if w:
-                data[(j, tuple(a + b for a, b in zip(e, exps)))] = w
+                data[(j, tuple(map(add, e, exps)))] = w
         return Vec(self.ring, data)
 
     def lead(self):
@@ -129,7 +137,26 @@ class Vec:
         if not self.data:
             return self
         _, c = self.lead()
-        return self.scale(self.ring.field.inv(c))
+        if self.ring.char:
+            return self.scale(self.ring.field.inv(c))
+        coerce = self.ring.field.coerce
+        return Vec(self.ring, {k: coerce(Fraction(v, c)) for k, v in self.data.items()})
+
+    def primitive(self):
+        """Over Q the integer multiple with coprime coefficients and a positive
+        lead, ``monic()`` in char p; self when it is that already."""
+        if not self.data:
+            return self
+        _, c = self.lead()
+        if self.ring.char:
+            return self if c == 1 else self.monic()
+        _, data = _cleared(self.data)
+        g = gcd(*data.values())
+        if c < 0:
+            g = -g
+        if g != 1:
+            data = {k: v // g for k, v in data.items()}
+        return self if data is self.data else Vec(self.ring, data)
 
     def degree_with(self, twists):
         """Max degree of terms, offset by generator degrees per component."""
@@ -153,10 +180,20 @@ def _divides(a, b):
     return all(map(le, a, b))
 
 
+def _cleared(data):
+    """(d, d * data) with d the least common denominator: every value an int."""
+    if all(type(c) is int for c in data.values()):
+        return 1, data
+    d = lcm(*(c.denominator for c in data.values()))
+    return d, {k: int(c * d) for k, c in data.items()}
+
+
 def lead_index(basis):
-    """component -> [(lead exps, lead coeff, Vec)] in basis order; the first divisor reduces."""
+    """component -> [(lead exps, lead coeff, Vec)] in basis order; the first
+    divisor reduces.  The Vecs are primitive (``Vec.primitive``)."""
     index = {}
     for g in filter(None, basis):
+        g = g.primitive()
         (j, e), c = g.lead()
         index.setdefault(j, []).append((e, c, g))
     return index
@@ -173,6 +210,17 @@ def normal_form(v, basis):
 
 
 def _nf_vec(v, index):
+    """The exact normal form of v modulo a ``lead_index``."""
+    den, data = _cleared(v.data)
+    rem, scale = _reduce(Vec(v.ring, data), index)
+    scale *= den
+    return rem if scale == 1 or not rem else rem.scale(Fraction(1, scale))
+
+
+def _reduce(v, index):
+    """(r, s) with r = s * (normal form of v) for an int s > 0.  Over Q, v and
+    the index hold ints, and so does r: a step by g scales everything by
+    cg / gcd(cc, cg) rather than dividing by cg.  In char p, s is 1."""
     ring = v.ring
     field = ring.field
     p = ring.char
@@ -183,6 +231,7 @@ def _nf_vec(v, index):
     heap = [(j, lkey(e), e) for j, e in work]
     heapify(heap)
     rem = {}
+    scale = 1
     while heap:
         jc, _, ec = heappop(heap)
         cc = work.get((jc, ec))
@@ -195,11 +244,21 @@ def _nf_vec(v, index):
             rem[(jc, ec)] = cc
             del work[jc, ec]
             continue
-        factor = cc * field.inv(cg)
-        shift = tuple(a - b for a, b in zip(ec, eg))
+        if p:
+            factor = cc * field.inv(cg)
+        else:
+            q = gcd(cc, cg)
+            factor, m = cc // q, cg // q
+            if m != 1:
+                scale *= m
+                for t in work:
+                    work[t] *= m
+                for t in rem:
+                    rem[t] *= m
+        shift = tuple(map(sub, ec, eg))
         # the lead term cancels (jc, ec) itself; every other term is smaller
         for (jg2, eg2), cg2 in g.data.items():
-            e = tuple(a + b for a, b in zip(eg2, shift))
+            e = tuple(map(add, eg2, shift))
             k = (jg2, e)
             s = work.get(k, 0) - factor * cg2
             if p:
@@ -210,17 +269,19 @@ def _nf_vec(v, index):
                 work[k] = s
             else:
                 work.pop(k, None)
-    return Vec(ring, rem)
+    return Vec(ring, rem), scale
 
 
 def _spair(f, g):
+    """(cg/q) x^a f - (cf/q) x^b g for q = gcd(cf, cg): over Q the leads of
+    primitive f and g are ints, in char p they are 1."""
     (jf, ef), cf = f.lead()
     (jg, eg), cg = g.lead()
     assert jf == jg
-    lcm = tuple(max(a, b) for a, b in zip(ef, eg))
-    field = f.ring.field
-    mf = f.mul_term(tuple(a - b for a, b in zip(lcm, ef)), field.inv(cf))
-    mg = g.mul_term(tuple(a - b for a, b in zip(lcm, eg)), field.inv(cg))
+    top = tuple(map(max, ef, eg))
+    q = gcd(cf, cg)
+    mf = f.mul_term(tuple(map(sub, top, ef)), cg // q)
+    mg = g.mul_term(tuple(map(sub, top, eg)), cf // q)
     return mf.sub(mg)
 
 
@@ -234,8 +295,8 @@ def buchberger(vecs, guard=None, eliminate=0):
 
 
 def _groebner(vecs, guard):
-    """Monic, unreduced Groebner basis: the input, then each S-pair remainder."""
-    G = [v.monic() for v in vecs if v]
+    """Primitive, unreduced Groebner basis: the input, then each S-pair remainder."""
+    G = [v.primitive() for v in vecs if v]
     if not G:
         return []
     # remainders of rank-1 input stay in component 0
@@ -280,9 +341,9 @@ def _groebner(vecs, guard):
             ):
                 break
         else:
-            rem = _nf_vec(_spair(G[i], G[j]), index)
+            rem, _ = _reduce(_spair(G[i], G[j]), index)
             if rem:
-                G.append(rem.monic())
+                G.append(rem.primitive())
                 guard.check_basis(len(G))
                 add_pairs(G[-1])
     return G
@@ -290,7 +351,7 @@ def _groebner(vecs, guard):
 
 def interreduce(G):
     """Minimal reduced basis: prune divisible leads, tail-reduce, sort."""
-    G = [g for g in G if g]
+    G = [g.primitive() for g in G if g]
     if not G:
         return []
     lkey = G[0].ring.order.lead_key
@@ -305,8 +366,8 @@ def interreduce(G):
         # a lead divides no smaller term of its own component, so g never
         # reduces its own tail: reducing modulo every minimal element is safe
         k, c = g.lead()
-        tail = _nf_vec(Vec(g.ring, {t: d for t, d in g.data.items() if t != k}), index)
-        out.append(Vec(g.ring, {k: c, **tail.data}).monic())
+        tail, s = _reduce(Vec(g.ring, {t: d for t, d in g.data.items() if t != k}), index)
+        out.append(Vec(g.ring, {k: c * s, **tail.data}).monic())
     out.sort(key=lambda g: (g.lead()[0][0], lkey(g.lead()[0][1])))
     return out
 

@@ -178,6 +178,8 @@ def _fraction(ring, num, den):
 
     if den == 0:
         raise ParseError("zero denominator")
+    if ring.char and den % ring.char == 0:
+        raise ParseError("denominator %d vanishes mod %d" % (den, ring.char))
     return Fraction(num, den)
 
 

@@ -132,7 +132,9 @@ def _certificate(module, basis, degs):
     if len(support) == m and all(degs[i] == 1 for i in support):
         # square system of linear forms: check the coefficient matrix of the
         # generic combination is identically singular
-        names = ["a%d" % k for k in range(len(basis))]
+        # coefficient variables a0, a1, ... skipping the ring's own names
+        names = [n for n in ("a%d" % k for k in range(len(basis) + m)) if n not in ring._index]
+        names = names[: len(basis)]
         sym = ring.extended(tuple(names))
         rows = []
         for i in support:
@@ -191,10 +193,14 @@ def line_bundle_quotients(module, twist_range, samples=100, seed=0, guard=None):
                         break
                     continue
                 seen.add(coeffs)
-                row = [ring.zero() for _ in range(module.rank)]
+                # each entry's terms summed in one dict, one polynomial per entry
+                acc = [{} for _ in range(module.rank)]
                 for c, b in zip(coeffs, basis):
                     if c:
-                        row = [r + f.scale(c) for r, f in zip(row, b)]
+                        for terms, f in zip(acc, b):
+                            for e, v in f.terms.items():
+                                terms[e] = terms.get(e, 0) + v * c
+                row = [ring.poly(terms) for terms in acc]
                 tested += 1
                 if _is_surjection(ring, row, guard=guard):
                     witness = row

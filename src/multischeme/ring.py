@@ -3,6 +3,8 @@
 Polynomials are immutable dicts mapping exponent tuples to nonzero field
 elements: ints or ``fractions.Fraction``s in characteristic 0 (see ``Rationals``)
 and ints reduced mod p in characteristic p.  No floating point anywhere.
+Buchberger over Q (``groebner``) computes with primitive integer vectors and
+makes only its reduced basis monic, so Fractions appear there on output.
 """
 
 from __future__ import annotations
@@ -21,7 +23,8 @@ class Rationals:
     def coerce(self, v):
         if type(v) is int:
             return v
-        v = Fraction(v)
+        if type(v) is not Fraction:
+            v = Fraction(v)
         return v.numerator if v.denominator == 1 else v
 
     def zero(self):

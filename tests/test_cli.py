@@ -106,6 +106,14 @@ def test_bad_ring_declaration_is_usage_error(tmp_path, capsys, decl, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["gb", "hilb", "cm"])
+def test_denominator_divisible_by_the_characteristic_is_a_usage_error(tmp_path, capsys, command):
+    p = tmp_path / "third.ms"
+    p.write_text("ring x,y,z / char 3\n(x^2 + 1/3*y, z)\n")
+    assert main([command, str(p)]) == 3
+    assert "denominator 3 vanishes mod 3" in capsys.readouterr().err
+
+
 def test_large_prime_characteristic_is_accepted_quickly(tmp_path, capsys):
     # 2^61 - 1 is prime; trial division up to its square root never finished
     p = tmp_path / "big.ms"

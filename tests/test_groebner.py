@@ -332,15 +332,15 @@ def test_groebner_extends_its_lead_index_with_every_new_element(monkeypatch):
     """The index ``_groebner`` passes to each reduction is one dict, and at
     every reduction it equals the index rebuilt from the basis so far."""
     seen = []
-    nf = groebner._nf_vec
+    reduce = groebner._reduce
 
     def recording(v, index):
         snapshot = {j: list(entries) for j, entries in index.items()}
-        rem = nf(v, index)
+        rem, scale = reduce(v, index)
         seen.append((index, snapshot, bool(rem)))
-        return rem
+        return rem, scale
 
-    monkeypatch.setattr(groebner, "_nf_vec", recording)
+    monkeypatch.setattr(groebner, "_reduce", recording)
     ring = PolyRing(("a", "b", "c", "d"))
     cyclic4 = parse_ideal(
         ring, "(a + b + c + d, a*b + b*c + c*d + d*a, a*b*c + b*c*d + c*d*a + d*a*b, a*b*c*d - 1)"
@@ -359,3 +359,147 @@ def test_groebner_extends_its_lead_index_with_every_new_element(monkeypatch):
         for (_, snapshot, _), n in zip(seen, sizes):
             assert snapshot == lead_index(G[:n])
         assert seen[-1][0] == lead_index(G)
+
+
+def _reference_buchberger(vecs):
+    """Monic Fraction arithmetic throughout: every S-pair of the growing
+    basis, least lcm degree first and no criteria, reduced by
+    ``_naive_normal_form``; then the minimal elements reduced by the others.
+    The reduced basis is unique, so the integer kernel must give the same
+    one, coefficient types included."""
+
+    def monic(v):
+        return v.scale(v.ring.field.inv(v.lead()[1]))
+
+    G = [monic(v) for v in vecs if v]
+    if not G:
+        return []
+    pairs = [(i, j) for j in range(len(G)) for i in range(j)]
+
+    def lcm_of(pair):
+        (jf, ef), (jg, eg) = (G[k].lead()[0] for k in pair)
+        return tuple(map(max, ef, eg)) if jf == jg else None
+
+    while pairs:
+        pairs = [pair for pair in pairs if lcm_of(pair) is not None]
+        if not pairs:
+            break
+        pair = min(pairs, key=lambda pair: sum(lcm_of(pair)))
+        pairs.remove(pair)
+        f, g = G[pair[0]], G[pair[1]]
+        (_, ef), (_, eg) = f.lead()[0], g.lead()[0]
+        lcm = lcm_of(pair)
+        s = f.mul_term(tuple(a - b for a, b in zip(lcm, ef)), 1).sub(
+            g.mul_term(tuple(a - b for a, b in zip(lcm, eg)), 1)
+        )
+        r = _naive_normal_form(s, G)
+        if r:
+            pairs.extend((k, len(G)) for k in range(len(G)))
+            G.append(monic(r))
+    G.sort(key=lambda g: sum(g.lead()[0][1]))
+    minimal = []
+    for g in G:
+        j, e = g.lead()[0]
+        if not any(m.lead()[0][0] == j and _divides(m.lead()[0][1], e) for m in minimal):
+            minimal.append(g)
+    lkey = G[0].ring.order.lead_key
+    out = [monic(_naive_normal_form(g, minimal[:i] + minimal[i + 1:]))
+           for i, g in enumerate(minimal)]
+    return sorted(out, key=lambda g: (g.lead()[0][0], lkey(g.lead()[0][1])))
+
+
+def _typed(v):
+    """The data of a Vec with the type of each coefficient."""
+    return {k: (c, type(c)) for k, c in v.data.items()}
+
+
+def _awkward_vecs(ring, rng, rank):
+    """Random Vecs of R^rank with non-unit leads; in char 0 also Fraction
+    coefficients and integral values kept as ``Fraction(3)``."""
+    p = ring.char
+
+    def coeff():
+        c = rng.choice([-6, -3, -2, 2, 3, 4])
+        if p:
+            return c % p
+        return rng.choice([c, Fraction(c), Fraction(c, rng.choice([2, 3]))])
+
+    return [
+        Vec(ring, {
+            (rng.randrange(rank), tuple(rng.randint(0, 2) for _ in range(ring.nvars))): coeff()
+            for _ in range(rng.randint(1, 3))
+        })
+        for _ in range(rng.randint(2, 4))
+    ]
+
+
+@pytest.mark.parametrize("char", [0, 5])
+@pytest.mark.parametrize("rank", [1, 2])
+def test_integer_kernel_matches_monic_fraction_reference(char, rank):
+    ring = PolyRing(("x", "y", "z"), char=char)
+    rng = random.Random(17 * rank + char)
+    fractions = 0
+    for _ in range(30):
+        vecs = _awkward_vecs(ring, rng, rank)
+        got, want = buchberger(vecs), _reference_buchberger(vecs)
+        assert [_typed(v) for v in got] == [_typed(v) for v in want]
+        fractions += any(type(c) is Fraction for v in got for c in v.data.values())
+    assert fractions >= 5 if char == 0 else fractions == 0
+
+
+@pytest.mark.parametrize("char", [0, 5])
+def test_normal_form_is_exact_and_unscaled(char):
+    ring = PolyRing(("x", "y", "z"), char=char)
+    rng = random.Random(23 + char)
+    scaled = 0
+    for _ in range(100):
+        basis = _awkward_vecs(ring, rng, 2)
+        v = _awkward_vecs(ring, rng, 2)[0]
+        want = _naive_normal_form(v, basis)
+        got = normal_form(v, basis)
+        assert _typed(got) == {k: (ring.field.coerce(c), type(ring.field.coerce(c)))
+                               for k, c in want.data.items()}
+        # a list basis, a list of primitive Vecs and their index agree
+        prim = [g.primitive() for g in basis]
+        assert normal_form(v, lead_index(prim)).data == got.data
+        scaled += groebner._reduce(Vec(ring, groebner._cleared(v.data)[1]),
+                                   lead_index(prim))[1] != 1
+    assert scaled >= 5 if char == 0 else scaled == 0
+
+
+def test_primitive_has_coprime_integers_and_a_positive_lead():
+    ring = PolyRing(("x", "y"))
+    v = Vec(ring, {(0, (0, 1)): Fraction(9, 4), (0, (1, 0)): Fraction(-3, 2), (1, (0, 0)): Fraction(3)})
+    p = v.primitive()
+    assert p.data == {(0, (0, 1)): -3, (0, (1, 0)): 2, (1, (0, 0)): -4}
+    assert all(type(c) is int for c in p.data.values())
+    assert p.lead() == ((0, (1, 0)), 2)
+    assert p.primitive() is p
+    assert Vec(ring, {(0, (1, 0)): -6, (0, (0, 0)): 4}).primitive().data == {
+        (0, (1, 0)): 3, (0, (0, 0)): -2}
+    gf = PolyRing(("x", "y"), char=5)
+    w = Vec(gf, {(0, (1, 0)): 3, (0, (0, 1)): 1})
+    assert w.primitive().data == w.monic().data == {(0, (1, 0)): 1, (0, (0, 1)): 2}
+
+
+def test_quotient_scan_bases_match_the_reference(monkeypatch):
+    """Every reduced basis of one seed-0 Prop 3.3 scan, the block-order
+    ideals of its candidate maps, against the monic Fraction reference."""
+    from multischeme.quotients import line_bundle_quotients
+    from multischeme.scenarios import _nonexistence_module
+
+    calls = []
+    original = groebner.buchberger
+
+    def recording(vecs, guard=None, eliminate=0):
+        out = original(vecs, guard=guard, eliminate=eliminate)
+        calls.append((list(vecs), eliminate, out))
+        return out
+
+    monkeypatch.setattr(groebner, "buchberger", recording)
+    _, module, _, _ = _nonexistence_module()
+    line_bundle_quotients(module, (-10, 0), samples=100, seed=0)
+    assert len(calls) > 200
+    for vecs, eliminate, out in calls:
+        assert eliminate == 0
+        assert [_typed(v) for v in out] == [_typed(v) for v in _reference_buchberger(vecs)]

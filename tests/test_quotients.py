@@ -46,6 +46,16 @@ def test_exact_none_below_generator_degrees(sub):
     assert v.dim == 0 and v.basis == []
 
 
+@pytest.mark.parametrize("names", [("x", "y", "z"), ("a0", "a1", "a2")])
+def test_singular_matrix_check_names_its_coefficients_apart_from_the_ring(names):
+    # the generic combination of the three basis maps has coefficient
+    # variables of its own; a0, a1, a2 used to clash with the ring's names
+    r = PolyRing(names)
+    o = r.zero()
+    (v,) = line_bundle_quotients(GradedModule(r, (0, 0, 0), [[o], [o], [o]]), (1, 1))
+    assert v.verdict == "SURJECTION"
+
+
 def test_conormal_style_module_dimension_certificate(sub):
     # K/IK for I = (x^2, y) on the line: one generator in degree 2, one in 1,
     # no relations over the support ring
