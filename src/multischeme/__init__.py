@@ -2,9 +2,10 @@
 
 Polynomial rings over the rationals or prime fields, Groebner bases for
 ideals and submodules of free modules, syzygies and free resolutions,
-ideal calculus (colon, saturation, elimination, Ext annihilators, Fitting
-ideals), Hilbert series and polynomials in the P-basis, S1-filtrations and
-Cohen-Macaulay / type-I verdicts, line-bundle quotient searches, parametric
+ideal calculus (colon, intersection and Ext annihilators as one module
+colon; saturation, elimination, Fitting ideals), Hilbert series and
+polynomials in the P-basis, S1-filtrations, Cohen-Macaulay / type-I and
+local-freeness verdicts, line-bundle quotient searches, parametric
 families, a catalog of classification tables, and a scenario runner.
 """
 
@@ -23,7 +24,7 @@ from .ideals import (
     unmixed_part,
 )
 from .modules import GradedModule, Resolution, free_resolution
-from .ring import PolyRing, linear_substitution
+from .ring import PolyRing
 from .structures import (
     Embedding,
     Filtration,

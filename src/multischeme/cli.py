@@ -38,9 +38,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_input(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError("cannot read %s: %s" % (path, exc))
     ring_decl = None
     support = None

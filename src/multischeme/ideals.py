@@ -1,6 +1,9 @@
 """Ideal calculus: colon, saturation, intersection, elimination, Ext
 annihilators, Fitting ideals, and dimension/degree bookkeeping.
 
+Every colon, intersection and Ext annihilator is one ``module_colon``: one
+Buchberger call on a graph with one indicator component.
+
 All operations are exact and work over Q or a prime field.
 """
 
@@ -127,19 +130,18 @@ def eliminate(ideal, names, guard=None):
 
 
 def intersect(*ideals, guard=None):
-    """The intersection of the ideals, folded pairwise by the t-trick
-    a ∩ b = (t*a + (1 - t)*b) ∩ R in one ring extended by t."""
-    ring = ideals[0].ring
-    t = ring.fresh_name("t")
-    ext = ring.extended((t,))
-    tv = ext.var(t)
-    out = ideals[0]
-    for b in ideals[1:]:
-        gens = [tv * ring.transfer(f, ext) for f in out.gens]
-        gens += [(ext.one() - tv) * ring.transfer(g, ext) for g in b.gens]
-        gb = groebner_basis(gens, guard=guard)
-        out = Ideal(ring, [ext.transfer(g, ring) for g in gb if t not in g.variables()])
-    return out
+    """The intersection of the ideals (one ideal comes back as it is): one
+    ``module_colon`` with the basis of ideal k in component k of R^m and
+    v = (1, ..., 1), since f*v lies in their span exactly when f lies in
+    every ideal."""
+    if not ideals:
+        raise ValueError("intersection of no ideals")
+    if len(ideals) == 1:
+        return ideals[0]
+    ring, m = ideals[0].ring, len(ideals)
+    basis = [Vec.from_poly(g, k) for k, a in enumerate(ideals) for g in a.groebner(guard=guard)]
+    ones = Vec(ring, {(k, ring._zero_exp): ring.field.one() for k in range(m)})
+    return module_colon(basis, [ones], m, guard=guard)
 
 
 def colon(ideal, f, guard=None):

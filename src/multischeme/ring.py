@@ -138,6 +138,8 @@ class PolyRing:
         names = tuple(names)
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
+        if order.front > len(names):
+            raise ValueError("block of %d variables in a ring of %d" % (order.front, len(names)))
         self.names = names
         self.nvars = len(names)
         self.char = char
@@ -184,7 +186,9 @@ class PolyRing:
         return PolyRing(tuple(new_names) + self.names, self.char, order)
 
     def subring(self, names):
-        return PolyRing(names, self.char, self.order)
+        # a block order keeps its front, cut to the subring's size
+        order = TermOrder(self.order.kind, min(self.order.front, len(names)))
+        return PolyRing(names, self.char, order)
 
     def fresh_name(self, stem="t"):
         if stem not in self._index:
@@ -447,29 +451,6 @@ def format_poly(f):
         else:
             out += " + " + t
     return out
-
-
-def linear_substitution(ring, matrix, var_names=None):
-    """Build {name: linear form} from a square coefficient matrix.
-
-    Row i gives the image of ``var_names[i]`` as sum_j M[i][j] * var_names[j].
-    The matrix must be invertible over the coefficient field.
-    """
-    if var_names is None:
-        var_names = ring.names
-    n = len(var_names)
-    if len(matrix) != n or any(len(r) != n for r in matrix):
-        raise ValueError("matrix shape mismatch")
-    coerced = [[ring.field.coerce(x) for x in row] for row in matrix]
-    if nullspace(ring.field, coerced, n):
-        raise ValueError("substitution matrix is singular")
-    images = {}
-    for i, name in enumerate(var_names):
-        f = ring.zero()
-        for j, other in enumerate(var_names):
-            f = f + ring.var(other).scale(matrix[i][j])
-        images[name] = f
-    return images
 
 
 def nullspace(field, rows, ncols):

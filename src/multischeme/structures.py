@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 from .groebner import Vec, syzygies
 from .hilbert import module_hilbert_series
-from .ideals import Ideal, ext_window, intersect, is_irrelevant_primary, unmixed_part
-from .modules import GradedModule, columns_to_vecs, matrix_rank, minors
+from .ideals import Ideal, ext_window, fitting_ideal, intersect, is_irrelevant_primary, unmixed_part
+from .modules import GradedModule, columns_to_vecs, minors
 
 
 class StructureError(ValueError):
@@ -269,23 +269,14 @@ def is_S1(ideal, guard=None):
 
 
 def is_locally_free(module, rank, guard=None):
-    """Locally free of the given rank on Proj of the support ring."""
-    g = module.rank
-    rel = module.matrix()
-    expected = g - rank
-    if expected < 0:
+    """Locally free of the given rank on Proj of the support ring: Fitt_(rank-1)
+    is zero and Fitt_rank has no projective zero (Eisenbud, *Commutative
+    Algebra*, Prop. 20.8).  A nonzero Fitt_(rank-1) means a smaller rank."""
+    if rank > module.rank:
         raise StructureError("expected rank exceeds generator count")
-    actual = matrix_rank(rel)
-    if actual < expected:
-        raise StructureError(
-            "module rank %d exceeds expected %d" % (g - actual, rank)
-        )
-    if actual > expected:
-        return False
-    if expected == 0:
-        return True
-    fitt = Ideal(module.ring, minors(rel, expected))
-    return is_irrelevant_primary(fitt, guard=guard)
+    if not fitting_ideal(module, rank - 1).is_zero():
+        raise StructureError("module rank is below the expected %d" % rank)
+    return is_irrelevant_primary(fitting_ideal(module, rank), guard=guard)
 
 
 def thicken(structure, rows, relations=(), guard=None):

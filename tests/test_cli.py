@@ -97,6 +97,7 @@ def test_bad_subcommand_is_usage_error(capsys):
         ("ring z,x,y / char %d" % (2**61 + 1), "prime"),
         ("ring z,x,y / char 3317044064679887385961981", "below"),
         ("ring z,x,y / char %d" % (2**89 - 1), "below"),
+        ("ring z,x,y / char 0 / block 9", "block of 9 variables in a ring of 3"),
     ],
 )
 def test_bad_ring_declaration_is_usage_error(tmp_path, capsys, decl, message):
@@ -104,6 +105,14 @@ def test_bad_ring_declaration_is_usage_error(tmp_path, capsys, decl, message):
     p.write_text(decl + "\n(x, y)\n")
     assert main(["gb", str(p)]) == 3
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gb", "cm", "hilb", "filt"])
+def test_input_that_is_not_utf8_is_a_usage_error(tmp_path, capsys, command):
+    p = tmp_path / "latin1.ms"
+    p.write_bytes(INPUT.encode().replace(b"z0*y", b"z0*y \xff"))
+    assert main([command, str(p)]) == 3
+    assert "can't decode byte 0xff" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["gb", "hilb", "cm"])

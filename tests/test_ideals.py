@@ -5,7 +5,7 @@ from prop_suites import _random_form
 from test_modules import _random_presentation
 
 from multischeme.catalog import load_catalog
-from multischeme.groebner import Vec, normal_form, syzygies
+from multischeme.groebner import Vec, groebner_basis, normal_form, syzygies
 from multischeme.ideals import (
     Ideal,
     _ext_annihilator,
@@ -70,10 +70,26 @@ def test_colon_oracles(ring):
         colon(I, Ideal(ring, [ring.zero()]))
 
 
+def _t_trick_intersect(*ideals):
+    """The former intersection: a pairwise fold of the t-trick
+    a ∩ b = (t*a + (1 - t)*b) ∩ R in one ring extended by t."""
+    ring = ideals[0].ring
+    t = ring.fresh_name("t")
+    ext = ring.extended((t,))
+    tv = ext.var(t)
+    out = ideals[0]
+    for b in ideals[1:]:
+        gens = [tv * ring.transfer(f, ext) for f in out.gens]
+        gens += [(ext.one() - tv) * ring.transfer(g, ext) for g in b.gens]
+        gb = groebner_basis(gens)
+        out = Ideal(ring, [ext.transfer(g, ring) for g in gb if t not in g.variables()])
+    return out
+
+
 def _syzygy_module_colon(im_gens, vs, rank):
     """The former module colon: per vector, the first coordinates of the
-    syzygies of [v] + im_gens, then the ``intersect`` fold."""
-    return intersect(*(
+    syzygies of [v] + im_gens, then the t-trick intersection."""
+    return _t_trick_intersect(*(
         Ideal(v.ring, [s.component(0) for s in syzygies([v] + list(im_gens), rank=rank)])
         for v in vs
     ))
@@ -153,7 +169,7 @@ def test_colon_and_ext_annihilator_are_one_buchberger_without_intersect(ring, mo
     import multischeme.ideals as ideals
 
     calls = {}
-    for name in ("buchberger", "syzygies", "intersect"):
+    for name in ("buchberger", "groebner_basis", "syzygies", "intersect"):
         original = getattr(ideals, name)
         calls[name] = 0
 
@@ -167,10 +183,43 @@ def test_colon_and_ext_annihilator_are_one_buchberger_without_intersect(ring, mo
     for f in (ring.var("x"), _ideal(ring, "(x, y, z0^2)")):
         before = dict(calls)
         colon(I, f)
-        assert {k: calls[k] - before[k] for k in calls} == {"buchberger": 1, "syzygies": 0, "intersect": 0}
+        assert {k: calls[k] - before[k] for k in calls} == {
+            "buchberger": 1, "groebner_basis": 0, "syzygies": 0, "intersect": 0
+        }
     for i in range(quotient_resolution(I).length + 1):
         ext_annihilator(I, i)
     assert calls["intersect"] == 0
+    # an intersection of ideals with cached bases is one graph as well
+    a, b, c = (_ideal(ring, t) for t in ("(x^2, y)", "(x, y^2)", "(z0, x*y)"))
+    expected = tuple(_ideal(ring, "(x^2*z0, x*y, y^2*z0)").groebner())
+    for i in (a, b, c):
+        i.groebner()
+    before = dict(calls)
+    assert intersect(a, b, c).gens == expected
+    delta = {k: calls[k] - before[k] for k in ("buchberger", "groebner_basis", "syzygies")}
+    assert delta == {"buchberger": 1, "groebner_basis": 0, "syzygies": 0}
+
+
+@pytest.mark.parametrize("char", [0, 5])
+def test_intersect_matches_the_t_trick_reference(char):
+    ring = PolyRing(("a", "b", "c", "d"), char=char)
+    rng = random.Random(char)
+    proper = 0
+    for _ in range(150):
+        # a common factor h keeps some intersections apart from the products
+        h = _random_form(rng, ring, 1)
+        ideals = []
+        for _ in range(rng.randint(2, 3)):
+            factor = h if rng.random() < 0.5 else ring.one()
+            degrees = [rng.randint(1, 2) for _ in range(rng.randint(1, 2))]
+            ideals.append(Ideal(ring, [factor * _random_form(rng, ring, d) for d in degrees]))
+        meet = intersect(*ideals)
+        assert meet.gens == tuple(_t_trick_intersect(*ideals).groebner())
+        product = ideals[0]
+        for i in ideals[1:]:
+            product = product.times(i)
+        proper += not meet.equals(product)
+    assert proper >= 100
 
 
 def test_saturation_oracles(ring):
@@ -208,6 +257,8 @@ def test_intersect_of_several_ideals(ring):
     assert three.equals(intersect(a, intersect(b, c)))
     assert three.equals(_ideal(ring, "(x^2*z0, x*y, y^2*z0)"))
     assert intersect(a) is a
+    with pytest.raises(ValueError, match="intersection of no ideals"):
+        intersect()
 
 
 def test_membership_builds_one_lead_index_per_basis(ring, monkeypatch):

@@ -10,7 +10,6 @@ from multischeme.ring import (
     PolyRing,
     Rationals,
     TermOrder,
-    linear_substitution,
 )
 
 
@@ -93,6 +92,15 @@ def test_block_order_eliminates_front_variables():
     assert (t + x ** 4).lead_exp() == (1, 0, 0)
 
 
+def test_block_order_must_fit_the_ring():
+    with pytest.raises(ValueError, match="block of 3 variables in a ring of 2"):
+        PolyRing(("x", "y"), order=TermOrder("block", front=3))
+    # a subring keeps as much of the front block as it has variables
+    ring = PolyRing(("s", "t", "x", "y"), order=TermOrder("block", front=3))
+    assert ring.subring(("x", "y")).order == TermOrder("block", front=2)
+    assert ring.subring(("s", "x", "y")).order == ring.order
+
+
 def test_power_matches_repeated_multiplication(ring):
     x, y, _ = ring.gens()
     f = x + y.scale(2)
@@ -111,20 +119,6 @@ def test_substitute_evaluates_variable_images(ring):
     f = x * x + y * z
     image = f.substitute({"x": y, "y": z})
     assert image == y * y + z * z
-
-
-def test_linear_substitution_rejects_singular_matrix():
-    ring = PolyRing(("x", "y"))
-    with pytest.raises(ValueError):
-        linear_substitution(ring, [[1, 1], [2, 2]], var_names=("x", "y"))
-
-
-def test_linear_substitution_builds_images():
-    ring = PolyRing(("x", "y"))
-    images = linear_substitution(ring, [[1, 1], [0, 1]], var_names=("x", "y"))
-    x, y = ring.gens()
-    assert images["x"] == x + y
-    assert images["y"] == y
 
 
 def test_transfer_between_rings_matches_names():

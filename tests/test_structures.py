@@ -294,8 +294,24 @@ def test_is_locally_free(ring):
     assert is_locally_free(twisted, 1)
     not_free = GradedModule(sub, (0, 0), [[z0], [sub.zero()]])
     assert not is_locally_free(not_free, 1)
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match="exceeds generator count"):
         is_locally_free(free, 2)
+    # coker of (z0, z1)^T has rank 1, so Fitt_1 = (z0, z1) is not zero
+    with pytest.raises(StructureError, match="below the expected 2"):
+        is_locally_free(twisted, 2)
+
+
+def test_every_catalog_layer_is_locally_free_of_its_generic_rank():
+    layers = 0
+    for entry in load_catalog():
+        for char in entry.chars:
+            filt = entry.structure(char=char).filtration()
+            for layer, poly in zip(filt.layers, filt.layer_polynomials):
+                # X is linear, so the top P-coefficient is the generic rank
+                assert poly.degree() == layer.ring.nvars - 1
+                assert is_locally_free(layer, poly.coeffs[-1][1]), (entry.id, char)
+                layers += 1
+    assert layers >= 80
 
 
 def test_thicken_produces_next_multiplicity(ring):
