@@ -93,7 +93,11 @@ def _characteristic(text):
 
 
 def _structure(ring, support, ideal, guard):
-    return MultiStructure(Embedding(ring, support), ideal, guard=guard)
+    try:
+        emb = Embedding(ring, support)
+    except StructureError as exc:  # an empty X is bad input, not a verdict
+        raise _UsageError(str(exc))
+    return MultiStructure(emb, ideal, guard=guard)
 
 
 def _cmd_gb(args, guard):

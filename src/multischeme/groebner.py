@@ -324,7 +324,6 @@ def _groebner(vecs, guard):
     while queue:
         deg, i, j = heappop(queue)
         lcm = pairs.pop((i, j))
-        guard.check_degree(deg)
         (comp, ei), (_, ej) = leads[i], leads[j]
         # product criterion (valid only in the ideal case)
         if rank1 and all(a == 0 or b == 0 for a, b in zip(ei, ej)):
@@ -341,6 +340,8 @@ def _groebner(vecs, guard):
             ):
                 break
         else:
+            # only a pair that is reduced counts against the degree budget
+            guard.check_degree(deg)
             rem, _ = _reduce(_spair(G[i], G[j]), index)
             if rem:
                 G.append(rem.primitive())

@@ -2,7 +2,9 @@
 annihilators, Fitting ideals, and dimension/degree bookkeeping.
 
 Every colon, intersection and Ext annihilator is one ``module_colon``: one
-Buchberger call on a graph with one indicator component.
+Buchberger call on a graph with one indicator component.  Each zero-locus
+question has one test: f in rad(I) when I + (f - 1) is the unit ideal, V(I)
+empty by ``is_irrelevant_primary``, and the hull by one saturation.
 
 All operations are exact and work over Q or a prime field.
 """
@@ -172,16 +174,19 @@ def saturate(ideal, f, guard=None):
 
 
 def radical_contains(ideal, f, guard=None):
-    """f in rad(ideal), by the trick of inverting f with a fresh variable."""
-    ring = ideal.ring
-    if f.is_zero():
-        return True
-    t = ring.fresh_name("t")
-    ext = ring.extended((t,))
-    gens = [ring.transfer(g, ext) for g in ideal.gens]
-    gens.append(ext.one() - ext.var(t) * ring.transfer(f, ext))
-    gb = groebner_basis(gens, guard=guard)
-    return len(gb) == 1 and gb[0].is_constant()
+    """f in rad(ideal), for a homogeneous ideal and form.
+
+    V(I) is a cone, so a zero p with f(p) != 0 scales to lambda*p with
+    f(lambda*p) = lambda^d * f(p) = 1 over the algebraic closure: a
+    nonconstant f lies in the radical exactly when I + (f - 1) is the unit
+    ideal, in every characteristic.  A constant f lies in it when it is zero
+    or I is the unit ideal.
+    """
+    if not (f.is_homogeneous() and all(g.is_homogeneous() for g in ideal.gens)):
+        raise ValueError("radical membership for an inhomogeneous ideal or form")
+    if f.is_constant():
+        return f.is_zero() or ideal.is_one(guard=guard)
+    return Ideal(ideal.ring, ideal.gens + (f - 1,)).is_one(guard=guard)
 
 
 def same_zero_locus(a, b, guard=None):
@@ -313,55 +318,32 @@ def quotient_resolution(ideal, guard=None):
 
 def unmixed_part(ideal, guard=None):
     """Equidimensional hull: the intersection of the top-dimensional primary
-    components, returned on its reduced basis.
+    components, returned on its reduced basis, as one saturation I : J^infinity.
 
-    Let c = codim I.  Every associated prime of codimension i > c contains
-    ann Ext^i(R/I, R), and no codimension-c prime P does, since (R/I)_P is
-    Artinian (Eisenbud-Huneke-Vasconcelos, *Direct methods for primary
-    decomposition*, Invent. Math. 110, 1992, Thm 1.1).  So from each
-    non-unit annihilator of the window c < i <= pd(R/I), the first basis
-    element a with codim(I + (a)) > c is taken, and I : g^infinity for their
-    product g is the hull.  Where no basis element avoids the top primes
-    (this happens in any characteristic), I is saturated by the annihilator
-    ideal itself, which is exact.  A hull equal to I keeps I's cached
-    basis, series and resolution.
-
-    The window comes from the resolution and annihilators cached on the
-    ideal (``quotient_resolution``, ``ext_annihilator``).
+    Let c = codim I and J the intersection of the non-unit annihilators
+    ann Ext^i(R/I, R) of the window c < i <= pd(R/I) (``ext_window``).
+    Every associated prime of codimension i > c contains ann Ext^i(R/I, R),
+    so it contains J; no codimension-c prime P contains any of them, since
+    (R/I)_P is Artinian (Eisenbud-Huneke-Vasconcelos, *Direct methods for
+    primary decomposition*, Invent. Math. 110, 1992, Thm 1.1), so P avoids
+    their product, which lies in J.  Saturating by J thus removes exactly
+    the components that are not top-dimensional.  A hull equal to I keeps
+    I's cached basis, series and resolution.
     """
     ring = ideal.ring
-    if ideal.is_zero():
-        return ideal
     if ideal.dimension_degree(guard=guard)[0] < 0:
         return Ideal(ring, [ring.one()])
-    c = ideal.codimension(guard=guard)
-    basis = ideal.groebner(guard=guard)
-    g, whole = ring.one(), []
-    for _, ann in ext_window(ideal, guard=guard):
-        if ann.is_one(guard=guard):
-            continue
-        a = next(
-            (a for a in ann.groebner(guard=guard)
-             if Ideal(ring, basis + [a]).codimension(guard=guard) > c),
-            None,
-        )
-        if a is None:
-            whole.append(ann)
-        else:
-            g = g * a
-    hull = ideal
-    for f in whole if g.is_constant() else [g] + whole:
-        hull = saturate(hull, f, guard=guard)[0]
+    bad = [ann for _, ann in ext_window(ideal, guard=guard) if not ann.is_one(guard=guard)]
+    hull = saturate(ideal, intersect(*bad, guard=guard), guard=guard)[0] if bad else ideal
     if hull is not ideal:  # saturate returns its input when nothing changes
         return Ideal.from_basis(ring, hull.groebner(guard=guard))
-    same = Ideal.from_basis(ring, basis)
+    same = Ideal.from_basis(ring, ideal.groebner(guard=guard))
     same._series, same._res, same._ext = ideal._series, ideal._res, ideal._ext
     return same
 
 
 def is_unmixed(ideal, guard=None):
-    """No embedded components away from the irrelevant ideal."""
-    if ideal.is_zero() or ideal.dimension_degree(guard=guard)[0] < 0:
-        return True
+    """No embedded components away from the irrelevant ideal; the window is
+    empty for the zero ideal and for an empty V(I)."""
     window = ext_window(ideal, guard=guard)
     return all(ann.codimension(guard=guard) > i for i, ann in window if i < ideal.ring.nvars)

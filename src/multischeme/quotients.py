@@ -2,9 +2,9 @@
 
 For each twist d, the maps M -> O(d) with zero composite against the
 relation matrix form a finite-dimensional solution space computed by exact
-linear algebra degree by degree.  Surjectivity of a candidate map is decided
-by irrelevant-primariness of its component ideal.  When no surjection is
-found the verdict explains why:
+linear algebra degree by degree.  A candidate map is onto exactly when its
+entries have no common projective zero (``is_irrelevant_primary``).  When no
+surjection is found the verdict explains why:
 
 * EXACT-NONE      -- the solution space is zero;
 * CERTIFIED-NONE  -- every map in the space provably drops rank at a point
@@ -103,15 +103,6 @@ def solution_space(module, twist):
     ]
 
 
-def _is_surjection(ring, row, guard=None):
-    gens = [f for f in row if f]
-    if not gens:
-        return False
-    if any(f.is_constant() for f in gens):
-        return True
-    return is_irrelevant_primary(Ideal(ring, gens), guard=guard)
-
-
 def _certificate(module, basis, degs):
     """Try to certify that no combination of the basis maps is surjective."""
     ring = module.ring
@@ -171,7 +162,7 @@ def line_bundle_quotients(module, twist_range, samples=100, seed=0, guard=None):
             continue
         witness = None
         for row in basis:
-            if _is_surjection(ring, row, guard=guard):
+            if is_irrelevant_primary(Ideal(ring, row), guard=guard):
                 witness = row
                 break
         tested = 0
@@ -202,16 +193,11 @@ def line_bundle_quotients(module, twist_range, samples=100, seed=0, guard=None):
                                 terms[e] = terms.get(e, 0) + v * c
                 row = [ring.poly(terms) for terms in acc]
                 tested += 1
-                if _is_surjection(ring, row, guard=guard):
+                if is_irrelevant_primary(Ideal(ring, row), guard=guard):
                     witness = row
                     break
-        if witness is not None:
-            out.append(
-                TwistVerdict(d, len(basis), basis, "SURJECTION", witness=witness,
-                             samples_tested=tested)
-            )
-        else:
-            out.append(
-                TwistVerdict(d, len(basis), basis, "SAMPLED-NONE", samples_tested=tested)
-            )
+        verdict = "SAMPLED-NONE" if witness is None else "SURJECTION"
+        out.append(
+            TwistVerdict(d, len(basis), basis, verdict, witness=witness, samples_tested=tested)
+        )
     return out

@@ -13,7 +13,15 @@ from dataclasses import dataclass, field
 
 from .groebner import Vec, syzygies
 from .hilbert import module_hilbert_series
-from .ideals import Ideal, ext_window, fitting_ideal, intersect, is_irrelevant_primary, unmixed_part
+from .ideals import (
+    Ideal,
+    ext_window,
+    fitting_ideal,
+    intersect,
+    is_irrelevant_primary,
+    radical_contains,
+    unmixed_part,
+)
 from .modules import GradedModule, columns_to_vecs, minors
 
 
@@ -39,6 +47,10 @@ class Embedding:
             raise StructureError("unknown support variables %r" % missing)
         if len(set(self.support_vars)) < len(self.support_vars):
             raise StructureError("repeated support variables %r" % (self.support_vars,))
+        if len(self.support_vars) == self.ring.nvars:
+            raise StructureError(
+                "support %r takes every variable, so X is empty" % (self.support_vars,)
+            )
         self._support = Ideal(self.ring, [self.ring.var(v) for v in self.support_vars])
         rest = tuple(n for n in self.ring.names if n not in self.support_vars)
         self._sub = self.ring.subring(rest)
@@ -90,12 +102,8 @@ class MultiStructure:
                 raise StructureError("inhomogeneous generator %s" % g)
             if not ix.contains(g, guard=self.guard):
                 raise StructureError("generator %s not supported on X" % g)
-        # for homogeneous I_Y, v lies in rad(I_Y) exactly when I_Y at v = 1
-        # has no zero, i.e. is the unit ideal
-        ring = self.embedding.ring
         for v in self.embedding.support_vars:
-            at_one = [g.substitute({v: ring.one()}) for g in self.ideal.gens]
-            if not Ideal(ring, at_one).is_one(guard=self.guard):
+            if not radical_contains(self.ideal, self.embedding.ring.var(v), guard=self.guard):
                 raise StructureError("radical of I_Y misses %s" % v)
 
     def nilpotency_index(self):
@@ -309,9 +317,8 @@ def thicken(structure, rows, relations=(), guard=None):
         [f if f.ring == sub else f.ring.transfer(f, sub) for f in list(row) + list(rel)]
         for row, rel in zip(rows, relations)
     ]
-    mm = minors(matrix, q)
-    locus = Ideal(sub, mm)
-    if not mm or not is_irrelevant_primary(locus, guard=guard):
+    locus = Ideal(sub, minors(matrix, q))
+    if not is_irrelevant_primary(locus, guard=guard):
         raise StructureError(
             "quotient rows are not surjective; degeneracy locus (%s)"
             % ", ".join(str(m) for m in locus.gens)

@@ -139,10 +139,33 @@ def test_max_degree_guard_makes_inconclusive(tmp_path, capsys):
     assert main(["--max-degree", "2", "gb", str(p)]) == 2
 
 
-def test_max_degree_zero_is_a_budget_not_the_default(infile, capsys):
-    # the default budget of 40 computes this basis; a budget of 0 must not
-    assert main(["--max-degree", "0", "gb", infile]) == 2
+def test_max_degree_zero_is_a_budget_not_the_default(tmp_path, capsys):
+    # the default budget of 40 computes this basis, whose one S-pair is
+    # reduced; a budget of 0 must not
+    p = tmp_path / "pair.ms"
+    p.write_text(INPUT.replace("y^2)", "x*y)"))
+    assert main(["gb", str(p)]) == 0
+    assert main(["--max-degree", "0", "gb", str(p)]) == 2
     assert "exceeds budget 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gb", "hilb"])
+@pytest.mark.parametrize("ideal, code", [("(x^41, y)", 0), ("(x^41, x*y)", 2)])
+def test_degree_budget_counts_only_reduced_pairs(tmp_path, capsys, command, ideal, code):
+    # the pair of coprime leads x^41, y is discarded by the product criterion
+    p = tmp_path / "deep.ms"
+    p.write_text("ring x,y,z\n%s\n" % ideal)
+    assert main([command, str(p)]) == code
+    assert ("exceeds budget 40" in capsys.readouterr().err) == bool(code)
+
+
+@pytest.mark.parametrize("command, code", [("filt", 3), ("cm", 3), ("gb", 0), ("hilb", 0)])
+def test_support_with_every_variable_is_a_usage_error(tmp_path, capsys, command, code):
+    p = tmp_path / "empty.ms"
+    p.write_text("ring x,y\n(x^2, y)\n")
+    assert main([command, str(p)]) == code
+    err = capsys.readouterr().err
+    assert ("takes every variable" in err) == (code == 3)
 
 
 def test_negative_max_degree_is_a_usage_error(infile, capsys):

@@ -86,6 +86,20 @@ def _t_trick_intersect(*ideals):
     return out
 
 
+def _rabinowitsch_contains(ideal, f):
+    """The former radical membership: f lies in rad(I) exactly when
+    I + (1 - t*f) is the unit ideal in the ring extended by a fresh t."""
+    ring = ideal.ring
+    if f.is_zero():
+        return True
+    t = ring.fresh_name("t")
+    ext = ring.extended((t,))
+    gens = [ring.transfer(g, ext) for g in ideal.gens]
+    gens.append(ext.one() - ext.var(t) * ring.transfer(f, ext))
+    gb = groebner_basis(gens)
+    return len(gb) == 1 and gb[0].is_constant()
+
+
 def _syzygy_module_colon(im_gens, vs, rank):
     """The former module colon: per vector, the first coordinates of the
     syzygies of [v] + im_gens, then the t-trick intersection."""
@@ -302,6 +316,44 @@ def test_radical_membership(ring):
     assert not same_zero_locus(I, _ideal(ring, "(x)"))
 
 
+def _radical_case(rng, ring, k):
+    """A homogeneous (ideal, form) pair; k cycles through a zero form, a
+    constant (against a unit ideal half the time), a form through the
+    radical of powers, and a random form."""
+    gens = [_random_form(rng, ring, rng.randint(1, 2)) for _ in range(rng.randint(1, 3))]
+    powers = [g ** rng.randint(1, 3) for g in gens]
+    kind = k % 5
+    if kind == 0:
+        return Ideal(ring, powers), ring.zero()
+    if kind == 1:
+        unit = [ring.one()] if k % 10 == 1 else []
+        return Ideal(ring, powers + unit), ring.const(rng.randint(1, 4))
+    if kind == 2:
+        return Ideal(ring, powers), gens[-1] * _random_form(rng, ring, rng.randint(0, 1))
+    return Ideal(ring, powers), _random_form(rng, ring, rng.randint(1, 2))
+
+
+@pytest.mark.parametrize("char", [0, 5])
+def test_radical_membership_matches_the_rabinowitsch_reference(char):
+    ring = PolyRing(("x", "y", "z"), char=char)
+    rng = random.Random(char)
+    verdicts = []
+    for k in range(200):
+        ideal, f = _radical_case(rng, ring, k)
+        verdict = radical_contains(ideal, f)
+        assert verdict == _rabinowitsch_contains(ideal, f), (ideal, f)
+        verdicts.append(verdict)
+    assert 50 < sum(verdicts) < 150
+
+
+def test_radical_membership_rejects_inhomogeneous_input(ring):
+    x = ring.var("x")
+    with pytest.raises(ValueError, match="inhomogeneous"):
+        radical_contains(_ideal(ring, "(x^2, y - 1)"), x)
+    with pytest.raises(ValueError, match="inhomogeneous"):
+        radical_contains(_ideal(ring, "(x^2, y)"), x + 1)
+
+
 def test_irrelevant_primary_detection(ring):
     assert is_irrelevant_primary(_ideal(ring, "(x^2, y, z0^3)"))
     assert not is_irrelevant_primary(_ideal(ring, "(x, y)"))
@@ -383,6 +435,39 @@ def test_unmixed_part_saturates_by_the_annihilator_when_no_element_avoids_top_pr
     hull = unmixed_part(I)
     assert hull.equals(ext_annihilator(I, 2))
     assert hull.equals(Ideal.parse(ring, "(a*b, c)"))
+
+
+def test_unmixed_part_is_one_saturation(monkeypatch):
+    import multischeme.ideals as ideals
+
+    saturations, built = [], []
+    real_saturate, real_init = ideals.saturate, Ideal.__init__
+
+    def counting(ideal, f, guard=None):
+        saturations.append(f)
+        return real_saturate(ideal, f, guard=guard)
+
+    def recording(self, ring, gens):
+        real_init(self, ring, gens)
+        built.append(self.gens)
+
+    monkeypatch.setattr(ideals, "saturate", counting)
+    monkeypatch.setattr(Ideal, "__init__", recording)
+    ring = PolyRing(("z0", "x", "y"))
+    mixed = Ideal.parse(ring, "(x^2 + z0*y, y^2, x^3)")
+    assert unmixed_part(mixed).equals(Ideal.parse(ring, "(x^2 + z0*y, x*y, y^2)"))
+    assert len(saturations) == 1
+    # the rational quartic curve is prime, so unmixed, but not arithmetically
+    # CM: ann Ext^3 is a non-unit annihilator in its window
+    ring = PolyRing(("a", "b", "c", "d"))
+    quartic = Ideal.parse(ring, "(b*c - a*d, c^3 - b*d^2, a*c^2 - b^2*d, b^3 - a^2*c)")
+    basis = tuple(quartic.groebner())
+    assert not ext_annihilator(quartic, 3).is_one()
+    saturations.clear()
+    built.clear()
+    assert unmixed_part(quartic).gens == basis
+    assert len(saturations) <= 1
+    assert not [g for g in built if len(g) == len(basis) + 1 and g[:-1] == basis]
 
 
 def test_unmixed_part_of_an_unmixed_ideal_keeps_its_caches(ring):

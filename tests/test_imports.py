@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module, test file or script imports is used in
+that file.
 
 ``__init__.py`` is left out: its imports are the package's re-exports.
 """
@@ -8,8 +9,13 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "multischeme"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(
+    p
+    for pattern in ("src/multischeme/*.py", "tests/*.py", "scripts/*.py")
+    for p in ROOT.glob(pattern)
+    if p.name != "__init__.py"
+)
 
 
 def unused_imports(source):

@@ -2,12 +2,13 @@ import json
 import os
 
 import pytest
+from test_ideals import _rabinowitsch_contains
 
 from multischeme.catalog import load_catalog
 from multischeme.families import build_family
 from multischeme.groebner import Vec, submodule_equal, syzygies
 from multischeme.hilbert import HilbertPoly, HilbertSeries
-from multischeme.ideals import Ideal, radical_contains
+from multischeme.ideals import Ideal
 from multischeme.modules import GradedModule
 from multischeme.ring import PolyRing
 from multischeme.structures import (
@@ -51,6 +52,12 @@ def test_embedding_basics(ring):
         Embedding(ring, ("x", "y", "x"))
 
 
+def test_embedding_rejects_a_support_with_every_variable():
+    # X = V(x, y) in P^1 is empty
+    with pytest.raises(StructureError, match=r"support \('x', 'y'\) takes every variable"):
+        Embedding(PolyRing(("x", "y")), ("x", "y"))
+
+
 def test_support_ring_is_built_once(ring, monkeypatch):
     st = _structure(ring, "(x^2 + z0*y, y^2)")
     emb = st.embedding
@@ -92,7 +99,7 @@ def test_structure_validation_rejects_wrong_support(ring):
 )
 def test_support_check_at_one_agrees_with_the_radical(ring, text):
     st = MultiStructure.parse(ring, text, check=False)
-    expected = all(radical_contains(st.ideal, ring.var(v)) for v in ("x", "y"))
+    expected = all(_rabinowitsch_contains(st.ideal, ring.var(v)) for v in ("x", "y"))
     try:
         st.validate()
         verdict = True
