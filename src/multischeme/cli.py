@@ -51,10 +51,10 @@ def _read_input(path):
             continue
         if line.startswith("ring "):
             ring_decl = line
-        elif line.startswith("support "):
-            support = tuple(
-                s for s in line[len("support") :].replace(",", " ").split()
-            )
+        elif line.split(None, 1)[0] == "support":
+            support = tuple(line[len("support") :].replace(",", " ").split())
+            if not support:
+                raise _UsageError("%s: empty support declaration: no variables" % path)
         else:
             rest.append(line)
     if ring_decl is None:
@@ -127,6 +127,11 @@ def _cmd_cm(args, guard):
 
 def _cmd_hilb(args, guard):
     ring, _support, ideal = _read_input(args.file)
+    for g in ideal.gens:
+        if not g.is_homogeneous():
+            raise _UsageError(
+                "%s: inhomogeneous generator %s has no Hilbert polynomial" % (args.file, g)
+            )
     hp = ideal.hilbert_polynomial(guard=guard)
     if args.pbasis:
         print(json.dumps(hilb_to_json(hp)))

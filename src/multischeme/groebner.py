@@ -6,6 +6,9 @@ ties broken by the ring's monomial order.  Putting the components to be
 eliminated first therefore makes every Groebner basis an elimination basis
 for those components (``buchberger(eliminate=r)``), which is how syzygies are
 extracted.  Reduction reads each basis through one ``lead_index``, built once.
+When the first ``known`` inputs are a Groebner basis already (an ideal's cached
+basis, a colon's image), no S-pair of two of them is formed: each has a
+standard representation (Becker-Weispfenning, *Groebner Bases*, Ch. 5).
 
 Over Q, Buchberger runs on primitive integer vectors (``Vec.primitive``):
 S-pairs cross-multiply the integer leads and a reduction step scales the
@@ -285,23 +288,27 @@ def _spair(f, g):
     return mf.sub(mg)
 
 
-def buchberger(vecs, guard=None, eliminate=0):
+def buchberger(vecs, guard=None, eliminate=0, known=0):
     """Reduced basis of the submodule generated by ``vecs`` meet the components
-    >= ``eliminate``.  Under position-over-term, the basis elements whose lead
-    is there lie there and span that part (Eisenbud, Commutative Algebra,
-    15.10); no other lead divides their terms, so they interreduce alone."""
-    G = _groebner(vecs, guard or DEFAULT_GUARD)
+    >= ``eliminate``; the first ``known`` vectors must be a Groebner basis.
+    Under position-over-term, the basis elements whose lead is there lie there
+    and span that part (Eisenbud, Commutative Algebra, 15.10); no other lead
+    divides their terms, so they interreduce alone."""
+    G = _groebner(vecs, guard or DEFAULT_GUARD, known)
     return interreduce([g for g in G if g.lead()[0][0] >= eliminate])
 
 
-def _groebner(vecs, guard):
-    """Primitive, unreduced Groebner basis: the input, then each S-pair remainder."""
+def _groebner(vecs, guard, known=0):
+    """Primitive, unreduced Groebner basis: the input, then each S-pair
+    remainder.  No S-pair of two of the ``known`` first inputs is formed."""
+    known = sum(map(bool, vecs[:known]))  # the count left once zeros are dropped
     G = [v.primitive() for v in vecs if v]
     if not G:
         return []
     # remainders of rank-1 input stay in component 0
     rank1 = all(j == 0 for g in G for j, _ in g.data)
     leads = []  # leads[i] = (component, exps) of G[i]
+    same = {}  # component -> [(i, exps)] for the G[i] leading there
     index = {}  # the lead_index of G, extended with each new element
     # ``pairs`` maps the pending pairs (i, j), i < j, to their lcm for the
     # chain criterion; ``queue`` pops them by (degree, i, j).
@@ -311,11 +318,13 @@ def _groebner(vecs, guard):
     def add_pairs(g):
         new = len(leads)
         (comp, exps), c = g.lead()
-        for k, (ck, ek) in enumerate(leads):
-            if ck == comp:
+        here = same.setdefault(comp, [])
+        if new >= known:  # two known elements form no pair
+            for k, ek in here:
                 lcm = tuple(map(max, ek, exps))
                 pairs[(k, new)] = lcm
                 heappush(queue, (sum(lcm), k, new))
+        here.append((new, exps))
         leads.append((comp, exps))
         index.setdefault(comp, []).append((exps, c, g))
 
@@ -329,10 +338,9 @@ def _groebner(vecs, guard):
         if rank1 and all(a == 0 or b == 0 for a, b in zip(ei, ej)):
             continue
         # chain criterion
-        for k, (ck, ek) in enumerate(leads):
+        for k, ek in same[comp]:
             if (
-                ck == comp
-                and k != i
+                k != i
                 and k != j
                 and _divides(ek, lcm)
                 and (min(i, k), max(i, k)) not in pairs
@@ -373,10 +381,10 @@ def interreduce(G):
     return out
 
 
-def groebner_basis(polys, guard=None):
-    """Reduced Groebner basis of an ideal, as polynomials."""
-    vecs = [Vec.from_poly(f) for f in polys if f]
-    return [v.component(0) for v in buchberger(vecs, guard=guard)]
+def groebner_basis(polys, guard=None, known=0):
+    """Reduced Groebner basis of an ideal, as polynomials (``known``: see buchberger)."""
+    vecs = [Vec.from_poly(f) for f in polys]
+    return [v.component(0) for v in buchberger(vecs, guard=guard, known=known)]
 
 
 def syzygies(vecs, rank=None, guard=None):

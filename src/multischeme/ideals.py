@@ -2,7 +2,8 @@
 annihilators, Fitting ideals, and dimension/degree bookkeeping.
 
 Every colon, intersection and Ext annihilator is one ``module_colon``: one
-Buchberger call on a graph with one indicator component.  Each zero-locus
+Buchberger call on a graph with one indicator component, extending the image's
+known basis; a sum I + J extends I's cached basis.  Each zero-locus
 question has one test: f in rad(I) when I + (f - 1) is the unit ideal, V(I)
 empty by ``is_irrelevant_primary``, and the hull by one saturation.
 
@@ -32,6 +33,7 @@ class Ideal:
         self.ring = ring
         self.gens = tuple(g for g in gens if g)
         self._gb = None
+        self._known = 0  # the first _known gens are a Groebner basis
         self._index = None  # lead_index of the reduced basis, as Vecs
         self._series = None
         self._res = None
@@ -52,7 +54,7 @@ class Ideal:
 
     def groebner(self, guard=None):
         if self._gb is None:
-            self._gb = groebner_basis(self.gens, guard=guard)
+            self._gb = groebner_basis(self.gens, guard=guard, known=self._known)
         return self._gb
 
     def reduce(self, f, guard=None):
@@ -77,7 +79,11 @@ class Ideal:
         return len(gb) == 1 and gb[0].is_constant()
 
     def plus(self, other):
-        return Ideal(self.ring, self.gens + tuple(other.gens))
+        """I + J; once I's basis is cached, the sum's basis extends it."""
+        first = self.gens if self._gb is None else tuple(self._gb)
+        out = Ideal(self.ring, first + tuple(other.gens))
+        out._known = len(self._gb or ())
+        return out
 
     def times(self, other):
         gens = [f * g for f in self.gens for g in other.gens]
@@ -186,7 +192,8 @@ def radical_contains(ideal, f, guard=None):
         raise ValueError("radical membership for an inhomogeneous ideal or form")
     if f.is_constant():
         return f.is_zero() or ideal.is_one(guard=guard)
-    return Ideal(ideal.ring, ideal.gens + (f - 1,)).is_one(guard=guard)
+    ideal.groebner(guard=guard)  # so that the sum starts from I's basis
+    return ideal.plus(Ideal(ideal.ring, [f - 1])).is_one(guard=guard)
 
 
 def same_zero_locus(a, b, guard=None):
@@ -228,13 +235,14 @@ def fitting_ideal(module, r):
 
 
 def module_colon(im_gens, vs, rank, guard=None):
-    """{f : f*v in <im_gens> for all v in vs} in R^rank, on its reduced basis.
-    Copy k of R^rank holds v_k and im_gens; the graph (v_0, ..., v_{m-1}, 1)
-    puts its 1 in component m*rank, and f*e_{m*rank} is in their span exactly
-    when every f*v_k is in <im_gens>.  Position-over-term puts the copies
-    first, so one Buchberger call eliminating them returns that part's
-    reduced basis (Greuel-Pfister, *A Singular Introduction to Commutative
-    Algebra*, 2.8; Eisenbud, *Commutative Algebra*, 15.10)."""
+    """{f : f*v in <im_gens> for all v in vs} in R^rank, on its reduced basis,
+    for a Groebner basis im_gens.  Copy k of R^rank holds v_k and im_gens; the
+    graph (v_0, ..., v_{m-1}, 1) puts its 1 in component m*rank, and f*e_{m*rank}
+    is in their span exactly when every f*v_k is in <im_gens>.  Position-over-
+    term puts the copies first, so one Buchberger call eliminating them returns
+    that part's reduced basis (Greuel-Pfister, *A Singular Introduction to
+    Commutative Algebra*, 2.8; Eisenbud, *Commutative Algebra*, 15.10); the
+    image copies are its known basis, a Groebner basis in each copy."""
     ring, m = vs[0].ring, len(vs)
 
     def shifted(v, k):
@@ -243,8 +251,8 @@ def module_colon(im_gens, vs, rank, guard=None):
     graph = {(m * rank, ring._zero_exp): ring.field.one()}
     for k, v in enumerate(vs):
         graph.update(shifted(v, k))
-    gens = [Vec(ring, graph)] + [Vec(ring, shifted(g, k)) for k in range(m) for g in im_gens]
-    basis = buchberger(gens, guard=guard, eliminate=m * rank)
+    gens = [Vec(ring, shifted(g, k)) for k in range(m) for g in im_gens]
+    basis = buchberger(gens + [Vec(ring, graph)], guard=guard, eliminate=m * rank, known=len(gens))
     return Ideal.from_basis(ring, [g.component(m * rank) for g in basis])
 
 
@@ -277,11 +285,12 @@ def _ext_annihilator(ideal, i, guard):
         dual = _transpose(ring, resolution.maps[i], ranks[i])
         kernel = syzygies(dual, rank=ranks[i + 1], guard=guard)
     image = _transpose(ring, resolution.maps[i - 1], ranks[i - 1]) if i else []
-    gb_im = lead_index(buchberger(image, guard=guard))
-    nontrivial = [k for k in kernel if not module_contains(k, gb_im)]
+    gb_im = buchberger(image, guard=guard)
+    index = lead_index(gb_im)
+    nontrivial = [k for k in kernel if not module_contains(k, index)]
     if not nontrivial:
         return Ideal(ring, [ring.one()])
-    return module_colon(image, nontrivial, ranks[i], guard=guard)
+    return module_colon(gb_im, nontrivial, ranks[i], guard=guard)
 
 
 def _transpose(ring, cols, nrows):

@@ -189,3 +189,24 @@ def test_catalog_list(capsys):
     assert len(out) == 30
     assert all("mult=" in line for line in out)
     assert any("chars=p0,p2" in line for line in out)
+
+
+@pytest.mark.parametrize("order, printed", [("grevlex", "-y^2 + x"), ("lex", "x - y^2")])
+def test_hilb_of_an_inhomogeneous_ideal_is_a_usage_error(tmp_path, capsys, order, printed):
+    # the Hilbert series of a non-graded ideal depends on the order: before
+    # this check, (x - y^2) gave 2*P_1 - P_0 under grevlex and P_1 under lex
+    p = tmp_path / "affine.ms"
+    p.write_text("ring x,y,z / char 0 / %s\n(x - y^2)\n" % order)
+    assert main(["hilb", str(p)]) == 3
+    assert "inhomogeneous generator %s has no" % printed in capsys.readouterr().err
+    assert main(["gb", str(p)]) == 0
+
+
+@pytest.mark.parametrize("line", ["support", "support ,"])
+@pytest.mark.parametrize("command", ["gb", "filt"])
+def test_support_line_without_variables_is_a_usage_error(tmp_path, capsys, command, line):
+    p = tmp_path / "bare.ms"
+    p.write_text(INPUT.replace("support x, y", line))
+    assert main([command, str(p)]) == 3
+    err = capsys.readouterr().err
+    assert "empty support declaration" in err and "expected '('" not in err

@@ -448,6 +448,40 @@ def test_integer_kernel_matches_monic_fraction_reference(char, rank):
 
 
 @pytest.mark.parametrize("char", [0, 5])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_a_known_basis_gives_the_plain_reduced_basis(char, rank, monkeypatch):
+    """``known=len(basis)`` skips the S-pairs inside ``basis`` and changes no
+    output, for a reduced basis and for an unreduced ``_groebner`` output,
+    with and without elimination."""
+    calls = []
+    spair = groebner._spair
+
+    def counting(f, g):
+        calls.append(1)
+        return spair(f, g)
+
+    monkeypatch.setattr(groebner, "_spair", counting)
+    ring = PolyRing(("x", "y", "z"), char=char)
+    rng = random.Random(41 * rank + char)
+    plain = extended = 0
+    for n in range(24):
+        first = _awkward_vecs(ring, rng, rank)
+        basis = buchberger(first) if n % 2 else _groebner(first, DEFAULT_GUARD)
+        if n % 3 == 0:  # a zero in the known part is dropped, not counted
+            basis = [Vec(ring, {})] + basis
+        vecs = basis + _awkward_vecs(ring, rng, rank)
+        for eliminate in {0, rank - 1}:
+            del calls[:]
+            want = buchberger(vecs, eliminate=eliminate)
+            plain += len(calls)
+            del calls[:]
+            got = buchberger(vecs, eliminate=eliminate, known=len(basis))
+            extended += len(calls)
+            assert [_typed(v) for v in got] == [_typed(v) for v in want]
+    assert extended < plain
+
+
+@pytest.mark.parametrize("char", [0, 5])
 def test_normal_form_is_exact_and_unscaled(char):
     ring = PolyRing(("x", "y", "z"), char=char)
     rng = random.Random(23 + char)
@@ -491,8 +525,8 @@ def test_quotient_scan_bases_match_the_reference(monkeypatch):
     calls = []
     original = groebner.buchberger
 
-    def recording(vecs, guard=None, eliminate=0):
-        out = original(vecs, guard=guard, eliminate=eliminate)
+    def recording(vecs, guard=None, eliminate=0, known=0):
+        out = original(vecs, guard=guard, eliminate=eliminate, known=known)
         calls.append((list(vecs), eliminate, out))
         return out
 

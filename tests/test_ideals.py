@@ -5,7 +5,7 @@ from prop_suites import _random_form
 from test_modules import _random_presentation
 
 from multischeme.catalog import load_catalog
-from multischeme.groebner import Vec, groebner_basis, normal_form, syzygies
+from multischeme.groebner import Vec, buchberger, groebner_basis, normal_form, syzygies
 from multischeme.ideals import (
     Ideal,
     _ext_annihilator,
@@ -150,7 +150,7 @@ def test_one_graph_module_colon_matches_the_syzygy_reference(char):
                 d = max(degs) + rng.randint(0, 1)
                 forms = [_random_form(rng, ring, d - a) for a in degs]
                 vs.append(Vec(ring, {(i, e): c for i, f in enumerate(forms) for e, c in f.terms.items()}))
-            quotient = module_colon(cols[1:], vs, rank)
+            quotient = module_colon(buchberger(cols[1:]), vs, rank)
             assert quotient.gens == tuple(_syzygy_module_colon(cols[1:], vs, rank).groebner())
             proper += not (quotient.is_zero() or quotient.is_one())
     assert proper >= 10
@@ -177,6 +177,50 @@ def test_ext_annihilators_of_theorem_rows_match_the_syzygy_reference(monkeypatch
                     assert expected.groebner() == reference.groebner(), (entry.id, char, i)
     # several ext annihilators fold two or more kernel vectors into one graph
     assert sum(w >= 2 for w in widths) >= 3
+
+
+def test_module_colon_forms_no_s_pair_of_two_image_basis_elements(ring, monkeypatch):
+    """The image copies go to Buchberger as its known basis.  They are the
+    only elements without a term in the indicator component: the graph
+    element has one, and so has every remainder, since a remainder lying in
+    the image copies would reduce to zero by their basis."""
+    import multischeme.groebner as groebner
+    import multischeme.ideals as ideals
+
+    original, spair = ideals.buchberger, groebner._spair
+    indicator = []  # the eliminate of the current module_colon call
+    pairs = []  # per S-pair: whether both elements lie in the image copies
+
+    def recording(vecs, guard=None, eliminate=0, known=0):
+        indicator.append(eliminate)
+        try:
+            return original(vecs, guard=guard, eliminate=eliminate, known=known)
+        finally:
+            indicator.pop()
+
+    def image_only(v):
+        return all(j < indicator[-1] for j, _ in v.data)
+
+    def checking(f, g):
+        if indicator and indicator[-1]:
+            pairs.append(image_only(f) and image_only(g))
+        return spair(f, g)
+
+    monkeypatch.setattr(ideals, "buchberger", recording)
+    monkeypatch.setattr(groebner, "_spair", checking)
+    I = _ideal(ring, "(x^2 + z0*y, y^2, x^3, x*y*z0)")
+    # without a known basis these form 3, 3 and 89 S-pairs of two image elements
+    entry = next(e for e in load_catalog("thm-3.8") if e.id == "thm-3.8/5")
+    J = entry.structure(char=0).ideal
+    for run in (
+        lambda: colon(I, _ideal(ring, "(x, y*z0)")),
+        lambda: intersect(_ideal(ring, "(x^2, x*y, z0^2)"), _ideal(ring, "(y^2, x*z0, y*z0)"),
+                          _ideal(ring, "(x*y, y^3, z0^3)")),
+        lambda: [_ext_annihilator(J, i, None) for i in range(1, quotient_resolution(J).length + 1)],
+    ):
+        del pairs[:]
+        run()
+        assert pairs and not any(pairs)
 
 
 def test_colon_and_ext_annihilator_are_one_buchberger_without_intersect(ring, monkeypatch):
