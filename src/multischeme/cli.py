@@ -49,9 +49,10 @@ def _read_input(path):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("ring "):
+        keyword = line.split(None, 1)[0]
+        if keyword == "ring":
             ring_decl = line
-        elif line.split(None, 1)[0] == "support":
+        elif keyword == "support":
             support = tuple(line[len("support") :].replace(",", " ").split())
             if not support:
                 raise _UsageError("%s: empty support declaration: no variables" % path)
@@ -92,7 +93,17 @@ def _characteristic(text):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _structure(ring, support, ideal, guard):
+def _read_homogeneous(path):
+    """``_read_input`` for the commands that need a homogeneous ideal."""
+    ring, support, ideal = _read_input(path)
+    for g in ideal.gens:
+        if not g.is_homogeneous():
+            raise _UsageError("%s: inhomogeneous generator %s has no projective locus" % (path, g))
+    return ring, support, ideal
+
+
+def _structure(path, guard):
+    ring, support, ideal = _read_homogeneous(path)
     try:
         emb = Embedding(ring, support)
     except StructureError as exc:  # an empty X is bad input, not a verdict
@@ -107,15 +118,13 @@ def _cmd_gb(args, guard):
 
 
 def _cmd_filt(args, guard):
-    ring, support, ideal = _read_input(args.file)
-    st = _structure(ring, support, ideal, guard)
+    st = _structure(args.file, guard)
     print(json.dumps(st.report(), indent=2))
     return 0
 
 
 def _cmd_cm(args, guard):
-    ring, support, ideal = _read_input(args.file)
-    st = _structure(ring, support, ideal, guard)
+    st = _structure(args.file, guard)
     cm, locus = st.locally_cm()
     if cm:
         print("locally-cm: true")
@@ -126,12 +135,7 @@ def _cmd_cm(args, guard):
 
 
 def _cmd_hilb(args, guard):
-    ring, _support, ideal = _read_input(args.file)
-    for g in ideal.gens:
-        if not g.is_homogeneous():
-            raise _UsageError(
-                "%s: inhomogeneous generator %s has no Hilbert polynomial" % (args.file, g)
-            )
+    _ring, _support, ideal = _read_homogeneous(args.file)
     hp = ideal.hilbert_polynomial(guard=guard)
     if args.pbasis:
         print(json.dumps(hilb_to_json(hp)))

@@ -381,10 +381,10 @@ def interreduce(G):
     return out
 
 
-def groebner_basis(polys, guard=None, known=0):
-    """Reduced Groebner basis of an ideal, as polynomials (``known``: see buchberger)."""
+def groebner_basis(polys, guard=None):
+    """Reduced Groebner basis of an ideal, as polynomials."""
     vecs = [Vec.from_poly(f) for f in polys]
-    return [v.component(0) for v in buchberger(vecs, guard=guard, known=known)]
+    return [v.component(0) for v in buchberger(vecs, guard=guard)]
 
 
 def syzygies(vecs, rank=None, guard=None):

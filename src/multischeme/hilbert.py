@@ -167,9 +167,10 @@ def hilbert_series_of_leads(lead_exps_by_comp, gen_degrees, nvars):
     return HilbertSeries.make(total, nvars)
 
 
-def ideal_hilbert_series(ring, groebner_polys):
-    """Series of R/I from a Groebner basis of I."""
-    leads = [g.lead_exp() for g in groebner_polys if g]
+def ideal_hilbert_series(ring, leads):
+    """Series of R/I from the lead exponents of any Groebner basis of I, for
+    a homogeneous I: it depends only on in(I) (Macaulay; Bayer-Stillman,
+    JSC 14, 1992)."""
     return hilbert_series_of_leads({0: leads}, (0,), ring.nvars)
 
 

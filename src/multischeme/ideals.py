@@ -1,9 +1,12 @@
 """Ideal calculus: colon, saturation, intersection, elimination, Ext
 annihilators, Fitting ideals, and dimension/degree bookkeeping.
 
+An ``Ideal`` keeps the unreduced output of one Buchberger run: questions
+about the leads alone (the Hilbert series, the unit ideal, an empty V(I))
+read it, and it is interreduced only when the reduced basis is asked for.
 Every colon, intersection and Ext annihilator is one ``module_colon``: one
-Buchberger call on a graph with one indicator component, extending the image's
-known basis; a sum I + J extends I's cached basis.  Each zero-locus
+Buchberger call on a graph with one indicator component, extending the
+image's known basis; a sum I + J extends I's cached basis.  Each zero-locus
 question has one test: f in rad(I) when I + (f - 1) is the unit ideal, V(I)
 empty by ``is_irrelevant_primary``, and the hull by one saturation.
 
@@ -13,9 +16,12 @@ All operations are exact and work over Q or a prime field.
 from __future__ import annotations
 
 from .groebner import (
+    DEFAULT_GUARD,
     Vec,
+    _groebner,
     buchberger,
     groebner_basis,
+    interreduce,
     lead_index,
     module_contains,
     normal_form,
@@ -26,13 +32,15 @@ from .modules import GradedModule, free_resolution, minors
 
 
 class Ideal:
-    """An ideal with its Groebner basis (in the ring's order), Hilbert series,
-    minimal resolution of R/I and Ext^i(R/I, R) annihilators cached."""
+    """An ideal with its Groebner bases (in the ring's order: the unreduced one
+    of one Buchberger run, interreduced on demand), Hilbert series, minimal
+    resolution of R/I and Ext^i(R/I, R) annihilators cached."""
 
     def __init__(self, ring, gens):
         self.ring = ring
         self.gens = tuple(g for g in gens if g)
-        self._gb = None
+        self._raw = None  # the primitive, unreduced Groebner basis, as Vecs
+        self._gb = None  # the reduced basis
         self._known = 0  # the first _known gens are a Groebner basis
         self._index = None  # lead_index of the reduced basis, as Vecs
         self._series = None
@@ -54,8 +62,20 @@ class Ideal:
 
     def groebner(self, guard=None):
         if self._gb is None:
-            self._gb = groebner_basis(self.gens, guard=guard, known=self._known)
+            self._gb = [v.component(0) for v in interreduce(self._unreduced(guard))]
         return self._gb
+
+    def _unreduced(self, guard):
+        if self._raw is None:
+            vecs = [Vec.from_poly(g) for g in self.gens]
+            self._raw = _groebner(vecs, guard or DEFAULT_GUARD, self._known)
+        return self._raw
+
+    def leads(self, guard=None):
+        """Lead exponents of the basis held, reduced or not: they span in(I)."""
+        if self._gb is not None:
+            return [g.lead_exp() for g in self._gb]
+        return [v.lead()[0][1] for v in self._unreduced(guard)]
 
     def reduce(self, f, guard=None):
         if self._index is None:
@@ -75,8 +95,9 @@ class Ideal:
         return not self.gens
 
     def is_one(self, guard=None):
-        gb = self.groebner(guard=guard)
-        return len(gb) == 1 and gb[0].is_constant()
+        if self._gb is not None:
+            return len(self._gb) == 1 and self._gb[0].is_constant()
+        return not all(map(any, self.leads(guard=guard)))  # some lead is constant
 
     def plus(self, other):
         """I + J; once I's basis is cached, the sum's basis extends it."""
@@ -97,7 +118,7 @@ class Ideal:
 
     def hilbert_series(self, guard=None):
         if self._series is None:
-            self._series = ideal_hilbert_series(self.ring, self.groebner(guard=guard))
+            self._series = ideal_hilbert_series(self.ring, self.leads(guard=guard))
         return self._series
 
     def hilbert_polynomial(self, guard=None):
@@ -206,14 +227,17 @@ def same_zero_locus(a, b, guard=None):
 def is_irrelevant_primary(ideal, guard=None):
     """Empty projective zero locus, for a homogeneous ideal only.
 
-    V(I) in P^(n-1) is empty exactly when R/I has Krull dimension <= 0,
-    i.e. when the Hilbert series of the ideal's own cached basis has no
-    pole left at t = 1 (Cox-Little-O'Shea, *Ideals, Varieties, and
-    Algorithms*, Ch. 9 Sec. 3; Bayer-Stillman, JSC 14, 1992).
+    V(I) in P^(n-1) is empty exactly when the affine cone V(I) is finite,
+    i.e. when in(I) contains a power of every variable (the finiteness
+    theorem, Cox-Little-O'Shea, *Ideals, Varieties, and Algorithms*, Ch. 5
+    Sec. 3 Thm 6): some lead of any Groebner basis is constant, or each
+    variable has a pure-power lead.  It reads the leads the ideal holds.
     """
     if not all(g.is_homogeneous() for g in ideal.gens):
         raise ValueError("projective zero locus of an inhomogeneous ideal")
-    return ideal.dimension_degree(guard=guard)[0] < 0
+    # x_i^k has k == sum only in slot i; a constant lead has it in every slot
+    pure = {i for e in ideal.leads(guard=guard) for i, a in enumerate(e) if a == sum(e)}
+    return len(pure) == ideal.ring.nvars
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +364,7 @@ def unmixed_part(ideal, guard=None):
     I's cached basis, series and resolution.
     """
     ring = ideal.ring
-    if ideal.dimension_degree(guard=guard)[0] < 0:
+    if is_irrelevant_primary(ideal, guard=guard):
         return Ideal(ring, [ring.one()])
     bad = [ann for _, ann in ext_window(ideal, guard=guard) if not ann.is_one(guard=guard)]
     hull = saturate(ideal, intersect(*bad, guard=guard), guard=guard)[0] if bad else ideal

@@ -210,3 +210,20 @@ def test_support_line_without_variables_is_a_usage_error(tmp_path, capsys, comma
     assert main([command, str(p)]) == 3
     err = capsys.readouterr().err
     assert "empty support declaration" in err and "expected '('" not in err
+
+
+def test_ring_declaration_separated_by_a_tab(tmp_path, capsys):
+    p = tmp_path / "tab.ms"
+    p.write_text("ring\tx,y,z\n(x^2, y)\n")
+    assert main(["gb", str(p)]) == 0
+    assert capsys.readouterr().out.strip() == "(x^2, y)"
+
+
+@pytest.mark.parametrize("command", ["hilb", "filt", "cm"])
+def test_inhomogeneous_input_is_a_usage_error_for_every_projective_command(
+    tmp_path, capsys, command
+):
+    p = tmp_path / "affine.ms"
+    p.write_text("ring x,y,z\n(x - y^2)\n")
+    assert main([command, str(p)]) == 3
+    assert "inhomogeneous generator -y^2 + x" in capsys.readouterr().err

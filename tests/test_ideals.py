@@ -6,6 +6,7 @@ from test_modules import _random_presentation
 
 from multischeme.catalog import load_catalog
 from multischeme.groebner import Vec, buchberger, groebner_basis, normal_form, syzygies
+from multischeme.hilbert import ideal_hilbert_series
 from multischeme.ideals import (
     Ideal,
     _ext_annihilator,
@@ -24,7 +25,7 @@ from multischeme.ideals import (
     unmixed_part,
 )
 from multischeme.modules import GradedModule
-from multischeme.ring import PolyRing, poly_divide_exact
+from multischeme.ring import PolyRing, TermOrder, poly_divide_exact
 
 
 @pytest.fixture
@@ -407,6 +408,92 @@ def test_irrelevant_primary_detection(ring):
     assert not is_irrelevant_primary(_ideal(ring, "(x^2, x*y)"))
     with pytest.raises(ValueError, match="inhomogeneous"):
         is_irrelevant_primary(_ideal(ring, "(x^2, y, z0 - 1)"))
+
+
+def _zero_locus_case(rng, ring, k):
+    """Homogeneous generators; k cycles through the unit ideal, an m-primary
+    ideal (pure powers of independent linear forms, triangularly mixed), n - 1
+    forms (a nonempty V(I)) and one to four random forms."""
+    n = ring.nvars
+    kind = k % 4
+    if kind == 0:
+        return [_random_form(rng, ring, rng.randint(1, 2)), ring.const(rng.randint(1, 4))]
+    if kind == 1:
+        xs = ring.gens()
+        lin = [xs[i] + sum((ring.const(rng.randint(-2, 2)) * xs[j] for j in range(i)), ring.zero())
+               for i in range(n)]
+        gens = []
+        for i, l in enumerate(lin):
+            g = l ** rng.randint(1, 3)
+            if g.degree() > 1:
+                for j in range(i):
+                    g = g + lin[j] * _random_form(rng, ring, g.degree() - 1)
+            gens.append(g)
+        return gens
+    count = n - 1 if kind == 2 else rng.randint(1, 4)
+    return [_random_form(rng, ring, rng.randint(1, 3)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("char", [0, 5])
+@pytest.mark.parametrize("order", ["grevlex", "lex", "block"])
+def test_irrelevant_primary_matches_the_hilbert_series_reference(char, order):
+    """The pure-power verdict against the Hilbert pole of the monic Fraction
+    reference basis: V(I) is empty exactly when dim < 0."""
+    from test_groebner import _reference_buchberger  # test_groebner imports this module
+
+    order = TermOrder(order, front=1 if order == "block" else 0)
+    ring = PolyRing(("x", "y", "z"), char=char, order=order)
+    rng = random.Random(char)
+    verdicts = []
+    for k in range(48):
+        gens = _zero_locus_case(rng, ring, k)
+        basis = _reference_buchberger([Vec.from_poly(g) for g in gens])
+        series = ideal_hilbert_series(ring, [v.lead()[0][1] for v in basis])
+        verdict = is_irrelevant_primary(Ideal(ring, gens))
+        assert verdict == (series.dimension_degree()[0] < 0), gens
+        verdicts.append(verdict)
+    assert all(verdicts[0::4]) and all(verdicts[1::4]) and not any(verdicts[2::4])
+    assert 24 <= sum(verdicts) < 48
+
+
+@pytest.mark.parametrize("char", [0, 5])
+def test_one_buchberger_run_serves_the_leads_and_the_reduced_basis(char, monkeypatch):
+    """hilbert_series, is_one and is_irrelevant_primary, then groebner: one
+    ``_groebner`` call per ideal, whichever module calls it, for a plain ideal
+    (known = 0) and for a sum that extends a cached basis (known > 0), and the
+    reduced basis is the plain one."""
+    import multischeme.groebner as groebner
+    import multischeme.ideals as ideals
+
+    ring = PolyRing(("x", "y", "z"), char=char)
+    rng = random.Random(char)
+    calls = []
+    original = groebner._groebner
+
+    def counting(vecs, guard, known=0):
+        calls.append(known)
+        return original(vecs, guard, known)
+
+    for module in (groebner, ideals):
+        monkeypatch.setattr(module, "_groebner", counting)
+    knowns = []
+    for k in range(24):
+        gens = _zero_locus_case(rng, ring, k)
+        ideal = Ideal(ring, gens)
+        if k % 2:
+            first = Ideal(ring, gens[:1])
+            first.groebner()
+            ideal = first.plus(Ideal(ring, gens[1:]))
+        expected = groebner_basis(gens)
+        del calls[:]
+        ideal.hilbert_series()
+        one = ideal.is_one()
+        is_irrelevant_primary(ideal)
+        assert ideal.groebner() == expected
+        assert one == ideal.is_one() == (ideal.groebner() == [ring.one()])
+        assert len(calls) == 1
+        knowns.append(calls[0])
+    assert not any(knowns[0::2]) and all(knowns[1::2])
 
 
 def test_exact_division(ring):

@@ -89,3 +89,31 @@ def test_twist_verdict_json_shape(sub):
     }
     assert data["verdict"] == "SURJECTION"
     assert data["witness"] == ["1"]
+
+
+def test_the_prop_3_3_scan_makes_no_reduced_basis_and_no_hilbert_series(monkeypatch):
+    """Surjectivity is read off the leads of the unreduced Buchberger run:
+    the seed-0 scan of J/IJ interreduces nothing and makes no Hilbert series,
+    and its verdicts are the ones Prop 3.3 predicts."""
+    import multischeme.groebner as groebner
+    import multischeme.ideals as ideals
+    from multischeme.scenarios import _nonexistence_module
+
+    calls = []
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(groebner, "interreduce")
+    counting(ideals, "interreduce")
+    counting(ideals, "ideal_hilbert_series")
+    _, module, _, _ = _nonexistence_module()
+    verdicts = [v.verdict for v in line_bundle_quotients(module, (-10, 0), samples=100, seed=0)]
+    assert verdicts == ["EXACT-NONE"] * 8 + ["CERTIFIED-NONE", "SAMPLED-NONE", "SAMPLED-NONE"]
+    assert calls == []
