@@ -7,8 +7,11 @@ eliminated first therefore makes every Groebner basis an elimination basis
 for those components (``buchberger(eliminate=r)``), which is how syzygies are
 extracted.  Reduction reads each basis through one ``lead_index``, built once.
 When the first ``known`` inputs are a Groebner basis already (an ideal's cached
-basis, a colon's image), no S-pair of two of them is formed: each has a
-standard representation (Becker-Weispfenning, *Groebner Bases*, Ch. 5).
+basis, the image a kernel is taken modulo), no S-pair of two of them is
+formed: each has a standard representation (Becker-Weispfenning, *Groebner
+Bases*, Ch. 5), and every later input enters reduced modulo the basis built
+so far.  Every kernel is ``syzygies(vecs, modulo=B)`` for a known basis B:
+{h : sum h_i v_i in <B>}, the plain syzygies when B is empty.
 
 Over Q, Buchberger runs on primitive integer vectors (``Vec.primitive``):
 S-pairs cross-multiply the integer leads and a reduction step scales the
@@ -300,13 +303,16 @@ def buchberger(vecs, guard=None, eliminate=0, known=0):
 
 def _groebner(vecs, guard, known=0):
     """Primitive, unreduced Groebner basis: the input, then each S-pair
-    remainder.  No S-pair of two of the ``known`` first inputs is formed."""
+    remainder.  No S-pair of two of the ``known`` first inputs is formed; when
+    there are any, each later input enters reduced modulo the basis so far
+    and is dropped if that is zero."""
     known = sum(map(bool, vecs[:known]))  # the count left once zeros are dropped
-    G = [v.primitive() for v in vecs if v]
-    if not G:
+    vecs = [v.primitive() for v in vecs if v]
+    if not vecs:
         return []
     # remainders of rank-1 input stay in component 0
-    rank1 = all(j == 0 for g in G for j, _ in g.data)
+    rank1 = all(j == 0 for g in vecs for j, _ in g.data)
+    G = []
     leads = []  # leads[i] = (component, exps) of G[i]
     same = {}  # component -> [(i, exps)] for the G[i] leading there
     index = {}  # the lead_index of G, extended with each new element
@@ -328,7 +334,12 @@ def _groebner(vecs, guard, known=0):
         leads.append((comp, exps))
         index.setdefault(comp, []).append((exps, c, g))
 
-    for g in G:
+    for n, g in enumerate(vecs):
+        if known and n >= known:  # a new input enters reduced, or not at all
+            g = _reduce(g, index)[0].primitive()
+            if not g:
+                continue
+        G.append(g)
         add_pairs(g)
     while queue:
         deg, i, j = heappop(queue)
@@ -387,19 +398,23 @@ def groebner_basis(polys, guard=None):
     return [v.component(0) for v in buchberger(vecs, guard=guard)]
 
 
-def syzygies(vecs, rank=None, guard=None):
-    """Generators of the syzygy module of ``vecs`` inside R^len(vecs).
+def syzygies(vecs, rank=None, guard=None, modulo=()):
+    """Generators of {h : sum h_i v_i in <modulo>} inside R^len(vecs): the
+    syzygy module of ``vecs`` when ``modulo`` is empty.
 
-    ``vecs`` live in a free module of the given rank (default: inferred).
-    The graph module {(v_i, e_i)} puts the target components first; its basis
-    eliminating them, ``buchberger(eliminate=rank)``, is that of the syzygies.
+    ``vecs`` live in a free module of the given rank (default: inferred), and
+    ``modulo`` is a Groebner basis there.  The graph module {(v_i, e_i)} puts
+    the target components first, behind ``modulo`` as Buchberger's known
+    basis; its basis eliminating them, ``buchberger(eliminate=rank)``, is that
+    of the kernel (Greuel-Pfister, *A Singular Introduction to Commutative
+    Algebra*, 2.8), and no S-pair of two elements of ``modulo`` is formed.
     """
-    vecs = list(vecs)
+    vecs, modulo = list(vecs), list(modulo)
     if not vecs:
         return []
     ring = vecs[0].ring
     if rank is None:
-        rank = max((max((j for j, _ in v.data), default=-1) for v in vecs), default=-1) + 1
+        rank = max(max((j for j, _ in v.data), default=-1) for v in vecs + modulo) + 1
     aug = []
     for i, v in enumerate(vecs):
         data = dict(v.data)
@@ -407,7 +422,7 @@ def syzygies(vecs, rank=None, guard=None):
         aug.append(Vec(ring, data))
     return [
         Vec(ring, {(j - rank, e): c for (j, e), c in g.data.items()})
-        for g in buchberger(aug, guard=guard, eliminate=rank)
+        for g in buchberger(modulo + aug, guard=guard, eliminate=rank, known=len(modulo))
     ]
 
 

@@ -5,8 +5,8 @@ An ``Ideal`` keeps the unreduced output of one Buchberger run: questions
 about the leads alone (the Hilbert series, the unit ideal, an empty V(I))
 read it, and it is interreduced only when the reduced basis is asked for.
 Every colon, intersection and Ext annihilator is one ``module_colon``: one
-Buchberger call on a graph with one indicator component, extending the
-image's known basis; a sum I + J extends I's cached basis.  Each zero-locus
+``syzygies`` of a stacked vector modulo the image's known basis; a sum I + J
+extends I's cached basis, J's generators entering reduced.  Each zero-locus
 question has one test: f in rad(I) when I + (f - 1) is the unit ideal, V(I)
 empty by ``is_irrelevant_primary``, and the hull by one saturation.
 
@@ -100,17 +100,22 @@ class Ideal:
         return not all(map(any, self.leads(guard=guard)))  # some lead is constant
 
     def plus(self, other):
-        """I + J; once I's basis is cached, the sum's basis extends it."""
+        """I + J; once I's basis is cached, the sum's basis extends it, and
+        J's generators enter it reduced modulo that basis."""
         first = self.gens if self._gb is None else tuple(self._gb)
         out = Ideal(self.ring, first + tuple(other.gens))
         out._known = len(self._gb or ())
         return out
 
     def times(self, other):
-        gens = [f * g for f in self.gens for g in other.gens]
-        return Ideal(self.ring, gens)
+        """I*J on the products of generators, each kept once, in first-seen
+        order: (x, y)^3 has 4 generators, not 8."""
+        return Ideal(self.ring, dict.fromkeys(f * g for f in self.gens for g in other.gens))
 
     def power(self, k):
+        """I^k for k >= 0, I^0 the unit ideal."""
+        if k < 0:
+            raise ValueError("negative power %d of an ideal" % k)
         out = Ideal(self.ring, [self.ring.one()])
         for _ in range(k):
             out = out.times(self)
@@ -260,24 +265,21 @@ def fitting_ideal(module, r):
 
 def module_colon(im_gens, vs, rank, guard=None):
     """{f : f*v in <im_gens> for all v in vs} in R^rank, on its reduced basis,
-    for a Groebner basis im_gens.  Copy k of R^rank holds v_k and im_gens; the
-    graph (v_0, ..., v_{m-1}, 1) puts its 1 in component m*rank, and f*e_{m*rank}
-    is in their span exactly when every f*v_k is in <im_gens>.  Position-over-
-    term puts the copies first, so one Buchberger call eliminating them returns
-    that part's reduced basis (Greuel-Pfister, *A Singular Introduction to
-    Commutative Algebra*, 2.8; Eisenbud, *Commutative Algebra*, 15.10); the
-    image copies are its known basis, a Groebner basis in each copy."""
+    for a Groebner basis im_gens.  Copy k of R^rank holds v_k and im_gens, so
+    f*v_k is in <im_gens> for every k exactly when f times the stacked vector
+    (v_0, ..., v_{m-1}) is in the span of the image copies: one
+    ``syzygies`` of that vector modulo the copies, a Groebner basis in each
+    copy (Greuel-Pfister, *A Singular Introduction to Commutative Algebra*,
+    2.8)."""
     ring, m = vs[0].ring, len(vs)
 
     def shifted(v, k):
         return {(j + k * rank, e): c for (j, e), c in v.data.items()}
 
-    graph = {(m * rank, ring._zero_exp): ring.field.one()}
-    for k, v in enumerate(vs):
-        graph.update(shifted(v, k))
-    gens = [Vec(ring, shifted(g, k)) for k in range(m) for g in im_gens]
-    basis = buchberger(gens + [Vec(ring, graph)], guard=guard, eliminate=m * rank, known=len(gens))
-    return Ideal.from_basis(ring, [g.component(m * rank) for g in basis])
+    stacked = Vec(ring, {t: c for k, v in enumerate(vs) for t, c in shifted(v, k).items()})
+    copies = [Vec(ring, shifted(g, k)) for k in range(m) for g in im_gens]
+    kernel = syzygies([stacked], rank=m * rank, guard=guard, modulo=copies)
+    return Ideal.from_basis(ring, [h.component(0) for h in kernel])
 
 
 # ---------------------------------------------------------------------------

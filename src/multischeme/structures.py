@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .groebner import Vec, syzygies
+from .groebner import Vec, buchberger, syzygies
 from .hilbert import module_hilbert_series
 from .ideals import (
     Ideal,
@@ -108,10 +108,11 @@ class MultiStructure:
 
     def nilpotency_index(self):
         """Minimal k with I_X^{k+1} ⊆ I_Y."""
-        ix = self.embedding.support_ideal()
+        ix = power = self.embedding.support_ideal()
         for k in range(65):
-            if self.ideal.contains_ideal(ix.power(k + 1), guard=self.guard):
+            if self.ideal.contains_ideal(power, guard=self.guard):  # power = I_X^(k+1)
                 return k
+            power = power.times(ix)
         raise StructureError("nilpotency index exceeds 64")
 
     def multiplicity(self):
@@ -205,9 +206,11 @@ def s1_filtration(structure, guard=None):
     k = structure.nilpotency_index()
     # with k = 0, I_Y = I_X: start from I_Y so both share one resolution
     ideals = [iy if k == 0 else ix]
+    power = ix
     for j in range(1, k + 1):
+        power = power.times(ix)  # I_X^(j+1)
         # I_X^(k+1) lies in I_Y, so the last sum is I_Y and shares its caches
-        total = iy if j == k else iy.plus(ix.power(j + 1))
+        total = iy if j == k else iy.plus(power)
         ideals.append(unmixed_part(total, guard=guard))
     # sanity: chain inclusions
     for j in range(len(ideals) - 1):
@@ -228,16 +231,18 @@ def s1_filtration(structure, guard=None):
 def layer_module(emb, upper, lower, guard=None):
     """L = upper/(I_X*upper + lower) presented over the support ring.
 
-    The relations are the syzygies of upper's minimal generators g against
-    lower's generators, restricted to the support ring.  Returns
+    The relations are the syzygies of upper's minimal generators g modulo
+    lower's cached basis, restricted to the support ring.  Returns
     (presentation, Hilbert series of the layer, (gens, lift)).
     """
     gens = upper.minimal_gens(guard=guard)
     # sum h_i g_i in I_X*upper + lower iff h is in (relations modulo lower)
     # + I_X*R^s; restricting kills I_X, so taking lower alone loses nothing
-    vecs = [Vec.from_poly(g) for g in gens] + [Vec.from_poly(m) for m in lower.gens]
+    vecs = [Vec.from_poly(g) for g in gens]
+    basis = [Vec.from_poly(m) for m in lower.groebner(guard=guard)]
+    kernel = syzygies(vecs, rank=1, guard=guard, modulo=basis)
     # the nonzero restrictions, in syzygy order (which fixes the pivot order)
-    restricted = (emb.restrict(s, len(gens)) for s in syzygies(vecs, rank=1, guard=guard))
+    restricted = (emb.restrict(h, len(gens)) for h in kernel)
     degs = tuple(g.degree() for g in gens)
     presented = GradedModule(emb.support_ring(), degs, [v for v in restricted if v])
     minimal, lift = presented.minimal_with_map()
@@ -295,7 +300,7 @@ def thicken(structure, rows, relations=(), guard=None):
     as ``GradedModule.matrix()`` (empty: L = O^q).  The map must be onto:
     the q-minors of [rows | relations] have no common zero, as Supp L =
     V(Fitt_0 L).  The new ideal is I_X*I_Y plus the lifts sum_i h_i g_i of
-    the kernel vectors h of [rows | relations] (components >= s dropped).
+    the h in the kernel of the rows modulo the relations' image.
     """
     emb = structure.embedding
     ring = emb.ring
@@ -323,7 +328,9 @@ def thicken(structure, rows, relations=(), guard=None):
             "quotient rows are not surjective; degeneracy locus (%s)"
             % ", ".join(str(m) for m in locus.gens)
         )
-    kernel = syzygies(columns_to_vecs(sub, matrix), rank=q, guard=guard)
+    columns = columns_to_vecs(sub, matrix)
+    image = buchberger(columns[len(gens):], guard=guard)
+    kernel = syzygies(columns[: len(gens)], rank=q, guard=guard, modulo=image)
     lifted = (
         sum((emb.extend(h.component(i)) * g for i, g in enumerate(gens)), ring.zero())
         for h in kernel

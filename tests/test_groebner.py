@@ -289,6 +289,49 @@ def test_eliminating_matches_the_full_path_on_theorem_layers():
     assert layers == 26
 
 
+def _cut_syzygies(vecs, modulo, rank):
+    """The kernel modulo a submodule the old way: the full syzygies of
+    [vecs | modulo], cut to the first len(vecs) components."""
+    cut = (
+        Vec(s.ring, {(j, e): c for (j, e), c in s.data.items() if j < len(vecs)})
+        for s in syzygies(list(vecs) + list(modulo), rank=rank)
+    )
+    return [v for v in cut if v]
+
+
+def _random_column(rng, ring, degs):
+    """A sparse homogeneous column of R^len(degs) with generator degrees
+    ``degs``: each entry zero or one or two terms."""
+    d = max(degs) + rng.randint(0, 1)
+    data = {}
+    for i, a in enumerate(degs):
+        for _ in range(rng.randint(0, 2)):
+            e = [0] * ring.nvars
+            for _ in range(d - a):
+                e[rng.randrange(ring.nvars)] += 1
+            c = rng.choice([-2, -1, 1, 2])
+            data[(i, tuple(e))] = c % ring.char if ring.char else c
+    return Vec(ring, data)
+
+
+@pytest.mark.parametrize("char", [0, 5])
+def test_syzygies_modulo_a_basis_match_the_cut_full_syzygies(char):
+    ring = PolyRing(("x", "y", "z"), char=char)
+    rng = random.Random(7 + char)
+    proper = 0
+    for _ in range(40):
+        degs, cols = _random_presentation(ring, rng)
+        rank = len(degs)
+        modulo = buchberger([_random_column(rng, ring, degs) for _ in range(rng.randint(1, 3))])
+        got = syzygies(cols, rank=rank, modulo=modulo)
+        want = _cut_syzygies(cols, modulo, rank)
+        assert submodule_equal(got, want)
+        # the reduced basis of the kernel is unique
+        assert [_typed(v) for v in got] == [_typed(v) for v in buchberger(want)]
+        proper += not submodule_equal(got, syzygies(cols, rank=rank))
+    assert proper >= 10
+
+
 def _random_vecs(ring, rng):
     """Random Vecs of R^2 with coefficients other than 1, where every third
     one repeats an earlier lead with a fresh coefficient and tail."""
@@ -452,13 +495,21 @@ def test_integer_kernel_matches_monic_fraction_reference(char, rank):
 def test_a_known_basis_gives_the_plain_reduced_basis(char, rank, monkeypatch):
     """``known=len(basis)`` skips the S-pairs inside ``basis`` and changes no
     output, for a reduced basis and for an unreduced ``_groebner`` output,
-    with and without elimination."""
+    with and without elimination.  Each later input enters reduced modulo
+    the basis so far: one that repeats a known element or lies in the known
+    span is dropped before it forms a pair, and new inputs that repeat each
+    other form no more pairs than without the repeat."""
     calls = []
     spair = groebner._spair
 
     def counting(f, g):
         calls.append(1)
         return spair(f, g)
+
+    def run(vecs, eliminate, known=0):
+        del calls[:]
+        out = buchberger(vecs, eliminate=eliminate, known=known)
+        return [_typed(v) for v in out], len(calls)
 
     monkeypatch.setattr(groebner, "_spair", counting)
     ring = PolyRing(("x", "y", "z"), char=char)
@@ -469,15 +520,23 @@ def test_a_known_basis_gives_the_plain_reduced_basis(char, rank, monkeypatch):
         basis = buchberger(first) if n % 2 else _groebner(first, DEFAULT_GUARD)
         if n % 3 == 0:  # a zero in the known part is dropped, not counted
             basis = [Vec(ring, {})] + basis
-        vecs = basis + _awkward_vecs(ring, rng, rank)
+        new = _awkward_vecs(ring, rng, rank)
+        vecs = basis + new
+        a, b = basis[-1], next(filter(None, basis))
+        span = [a, a.mul_term((1, 0, 1), 2).add(b.mul_term((0, 1, 0), 3))]
         for eliminate in {0, rank - 1}:
-            del calls[:]
-            want = buchberger(vecs, eliminate=eliminate)
-            plain += len(calls)
-            del calls[:]
-            got = buchberger(vecs, eliminate=eliminate, known=len(basis))
-            extended += len(calls)
-            assert [_typed(v) for v in got] == [_typed(v) for v in want]
+            want, pairs = run(vecs, eliminate)
+            plain += pairs
+            got, pairs = run(vecs, eliminate, known=len(basis))
+            extended += pairs
+            assert got == want
+            # span inputs reduce to zero on entry: the run is the one without them
+            alone = run(basis, eliminate, known=len(basis))
+            assert alone[1] == 0 and run(basis + span, eliminate, known=len(basis)) == alone
+            assert run(basis + span + new, eliminate, known=len(basis)) == (want, pairs)
+            # repeated new inputs: the plain output, and no more pairs than before
+            repeated, more = run(vecs + new, eliminate, known=len(basis))
+            assert repeated == want and more <= pairs
     assert extended < plain
 
 

@@ -54,6 +54,58 @@ def test_ideal_equality_and_sum(ring):
     assert a.power(2).equals(_ideal(ring, "(x^2, x*y, y^2)"))
 
 
+def _product_loop_power(ideal, k):
+    """I^k the old way: every product of generators, repeats kept."""
+    out = Ideal(ideal.ring, [ideal.ring.one()])
+    for _ in range(k):
+        out = Ideal(ideal.ring, [f * g for f in out.gens for g in ideal.gens])
+    return out
+
+
+def test_powers_keep_each_product_once(ring):
+    xy = _ideal(ring, "(x, y)")
+    assert len(_product_loop_power(xy, 3).gens) == 8
+    assert [str(g) for g in xy.power(3).gens] == ["x^3", "x^2*y", "x*y^2", "y^3"]
+    assert xy.power(0).gens == (ring.one(),)
+    with pytest.raises(ValueError, match="negative power"):
+        xy.power(-1)
+    rng = random.Random(3)
+    for _ in range(12):
+        I = Ideal(ring, [_random_form(rng, ring, rng.randint(1, 2)) for _ in range(rng.randint(1, 3))])
+        for k in range(4):
+            assert I.power(k).groebner() == _product_loop_power(I, k).groebner()
+        assert len(set(I.times(xy).gens)) == len(I.times(xy).gens)
+
+
+def test_the_sum_of_i_y_and_a_support_power_is_pinned(monkeypatch):
+    """I_Y + I_X^3 of thm-3.8/5 is I_Y.  With I_Y's basis cached, the four
+    cubes enter reduced to zero, so no S-pair is formed and the sum's basis
+    is I_Y's; from I_Y's generators, the pairs of one plain run are pinned."""
+    import multischeme.groebner as groebner
+
+    calls = []
+    spair = groebner._spair
+
+    def counting(f, g):
+        calls.append(1)
+        return spair(f, g)
+
+    entry = next(e for e in load_catalog("thm-3.8") if e.id == "thm-3.8/5")
+    # (I_Y's basis cached, S-pairs, size of the unreduced basis of the sum)
+    for cached, pinned, size in ((True, 0, 7), (False, 14, 11)):
+        st = entry.structure(char=0, check=False)
+        iy, cube = st.ideal, st.embedding.support_ideal().power(3)
+        if cached:
+            iy.groebner()
+        total = iy.plus(cube)
+        with monkeypatch.context() as mp:
+            mp.setattr(groebner, "_spair", counting)
+            del calls[:]
+            total.leads()
+        assert (len(cube.gens), len(calls), len(total._raw)) == (4, pinned, size)
+        assert total.equals(iy)
+
+
 def test_colon_oracles(ring):
     I = _ideal(ring, "(x^2, x*y)")
     x, y = ring.var("x"), ring.var("y")
@@ -181,14 +233,14 @@ def test_ext_annihilators_of_theorem_rows_match_the_syzygy_reference(monkeypatch
 
 
 def test_module_colon_forms_no_s_pair_of_two_image_basis_elements(ring, monkeypatch):
-    """The image copies go to Buchberger as its known basis.  They are the
-    only elements without a term in the indicator component: the graph
-    element has one, and so has every remainder, since a remainder lying in
-    the image copies would reduce to zero by their basis."""
+    """The image copies go to Buchberger, through ``syzygies``, as its known
+    basis.  They are the only elements without a term in the indicator
+    component: the graph element has one, and so has every remainder, since
+    a remainder lying in the image copies would reduce to zero by their
+    basis."""
     import multischeme.groebner as groebner
-    import multischeme.ideals as ideals
 
-    original, spair = ideals.buchberger, groebner._spair
+    original, spair = groebner.buchberger, groebner._spair
     indicator = []  # the eliminate of the current module_colon call
     pairs = []  # per S-pair: whether both elements lie in the image copies
 
@@ -207,7 +259,7 @@ def test_module_colon_forms_no_s_pair_of_two_image_basis_elements(ring, monkeypa
             pairs.append(image_only(f) and image_only(g))
         return spair(f, g)
 
-    monkeypatch.setattr(ideals, "buchberger", recording)
+    monkeypatch.setattr(groebner, "buchberger", recording)
     monkeypatch.setattr(groebner, "_spair", checking)
     I = _ideal(ring, "(x^2 + z0*y, y^2, x^3, x*y*z0)")
     # without a known basis these form 3, 3 and 89 S-pairs of two image elements
@@ -225,25 +277,27 @@ def test_module_colon_forms_no_s_pair_of_two_image_basis_elements(ring, monkeypa
 
 
 def test_colon_and_ext_annihilator_are_one_buchberger_without_intersect(ring, monkeypatch):
+    import multischeme.groebner as groebner
     import multischeme.ideals as ideals
 
     calls = {}
-    for name in ("buchberger", "groebner_basis", "syzygies", "intersect"):
-        original = getattr(ideals, name)
+    for module, name in ((groebner, "buchberger"), (ideals, "groebner_basis"),
+                         (ideals, "syzygies"), (ideals, "intersect")):
+        original = getattr(module, name)
         calls[name] = 0
 
         def counting(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1
             return _original(*args, **kwargs)
 
-        monkeypatch.setattr(ideals, name, counting)
+        monkeypatch.setattr(module, name, counting)
     I = _ideal(ring, "(x^2 + z0*y, y^2, x^3)")
     I.groebner()
     for f in (ring.var("x"), _ideal(ring, "(x, y, z0^2)")):
         before = dict(calls)
         colon(I, f)
         assert {k: calls[k] - before[k] for k in calls} == {
-            "buchberger": 1, "groebner_basis": 0, "syzygies": 0, "intersect": 0
+            "buchberger": 1, "groebner_basis": 0, "syzygies": 1, "intersect": 0
         }
     for i in range(quotient_resolution(I).length + 1):
         ext_annihilator(I, i)
@@ -256,7 +310,7 @@ def test_colon_and_ext_annihilator_are_one_buchberger_without_intersect(ring, mo
     before = dict(calls)
     assert intersect(a, b, c).gens == expected
     delta = {k: calls[k] - before[k] for k in ("buchberger", "groebner_basis", "syzygies")}
-    assert delta == {"buchberger": 1, "groebner_basis": 0, "syzygies": 0}
+    assert delta == {"buchberger": 1, "groebner_basis": 0, "syzygies": 1}
 
 
 @pytest.mark.parametrize("char", [0, 5])

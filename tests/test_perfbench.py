@@ -36,3 +36,26 @@ def test_check_pass_reproduces_golden_digest(workload, monkeypatch):
     results = workloads.run_pass(workloads.setup(workload, workloads.DEFAULT_SEED), canon=canon)
     assert [bad for _, _, _, bad in results if bad] == []
     assert hashlib.sha256("\n".join(canon).encode()).hexdigest() == golden[workload]
+
+
+@pytest.mark.parametrize("workload, pinned", [("catalog", 2135), ("syzygy", 802)])
+def test_check_pass_forms_a_pinned_number_of_s_pairs(workload, pinned, monkeypatch):
+    # a work-count gate: kernels computed in full and then cut, or sums that
+    # pair known basis elements again, bring wasted S-pairs back and fail here
+    import multischeme.groebner as groebner
+
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import workloads
+
+    calls = []
+    spair = groebner._spair
+
+    def counting(f, g):
+        calls.append(1)
+        return spair(f, g)
+
+    items = workloads.setup(workload, workloads.DEFAULT_SEED)
+    monkeypatch.setattr(groebner, "_spair", counting)
+    results = workloads.run_pass(items)
+    assert [bad for _, _, _, bad in results if bad] == []
+    assert len(calls) == pinned

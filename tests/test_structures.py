@@ -6,10 +6,10 @@ from test_ideals import _rabinowitsch_contains
 
 from multischeme.catalog import load_catalog
 from multischeme.families import build_family
-from multischeme.groebner import Vec, submodule_equal, syzygies
-from multischeme.hilbert import HilbertPoly, HilbertSeries
+from multischeme.groebner import Vec, buchberger, submodule_equal, syzygies
+from multischeme.hilbert import HilbertPoly, HilbertSeries, module_hilbert_series
 from multischeme.ideals import Ideal
-from multischeme.modules import GradedModule
+from multischeme.modules import GradedModule, columns_to_vecs
 from multischeme.ring import PolyRing
 from multischeme.structures import (
     Embedding,
@@ -204,6 +204,79 @@ def test_layer_relations_modulo_the_lower_term_match_the_full_modulus(monkeypatc
             assert submodule_equal(ours, [v for v in full if v]), (name, layers)
             layers += 1
     assert layers == 29
+
+
+def _layer_by_cut_syzygies(emb, upper, lower):
+    """The layer presentation the old way: the full syzygies of upper's
+    minimal generators and lower's generators, cut to the first components
+    and restricted to the support ring."""
+    gens = upper.minimal_gens()
+    vecs = [Vec.from_poly(g) for g in gens + list(lower.gens)]
+    restricted = (emb.restrict(s, len(gens)) for s in syzygies(vecs, rank=1))
+    return GradedModule(emb.support_ring(), tuple(g.degree() for g in gens),
+                        [v for v in restricted if v])
+
+
+def test_layer_kernels_modulo_the_lower_basis_match_the_cut_full_syzygies(monkeypatch):
+    presented = []
+    original = GradedModule.minimal_with_map
+
+    def recording(self):
+        presented.append(self)
+        return original(self)
+
+    rows = _theorem_rows()
+    rows.append(("nontypeI(1,2)", build_family("nontypeI", a=1, b=2).structures[0]))
+    layers = 0
+    for name, st in rows:
+        emb, filt = st.embedding, st.filtration()
+        for layer, upper, lower in zip(filt.layers, filt.ideals, filt.ideals[1:]):
+            with monkeypatch.context() as mp:
+                mp.setattr(GradedModule, "minimal_with_map", recording)
+                layer_module(emb, upper, lower)
+            ours = presented.pop(0).relations
+            del presented[:]
+            reference = _layer_by_cut_syzygies(emb, upper, lower)
+            assert submodule_equal(ours, reference.relations), (name, layers)
+            # the reduced kernel basis is unique, so even the columns agree
+            assert [v.data for v in ours] == [v.data for v in reference.relations]
+            minimal, _ = reference.minimal_with_map()
+            assert (layer.rank, layer.twists()) == (minimal.rank, minimal.twists())
+            assert (module_hilbert_series(layer).reduced()
+                    == module_hilbert_series(minimal).reduced()), (name, layers)
+            layers += 1
+    assert layers == 29
+
+
+def test_thicken_kernel_modulo_the_relations_matches_the_cut_full_syzygies(monkeypatch):
+    """The presented step of thm-3.8/5: the kernel of the rows modulo the
+    image of the relation columns is the full kernel of [rows | relations]
+    cut to the rows' components."""
+    import test_groebner  # test_groebner imports this module
+
+    import multischeme.structures as structures
+
+    kernels = []
+
+    def recording(vecs, rank=None, guard=None, modulo=()):
+        out = syzygies(vecs, rank=rank, guard=guard, modulo=modulo)
+        kernels.append((list(vecs), list(modulo), rank, out))
+        return out
+
+    entry = next(e for e in load_catalog("thm-3.8") if e.id == "thm-3.8/5")
+    st = entry.structure(char=0, check=False)
+    filt = st.filtration()
+    rows, relations = layer_quotient_rows(filt, 1)
+    base = MultiStructure(st.embedding, filt.ideals[1], check=True)
+    with monkeypatch.context() as mp:
+        mp.setattr(structures, "syzygies", recording)
+        thick = thicken(base, rows, relations)
+    assert thick.ideal.equals(filt.ideals[2])
+    (vecs, modulo, rank, ours), = [k for k in kernels if k[1]]
+    columns = columns_to_vecs(vecs[0].ring, [list(r) + list(rel) for r, rel in zip(rows, relations)])
+    reference = test_groebner._cut_syzygies(columns[: len(vecs)], columns[len(vecs):], rank)
+    assert len(modulo) >= 3 and submodule_equal(ours, reference)
+    assert [v.data for v in ours] == [v.data for v in buchberger(reference)]
 
 
 def test_s1_filtration_converts_no_presentation(conversions):
