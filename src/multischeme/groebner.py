@@ -10,8 +10,9 @@ When the first ``known`` inputs are a Groebner basis already (an ideal's cached
 basis, the image a kernel is taken modulo), no S-pair of two of them is
 formed: each has a standard representation (Becker-Weispfenning, *Groebner
 Bases*, Ch. 5), and every later input enters reduced modulo the basis built
-so far.  Every kernel is ``syzygies(vecs, modulo=B)`` for a known basis B:
-{h : sum h_i v_i in <B>}, the plain syzygies when B is empty.
+so far.  A kernel modulo an image with a known basis B is
+``syzygies(vecs, modulo=B)``: {h : sum h_i v_i in <B>}, the plain syzygies
+when B is empty.
 
 Over Q, Buchberger runs on primitive integer vectors (``Vec.primitive``):
 S-pairs cross-multiply the integer leads and a reduction step scales the

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .groebner import Vec, buchberger, syzygies
+from .groebner import Vec, syzygies
 from .hilbert import module_hilbert_series
 from .ideals import (
     Ideal,
@@ -208,9 +208,8 @@ def s1_filtration(structure, guard=None):
     ideals = [iy if k == 0 else ix]
     power = ix
     for j in range(1, k + 1):
-        power = power.times(ix)  # I_X^(j+1)
         # I_X^(k+1) lies in I_Y, so the last sum is I_Y and shares its caches
-        total = iy if j == k else iy.plus(power)
+        total = iy if j == k else iy.plus(power := power.times(ix))  # I_X^(j+1)
         ideals.append(unmixed_part(total, guard=guard))
     # sanity: chain inclusions
     for j in range(len(ideals) - 1):
@@ -300,7 +299,7 @@ def thicken(structure, rows, relations=(), guard=None):
     as ``GradedModule.matrix()`` (empty: L = O^q).  The map must be onto:
     the q-minors of [rows | relations] have no common zero, as Supp L =
     V(Fitt_0 L).  The new ideal is I_X*I_Y plus the lifts sum_i h_i g_i of
-    the h in the kernel of the rows modulo the relations' image.
+    the kernel vectors h of [rows | relations] (components >= s dropped).
     """
     emb = structure.embedding
     ring = emb.ring
@@ -328,9 +327,7 @@ def thicken(structure, rows, relations=(), guard=None):
             "quotient rows are not surjective; degeneracy locus (%s)"
             % ", ".join(str(m) for m in locus.gens)
         )
-    columns = columns_to_vecs(sub, matrix)
-    image = buchberger(columns[len(gens):], guard=guard)
-    kernel = syzygies(columns[: len(gens)], rank=q, guard=guard, modulo=image)
+    kernel = syzygies(columns_to_vecs(sub, matrix), rank=q, guard=guard)
     lifted = (
         sum((emb.extend(h.component(i)) * g for i, g in enumerate(gens)), ring.zero())
         for h in kernel

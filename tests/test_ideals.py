@@ -280,11 +280,11 @@ def test_colon_and_ext_annihilator_are_one_buchberger_without_intersect(ring, mo
     import multischeme.groebner as groebner
     import multischeme.ideals as ideals
 
-    calls = {}
-    for module, name in ((groebner, "buchberger"), (ideals, "groebner_basis"),
+    calls = dict.fromkeys(("buchberger", "groebner_basis", "syzygies", "intersect"), 0)
+    # Buchberger runs called from ideals.py and those inside syzygies count alike
+    for module, name in ((ideals, "buchberger"), (groebner, "buchberger"), (ideals, "groebner_basis"),
                          (ideals, "syzygies"), (ideals, "intersect")):
         original = getattr(module, name)
-        calls[name] = 0
 
         def counting(*args, _name=name, _original=original, **kwargs):
             calls[_name] += 1

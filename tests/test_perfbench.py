@@ -23,30 +23,23 @@ def test_perfbench_selftest_passes():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+# S-pairs formed by one seed-0 check pass: a work-count gate, so kernels
+# computed in full and then cut, or sums that pair known basis elements
+# again, bring wasted S-pairs back and fail here
+_SPAIRS = {"catalog": 2135, "syzygy": 802, "quotients": 709}
+
+
 @pytest.mark.parametrize("workload", ["catalog", "syzygy", "quotients"])
 def test_check_pass_reproduces_golden_digest(workload, monkeypatch):
     # the benchmark's check pass, hashed as its child process hashes it: every
     # reduced basis, Betti table, verdict and certificate must stay identical
-    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
-    import workloads
-
-    with open(os.path.join(ROOT, "perfbench", "golden.json")) as fh:
-        golden = json.load(fh)
-    canon = []
-    results = workloads.run_pass(workloads.setup(workload, workloads.DEFAULT_SEED), canon=canon)
-    assert [bad for _, _, _, bad in results if bad] == []
-    assert hashlib.sha256("\n".join(canon).encode()).hexdigest() == golden[workload]
-
-
-@pytest.mark.parametrize("workload, pinned", [("catalog", 2135), ("syzygy", 802)])
-def test_check_pass_forms_a_pinned_number_of_s_pairs(workload, pinned, monkeypatch):
-    # a work-count gate: kernels computed in full and then cut, or sums that
-    # pair known basis elements again, bring wasted S-pairs back and fail here
     import multischeme.groebner as groebner
 
     monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
     import workloads
 
+    with open(os.path.join(ROOT, "perfbench", "golden.json")) as fh:
+        golden = json.load(fh)
     calls = []
     spair = groebner._spair
 
@@ -54,8 +47,10 @@ def test_check_pass_forms_a_pinned_number_of_s_pairs(workload, pinned, monkeypat
         calls.append(1)
         return spair(f, g)
 
+    canon = []
     items = workloads.setup(workload, workloads.DEFAULT_SEED)
     monkeypatch.setattr(groebner, "_spair", counting)
-    results = workloads.run_pass(items)
+    results = workloads.run_pass(items, canon=canon)
     assert [bad for _, _, _, bad in results if bad] == []
-    assert len(calls) == pinned
+    assert hashlib.sha256("\n".join(canon).encode()).hexdigest() == golden[workload]
+    assert len(calls) == _SPAIRS[workload]
