@@ -18,7 +18,10 @@ Over Q, Buchberger runs on primitive integer vectors (``Vec.primitive``):
 S-pairs cross-multiply the integer leads and a reduction step scales the
 remainder instead of dividing by a lead, so no Fraction arises until the
 reduced basis is made monic, and a normal form is divided once at the end.
-In char p every basis element is monic throughout.
+In char p every basis element is monic throughout.  A Vec's cached lead
+is always the position-over-term lead of its ``data``: ``_reduce`` returns
+each remainder with it set, ``primitive()`` and ``monic()`` keep it, and
+``primitive()`` marks its result, so no vector is made primitive twice.
 """
 
 from __future__ import annotations
@@ -55,15 +58,18 @@ class Vec:
     """An element of a free module R^r; immutable by convention.
 
     ``lead()`` is computed once and cached, so ``data`` must never be mutated
-    after construction: build a new Vec instead.
+    after construction: build a new Vec instead.  A ``lead`` passed in must be
+    the position-over-term lead ((component, exps), coeff) of ``data``.  A Vec
+    returned by ``primitive()`` is marked so, and is its own ``primitive()``.
     """
 
-    __slots__ = ("ring", "data", "_lead")
+    __slots__ = ("ring", "data", "_lead", "_primitive")
 
-    def __init__(self, ring, data):
+    def __init__(self, ring, data, lead=None):
         self.ring = ring
         self.data = data
-        self._lead = None
+        self._lead = lead
+        self._primitive = False
 
     @classmethod
     def from_poly(cls, f, comp=0):
@@ -85,30 +91,11 @@ class Vec:
         return self.ring.poly(terms)
 
     def add(self, other):
-        p = self.ring.char
-        data = dict(self.data)
-        for k, c in other.data.items():
-            s = data.get(k)
-            if s is None:
-                data[k] = c
-            else:
-                s = s + c
-                if p:
-                    s %= p
-                if s:
-                    data[k] = s
-                else:
-                    del data[k]
-        return Vec(self.ring, data)
-
-    def neg(self):
-        p = self.ring.char
-        if p:
-            return Vec(self.ring, {k: -c % p for k, c in self.data.items()})
-        return Vec(self.ring, {k: -c for k, c in self.data.items()})
+        terms = ((k, -c) for k, c in other.data.items())
+        return Vec(self.ring, _subtract(dict(self.data), terms, self.ring.char))
 
     def sub(self, other):
-        return self.add(other.neg())
+        return Vec(self.ring, _subtract(dict(self.data), other.data.items(), self.ring.char))
 
     def scale(self, c):
         if not c:
@@ -143,27 +130,31 @@ class Vec:
     def monic(self):
         if not self.data:
             return self
-        _, c = self.lead()
-        if self.ring.char:
-            return self.scale(self.ring.field.inv(c))
+        k, c = self.lead()
+        p = self.ring.char
+        if p:
+            inv = self.ring.field.inv(c)
+            return Vec(self.ring, {t: v * inv % p for t, v in self.data.items()}, (k, 1))
         coerce = self.ring.field.coerce
-        return Vec(self.ring, {k: coerce(Fraction(v, c)) for k, v in self.data.items()})
+        return Vec(self.ring, {t: coerce(Fraction(v, c)) for t, v in self.data.items()}, (k, 1))
 
     def primitive(self):
         """Over Q the integer multiple with coprime coefficients and a positive
-        lead, ``monic()`` in char p; self when it is that already."""
-        if not self.data:
+        lead, ``monic()`` in char p; self when it is that already.  The result
+        is marked, so calling this on it again costs O(1)."""
+        if self._primitive or not self.data:
             return self
-        _, c = self.lead()
+        k, c = self.lead()
         if self.ring.char:
-            return self if c == 1 else self.monic()
-        _, data = _cleared(self.data)
-        g = gcd(*data.values())
-        if c < 0:
-            g = -g
-        if g != 1:
-            data = {k: v // g for k, v in data.items()}
-        return self if data is self.data else Vec(self.ring, data)
+            out = self if c == 1 else self.monic()
+        else:
+            _, data = _cleared(self.data)
+            g = gcd(*data.values()) if c > 0 else -gcd(*data.values())
+            if g != 1:
+                data = {t: v // g for t, v in data.items()}
+            out = self if data is self.data else Vec(self.ring, data, (k, data[k]))
+        out._primitive = True
+        return out
 
     def degree_with(self, twists):
         """Max degree of terms, offset by generator degrees per component."""
@@ -185,6 +176,19 @@ class Vec:
 
 def _divides(a, b):
     return all(map(le, a, b))
+
+
+def _subtract(data, terms, p):
+    """``data`` less the (key, coeff) ``terms``, in place and in one pass."""
+    for k, c in terms:
+        s = data.get(k, 0) - c
+        if p:
+            s %= p
+        if s:
+            data[k] = s
+        else:
+            del data[k]
+    return data
 
 
 def _cleared(data):
@@ -227,7 +231,11 @@ def _nf_vec(v, index):
 def _reduce(v, index):
     """(r, s) with r = s * (normal form of v) for an int s > 0.  Over Q, v and
     the index hold ints, and so does r: a step by g scales everything by
-    cg / gcd(cc, cg) rather than dividing by cg.  In char p, s is 1."""
+    cg / gcd(cc, cg) rather than dividing by cg.  In char p, s is 1.
+
+    Terms leave the heap greatest first and a step only creates smaller
+    ones, so ``rem`` is filled in descending order: r carries its first
+    term, read after the last scaling, as its lead."""
     ring = v.ring
     field = ring.field
     p = ring.char
@@ -276,20 +284,33 @@ def _reduce(v, index):
                 work[k] = s
             else:
                 work.pop(k, None)
-    return Vec(ring, rem), scale
+    return Vec(ring, rem, next(iter(rem.items()), None)), scale
 
 
 def _spair(f, g):
     """(cg/q) x^a f - (cf/q) x^b g for q = gcd(cf, cg): over Q the leads of
-    primitive f and g are ints, in char p they are 1."""
-    (jf, ef), cf = f.lead()
-    (jg, eg), cg = g.lead()
-    assert jf == jg
-    top = tuple(map(max, ef, eg))
+    primitive f and g are ints, in char p they are 1.  Built in one dict,
+    without the two lead terms, which cancel."""
+    kf, cf = f.lead()
+    kg, cg = g.lead()
+    assert kf[0] == kg[0]
+    top = tuple(map(max, kf[1], kg[1]))
     q = gcd(cf, cg)
-    mf = f.mul_term(tuple(map(sub, top, ef)), cg // q)
-    mg = g.mul_term(tuple(map(sub, top, eg)), cf // q)
-    return mf.sub(mg)
+    mf, mg, p = cg // q, cf // q, f.ring.char
+    sf, sg = tuple(map(sub, top, kf[1])), tuple(map(sub, top, kg[1]))
+    data = {(k[0], tuple(map(add, k[1], sf))): c * mf % p if p else c * mf
+            for k, c in f.data.items() if k != kf}
+    for k, c in g.data.items():
+        if k != kg:
+            k = (k[0], tuple(map(add, k[1], sg)))
+            s = data.get(k, 0) - c * mg
+            if p:
+                s %= p
+            if s:
+                data[k] = s
+            else:
+                del data[k]
+    return Vec(f.ring, data)
 
 
 def buchberger(vecs, guard=None, eliminate=0, known=0):
@@ -388,7 +409,7 @@ def interreduce(G):
         # reduces its own tail: reducing modulo every minimal element is safe
         k, c = g.lead()
         tail, s = _reduce(Vec(g.ring, {t: d for t, d in g.data.items() if t != k}), index)
-        out.append(Vec(g.ring, {k: c * s, **tail.data}).monic())
+        out.append(Vec(g.ring, {k: c * s, **tail.data}, (k, c * s)).monic())
     out.sort(key=lambda g: (g.lead()[0][0], lkey(g.lead()[0][1])))
     return out
 

@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 from test_modules import _random_presentation
@@ -23,7 +25,7 @@ from multischeme.groebner import (
     syzygies,
 )
 from multischeme.parse import parse_ideal, parse_poly
-from multischeme.ring import PolyRing
+from multischeme.ring import GREVLEX, LEX, PolyRing, TermOrder
 
 
 @pytest.fixture
@@ -573,6 +575,79 @@ def test_primitive_has_coprime_integers_and_a_positive_lead():
     gf = PolyRing(("x", "y"), char=5)
     w = Vec(gf, {(0, (1, 0)): 3, (0, (0, 1)): 1})
     assert w.primitive().data == w.monic().data == {(0, (1, 0)): 1, (0, (0, 1)): 2}
+    # monic() carries the lead key over, with coefficient 1
+    m = Vec(gf, {(1, (2, 0)): 4, (0, (0, 1)): 3}).monic()
+    assert m.data == {(1, (2, 0)): 3, (0, (0, 1)): 1}
+    assert m._lead == ((0, (0, 1)), 1) == Vec(gf, dict(m.data)).lead()
+
+
+def _reference_spair(f, g):
+    """The S-polynomial through ``mul_term`` and ``sub``."""
+    (_, ef), cf = f.lead()
+    (_, eg), cg = g.lead()
+    top = tuple(map(max, ef, eg))
+    q = gcd(cf, cg)
+    return f.mul_term(tuple(a - b for a, b in zip(top, ef)), cg // q).sub(
+        g.mul_term(tuple(a - b for a, b in zip(top, eg)), cf // q))
+
+
+@pytest.mark.parametrize("char", [0, 5])
+@pytest.mark.parametrize("order", [GREVLEX, LEX, TermOrder("block", 1)])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_carried_leads_are_the_leads_of_the_data(char, order, rank):
+    """The lead a Vec carries out of ``_reduce``, ``_spair``, ``primitive``,
+    ``monic`` and ``interreduce`` is the lead computed afresh from its data,
+    coefficient included, and ``_spair`` is the two-step formula."""
+    ring = PolyRing(("x", "y", "z"), char=char, order=order)
+    rng = random.Random("%d %s %d" % (char, order.kind, rank))
+    checked = spairs = scaled = 0
+
+    def check(v):
+        nonlocal checked
+        if v:
+            assert v.lead() == Vec(ring, dict(v.data)).lead()
+            checked += 1
+        return v
+
+    for _ in range(20):
+        vecs = _awkward_vecs(ring, rng, rank)
+        prim = [check(v.primitive()) for v in vecs]
+        for v in vecs:
+            check(v.monic())
+        index = lead_index(prim)
+        rems = []
+        for v in _awkward_vecs(ring, rng, rank):
+            rem, s = groebner._reduce(Vec(ring, groebner._cleared(v.data)[1]), index)
+            rems.append(check(rem))
+            scaled += s != 1
+        for f, g in combinations(prim, 2):
+            if f.lead()[0][0] == g.lead()[0][0]:
+                got = check(groebner._spair(f, g))
+                assert _typed(got) == _typed(_reference_spair(f, g))
+                rem, s = groebner._reduce(got, index)
+                rems.append(check(rem))
+                scaled += s != 1
+                spairs += 1
+        # not a Groebner basis, which lex could make costly: any list interreduces
+        for g in interreduce(prim + rems):
+            check(g)
+    assert checked >= 200 and spairs >= 10
+    assert scaled >= 3 if char == 0 else scaled == 0
+
+
+@pytest.mark.parametrize("char", [0, 5])
+def test_groebner_output_and_lead_index_are_marked_primitive(char):
+    """Every ``_groebner`` element and every ``lead_index`` entry is marked,
+    so ``primitive()`` on it returns it without a gcd pass."""
+    ring = PolyRing(("x", "y", "z"), char=char)
+    rng = random.Random(31 + char)
+    for rank in (1, 2, 3):
+        for _ in range(10):
+            vecs = _awkward_vecs(ring, rng, rank)
+            G = _groebner(vecs, DEFAULT_GUARD)
+            entries = [g for es in lead_index(vecs).values() for _, _, g in es]
+            for g in G + entries:
+                assert g._primitive and g.primitive() is g
 
 
 def test_quotient_scan_bases_match_the_reference(monkeypatch):
