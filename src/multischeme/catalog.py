@@ -4,6 +4,10 @@ Each entry records an explicit ideal (undetermined polynomials already
 instantiated at canonical smallest choices, recorded in ``instantiation``),
 the expected multiplicity and verdicts, characteristic and dimension
 constraints, and the source text it transcribes.
+
+The schema validator (jsonschema) is imported on the first catalog load,
+not with the package: its import takes about 0.11 s, more than a whole
+``syzygy`` benchmark pass, and most runs never load the catalog.
 """
 
 from __future__ import annotations
@@ -11,8 +15,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from importlib import resources
-
-import jsonschema
 
 from .ideals import Ideal
 from .parse import parse_ring
@@ -73,6 +75,8 @@ def _load_raw(path=None):
         with open(path) as fh:
             raw = json.load(fh)
     schema = json.loads(_data_text("catalog.schema.json"))
+    import jsonschema  # here, not at the top: only catalog loads pay its ~0.11 s import
+
     try:
         jsonschema.validate(raw, schema)
     except jsonschema.ValidationError as exc:

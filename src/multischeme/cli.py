@@ -18,7 +18,7 @@ import argparse
 import json
 import sys
 
-from .catalog import CatalogError, load_catalog, table_ids
+from .catalog import CatalogError, load_catalog
 from .groebner import Guard, ResourceGuardExceeded
 from .ideals import Ideal
 from .parse import ParseError, format_ideal, parse_ring
@@ -168,20 +168,19 @@ def _cmd_catalog(args, guard):
     if args.action != "list":
         print("unknown catalog action %r; expected 'list'" % args.action, file=sys.stderr)
         return USAGE_ERROR
-    for tid in table_ids():
-        for entry in load_catalog(tid):
-            chars = ",".join("p%d" % c for c in entry.chars)
-            print(
-                "%-12s mult=%d cm=%s type_i=%s chars=%s %s"
-                % (
-                    entry.id,
-                    entry.multiplicity,
-                    entry.locally_cm,
-                    entry.type_i,
-                    chars,
-                    entry.gens_text,
-                )
+    for entry in load_catalog():
+        chars = ",".join("p%d" % c for c in entry.chars)
+        print(
+            "%-12s mult=%d cm=%s type_i=%s chars=%s %s"
+            % (
+                entry.id,
+                entry.multiplicity,
+                entry.locally_cm,
+                entry.type_i,
+                chars,
+                entry.gens_text,
             )
+        )
     return 0
 
 

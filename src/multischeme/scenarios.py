@@ -481,8 +481,8 @@ def _scn_thicken_roundtrip(rec, opts):
     multiplicity <= 4."""
     entries = [
         e
-        for e in load_catalog("thm-3.6") + load_catalog("thm-3.8")
-        if e.type_i and e.multiplicity <= 4
+        for e in load_catalog()
+        if e.table in ("thm-3.6", "thm-3.8") and e.type_i and e.multiplicity <= 4
     ]
     for entry in entries:
         chars = entry.chars

@@ -1,10 +1,14 @@
 """Every name a package module, test file or script imports is used in
-that file.
+that file, and importing the package leaves the schema validator out.
 
-``__init__.py`` is left out: its imports are the package's re-exports.
+``__init__.py`` is left out of the unused-import check: its imports are the
+package's re-exports.
 """
 
 import ast
+import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -49,3 +53,19 @@ def test_unused_import_check_sees_through_attributes_and_aliases():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_package_import_leaves_jsonschema_to_the_first_catalog_load():
+    code = (
+        "import json, sys\n"
+        "sys.path.insert(0, %r)\n"
+        "import multischeme, multischeme.cli\n"
+        "seen = ['jsonschema' in sys.modules]\n"
+        "multischeme.load_catalog()\n"
+        "seen.append('jsonschema' in sys.modules)\n"
+        "print(json.dumps(seen))\n"
+    ) % str(ROOT / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    ).stdout
+    assert json.loads(out) == [False, True]
