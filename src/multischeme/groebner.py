@@ -22,15 +22,21 @@ In char p every basis element is monic throughout.  A Vec's cached lead
 is always the position-over-term lead of its ``data``: ``_reduce`` returns
 each remainder with it set, ``primitive()`` and ``monic()`` keep it, and
 ``primitive()`` marks its result, so no vector is made primitive twice.
+
+A Vec adds, subtracts and scales through ``ring.add_terms`` and
+``ring.scale_terms``.  ``_spair`` and ``_reduce`` keep their multiply-subtract
+inline: routed through ``add_terms``, the one-pass S-pair ran 10-15% slower.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from operator import add, le, sub
+
+from .ring import add_terms, scale_terms
 
 
 class ResourceGuardExceeded(RuntimeError):
@@ -91,23 +97,13 @@ class Vec:
         return self.ring.poly(terms)
 
     def add(self, other):
-        terms = ((k, -c) for k, c in other.data.items())
-        return Vec(self.ring, _subtract(dict(self.data), terms, self.ring.char))
+        return Vec(self.ring, add_terms(dict(self.data), other.data.items(), self.ring.char))
 
     def sub(self, other):
-        return Vec(self.ring, _subtract(dict(self.data), other.data.items(), self.ring.char))
+        return Vec(self.ring, add_terms(dict(self.data), other.data.items(), self.ring.char, -1))
 
     def scale(self, c):
-        if not c:
-            return Vec(self.ring, {})
-        p = self.ring.char
-        if p:
-            data = {k: v * c % p for k, v in self.data.items()}
-            data = {k: v for k, v in data.items() if v}
-        else:
-            coerce = self.ring.field.coerce
-            data = {k: coerce(c * v) for k, v in self.data.items()}
-        return Vec(self.ring, data)
+        return Vec(self.ring, scale_terms(self.data, self.ring.field.coerce(c), self.ring.char))
 
     def mul_term(self, exps, c):
         """Multiply by the term c * x^exps."""
@@ -131,12 +127,8 @@ class Vec:
         if not self.data:
             return self
         k, c = self.lead()
-        p = self.ring.char
-        if p:
-            inv = self.ring.field.inv(c)
-            return Vec(self.ring, {t: v * inv % p for t, v in self.data.items()}, (k, 1))
-        coerce = self.ring.field.coerce
-        return Vec(self.ring, {t: coerce(Fraction(v, c)) for t, v in self.data.items()}, (k, 1))
+        inv = self.ring.field.inv(c)
+        return Vec(self.ring, scale_terms(self.data, inv, self.ring.char), (k, 1))
 
     def primitive(self):
         """Over Q the integer multiple with coprime coefficients and a positive
@@ -178,25 +170,12 @@ def _divides(a, b):
     return all(map(le, a, b))
 
 
-def _subtract(data, terms, p):
-    """``data`` less the (key, coeff) ``terms``, in place and in one pass."""
-    for k, c in terms:
-        s = data.get(k, 0) - c
-        if p:
-            s %= p
-        if s:
-            data[k] = s
-        else:
-            del data[k]
-    return data
-
-
 def _cleared(data):
     """(d, d * data) with d the least common denominator: every value an int."""
     if all(type(c) is int for c in data.values()):
         return 1, data
     d = lcm(*(c.denominator for c in data.values()))
-    return d, {k: int(c * d) for k, c in data.items()}
+    return d, scale_terms(data, d, 0)
 
 
 def lead_index(basis):

@@ -6,7 +6,8 @@ P_i(t) = binom(t + i, i), whose generating function is 1/(1-t)^(i+1).  Every
 polynomial comes from a series q(t)/(1-t)^n by integer division: write
 q = q(1) + (1-t)*q', take q(1) as the coefficient of P_(n-1) and recurse on
 q'/(1-t)^(n-1) (Bruns-Herzog, Cohen-Macaulay Rings, 4.1).  Twisted free
-modules, Euler sums and dense input are turned into series first.
+modules, Euler sums and dense input are turned into series first.  Numerators
+and P-basis coefficients are added and scaled by ``ring``'s term kernels.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from fractions import Fraction
 from math import comb
 
 from .groebner import buchberger
+from .ring import add_terms, scale_terms
 
 
 # ---------------------------------------------------------------------------
@@ -35,13 +37,6 @@ def _poly_mul(a, b):
     for i, ca in a.items():
         for j, cb in b.items():
             out[i + j] = out.get(i + j, 0) + ca * cb
-    return {k: v for k, v in out.items() if v}
-
-
-def _poly_add(a, b, sign=1):
-    out = dict(a)
-    for k, v in b.items():
-        out[k] = out.get(k, 0) + sign * v
     return {k: v for k, v in out.items() if v}
 
 
@@ -79,7 +74,7 @@ def _numerator(gens, nvars):
     quot = _minimalize([tuple(max(e - p, 0) for e, p in zip(g, pvec)) for g in gens])
     left = _numerator(tuple(sorted(plus)), nvars)
     right = _numerator(tuple(sorted(quot)), nvars)
-    return _poly_add(left, {k + 1: v for k, v in right.items()})
+    return add_terms(left, ((k + 1, v) for k, v in right.items()), 0)
 
 
 @dataclass(frozen=True)
@@ -128,22 +123,16 @@ class HilbertSeries:
         coeffs = {}
         for i in reversed(range(self.nvars)):
             coeffs[i] = sum(numer.values())
-            numer = _divide_by_one_minus_t(_poly_add(numer, {0: coeffs[i]}, sign=-1))
+            numer = _divide_by_one_minus_t(add_terms(numer, [(0, coeffs[i])], 0, -1))
         hp = HilbertPoly.make(coeffs)
         for t in range(start, start + 5):
             if hp(t) != self.value(t):
                 raise ArithmeticError("Hilbert polynomial disagrees with series at t=%d" % t)
         return hp
 
-    def __add__(self, other):
-        assert self.nvars == other.nvars
-        return HilbertSeries.make(_poly_add(self.numer_dict(), other.numer_dict()), self.nvars)
-
     def __sub__(self, other):
         assert self.nvars == other.nvars
-        return HilbertSeries.make(
-            _poly_add(self.numer_dict(), other.numer_dict(), sign=-1), self.nvars
-        )
+        return HilbertSeries.make(add_terms(self.numer_dict(), other.numerator, 0, -1), self.nvars)
 
 
 def _divide_by_one_minus_t(numer):
@@ -163,7 +152,7 @@ def hilbert_series_of_leads(lead_exps_by_comp, gen_degrees, nvars):
     total = {}
     for comp, d in enumerate(gen_degrees):
         numer = monomial_numerator(lead_exps_by_comp.get(comp, []), nvars)
-        total = _poly_add(total, {k + d: v for k, v in numer.items()})
+        add_terms(total, ((k + d, v) for k, v in numer.items()), 0)
     return HilbertSeries.make(total, nvars)
 
 
@@ -212,19 +201,13 @@ class HilbertPoly:
         return sum(c * comb(t + i, i) for i, c in self.coeffs)
 
     def __add__(self, other):
-        out = self.as_dict()
-        for i, c in other.coeffs:
-            out[i] = out.get(i, 0) + c
-        return HilbertPoly.make(out)
+        return HilbertPoly.make(add_terms(self.as_dict(), other.coeffs, 0))
 
     def __sub__(self, other):
-        out = self.as_dict()
-        for i, c in other.coeffs:
-            out[i] = out.get(i, 0) - c
-        return HilbertPoly.make(out)
+        return HilbertPoly.make(add_terms(self.as_dict(), other.coeffs, 0, -1))
 
     def scale(self, k):
-        return HilbertPoly.make({i: k * c for i, c in self.coeffs})
+        return HilbertPoly.make(scale_terms(self.as_dict(), k, 0))
 
     def lead_degree_term(self):
         """(degree, coefficient) of the top P term; (-1, 0) if zero."""
@@ -283,7 +266,7 @@ def euler_characteristic(n, terms):
     for i, summands in enumerate(terms):
         sign = 1 if i % 2 == 0 else -1
         for twist, rank in summands:
-            numer = _poly_add(numer, {-twist: sign * rank})
+            add_terms(numer, [(-twist, sign * rank)], 0)
     return HilbertSeries.make(numer, n + 1).polynomial()
 
 

@@ -95,8 +95,6 @@ class Ideal:
         return not self.gens
 
     def is_one(self, guard=None):
-        if self._gb is not None:
-            return len(self._gb) == 1 and self._gb[0].is_constant()
         return not all(map(any, self.leads(guard=guard)))  # some lead is constant
 
     def plus(self, other):
@@ -111,15 +109,6 @@ class Ideal:
         """I*J on the products of generators, each kept once, in first-seen
         order: (x, y)^3 has 4 generators, not 8."""
         return Ideal(self.ring, dict.fromkeys(f * g for f in self.gens for g in other.gens))
-
-    def power(self, k):
-        """I^k for k >= 0, I^0 the unit ideal."""
-        if k < 0:
-            raise ValueError("negative power %d of an ideal" % k)
-        out = Ideal(self.ring, [self.ring.one()])
-        for _ in range(k):
-            out = out.times(self)
-        return out
 
     def hilbert_series(self, guard=None):
         if self._series is None:

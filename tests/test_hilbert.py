@@ -134,7 +134,7 @@ def test_series_sub_and_add():
     c = a - b
     assert isinstance(c, HilbertSeries)
     assert [c.value(t) for t in range(4)] == [0, 1, 2, 3]
-    assert (b + c).numerator == a.numerator
+    assert a - c == b
 
 
 def test_laurent_series_values_and_polynomial():

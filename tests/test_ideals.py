@@ -51,7 +51,6 @@ def test_ideal_equality_and_sum(ring):
     assert a.equals(b)
     assert a.plus(_ideal(ring, "(z0)")).equals(_ideal(ring, "(x, y, z0)"))
     assert a.times(a).equals(_ideal(ring, "(x^2, x*y, y^2)"))
-    assert a.power(2).equals(_ideal(ring, "(x^2, x*y, y^2)"))
 
 
 def _product_loop_power(ideal, k):
@@ -65,15 +64,15 @@ def _product_loop_power(ideal, k):
 def test_powers_keep_each_product_once(ring):
     xy = _ideal(ring, "(x, y)")
     assert len(_product_loop_power(xy, 3).gens) == 8
-    assert [str(g) for g in xy.power(3).gens] == ["x^3", "x^2*y", "x*y^2", "y^3"]
-    assert xy.power(0).gens == (ring.one(),)
-    with pytest.raises(ValueError, match="negative power"):
-        xy.power(-1)
+    assert [str(g) for g in xy.times(xy).times(xy).gens] == ["x^3", "x^2*y", "x*y^2", "y^3"]
+    assert Ideal(ring, [ring.one()]).times(xy).gens == xy.gens
     rng = random.Random(3)
     for _ in range(12):
         I = Ideal(ring, [_random_form(rng, ring, rng.randint(1, 2)) for _ in range(rng.randint(1, 3))])
+        power = Ideal(ring, [ring.one()])
         for k in range(4):
-            assert I.power(k).groebner() == _product_loop_power(I, k).groebner()
+            assert power.groebner() == _product_loop_power(I, k).groebner()
+            power = power.times(I)
         assert len(set(I.times(xy).gens)) == len(I.times(xy).gens)
 
 
@@ -94,7 +93,8 @@ def test_the_sum_of_i_y_and_a_support_power_is_pinned(monkeypatch):
     # (I_Y's basis cached, S-pairs, size of the unreduced basis of the sum)
     for cached, pinned, size in ((True, 0, 7), (False, 14, 11)):
         st = entry.structure(char=0, check=False)
-        iy, cube = st.ideal, st.embedding.support_ideal().power(3)
+        iy, support = st.ideal, st.embedding.support_ideal()
+        cube = support.times(support).times(support)
         if cached:
             iy.groebner()
         total = iy.plus(cube)
@@ -127,7 +127,8 @@ def _t_trick_intersect(*ideals):
     """The former intersection: a pairwise fold of the t-trick
     a ∩ b = (t*a + (1 - t)*b) ∩ R in one ring extended by t."""
     ring = ideals[0].ring
-    t = ring.fresh_name("t")
+    t = "t"
+    assert t not in ring.names
     ext = ring.extended((t,))
     tv = ext.var(t)
     out = ideals[0]
@@ -145,7 +146,8 @@ def _rabinowitsch_contains(ideal, f):
     ring = ideal.ring
     if f.is_zero():
         return True
-    t = ring.fresh_name("t")
+    t = "t"
+    assert t not in ring.names
     ext = ring.extended((t,))
     gens = [ring.transfer(g, ext) for g in ideal.gens]
     gens.append(ext.one() - ext.var(t) * ring.transfer(f, ext))
@@ -548,6 +550,18 @@ def test_one_buchberger_run_serves_the_leads_and_the_reduced_basis(char, monkeyp
         assert len(calls) == 1
         knowns.append(calls[0])
     assert not any(knowns[0::2]) and all(knowns[1::2])
+
+
+def test_is_one_reads_the_leads_with_and_without_the_reduced_basis():
+    ring = PolyRing(("x", "y"))
+    x, y = ring.gens()
+    cases = [([], False), ([x, x + ring.one()], True), ([x * y, x * x + y * y], False)]
+    for gens, unit in cases:
+        ideal = Ideal(ring, gens)
+        assert ideal.is_one() == unit and ideal._gb is None
+        ideal.groebner()
+        assert ideal.is_one() == unit and ideal._gb is not None
+        assert Ideal.from_basis(ring, ideal.groebner()).is_one() == unit
 
 
 def test_exact_division(ring):

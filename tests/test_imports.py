@@ -8,6 +8,7 @@ package's re-exports.
 import ast
 import json
 import subprocess
+import symtable
 import sys
 from pathlib import Path
 
@@ -23,18 +24,41 @@ MODULES = sorted(
 
 
 def unused_imports(source):
-    """Names bound by the imports of ``source`` and never read in it."""
-    tree = ast.parse(source)
-    imported = {}
-    for node in ast.walk(tree):
+    """Names bound by the imports of ``source`` and never read in it.  A read
+    counts for an import only where it resolves to it: in the scope of the
+    import, or in a nested scope where the name is not local."""
+    lines = {}
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom) and node.module == "__future__":
             continue
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             for alias in node.names:
-                name = alias.asname or alias.name.split(".")[0]
-                imported.setdefault(name, node.lineno)
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    return sorted((line, name) for name, line in imported.items() if name not in used)
+                lines.setdefault(alias.asname or alias.name.split(".")[0], node.lineno)
+    imports, used = set(), set()
+
+    def visit(table, enclosing, module):
+        # enclosing / module: name -> the import it resolves to there, or None
+        here = {}
+        for sym in table.get_symbols():
+            name = sym.get_name()
+            if sym.is_imported() and name in lines:
+                here[name] = (table.get_id(), name)
+                imports.add(here[name])
+                if sym.is_referenced():
+                    used.add(here[name])
+            elif sym.is_local():
+                here[name] = None
+            elif sym.is_referenced():
+                used.add((enclosing if sym.is_free() else module).get(name))
+        if table.get_type() == "module":
+            module = here
+        elif table.get_type() == "function":
+            enclosing = {**enclosing, **here}
+        for child in table.get_children():
+            visit(child, enclosing, module)
+
+    visit(symtable.symtable(source, "<source>", "exec"), {}, {})
+    return sorted({(lines[name], name) for _, name in imports - used})
 
 
 def test_unused_import_check_sees_through_attributes_and_aliases():
@@ -48,6 +72,21 @@ def test_unused_import_check_sees_through_attributes_and_aliases():
         "    return os.path.join(j.dumps(compile('x')))\n"
     )
     assert unused_imports(source) == [(4, "sub"), (6, "pi")]
+
+
+def test_unused_import_check_skips_a_local_of_the_same_name():
+    source = (
+        "from dataclasses import field\n"
+        "from math import tau\n"
+        "class C:\n"
+        "    tau = 1\n"
+        "    def g(self):\n"
+        "        return tau\n"
+        "def f(ring):\n"
+        "    field = ring.field\n"
+        "    return [field for _ in ring]\n"
+    )
+    assert unused_imports(source) == [(1, "field")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

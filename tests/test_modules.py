@@ -253,7 +253,7 @@ def _matrix_prune_units(ring, matrix):
         if pivot is None:
             break
         a, b = pivot
-        inv = ring.field.inv(m[a][b].constant())
+        inv = ring.field.inv(m[a][b].coeff_of((0,) * ring.nvars))
         rows.remove(a)
         cols.remove(b)
         hit = [i for i in rows if m[i][b]]

@@ -1,15 +1,19 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from multischeme.groebner import Vec
+from multischeme.hilbert import HilbertPoly, HilbertSeries
 from multischeme.ring import (
     GREVLEX,
     LEX,
     PolyRing,
     Rationals,
     TermOrder,
+    add_terms,
 )
 
 
@@ -35,7 +39,7 @@ def test_rationals_hand_out_ints_for_integral_values(ring):
     assert qq.coerce(Fraction(6, 4)) == Fraction(3, 2)
     x, y = ring.var("x"), ring.var("y")
     f = (x.scale(3) + y.scale(Fraction(1, 2))) * (x - y.scale(2))
-    coeffs = list(f.terms.values()) + list(f.monic().terms.values())
+    coeffs = list(f.terms.values()) + list(f.scale(qq.inv(f.lead()[1])).terms.values())
     coeffs += [qq.inv(c) for c in coeffs]
     assert all(type(c) in (int, Fraction) for c in coeffs)
 
@@ -106,12 +110,6 @@ def test_power_matches_repeated_multiplication(ring):
     f = x + y.scale(2)
     assert f ** 3 == f * f * f
     assert f ** 0 == ring.one()
-
-
-def test_monic_divides_by_leading_coefficient(ring):
-    x, y, _ = ring.gens()
-    f = x.scale(4) + y.scale(2)
-    assert f.monic() == x + y.scale(Fraction(1, 2))
 
 
 def test_substitute_evaluates_variable_images(ring):
@@ -185,3 +183,76 @@ def test_lead_key_ascending_is_key_descending(order):
     exps = [e for e in itertools.product(range(4), repeat=4) if sum(e) <= 3]
     reference = sorted(exps, key=lambda e: _ascending_key(order, e), reverse=True)
     assert sorted(exps, key=order.lead_key) == reference
+
+
+def _naive_sum(p, *scaled):
+    """The reference for the term kernels: sum c * terms over the (c, terms)
+    pairs in one plain dict, then reduce mod p and drop the zeros."""
+    out = {}
+    for c, terms in scaled:
+        for k, v in terms.items():
+            out[k] = out.get(k, 0) + c * v
+    out = {k: v % p if p else v for k, v in out.items()}
+    return {k: v for k, v in out.items() if v}
+
+
+def _assert_clean(terms, p):
+    """No zero stored; reduced in char p, an integral value an int in char 0."""
+    assert all(terms.values())
+    if p:
+        assert all(type(v) is int and 0 <= v < p for v in terms.values())
+    else:
+        assert all(type(v) is int or v.denominator != 1 for v in terms.values())
+
+
+@pytest.mark.parametrize("char", [0, 2, 5])
+def test_term_kernels_match_a_naive_dict_reference(char):
+    ring = PolyRing(("x", "y"), char=char)
+    coerce = ring.field.coerce
+    rng = random.Random(char)
+    halves = [Fraction(1, 2), Fraction(-3, 2)] if char != 2 else []
+
+    def terms(keys):
+        # few keys, so sums collide and cancel; halves add up to integers
+        return {k: rng.choice([1, -1, 2, 3, 4] + halves) for k in rng.sample(keys, rng.randint(0, 4))}
+
+    monos = [(a, b) for a in range(3) for b in range(2)]
+    slots = [(j, e) for j in range(2) for e in monos[:3]]
+    for _ in range(60):
+        f, g = ring.poly(terms(monos)), ring.poly(terms(monos))
+        ft, gt = f.terms, g.terms
+        cases = [(f + g, _naive_sum(char, (1, ft), (1, gt))),
+                 (f - g, _naive_sum(char, (1, ft), (-1, gt))),
+                 (f - f, {}),
+                 (-f, _naive_sum(char, (-1, ft)))]
+        u = Vec(ring, {k: coerce(c) for k, c in terms(slots).items() if coerce(c)})
+        v = Vec(ring, {k: coerce(c) for k, c in terms(slots).items() if coerce(c)})
+        cases += [(u.add(v).data, _naive_sum(char, (1, u.data), (1, v.data))),
+                  (u.sub(v).data, _naive_sum(char, (1, u.data), (-1, v.data)))]
+        for c in [0, 1, -1, 2, 3] + halves:
+            cases += [(f.scale(c), _naive_sum(char, (coerce(c), ft))),
+                      (u.scale(c).data, _naive_sum(char, (coerce(c), u.data)))]
+        for got, expected in cases:
+            got = getattr(got, "terms", got)
+            assert got == expected
+            _assert_clean(got, char)
+    if not char:
+        x = ring.var("x")
+        half = x.scale(Fraction(1, 2))
+        for whole in (half + half, half.scale(2), x - half - half + x):
+            assert whole.terms == {(1, 0): 1} and type(whole.terms[(1, 0)]) is int
+
+
+def test_hilbert_poly_sum_and_difference_match_a_naive_dict_reference():
+    rng = random.Random(7)
+    for _ in range(60):
+        a = {i: rng.randint(-2, 2) for i in rng.sample(range(4), rng.randint(0, 3))}
+        b = {i: rng.randint(-2, 2) for i in rng.sample(range(4), rng.randint(0, 3))}
+        pa, pb = HilbertPoly.make(a), HilbertPoly.make(b)
+        for got, sign in ((pa + pb, 1), (pa - pb, -1)):
+            assert got.as_dict() == _naive_sum(0, (1, a), (sign, b))
+            assert all(c for _, c in got.coeffs)
+    # a zero coefficient is accepted whether or not its key is stored
+    assert add_terms({1: 2}, [(0, 0), (1, 0), (1, -2)], 0) == {}
+    # t/(1-t): the first P-coefficient found is 0 and the numerator has no t^0
+    assert HilbertSeries.make({1: 1, 2: -1}, 2).polynomial() == HilbertPoly.make({0: 1})

@@ -332,7 +332,7 @@ def test_layer_series_check(ring):
     # the layer lives over k[z0, z1], the difference over k[z0, z1, x, y]
     assert layer.ring.nvars == 2 and diff.nvars == 4
     _check_layer_series(layer, diff)
-    wrong = diff + HilbertSeries.make({3: 1}, 4)
+    wrong = diff - HilbertSeries.make({3: -1}, 4)  # diff + t^3
     with pytest.raises(StructureError, match="layer Hilbert series mismatch"):
         _check_layer_series(layer, wrong)
     # equal numerators over different pole orders are different series
