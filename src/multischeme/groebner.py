@@ -4,15 +4,21 @@ Free-module elements are dicts mapping (component, exponent tuple) to field
 elements.  The module order is position-over-term: lower component index wins,
 ties broken by the ring's monomial order.  Putting the components to be
 eliminated first therefore makes every Groebner basis an elimination basis
-for those components (``buchberger(eliminate=r)``), which is how syzygies are
-extracted.  Reduction reads each basis through one ``lead_index``, built once.
-When the first ``known`` inputs are a Groebner basis already (an ideal's cached
-basis, the image a kernel is taken modulo), no S-pair of two of them is
-formed: each has a standard representation (Becker-Weispfenning, *Groebner
-Bases*, Ch. 5), and every later input enters reduced modulo the basis built
-so far.  A kernel modulo an image with a known basis B is
-``syzygies(vecs, modulo=B)``: {h : sum h_i v_i in <B>}, the plain syzygies
-when B is empty.
+for those components, which is how ``syzygies`` extracts a kernel.
+
+``buchberger`` is the one Buchberger run.  It returns the primitive,
+unreduced basis: its leads span the initial module, and the normal form
+modulo it is the one modulo any Groebner basis (Becker-Weispfenning,
+*Groebner Bases*, Ch. 5), so lead and membership questions read it as it
+is.  ``interreduce`` makes the reduced basis only where that is the answer:
+``groebner_basis``, ``syzygies`` and ``Ideal.groebner``.  Reduction reads
+each basis through one ``lead_index``, built once.  When the first ``known``
+inputs are a Groebner basis already (an ideal's cached basis, the image a
+kernel is taken modulo), no S-pair of two of them is formed: each has a
+standard representation, and every later input enters reduced modulo the
+basis built so far.  A kernel modulo an image with a known basis B is
+``syzygies(vecs, rank, modulo=B)``: {h : sum h_i v_i in <B>}, the plain
+syzygies when B is empty.
 
 Over Q, Buchberger runs on primitive integer vectors (``Vec.primitive``):
 S-pairs cross-multiply the integer leads and a reduction step scales the
@@ -107,13 +113,8 @@ class Vec:
 
     def mul_term(self, exps, c):
         """Multiply by the term c * x^exps."""
-        p = self.ring.char
-        data = {}
-        for (j, e), v in self.data.items():
-            w = v * c % p if p else v * c
-            if w:
-                data[(j, tuple(map(add, e, exps)))] = w
-        return Vec(self.ring, data)
+        shifted = {(j, tuple(map(add, e, exps))): v for (j, e), v in self.data.items()}
+        return Vec(self.ring, shifted).scale(c)
 
     def lead(self):
         """((component, exps), coeff) under position-over-term order."""
@@ -292,21 +293,13 @@ def _spair(f, g):
     return Vec(f.ring, data)
 
 
-def buchberger(vecs, guard=None, eliminate=0, known=0):
-    """Reduced basis of the submodule generated by ``vecs`` meet the components
-    >= ``eliminate``; the first ``known`` vectors must be a Groebner basis.
-    Under position-over-term, the basis elements whose lead is there lie there
-    and span that part (Eisenbud, Commutative Algebra, 15.10); no other lead
-    divides their terms, so they interreduce alone."""
-    G = _groebner(vecs, guard or DEFAULT_GUARD, known)
-    return interreduce([g for g in G if g.lead()[0][0] >= eliminate])
-
-
-def _groebner(vecs, guard, known=0):
-    """Primitive, unreduced Groebner basis: the input, then each S-pair
-    remainder.  No S-pair of two of the ``known`` first inputs is formed; when
-    there are any, each later input enters reduced modulo the basis so far
-    and is dropped if that is zero."""
+def buchberger(vecs, guard=None, known=0):
+    """Primitive, unreduced Groebner basis of the submodule generated by
+    ``vecs``: the input, then each S-pair remainder.  The first ``known``
+    vectors must be a Groebner basis: no S-pair of two of them is formed,
+    and each later input enters reduced modulo the basis so far and is
+    dropped if that is zero."""
+    guard = guard or DEFAULT_GUARD
     known = sum(map(bool, vecs[:known]))  # the count left once zeros are dropped
     vecs = [v.primitive() for v in vecs if v]
     if not vecs:
@@ -396,34 +389,36 @@ def interreduce(G):
 def groebner_basis(polys, guard=None):
     """Reduced Groebner basis of an ideal, as polynomials."""
     vecs = [Vec.from_poly(f) for f in polys]
-    return [v.component(0) for v in buchberger(vecs, guard=guard)]
+    return [v.component(0) for v in interreduce(buchberger(vecs, guard))]
 
 
-def syzygies(vecs, rank=None, guard=None, modulo=()):
-    """Generators of {h : sum h_i v_i in <modulo>} inside R^len(vecs): the
-    syzygy module of ``vecs`` when ``modulo`` is empty.
+def syzygies(vecs, rank, guard=None, modulo=()):
+    """Generators of {h : sum h_i v_i in <modulo>} inside R^len(vecs), on
+    their reduced basis: the syzygy module of ``vecs`` when ``modulo`` is
+    empty.
 
-    ``vecs`` live in a free module of the given rank (default: inferred), and
-    ``modulo`` is a Groebner basis there.  The graph module {(v_i, e_i)} puts
-    the target components first, behind ``modulo`` as Buchberger's known
-    basis; its basis eliminating them, ``buchberger(eliminate=rank)``, is that
-    of the kernel (Greuel-Pfister, *A Singular Introduction to Commutative
-    Algebra*, 2.8), and no S-pair of two elements of ``modulo`` is formed.
+    ``vecs`` live in R^rank and ``modulo`` is a Groebner basis there.  The
+    graph module {(v_i, e_i)} puts the target components first, behind
+    ``modulo`` as Buchberger's known basis, so no S-pair of two elements of
+    ``modulo`` is formed.  Under position-over-term, the basis elements whose
+    lead lies in the components >= rank lie there and span the kernel
+    (Eisenbud, *Commutative Algebra*, 15.10; Greuel-Pfister, *A Singular
+    Introduction to Commutative Algebra*, 2.8); no other lead divides their
+    terms, so they interreduce alone.
     """
     vecs, modulo = list(vecs), list(modulo)
     if not vecs:
         return []
     ring = vecs[0].ring
-    if rank is None:
-        rank = max(max((j for j, _ in v.data), default=-1) for v in vecs + modulo) + 1
     aug = []
     for i, v in enumerate(vecs):
         data = dict(v.data)
         data[(rank + i, ring._zero_exp)] = ring.field.one()
         aug.append(Vec(ring, data))
+    G = buchberger(modulo + aug, guard, known=len(modulo))
     return [
         Vec(ring, {(j - rank, e): c for (j, e), c in g.data.items()})
-        for g in buchberger(modulo + aug, guard=guard, eliminate=rank, known=len(modulo))
+        for g in interreduce([g for g in G if g.lead()[0][0] >= rank])
     ]
 
 

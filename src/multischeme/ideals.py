@@ -1,9 +1,11 @@
 """Ideal calculus: colon, saturation, intersection, elimination, Ext
 annihilators, Fitting ideals, and dimension/degree bookkeeping.
 
-An ``Ideal`` keeps the unreduced output of one Buchberger run: questions
-about the leads alone (the Hilbert series, the unit ideal, an empty V(I))
-read it, and it is interreduced only when the reduced basis is asked for.
+An ``Ideal`` keeps the unreduced output of one Buchberger run and asks it
+everything but the printed basis: the leads (the Hilbert series, the unit
+ideal, an empty V(I)) and membership, since a normal form is the same modulo
+any Groebner basis.  It is interreduced only when the reduced basis is asked
+for; an ideal made ``from_basis`` reads its generators and runs nothing.
 Every colon, intersection and Ext annihilator is one ``module_colon``: one
 ``syzygies`` of a stacked vector modulo the image's known basis; a sum I + J
 extends I's cached basis, J's generators entering reduced.  Each zero-locus
@@ -16,9 +18,7 @@ All operations are exact and work over Q or a prime field.
 from __future__ import annotations
 
 from .groebner import (
-    DEFAULT_GUARD,
     Vec,
-    _groebner,
     buchberger,
     groebner_basis,
     interreduce,
@@ -39,10 +39,10 @@ class Ideal:
     def __init__(self, ring, gens):
         self.ring = ring
         self.gens = tuple(g for g in gens if g)
-        self._raw = None  # the primitive, unreduced Groebner basis, as Vecs
+        self._raw = None  # the unreduced Groebner basis, as Vecs
         self._gb = None  # the reduced basis
         self._known = 0  # the first _known gens are a Groebner basis
-        self._index = None  # lead_index of the reduced basis, as Vecs
+        self._index = None  # lead_index of the unreduced basis
         self._series = None
         self._res = None
         self._ext = {}  # i -> ann Ext^i(R/I, R)
@@ -66,20 +66,21 @@ class Ideal:
         return self._gb
 
     def _unreduced(self, guard):
+        """The unreduced basis of one Buchberger run; an ideal made
+        ``from_basis`` holds a basis already, and its gens are it."""
         if self._raw is None:
             vecs = [Vec.from_poly(g) for g in self.gens]
-            self._raw = _groebner(vecs, guard or DEFAULT_GUARD, self._known)
+            self._raw = vecs if self._gb is not None else buchberger(vecs, guard, self._known)
         return self._raw
 
     def leads(self, guard=None):
-        """Lead exponents of the basis held, reduced or not: they span in(I)."""
-        if self._gb is not None:
-            return [g.lead_exp() for g in self._gb]
+        """Lead exponents of the unreduced basis: they span in(I)."""
         return [v.lead()[0][1] for v in self._unreduced(guard)]
 
     def reduce(self, f, guard=None):
+        """The normal form of f, read modulo the unreduced basis."""
         if self._index is None:
-            self._index = lead_index(Vec.from_poly(g) for g in self.groebner(guard=guard))
+            self._index = lead_index(self._unreduced(guard))
         return normal_form(f, self._index)
 
     def contains(self, f, guard=None):

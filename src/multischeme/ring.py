@@ -317,10 +317,7 @@ class Polynomial:
                     terms[e] = ca * cb
                 else:
                     terms[e] = s + ca * cb
-        p = self.ring.char
-        if p:
-            terms = {e: c % p for e, c in terms.items()}
-        return Polynomial(self.ring, {e: c for e, c in terms.items() if c})
+        return Polynomial(self.ring, add_terms({}, terms.items(), self.ring.char))
 
     __radd__ = __add__
     __rmul__ = __mul__

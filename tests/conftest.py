@@ -1,5 +1,7 @@
 """Fixtures shared across test modules."""
 
+import importlib
+import pkgutil
 import sys
 
 import pytest
@@ -48,24 +50,43 @@ def scenario_result(scenario_texts):
 
 
 @pytest.fixture
-def conversions(monkeypatch):
+def rebind(monkeypatch):
+    """``rebind(module, name, wrap)`` replaces the function ``module.name`` by
+    ``wrap(original)`` at every binding in every module of the package, as
+    the benchmark's span tracer does, and returns the wrapper."""
+    package = importlib.import_module("multischeme")
+    for info in pkgutil.iter_modules(package.__path__, "multischeme."):
+        importlib.import_module(info.name)
+
+    def install(module, name, wrap):
+        original = getattr(module, name)
+        wrapper = wrap(original)
+        for key, mod in list(sys.modules.items()):
+            if key.split(".")[0] == "multischeme" and getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, wrapper)
+        return wrapper
+
+    return install
+
+
+@pytest.fixture
+def conversions(rebind):
     """``conversions()`` starts counting the calls of the matrix <-> column
     Vec conversions, through every module of the package that binds them,
     and returns the live counts."""
 
     def start():
-        calls = {}
-        for name in ("columns_to_vecs", "vecs_to_columns"):
-            original = getattr(modules, name)
-            calls[name] = 0
+        calls = dict.fromkeys(("columns_to_vecs", "vecs_to_columns"), 0)
+        for name in calls:
 
-            def wrapped(*args, _name=name, _original=original):
-                calls[_name] += 1
-                return _original(*args)
+            def wrap(original, _name=name):
+                def wrapped(*args):
+                    calls[_name] += 1
+                    return original(*args)
 
-            for key, mod in list(sys.modules.items()):
-                if key.split(".")[0] == "multischeme" and getattr(mod, name, None) is original:
-                    monkeypatch.setattr(mod, name, wrapped)
+                return wrapped
+
+            rebind(modules, name, wrap)
         return calls
 
     return start

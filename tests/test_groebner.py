@@ -9,12 +9,10 @@ from test_structures import _theorem_rows
 
 import multischeme.groebner as groebner
 from multischeme.groebner import (
-    DEFAULT_GUARD,
     Guard,
     ResourceGuardExceeded,
     Vec,
     _divides,
-    _groebner,
     buchberger,
     groebner_basis,
     interreduce,
@@ -126,7 +124,7 @@ def test_coprime_module_leads_in_one_component_need_their_s_pair(ring):
     # have coprime leads, yet S(f, g) = y*e1 does not reduce to zero
     f = Vec(ring, {(0, (1, 0)): 1, (1, (0, 0)): 1})
     g = Vec(ring, {(0, (0, 1)): 1})
-    gb = buchberger([f, g])
+    gb = interreduce(buchberger([f, g]))
     assert [v.data for v in gb] == [f.data, g.data, {(1, (0, 1)): 1}]
     assert not module_contains(Vec(ring, {(1, (0, 1)): 1}), [f, g])
 
@@ -182,8 +180,8 @@ def test_char0_basis_of_int_coefficients_is_exact(ring):
     def gens(c):
         return [Vec(ring, {(0, (2, 0)): c(3), (0, (0, 2)): c(1)}), Vec(ring, {(0, (1, 1)): c(1)})]
 
-    from_int = buchberger(gens(int))
-    from_fraction = buchberger(gens(Fraction))
+    from_int = interreduce(buchberger(gens(int)))
+    from_fraction = interreduce(buchberger(gens(Fraction)))
     assert [v.data for v in from_int] == [v.data for v in from_fraction]
     coeffs = [c for v in from_int for c in v.data.values()]
     assert coeffs and all(type(c) in (int, Fraction) for c in coeffs)
@@ -216,7 +214,7 @@ def test_spair_count_is_pinned(monkeypatch):
     cyclic4 = parse_ideal(
         ring, "(a + b + c + d, a*b + b*c + c*d + d*a, a*b*c + b*c*d + c*d*a + d*a*b, a*b*c*d - 1)"
     )
-    assert len(buchberger([Vec.from_poly(f) for f in cyclic4])) == 7
+    assert len(interreduce(buchberger([Vec.from_poly(f) for f in cyclic4]))) == 7
     assert len(calls) == 11
     del calls[:]
     quadrics = parse_ideal(ring, "(a^2, a*b, b^2, c*a, c*d, d^2)")
@@ -256,7 +254,7 @@ def _reference_syzygies(vecs, rank):
     ]
     return [
         Vec(ring, {(j - rank, e): c for (j, e), c in g.data.items()})
-        for g in _reference_interreduce(_groebner(aug, DEFAULT_GUARD))
+        for g in _reference_interreduce(buchberger(aug))
         if all(j >= rank for j, _ in g.data)
     ]
 
@@ -324,12 +322,13 @@ def test_syzygies_modulo_a_basis_match_the_cut_full_syzygies(char):
     for _ in range(40):
         degs, cols = _random_presentation(ring, rng)
         rank = len(degs)
-        modulo = buchberger([_random_column(rng, ring, degs) for _ in range(rng.randint(1, 3))])
+        image = [_random_column(rng, ring, degs) for _ in range(rng.randint(1, 3))]
+        modulo = interreduce(buchberger(image))
         got = syzygies(cols, rank=rank, modulo=modulo)
         want = _cut_syzygies(cols, modulo, rank)
         assert submodule_equal(got, want)
         # the reduced basis of the kernel is unique
-        assert [_typed(v) for v in got] == [_typed(v) for v in buchberger(want)]
+        assert [_typed(v) for v in got] == [_typed(v) for v in interreduce(buchberger(want))]
         proper += not submodule_equal(got, syzygies(cols, rank=rank))
     assert proper >= 10
 
@@ -374,7 +373,7 @@ def test_interreduce_with_one_index_matches_reducing_by_the_others(char):
 
 
 def test_groebner_extends_its_lead_index_with_every_new_element(monkeypatch):
-    """The index ``_groebner`` passes to each reduction is one dict, and at
+    """The index ``buchberger`` passes to each reduction is one dict, and at
     every reduction it equals the index rebuilt from the basis so far."""
     seen = []
     reduce = groebner._reduce
@@ -395,7 +394,7 @@ def test_groebner_extends_its_lead_index_with_every_new_element(monkeypatch):
              for i, f in enumerate(quadrics)]
     for vecs in ([Vec.from_poly(f) for f in cyclic4], graph):
         del seen[:]
-        G = _groebner(vecs, DEFAULT_GUARD)
+        G = buchberger(vecs)
         assert len({id(index) for index, _, _ in seen}) == 1
         # one insertion per nonzero remainder, each seen by the next reduction
         assert sum(nonzero for _, _, nonzero in seen) == len(G) - len(vecs) > 0
@@ -486,7 +485,7 @@ def test_integer_kernel_matches_monic_fraction_reference(char, rank):
     fractions = 0
     for _ in range(30):
         vecs = _awkward_vecs(ring, rng, rank)
-        got, want = buchberger(vecs), _reference_buchberger(vecs)
+        got, want = interreduce(buchberger(vecs)), _reference_buchberger(vecs)
         assert [_typed(v) for v in got] == [_typed(v) for v in want]
         fractions += any(type(c) is Fraction for v in got for c in v.data.values())
     assert fractions >= 5 if char == 0 else fractions == 0
@@ -496,11 +495,13 @@ def test_integer_kernel_matches_monic_fraction_reference(char, rank):
 @pytest.mark.parametrize("rank", [1, 2, 3])
 def test_a_known_basis_gives_the_plain_reduced_basis(char, rank, monkeypatch):
     """``known=len(basis)`` skips the S-pairs inside ``basis`` and changes no
-    output, for a reduced basis and for an unreduced ``_groebner`` output,
-    with and without elimination.  Each later input enters reduced modulo
-    the basis so far: one that repeats a known element or lies in the known
-    span is dropped before it forms a pair, and new inputs that repeat each
-    other form no more pairs than without the repeat."""
+    output, for a reduced basis and for an unreduced ``buchberger`` output,
+    with and without elimination: the elements leading in the components
+    >= ``eliminate``, interreduced, as ``syzygies`` cuts them.  Each later
+    input enters reduced modulo the basis so far: one that repeats a known
+    element or lies in the known span is dropped before it forms a pair, and
+    new inputs that repeat each other form no more pairs than without the
+    repeat."""
     calls = []
     spair = groebner._spair
 
@@ -510,7 +511,8 @@ def test_a_known_basis_gives_the_plain_reduced_basis(char, rank, monkeypatch):
 
     def run(vecs, eliminate, known=0):
         del calls[:]
-        out = buchberger(vecs, eliminate=eliminate, known=known)
+        G = buchberger(vecs, known=known)
+        out = interreduce([g for g in G if g.lead()[0][0] >= eliminate])
         return [_typed(v) for v in out], len(calls)
 
     monkeypatch.setattr(groebner, "_spair", counting)
@@ -519,7 +521,7 @@ def test_a_known_basis_gives_the_plain_reduced_basis(char, rank, monkeypatch):
     plain = extended = 0
     for n in range(24):
         first = _awkward_vecs(ring, rng, rank)
-        basis = buchberger(first) if n % 2 else _groebner(first, DEFAULT_GUARD)
+        basis = interreduce(buchberger(first)) if n % 2 else buchberger(first)
         if n % 3 == 0:  # a zero in the known part is dropped, not counted
             basis = [Vec(ring, {})] + basis
         new = _awkward_vecs(ring, rng, rank)
@@ -637,14 +639,14 @@ def test_carried_leads_are_the_leads_of_the_data(char, order, rank):
 
 @pytest.mark.parametrize("char", [0, 5])
 def test_groebner_output_and_lead_index_are_marked_primitive(char):
-    """Every ``_groebner`` element and every ``lead_index`` entry is marked,
+    """Every ``buchberger`` element and every ``lead_index`` entry is marked,
     so ``primitive()`` on it returns it without a gcd pass."""
     ring = PolyRing(("x", "y", "z"), char=char)
     rng = random.Random(31 + char)
     for rank in (1, 2, 3):
         for _ in range(10):
             vecs = _awkward_vecs(ring, rng, rank)
-            G = _groebner(vecs, DEFAULT_GUARD)
+            G = buchberger(vecs)
             entries = [g for es in lead_index(vecs).values() for _, _, g in es]
             for g in G + entries:
                 assert g._primitive and g.primitive() is g
@@ -659,14 +661,14 @@ def test_quotient_scan_bases_match_the_reference(monkeypatch):
     from multischeme.scenarios import _nonexistence_module
 
     calls = []
-    original = ideals._groebner
+    original = ideals.buchberger
 
-    def recording(vecs, guard, known=0):
+    def recording(vecs, guard=None, known=0):
         out = original(vecs, guard, known)
         calls.append((list(vecs), out))
         return out
 
-    monkeypatch.setattr(ideals, "_groebner", recording)
+    monkeypatch.setattr(ideals, "buchberger", recording)
     _, module, _, _ = _nonexistence_module()
     line_bundle_quotients(module, (-10, 0), samples=100, seed=0)
     assert len(calls) > 200
@@ -674,3 +676,55 @@ def test_quotient_scan_bases_match_the_reference(monkeypatch):
         assert [_typed(v) for v in interreduce(out)] == [
             _typed(v) for v in _reference_buchberger(vecs)
         ]
+
+
+def test_every_s_pair_is_formed_inside_buchberger(rebind):
+    """``buchberger`` is the one Buchberger entry point: with it and
+    ``_spair`` wrapped at every binding, every S-pair of a catalog row, of
+    nontypeI(1, 2) and of a Prop 3.3 scan is formed inside a ``buchberger``
+    call."""
+    from multischeme.catalog import load_catalog
+    from multischeme.families import build_family
+    from multischeme.quotients import line_bundle_quotients
+    from multischeme.scenarios import _nonexistence_module
+
+    depth = [0]
+    spairs = {True: 0, False: 0}  # inside a buchberger call -> S-pairs
+
+    def entered(original):
+        def wrapped(*args, **kwargs):
+            depth[0] += 1
+            try:
+                return original(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        return wrapped
+
+    def counted(original):
+        def wrapped(f, g):
+            spairs[depth[0] > 0] += 1
+            return original(f, g)
+
+        return wrapped
+
+    rebind(groebner, "buchberger", entered)
+    rebind(groebner, "_spair", counted)
+
+    def catalog_row():
+        entry = next(e for e in load_catalog("thm-3.8") if e.id == "thm-3.8/5")
+        st = entry.structure(char=0, check=True)
+        return st.filtration().layer_polynomials, st.locally_cm(), st.is_type_I()
+
+    def nontype1():
+        st = build_family("nontypeI", a=1, b=2).structures[0]
+        return st.is_type_I(), st.locally_cm()
+
+    def scan():
+        _, module, _, _ = _nonexistence_module()
+        return line_bundle_quotients(module, (-1, 0), samples=100, seed=0)
+
+    for run in (catalog_row, nontype1, scan):
+        before = spairs[True]
+        run()
+        assert spairs[True] > before and spairs[False] == 0, run.__name__

@@ -5,7 +5,7 @@ from prop_suites import _random_form
 from test_modules import _random_presentation
 
 from multischeme.catalog import load_catalog
-from multischeme.groebner import Vec, buchberger, groebner_basis, normal_form, syzygies
+from multischeme.groebner import Vec, buchberger, groebner_basis, interreduce, normal_form, syzygies
 from multischeme.hilbert import ideal_hilbert_series
 from multischeme.ideals import (
     Ideal,
@@ -205,7 +205,7 @@ def test_one_graph_module_colon_matches_the_syzygy_reference(char):
                 d = max(degs) + rng.randint(0, 1)
                 forms = [_random_form(rng, ring, d - a) for a in degs]
                 vs.append(Vec(ring, {(i, e): c for i, f in enumerate(forms) for e, c in f.terms.items()}))
-            quotient = module_colon(buchberger(cols[1:]), vs, rank)
+            quotient = module_colon(interreduce(buchberger(cols[1:])), vs, rank)
             assert quotient.gens == tuple(_syzygy_module_colon(cols[1:], vs, rank).groebner())
             proper += not (quotient.is_zero() or quotient.is_one())
     assert proper >= 10
@@ -241,15 +241,16 @@ def test_module_colon_forms_no_s_pair_of_two_image_basis_elements(ring, monkeypa
     a remainder lying in the image copies would reduce to zero by their
     basis."""
     import multischeme.groebner as groebner
+    import multischeme.ideals as ideals
 
-    original, spair = groebner.buchberger, groebner._spair
-    indicator = []  # the eliminate of the current module_colon call
+    original, spair = ideals.syzygies, groebner._spair
+    indicator = []  # the rank of the current module_colon call's syzygies
     pairs = []  # per S-pair: whether both elements lie in the image copies
 
-    def recording(vecs, guard=None, eliminate=0, known=0):
-        indicator.append(eliminate)
+    def recording(vecs, rank, guard=None, modulo=()):
+        indicator.append(rank)
         try:
-            return original(vecs, guard=guard, eliminate=eliminate, known=known)
+            return original(vecs, rank, guard=guard, modulo=modulo)
         finally:
             indicator.pop()
 
@@ -257,11 +258,11 @@ def test_module_colon_forms_no_s_pair_of_two_image_basis_elements(ring, monkeypa
         return all(j < indicator[-1] for j, _ in v.data)
 
     def checking(f, g):
-        if indicator and indicator[-1]:
+        if indicator:
             pairs.append(image_only(f) and image_only(g))
         return spair(f, g)
 
-    monkeypatch.setattr(groebner, "buchberger", recording)
+    monkeypatch.setattr(ideals, "syzygies", recording)
     monkeypatch.setattr(groebner, "_spair", checking)
     I = _ideal(ring, "(x^2 + z0*y, y^2, x^3, x*y*z0)")
     # without a known basis these form 3, 3 and 89 S-pairs of two image elements
@@ -515,7 +516,7 @@ def test_irrelevant_primary_matches_the_hilbert_series_reference(char, order):
 @pytest.mark.parametrize("char", [0, 5])
 def test_one_buchberger_run_serves_the_leads_and_the_reduced_basis(char, monkeypatch):
     """hilbert_series, is_one and is_irrelevant_primary, then groebner: one
-    ``_groebner`` call per ideal, whichever module calls it, for a plain ideal
+    ``buchberger`` call per ideal, whichever module calls it, for a plain ideal
     (known = 0) and for a sum that extends a cached basis (known > 0), and the
     reduced basis is the plain one."""
     import multischeme.groebner as groebner
@@ -524,14 +525,14 @@ def test_one_buchberger_run_serves_the_leads_and_the_reduced_basis(char, monkeyp
     ring = PolyRing(("x", "y", "z"), char=char)
     rng = random.Random(char)
     calls = []
-    original = groebner._groebner
+    original = groebner.buchberger
 
-    def counting(vecs, guard, known=0):
+    def counting(vecs, guard=None, known=0):
         calls.append(known)
         return original(vecs, guard, known)
 
     for module in (groebner, ideals):
-        monkeypatch.setattr(module, "_groebner", counting)
+        monkeypatch.setattr(module, "buchberger", counting)
     knowns = []
     for k in range(24):
         gens = _zero_locus_case(rng, ring, k)
@@ -550,6 +551,47 @@ def test_one_buchberger_run_serves_the_leads_and_the_reduced_basis(char, monkeyp
         assert len(calls) == 1
         knowns.append(calls[0])
     assert not any(knowns[0::2]) and all(knowns[1::2])
+
+
+@pytest.mark.parametrize("char", [0, 5])
+def test_membership_reads_the_unreduced_run(char, monkeypatch):
+    """``reduce`` takes the normal form modulo the unreduced basis, which is
+    the one modulo the reduced basis, so ``contains`` interreduces nothing:
+    for a plain ideal, for a sum that extends a cached basis (known > 0) and
+    for an ideal made ``from_basis``, which runs no Buchberger at all."""
+    import multischeme.ideals as ideals
+
+    ring = PolyRing(("x", "y", "z"), char=char)
+    rng = random.Random(char)
+    runs = []
+    original = ideals.buchberger
+
+    def counting(vecs, guard=None, known=0):
+        runs.append(known)
+        return original(vecs, guard, known)
+
+    monkeypatch.setattr(ideals, "buchberger", counting)
+    members = outside = 0
+    for k in range(24):
+        gens = _zero_locus_case(rng, ring, k)
+        first = Ideal(ring, gens[:1])
+        first.groebner()
+        fresh = (Ideal(ring, gens), first.plus(Ideal(ring, gens[1:])))
+        cases = fresh + (Ideal.from_basis(ring, groebner_basis(gens)),)
+        probes = [_random_form(rng, ring, rng.randint(1, 3)) for _ in range(3)]
+        probes += [g * _random_form(rng, ring, 1) for g in gens]  # members
+        # one run each for the plain ideal and the sum, none from_basis
+        for ideal, expected in zip(cases, ([0], [len(first.groebner())], [])):
+            del runs[:]
+            verdicts = [ideal.contains(f) for f in probes]
+            assert runs == expected
+            members += sum(verdicts)
+            outside += len(verdicts) - sum(verdicts)
+        assert all(ideal._gb is None for ideal in fresh)
+        for ideal in cases:
+            for f in probes:
+                assert ideal.reduce(f) == normal_form(f, ideal.groebner())
+    assert members >= 24 and outside >= 24
 
 
 def test_is_one_reads_the_leads_with_and_without_the_reduced_basis():

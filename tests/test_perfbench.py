@@ -27,10 +27,15 @@ def test_perfbench_selftest_passes():
 # computed in full and then cut, or sums that pair known basis elements
 # again, bring wasted S-pairs back and fail here
 _SPAIRS = {"catalog": 2135, "syzygy": 802, "quotients": 709}
+# Buchberger runs of the same pass, and a ceiling on its interreductions:
+# a second Buchberger path, or a reduced basis made where the unreduced run
+# answers (leads, membership), fails here
+_RUNS = {"catalog": 860, "syzygy": 101, "quotients": 226}
+_INTERREDUCE_AT_MOST = {"catalog": 790, "syzygy": 97, "quotients": 0}
 
 
 @pytest.mark.parametrize("workload", ["catalog", "syzygy", "quotients"])
-def test_check_pass_reproduces_golden_digest(workload, monkeypatch):
+def test_check_pass_reproduces_golden_digest(workload, monkeypatch, rebind):
     # the benchmark's check pass, hashed as its child process hashes it: every
     # reduced basis, Betti table, verdict and certificate must stay identical
     import multischeme.groebner as groebner
@@ -40,17 +45,25 @@ def test_check_pass_reproduces_golden_digest(workload, monkeypatch):
 
     with open(os.path.join(ROOT, "perfbench", "golden.json")) as fh:
         golden = json.load(fh)
-    calls = []
-    spair = groebner._spair
+    calls = {"_spair": 0, "buchberger": 0, "interreduce": 0}
 
-    def counting(f, g):
-        calls.append(1)
-        return spair(f, g)
+    def counting(name):
+        def wrap(original):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapped
+
+        return wrap
 
     canon = []
     items = workloads.setup(workload, workloads.DEFAULT_SEED)
-    monkeypatch.setattr(groebner, "_spair", counting)
+    for name in calls:
+        rebind(groebner, name, counting(name))
     results = workloads.run_pass(items, canon=canon)
     assert [bad for _, _, _, bad in results if bad] == []
     assert hashlib.sha256("\n".join(canon).encode()).hexdigest() == golden[workload]
-    assert len(calls) == _SPAIRS[workload]
+    assert calls["_spair"] == _SPAIRS[workload]
+    assert calls["buchberger"] == _RUNS[workload]
+    assert calls["interreduce"] <= _INTERREDUCE_AT_MOST[workload]

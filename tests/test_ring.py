@@ -196,6 +196,21 @@ def _naive_sum(p, *scaled):
     return {k: v for k, v in out.items() if v}
 
 
+def _exp_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def _naive_product(p, a, b, shift):
+    """The reference for a product of term dicts: every pair of terms, keys
+    combined by ``shift``, summed by ``_naive_sum``."""
+    out = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = shift(ka, kb)
+            out[k] = out.get(k, 0) + ca * cb
+    return _naive_sum(p, (1, out))
+
+
 def _assert_clean(terms, p):
     """No zero stored; reduced in char p, an integral value an int in char 0."""
     assert all(terms.values())
@@ -229,9 +244,14 @@ def test_term_kernels_match_a_naive_dict_reference(char):
         v = Vec(ring, {k: coerce(c) for k, c in terms(slots).items() if coerce(c)})
         cases += [(u.add(v).data, _naive_sum(char, (1, u.data), (1, v.data))),
                   (u.sub(v).data, _naive_sum(char, (1, u.data), (-1, v.data)))]
+        cases.append((f * g, _naive_product(char, ft, gt, _exp_add)))
         for c in [0, 1, -1, 2, 3] + halves:
             cases += [(f.scale(c), _naive_sum(char, (coerce(c), ft))),
                       (u.scale(c).data, _naive_sum(char, (coerce(c), u.data)))]
+            e = rng.choice(monos)
+            term = {(0, e): coerce(c)} if coerce(c) else {}
+            cases.append((u.mul_term(e, c).data,
+                          _naive_product(char, u.data, term, lambda k, t: (k[0], _exp_add(k[1], t[1])))))
         for got, expected in cases:
             got = getattr(got, "terms", got)
             assert got == expected
@@ -239,8 +259,11 @@ def test_term_kernels_match_a_naive_dict_reference(char):
     if not char:
         x = ring.var("x")
         half = x.scale(Fraction(1, 2))
-        for whole in (half + half, half.scale(2), x - half - half + x):
+        two = ring.const(2)
+        for whole in (half + half, half.scale(2), x - half - half + x, half * two):
             assert whole.terms == {(1, 0): 1} and type(whole.terms[(1, 0)]) is int
+        whole = Vec.from_poly(half).mul_term((0, 1), 2)
+        assert whole.data == {(0, (1, 1)): 1} and type(whole.data[(0, (1, 1))]) is int
 
 
 def test_hilbert_poly_sum_and_difference_match_a_naive_dict_reference():
