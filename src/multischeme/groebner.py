@@ -1,10 +1,23 @@
 """Buchberger's algorithm for ideals and submodules of free modules.
 
-Free-module elements are dicts mapping (component, exponent tuple) to field
-elements.  The module order is position-over-term: lower component index wins,
-ties broken by the ring's monomial order.  Putting the components to be
-eliminated first therefore makes every Groebner basis an elimination basis
-for those components, which is how ``syzygies`` extracts a kernel.
+Free-module elements map (component, exponent tuple) to field elements,
+ordered position-over-term: lower component first, ties broken by the ring's
+monomial order, so a basis is an elimination basis for the components put
+first, which is how ``syzygies`` extracts a kernel.
+
+Inside the kernel a term is one int K = j*BIG + OFF + sum(e_i * W_i)
+(Bachmann-Schoenemann, ISSAC 1998; Monagan-Pearce, JSC 46, 2011).  Its high
+digits, the flattened ``TermOrder.lead_key`` of e in a radix wide enough for
+n exponents below 2^16, make ascending K the position-over-term order,
+greatest term first, for every order; K is linear in e, so a shift is one
+addition, d*BIG for ``Vec.shifted``.  Its low 16-bit fields hold e, with a
+guard bit over 15 bits each: a lead divides a term of its component when
+``(kc - kg) & GUARD == 0``, kc - kg being the shift.  Exponents stay below
+``LIMIT`` = 2^15, checked on encoding; a larger S-pair or reduction sum sets
+its guard bit and trips ``ResourceGuardExceeded`` in ``_reduce``, never
+wrapping.  The tables live in one ``_Packing`` per (nvars, order), shared by
+the many small rings of a run.  A ``Vec`` packs its ``terms`` when made and
+decodes its public ``data`` on first use.
 
 ``buchberger`` is the one Buchberger run.  It returns the primitive,
 unreduced basis: its leads span the initial module, and the normal form
@@ -25,13 +38,11 @@ S-pairs cross-multiply the integer leads and a reduction step scales the
 remainder instead of dividing by a lead, so no Fraction arises until the
 reduced basis is made monic, and a normal form is divided once at the end.
 In char p every basis element is monic throughout.  A Vec's cached lead
-is always the position-over-term lead of its ``data``: ``_reduce`` returns
-each remainder with it set, ``primitive()`` and ``monic()`` keep it, and
-``primitive()`` marks its result, so no vector is made primitive twice.
-
-A Vec adds, subtracts and scales through ``ring.add_terms`` and
-``ring.scale_terms``.  ``_spair`` and ``_reduce`` keep their multiply-subtract
-inline: routed through ``add_terms``, the one-pass S-pair ran 10-15% slower.
+is its terms' position-over-term lead: ``_reduce`` returns each remainder
+with it set, ``primitive()`` and ``monic()`` keep it, and ``primitive()``
+marks its result.  A Vec adds and scales through ``ring.add_terms`` and
+``ring.scale_terms``; ``_spair`` and ``_reduce`` keep their multiply-subtract
+inline, 10-15% faster than through ``add_terms``.
 """
 
 from __future__ import annotations
@@ -40,9 +51,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import add, le, sub
+from operator import add, mul
 
 from .ring import add_terms, scale_terms
+
+LIMIT = 1 << 15  # every exponent stays below this
+_FIELD = 16  # bits of one packed exponent: 15 of value and a guard bit
 
 
 class ResourceGuardExceeded(RuntimeError):
@@ -64,94 +78,174 @@ class Guard:
 
 
 DEFAULT_GUARD = Guard()
+_PACKINGS = {}  # (nvars, order) -> its _Packing
+
+
+class _Packing:
+    """The packed keys of one (nvars, order), laid out as the module
+    docstring says: ``key`` encodes exponents and ``exps`` decodes the
+    low part of a key, both through tables of the exponents met so far."""
+
+    def __init__(self, n, order):
+        def flat(key):
+            return [b for a in key for b in (flat(a) if isinstance(a, tuple) else (a,))]
+
+        rows = [flat(order.lead_key(tuple(int(i == k) for i in range(n)))) for k in range(n)]
+        m = len(rows[0]) if rows else 0
+        spread = max((sum(abs(r[d]) for r in rows) for d in range(m)), default=0)
+        b = (spread << _FIELD).bit_length() + 1  # a digit's |value| < 2^b / 2
+        low = _FIELD * n
+        self.n, self.cs = n, b * m + low  # BIG = 2^cs
+        self.mask = (1 << self.cs) - 1
+        self.off = 1 << self.cs - 1 if m else 0
+        self.guard = sum(LIMIT << _FIELD * k for k in range(n))
+        self.weights = [(sum(a << b * (m - 1 - d) for d, a in enumerate(row)) << low)
+                        + (1 << _FIELD * k) for k, row in enumerate(rows)]
+        self.enc, self.dec = {}, {}
+
+    def key(self, e):
+        """K(0, e)."""
+        k = self.enc.get(e)
+        if k is None:
+            if max(e, default=0) >= LIMIT:
+                raise ResourceGuardExceeded(
+                    "Groebner kernel: exponent %d exceeds the limit %d" % (max(e), LIMIT - 1))
+            k = self.enc[e] = self.off + sum(map(mul, e, self.weights))
+            self.dec[k] = e
+        return k
+
+    def exps(self, r):
+        """The exponents of a key's low part r = K & mask; ``key`` checks them."""
+        if r not in self.dec:
+            self.key(tuple(r >> _FIELD * i & 0xFFFF for i in range(self.n)))
+        return self.dec[r]
+
+
+def _packing(ring):
+    """The shared _Packing of ring's (nvars, order), cached on the ring."""
+    if "_packing" not in ring.__dict__:
+        key = (ring.nvars, ring.order)
+        ring._packing = _PACKINGS.get(key) or _PACKINGS.setdefault(key, _Packing(*key))
+    return ring._packing
 
 
 class Vec:
     """An element of a free module R^r; immutable by convention.
 
-    ``lead()`` is computed once and cached, so ``data`` must never be mutated
-    after construction: build a new Vec instead.  A ``lead`` passed in must be
-    the position-over-term lead ((component, exps), coeff) of ``data``.  A Vec
-    returned by ``primitive()`` is marked so, and is its own ``primitive()``.
+    ``data`` maps (component, exps) to coefficients and ``terms`` packed keys;
+    ``terms`` is built when a Vec is made from ``data``, ``data`` when first
+    read, so neither may be mutated.  A ``top`` passed in must be the (key,
+    coeff) of the least key of ``terms``.  A Vec returned by ``primitive()``
+    is marked so, and is its own ``primitive()``.
     """
 
-    __slots__ = ("ring", "data", "_lead", "_primitive")
+    __slots__ = ("ring", "pk", "_data", "terms", "_top", "_lead", "_primitive")
 
-    def __init__(self, ring, data, lead=None):
+    def __init__(self, ring, data=None, terms=None, top=None, pk=None):
         self.ring = ring
-        self.data = data
-        self._lead = lead
+        self.pk = pk = pk or _packing(ring)
+        if terms is None:
+            enc, key, cs = pk.enc.get, pk.key, pk.cs
+            terms = {(j << cs) + (enc(e) or key(e)): c for (j, e), c in data.items()}
+        self._data = data
+        self.terms = terms
+        self._top = top
+        self._lead = None
         self._primitive = False
 
     @classmethod
     def from_poly(cls, f, comp=0):
-        return cls(f.ring, {(comp, e): c for e, c in f.terms.items()})
+        pk = _packing(f.ring)
+        enc, key, s = pk.enc.get, pk.key, comp << pk.cs
+        return cls(f.ring, None, {s + (enc(e) or key(e)): c for e, c in f.terms.items()}, None, pk)
 
     @classmethod
     def unit(cls, ring, comp):
         return cls(ring, {(comp, ring._zero_exp): ring.field.one()})
 
+    @property
+    def data(self):
+        if self._data is None:
+            dec, exps, cs, m = self.pk.dec.get, self.pk.exps, self.pk.cs, self.pk.mask
+            self._data = {(k >> cs, dec(k & m) or exps(k & m)): c for k, c in self.terms.items()}
+        return self._data
+
+    def _with(self, terms, top=None):
+        return Vec(self.ring, None, terms, top, self.pk)
+
     def is_zero(self):
-        return not self.data
+        return not self
 
     def __bool__(self):
-        return bool(self.data)
+        return bool(self.terms)
 
     def component(self, i):
         """The polynomial in slot i."""
-        terms = {e: c for (j, e), c in self.data.items() if j == i}
-        return self.ring.poly(terms)
+        return self.ring.poly({e: c for (j, e), c in self.data.items() if j == i})
 
     def add(self, other):
-        return Vec(self.ring, add_terms(dict(self.data), other.data.items(), self.ring.char))
+        return self._with(add_terms(dict(self.terms), other.terms.items(), self.ring.char))
 
     def sub(self, other):
-        return Vec(self.ring, add_terms(dict(self.data), other.data.items(), self.ring.char, -1))
+        return self._with(add_terms(dict(self.terms), other.terms.items(), self.ring.char, -1))
 
     def scale(self, c):
-        return Vec(self.ring, scale_terms(self.data, self.ring.field.coerce(c), self.ring.char))
+        return self._with(scale_terms(self.terms, self.ring.field.coerce(c), self.ring.char))
+
+    def shifted(self, d):
+        """This vector with component j moved to j + d."""
+        s, top = d << self.pk.cs, self._top
+        out = self._with({k + s: c for k, c in self.terms.items()}, top and (top[0] + s, top[1]))
+        out._primitive = self._primitive
+        return out
 
     def mul_term(self, exps, c):
         """Multiply by the term c * x^exps."""
         shifted = {(j, tuple(map(add, e, exps))): v for (j, e), v in self.data.items()}
-        return Vec(self.ring, shifted).scale(c)
+        return Vec(self.ring, shifted, pk=self.pk).scale(c)
+
+    def top(self):
+        """(key, coeff) of the lead term, packed."""
+        if self._top is None:
+            k = min(self.terms)
+            self._top = (k, self.terms[k])
+        return self._top
 
     def lead(self):
         """((component, exps), coeff) under position-over-term order."""
         if self._lead is None:
-            lkey = self.ring.order.lead_key
-            k = min(self.data, key=lambda t: (t[0], lkey(t[1])))
-            self._lead = (k, self.data[k])
+            k, c = self.top()
+            self._lead = ((k >> self.pk.cs, self.pk.exps(k & self.pk.mask)), c)
         return self._lead
 
     def monic(self):
-        if not self.data:
+        if not self:
             return self
-        k, c = self.lead()
+        k, c = self.top()
         inv = self.ring.field.inv(c)
-        return Vec(self.ring, scale_terms(self.data, inv, self.ring.char), (k, 1))
+        return self._with(scale_terms(self.terms, inv, self.ring.char), (k, 1))
 
     def primitive(self):
         """Over Q the integer multiple with coprime coefficients and a positive
         lead, ``monic()`` in char p; self when it is that already.  The result
         is marked, so calling this on it again costs O(1)."""
-        if self._primitive or not self.data:
+        if self._primitive or not self:
             return self
-        k, c = self.lead()
+        k, c = self.top()
         if self.ring.char:
             out = self if c == 1 else self.monic()
         else:
-            _, data = _cleared(self.data)
-            g = gcd(*data.values()) if c > 0 else -gcd(*data.values())
+            _, terms = _cleared(self.terms)
+            g = gcd(*terms.values()) if c > 0 else -gcd(*terms.values())
             if g != 1:
-                data = {t: v // g for t, v in data.items()}
-            out = self if data is self.data else Vec(self.ring, data, (k, data[k]))
+                terms = {t: v // g for t, v in terms.items()}
+            out = self if terms is self.terms else self._with(terms, (k, terms[k]))
         out._primitive = True
         return out
 
     def degree_with(self, twists):
         """Max degree of terms, offset by generator degrees per component."""
-        if not self.data:
+        if not self:
             return -1
         return max(sum(e) + twists[j] for (j, e) in self.data)
 
@@ -160,15 +254,8 @@ class Vec:
         return len(degs) <= 1
 
     def __repr__(self):
-        comps = {}
-        for (j, e), c in self.data.items():
-            comps.setdefault(j, {})[e] = c
-        inner = ", ".join("%d: %s" % (j, self.ring.poly(t)) for j, t in sorted(comps.items()))
-        return "<%s>" % inner
-
-
-def _divides(a, b):
-    return all(map(le, a, b))
+        comps = sorted({j for j, _ in self.data})
+        return "<%s>" % ", ".join("%d: %s" % (j, self.component(j)) for j in comps)
 
 
 def _cleared(data):
@@ -180,13 +267,13 @@ def _cleared(data):
 
 
 def lead_index(basis):
-    """component -> [(lead exps, lead coeff, Vec)] in basis order; the first
-    divisor reduces.  The Vecs are primitive (``Vec.primitive``)."""
+    """component -> [(packed lead key, lead coeff, Vec)] in basis order; the
+    first divisor reduces.  The Vecs are primitive (``Vec.primitive``)."""
     index = {}
     for g in filter(None, basis):
         g = g.primitive()
-        (j, e), c = g.lead()
-        index.setdefault(j, []).append((e, c, g))
+        k, c = g.top()
+        index.setdefault(k >> g.pk.cs, []).append((k, c, g))
     return index
 
 
@@ -202,8 +289,8 @@ def normal_form(v, basis):
 
 def _nf_vec(v, index):
     """The exact normal form of v modulo a ``lead_index``."""
-    den, data = _cleared(v.data)
-    rem, scale = _reduce(Vec(v.ring, data), index)
+    den, terms = _cleared(v.terms)
+    rem, scale = _reduce(v._with(terms), index)
     scale *= den
     return rem if scale == 1 or not rem else rem.scale(Fraction(1, scale))
 
@@ -216,28 +303,30 @@ def _reduce(v, index):
     Terms leave the heap greatest first and a step only creates smaller
     ones, so ``rem`` is filled in descending order: r carries its first
     term, read after the last scaling, as its lead."""
-    ring = v.ring
-    field = ring.field
-    p = ring.char
-    lkey = ring.order.lead_key
-    work = dict(v.data)
-    # The terms of ``work``, greatest first.  An entry whose monomial has left
-    # ``work`` (cancelled, or re-created and already handled) is skipped.
-    heap = [(j, lkey(e), e) for j, e in work]
+    field = v.ring.field
+    p = v.ring.char
+    cs, guard = v.pk.cs, v.pk.guard
+    work = dict(v.terms)
+    # The keys of ``work``, least (greatest term) first.  An entry whose term
+    # has left ``work`` (cancelled, or re-created and already handled) is skipped.
+    heap = list(work)
     heapify(heap)
     rem = {}
     scale = 1
     while heap:
-        jc, _, ec = heappop(heap)
-        cc = work.get((jc, ec))
+        kc = heappop(heap)
+        cc = work.get(kc)
         if cc is None:
             continue
-        for eg, cg, g in index.get(jc, ()):
-            if all(map(le, eg, ec)):
+        if kc & guard:  # an exponent reached LIMIT: decoding it trips the guard
+            v.pk.exps(kc & v.pk.mask)
+        for kg, cg, g in index.get(kc >> cs, ()):
+            shift = kc - kg
+            if not shift & guard:
                 break
         else:
-            rem[(jc, ec)] = cc
-            del work[jc, ec]
+            rem[kc] = cc
+            del work[kc]
             continue
         if p:
             factor = cc * field.inv(cg)
@@ -250,39 +339,36 @@ def _reduce(v, index):
                     work[t] *= m
                 for t in rem:
                     rem[t] *= m
-        shift = tuple(map(sub, ec, eg))
-        # the lead term cancels (jc, ec) itself; every other term is smaller
-        for (jg2, eg2), cg2 in g.data.items():
-            e = tuple(map(add, eg2, shift))
-            k = (jg2, e)
+        # the lead term cancels kc itself; every other term is smaller
+        for k, cg2 in g.terms.items():
+            k += shift
             s = work.get(k, 0) - factor * cg2
             if p:
                 s %= p
             if s:
                 if k not in work:
-                    heappush(heap, (jg2, lkey(e), e))
+                    heappush(heap, k)
                 work[k] = s
             else:
                 work.pop(k, None)
-    return Vec(ring, rem, next(iter(rem.items()), None)), scale
+    return v._with(rem, next(iter(rem.items()), None)), scale
 
 
 def _spair(f, g):
     """(cg/q) x^a f - (cf/q) x^b g for q = gcd(cf, cg): over Q the leads of
     primitive f and g are ints, in char p they are 1.  Built in one dict,
     without the two lead terms, which cancel."""
-    kf, cf = f.lead()
-    kg, cg = g.lead()
-    assert kf[0] == kg[0]
-    top = tuple(map(max, kf[1], kg[1]))
+    (kf, cf), (kg, cg) = f.top(), g.top()
+    (jf, ef), (jg, eg) = f.lead()[0], g.lead()[0]
+    assert jf == jg
+    top = (jf << f.pk.cs) + f.pk.key(tuple(map(max, ef, eg)))
     q = gcd(cf, cg)
     mf, mg, p = cg // q, cf // q, f.ring.char
-    sf, sg = tuple(map(sub, top, kf[1])), tuple(map(sub, top, kg[1]))
-    data = {(k[0], tuple(map(add, k[1], sf))): c * mf % p if p else c * mf
-            for k, c in f.data.items() if k != kf}
-    for k, c in g.data.items():
+    sf, sg = top - kf, top - kg
+    data = {k + sf: c * mf % p if p else c * mf for k, c in f.terms.items() if k != kf}
+    for k, c in g.terms.items():
         if k != kg:
-            k = (k[0], tuple(map(add, k[1], sg)))
+            k += sg
             s = data.get(k, 0) - c * mg
             if p:
                 s %= p
@@ -290,7 +376,7 @@ def _spair(f, g):
                 data[k] = s
             else:
                 del data[k]
-    return Vec(f.ring, data)
+    return f._with(data)
 
 
 def buchberger(vecs, guard=None, known=0):
@@ -305,28 +391,29 @@ def buchberger(vecs, guard=None, known=0):
     if not vecs:
         return []
     # remainders of rank-1 input stay in component 0
-    rank1 = all(j == 0 for g in vecs for j, _ in g.data)
+    pk = vecs[0].pk
+    cs, bits, enc, key = pk.cs, pk.guard, pk.enc.get, pk.key
+    rank1 = not any(k >> cs for g in vecs for k in g.terms)
     G = []
-    leads = []  # leads[i] = (component, exps) of G[i]
-    same = {}  # component -> [(i, exps)] for the G[i] leading there
+    same = {}  # component -> [(i, lead exps, lead key)] for the G[i] leading there
     index = {}  # the lead_index of G, extended with each new element
-    # ``pairs`` maps the pending pairs (i, j), i < j, to their lcm for the
-    # chain criterion; ``queue`` pops them by (degree, i, j).
+    # ``pairs`` maps the pending pairs (i, j), i < j, to the packed key of
+    # their lcm for the criteria; ``queue`` pops them by (degree, i, j).
     pairs = {}
     queue = []
 
     def add_pairs(g):
-        new = len(leads)
+        new = len(G) - 1
         (comp, exps), c = g.lead()
+        kg = g.top()[0]
         here = same.setdefault(comp, [])
         if new >= known:  # two known elements form no pair
-            for k, ek in here:
+            for k, ek, _ in here:
                 lcm = tuple(map(max, ek, exps))
-                pairs[(k, new)] = lcm
+                pairs[(k, new)] = (comp << cs) + (enc(lcm) or key(lcm))
                 heappush(queue, (sum(lcm), k, new))
-        here.append((new, exps))
-        leads.append((comp, exps))
-        index.setdefault(comp, []).append((exps, c, g))
+        here.append((new, exps, kg))
+        index.setdefault(comp, []).append((kg, c, g))
 
     for n, g in enumerate(vecs):
         if known and n >= known:  # a new input enters reduced, or not at all
@@ -338,16 +425,15 @@ def buchberger(vecs, guard=None, known=0):
     while queue:
         deg, i, j = heappop(queue)
         lcm = pairs.pop((i, j))
-        (comp, ei), (_, ej) = leads[i], leads[j]
-        # product criterion (valid only in the ideal case)
-        if rank1 and all(a == 0 or b == 0 for a, b in zip(ei, ej)):
+        # product criterion (valid only in the ideal case): the lcm is the product
+        if rank1 and lcm == G[i].top()[0] + G[j].top()[0] - pk.off:
             continue
         # chain criterion
-        for k, ek in same[comp]:
+        for k, _, kk in same[lcm >> cs]:
             if (
                 k != i
                 and k != j
-                and _divides(ek, lcm)
+                and not (lcm - kk) & bits
                 and (min(i, k), max(i, k)) not in pairs
                 and (min(j, k), max(j, k)) not in pairs
             ):
@@ -368,21 +454,22 @@ def interreduce(G):
     G = [g.primitive() for g in G if g]
     if not G:
         return []
-    lkey = G[0].ring.order.lead_key
+    cs, guard = G[0].pk.cs, G[0].pk.guard
     G.sort(key=lambda g: sum(g.lead()[0][1]))
     index = {}  # the lead_index of the minimal elements
     for g in G:
-        (j, e), c = g.lead()
-        if not any(_divides(m, e) for m, _, _ in index.get(j, ())):
-            index.setdefault(j, []).append((e, c, g))
+        k, c = g.top()
+        here = index.setdefault(k >> cs, [])
+        if all((k - m) & guard for m, _, _ in here):
+            here.append((k, c, g))
     out = []
     for g in (g for entries in index.values() for _, _, g in entries):
         # a lead divides no smaller term of its own component, so g never
         # reduces its own tail: reducing modulo every minimal element is safe
-        k, c = g.lead()
-        tail, s = _reduce(Vec(g.ring, {t: d for t, d in g.data.items() if t != k}), index)
-        out.append(Vec(g.ring, {k: c * s, **tail.data}, (k, c * s)).monic())
-    out.sort(key=lambda g: (g.lead()[0][0], lkey(g.lead()[0][1])))
+        k, c = g.top()
+        tail, s = _reduce(g._with({t: d for t, d in g.terms.items() if t != k}), index)
+        out.append(g._with({k: c * s, **tail.terms}, (k, c * s)).monic())
+    out.sort(key=lambda g: g.top()[0])
     return out
 
 
@@ -409,17 +496,10 @@ def syzygies(vecs, rank, guard=None, modulo=()):
     vecs, modulo = list(vecs), list(modulo)
     if not vecs:
         return []
-    ring = vecs[0].ring
-    aug = []
-    for i, v in enumerate(vecs):
-        data = dict(v.data)
-        data[(rank + i, ring._zero_exp)] = ring.field.one()
-        aug.append(Vec(ring, data))
+    one, pk = vecs[0].ring.field.one(), vecs[0].pk  # e_(rank+i) has key (rank+i)*BIG + OFF
+    aug = [v._with({**v.terms, ((rank + i) << pk.cs) + pk.off: one}) for i, v in enumerate(vecs)]
     G = buchberger(modulo + aug, guard, known=len(modulo))
-    return [
-        Vec(ring, {(j - rank, e): c for (j, e), c in g.data.items()})
-        for g in interreduce([g for g in G if g.lead()[0][0] >= rank])
-    ]
+    return [g.shifted(-rank) for g in interreduce([g for g in G if g.lead()[0][0] >= rank])]
 
 
 def module_contains(v, gb):

@@ -262,12 +262,9 @@ def module_colon(im_gens, vs, rank, guard=None):
     copy (Greuel-Pfister, *A Singular Introduction to Commutative Algebra*,
     2.8)."""
     ring, m = vs[0].ring, len(vs)
-
-    def shifted(v, k):
-        return {(j + k * rank, e): c for (j, e), c in v.data.items()}
-
-    stacked = Vec(ring, {t: c for k, v in enumerate(vs) for t, c in shifted(v, k).items()})
-    copies = [Vec(ring, shifted(g, k)) for k in range(m) for g in im_gens]
+    stacked = Vec(ring, None, {t: c for k, v in enumerate(vs)
+                               for t, c in v.shifted(k * rank).terms.items()})
+    copies = [g.shifted(k * rank) for k in range(m) for g in im_gens]
     kernel = syzygies([stacked], rank=m * rank, guard=guard, modulo=copies)
     return Ideal.from_basis(ring, [h.component(0) for h in kernel])
 

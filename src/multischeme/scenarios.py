@@ -43,6 +43,7 @@ class ScenarioOptions:
     char: int = None      # restrict table scenarios to one characteristic
     seed: int = 0
     guard: object = None
+    catalog: list = field(default=None, init=False, repr=False)  # read once per run
 
 
 @dataclass
@@ -140,7 +141,8 @@ def _scn_example_2_9(rec, opts):
 
 def _table_scenario(table_id):
     def run(rec, opts):
-        for entry in load_catalog(table_id):
+        opts.catalog = opts.catalog or load_catalog()
+        for entry in (e for e in opts.catalog if e.table == table_id):
             chars = entry.chars
             if opts.char is not None:
                 chars = tuple(c for c in chars if c == opts.char)
@@ -479,9 +481,10 @@ def _scn_thicken_roundtrip(rec, opts):
     """Thickening each filtration term by its layer quotient, free or
     presented, must reproduce the next term, for every type-I entry of
     multiplicity <= 4."""
+    opts.catalog = opts.catalog or load_catalog()
     entries = [
         e
-        for e in load_catalog()
+        for e in opts.catalog
         if e.table in ("thm-3.6", "thm-3.8") and e.type_i and e.multiplicity <= 4
     ]
     for entry in entries:

@@ -227,3 +227,32 @@ def test_inhomogeneous_input_is_a_usage_error_for_every_projective_command(
     p.write_text("ring x,y,z\n(x - y^2)\n")
     assert main([command, str(p)]) == 3
     assert "inhomogeneous generator -y^2 + x" in capsys.readouterr().err
+
+
+def test_an_exponent_past_the_packed_limit_is_inconclusive(tmp_path, capsys):
+    # the Groebner kernel packs each exponent in 15 bits: 40000 is a guard
+    # trip, never a traceback or a wrapped exponent; 32767 still computes
+    p = tmp_path / "huge.ms"
+    p.write_text("ring x,y\n(x^40000 - y^40000)\n")
+    assert main(["gb", str(p)]) == 2
+    assert capsys.readouterr().err == (
+        "inconclusive: Groebner kernel: exponent 40000 exceeds the limit 32767\n")
+    p.write_text("ring x,y\n(x^32767 - y^32767)\n")
+    assert main(["gb", str(p)]) == 0
+    assert capsys.readouterr().out.strip() == "(x^32767 - y^32767)"
+
+
+def test_verify_all_reads_the_catalog_once(monkeypatch, capsys):
+    import multischeme.catalog as catalog
+
+    calls = []
+    load = catalog._load_raw
+
+    def counting(*args):
+        calls.append(args)
+        return load(*args)
+
+    monkeypatch.setattr(catalog, "_load_raw", counting)
+    assert main(["verify", "all"]) == 0
+    assert "13/13 scenarios passed" in capsys.readouterr().out
+    assert len(calls) == 1

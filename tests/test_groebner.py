@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations
 from math import gcd
+from operator import add, le
 
 import pytest
 from test_modules import _random_presentation
@@ -9,10 +11,10 @@ from test_structures import _theorem_rows
 
 import multischeme.groebner as groebner
 from multischeme.groebner import (
+    LIMIT,
     Guard,
     ResourceGuardExceeded,
     Vec,
-    _divides,
     buchberger,
     groebner_basis,
     interreduce,
@@ -29,6 +31,10 @@ from multischeme.ring import GREVLEX, LEX, PolyRing, TermOrder
 @pytest.fixture
 def ring():
     return PolyRing(("x", "y"))
+
+
+def _divides(a, b):
+    return all(map(le, a, b))
 
 
 def _gb_strings(ring, text):
@@ -577,10 +583,11 @@ def test_primitive_has_coprime_integers_and_a_positive_lead():
     gf = PolyRing(("x", "y"), char=5)
     w = Vec(gf, {(0, (1, 0)): 3, (0, (0, 1)): 1})
     assert w.primitive().data == w.monic().data == {(0, (1, 0)): 1, (0, (0, 1)): 2}
-    # monic() carries the lead key over, with coefficient 1
+    # monic() carries the packed lead key over, with coefficient 1
     m = Vec(gf, {(1, (2, 0)): 4, (0, (0, 1)): 3}).monic()
     assert m.data == {(1, (2, 0)): 3, (0, (0, 1)): 1}
-    assert m._lead == ((0, (0, 1)), 1) == Vec(gf, dict(m.data)).lead()
+    assert m._top == (min(m.terms), 1)
+    assert m.lead() == ((0, (0, 1)), 1) == Vec(gf, dict(m.data)).lead()
 
 
 def _reference_spair(f, g):
@@ -607,7 +614,15 @@ def test_carried_leads_are_the_leads_of_the_data(char, order, rank):
     def check(v):
         nonlocal checked
         if v:
-            assert v.lead() == Vec(ring, dict(v.data)).lead()
+            fresh = min(v.data, key=lambda t: (t[0], order.lead_key(t[1])))
+            assert v.lead() == (fresh, v.data[fresh]) == Vec(ring, dict(v.data)).lead()
+            # the packed view holds the terms of ``data``, in the same order,
+            # and its lead decodes to ``lead()``
+            pk = v.pk
+            assert list(v.terms.items()) == list(Vec(ring, dict(v.data)).terms.items())
+            assert list(v.data.items()) == list(Vec(ring, None, dict(v.terms)).data.items())
+            k, c = v.top()
+            assert ((k >> pk.cs, pk.exps(k & pk.mask)), c) == v.lead()
             checked += 1
         return v
 
@@ -728,3 +743,255 @@ def test_every_s_pair_is_formed_inside_buchberger(rebind):
         before = spairs[True]
         run()
         assert spairs[True] > before and spairs[False] == 0, run.__name__
+
+
+def _reference_tuple_lead_index(basis):
+    """component -> [(lead exps, lead coeff, Vec)], keyed by exponent tuples."""
+    index = {}
+    for g in filter(None, basis):
+        g = g.primitive()
+        (j, e), c = g.lead()
+        index.setdefault(j, []).append((e, c, g))
+    return index
+
+
+def _reference_tuple_reduce(v, index):
+    """The tuple-keyed heap reduction the packed ``_reduce`` replaced: terms
+    are (component, exps) keys ordered by ``lead_key``, a divisor is found by
+    ``all(map(le, ...))`` and a shift is a tuple sum."""
+    ring = v.ring
+    p = ring.char
+    lkey = ring.order.lead_key
+    work = dict(v.data)
+    heap = [(j, lkey(e), e) for j, e in work]
+    heapify(heap)
+    rem = {}
+    scale = 1
+    while heap:
+        jc, _, ec = heappop(heap)
+        cc = work.get((jc, ec))
+        if cc is None:
+            continue
+        for eg, cg, g in index.get(jc, ()):
+            if all(map(le, eg, ec)):
+                break
+        else:
+            rem[(jc, ec)] = cc
+            del work[jc, ec]
+            continue
+        if p:
+            factor = cc * ring.field.inv(cg)
+        else:
+            q = gcd(cc, cg)
+            factor, m = cc // q, cg // q
+            if m != 1:
+                scale *= m
+                work = {t: c * m for t, c in work.items()}
+                rem = {t: c * m for t, c in rem.items()}
+        shift = tuple(a - b for a, b in zip(ec, eg))
+        for (jg2, eg2), cg2 in g.data.items():
+            e = tuple(map(add, eg2, shift))
+            k = (jg2, e)
+            s = work.get(k, 0) - factor * cg2
+            if p:
+                s %= p
+            if s:
+                if k not in work:
+                    heappush(heap, (jg2, lkey(e), e))
+                work[k] = s
+            else:
+                work.pop(k, None)
+    return Vec(ring, rem), scale
+
+
+def _reference_tuple_spair(f, g):
+    """The tuple-keyed one-dict S-polynomial."""
+    (jf, ef), cf = f.lead()
+    (_, eg), cg = g.lead()
+    top = tuple(map(max, ef, eg))
+    q = gcd(cf, cg)
+    mf, mg, p = cg // q, cf // q, f.ring.char
+    sf, sg = (tuple(a - b for a, b in zip(top, e)) for e in (ef, eg))
+    data = {(k[0], tuple(map(add, k[1], sf))): c * mf % p if p else c * mf
+            for k, c in f.data.items() if k != (jf, ef)}
+    for k, c in g.data.items():
+        if k != (jf, eg):
+            k = (k[0], tuple(map(add, k[1], sg)))
+            s = data.get(k, 0) - c * mg
+            if p:
+                s %= p
+            if s:
+                data[k] = s
+            else:
+                del data[k]
+    return Vec(f.ring, data)
+
+
+def _reference_tuple_buchberger(vecs, guard, known, formed):
+    """The tuple-keyed ``buchberger``: the same pair queue, criteria and
+    guard checks on exponent tuples, over ``_reference_tuple_reduce`` and
+    ``_reference_tuple_spair``; appends to ``formed`` per S-pair."""
+    known = sum(map(bool, vecs[:known]))
+    vecs = [v.primitive() for v in vecs if v]
+    rank1 = all(j == 0 for g in vecs for j, _ in g.data)
+    G, leads, same, index, pairs, queue = [], [], {}, {}, {}, []
+
+    def add_pairs(g):
+        new = len(leads)
+        (comp, exps), c = g.lead()
+        here = same.setdefault(comp, [])
+        if new >= known:
+            for k, ek in here:
+                lcm = tuple(map(max, ek, exps))
+                pairs[(k, new)] = lcm
+                heappush(queue, (sum(lcm), k, new))
+        here.append((new, exps))
+        leads.append((comp, exps))
+        index.setdefault(comp, []).append((exps, c, g))
+
+    for n, g in enumerate(vecs):
+        if known and n >= known:
+            g = _reference_tuple_reduce(g, index)[0].primitive()
+            if not g:
+                continue
+        G.append(g)
+        add_pairs(g)
+    while queue:
+        deg, i, j = heappop(queue)
+        lcm = pairs.pop((i, j))
+        (comp, ei), (_, ej) = leads[i], leads[j]
+        if rank1 and all(a == 0 or b == 0 for a, b in zip(ei, ej)):
+            continue
+        for k, ek in same[comp]:
+            if (k not in (i, j) and _divides(ek, lcm) and (min(i, k), max(i, k)) not in pairs
+                    and (min(j, k), max(j, k)) not in pairs):
+                break
+        else:
+            guard.check_degree(deg)
+            formed.append(1)
+            rem, _ = _reference_tuple_reduce(_reference_tuple_spair(G[i], G[j]), index)
+            if rem:
+                G.append(rem.primitive())
+                guard.check_basis(len(G))
+                add_pairs(G[-1])
+    return G
+
+
+@pytest.mark.parametrize("char", [0, 5])
+@pytest.mark.parametrize("order", [GREVLEX, LEX, TermOrder("block", 1)])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_packed_kernel_matches_the_tuple_keyed_reference(char, order, rank, monkeypatch):
+    """The packed ``buchberger`` gives the unreduced basis of the tuple-keyed
+    kernel it replaced: the same elements in the same order, term order
+    included, the same leads and the same number of S-pairs, with and
+    without a known basis, or the same guard trip after the same S-pairs
+    (char-0 lex input can swell); ``_reduce`` and ``_spair`` agree term for
+    term."""
+    calls = []
+    spair = groebner._spair
+
+    def counting(f, g):
+        calls.append(1)
+        return spair(f, g)
+
+    def same(got, want):
+        assert [list(v.data.items()) for v in got] == [list(v.data.items()) for v in want]
+        assert [v.lead() if v else None for v in got] == [v.lead() if v else None for v in want]
+
+    def run(kernel):
+        try:
+            return kernel(), None
+        except ResourceGuardExceeded as exc:
+            return None, str(exc)
+
+    monkeypatch.setattr(groebner, "_spair", counting)
+    guard = Guard(max_basis=40)
+    ring = PolyRing(("x", "y", "z"), char=char, order=order)
+    rng = random.Random("%d %s %d tuple" % (char, order.kind, rank))
+    formed = compared = 0
+    for n in range(8):
+        first = _awkward_vecs(ring, rng, rank)
+        new = _awkward_vecs(ring, rng, rank)
+        basis, _ = run(lambda: buchberger(first, guard))
+        runs = [(first + new, 0)] + ([(basis + new, len(basis))] if basis else [])
+        for vecs, known in runs:
+            del calls[:]
+            wanted = []
+            got, trip = run(lambda: buchberger(vecs, guard, known))
+            want, want_trip = run(lambda: _reference_tuple_buchberger(vecs, guard, known, wanted))
+            assert trip == want_trip and len(calls) == len(wanted)
+            if got is not None:
+                same(got, want)
+                compared += 1
+            formed += len(wanted)
+        if basis is None:
+            continue
+        index, tuples = lead_index(basis), _reference_tuple_lead_index(basis)
+        for v in new:
+            v = Vec(ring, groebner._cleared(v.data)[1])
+            (got, s), (want, t) = groebner._reduce(v, index), _reference_tuple_reduce(v, tuples)
+            same([got], [want])
+            assert s == t
+        for f, g in combinations(basis, 2):
+            if f.lead()[0][0] == g.lead()[0][0]:
+                same([spair(f, g)], [_reference_tuple_spair(f, g)])
+    assert compared >= 12 and formed >= 20
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, TermOrder("block", 1), TermOrder("block", 2)])
+def test_packed_keys_order_shift_and_divide_like_exponent_tuples(order):
+    """On random monomials, exponent LIMIT - 1 and a rest block carrying most
+    of the degree included: ascending keys are (component, lead_key) order,
+    a key shifts by adding lin(s) = key(s) - OFF, the guard-bit mask tests
+    divisibility, and a key decodes to its component and exponents."""
+    ring = PolyRing(("x", "y", "z"), order=order)
+    pk = groebner._packing(ring)
+    rng = random.Random("%s %d keys" % (order.kind, order.front))
+    top = LIMIT - 1
+
+    def mono(bound):
+        kind = rng.randrange(3)
+        if kind == 0:
+            return tuple(rng.choice((0, bound)) for _ in range(3))
+        if kind == 1:  # the front variable small, the rest carrying the degree
+            return (rng.randint(0, 2), rng.randint(0, bound), rng.randint(0, bound))
+        return tuple(rng.randint(0, min(bound, 3)) for _ in range(3))
+
+    terms = [(rng.randrange(3), mono(top)) for _ in range(400)]
+    keys = [(j << pk.cs) + pk.key(e) for j, e in terms]
+    by_key = [t for _, t in sorted(zip(keys, terms))]
+    assert by_key == sorted(terms, key=lambda t: (t[0], order.lead_key(t[1])))
+    assert [(k >> pk.cs, pk.exps(k & pk.mask)) for k in keys] == terms
+    for (j, e), k in zip(terms, keys):
+        s = tuple(rng.randint(0, top - a) for a in e)
+        assert k + pk.key(s) - pk.off == (j << pk.cs) + pk.key(tuple(map(add, e, s)))
+    divides = 0
+    for _ in range(2000):
+        a, b = mono(top), mono(top)
+        if rng.random() < 0.3:
+            b = tuple(map(add, a, (rng.randint(0, top - x) for x in a)))
+        fits = not (pk.key(b) - pk.key(a)) & pk.guard
+        assert fits == _divides(a, b)
+        divides += fits
+    assert divides >= 500
+
+
+def test_an_exponent_past_the_limit_trips_the_guard():
+    """An exponent of 2^15 or more, in the input or made by an S-pair or a
+    reduction step, raises a guard trip naming the kernel, the limit and the
+    value; it never wraps into a neighbouring field."""
+    ring = PolyRing(("y", "x", "z"), order=LEX)
+    message = "Groebner kernel: exponent 40000 exceeds the limit 32767"
+    with pytest.raises(ResourceGuardExceeded, match=message):
+        buchberger([Vec.from_poly(parse_poly(ring, "x^40000 - y"))])
+    # y*(y*x^20000 + z) - x^20000*(y^2 + x^20000) = y*z - x^40000
+    f, g = (Vec.from_poly(h) for h in parse_ideal(ring, "(y*x^20000 + z, y^2 + x^20000)"))
+    with pytest.raises(ResourceGuardExceeded, match=message):
+        buchberger([f, g], guard=Guard(max_degree=10**6))
+    # x^20000*y reduces by y - x^20000 to x^40000
+    with pytest.raises(ResourceGuardExceeded, match=message):
+        normal_form(parse_poly(ring, "x^20000*y"), [parse_poly(ring, "y - x^20000")])
+    # LIMIT - 1 itself is an exponent like any other
+    v = Vec.from_poly(parse_poly(ring, "x^32767*z^32767 - y"))
+    y = Vec.from_poly(parse_poly(ring, "y"))
+    assert normal_form(v, [y]).data == {(0, (0, 32767, 32767)): 1}
