@@ -139,7 +139,7 @@ def _nystruktur(char=0, guard=None):
             "multiplicity": 5,
             "locally_cm": True,
             "filtration_multiplicities": [1, 3, 5],
-            "layer_ranks": [2, 1],
+            "layer_ranks": [2, 2],
         }
     ]
     return Family("nystruktur", {"char": char}, [structure], manifest)

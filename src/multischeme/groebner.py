@@ -1,23 +1,20 @@
 """Buchberger's algorithm for ideals and submodules of free modules.
 
-Free-module elements map (component, exponent tuple) to field elements,
-ordered position-over-term: lower component first, ties broken by the ring's
-monomial order, so a basis is an elimination basis for the components put
-first, which is how ``syzygies`` extracts a kernel.
+Free-module terms are ordered position-over-term: lower component first,
+ties broken by the ring's monomial order, so a basis is an elimination
+basis for the components put first, which is how ``syzygies`` extracts a
+kernel.
 
-Inside the kernel a term is one int K = j*BIG + OFF + sum(e_i * W_i)
-(Bachmann-Schoenemann, ISSAC 1998; Monagan-Pearce, JSC 46, 2011).  Its high
-digits, the flattened ``TermOrder.lead_key`` of e in a radix wide enough for
-n exponents below 2^16, make ascending K the position-over-term order,
-greatest term first, for every order; K is linear in e, so a shift is one
-addition, d*BIG for ``Vec.shifted``.  Its low 16-bit fields hold e, with a
-guard bit over 15 bits each: a lead divides a term of its component when
-``(kc - kg) & GUARD == 0``, kc - kg being the shift.  Exponents stay below
-``LIMIT`` = 2^15, checked on encoding; a larger S-pair or reduction sum sets
-its guard bit and trips ``ResourceGuardExceeded`` in ``_reduce``, never
-wrapping.  The tables live in one ``_Packing`` per (nvars, order), shared by
-the many small rings of a run.  A ``Vec`` packs its ``terms`` when made and
-decodes its public ``data`` on first use.
+A term is one int, j*BIG + K(e) with K the ring's monomial key (see
+``ring``): ascending keys are the position-over-term order, greatest term
+first, a shift is one addition, d*BIG for ``Vec.shifted``, and a lead
+divides a term of its component when ``(kc - kg) & GUARD == 0``, kc - kg
+being the shift.  An S-pair or reduction sum whose exponent reaches
+``LIMIT`` sets its guard bit and trips ``ResourceGuardExceeded`` in
+``_reduce``, never wrapping.  A polynomial's terms are a Vec's component 0
+as they are, so ``Vec.from_poly`` and ``Vec.component`` only shift keys;
+``Vec.data``, the terms decoded to (component, exponents), is built on
+first read for tests and tools; no computation of the package reads it.
 
 ``buchberger`` is the one Buchberger run.  It returns the primitive,
 unreduced basis: its leads span the initial module, and the normal form
@@ -51,16 +48,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import add, mul
 
-from .ring import add_terms, scale_terms
-
-LIMIT = 1 << 15  # every exponent stays below this
-_FIELD = 16  # bits of one packed exponent: 15 of value and a guard bit
-
-
-class ResourceGuardExceeded(RuntimeError):
-    """Raised when a Groebner computation exceeds the configured budget."""
+from .ring import Polynomial, ResourceGuardExceeded, add_terms, scale_terms
 
 
 @dataclass
@@ -78,75 +67,25 @@ class Guard:
 
 
 DEFAULT_GUARD = Guard()
-_PACKINGS = {}  # (nvars, order) -> its _Packing
-
-
-class _Packing:
-    """The packed keys of one (nvars, order), laid out as the module
-    docstring says: ``key`` encodes exponents and ``exps`` decodes the
-    low part of a key, both through tables of the exponents met so far."""
-
-    def __init__(self, n, order):
-        def flat(key):
-            return [b for a in key for b in (flat(a) if isinstance(a, tuple) else (a,))]
-
-        rows = [flat(order.lead_key(tuple(int(i == k) for i in range(n)))) for k in range(n)]
-        m = len(rows[0]) if rows else 0
-        spread = max((sum(abs(r[d]) for r in rows) for d in range(m)), default=0)
-        b = (spread << _FIELD).bit_length() + 1  # a digit's |value| < 2^b / 2
-        low = _FIELD * n
-        self.n, self.cs = n, b * m + low  # BIG = 2^cs
-        self.mask = (1 << self.cs) - 1
-        self.off = 1 << self.cs - 1 if m else 0
-        self.guard = sum(LIMIT << _FIELD * k for k in range(n))
-        self.weights = [(sum(a << b * (m - 1 - d) for d, a in enumerate(row)) << low)
-                        + (1 << _FIELD * k) for k, row in enumerate(rows)]
-        self.enc, self.dec = {}, {}
-
-    def key(self, e):
-        """K(0, e)."""
-        k = self.enc.get(e)
-        if k is None:
-            if max(e, default=0) >= LIMIT:
-                raise ResourceGuardExceeded(
-                    "Groebner kernel: exponent %d exceeds the limit %d" % (max(e), LIMIT - 1))
-            k = self.enc[e] = self.off + sum(map(mul, e, self.weights))
-            self.dec[k] = e
-        return k
-
-    def exps(self, r):
-        """The exponents of a key's low part r = K & mask; ``key`` checks them."""
-        if r not in self.dec:
-            self.key(tuple(r >> _FIELD * i & 0xFFFF for i in range(self.n)))
-        return self.dec[r]
-
-
-def _packing(ring):
-    """The shared _Packing of ring's (nvars, order), cached on the ring."""
-    if "_packing" not in ring.__dict__:
-        key = (ring.nvars, ring.order)
-        ring._packing = _PACKINGS.get(key) or _PACKINGS.setdefault(key, _Packing(*key))
-    return ring._packing
 
 
 class Vec:
     """An element of a free module R^r; immutable by convention.
 
-    ``data`` maps (component, exps) to coefficients and ``terms`` packed keys;
-    ``terms`` is built when a Vec is made from ``data``, ``data`` when first
-    read, so neither may be mutated.  A ``top`` passed in must be the (key,
+    ``terms`` maps packed keys to coefficients, and ``data`` decodes them
+    to (component, exps) on first read; a Vec made from ``data`` packs it,
+    and neither may be mutated.  A ``top`` passed in must be the (key,
     coeff) of the least key of ``terms``.  A Vec returned by ``primitive()``
     is marked so, and is its own ``primitive()``.
     """
 
     __slots__ = ("ring", "pk", "_data", "terms", "_top", "_lead", "_primitive")
 
-    def __init__(self, ring, data=None, terms=None, top=None, pk=None):
+    def __init__(self, ring, data=None, terms=None, top=None):
         self.ring = ring
-        self.pk = pk = pk or _packing(ring)
+        self.pk = pk = ring.pk
         if terms is None:
-            enc, key, cs = pk.enc.get, pk.key, pk.cs
-            terms = {(j << cs) + (enc(e) or key(e)): c for (j, e), c in data.items()}
+            terms = {(j << pk.cs) + pk.key(e): c for (j, e), c in data.items()}
         self._data = data
         self.terms = terms
         self._top = top
@@ -155,23 +94,23 @@ class Vec:
 
     @classmethod
     def from_poly(cls, f, comp=0):
-        pk = _packing(f.ring)
-        enc, key, s = pk.enc.get, pk.key, comp << pk.cs
-        return cls(f.ring, None, {s + (enc(e) or key(e)): c for e, c in f.terms.items()}, None, pk)
+        """f in component ``comp``; f's terms themselves in component 0."""
+        s = comp << f.ring.pk.cs
+        return cls(f.ring, None, {k + s: c for k, c in f.terms.items()} if s else f.terms)
 
     @classmethod
     def unit(cls, ring, comp):
-        return cls(ring, {(comp, ring._zero_exp): ring.field.one()})
+        return cls(ring, None, {(comp << ring.pk.cs) + ring.pk.off: ring.field.one()})
 
     @property
     def data(self):
         if self._data is None:
-            dec, exps, cs, m = self.pk.dec.get, self.pk.exps, self.pk.cs, self.pk.mask
-            self._data = {(k >> cs, dec(k & m) or exps(k & m)): c for k, c in self.terms.items()}
+            exps, cs, m = self.pk.exps, self.pk.cs, self.pk.mask
+            self._data = {(k >> cs, exps(k & m)): c for k, c in self.terms.items()}
         return self._data
 
     def _with(self, terms, top=None):
-        return Vec(self.ring, None, terms, top, self.pk)
+        return Vec(self.ring, None, terms, top)
 
     def is_zero(self):
         return not self
@@ -181,7 +120,9 @@ class Vec:
 
     def component(self, i):
         """The polynomial in slot i."""
-        return self.ring.poly({e: c for (j, e), c in self.data.items() if j == i})
+        cs = self.pk.cs
+        s = i << cs
+        return Polynomial(self.ring, {k - s: c for k, c in self.terms.items() if k >> cs == i})
 
     def add(self, other):
         return self._with(add_terms(dict(self.terms), other.terms.items(), self.ring.char))
@@ -199,10 +140,15 @@ class Vec:
         out._primitive = self._primitive
         return out
 
-    def mul_term(self, exps, c):
-        """Multiply by the term c * x^exps."""
-        shifted = {(j, tuple(map(add, e, exps))): v for (j, e), v in self.data.items()}
-        return Vec(self.ring, shifted, pk=self.pk).scale(c)
+    def renumbered(self, new):
+        """This vector with component j moved to new[j]."""
+        cs, m = self.pk.cs, self.pk.mask
+        return self._with({(new[k >> cs] << cs) + (k & m): c for k, c in self.terms.items()})
+
+    def mul_term(self, key, c):
+        """Multiply by the term c * x^e, for the monomial key ``key`` of e."""
+        s = key - self.pk.off
+        return self._with(self.pk.checked({k + s: v for k, v in self.terms.items()})).scale(c)
 
     def top(self):
         """(key, coeff) of the lead term, packed."""
@@ -243,18 +189,19 @@ class Vec:
         out._primitive = True
         return out
 
+    def _degrees(self, twists):
+        cs, degree = self.pk.cs, self.pk.degree
+        return [degree(k) + twists[k >> cs] for k in self.terms]
+
     def degree_with(self, twists):
         """Max degree of terms, offset by generator degrees per component."""
-        if not self:
-            return -1
-        return max(sum(e) + twists[j] for (j, e) in self.data)
+        return max(self._degrees(twists), default=-1)
 
     def is_homogeneous_with(self, twists):
-        degs = {sum(e) + twists[j] for (j, e) in self.data}
-        return len(degs) <= 1
+        return len(set(self._degrees(twists))) <= 1
 
     def __repr__(self):
-        comps = sorted({j for j, _ in self.data})
+        comps = sorted({k >> self.pk.cs for k in self.terms})
         return "<%s>" % ", ".join("%d: %s" % (j, self.component(j)) for j in comps)
 
 

@@ -164,7 +164,7 @@ def intersect(*ideals, guard=None):
         return ideals[0]
     ring, m = ideals[0].ring, len(ideals)
     basis = [Vec.from_poly(g, k) for k, a in enumerate(ideals) for g in a.groebner(guard=guard)]
-    ones = Vec(ring, {(k, ring._zero_exp): ring.field.one() for k in range(m)})
+    ones = Vec(ring, None, {(k << ring.pk.cs) + ring.pk.off: ring.field.one() for k in range(m)})
     return module_colon(basis, [ones], m, guard=guard)
 
 
@@ -309,11 +309,11 @@ def _ext_annihilator(ideal, i, guard):
 def _transpose(ring, cols, nrows):
     """The columns of the transpose of the map into R^nrows whose columns
     are ``cols``."""
-    out = [{} for _ in range(nrows)]
+    out, cs, m = [{} for _ in range(nrows)], ring.pk.cs, ring.pk.mask
     for j, v in enumerate(cols):
-        for (i, e), c in v.data.items():
-            out[i][(j, e)] = c
-    return [Vec(ring, data) for data in out]
+        for k, c in v.terms.items():
+            out[k >> cs][(j << cs) + (k & m)] = c
+    return [Vec(ring, None, terms) for terms in out]
 
 
 def ext_window(ideal, guard=None):

@@ -13,13 +13,15 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .groebner import Vec, buchberger, lead_index, module_contains, syzygies
-from .ring import poly_divide_exact
+from .ring import Polynomial, poly_divide_exact
 
 
 def columns_to_vecs(ring, matrix):
     """rows x cols polynomial matrix -> list of column Vecs."""
+    cs = ring.pk.cs
     return [
-        Vec(ring, {(i, e): c for i, row in enumerate(matrix) for e, c in row[j].terms.items()})
+        Vec(ring, None, {(i << cs) + k: c for i, row in enumerate(matrix)
+                         for k, c in row[j].terms.items()})
         for j in range(len(matrix[0]) if matrix else 0)
     ]
 
@@ -33,18 +35,18 @@ def vecs_to_columns(ring, vecs, nrows):
 
 def _components(v):
     """{component: polynomial} of a Vec, in one pass over its terms."""
-    parts = {}
-    for (i, e), c in v.data.items():
-        parts.setdefault(i, {})[e] = c
-    return {i: v.ring.poly(terms) for i, terms in sorted(parts.items())}
+    parts, cs, m = {}, v.pk.cs, v.pk.mask
+    for k, c in v.terms.items():
+        parts.setdefault(k >> cs, {})[k & m] = c
+    return {i: Polynomial(v.ring, terms) for i, terms in sorted(parts.items())}
 
 
 def _apply(cols, v):
     """The image of v under the map whose column j is ``cols[j]``: the sum
     of c * x^e * cols[j] over the terms c * x^e * e_j of v."""
-    out = Vec(v.ring, {})
-    for (j, e), c in v.data.items():
-        out = out.add(cols[j].mul_term(e, c))
+    out, cs, m = Vec(v.ring, None, {}), v.pk.cs, v.pk.mask
+    for k, c in v.terms.items():
+        out = out.add(cols[k >> cs].mul_term(k & m, c))
     return out
 
 
@@ -131,7 +133,7 @@ class GradedModule:
                 raise ValueError("relation matrix shape does not match %d generators" % self.rank)
             rel = columns_to_vecs(self.ring, rel)
         for col in rel:
-            if any(i >= self.rank for i, _ in col.data):
+            if col and max(col.terms) >> col.pk.cs >= self.rank:
                 raise ValueError("relation column outside rank %d" % self.rank)
             if not col.is_homogeneous_with(self.gen_degrees):
                 raise ValueError("inhomogeneous relation column")
@@ -176,24 +178,23 @@ def _prune_units(ring, cols, nrows):
     renumbered onto the surviving rows, and per pivot ``(a, {i: c})`` with
     g_a = sum c * g_i in the cokernel.
     """
-    zero = ring._zero_exp
+    cs, m, one = ring.pk.cs, ring.pk.mask, ring.pk.off
     live = dict(enumerate(cols))
     rows = list(range(nrows))
     steps = []
-    while units := [(i, b) for b, v in live.items() for i, e in v.data if e == zero]:
+    while units := [(k >> cs, b) for b, v in live.items() for k in v.terms if k & m == one]:
         a, b = min(units)
         col = live.pop(b)
-        col = col.scale(ring.field.inv(col.data[(a, zero)]))
+        col = col.scale(ring.field.inv(col.terms[(a << cs) + one]))
         for j, v in live.items():
-            entry = Vec(ring, {k: c for k, c in v.data.items() if k[0] == a})
+            entry = Vec(ring, None, {k: c for k, c in v.terms.items() if k >> cs == a})
             if entry:
                 live[j] = v.sub(_apply({a: col}, entry))
         rows.remove(a)
         steps.append((a, {i: -f for i, f in _components(col).items() if i != a}))
     new = {i: k for k, i in enumerate(rows)}
     kept = [j for j, v in live.items() if v]
-    pruned = [Vec(ring, {(new[i], e): c for (i, e), c in live[j].data.items()}) for j in kept]
-    return rows, kept, pruned, steps
+    return rows, kept, [live[j].renumbered(new) for j in kept], steps
 
 
 @dataclass

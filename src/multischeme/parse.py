@@ -7,6 +7,9 @@ Ring declaration::
 Ideal text is a parenthesized comma-separated list of polynomials, e.g.
 ``(x^2 + z0*y, y^2)``.  Multiplication ``*`` is optional between factors,
 ``^`` is exponentiation, coefficients are integers or fractions ``a/b``.
+Every exponent must stay below 2^15 = 32768, the packed key's field (see
+``ring``): a larger one, written or made by a product or power, raises
+``ResourceGuardExceeded`` naming it, which ``ms`` reports as inconclusive.
 """
 
 from __future__ import annotations

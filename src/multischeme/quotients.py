@@ -21,7 +21,7 @@ from itertools import combinations_with_replacement
 
 from .ideals import Ideal, is_irrelevant_primary
 from .modules import determinant
-from .ring import PolyRing, nullspace
+from .ring import Polynomial, PolyRing, add_terms, nullspace
 
 
 def monomials_of_degree(ring, d):
@@ -77,13 +77,13 @@ class TwistVerdict:
 def solution_space(module, twist):
     """Basis of maps M -> O(twist): rows (l_1..l_g) with row . relations = 0."""
     ring = module.ring
-    fieldk = ring.field
+    fieldk, pk = ring.field, ring.pk
     degs = [gd + twist for gd in module.gen_degrees]
-    monos = [monomials_of_degree(ring, d) for d in degs]
+    monos = [[pk.key(e) for e in monomials_of_degree(ring, d)] for d in degs]
     index = {}
-    for i, es in enumerate(monos):
-        for e in es:
-            index[(i, e)] = len(index)
+    for i, keys in enumerate(monos):
+        for k in keys:
+            index[(i, k)] = len(index)
     if not index:
         return []
     ncols = len(index)
@@ -91,14 +91,15 @@ def solution_space(module, twist):
     # one equation per monomial of each relation column's image
     for rel in module.relations:
         eqs = {}
-        for (i, em), cm in rel.data.items():
-            for e in monos[i]:
-                key = tuple(a + b for a, b in zip(e, em))
-                eqs.setdefault(key, [fieldk.zero()] * ncols)[index[(i, e)]] += cm
+        for km, cm in rel.terms.items():
+            i, km = km >> pk.cs, (km & pk.mask) - pk.off
+            for k in monos[i]:
+                eqs.setdefault(k + km, [fieldk.zero()] * ncols)[index[(i, k)]] += cm
         rows.extend(eqs.values())
     basis = nullspace(fieldk, rows, ncols)
     return [
-        [ring.poly({e: v[index[(i, e)]] for e in es}) for i, es in enumerate(monos)]
+        [Polynomial(ring, add_terms({}, ((k, v[index[(i, k)]]) for k in keys), ring.char))
+         for i, keys in enumerate(monos)]
         for v in basis
     ]
 
@@ -125,13 +126,14 @@ def _certificate(module, basis, degs):
         # generic combination is identically singular
         # in a ring of the coefficient variables a0, a1, ... alone
         sym = PolyRing(["a%d" % k for k in range(len(basis))], ring.char)
+        linear = [ring.pk.key(e) for e in monomials_of_degree(ring, 1)]  # x_0, x_1, ...
         rows = []
         for i in support:
             entries = []
-            for var in ring.names:
+            for kx in linear:
                 coeff = sym.zero()
                 for k, row in enumerate(basis):
-                    c = row[i].coeff_of(ring.var(var).lead_exp())
+                    c = row[i].terms.get(kx)
                     if c:
                         coeff = coeff + sym.var(sym.names[k]).scale(c)
                 entries.append(coeff)
@@ -187,9 +189,9 @@ def line_bundle_quotients(module, twist_range, samples=100, seed=0, guard=None):
                 for c, b in zip(coeffs, basis):
                     if c:
                         for terms, f in zip(acc, b):
-                            for e, v in f.terms.items():
-                                terms[e] = terms.get(e, 0) + v * c
-                row = [ring.poly(terms) for terms in acc]
+                            for k, v in f.terms.items():
+                                terms[k] = terms.get(k, 0) + v * c
+                row = [Polynomial(ring, add_terms({}, terms.items(), ring.char)) for terms in acc]
                 tested += 1
                 if is_irrelevant_primary(Ideal(ring, row), guard=guard):
                     witness = row

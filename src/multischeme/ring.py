@@ -1,14 +1,26 @@
 """Exact multivariate polynomial arithmetic over Q or a prime field.
 
-Polynomials are immutable dicts mapping exponent tuples to nonzero field
-elements: ints or ``fractions.Fraction``s in characteristic 0 (see ``Rationals``)
-and ints reduced mod p in characteristic p.  No floating point anywhere.
-Buchberger over Q (``groebner``) computes with primitive integer vectors and
-makes only its reduced basis monic, so Fractions appear there on output.
+A polynomial is an immutable dict mapping packed monomial keys to nonzero
+field elements: ints or ``fractions.Fraction``s in characteristic 0 (see
+``Rationals``) and ints reduced mod p in characteristic p, never floats.
 
-Every term dictionary (a ``Polynomial``'s terms, a ``Vec``'s data, a Hilbert
-numerator) is added or subtracted by ``add_terms`` and scaled by ``scale_terms``,
-which keep these invariants.  Only Buchberger's ``_spair`` and ``_reduce`` fuse
+The key of x^e is one int K(e) = OFF + sum(e_i * W_i) (Bachmann-Schoenemann,
+ISSAC 1998; Monagan-Pearce, JSC 46, 2011), laid out by the ``_Packing`` that
+the rings of one (nvars, order) share.  Its high digits, the flattened
+``TermOrder.lead_key`` of e, make ascending keys the descending term order;
+K is linear in e, so a product adds keys, less OFF.  Its low 16-bit fields
+hold e, a guard bit over 15 bits each: x^a divides x^b when ``(K(b) - K(a))
+& GUARD == 0``.  Exponents stay below ``LIMIT`` = 2^15: encoding checks them
+and a product or power past it raises ``ResourceGuardExceeded``, so no field
+carries into the next.  A ``groebner.Vec`` term is j*2^cs + K(e), so a
+polynomial's terms are a Vec's component 0 as they are.  Exponent tuples are
+made only at the edges: ``PolyRing.poly`` (parsing), printing, ``lead``
+(Hilbert leads), the decoded ``data`` view, and ``transfer`` through one key
+map per pair of rings.
+
+Every term dictionary (a ``Polynomial``'s, a ``Vec``'s, a Hilbert numerator)
+is added or subtracted by ``add_terms`` and scaled by ``scale_terms``, which
+keep these invariants.  Only Buchberger's ``_spair`` and ``_reduce`` fuse
 their own multiply-subtract: a kernel call per term made the S-pair 10-15% slower.
 """
 
@@ -16,6 +28,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
+
+LIMIT = 1 << 15  # every exponent stays below this
+_FIELD = 16  # bits of one packed exponent: 15 of value and a guard bit
+
+
+class ResourceGuardExceeded(RuntimeError):
+    """Raised when a Groebner computation exceeds the configured budget."""
+
+
+def _check_exponent(e):
+    if e >= LIMIT:
+        raise ResourceGuardExceeded(
+            "Groebner kernel: exponent %d exceeds the limit %d" % (e, LIMIT - 1))
 
 
 class Rationals:
@@ -134,10 +160,62 @@ class TermOrder:
 
 GREVLEX = TermOrder("grevlex")
 LEX = TermOrder("lex")
+_PACKINGS = {}  # (nvars, order) -> its _Packing
+
+
+class _Packing:
+    """The packed keys of one (nvars, order), laid out as the module
+    docstring says: ``key`` encodes exponents and ``exps`` decodes the
+    low part of a key, both through tables of the exponents met so far."""
+
+    def __init__(self, n, order):
+        def flat(key):
+            return [b for a in key for b in (flat(a) if isinstance(a, tuple) else (a,))]
+
+        rows = [flat(order.lead_key(tuple(int(i == k) for i in range(n)))) for k in range(n)]
+        m = len(rows[0]) if rows else 0
+        spread = max((sum(abs(r[d]) for r in rows) for d in range(m)), default=0)
+        b = (spread << _FIELD).bit_length() + 1  # a digit's |value| < 2^b / 2
+        low = _FIELD * n
+        self.n, self.cs = n, b * m + low  # BIG = 2^cs
+        self.mask = (1 << self.cs) - 1
+        self.off = 1 << self.cs - 1 if m else 0
+        self.guard = sum(LIMIT << _FIELD * k for k in range(n))
+        self.weights = [(sum(a << b * (m - 1 - d) for d, a in enumerate(row)) << low)
+                        + (1 << _FIELD * k) for k, row in enumerate(rows)]
+        self.enc, self.dec = {}, {}
+
+    def key(self, e):
+        """K(e)."""
+        k = self.enc.get(e)
+        if k is None:
+            _check_exponent(max(e, default=0))
+            k = self.enc[e] = self.off + sum(map(mul, e, self.weights))
+            self.dec[k] = e
+        return k
+
+    def exps(self, r):
+        """The exponents of a key's low part r = K & mask; ``key`` checks them."""
+        if r not in self.dec:
+            self.key(tuple(r >> _FIELD * i & 0xFFFF for i in range(self.n)))
+        return self.dec[r]
+
+    def degree(self, k):
+        """The total degree of the monomial of any key."""
+        return sum(self.exps(k & self.mask))
+
+    def checked(self, terms):
+        """``terms``, whose keys must set no guard bit: decoding one that
+        does trips the guard."""
+        for k in terms:
+            if k & self.guard:
+                self.exps(k & self.mask)
+        return terms
 
 
 class PolyRing:
-    """A polynomial ring k[x_1..x_n] with a fixed term order."""
+    """A polynomial ring k[x_1..x_n] with a fixed term order; ``pk`` is the
+    ``_Packing`` of its keys."""
 
     def __init__(self, names, char=0, order=GREVLEX):
         names = tuple(names)
@@ -151,7 +229,9 @@ class PolyRing:
         self.field = Rationals() if char == 0 else PrimeField(char)
         self.order = order
         self._index = {n: i for i, n in enumerate(names)}
-        self._zero_exp = (0,) * self.nvars
+        shape = (self.nvars, order)
+        self.pk = _PACKINGS.get(shape) or _PACKINGS.setdefault(shape, _Packing(*shape))
+        self._movers = {}  # ring -> the key map into it
 
     # -- constructors ------------------------------------------------------
 
@@ -161,7 +241,7 @@ class PolyRing:
         for e, c in terms.items():
             c = self.field.coerce(c)
             if c:
-                clean[tuple(e)] = c
+                clean[self.pk.key(tuple(e))] = c
         return Polynomial(self, clean)
 
     def zero(self):
@@ -172,13 +252,10 @@ class PolyRing:
 
     def const(self, c):
         c = self.field.coerce(c)
-        return Polynomial(self, {self._zero_exp: c} if c else {})
+        return Polynomial(self, {self.pk.off: c} if c else {})
 
     def var(self, name):
-        i = self._index[name]
-        e = [0] * self.nvars
-        e[i] = 1
-        return self.poly({tuple(e): 1})
+        return Polynomial(self, {self.pk.off + self.pk.weights[self._index[name]]: 1})
 
     def gens(self):
         return [self.var(n) for n in self.names]
@@ -195,24 +272,37 @@ class PolyRing:
         order = TermOrder(self.order.kind, min(self.order.front, len(names)))
         return PolyRing(names, self.char, order)
 
+    def mover(self, other):
+        """The key map into ``other``, matching variables by name and built
+        once per pair of rings: None for a monomial in a variable ``other``
+        lacks."""
+        move = self._movers.get(other)
+        if move is None:
+            pos = [other._index.get(n, -1) for n in self.names]
+            memo, exps, key = {}, self.pk.exps, other.pk.key
+
+            def move(k):
+                if k not in memo:
+                    e = [0] * (other.nvars + 1)  # e[-1] sums the lacking variables
+                    for p, a in zip(pos, exps(k)):
+                        e[p] += a
+                    memo[k] = None if e[-1] else key(tuple(e[:-1]))
+                return memo[k]
+
+            self._movers[other] = move
+        return move
+
     def transfer(self, f, other):
         """Map a polynomial into ``other`` matching variables by name.
 
         Variables of ``f``'s ring absent from ``other`` must not occur in f.
         """
-        pos = []
-        for n in self.names:
-            pos.append(other._index.get(n))
-        terms = {}
-        for e, c in f.terms.items():
-            new = [0] * other.nvars
-            for i, ei in enumerate(e):
-                if ei:
-                    if pos[i] is None:
-                        raise ValueError("variable %s not in target ring" % self.names[i])
-                    new[pos[i]] = ei
-            terms[tuple(new)] = terms.get(tuple(new), other.field.zero()) + other.field.coerce(c)
-        return other.poly(terms)
+        move, coerce = self.mover(other), other.field.coerce
+        terms = {move(k): d for k, c in f.terms.items() if (d := coerce(c))}
+        if None in terms:
+            lacking = sorted(f.variables() - set(other.names))
+            raise ValueError("variables %s not in target ring" % lacking)
+        return Polynomial(other, terms)
 
     def __eq__(self, other):
         return (
@@ -263,18 +353,21 @@ def scale_terms(data, c, p):
     return out
 
 
-def _exp_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 class Polynomial:
-    """Immutable polynomial; do not mutate ``terms``."""
+    """Immutable polynomial: ``terms`` maps packed keys to coefficients, so
+    do not mutate it; ``data`` is the same terms decoded, keyed by exponent
+    tuples."""
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring, terms):
         self.ring = ring
         self.terms = terms
+
+    @property
+    def data(self):
+        exps = self.ring.pk.exps
+        return {exps(k): c for k, c in self.terms.items()}
 
     def is_zero(self):
         return not self.terms
@@ -308,16 +401,15 @@ class Polynomial:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
+        pk = self.ring.pk
         terms = {}
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = _exp_mul(ea, eb)
-                s = terms.get(e)
-                if s is None:
-                    terms[e] = ca * cb
-                else:
-                    terms[e] = s + ca * cb
-        return Polynomial(self.ring, add_terms({}, terms.items(), self.ring.char))
+        for ka, ca in a.items():
+            ka -= pk.off
+            for kb, cb in b.items():
+                k = ka + kb
+                s = terms.get(k)
+                terms[k] = ca * cb if s is None else s + ca * cb
+        return Polynomial(self.ring, pk.checked(add_terms({}, terms.items(), self.ring.char)))
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -326,6 +418,9 @@ class Polynomial:
         return self._coerce(other) - self
 
     def __pow__(self, n):
+        # a variable of degree d in self has degree n*d in self^n
+        exps = self.ring.pk.exps
+        _check_exponent(n * max((max(exps(k), default=0) for k in self.terms), default=0))
         out = self.ring.one()
         base = self
         while n:
@@ -350,104 +445,55 @@ class Polynomial:
 
     def lead(self):
         """(exponent tuple, coefficient) of the leading term."""
-        e = min(self.terms, key=self.ring.order.lead_key)
-        return e, self.terms[e]
+        k = min(self.terms)
+        return self.ring.pk.exps(k), self.terms[k]
 
     def lead_exp(self):
         return self.lead()[0]
 
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return max(map(self.ring.pk.degree, self.terms), default=-1)
 
     def is_homogeneous(self):
-        degs = {sum(e) for e in self.terms}
-        return len(degs) <= 1
+        return len(set(map(self.ring.pk.degree, self.terms))) <= 1
 
     def is_constant(self):
-        return all(sum(e) == 0 for e in self.terms)
+        return set(self.terms) <= {self.ring.pk.off}
 
     def variables(self):
-        used = set()
-        for e in self.terms:
-            for i, ei in enumerate(e):
-                if ei:
-                    used.add(self.ring.names[i])
-        return used
-
-    def coeff_of(self, exps):
-        return self.terms.get(tuple(exps), self.ring.field.zero())
-
-    def sorted_terms(self):
-        key = self.ring.order.lead_key
-        return sorted(self.terms.items(), key=lambda t: key(t[0]))
+        exps, names = self.ring.pk.exps, self.ring.names
+        return {n for k in self.terms for n, a in zip(names, exps(k)) if a}
 
     # -- substitution ------------------------------------------------------
 
     def substitute(self, images):
         """Evaluate under name -> polynomial (in any common ring)."""
-        ring = None
-        for v in images.values():
-            ring = v.ring
-            break
-        if ring is None:
-            ring = self.ring
-        imgs = []
-        for n in self.ring.names:
-            if n in images:
-                imgs.append(images[n])
-            else:
-                imgs.append(ring.var(n))
-        out = ring.zero()
-        for e, c in self.terms.items():
+        ring = next(iter(images.values())).ring if images else self.ring
+        imgs = [images[n] if n in images else ring.var(n) for n in self.ring.names]
+        out = {}
+        for k, c in self.terms.items():
             t = ring.const(c)
-            for i, ei in enumerate(e):
-                if ei:
-                    t = t * imgs[i] ** ei
-            out = out + t
-        return out
+            for img, a in zip(imgs, self.ring.pk.exps(k)):
+                if a:
+                    t = t * img ** a
+            add_terms(out, t.terms.items(), ring.char)
+        return Polynomial(ring, out)
 
     def __repr__(self):
         return format_poly(self)
 
 
-def format_coeff(c):
-    if isinstance(c, Fraction):
-        if c.denominator == 1:
-            return str(c.numerator)
-        return "%d/%d" % (c.numerator, c.denominator)
-    return str(c)
-
-
 def format_poly(f):
-    if f.is_zero():
-        return "0"
-    names = f.ring.names
+    names, exps = f.ring.names, f.ring.pk.exps
     pieces = []
-    for e, c in f.sorted_terms():
-        mono = "*".join(
-            n if k == 1 else "%s^%d" % (n, k) for n, k in zip(names, e) if k
-        )
-        cs = format_coeff(c)
+    for k, c in sorted(f.terms.items()):  # ascending keys: greatest term first
+        mono = "*".join(n if a == 1 else "%s^%d" % (n, a) for n, a in zip(names, exps(k)) if a)
+        cs = str(c)  # an int, or a Fraction as "p/q"
         if mono:
-            if cs == "1":
-                term = mono
-            elif cs == "-1":
-                term = "-" + mono
-            else:
-                term = cs + "*" + mono
-        else:
-            term = cs
-        pieces.append(term)
-    out = pieces[0]
-    for t in pieces[1:]:
-        if t.startswith("-"):
-            out += " - " + t[1:]
-        else:
-            out += " + " + t
-    return out
+            cs = cs[:-1] if cs in ("1", "-1") else cs + "*"
+        pieces.append(cs + mono)
+    return " + ".join(pieces).replace(" + -", " - ") or "0"
 
 
 def nullspace(field, rows, ncols):
@@ -489,19 +535,17 @@ def nullspace(field, rows, ncols):
 
 
 def poly_divide_exact(f, g):
-    """q with f = q*g; raises when the division is not exact."""
-    ring = f.ring
-    q = ring.zero()
-    r = f
-    (eg, cg) = g.lead()
-    inv = ring.field.inv(cg)
+    """q with f = q*g; raises when the division is not exact, that is when
+    g's lead fails the guard-bit divisor test on a remainder's lead."""
+    ring, pk = f.ring, f.ring.pk
+    kg = min(g.terms)
+    inv = ring.field.inv(g.terms[kg])
+    q, r = {}, f
     while r:
-        (er, cr) = r.lead()
-        if not all(a >= b for a, b in zip(er, eg)):
+        kr = min(r.terms)
+        if (kr - kg) & pk.guard:
             raise ArithmeticError("inexact polynomial division")
-        shift = tuple(a - b for a, b in zip(er, eg))
-        c = cr * inv
-        term = ring.poly({shift: c})
-        q = q + term
+        term = Polynomial(ring, {kr - kg + pk.off: ring.field.coerce(r.terms[kr] * inv)})
+        q.update(term.terms)
         r = r - term * g
-    return q
+    return Polynomial(ring, q)

@@ -287,20 +287,13 @@ def _nonexistence_module(char=0):
 
 def _scn_nonexistence(rec, opts):
     """No line-bundle quotient of J/IJ in the twist window [-10, 0]."""
-    sub, module, B, (F1, F2, F3) = _nonexistence_module()
+    _, module, B, (F1, F2, F3) = _nonexistence_module()
     rec.check("rank-B", 4, matrix_rank(B))
-    # syzygies of (F1, -F2, F3) are exactly the Koszul relations
+    # syzygies of (F1, -F2, F3) are exactly the Koszul relations f_j e_i - f_i e_j
     seq = [F1, -F2, F3]
     syz = syzygies([Vec.from_poly(f) for f in seq], rank=1, guard=opts.guard)
-    koszul = []
-    for i in range(3):
-        for j in range(i + 1, 3):
-            data = {}
-            for e, c in seq[j].terms.items():
-                data[(i, e)] = c
-            for e, c in seq[i].terms.items():
-                data[(j, e)] = data.get((j, e), sub.field.zero()) - c
-            koszul.append(Vec(sub, {k: v for k, v in data.items() if v}))
+    koszul = [Vec.from_poly(seq[j], i).sub(Vec.from_poly(seq[i], j))
+              for i in range(3) for j in range(i + 1, 3)]
     rec.check(
         "koszul-syzygies", True, submodule_equal(syz, koszul, guard=opts.guard)
     )

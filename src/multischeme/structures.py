@@ -64,12 +64,12 @@ class Embedding:
     def restrict(self, v, n):
         """Image of the first n components of v in the support ring's free
         module of rank n (set the support variables to zero)."""
-        drop = {self.ring._index[x] for x in self.support_vars}
-        keep = [k for k in range(self.ring.nvars) if k not in drop]
-        return Vec(self.support_ring(), {
-            (i, tuple(e[k] for k in keep)): c
-            for (i, e), c in v.data.items()
-            if i < n and not any(e[k] for k in drop)
+        pk, sub = self.ring.pk, self.support_ring()
+        move, cs = self.ring.mover(sub), sub.pk.cs
+        return Vec(sub, None, {
+            (k >> pk.cs << cs) + r: c
+            for k, c in v.terms.items()
+            if k >> pk.cs < n and (r := move(k & pk.mask)) is not None
         })
 
     def extend(self, f):

@@ -242,6 +242,16 @@ def test_an_exponent_past_the_packed_limit_is_inconclusive(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "(x^32767 - y^32767)"
 
 
+@pytest.mark.parametrize("command", ["gb", "filt", "cm", "hilb"])
+@pytest.mark.parametrize("power", ["x^40000", "x^16384*x^16384"])
+def test_every_command_refuses_an_exponent_past_the_limit(tmp_path, capsys, command, power):
+    p = tmp_path / "huge.ms"
+    p.write_text("ring z0,z1,x,y\n(%s, y)\n" % power)
+    assert main([command, str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("inconclusive: Groebner kernel: exponent ") and "Traceback" not in err
+
+
 def test_verify_all_reads_the_catalog_once(monkeypatch, capsys):
     import multischeme.catalog as catalog
 

@@ -1,7 +1,9 @@
 import pytest
 
 from multischeme.families import build_family
-from multischeme.ideals import Ideal
+from multischeme.ideals import Ideal, same_zero_locus
+from multischeme.modules import matrix_rank
+from multischeme.structures import is_locally_CM
 
 
 def test_unknown_family_rejected():
@@ -85,3 +87,46 @@ def test_family_char_parameter_is_recorded():
     assert fam.params["char"] == 5
     assert fam.structures[0].embedding.ring.char == 5
     assert fam.structures[0].multiplicity() == 3
+
+
+FAMILIES = ["primitive", "koszul", "nystruktur", "bundle", "split", "ci_subsets", "nontypeI"]
+
+
+@pytest.mark.parametrize("char", [0, 5])
+def test_every_manifest_key_holds_at_default_parameters(char):
+    """Each family's manifest is what the engine computes: a layer's rank is
+    its generator count less the rank of its relation matrix, a filtration
+    term's multiplicity its degree over the support's, and a locus is
+    compared by its zero set."""
+    with pytest.raises(ValueError, match=str(sorted(FAMILIES)).replace("[", r"\[")):
+        build_family("mystery")
+
+    def locus(ring, names):
+        return Ideal(ring, [ring.var(n) for n in names])
+
+    for name in FAMILIES:
+        fam = build_family(name, char=char)
+        for st, entry in zip(fam.structures, fam.manifest):
+            ring, support = st.embedding.ring, st.embedding.support_ideal()
+            filt = st.filtration()
+            computed = {
+                "multiplicity": st.multiplicity,
+                "locally_cm": lambda: st.locally_cm()[0],
+                "type_i": lambda: st.is_type_I()[0],
+                "hilb": st.hilbert_polynomial,
+                "filtration_multiplicities": lambda: [
+                    i.dimension_degree()[1] // support.dimension_degree()[1] for i in filt.ideals],
+                "layer_ranks": lambda: [
+                    layer.rank - matrix_rank(layer.matrix()) for layer in filt.layers],
+                "subset": lambda: [
+                    i for i, v in enumerate(st.embedding.support_vars)
+                    if not st.ideal.contains(ring.var(v))],
+            }
+            for key, expected in entry.items():
+                if key == "non_cm_locus":
+                    assert same_zero_locus(st.locally_cm()[1], locus(ring, expected)), name
+                elif key == "non_cm_term_locus":
+                    assert any(not cm and same_zero_locus(bad, locus(ring, expected))
+                               for cm, bad in map(is_locally_CM, filt.ideals)), name
+                else:
+                    assert computed[key]() == expected, (name, key)

@@ -11,7 +11,6 @@ from test_structures import _theorem_rows
 
 import multischeme.groebner as groebner
 from multischeme.groebner import (
-    LIMIT,
     Guard,
     ResourceGuardExceeded,
     Vec,
@@ -25,7 +24,7 @@ from multischeme.groebner import (
     syzygies,
 )
 from multischeme.parse import parse_ideal, parse_poly
-from multischeme.ring import GREVLEX, LEX, PolyRing, TermOrder
+from multischeme.ring import GREVLEX, LEX, LIMIT, PolyRing, TermOrder
 
 
 @pytest.fixture
@@ -59,7 +58,7 @@ def test_basis_is_reduced_no_lead_divides_other_term(ring):
     gb = groebner_basis(parse_ideal(ring, "(x^3 - 2*x*y, x^2*y - 2*y^2 + x)"))
     leads = [f.lead_exp() for f in gb]
     for f in gb:
-        for e in f.terms:
+        for e in f.data:
             dividing = [
                 l for l in leads if all(a >= b for a, b in zip(e, l))
             ]
@@ -160,7 +159,8 @@ def _naive_normal_form(v, basis):
         for g in basis:
             (jg, eg), cg = g.lead()
             if jg == j and all(a <= b for a, b in zip(eg, e)):
-                v = v.sub(g.mul_term(tuple(a - b for a, b in zip(e, eg)), c * field.inv(cg)))
+                shift = v.pk.key(tuple(a - b for a, b in zip(e, eg)))
+                v = v.sub(g.mul_term(shift, c * field.inv(cg)))
                 break
         else:
             term = Vec(v.ring, {(j, e): c})
@@ -255,7 +255,7 @@ def _reference_syzygies(vecs, rank):
     the elements that lie in the components >= rank."""
     ring = vecs[0].ring
     aug = [
-        Vec(ring, {**v.data, (rank + i, ring._zero_exp): ring.field.one()})
+        Vec(ring, {**v.data, (rank + i, (0,) * ring.nvars): ring.field.one()})
         for i, v in enumerate(vecs)
     ]
     return [
@@ -396,7 +396,7 @@ def test_groebner_extends_its_lead_index_with_every_new_element(monkeypatch):
         ring, "(a + b + c + d, a*b + b*c + c*d + d*a, a*b*c + b*c*d + c*d*a + d*a*b, a*b*c*d - 1)"
     )
     quadrics = parse_ideal(ring, "(a^2, a*b, b^2, c*a, c*d, 2*d^2 - a*c)")
-    graph = [Vec(ring, {**Vec.from_poly(f).data, (1 + i, ring._zero_exp): 1})
+    graph = [Vec(ring, {**Vec.from_poly(f).data, (1 + i, (0,) * ring.nvars): 1})
              for i, f in enumerate(quadrics)]
     for vecs in ([Vec.from_poly(f) for f in cyclic4], graph):
         del seen[:]
@@ -439,8 +439,8 @@ def _reference_buchberger(vecs):
         f, g = G[pair[0]], G[pair[1]]
         (_, ef), (_, eg) = f.lead()[0], g.lead()[0]
         lcm = lcm_of(pair)
-        s = f.mul_term(tuple(a - b for a, b in zip(lcm, ef)), 1).sub(
-            g.mul_term(tuple(a - b for a, b in zip(lcm, eg)), 1)
+        s = f.mul_term(f.pk.key(tuple(a - b for a, b in zip(lcm, ef))), 1).sub(
+            g.mul_term(g.pk.key(tuple(a - b for a, b in zip(lcm, eg))), 1)
         )
         r = _naive_normal_form(s, G)
         if r:
@@ -533,7 +533,8 @@ def test_a_known_basis_gives_the_plain_reduced_basis(char, rank, monkeypatch):
         new = _awkward_vecs(ring, rng, rank)
         vecs = basis + new
         a, b = basis[-1], next(filter(None, basis))
-        span = [a, a.mul_term((1, 0, 1), 2).add(b.mul_term((0, 1, 0), 3))]
+        key = ring.pk.key
+        span = [a, a.mul_term(key((1, 0, 1)), 2).add(b.mul_term(key((0, 1, 0)), 3))]
         for eliminate in {0, rank - 1}:
             want, pairs = run(vecs, eliminate)
             plain += pairs
@@ -596,8 +597,9 @@ def _reference_spair(f, g):
     (_, eg), cg = g.lead()
     top = tuple(map(max, ef, eg))
     q = gcd(cf, cg)
-    return f.mul_term(tuple(a - b for a, b in zip(top, ef)), cg // q).sub(
-        g.mul_term(tuple(a - b for a, b in zip(top, eg)), cf // q))
+    key = f.pk.key
+    return f.mul_term(key(tuple(a - b for a, b in zip(top, ef))), cg // q).sub(
+        g.mul_term(key(tuple(a - b for a, b in zip(top, eg))), cf // q))
 
 
 @pytest.mark.parametrize("char", [0, 5])
@@ -945,7 +947,7 @@ def test_packed_keys_order_shift_and_divide_like_exponent_tuples(order):
     a key shifts by adding lin(s) = key(s) - OFF, the guard-bit mask tests
     divisibility, and a key decodes to its component and exponents."""
     ring = PolyRing(("x", "y", "z"), order=order)
-    pk = groebner._packing(ring)
+    pk = ring.pk
     rng = random.Random("%s %d keys" % (order.kind, order.front))
     top = LIMIT - 1
 

@@ -204,7 +204,7 @@ def test_one_graph_module_colon_matches_the_syzygy_reference(char):
             for _ in range(m - 1):
                 d = max(degs) + rng.randint(0, 1)
                 forms = [_random_form(rng, ring, d - a) for a in degs]
-                vs.append(Vec(ring, {(i, e): c for i, f in enumerate(forms) for e, c in f.terms.items()}))
+                vs.append(Vec(ring, {(i, e): c for i, f in enumerate(forms) for e, c in f.data.items()}))
             quotient = module_colon(interreduce(buchberger(cols[1:])), vs, rank)
             assert quotient.gens == tuple(_syzygy_module_colon(cols[1:], vs, rank).groebner())
             proper += not (quotient.is_zero() or quotient.is_one())

@@ -253,7 +253,7 @@ def _matrix_prune_units(ring, matrix):
         if pivot is None:
             break
         a, b = pivot
-        inv = ring.field.inv(m[a][b].coeff_of((0,) * ring.nvars))
+        inv = ring.field.inv(m[a][b].data[(0,) * ring.nvars])
         rows.remove(a)
         cols.remove(b)
         hit = [i for i in rows if m[i][b]]
@@ -287,7 +287,7 @@ def _random_presentation(ring, rng):
     col_degs = [rng.randint(min(degs), max(degs) + 2) for _ in range(rng.randint(1, 5))]
     entries = [[form(c - d) for c in col_degs] for d in degs]
     return degs, [
-        Vec(ring, {(i, e): a for i, row in enumerate(entries) for e, a in row[j].terms.items()})
+        Vec(ring, {(i, e): a for i, row in enumerate(entries) for e, a in row[j].data.items()})
         for j in range(len(col_degs))
     ]
 

@@ -1,5 +1,6 @@
 import pytest
 
+from multischeme.groebner import ResourceGuardExceeded
 from multischeme.parse import (
     ParseError,
     format_ideal,
@@ -46,7 +47,21 @@ def test_fraction_coefficients():
     ring = PolyRing(("x",))
     from fractions import Fraction
 
-    assert parse_poly(ring, "3/4*x").terms == {(1,): Fraction(3, 4)}
+    assert parse_poly(ring, "3/4*x").data == {(1,): Fraction(3, 4)}
+
+
+@pytest.mark.parametrize("text, exponent", [("x^40000", 40000), ("x^16384*x^16384", 32768),
+                                            ("(y + x^2)^20000", 40000)])
+def test_an_exponent_past_the_limit_is_refused_when_parsed(text, exponent):
+    """Every exponent stays below 2^15, the packed key's field: a power or a
+    product past it trips the guard with the limit and the exponent it
+    would have made, and never carries into the next field."""
+    ring = PolyRing(("x", "y"))
+    message = "Groebner kernel: exponent %d exceeds the limit 32767" % exponent
+    with pytest.raises(ResourceGuardExceeded, match=message):
+        parse_poly(ring, text)
+    assert parse_poly(ring, "x^32767*y^32767").data == {(32767, 32767): 1}
+    assert parse_poly(ring, "x^16383*x^16384").data == {(32767, 0): 1}
 
 
 def test_ideal_requires_parentheses():

@@ -40,6 +40,13 @@ def test_check_pass_reproduces_golden_digest(workload, monkeypatch, rebind):
     # reduced basis, Betti table, verdict and certificate must stay identical
     import multischeme.groebner as groebner
 
+    # terms stay packed end to end: a (component, exps) view decoded anywhere
+    # in the pass, from setup on, is a layer crossing term representations
+    decoded = []
+    data = groebner.Vec.data
+    spy = property(lambda v: decoded.append(v) or data.fget(v))
+    monkeypatch.setattr(groebner.Vec, "data", spy)
+
     monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
     import workloads
 
@@ -67,3 +74,4 @@ def test_check_pass_reproduces_golden_digest(workload, monkeypatch, rebind):
     assert calls["_spair"] == _SPAIRS[workload]
     assert calls["buchberger"] == _RUNS[workload]
     assert calls["interreduce"] <= _INTERREDUCE_AT_MOST[workload]
+    assert decoded == []

@@ -14,6 +14,7 @@ from multischeme.ring import (
     Rationals,
     TermOrder,
     add_terms,
+    poly_divide_exact,
 )
 
 
@@ -74,7 +75,7 @@ def test_prime_characteristic_check_matches_trial_division():
 def test_negation_in_prime_characteristic_normalizes():
     ring = PolyRing(("x",), char=5)
     x = ring.var("x")
-    assert (-x).terms == {(1,): 4}
+    assert (-x).data == {(1,): 4}
 
 
 def test_grevlex_prefers_total_degree_then_reverse_lex(ring):
@@ -159,7 +160,7 @@ def test_modular_arithmetic_commutes_with_reduction(a, b, p):
     f0, g0 = ring0.poly(a), ring0.poly(b)
     fp, gp = ringp.poly(a), ringp.poly(b)
     product = f0 * g0
-    reduced = ringp.poly({e: c.numerator % p for e, c in product.terms.items()})
+    reduced = ringp.poly({e: c.numerator % p for e, c in product.data.items()})
     assert fp * gp == reduced
 
 
@@ -235,7 +236,7 @@ def test_term_kernels_match_a_naive_dict_reference(char):
     slots = [(j, e) for j in range(2) for e in monos[:3]]
     for _ in range(60):
         f, g = ring.poly(terms(monos)), ring.poly(terms(monos))
-        ft, gt = f.terms, g.terms
+        ft, gt = f.data, g.data
         cases = [(f + g, _naive_sum(char, (1, ft), (1, gt))),
                  (f - g, _naive_sum(char, (1, ft), (-1, gt))),
                  (f - f, {}),
@@ -250,10 +251,10 @@ def test_term_kernels_match_a_naive_dict_reference(char):
                       (u.scale(c).data, _naive_sum(char, (coerce(c), u.data)))]
             e = rng.choice(monos)
             term = {(0, e): coerce(c)} if coerce(c) else {}
-            cases.append((u.mul_term(e, c).data,
+            cases.append((u.mul_term(ring.pk.key(e), c).data,
                           _naive_product(char, u.data, term, lambda k, t: (k[0], _exp_add(k[1], t[1])))))
         for got, expected in cases:
-            got = getattr(got, "terms", got)
+            got = getattr(got, "data", got)
             assert got == expected
             _assert_clean(got, char)
     if not char:
@@ -261,8 +262,8 @@ def test_term_kernels_match_a_naive_dict_reference(char):
         half = x.scale(Fraction(1, 2))
         two = ring.const(2)
         for whole in (half + half, half.scale(2), x - half - half + x, half * two):
-            assert whole.terms == {(1, 0): 1} and type(whole.terms[(1, 0)]) is int
-        whole = Vec.from_poly(half).mul_term((0, 1), 2)
+            assert whole.data == {(1, 0): 1} and type(whole.data[(1, 0)]) is int
+        whole = Vec.from_poly(half).mul_term(ring.pk.key((0, 1)), 2)
         assert whole.data == {(0, (1, 1)): 1} and type(whole.data[(0, (1, 1))]) is int
 
 
@@ -279,3 +280,126 @@ def test_hilbert_poly_sum_and_difference_match_a_naive_dict_reference():
     assert add_terms({1: 2}, [(0, 0), (1, 0), (1, -2)], 0) == {}
     # t/(1-t): the first P-coefficient found is 0 and the numerator has no t^0
     assert HilbertSeries.make({1: 1, 2: -1}, 2).polynomial() == HilbertPoly.make({0: 1})
+
+
+def _ref_clean(p, terms):
+    """Reduced mod p, zeros dropped, an integral char-0 value an int."""
+    out = {}
+    for e, c in terms.items():
+        c = c % p if p else (c.numerator if type(c) is Fraction and c.denominator == 1 else c)
+        if c:
+            out[e] = c
+    return out
+
+
+def _ref_mul(p, a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = _exp_add(ea, eb)
+            out[e] = out.get(e, 0) + ca * cb
+    return _ref_clean(p, out)
+
+
+def _ref_divide(ring, f, g):
+    """The tuple-keyed exact division the packed ``poly_divide_exact``
+    replaced: leads by ``lead_key``, divisibility exponent by exponent;
+    None when the division is not exact."""
+    key, field, p = ring.order.lead_key, ring.field, ring.char
+    eg = min(g, key=key)
+    q, r = {}, dict(f)
+    while r:
+        er = min(r, key=key)
+        if any(a < b for a, b in zip(er, eg)):
+            return None
+        shift = tuple(a - b for a, b in zip(er, eg))
+        q[shift] = field.coerce(r[er] * field.inv(g[eg]))
+        r = _naive_sum(p, (1, r), (-1, _ref_mul(p, {shift: q[shift]}, g)))
+    return q
+
+
+def _ref_format(ring, terms):
+    """The tuple-keyed printer: terms in ``lead_key`` order."""
+    pieces = []
+    for e, c in sorted(terms.items(), key=lambda t: ring.order.lead_key(t[0])):
+        mono = "*".join(n if a == 1 else "%s^%d" % (n, a) for n, a in zip(ring.names, e) if a)
+        cs = str(c)
+        pieces.append(cs if not mono else mono if cs == "1" else "-" + mono if cs == "-1"
+                      else cs + "*" + mono)
+    return " + ".join(pieces).replace(" + -", " - ") or "0"
+
+
+@pytest.mark.parametrize("char", [0, 5])
+@pytest.mark.parametrize("order", [GREVLEX, LEX, TermOrder("block", 1)])
+def test_packed_polynomial_matches_the_tuple_keyed_reference(char, order):
+    """Polynomial arithmetic on packed keys agrees term for term with the
+    same arithmetic on exponent-tuple dicts: sums, products, powers, scaling,
+    leads, degrees, homogeneity, substitution, transfer between rings, exact
+    division, and the printed term order."""
+    ring = PolyRing(("x", "y", "z"), char=char, order=order)
+    other = PolyRing(("w", "z", "x", "y"), char=char, order=LEX if order == GREVLEX else GREVLEX)
+    field, key = ring.field, order.lead_key
+    rng = random.Random("%d %s polynomial" % (char, order.kind))
+    coeffs = [1, -1, 2, 3, -4] + ([Fraction(1, 2), Fraction(-3, 2)] if not char else [])
+
+    def tuples(homogeneous=False):
+        d = rng.randint(0, 3)
+        out = {}
+        for _ in range(rng.randint(0, 4)):
+            e = [rng.randint(0, 3) for _ in range(3)]
+            if homogeneous:
+                e = [d, 0, 0] if sum(e) == 0 else [a * d // sum(e) for a in e]
+                e[0] += d - sum(e)
+            out[tuple(e)] = rng.choice(coeffs)
+        return _ref_clean(char, {e: field.coerce(c) for e, c in out.items()})
+
+    divided = 0
+    for n in range(40):
+        a, b, g = tuples(), tuples(n % 2 == 0), tuples()
+        f, h = ring.poly(a), ring.poly(b)
+        assert (f + h).data == _naive_sum(char, (1, a), (1, b))
+        assert (f - h).data == _naive_sum(char, (1, a), (-1, b))
+        assert (f * h).data == _ref_mul(char, a, b)
+        power = {(0, 0, 0): 1}
+        for k in range(4):
+            assert (f ** k).data == power
+            power = _ref_mul(char, power, a)
+        c = rng.choice(coeffs)
+        assert f.scale(c).data == _naive_sum(char, (field.coerce(c), a))
+        if a:
+            lead = min(a, key=key)
+            assert f.lead() == (lead, a[lead])
+        assert f.degree() == max(map(sum, a), default=-1)
+        assert h.is_homogeneous() == (len({sum(e) for e in b}) <= 1)
+        assert repr(f) == _ref_format(ring, a)
+        # substitution: x -> h, z -> g, y kept
+        images = {"x": h, "z": ring.poly(g)}
+        want = {}
+        for e, cf in a.items():
+            t = {(0, e[1], 0): cf}
+            for _ in range(e[0]):
+                t = _ref_mul(char, t, b)
+            for _ in range(e[2]):
+                t = _ref_mul(char, t, g)
+            want = _naive_sum(char, (1, want), (1, t))
+        assert f.substitute(images).data == want
+        # transfer into a ring with the variables permuted and one more
+        moved = ring.transfer(f, other)
+        assert moved.data == {(0, e[2], e[0], e[1]): cf for e, cf in a.items()}
+        assert other.transfer(moved, ring) == f
+        if any(e[0] for e in moved.data):
+            with pytest.raises(ValueError):
+                other.transfer(moved, PolyRing(("w", "y", "z"), char=char))
+        # exact division, and a division that is not exact
+        if b:
+            product = _ref_mul(char, a, b)
+            quotient = poly_divide_exact(ring.poly(product), h)
+            assert quotient.data == _ref_divide(ring, product, b) == a
+            divided += bool(a)
+            want = _ref_divide(ring, g, b)
+            if want is None:
+                with pytest.raises(ArithmeticError):
+                    poly_divide_exact(ring.poly(g), h)
+            else:
+                assert poly_divide_exact(ring.poly(g), h).data == want
+    assert divided >= 20
