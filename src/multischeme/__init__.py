@@ -9,7 +9,7 @@ local-freeness verdicts, line-bundle quotient searches, parametric
 families, a catalog of classification tables, and a scenario runner.
 """
 
-from .groebner import Guard, ResourceGuardExceeded, Vec, groebner_basis, syzygies
+from .groebner import Guard, ResourceGuardExceeded, groebner_basis, syzygies
 from .hilbert import HilbertPoly, HilbertSeries, dense_to_p_basis, twisted_free_hilbert
 from .ideals import (
     Ideal,
@@ -24,7 +24,7 @@ from .ideals import (
     unmixed_part,
 )
 from .modules import GradedModule, Resolution, free_resolution
-from .ring import PolyRing
+from .ring import PolyRing, Vec
 from .structures import (
     Embedding,
     Filtration,

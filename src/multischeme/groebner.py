@@ -5,16 +5,16 @@ ties broken by the ring's monomial order, so a basis is an elimination
 basis for the components put first, which is how ``syzygies`` extracts a
 kernel.
 
-A term is one int, j*BIG + K(e) with K the ring's monomial key (see
-``ring``): ascending keys are the position-over-term order, greatest term
-first, a shift is one addition, d*BIG for ``Vec.shifted``, and a lead
-divides a term of its component when ``(kc - kg) & GUARD == 0``, kc - kg
-being the shift.  An S-pair or reduction sum whose exponent reaches
-``LIMIT`` sets its guard bit and trips ``ResourceGuardExceeded`` in
-``_reduce``, never wrapping.  A polynomial's terms are a Vec's component 0
-as they are, so ``Vec.from_poly`` and ``Vec.component`` only shift keys;
-``Vec.data``, the terms decoded to (component, exponents), is built on
-first read for tests and tools; no computation of the package reads it.
+A term is one ``ring.Vec`` key, j*BIG + K(e) with K the ring's monomial
+key: ascending keys are the position-over-term order, greatest term first,
+a shift is one addition, d*BIG for ``Vec.shifted``, and a lead divides a
+term of its component when ``(kc - kg) & GUARD == 0``, kc - kg being the
+shift.  An S-pair or reduction sum whose exponent reaches ``LIMIT`` (2^15)
+sets its guard bit and trips ``ResourceGuardExceeded`` in ``_reduce``,
+never wrapping.  A polynomial is a Vec in component 0, so an ideal's
+generators go in and its basis comes out as they are; ``Vec.data``, the
+terms decoded to (component, exponents), is for tests and tools: no
+computation of the package reads it.
 
 ``buchberger`` is the one Buchberger run.  It returns the primitive,
 unreduced basis: its leads span the initial module, and the normal form
@@ -37,9 +37,8 @@ reduced basis is made monic, and a normal form is divided once at the end.
 In char p every basis element is monic throughout.  A Vec's cached lead
 is its terms' position-over-term lead: ``_reduce`` returns each remainder
 with it set, ``primitive()`` and ``monic()`` keep it, and ``primitive()``
-marks its result.  A Vec adds and scales through ``ring.add_terms`` and
-``ring.scale_terms``; ``_spair`` and ``_reduce`` keep their multiply-subtract
-inline, 10-15% faster than through ``add_terms``.
+marks its result.  ``_spair`` and ``_reduce`` keep their multiply-subtract
+inline, 10-15% faster than through ``ring.add_terms``.
 """
 
 from __future__ import annotations
@@ -47,9 +46,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd
 
-from .ring import Polynomial, ResourceGuardExceeded, add_terms, scale_terms
+from .ring import ResourceGuardExceeded, _cleared
 
 
 @dataclass
@@ -69,150 +68,6 @@ class Guard:
 DEFAULT_GUARD = Guard()
 
 
-class Vec:
-    """An element of a free module R^r; immutable by convention.
-
-    ``terms`` maps packed keys to coefficients, and ``data`` decodes them
-    to (component, exps) on first read; a Vec made from ``data`` packs it,
-    and neither may be mutated.  A ``top`` passed in must be the (key,
-    coeff) of the least key of ``terms``.  A Vec returned by ``primitive()``
-    is marked so, and is its own ``primitive()``.
-    """
-
-    __slots__ = ("ring", "pk", "_data", "terms", "_top", "_lead", "_primitive")
-
-    def __init__(self, ring, data=None, terms=None, top=None):
-        self.ring = ring
-        self.pk = pk = ring.pk
-        if terms is None:
-            terms = {(j << pk.cs) + pk.key(e): c for (j, e), c in data.items()}
-        self._data = data
-        self.terms = terms
-        self._top = top
-        self._lead = None
-        self._primitive = False
-
-    @classmethod
-    def from_poly(cls, f, comp=0):
-        """f in component ``comp``; f's terms themselves in component 0."""
-        s = comp << f.ring.pk.cs
-        return cls(f.ring, None, {k + s: c for k, c in f.terms.items()} if s else f.terms)
-
-    @classmethod
-    def unit(cls, ring, comp):
-        return cls(ring, None, {(comp << ring.pk.cs) + ring.pk.off: ring.field.one()})
-
-    @property
-    def data(self):
-        if self._data is None:
-            exps, cs, m = self.pk.exps, self.pk.cs, self.pk.mask
-            self._data = {(k >> cs, exps(k & m)): c for k, c in self.terms.items()}
-        return self._data
-
-    def _with(self, terms, top=None):
-        return Vec(self.ring, None, terms, top)
-
-    def is_zero(self):
-        return not self
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def component(self, i):
-        """The polynomial in slot i."""
-        cs = self.pk.cs
-        s = i << cs
-        return Polynomial(self.ring, {k - s: c for k, c in self.terms.items() if k >> cs == i})
-
-    def add(self, other):
-        return self._with(add_terms(dict(self.terms), other.terms.items(), self.ring.char))
-
-    def sub(self, other):
-        return self._with(add_terms(dict(self.terms), other.terms.items(), self.ring.char, -1))
-
-    def scale(self, c):
-        return self._with(scale_terms(self.terms, self.ring.field.coerce(c), self.ring.char))
-
-    def shifted(self, d):
-        """This vector with component j moved to j + d."""
-        s, top = d << self.pk.cs, self._top
-        out = self._with({k + s: c for k, c in self.terms.items()}, top and (top[0] + s, top[1]))
-        out._primitive = self._primitive
-        return out
-
-    def renumbered(self, new):
-        """This vector with component j moved to new[j]."""
-        cs, m = self.pk.cs, self.pk.mask
-        return self._with({(new[k >> cs] << cs) + (k & m): c for k, c in self.terms.items()})
-
-    def mul_term(self, key, c):
-        """Multiply by the term c * x^e, for the monomial key ``key`` of e."""
-        s = key - self.pk.off
-        return self._with(self.pk.checked({k + s: v for k, v in self.terms.items()})).scale(c)
-
-    def top(self):
-        """(key, coeff) of the lead term, packed."""
-        if self._top is None:
-            k = min(self.terms)
-            self._top = (k, self.terms[k])
-        return self._top
-
-    def lead(self):
-        """((component, exps), coeff) under position-over-term order."""
-        if self._lead is None:
-            k, c = self.top()
-            self._lead = ((k >> self.pk.cs, self.pk.exps(k & self.pk.mask)), c)
-        return self._lead
-
-    def monic(self):
-        if not self:
-            return self
-        k, c = self.top()
-        inv = self.ring.field.inv(c)
-        return self._with(scale_terms(self.terms, inv, self.ring.char), (k, 1))
-
-    def primitive(self):
-        """Over Q the integer multiple with coprime coefficients and a positive
-        lead, ``monic()`` in char p; self when it is that already.  The result
-        is marked, so calling this on it again costs O(1)."""
-        if self._primitive or not self:
-            return self
-        k, c = self.top()
-        if self.ring.char:
-            out = self if c == 1 else self.monic()
-        else:
-            _, terms = _cleared(self.terms)
-            g = gcd(*terms.values()) if c > 0 else -gcd(*terms.values())
-            if g != 1:
-                terms = {t: v // g for t, v in terms.items()}
-            out = self if terms is self.terms else self._with(terms, (k, terms[k]))
-        out._primitive = True
-        return out
-
-    def _degrees(self, twists):
-        cs, degree = self.pk.cs, self.pk.degree
-        return [degree(k) + twists[k >> cs] for k in self.terms]
-
-    def degree_with(self, twists):
-        """Max degree of terms, offset by generator degrees per component."""
-        return max(self._degrees(twists), default=-1)
-
-    def is_homogeneous_with(self, twists):
-        return len(set(self._degrees(twists))) <= 1
-
-    def __repr__(self):
-        comps = sorted({k >> self.pk.cs for k in self.terms})
-        return "<%s>" % ", ".join("%d: %s" % (j, self.component(j)) for j in comps)
-
-
-def _cleared(data):
-    """(d, d * data) with d the least common denominator: every value an int."""
-    if all(type(c) is int for c in data.values()):
-        return 1, data
-    d = lcm(*(c.denominator for c in data.values()))
-    return d, scale_terms(data, d, 0)
-
-
 def lead_index(basis):
     """component -> [(packed lead key, lead coeff, Vec)] in basis order; the
     first divisor reduces.  The Vecs are primitive (``Vec.primitive``)."""
@@ -225,16 +80,12 @@ def lead_index(basis):
 
 
 def normal_form(v, basis):
-    """Fully reduce v (every term, not just the lead) modulo a list of Vecs,
-    of polynomials when v is one, or their prebuilt ``lead_index``."""
-    if not isinstance(basis, dict):
-        basis = lead_index(g if isinstance(g, Vec) else Vec.from_poly(g) for g in basis)
-    if isinstance(v, Vec):
-        return _nf_vec(v, basis)
-    return _nf_vec(Vec.from_poly(v), basis).component(0)
+    """Fully reduce v (every term, not just the lead) modulo a list of Vecs
+    or their prebuilt ``lead_index``."""
+    return _normal_form(v, basis if isinstance(basis, dict) else lead_index(basis))
 
 
-def _nf_vec(v, index):
+def _normal_form(v, index):
     """The exact normal form of v modulo a ``lead_index``."""
     den, terms = _cleared(v.terms)
     rem, scale = _reduce(v._with(terms), index)
@@ -421,9 +272,8 @@ def interreduce(G):
 
 
 def groebner_basis(polys, guard=None):
-    """Reduced Groebner basis of an ideal, as polynomials."""
-    vecs = [Vec.from_poly(f) for f in polys]
-    return [v.component(0) for v in interreduce(buchberger(vecs, guard))]
+    """Reduced Groebner basis of the ideal of a list of polynomials."""
+    return interreduce(buchberger(polys, guard))
 
 
 def syzygies(vecs, rank, guard=None, modulo=()):
@@ -451,7 +301,7 @@ def syzygies(vecs, rank, guard=None, modulo=()):
 
 def module_contains(v, gb):
     """Whether v reduces to 0 modulo the Vecs ``gb`` or their ``lead_index``."""
-    return not _nf_vec(v, gb if isinstance(gb, dict) else lead_index(gb))
+    return not _normal_form(v, gb if isinstance(gb, dict) else lead_index(gb))
 
 
 def submodule_equal(gens_a, gens_b, guard=None):

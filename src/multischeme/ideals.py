@@ -18,7 +18,6 @@ All operations are exact and work over Q or a prime field.
 from __future__ import annotations
 
 from .groebner import (
-    Vec,
     buchberger,
     groebner_basis,
     interreduce,
@@ -29,6 +28,7 @@ from .groebner import (
 )
 from .hilbert import ideal_hilbert_series
 from .modules import GradedModule, free_resolution, minors
+from .ring import Vec
 
 
 class Ideal:
@@ -62,15 +62,15 @@ class Ideal:
 
     def groebner(self, guard=None):
         if self._gb is None:
-            self._gb = [v.component(0) for v in interreduce(self._unreduced(guard))]
+            self._gb = interreduce(self._unreduced(guard))
         return self._gb
 
     def _unreduced(self, guard):
         """The unreduced basis of one Buchberger run; an ideal made
         ``from_basis`` holds a basis already, and its gens are it."""
         if self._raw is None:
-            vecs = [Vec.from_poly(g) for g in self.gens]
-            self._raw = vecs if self._gb is not None else buchberger(vecs, guard, self._known)
+            gens = list(self.gens)
+            self._raw = gens if self._gb is not None else buchberger(gens, guard, self._known)
         return self._raw
 
     def leads(self, guard=None):
@@ -135,7 +135,7 @@ class Ideal:
         map (the zero or the unit ideal) it is the reduced basis.
         """
         res = quotient_resolution(self, guard=guard)
-        gens = [v.component(0) for v in res.maps[0]] if res.maps else self.groebner(guard=guard)
+        gens = res.maps[0] if res.maps else self.groebner(guard=guard)
         return sorted(gens, key=lambda g: g.degree())
 
     def __repr__(self):
@@ -163,7 +163,7 @@ def intersect(*ideals, guard=None):
     if len(ideals) == 1:
         return ideals[0]
     ring, m = ideals[0].ring, len(ideals)
-    basis = [Vec.from_poly(g, k) for k, a in enumerate(ideals) for g in a.groebner(guard=guard)]
+    basis = [g.shifted(k) for k, a in enumerate(ideals) for g in a.groebner(guard=guard)]
     ones = Vec(ring, None, {(k << ring.pk.cs) + ring.pk.off: ring.field.one() for k in range(m)})
     return module_colon(basis, [ones], m, guard=guard)
 
@@ -178,8 +178,7 @@ def colon(ideal, f, guard=None):
     elif f.is_zero():
         raise ValueError("colon by zero")
     gens = f.gens if isinstance(f, Ideal) else [f]
-    basis = [Vec.from_poly(g) for g in ideal.groebner(guard=guard)]
-    return module_colon(basis, [Vec.from_poly(g) for g in gens], 1, guard=guard)
+    return module_colon(ideal.groebner(guard=guard), list(gens), 1, guard=guard)
 
 
 def saturate(ideal, f, guard=None):
@@ -266,7 +265,7 @@ def module_colon(im_gens, vs, rank, guard=None):
                                for t, c in v.shifted(k * rank).terms.items()})
     copies = [g.shifted(k * rank) for k in range(m) for g in im_gens]
     kernel = syzygies([stacked], rank=m * rank, guard=guard, modulo=copies)
-    return Ideal.from_basis(ring, [h.component(0) for h in kernel])
+    return Ideal.from_basis(ring, kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +332,7 @@ def quotient_resolution(ideal, guard=None):
     unit entries of the first syzygies, which drops the redundant elements.
     """
     if ideal._res is None:
-        columns = [Vec.from_poly(g) for g in ideal.groebner(guard=guard)]
+        columns = ideal.groebner(guard=guard)
         ideal._res = free_resolution(GradedModule(ideal.ring, (0,), columns), guard=guard)
     return ideal._res
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .groebner import Vec, buchberger, lead_index, module_contains, syzygies
-from .ring import Polynomial, poly_divide_exact
+from .groebner import buchberger, lead_index, module_contains, syzygies
+from .ring import Vec, poly_divide_exact
 
 
 def columns_to_vecs(ring, matrix):
@@ -38,16 +38,13 @@ def _components(v):
     parts, cs, m = {}, v.pk.cs, v.pk.mask
     for k, c in v.terms.items():
         parts.setdefault(k >> cs, {})[k & m] = c
-    return {i: Polynomial(v.ring, terms) for i, terms in sorted(parts.items())}
+    return {i: Vec(v.ring, None, terms) for i, terms in sorted(parts.items())}
 
 
 def _apply(cols, v):
     """The image of v under the map whose column j is ``cols[j]``: the sum
-    of c * x^e * cols[j] over the terms c * x^e * e_j of v."""
-    out, cs, m = Vec(v.ring, None, {}), v.pk.cs, v.pk.mask
-    for k, c in v.terms.items():
-        out = out.add(cols[k >> cs].mul_term(k & m, c))
-    return out
+    of v_j * cols[j] over the components v_j of v."""
+    return sum((f * cols[j] for j, f in _components(v).items()), v.ring.zero())
 
 
 def _bareiss(matrix):
@@ -135,7 +132,7 @@ class GradedModule:
         for col in rel:
             if col and max(col.terms) >> col.pk.cs >= self.rank:
                 raise ValueError("relation column outside rank %d" % self.rank)
-            if not col.is_homogeneous_with(self.gen_degrees):
+            if not col.is_homogeneous(self.gen_degrees):
                 raise ValueError("inhomogeneous relation column")
         self.relations = rel
 
@@ -187,14 +184,16 @@ def _prune_units(ring, cols, nrows):
         col = live.pop(b)
         col = col.scale(ring.field.inv(col.terms[(a << cs) + one]))
         for j, v in live.items():
-            entry = Vec(ring, None, {k: c for k, c in v.terms.items() if k >> cs == a})
-            if entry:
-                live[j] = v.sub(_apply({a: col}, entry))
+            if entry := v.component(a):
+                live[j] = v - entry * col
         rows.remove(a)
         steps.append((a, {i: -f for i, f in _components(col).items() if i != a}))
-    new = {i: k for k, i in enumerate(rows)}
     kept = [j for j, v in live.items() if v]
-    return rows, kept, [live[j].renumbered(new) for j in kept], steps
+    pruned = [live[j] for j in kept]
+    if steps:  # a pivot removed a row: renumber onto the surviving rows
+        new = {i: k for k, i in enumerate(rows)}
+        pruned = [v.renumbered(new) for v in pruned]
+    return rows, kept, pruned, steps
 
 
 @dataclass
@@ -241,7 +240,7 @@ def free_resolution(module, guard=None):
     res = Resolution(ring, [list(module.gen_degrees)], [])
     current = module.relations
     while current:
-        degs = [v.degree_with(res.degrees[-1]) for v in current]
+        degs = [v.degree(res.degrees[-1]) for v in current]
         rows, cols, pruned, _ = _prune_units(ring, current, len(res.degrees[-1]))
         if res.maps:
             res.maps[-1] = [res.maps[-1][a] for a in rows]

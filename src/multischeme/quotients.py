@@ -21,7 +21,7 @@ from itertools import combinations_with_replacement
 
 from .ideals import Ideal, is_irrelevant_primary
 from .modules import determinant
-from .ring import Polynomial, PolyRing, add_terms, nullspace
+from .ring import PolyRing, Vec, add_terms, nullspace
 
 
 def monomials_of_degree(ring, d):
@@ -98,7 +98,7 @@ def solution_space(module, twist):
         rows.extend(eqs.values())
     basis = nullspace(fieldk, rows, ncols)
     return [
-        [Polynomial(ring, add_terms({}, ((k, v[index[(i, k)]]) for k in keys), ring.char))
+        [Vec(ring, None, add_terms({}, ((k, v[index[(i, k)]]) for k in keys), ring.char))
          for i, keys in enumerate(monos)]
         for v in basis
     ]
@@ -191,7 +191,7 @@ def line_bundle_quotients(module, twist_range, samples=100, seed=0, guard=None):
                         for terms, f in zip(acc, b):
                             for k, v in f.terms.items():
                                 terms[k] = terms.get(k, 0) + v * c
-                row = [Polynomial(ring, add_terms({}, terms.items(), ring.char)) for terms in acc]
+                row = [Vec(ring, None, add_terms({}, terms.items(), ring.char)) for terms in acc]
                 tested += 1
                 if is_irrelevant_primary(Ideal(ring, row), guard=guard):
                     witness = row

@@ -1,33 +1,38 @@
 """Exact multivariate polynomial arithmetic over Q or a prime field.
 
-A polynomial is an immutable dict mapping packed monomial keys to nonzero
-field elements: ints or ``fractions.Fraction``s in characteristic 0 (see
-``Rationals``) and ints reduced mod p in characteristic p, never floats.
+There is one term type, ``Vec``: an element of a free module R^r, and a
+polynomial is a Vec in component 0 (Greuel-Pfister, *A Singular
+Introduction to Commutative Algebra*, Ch. 2).  Its terms are an immutable
+dict mapping packed keys to nonzero field elements: ints or
+``fractions.Fraction``s in characteristic 0 (see ``Rationals``) and ints
+reduced mod p in characteristic p, never floats.
 
-The key of x^e is one int K(e) = OFF + sum(e_i * W_i) (Bachmann-Schoenemann,
-ISSAC 1998; Monagan-Pearce, JSC 46, 2011), laid out by the ``_Packing`` that
-the rings of one (nvars, order) share.  Its high digits, the flattened
-``TermOrder.lead_key`` of e, make ascending keys the descending term order;
-K is linear in e, so a product adds keys, less OFF.  Its low 16-bit fields
-hold e, a guard bit over 15 bits each: x^a divides x^b when ``(K(b) - K(a))
-& GUARD == 0``.  Exponents stay below ``LIMIT`` = 2^15: encoding checks them
-and a product or power past it raises ``ResourceGuardExceeded``, so no field
-carries into the next.  A ``groebner.Vec`` term is j*2^cs + K(e), so a
-polynomial's terms are a Vec's component 0 as they are.  Exponent tuples are
-made only at the edges: ``PolyRing.poly`` (parsing), printing, ``lead``
-(Hilbert leads), the decoded ``data`` view, and ``transfer`` through one key
-map per pair of rings.
+The key of x^e in component j is one int j*2^cs + K(e), with K(e) = OFF +
+sum(e_i * W_i) (Bachmann-Schoenemann, ISSAC 1998; Monagan-Pearce, JSC 46,
+2011), laid out by the ``_Packing`` that the rings of one (nvars, order)
+share.  The high digits of K(e), the flattened ``TermOrder.lead_key`` of e,
+make ascending keys the descending position-over-term order; K is linear in
+e, so a product adds keys, less OFF, and a shift to another component adds
+a multiple of 2^cs.  Its low 16-bit fields hold e, a guard bit over 15 bits
+each: x^a divides x^b when ``(K(b) - K(a)) & GUARD == 0``.  Exponents stay
+below ``LIMIT`` = 2^15: encoding checks them and a product or power past it
+raises ``ResourceGuardExceeded``, so no field carries into the next.
+Exponent tuples are made only at the edges: ``PolyRing.poly`` and
+``Vec(ring, data)`` (parsing), printing, ``lead`` (Hilbert leads), the
+decoded ``data`` view, and ``transfer`` through one key map per pair of
+rings.
 
-Every term dictionary (a ``Polynomial``'s, a ``Vec``'s, a Hilbert numerator)
-is added or subtracted by ``add_terms`` and scaled by ``scale_terms``, which
-keep these invariants.  Only Buchberger's ``_spair`` and ``_reduce`` fuse
-their own multiply-subtract: a kernel call per term made the S-pair 10-15% slower.
+Every term dictionary (a ``Vec``'s, a Hilbert numerator) is added or
+subtracted by ``add_terms`` and scaled by ``scale_terms``, which keep these
+invariants.  Only Buchberger's ``_spair`` and ``_reduce`` fuse their own
+multiply-subtract: a kernel call per term made the S-pair 10-15% slower.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from operator import mul
 
 LIMIT = 1 << 15  # every exponent stays below this
@@ -242,20 +247,20 @@ class PolyRing:
             c = self.field.coerce(c)
             if c:
                 clean[self.pk.key(tuple(e))] = c
-        return Polynomial(self, clean)
+        return Vec(self, None, clean)
 
     def zero(self):
-        return Polynomial(self, {})
+        return Vec(self, None, {})
 
     def one(self):
         return self.const(1)
 
     def const(self, c):
         c = self.field.coerce(c)
-        return Polynomial(self, {self.pk.off: c} if c else {})
+        return Vec(self, None, {self.pk.off: c} if c else {})
 
     def var(self, name):
-        return Polynomial(self, {self.pk.off + self.pk.weights[self._index[name]]: 1})
+        return Vec(self, None, {self.pk.off + self.pk.weights[self._index[name]]: 1})
 
     def gens(self):
         return [self.var(n) for n in self.names]
@@ -302,7 +307,7 @@ class PolyRing:
         if None in terms:
             lacking = sorted(f.variables() - set(other.names))
             raise ValueError("variables %s not in target ring" % lacking)
-        return Polynomial(other, terms)
+        return Vec(other, None, terms)
 
     def __eq__(self, other):
         return (
@@ -353,21 +358,48 @@ def scale_terms(data, c, p):
     return out
 
 
-class Polynomial:
-    """Immutable polynomial: ``terms`` maps packed keys to coefficients, so
-    do not mutate it; ``data`` is the same terms decoded, keyed by exponent
-    tuples."""
+def _cleared(data):
+    """(d, d * data) with d the least common denominator: every value an int."""
+    if all(type(c) is int for c in data.values()):
+        return 1, data
+    d = lcm(*(c.denominator for c in data.values()))
+    return d, scale_terms(data, d, 0)
 
-    __slots__ = ("ring", "terms")
 
-    def __init__(self, ring, terms):
+class Vec:
+    """An element of a free module R^r, a polynomial being one in component
+    0; immutable by convention.
+
+    ``terms`` maps packed keys to coefficients, and ``data`` decodes them to
+    {(component, exps): coeff}; a Vec made from ``data`` packs it, and
+    neither may be mutated.  A ``top`` passed in must be the (key, coeff)
+    of the least key of ``terms``.  A Vec returned by ``primitive()`` is
+    marked so, and is its own ``primitive()``.
+    """
+
+    __slots__ = ("ring", "pk", "terms", "_top", "_lead", "_primitive")
+
+    def __init__(self, ring, data=None, terms=None, top=None):
         self.ring = ring
+        self.pk = pk = ring.pk
+        if terms is None:
+            terms = {(j << pk.cs) + pk.key(e): c for (j, e), c in data.items()}
         self.terms = terms
+        self._top = top
+        self._lead = None
+        self._primitive = False
+
+    @classmethod
+    def unit(cls, ring, comp):
+        return cls(ring, None, {(comp << ring.pk.cs) + ring.pk.off: ring.field.one()})
 
     @property
     def data(self):
-        exps = self.ring.pk.exps
-        return {exps(k): c for k, c in self.terms.items()}
+        exps, cs, m = self.pk.exps, self.pk.cs, self.pk.mask
+        return {(k >> cs, exps(k & m)): c for k, c in self.terms.items()}
+
+    def _with(self, terms, top=None):
+        return Vec(self.ring, None, terms, top)
 
     def is_zero(self):
         return not self.terms
@@ -376,7 +408,7 @@ class Polynomial:
         return bool(self.terms)
 
     def __eq__(self, other):
-        if not isinstance(other, Polynomial):
+        if not isinstance(other, Vec):
             return NotImplemented
         return self.ring == other.ring and self.terms == other.terms
 
@@ -387,21 +419,25 @@ class Polynomial:
 
     def __add__(self, other):
         terms = self._coerce(other).terms.items()
-        return Polynomial(self.ring, add_terms(dict(self.terms), terms, self.ring.char))
+        return self._with(add_terms(dict(self.terms), terms, self.ring.char))
 
     def __neg__(self):
-        return Polynomial(self.ring, add_terms({}, self.terms.items(), self.ring.char, -1))
+        return self._with(add_terms({}, self.terms.items(), self.ring.char, -1))
 
     def __sub__(self, other):
         terms = self._coerce(other).terms.items()
-        return Polynomial(self.ring, add_terms(dict(self.terms), terms, self.ring.char, -1))
+        return self._with(add_terms(dict(self.terms), terms, self.ring.char, -1))
 
     def __mul__(self, other):
+        """The product of two polynomials, or of a polynomial and a vector:
+        one factor must lie in component 0, so keys add, less OFF."""
         other = self._coerce(other)
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        pk = self.ring.pk
+        pk = self.pk
+        if max(a, default=0) >> pk.cs and max(b) >> pk.cs:
+            raise ValueError("a product of two vectors")
         terms = {}
         for ka, ca in a.items():
             ka -= pk.off
@@ -409,7 +445,7 @@ class Polynomial:
                 k = ka + kb
                 s = terms.get(k)
                 terms[k] = ca * cb if s is None else s + ca * cb
-        return Polynomial(self.ring, pk.checked(add_terms({}, terms.items(), self.ring.char)))
+        return self._with(pk.checked(add_terms({}, terms.items(), self.ring.char)))
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -418,9 +454,11 @@ class Polynomial:
         return self._coerce(other) - self
 
     def __pow__(self, n):
+        if n < 0:
+            raise ValueError("negative exponent %d" % n)
         # a variable of degree d in self has degree n*d in self^n
-        exps = self.ring.pk.exps
-        _check_exponent(n * max((max(exps(k), default=0) for k in self.terms), default=0))
+        exps, m = self.pk.exps, self.pk.mask
+        _check_exponent(n * max((max(exps(k & m), default=0) for k in self.terms), default=0))
         out = self.ring.one()
         base = self
         while n:
@@ -431,69 +469,125 @@ class Polynomial:
         return out
 
     def scale(self, c):
-        c = self.ring.field.coerce(c)
-        return Polynomial(self.ring, scale_terms(self.terms, c, self.ring.char))
+        return self._with(scale_terms(self.terms, self.ring.field.coerce(c), self.ring.char))
 
     def _coerce(self, other):
-        if isinstance(other, Polynomial):
-            if other.ring != self.ring:
+        if isinstance(other, Vec):
+            if other.ring is not self.ring and other.ring != self.ring:
                 raise ValueError("mixed rings")
             return other
         return self.ring.const(other)
 
-    # -- structure ---------------------------------------------------------
+    # -- components --------------------------------------------------------
+
+    def component(self, i):
+        """The polynomial in slot i."""
+        cs = self.pk.cs
+        s = i << cs
+        return self._with({k - s: c for k, c in self.terms.items() if k >> cs == i})
+
+    def shifted(self, d):
+        """This vector with component j moved to j + d."""
+        s, top = d << self.pk.cs, self._top
+        out = self._with({k + s: c for k, c in self.terms.items()}, top and (top[0] + s, top[1]))
+        out._primitive = self._primitive
+        return out
+
+    def renumbered(self, new):
+        """This vector with component j moved to new[j]."""
+        cs, m = self.pk.cs, self.pk.mask
+        return self._with({(new[k >> cs] << cs) + (k & m): c for k, c in self.terms.items()})
+
+    # -- leads -------------------------------------------------------------
+
+    def top(self):
+        """(key, coeff) of the lead term, packed."""
+        if self._top is None:
+            k = min(self.terms)
+            self._top = (k, self.terms[k])
+        return self._top
 
     def lead(self):
-        """(exponent tuple, coefficient) of the leading term."""
-        k = min(self.terms)
-        return self.ring.pk.exps(k), self.terms[k]
+        """((component, exps), coeff) under position-over-term order."""
+        if self._lead is None:
+            k, c = self.top()
+            self._lead = ((k >> self.pk.cs, self.pk.exps(k & self.pk.mask)), c)
+        return self._lead
 
-    def lead_exp(self):
-        return self.lead()[0]
+    def monic(self):
+        if not self:
+            return self
+        k, c = self.top()
+        inv = self.ring.field.inv(c)
+        return self._with(scale_terms(self.terms, inv, self.ring.char), (k, 1))
 
-    def degree(self):
-        """Total degree; -1 for the zero polynomial."""
-        return max(map(self.ring.pk.degree, self.terms), default=-1)
+    def primitive(self):
+        """Over Q the integer multiple with coprime coefficients and a positive
+        lead, ``monic()`` in char p; self when it is that already.  The result
+        is marked, so calling this on it again costs O(1)."""
+        if self._primitive or not self:
+            return self
+        k, c = self.top()
+        if self.ring.char:
+            out = self if c == 1 else self.monic()
+        else:
+            _, terms = _cleared(self.terms)
+            g = gcd(*terms.values()) if c > 0 else -gcd(*terms.values())
+            if g != 1:
+                terms = {t: v // g for t, v in terms.items()}
+            out = self if terms is self.terms else self._with(terms, (k, terms[k]))
+        out._primitive = True
+        return out
 
-    def is_homogeneous(self):
-        return len(set(map(self.ring.pk.degree, self.terms))) <= 1
+    # -- structure ---------------------------------------------------------
+
+    def _degrees(self, twists):
+        cs, degree = self.pk.cs, self.pk.degree
+        return [degree(k) + twists[k >> cs] for k in self.terms]
+
+    def degree(self, twists=(0,)):
+        """Max degree of terms, offset by ``twists[j]`` in component j; -1
+        for zero."""
+        return max(self._degrees(twists), default=-1)
+
+    def is_homogeneous(self, twists=(0,)):
+        return len(set(self._degrees(twists))) <= 1
 
     def is_constant(self):
-        return set(self.terms) <= {self.ring.pk.off}
+        return set(self.terms) <= {self.pk.off}
 
     def variables(self):
-        exps, names = self.ring.pk.exps, self.ring.names
+        exps, names = self.pk.exps, self.ring.names
         return {n for k in self.terms for n, a in zip(names, exps(k)) if a}
 
-    # -- substitution ------------------------------------------------------
-
     def substitute(self, images):
-        """Evaluate under name -> polynomial (in any common ring)."""
+        """Evaluate a polynomial under name -> polynomial (in any common ring)."""
         ring = next(iter(images.values())).ring if images else self.ring
         imgs = [images[n] if n in images else ring.var(n) for n in self.ring.names]
         out = {}
         for k, c in self.terms.items():
             t = ring.const(c)
-            for img, a in zip(imgs, self.ring.pk.exps(k)):
+            for img, a in zip(imgs, self.pk.exps(k)):
                 if a:
                     t = t * img ** a
             add_terms(out, t.terms.items(), ring.char)
-        return Polynomial(ring, out)
+        return Vec(ring, None, out)
 
     def __repr__(self):
-        return format_poly(self)
-
-
-def format_poly(f):
-    names, exps = f.ring.names, f.ring.pk.exps
-    pieces = []
-    for k, c in sorted(f.terms.items()):  # ascending keys: greatest term first
-        mono = "*".join(n if a == 1 else "%s^%d" % (n, a) for n, a in zip(names, exps(k)) if a)
-        cs = str(c)  # an int, or a Fraction as "p/q"
-        if mono:
-            cs = cs[:-1] if cs in ("1", "-1") else cs + "*"
-        pieces.append(cs + mono)
-    return " + ".join(pieces).replace(" + -", " - ") or "0"
+        """A polynomial prints greatest term first, a vector as <j: f_j, ...>."""
+        names, exps, cs, m = self.ring.names, self.pk.exps, self.pk.cs, self.pk.mask
+        parts = {}
+        for k, c in sorted(self.terms.items()):  # ascending keys: greatest term first
+            mono = "*".join(n if a == 1 else "%s^%d" % (n, a)
+                            for n, a in zip(names, exps(k & m)) if a)
+            text = str(c)  # an int, or a Fraction as "p/q"
+            if mono:
+                text = text[:-1] if text in ("1", "-1") else text + "*"
+            parts.setdefault(k >> cs, []).append(text + mono)
+        texts = {j: " + ".join(p).replace(" + -", " - ") for j, p in parts.items()}
+        if set(texts) <= {0}:
+            return texts.get(0, "0")
+        return "<%s>" % ", ".join("%d: %s" % jt for jt in texts.items())
 
 
 def nullspace(field, rows, ncols):
@@ -545,7 +639,7 @@ def poly_divide_exact(f, g):
         kr = min(r.terms)
         if (kr - kg) & pk.guard:
             raise ArithmeticError("inexact polynomial division")
-        term = Polynomial(ring, {kr - kg + pk.off: ring.field.coerce(r.terms[kr] * inv)})
+        term = Vec(ring, None, {kr - kg + pk.off: ring.field.coerce(r.terms[kr] * inv)})
         q.update(term.terms)
         r = r - term * g
-    return Polynomial(ring, q)
+    return Vec(ring, None, q)

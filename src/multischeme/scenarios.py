@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .catalog import load_catalog
 from .families import build_family
-from .groebner import ResourceGuardExceeded, Vec, syzygies, submodule_equal
+from .groebner import ResourceGuardExceeded, syzygies, submodule_equal
 from .hilbert import (
     HilbertPoly,
     degree3_catalog,
@@ -291,8 +291,8 @@ def _scn_nonexistence(rec, opts):
     rec.check("rank-B", 4, matrix_rank(B))
     # syzygies of (F1, -F2, F3) are exactly the Koszul relations f_j e_i - f_i e_j
     seq = [F1, -F2, F3]
-    syz = syzygies([Vec.from_poly(f) for f in seq], rank=1, guard=opts.guard)
-    koszul = [Vec.from_poly(seq[j], i).sub(Vec.from_poly(seq[i], j))
+    syz = syzygies(seq, rank=1, guard=opts.guard)
+    koszul = [seq[j].shifted(i) - seq[i].shifted(j)
               for i in range(3) for j in range(i + 1, 3)]
     rec.check(
         "koszul-syzygies", True, submodule_equal(syz, koszul, guard=opts.guard)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .groebner import Vec, syzygies
+from .groebner import syzygies
 from .hilbert import module_hilbert_series
 from .ideals import (
     Ideal,
@@ -23,6 +23,7 @@ from .ideals import (
     unmixed_part,
 )
 from .modules import GradedModule, columns_to_vecs, minors
+from .ring import Vec
 
 
 class StructureError(ValueError):
@@ -237,9 +238,7 @@ def layer_module(emb, upper, lower, guard=None):
     gens = upper.minimal_gens(guard=guard)
     # sum h_i g_i in I_X*upper + lower iff h is in (relations modulo lower)
     # + I_X*R^s; restricting kills I_X, so taking lower alone loses nothing
-    vecs = [Vec.from_poly(g) for g in gens]
-    basis = [Vec.from_poly(m) for m in lower.groebner(guard=guard)]
-    kernel = syzygies(vecs, rank=1, guard=guard, modulo=basis)
+    kernel = syzygies(gens, rank=1, guard=guard, modulo=lower.groebner(guard=guard))
     # the nonzero restrictions, in syzygy order (which fixes the pivot order)
     restricted = (emb.restrict(h, len(gens)) for h in kernel)
     degs = tuple(g.degree() for g in gens)

@@ -76,8 +76,8 @@ def ring_axioms(seed, count=COUNT):
 
 def _spoly(f, g):
     ring = f.ring
-    ef, cf = f.lead()
-    eg, cg = g.lead()
+    (_, ef), cf = f.lead()
+    (_, eg), cg = g.lead()
     lcm = tuple(max(a, b) for a, b in zip(ef, eg))
     mf = ring.poly({tuple(l - a for l, a in zip(lcm, ef)): 1})
     mg = ring.poly({tuple(l - a for l, a in zip(lcm, eg)): 1})

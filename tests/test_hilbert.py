@@ -26,7 +26,7 @@ from multischeme.structures import hilb_to_json
 
 def _series(ring, text):
     gb = groebner_basis(parse_ideal(ring, text))
-    return ideal_hilbert_series(ring, [g.lead_exp() for g in gb])
+    return ideal_hilbert_series(ring, [g.lead()[0][1] for g in gb])
 
 
 def test_monomial_numerator_regular_sequence():

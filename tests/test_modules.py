@@ -4,7 +4,7 @@ from itertools import combinations
 import pytest
 
 from multischeme import modules
-from multischeme.groebner import Vec, buchberger, module_contains
+from multischeme.groebner import buchberger, module_contains
 from multischeme.hilbert import module_hilbert_series
 from multischeme.modules import (
     GradedModule,
@@ -18,7 +18,7 @@ from multischeme.modules import (
     vecs_to_columns,
 )
 from multischeme.quotients import solution_space
-from multischeme.ring import PolyRing
+from multischeme.ring import PolyRing, Vec
 
 
 @pytest.fixture
@@ -136,7 +136,7 @@ def test_minimal_presentation_back_substitutes_chained_pivots(ring):
     for o, row in enumerate(lift):
         diff = Vec.unit(ring, o)
         for s, c in zip(survivors, row):
-            diff = diff.sub(Vec.from_poly(c, s))
+            diff = diff - c.shifted(s)
         assert module_contains(diff, gb)
 
 
@@ -160,7 +160,7 @@ def test_presentation_shape_must_match_the_generators():
         ((0,), [[x], [y]]),        # two rows for one generator
         ((0, 0), [[x, y], [z]]),   # ragged rows
         ((0, 0), [[x]]),           # one row for two generators
-        ((0,), [Vec.from_poly(x, 1)]),  # a column outside rank 1
+        ((0,), [x.shifted(1)]),  # a column outside rank 1
     ]
     for degs, relations in bad:
         with pytest.raises(ValueError):
@@ -181,6 +181,23 @@ def test_minimal_presentation_prunes_unit_pivot(ring):
     # original generator 1 maps to x times the survivor
     assert lift[1][0] == x
     assert lift[0][0] == ring.one()
+
+
+def test_columns_are_renumbered_only_when_a_row_goes(ring, monkeypatch):
+    x, y = ring.gens()
+    calls = []
+    renumbered = Vec.renumbered
+    monkeypatch.setattr(Vec, "renumbered", lambda v, new: calls.append(new) or renumbered(v, new))
+    # no unit entry, and no syzygy of the two columns: nothing is pruned
+    mod = GradedModule(ring, (0, 1), [[x * x, y * y], [x, y]])
+    assert _prune_units(ring, mod.relations, mod.rank) == ([0, 1], [0, 1], mod.relations, [])
+    assert free_resolution(mod).betti() == {(0, 0): 1, (0, 1): 1, (1, 2): 2}
+    assert calls == []
+    # a unit pivot removes row 1, and the surviving column moves onto row 0
+    mod = GradedModule(ring, (0, 1), [[x, y * y], [-ring.one(), y]])
+    rows, kept, pruned, _ = _prune_units(ring, mod.relations, mod.rank)
+    assert (rows, kept, len(calls)) == ([0], [1], 1)
+    assert vecs_to_columns(ring, pruned, 1) == [[y * y + x * y]]
 
 
 def test_free_resolution_of_two_variable_quotient(ring):
@@ -253,7 +270,7 @@ def _matrix_prune_units(ring, matrix):
         if pivot is None:
             break
         a, b = pivot
-        inv = ring.field.inv(m[a][b].data[(0,) * ring.nvars])
+        inv = ring.field.inv(m[a][b].data[(0, (0,) * ring.nvars)])
         rows.remove(a)
         cols.remove(b)
         hit = [i for i in rows if m[i][b]]
@@ -287,7 +304,7 @@ def _random_presentation(ring, rng):
     col_degs = [rng.randint(min(degs), max(degs) + 2) for _ in range(rng.randint(1, 5))]
     entries = [[form(c - d) for c in col_degs] for d in degs]
     return degs, [
-        Vec(ring, {(i, e): a for i, row in enumerate(entries) for e, a in row[j].data.items()})
+        Vec(ring, {(i, e): a for i, row in enumerate(entries) for (_, e), a in row[j].data.items()})
         for j in range(len(col_degs))
     ]
 

@@ -47,7 +47,7 @@ def test_fraction_coefficients():
     ring = PolyRing(("x",))
     from fractions import Fraction
 
-    assert parse_poly(ring, "3/4*x").data == {(1,): Fraction(3, 4)}
+    assert parse_poly(ring, "3/4*x").data == {(0, (1,)): Fraction(3, 4)}
 
 
 @pytest.mark.parametrize("text, exponent", [("x^40000", 40000), ("x^16384*x^16384", 32768),
@@ -60,8 +60,8 @@ def test_an_exponent_past_the_limit_is_refused_when_parsed(text, exponent):
     message = "Groebner kernel: exponent %d exceeds the limit 32767" % exponent
     with pytest.raises(ResourceGuardExceeded, match=message):
         parse_poly(ring, text)
-    assert parse_poly(ring, "x^32767*y^32767").data == {(32767, 32767): 1}
-    assert parse_poly(ring, "x^16383*x^16384").data == {(32767, 0): 1}
+    assert parse_poly(ring, "x^32767*y^32767").data == {(0, (32767, 32767)): 1}
+    assert parse_poly(ring, "x^16383*x^16384").data == {(0, (32767, 0)): 1}
 
 
 def test_ideal_requires_parentheses():

@@ -39,13 +39,15 @@ def test_check_pass_reproduces_golden_digest(workload, monkeypatch, rebind):
     # the benchmark's check pass, hashed as its child process hashes it: every
     # reduced basis, Betti table, verdict and certificate must stay identical
     import multischeme.groebner as groebner
+    from multischeme.ring import Vec
 
-    # terms stay packed end to end: a (component, exps) view decoded anywhere
-    # in the pass, from setup on, is a layer crossing term representations
+    # terms stay packed end to end: a (component, exps) view of a polynomial
+    # or a vector decoded anywhere in the pass, from setup on, is a layer
+    # crossing term representations
     decoded = []
-    data = groebner.Vec.data
+    data = Vec.data
     spy = property(lambda v: decoded.append(v) or data.fget(v))
-    monkeypatch.setattr(groebner.Vec, "data", spy)
+    monkeypatch.setattr(Vec, "data", spy)
 
     monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
     import workloads

@@ -6,7 +6,7 @@ from test_ideals import _rabinowitsch_contains
 
 from multischeme.catalog import load_catalog
 from multischeme.families import build_family
-from multischeme.groebner import Vec, buchberger, interreduce, submodule_equal, syzygies
+from multischeme.groebner import buchberger, interreduce, submodule_equal, syzygies
 from multischeme.hilbert import HilbertPoly, HilbertSeries, module_hilbert_series
 from multischeme.ideals import Ideal
 from multischeme.modules import GradedModule, columns_to_vecs
@@ -40,10 +40,10 @@ def test_embedding_basics(ring):
     assert emb.support_ideal().codimension() == 2
     assert emb.support_ring().names == ("z0", "z1")
     f = ring.var("z0") ** 2 + ring.var("x") * ring.var("z1")
-    v = Vec.from_poly(f).add(Vec.from_poly(ring.var("z1"), 1))
+    v = f + ring.var("z1").shifted(1)
     sub = emb.support_ring()
     # the support variables go to zero, and only the first n components stay
-    assert emb.restrict(v, 1).data == Vec.from_poly(sub.var("z0") ** 2).data
+    assert emb.restrict(v, 1).data == (sub.var("z0") ** 2).data
     assert emb.restrict(v, 2).component(1) == sub.var("z1")
     assert emb.extend(emb.support_ring().var("z1")) == ring.var("z1")
     with pytest.raises(StructureError):
@@ -199,7 +199,7 @@ def test_layer_relations_modulo_the_lower_term_match_the_full_modulus(monkeypatc
             del presented[:]
             gens = upper.minimal_gens()
             modulus = emb.support_ideal().times(upper).plus(lower)
-            vecs = [Vec.from_poly(g) for g in gens + list(modulus.gens)]
+            vecs = gens + list(modulus.gens)
             full = [emb.restrict(s, len(gens)) for s in syzygies(vecs, rank=1)]
             assert submodule_equal(ours, [v for v in full if v]), (name, layers)
             layers += 1
@@ -211,7 +211,7 @@ def _layer_by_cut_syzygies(emb, upper, lower):
     minimal generators and lower's generators, cut to the first components
     and restricted to the support ring."""
     gens = upper.minimal_gens()
-    vecs = [Vec.from_poly(g) for g in gens + list(lower.gens)]
+    vecs = gens + list(lower.gens)
     restricted = (emb.restrict(s, len(gens)) for s in syzygies(vecs, rank=1))
     return GradedModule(emb.support_ring(), tuple(g.degree() for g in gens),
                         [v for v in restricted if v])
