@@ -8,7 +8,7 @@ any Groebner basis.  It is interreduced only when the reduced basis is asked
 for; an ideal made ``from_basis`` reads its generators and runs nothing.
 Every colon, intersection and Ext annihilator is one ``module_colon``: one
 ``syzygies`` of a stacked vector modulo the image's known basis; a sum I + J
-extends I's cached basis, J's generators entering reduced.  Each zero-locus
+extends the basis I holds, J's generators entering reduced.  Each zero-locus
 question has one test: f in rad(I) when I + (f - 1) is the unit ideal, V(I)
 empty by ``is_irrelevant_primary``, and the hull by one saturation.
 
@@ -99,11 +99,12 @@ class Ideal:
         return not all(map(any, self.leads(guard=guard)))  # some lead is constant
 
     def plus(self, other):
-        """I + J; once I's basis is cached, the sum's basis extends it, and
-        J's generators enter it reduced modulo that basis."""
-        first = self.gens if self._gb is None else tuple(self._gb)
-        out = Ideal(self.ring, first + tuple(other.gens))
-        out._known = len(self._gb or ())
+        """I + J; once I holds a Groebner basis (the unreduced run when it is
+        cached, else the reduced one), the sum's basis extends it, and J's
+        generators enter it reduced modulo that basis."""
+        known = self._gb if self._raw is None else self._raw
+        out = Ideal(self.ring, tuple(known or self.gens) + tuple(other.gens))
+        out._known = len(known or ())
         return out
 
     def times(self, other):
@@ -207,7 +208,7 @@ def radical_contains(ideal, f, guard=None):
         raise ValueError("radical membership for an inhomogeneous ideal or form")
     if f.is_constant():
         return f.is_zero() or ideal.is_one(guard=guard)
-    ideal.groebner(guard=guard)  # so that the sum starts from I's basis
+    ideal._unreduced(guard)  # so that the sum starts from I's basis
     return ideal.plus(Ideal(ideal.ring, [f - 1])).is_one(guard=guard)
 
 

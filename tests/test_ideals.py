@@ -77,9 +77,10 @@ def test_powers_keep_each_product_once(ring):
 
 
 def test_the_sum_of_i_y_and_a_support_power_is_pinned(monkeypatch):
-    """I_Y + I_X^3 of thm-3.8/5 is I_Y.  With I_Y's basis cached, the four
-    cubes enter reduced to zero, so no S-pair is formed and the sum's basis
-    is I_Y's; from I_Y's generators, the pairs of one plain run are pinned."""
+    """I_Y + I_X^3 of thm-3.8/5 is I_Y.  With I_Y's basis cached, reduced or
+    unreduced, the four cubes enter reduced to zero, so no S-pair is formed
+    and the sum's basis is I_Y's; from I_Y's generators, the pairs of one
+    plain run are pinned.  The sum makes no reduced basis of I_Y."""
     import multischeme.groebner as groebner
 
     calls = []
@@ -91,18 +92,21 @@ def test_the_sum_of_i_y_and_a_support_power_is_pinned(monkeypatch):
 
     entry = next(e for e in load_catalog("thm-3.8") if e.id == "thm-3.8/5")
     # (I_Y's basis cached, S-pairs, size of the unreduced basis of the sum)
-    for cached, pinned, size in ((True, 0, 7), (False, 14, 11)):
+    for cached, pinned, size in (("reduced", 0, 7), ("unreduced", 0, 7), (None, 14, 11)):
         st = entry.structure(char=0, check=False)
         iy, support = st.ideal, st.embedding.support_ideal()
         cube = support.times(support).times(support)
-        if cached:
+        if cached == "reduced":
             iy.groebner()
+        elif cached == "unreduced":
+            iy.leads()
         total = iy.plus(cube)
         with monkeypatch.context() as mp:
             mp.setattr(groebner, "_spair", counting)
             del calls[:]
             total.leads()
         assert (len(cube.gens), len(calls), len(total._raw)) == (4, pinned, size)
+        assert (iy._gb is None) == (cached != "reduced")
         assert total.equals(iy)
 
 
@@ -413,6 +417,7 @@ def test_radical_membership(ring):
     assert radical_contains(I, ring.var("x"))
     assert radical_contains(I, ring.var("x") + ring.var("y"))
     assert not radical_contains(I, ring.var("z0"))
+    assert I._gb is None  # the unreduced run answers; nothing is interreduced
     assert same_zero_locus(I, _ideal(ring, "(x, y)"))
     assert not same_zero_locus(I, _ideal(ring, "(x)"))
 
