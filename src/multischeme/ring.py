@@ -370,11 +370,11 @@ class Vec:
     """An element of a free module R^r, a polynomial being one in component
     0; immutable by convention.
 
-    ``terms`` maps packed keys to coefficients, and ``data`` decodes them to
-    {(component, exps): coeff}; a Vec made from ``data`` packs it, and
-    neither may be mutated.  A ``top`` passed in must be the (key, coeff)
-    of the least key of ``terms``.  A Vec returned by ``primitive()`` is
-    marked so, and is its own ``primitive()``.
+    ``terms`` maps packed keys to coefficients and may not be mutated;
+    ``data`` decodes them to {(component, exps): coeff} on each read, for
+    tests and tools, and a Vec made from ``data`` packs it.  A ``top``
+    passed in must be the (key, coeff) of the least key of ``terms``.  A Vec
+    returned by ``primitive()`` is marked so, and is its own ``primitive()``.
     """
 
     __slots__ = ("ring", "pk", "terms", "_top", "_lead", "_primitive")
