@@ -33,7 +33,6 @@ from .structures import (
     is_locally_CM,
     is_locally_free,
     is_S1,
-    layer_quotient_rows,
     s1_filtration,
     thicken,
 )

@@ -49,9 +49,10 @@ class Ideal:
 
     @classmethod
     def from_basis(cls, ring, basis):
-        """The ideal generated by a reduced Groebner basis, kept as its basis."""
+        """The ideal generated by a reduced Groebner basis, kept as its basis
+        (reduced and unreduced alike)."""
         out = cls(ring, basis)
-        out._gb = list(out.gens)
+        out._gb = out._raw = list(out.gens)
         return out
 
     @classmethod
@@ -66,11 +67,10 @@ class Ideal:
         return self._gb
 
     def _unreduced(self, guard):
-        """The unreduced basis of one Buchberger run; an ideal made
-        ``from_basis`` holds a basis already, and its gens are it."""
+        """The unreduced basis of one Buchberger run (an ideal made
+        ``from_basis`` holds its basis already)."""
         if self._raw is None:
-            gens = list(self.gens)
-            self._raw = gens if self._gb is not None else buchberger(gens, guard, self._known)
+            self._raw = buchberger(list(self.gens), guard, self._known)
         return self._raw
 
     def leads(self, guard=None):
@@ -99,11 +99,11 @@ class Ideal:
         return not all(map(any, self.leads(guard=guard)))  # some lead is constant
 
     def plus(self, other):
-        """I + J; once I holds a Groebner basis (the unreduced run when it is
-        cached, else the reduced one), the sum's basis extends it, and J's
+        """I + J; once I holds its unreduced basis (computed, or the basis of
+        an ideal made ``from_basis``), the sum's basis extends it, and J's
         generators enter it reduced modulo that basis."""
-        known = self._gb if self._raw is None else self._raw
-        out = Ideal(self.ring, tuple(known or self.gens) + tuple(other.gens))
+        known = self._raw
+        out = Ideal(self.ring, tuple(self.gens if known is None else known) + tuple(other.gens))
         out._known = len(known or ())
         return out
 
@@ -358,7 +358,7 @@ def unmixed_part(ideal, guard=None):
     bad = [ann for _, ann in ext_window(ideal, guard=guard) if not ann.is_one(guard=guard)]
     hull = saturate(ideal, intersect(*bad, guard=guard), guard=guard)[0] if bad else ideal
     if hull is not ideal:  # saturate returns its input when nothing changes
-        return Ideal.from_basis(ring, hull.groebner(guard=guard))
+        return hull  # a colon, so an ideal made from_basis
     same = Ideal.from_basis(ring, ideal.groebner(guard=guard))
     same._series, same._res, same._ext = ideal._series, ideal._res, ideal._ext
     return same

@@ -2,7 +2,8 @@
 
 A graded module is presented as coker of a homogeneous map between free
 modules, stored as its column Vecs; generator degrees are tracked so twists
-and Hilbert data make sense.  Polynomial matrices appear only at the edges:
+and Hilbert data make sense.  The lift of a minimalization is a column Vec
+per original generator too.  Polynomial matrices appear only at the edges:
 a hand-written presentation is converted once, and minors and ranks read
 ``GradedModule.matrix()``.
 """
@@ -113,9 +114,9 @@ def matrix_rank(matrix):
 class GradedModule:
     """coker of a homogeneous map onto F_0 = sum R(-gen_degrees[i]).
 
-    ``relations`` are the map's columns as Vecs with components < rank.  A
-    rows x cols polynomial matrix (rows == rank) is accepted and converted
-    to its columns here, once.
+    ``relations`` are the map's columns as Vecs over ``ring`` with
+    components < rank.  A rows x cols polynomial matrix (rows == rank) is
+    accepted and converted to its columns here, once.
     """
 
     ring: object
@@ -125,7 +126,11 @@ class GradedModule:
     def __post_init__(self):
         self.gen_degrees = tuple(self.gen_degrees)
         rel = list(self.relations)
-        if not all(isinstance(v, Vec) for v in rel):
+        is_matrix = not all(isinstance(v, Vec) for v in rel)
+        for f in (f for row in rel for f in row) if is_matrix else rel:
+            if f.ring is not self.ring and f.ring != self.ring:
+                raise ValueError("a relation over %r in a module over %r" % (f.ring, self.ring))
+        if is_matrix:
             if len(rel) != self.rank or len({len(row) for row in rel}) > 1:
                 raise ValueError("relation matrix shape does not match %d generators" % self.rank)
             rel = columns_to_vecs(self.ring, rel)
@@ -148,17 +153,14 @@ class GradedModule:
         return vecs_to_columns(self.ring, self.relations, self.rank)
 
     def minimal_with_map(self):
-        """(minimal presentation, lift) with lift[i][j] expressing the image
-        of original generator i on the surviving generators j."""
+        """(minimal presentation, lift): lift[i] is the image of original
+        generator i, a column Vec whose component j is its coefficient on
+        surviving generator j."""
         ring = self.ring
         rows, _, rel, steps = _prune_units(ring, self.relations, self.rank)
-        zero = ring.zero()
-        lift = {a: [ring.one() if a == b else zero for b in rows] for a in rows}
+        lift = {a: Vec.unit(ring, j) for j, a in enumerate(rows)}
         for a, subst in reversed(steps):
-            row = [zero] * len(rows)
-            for i, c in subst.items():
-                row = [x + c * y if y else x for x, y in zip(row, lift[i])]
-            lift[a] = row
+            lift[a] = sum((c * lift[i] for i, c in subst.items()), ring.zero())
         degs = tuple(self.gen_degrees[a] for a in rows)
         return GradedModule(ring, degs, rel), [lift[a] for a in range(self.rank)]
 

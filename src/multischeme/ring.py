@@ -564,12 +564,15 @@ class Vec:
         """Evaluate a polynomial under name -> polynomial (in any common ring)."""
         ring = next(iter(images.values())).ring if images else self.ring
         imgs = [images[n] if n in images else ring.var(n) for n in self.ring.names]
+        powers = {(i, 1): img for i, img in enumerate(imgs)}  # (i, a) -> imgs[i] ** a
         out = {}
         for k, c in self.terms.items():
             t = ring.const(c)
-            for img, a in zip(imgs, self.pk.exps(k)):
+            for i, a in enumerate(self.pk.exps(k)):
                 if a:
-                    t = t * img ** a
+                    if (i, a) not in powers:
+                        powers[i, a] = imgs[i] ** a
+                    t = t * powers[i, a]
             add_terms(out, t.terms.items(), ring.char)
         return Vec(ring, None, out)
 

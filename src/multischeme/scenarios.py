@@ -33,7 +33,6 @@ from .structures import (
     MultiStructure,
     is_locally_CM,
     is_S1,
-    layer_quotient_rows,
     thicken,
 )
 
@@ -491,7 +490,7 @@ def _scn_thicken_roundtrip(rec, opts):
             rec.check(tag + ":reaches-top", True, filt.reaches_top)
             for j in range(len(filt.ideals) - 1):
                 base = MultiStructure(st.embedding, filt.ideals[j], check=False)
-                candidate = thicken(base, *layer_quotient_rows(filt, j), guard=opts.guard)
+                candidate = thicken(base, filt.layers[j], filt.layer_lifts[j], guard=opts.guard)
                 rec.check_ideal(
                     "%s:step-%d" % (tag, j),
                     filt.ideals[j + 1],

@@ -4,7 +4,9 @@ quotient search.
 
 The support subscheme X is cut out by a subset of the variables (x, y, ...);
 the remaining variables span the "support ring" over which layer modules and
-conormal-type modules are presented.
+conormal-type modules are presented.  A layer, and the lift of I_j's minimal
+generators onto it, stay column Vecs from the syzygies through ``thicken``,
+which reads surjectivity off the Fitting ideal Fitt_0.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .ideals import (
     radical_contains,
     unmixed_part,
 )
-from .modules import GradedModule, columns_to_vecs, minors
+from .modules import GradedModule
 from .ring import Vec
 
 
@@ -196,7 +198,7 @@ class Filtration:
     layers: list             # GradedModules over the support ring
     layer_polynomials: list  # HilbertPoly per layer
     reaches_top: bool        # I_k == I_Y (holds exactly when Y is S1)
-    layer_lifts: list        # per layer: (gens of I_j, lift matrix to minimal gens)
+    layer_lifts: list        # per layer: images of I_j's minimal gens, as column Vecs
 
 
 def s1_filtration(structure, guard=None):
@@ -233,7 +235,9 @@ def layer_module(emb, upper, lower, guard=None):
 
     The relations are the syzygies of upper's minimal generators g modulo
     lower's cached basis, restricted to the support ring.  Returns
-    (presentation, Hilbert series of the layer, (gens, lift)).
+    (presentation, Hilbert series of the layer, lift): the lift maps
+    upper's minimal generators onto the minimal presentation, the images
+    ``thicken`` takes to rebuild lower from upper.
     """
     gens = upper.minimal_gens(guard=guard)
     # sum h_i g_i in I_X*upper + lower iff h is in (relations modulo lower)
@@ -248,7 +252,7 @@ def layer_module(emb, upper, lower, guard=None):
     hs_lower = lower.hilbert_series(guard=guard)
     ser = hs_lower - hs_upper  # dim(S/lower)_t - dim(S/upper)_t = dim(upper/lower)_t
     _check_layer_series(minimal, ser, guard=guard)
-    return minimal, ser, (gens, lift)
+    return minimal, ser, lift
 
 
 def _check_layer_series(layer, ambient_diff, guard=None):
@@ -290,57 +294,35 @@ def is_locally_free(module, rank, guard=None):
     return is_irrelevant_primary(fitting_ideal(module, rank), guard=guard)
 
 
-def thicken(structure, rows, relations=(), guard=None):
-    """Thicken Y by a quotient L = coker(relations) of I_Y/(I_X I_Y).
+def thicken(structure, layer, images, guard=None):
+    """Thicken Y by a quotient of I_Y/(I_X I_Y) onto the module ``layer``
+    over the support ring.
 
-    ``rows`` is a q x s matrix over the support ring, s = number of minimal
-    generators of I_Y; ``relations`` is L's q x r relation matrix, laid out
-    as ``GradedModule.matrix()`` (empty: L = O^q).  The map must be onto:
-    the q-minors of [rows | relations] have no common zero, as Supp L =
-    V(Fitt_0 L).  The new ideal is I_X*I_Y plus the lifts sum_i h_i g_i of
-    the kernel vectors h of [rows | relations] (components >= s dropped).
+    ``images`` are the images of I_Y's minimal generators g_i (in the order
+    of ``minimal_gens``, as ``minimal_with_map`` lifts them), as column Vecs
+    on the layer's generators.  The map must be onto: Fitt_0 of
+    coker [images | relations] has no projective zero, as Supp = V(Fitt_0)
+    (Eisenbud, *Commutative Algebra*, §20.2).  The new ideal is
+    I_X*I_Y plus the lifts sum_i h_i g_i of the kernel vectors h of
+    [images | relations] (the relation components dropped).
     """
     emb = structure.embedding
     ring = emb.ring
     iy = structure.ideal
     gens = iy.minimal_gens(guard=guard)
-    sub = emb.support_ring()
-    q = len(rows)
-    if any(len(r) != len(gens) for r in rows):
-        raise StructureError(
-            "row length %d does not match %d minimal generators"
-            % (len(rows[0]) if rows else 0, len(gens))
-        )
-    relations = relations or [[] for _ in rows]
-    if len(relations) != q:
-        raise StructureError("%d relation rows for %d quotient rows" % (len(relations), q))
-    if len({len(rel) for rel in relations}) > 1:
-        raise StructureError("relation rows differ in length: %s" % [len(rel) for rel in relations])
-    matrix = [
-        [f if f.ring == sub else f.ring.transfer(f, sub) for f in list(row) + list(rel)]
-        for row, rel in zip(rows, relations)
-    ]
-    locus = Ideal(sub, minors(matrix, q))
+    if len(images) != len(gens):
+        raise StructureError("%d images for %d minimal generators" % (len(images), len(gens)))
+    columns = list(images) + layer.relations
+    locus = fitting_ideal(GradedModule(layer.ring, layer.gen_degrees, columns), 0)
     if not is_irrelevant_primary(locus, guard=guard):
         raise StructureError(
-            "quotient rows are not surjective; degeneracy locus (%s)"
-            % ", ".join(str(m) for m in locus.gens)
+            "the images are not onto the layer; Fitt_0 = (%s)"
+            % ", ".join(str(m) for m in locus.groebner(guard=guard))
         )
-    kernel = syzygies(columns_to_vecs(sub, matrix), rank=q, guard=guard)
+    kernel = syzygies(columns, rank=layer.rank, guard=guard)
     lifted = (
         sum((emb.extend(h.component(i)) * g for i, g in enumerate(gens)), ring.zero())
         for h in kernel
     )
     new_ideal = emb.support_ideal().times(iy).plus(Ideal(ring, lifted))
     return MultiStructure(emb, new_ideal, check=True, guard=guard)
-
-
-def layer_quotient_rows(filtration, j):
-    """(rows, relations) of the quotient map I_j/(I_X I_j) -> L_j on the
-    minimal generators of I_j: the arguments of ``thicken`` that rebuild
-    I_{j+1} from I_j."""
-    layer = filtration.layers[j]
-    gens, lift = filtration.layer_lifts[j]
-    # lift[o][i]: coefficient of surviving generator i in the image of gen o
-    rows = [[lift[o][i] for o in range(len(gens))] for i in range(layer.rank)]
-    return rows, layer.matrix()

@@ -129,14 +129,12 @@ def test_minimal_presentation_back_substitutes_chained_pivots(ring):
     minimal, lift = mod.minimal_with_map()
     assert minimal.gen_degrees == (0,)
     assert minimal.matrix() == [[x * y + y * y]]
-    assert lift == [[x * y], [y], [one]]
+    assert lift == [x * y, y, one]
     # every original generator equals its lift modulo the original relations
     gb = buchberger(mod.relations)
     survivors = [2]
-    for o, row in enumerate(lift):
-        diff = Vec.unit(ring, o)
-        for s, c in zip(survivors, row):
-            diff = diff - c.shifted(s)
+    for o, image in enumerate(lift):
+        diff = Vec.unit(ring, o) - image.renumbered(survivors)
         assert module_contains(diff, gb)
 
 
@@ -169,6 +167,18 @@ def test_presentation_shape_must_match_the_generators():
     assert col.data == {(0, (1, 0, 0)): 1, (1, (0, 1, 0)): 1}
 
 
+def test_a_relation_over_another_ring_is_refused():
+    sub = PolyRing(("z0", "z1"))
+    big = PolyRing(("z0", "z1", "x", "y"))
+    x = big.var("x")
+    # read over k[z0, z1], x's packed key would be a different monomial
+    both = r"over QQ\[z0,z1,x,y\]/grevlex in a module over QQ\[z0,z1\]/grevlex"
+    with pytest.raises(ValueError, match=both):
+        GradedModule(sub, (0,), [x])
+    with pytest.raises(ValueError, match=both):
+        GradedModule(sub, (0,), [[x]])
+
+
 def test_minimal_presentation_prunes_unit_pivot(ring):
     x, y = ring.gens()
     # second generator equals x * (first); the unit column kills it
@@ -179,8 +189,8 @@ def test_minimal_presentation_prunes_unit_pivot(ring):
     assert minimal.relations == []
     assert minimal.matrix() == [[]]
     # original generator 1 maps to x times the survivor
-    assert lift[1][0] == x
-    assert lift[0][0] == ring.one()
+    assert lift[1] == x
+    assert lift[0] == ring.one()
 
 
 def test_columns_are_renumbered_only_when_a_row_goes(ring, monkeypatch):

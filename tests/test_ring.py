@@ -128,6 +128,35 @@ def test_substitute_evaluates_variable_images(ring):
     assert image == y * y + z * z
 
 
+@pytest.mark.parametrize("char", [0, 5])
+def test_substitute_builds_each_power_once(char, monkeypatch):
+    src = PolyRing(("a", "b", "c"), char=char)
+    ring = PolyRing(("x", "y", "z"), char=char)
+    x, y, z = ring.gens()
+    rng = random.Random(char)
+    f = src.poly({
+        tuple(rng.randint(0, 3) for _ in range(3)): Fraction(rng.randint(1, 9), rng.randint(1, 4))
+        for _ in range(12)
+    })
+    images = {"a": x + y.scale(Fraction(2, 3)), "b": x * z - y, "c": z.scale(3) + x}
+    imgs = [images[n] for n in src.names]
+    # the term-by-term result: each term raises each image to its exponent
+    expected = ring.zero()
+    for (_, exps), c in f.data.items():
+        t = ring.const(c)
+        for img, a in zip(imgs, exps):
+            t = t * img ** a
+        expected = expected + t
+    calls = []
+    power = Vec.__pow__
+    monkeypatch.setattr(Vec, "__pow__", lambda v, n: calls.append(n) or power(v, n))
+    assert f.substitute(images) == expected
+    # one power per (variable, exponent >= 2) pair that occurs in f; the
+    # first power is the image itself
+    pairs = {(i, a) for _, exps in f.data for i, a in enumerate(exps) if a > 1}
+    assert len(calls) == len(pairs) < sum(1 for _, exps in f.data for a in exps if a > 1)
+
+
 def test_transfer_between_rings_matches_names():
     big = PolyRing(("z0", "x", "y"))
     small = PolyRing(("z0",))

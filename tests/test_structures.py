@@ -9,8 +9,9 @@ from multischeme.families import build_family
 from multischeme.groebner import buchberger, interreduce, submodule_equal, syzygies
 from multischeme.hilbert import HilbertPoly, HilbertSeries, module_hilbert_series
 from multischeme.ideals import Ideal
-from multischeme.modules import GradedModule, columns_to_vecs
+from multischeme.modules import GradedModule
 from multischeme.ring import PolyRing
+from multischeme.scenarios import run_scenario
 from multischeme.structures import (
     Embedding,
     MultiStructure,
@@ -20,7 +21,6 @@ from multischeme.structures import (
     is_locally_free,
     is_S1,
     layer_module,
-    layer_quotient_rows,
     s1_filtration,
     thicken,
 )
@@ -257,14 +257,14 @@ def test_kernel_modulo_the_relations_of_a_thicken_step_matches_the_cut_full_syzy
     entry = next(e for e in load_catalog("thm-3.8") if e.id == "thm-3.8/5")
     st = entry.structure(char=0, check=False)
     filt = st.filtration()
-    rows, relations = layer_quotient_rows(filt, 1)
+    layer, images = filt.layers[1], filt.layer_lifts[1]
     base = MultiStructure(st.embedding, filt.ideals[1], check=True)
-    assert thicken(base, rows, relations).ideal.equals(filt.ideals[2])
-    sub, s = st.embedding.support_ring(), len(rows[0])
-    columns = columns_to_vecs(sub, [list(r) + list(rel) for r, rel in zip(rows, relations)])
+    assert thicken(base, layer, images).ideal.equals(filt.ideals[2])
+    s = len(images)
+    columns = images + layer.relations
     image = interreduce(buchberger(columns[s:]))
-    ours = syzygies(columns[:s], rank=len(rows), modulo=image)
-    reference = test_groebner._cut_syzygies(columns[:s], columns[s:], len(rows))
+    ours = syzygies(columns[:s], rank=layer.rank, modulo=image)
+    reference = test_groebner._cut_syzygies(columns[:s], columns[s:], layer.rank)
     assert len(image) >= 3 and submodule_equal(ours, reference)
     assert [v.data for v in ours] == [v.data for v in interreduce(buchberger(reference))]
 
@@ -387,7 +387,7 @@ def test_every_catalog_layer_is_locally_free_of_its_generic_rank():
 def test_thicken_produces_next_multiplicity(ring):
     st = _structure(ring, "(x, y)")
     sub = st.embedding.support_ring()
-    thick = thicken(st, [[sub.one(), sub.zero()]])
+    thick = thicken(st, GradedModule(sub, (1,), []), [sub.one(), sub.zero()])
     # kernel of (1, 0) row is spanned by e_2 => keep y, square x
     assert thick.ideal.equals(Ideal.parse(ring, "(x^2, y)"))
     assert thick.multiplicity() == 2
@@ -396,43 +396,39 @@ def test_thicken_produces_next_multiplicity(ring):
 def test_thicken_rejects_degenerate_rows(ring):
     st = _structure(ring, "(x, y)")
     sub = st.embedding.support_ring()
-    with pytest.raises(StructureError):
-        thicken(st, [[sub.var("z0"), sub.zero()]])
-    with pytest.raises(StructureError):
-        thicken(st, [[sub.one()]])
-    with pytest.raises(StructureError):
-        thicken(st, [[sub.one(), sub.zero()]], [[sub.one()], [sub.one()]])
-
-
-def test_thicken_rejects_ragged_relation_rows(ring):
-    # the second row's extra entry used to be dropped, giving
-    # (x^2, x*y, x*y, y^2, z0*x + z1*y)
-    st = _structure(ring, "(x, y)")
-    sub = st.embedding.support_ring()
-    z0, z1 = sub.var("z0"), sub.var("z1")
-    rows = [[sub.one(), sub.zero()], [sub.zero(), sub.one()]]
-    with pytest.raises(StructureError, match="relation rows differ in length"):
-        thicken(st, rows, [[z0], [z1, z0]])
+    free = GradedModule(sub, (1,), [])
+    with pytest.raises(StructureError, match="not onto"):
+        thicken(st, free, [sub.var("z0"), sub.zero()])
+    with pytest.raises(StructureError, match="1 images for 2 minimal generators"):
+        thicken(st, free, [sub.one()])
+    # an image outside the layer's one generator
+    with pytest.raises(ValueError, match="outside rank 1"):
+        thicken(st, free, [sub.one().shifted(1), sub.zero()])
+    # images over the ambient ring, not the layer's
+    with pytest.raises(ValueError, match="in a module over"):
+        thicken(st, free, [ring.one(), ring.zero()])
 
 
 def test_thicken_by_a_presented_quotient(ring):
     st = _structure(ring, "(x, y)")
     sub = st.embedding.support_ring()
     # L = O/(z1): the row (1, 0) maps x onto L and y to 0, so z1*x joins the kernel
-    thick = thicken(st, [[sub.one(), sub.zero()]], [[sub.var("z1")]])
+    presented = GradedModule(sub, (1,), [[sub.var("z1")]])
+    thick = thicken(st, presented, [sub.one(), sub.zero()])
     assert thick.ideal.equals(Ideal.parse(ring, "(x^2, y, z1*x)"))
-    assert thicken(st, [[sub.one(), sub.zero()]]).ideal.equals(Ideal.parse(ring, "(x^2, y)"))
+    free = GradedModule(sub, (1,), [])
+    assert thicken(st, free, [sub.one(), sub.zero()]).ideal.equals(Ideal.parse(ring, "(x^2, y)"))
 
 
 def test_thicken_rejects_a_presented_quotient_it_does_not_reach(ring):
     st = _structure(ring, "(x, y)")
     sub = st.embedding.support_ring()
-    # the 1-minors of [z1, 0 | z1] all vanish at z1 = 0
-    with pytest.raises(StructureError):
-        thicken(st, [[sub.var("z1"), sub.zero()]], [[sub.var("z1")]])
+    # Fitt_0 of coker [z1, 0 | z1] is (z1), which vanishes at z1 = 0
+    with pytest.raises(StructureError, match=r"Fitt_0 = \(z1\)"):
+        thicken(st, GradedModule(sub, (1,), [[sub.var("z1")]]), [sub.var("z1"), sub.zero()])
 
 
-def test_layer_quotient_rows_round_trip(ring):
+def test_layer_lifts_round_trip(ring):
     # a free layer of a small example, and the presented rank-3 layer of
     # thm-3.8/5 (three relation columns)
     presented = next(e for e in load_catalog("thm-3.8") if e.id == "thm-3.8/5")
@@ -442,13 +438,21 @@ def test_layer_quotient_rows_round_trip(ring):
     ]
     for st, j, relation_cols in cases:
         filt = st.filtration()
-        rows, relations = layer_quotient_rows(filt, j)
-        assert len(rows) == len(relations) == filt.layers[j].rank
-        assert relations == filt.layers[j].matrix()
-        assert all(len(r) == relation_cols for r in relations)
+        layer, images = filt.layers[j], filt.layer_lifts[j]
+        assert len(images) == len(filt.ideals[j].minimal_gens())
+        # one column Vec per generator of I_j, on the layer's generators
+        assert all(not v or max(v.terms) >> v.pk.cs < layer.rank for v in images)
+        assert len(layer.relations) == relation_cols
         base = MultiStructure(st.embedding, filt.ideals[j], check=True)
-        thick = thicken(base, rows, relations)
+        thick = thicken(base, layer, images)
         assert thick.ideal.equals(filt.ideals[j + 1])
+
+
+def test_thicken_roundtrip_converts_only_for_its_fitting_minors(conversions):
+    # each step reads Fitt_0's minors off one matrix and converts nothing back
+    calls = conversions()
+    assert run_scenario("thicken-roundtrip").status == "PASS"
+    assert calls == {"columns_to_vecs": 0, "vecs_to_columns": 36}
 
 
 def test_is_locally_cm_on_plain_ideal(ring):
