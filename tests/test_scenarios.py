@@ -144,3 +144,34 @@ def test_scenario_digests_match_pinned(scenario_result, scenario_texts):
         digests[sid] = hashlib.sha256(text.encode()).hexdigest()
     with open(os.path.join(os.path.dirname(__file__), "data", "scenario_digests.json")) as fh:
         assert digests == json.load(fh)
+
+
+_IDS = (
+    "example-2.9", "thm-3.6", "thm-3.8", "thm-3.14", "char-dichotomy", "nonexistence-3.3",
+    "thm-5.1", "hm-hilbert", "degree3-catalog", "split-4.16", "ci-lattice-4.24",
+    "koszul-3.11", "thicken-roundtrip",
+)
+# max_degree -> the degree of the S-pair that trips, per scenario (None: PASS)
+_TRIPS = {
+    3: (4, 4, 4, 5, 4, 4, 4, None, None, None, None, 4, 4),
+    4: (None, None, 5, 5, 5, 5, 5, None, None, None, None, None, 5),
+    6: (None, None, None, 7, None, None, 7, None, None, None, None, None, None),
+}
+
+
+@pytest.mark.parametrize("budget", sorted(_TRIPS))
+def test_degree_budget_table(budget):
+    # every computation a scenario makes answers to the budget it was given:
+    # one that fell back to the default guard would pass where this table
+    # says the budget trips
+    opts = ScenarioOptions(guard=Guard(max_degree=budget))
+    got = {}
+    for sid in scenario_ids():
+        result = run_scenario(sid, opts)
+        got[sid] = (result.status, result.certificates.get("resource_guard"))
+    expected = {
+        sid: ("PASS", None) if d is None
+        else ("INCONCLUSIVE", "S-pair degree %d exceeds budget %d" % (d, budget))
+        for sid, d in zip(_IDS, _TRIPS[budget])
+    }
+    assert got == expected
