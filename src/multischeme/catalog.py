@@ -58,10 +58,8 @@ class CatalogEntry:
 
     def structure(self, char=None, check=True, guard=None):
         ring = self.ring(char=char)
-        emb = Embedding(ring, self.support)
-        return MultiStructure(
-            emb, Ideal.parse(ring, self.gens_text), check=check, guard=guard
-        )
+        emb = Embedding(ring, self.support, guard)
+        return MultiStructure(emb, Ideal.parse(ring, self.gens_text, guard), check=check)
 
 
 def _data_text(name):

@@ -36,7 +36,7 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(USAGE_ERROR)
 
 
-def _read_input(path):
+def _read_input(path, guard):
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
@@ -64,7 +64,7 @@ def _read_input(path):
         raise _UsageError("%s: missing ideal" % path)
     try:
         ring = parse_ring(ring_decl)
-        ideal = Ideal.parse(ring, " ".join(rest))
+        ideal = Ideal.parse(ring, " ".join(rest), guard)
     except ParseError as exc:
         raise _UsageError("%s: %s" % (path, exc))
     if support is None:
@@ -93,9 +93,9 @@ def _characteristic(text):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _read_homogeneous(path):
+def _read_homogeneous(path, guard):
     """``_read_input`` for the commands that need a homogeneous ideal."""
-    ring, support, ideal = _read_input(path)
+    ring, support, ideal = _read_input(path, guard)
     for g in ideal.gens:
         if not g.is_homogeneous():
             raise _UsageError("%s: inhomogeneous generator %s has no projective locus" % (path, g))
@@ -103,17 +103,17 @@ def _read_homogeneous(path):
 
 
 def _structure(path, guard):
-    ring, support, ideal = _read_homogeneous(path)
+    ring, support, ideal = _read_homogeneous(path, guard)
     try:
-        emb = Embedding(ring, support)
+        emb = Embedding(ring, support, guard)
     except StructureError as exc:  # an empty X is bad input, not a verdict
         raise _UsageError(str(exc))
-    return MultiStructure(emb, ideal, guard=guard)
+    return MultiStructure(emb, ideal)
 
 
 def _cmd_gb(args, guard):
-    ring, _support, ideal = _read_input(args.file)
-    print(format_ideal(ideal.groebner(guard=guard)))
+    ring, _support, ideal = _read_input(args.file, guard)
+    print(format_ideal(ideal.groebner()))
     return 0
 
 
@@ -130,13 +130,13 @@ def _cmd_cm(args, guard):
         print("locally-cm: true")
     else:
         print("locally-cm: false")
-        print("non-cm-locus: %s" % format_ideal(locus.groebner(guard=guard)))
+        print("non-cm-locus: %s" % format_ideal(locus.groebner()))
     return 0
 
 
 def _cmd_hilb(args, guard):
-    _ring, _support, ideal = _read_homogeneous(args.file)
-    hp = ideal.hilbert_polynomial(guard=guard)
+    _ring, _support, ideal = _read_homogeneous(args.file, guard)
+    hp = ideal.hilbert_polynomial()
     if args.pbasis:
         print(json.dumps(hilb_to_json(hp)))
     else:

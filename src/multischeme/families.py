@@ -51,7 +51,7 @@ def _monomials(ring, vars_, degree):
 def _require_no_common_zero(ring, forms, label, guard):
     """Forms in the z-variables must have no common zero on their P^n."""
     sub = ring.subring(tuple(n for n in ring.names if n.startswith("z")))
-    if not is_irrelevant_primary(Ideal(sub, [ring.transfer(f, sub) for f in forms]), guard=guard):
+    if not is_irrelevant_primary(Ideal(sub, [ring.transfer(f, sub) for f in forms], guard)):
         raise StructureError("forms %s have a common projective zero" % label)
 
 
@@ -64,14 +64,14 @@ def _primitive(nu=2, n=2, char=0, guard=None):
     ring = PolyRing(names, char=char)
     x, y = ring.var("x"), ring.var("y")
     G = ring.var("z0") ** (nu - 1)
-    emb = Embedding(ring, ("x", "y"))
+    emb = Embedding(ring, ("x", "y"), guard)
     ideals = [
         [x ** (nu + 1), y],
         [x ** nu, x * y, y * y],
         [x ** nu + G * y, x * y, y * y],
     ]
     structures = [
-        MultiStructure(emb, Ideal(ring, gens), guard=guard) for gens in ideals
+        MultiStructure(emb, gens) for gens in ideals
     ]
     manifest = [
         {"multiplicity": nu + 1, "locally_cm": True, "type_i": True}
@@ -103,8 +103,8 @@ def _koszul(n=2, extend=False, char=0, guard=None):
     if not extend:
         _require_no_common_zero(ring, F, "F_i", guard)
     gens = _koszul_binomials(ring, F, x, y, n) + _monomials(ring, ("x", "y"), n + 1)
-    emb = Embedding(ring, ("x", "y"))
-    structure = MultiStructure(emb, Ideal(ring, gens), guard=guard)
+    emb = Embedding(ring, ("x", "y"), guard)
+    structure = MultiStructure(emb, gens)
     mult = n * (n + 1) // 2 + 1
     entry = {"multiplicity": mult, "locally_cm": not extend}
     if not extend:
@@ -132,8 +132,8 @@ def _nystruktur(char=0, guard=None):
     gens = [P[0] * x * x + P[1] * x * y + P[2] * y * y] + _monomials(
         ring, ("x", "y"), 3
     )
-    emb = Embedding(ring, ("x", "y"))
-    structure = MultiStructure(emb, Ideal(ring, gens), guard=guard)
+    emb = Embedding(ring, ("x", "y"), guard)
+    structure = MultiStructure(emb, gens)
     manifest = [
         {
             "multiplicity": 5,
@@ -155,8 +155,8 @@ def _bundle(char=0, guard=None):
     _require_no_common_zero(ring, f, "f_i", guard)
     linear = f[0] * xv[0] + f[1] * xv[1] + f[2] * xv[2]
     gens = [linear] + _monomials(ring, ("x1", "x2", "x3"), 2)
-    emb = Embedding(ring, ("x1", "x2", "x3"))
-    structure = MultiStructure(emb, Ideal(ring, gens), guard=guard)
+    emb = Embedding(ring, ("x1", "x2", "x3"), guard)
+    structure = MultiStructure(emb, gens)
     manifest = [
         {"multiplicity": 3, "locally_cm": True, "layer_ranks": [2]}
     ]
@@ -209,28 +209,14 @@ def _split(n=2, a=0, b=0, char=0, guard=None):
     rels_b = block(tuples_b, w_names)
     support = x_names + w_names
     squares = _monomials(ring, support, 2)
-    emb = Embedding(ring, support)
-    triple = MultiStructure(
-        emb, Ideal(ring, rels_a + rels_b + squares), guard=guard
-    )
+    emb = Embedding(ring, support, guard)
+    triple = MultiStructure(emb, rels_a + rels_b + squares)
     # Cohen-Macaulay double substructures, one per summand
     double_a = MultiStructure(
-        emb,
-        Ideal(
-            ring,
-            rels_a + [ring.var(nm) for nm in w_names]
-            + _monomials(ring, x_names, 2),
-        ),
-        guard=guard,
+        emb, rels_a + [ring.var(nm) for nm in w_names] + _monomials(ring, x_names, 2)
     )
     double_b = MultiStructure(
-        emb,
-        Ideal(
-            ring,
-            rels_b + [ring.var(nm) for nm in x_names]
-            + _monomials(ring, w_names, 2),
-        ),
-        guard=guard,
+        emb, rels_b + [ring.var(nm) for nm in x_names] + _monomials(ring, w_names, 2)
     )
     hilb3 = (
         twisted_free_hilbert(n, 0, 1)
@@ -266,7 +252,7 @@ def _ci_subsets(c=2, char=0, guard=None):
         raise ValueError("only the codimension-two instantiation is built")
     ring = PolyRing(("z0", "z1", "z2", "x", "y"), char=char)
     F = [ring.var("x"), ring.var("y")]
-    emb = Embedding(ring, ("x", "y"))
+    emb = Embedding(ring, ("x", "y"), guard)
     squares = _monomials(ring, ("x", "y"), 2)
     subsets = [(), (0,), (1,), (0, 1)]
     structures = []
@@ -274,7 +260,7 @@ def _ci_subsets(c=2, char=0, guard=None):
     for S in subsets:
         extra = [F[i] for i in range(c) if i not in S]
         structures.append(
-            MultiStructure(emb, Ideal(ring, extra + squares), guard=guard)
+            MultiStructure(emb, extra + squares)
         )
         manifest.append(
             {"subset": list(S), "multiplicity": len(S) + 1, "locally_cm": True}
@@ -347,8 +333,8 @@ def _nontype1(a=1, b=1, char=0, guard=None):
     for gpoly in gens:
         if not gpoly.is_homogeneous():
             raise StructureError("inhomogeneous family generator %s" % gpoly)
-    emb = Embedding(ring, ("x", "y"))
-    structure = MultiStructure(emb, Ideal(ring, gens), guard=guard)
+    emb = Embedding(ring, ("x", "y"), guard)
+    structure = MultiStructure(emb, gens)
     manifest = [
         {
             "multiplicity": a * b + 2,

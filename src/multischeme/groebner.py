@@ -293,8 +293,8 @@ def syzygies(vecs, rank, guard=None, modulo=()):
     vecs, modulo = list(vecs), list(modulo)
     if not vecs:
         return []
-    one, pk = vecs[0].ring.field.one(), vecs[0].pk  # e_(rank+i) has key (rank+i)*BIG + OFF
-    aug = [v._with({**v.terms, ((rank + i) << pk.cs) + pk.off: one}) for i, v in enumerate(vecs)]
+    pk = vecs[0].pk  # e_(rank+i) has key (rank+i)*BIG + OFF
+    aug = [v._with({**v.terms, ((rank + i) << pk.cs) + pk.off: 1}) for i, v in enumerate(vecs)]
     G = buchberger(modulo + aug, guard, known=len(modulo))
     return [g.shifted(-rank) for g in interreduce([g for g in G if g.lead()[0][0] >= rank])]
 

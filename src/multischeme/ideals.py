@@ -12,12 +12,22 @@ extends the basis I holds, J's generators entering reduced.  Each zero-locus
 question has one test: f in rad(I) when I + (f - 1) is the unit ideal, V(I)
 empty by ``is_irrelevant_primary``, and the hull by one saturation.
 
+The resource budget is fixed where an ideal is built: ``Ideal(ring, gens,
+guard)`` (and ``from_basis``, ``parse``) keeps the ``Guard`` it is given, the
+default one if none, and runs every computation under it, so no cache needs
+the guard in its key.  What is derived from an ideal keeps its guard: a sum,
+a product, a colon, a saturation, the hull, an Ext annihilator, and an
+intersection the first ideal's.  ``fitting_ideal`` and ``module_colon`` start
+from vectors, with no ideal in reach, so they take the guard explicitly and
+build their ideal with it.
+
 All operations are exact and work over Q or a prime field.
 """
 
 from __future__ import annotations
 
 from .groebner import (
+    DEFAULT_GUARD,
     buchberger,
     groebner_basis,
     interreduce,
@@ -34,11 +44,13 @@ from .ring import Vec
 class Ideal:
     """An ideal with its Groebner bases (in the ring's order: the unreduced one
     of one Buchberger run, interreduced on demand), Hilbert series, minimal
-    resolution of R/I and Ext^i(R/I, R) annihilators cached."""
+    resolution of R/I and Ext^i(R/I, R) annihilators cached.  Every one of
+    them is computed under the ideal's own ``guard``, fixed when it is built."""
 
-    def __init__(self, ring, gens):
+    def __init__(self, ring, gens, guard=None):
         self.ring = ring
         self.gens = tuple(g for g in gens if g)
+        self.guard = guard or DEFAULT_GUARD
         self._raw = None  # the unreduced Groebner basis, as Vecs
         self._gb = None  # the reduced basis
         self._known = 0  # the first _known gens are a Groebner basis
@@ -48,86 +60,88 @@ class Ideal:
         self._ext = {}  # i -> ann Ext^i(R/I, R)
 
     @classmethod
-    def from_basis(cls, ring, basis):
+    def from_basis(cls, ring, basis, guard=None):
         """The ideal generated by a reduced Groebner basis, kept as its basis
         (reduced and unreduced alike)."""
-        out = cls(ring, basis)
+        out = cls(ring, basis, guard)
         out._gb = out._raw = list(out.gens)
         return out
 
     @classmethod
-    def parse(cls, ring, text):
+    def parse(cls, ring, text, guard=None):
         from .parse import parse_ideal
 
-        return cls(ring, parse_ideal(ring, text))
+        return cls(ring, parse_ideal(ring, text), guard)
 
-    def groebner(self, guard=None):
+    def groebner(self):
         if self._gb is None:
-            self._gb = interreduce(self._unreduced(guard))
+            self._gb = interreduce(self._unreduced())
         return self._gb
 
-    def _unreduced(self, guard):
+    def _unreduced(self):
         """The unreduced basis of one Buchberger run (an ideal made
         ``from_basis`` holds its basis already)."""
         if self._raw is None:
-            self._raw = buchberger(list(self.gens), guard, self._known)
+            self._raw = buchberger(list(self.gens), self.guard, self._known)
         return self._raw
 
-    def leads(self, guard=None):
+    def leads(self):
         """Lead exponents of the unreduced basis: they span in(I)."""
-        return [v.lead()[0][1] for v in self._unreduced(guard)]
+        return [v.lead()[0][1] for v in self._unreduced()]
 
-    def reduce(self, f, guard=None):
+    def reduce(self, f):
         """The normal form of f, read modulo the unreduced basis."""
         if self._index is None:
-            self._index = lead_index(self._unreduced(guard))
+            self._index = lead_index(self._unreduced())
         return normal_form(f, self._index)
 
-    def contains(self, f, guard=None):
-        return self.reduce(f, guard=guard).is_zero()
+    def contains(self, f):
+        return self.reduce(f).is_zero()
 
-    def contains_ideal(self, other, guard=None):
-        return all(self.contains(g, guard=guard) for g in other.gens)
+    def contains_ideal(self, other):
+        return all(self.contains(g) for g in other.gens)
 
-    def equals(self, other, guard=None):
-        return self.groebner(guard=guard) == other.groebner(guard=guard)
+    def equals(self, other):
+        return self.groebner() == other.groebner()
 
     def is_zero(self):
         return not self.gens
 
-    def is_one(self, guard=None):
-        return not all(map(any, self.leads(guard=guard)))  # some lead is constant
+    def is_one(self):
+        return not all(map(any, self.leads()))  # some lead is constant
 
     def plus(self, other):
         """I + J; once I holds its unreduced basis (computed, or the basis of
         an ideal made ``from_basis``), the sum's basis extends it, and J's
-        generators enter it reduced modulo that basis."""
+        generators enter it reduced modulo that basis.  It keeps I's guard."""
         known = self._raw
-        out = Ideal(self.ring, tuple(self.gens if known is None else known) + tuple(other.gens))
+        gens = tuple(self.gens if known is None else known) + tuple(other.gens)
+        out = Ideal(self.ring, gens, self.guard)
         out._known = len(known or ())
         return out
 
     def times(self, other):
         """I*J on the products of generators, each kept once, in first-seen
-        order: (x, y)^3 has 4 generators, not 8."""
-        return Ideal(self.ring, dict.fromkeys(f * g for f in self.gens for g in other.gens))
+        order: (x, y)^3 has 4 generators, not 8.  It keeps I's guard."""
+        products = dict.fromkeys(f * g for f in self.gens for g in other.gens)
+        return Ideal(self.ring, products, self.guard)
 
-    def hilbert_series(self, guard=None):
+    def hilbert_series(self):
         if self._series is None:
-            self._series = ideal_hilbert_series(self.ring, self.leads(guard=guard))
+            self._series = ideal_hilbert_series(self.ring, self.leads())
         return self._series
 
-    def hilbert_polynomial(self, guard=None):
-        return self.hilbert_series(guard=guard).polynomial()
+    def hilbert_polynomial(self):
+        return self.hilbert_series().polynomial()
 
-    def dimension_degree(self, guard=None):
+    def dimension_degree(self):
         """(projective dimension of V(I), degree); empty scheme gives (-1, 0)."""
-        return self.hilbert_series(guard=guard).dimension_degree()
+        return self.hilbert_series().dimension_degree()
 
-    def codimension(self, guard=None):
-        return (self.ring.nvars - 1) - self.dimension_degree(guard=guard)[0]
+    def codimension(self):
+        return (self.ring.nvars - 1) - self.dimension_degree()[0]
 
-    def minimal_gens(self, guard=None):
+    def minimal_gens(self):
         """A minimal homogeneous generating set, sorted by degree.
 
         These are the generators of the first map of ``quotient_resolution``,
@@ -135,41 +149,41 @@ class Ideal:
         entries, so by graded Nakayama none of them is redundant.  Without a
         map (the zero or the unit ideal) it is the reduced basis.
         """
-        res = quotient_resolution(self, guard=guard)
-        gens = res.maps[0] if res.maps else self.groebner(guard=guard)
+        res = quotient_resolution(self)
+        gens = res.maps[0] if res.maps else self.groebner()
         return sorted(gens, key=lambda g: g.degree())
 
     def __repr__(self):
         return "Ideal(%s)" % ", ".join(str(g) for g in self.gens)
 
 
-def eliminate(ideal, names, guard=None):
+def eliminate(ideal, names):
     """Generators of ideal ∩ k[remaining variables], in the original ring."""
     ring = ideal.ring
     rest = [n for n in ring.names if n not in names]
     elim_ring = ring.subring(tuple(rest)).extended(tuple(names))
     moved = [ring.transfer(g, elim_ring) for g in ideal.gens]
-    gb = groebner_basis(moved, guard=guard)
+    gb = groebner_basis(moved, ideal.guard)
     keep = [g for g in gb if not (g.variables() & set(names))]
-    return Ideal(ring, [elim_ring.transfer(g, ring) for g in keep])
+    return Ideal(ring, [elim_ring.transfer(g, ring) for g in keep], ideal.guard)
 
 
-def intersect(*ideals, guard=None):
+def intersect(*ideals):
     """The intersection of the ideals (one ideal comes back as it is): one
     ``module_colon`` with the basis of ideal k in component k of R^m and
     v = (1, ..., 1), since f*v lies in their span exactly when f lies in
-    every ideal."""
+    every ideal.  It keeps the first ideal's guard."""
     if not ideals:
         raise ValueError("intersection of no ideals")
     if len(ideals) == 1:
         return ideals[0]
     ring, m = ideals[0].ring, len(ideals)
-    basis = [g.shifted(k) for k, a in enumerate(ideals) for g in a.groebner(guard=guard)]
-    ones = Vec(ring, None, {(k << ring.pk.cs) + ring.pk.off: ring.field.one() for k in range(m)})
-    return module_colon(basis, [ones], m, guard=guard)
+    basis = [g.shifted(k) for k, a in enumerate(ideals) for g in a.groebner()]
+    ones = Vec(ring, None, {(k << ring.pk.cs) + ring.pk.off: 1 for k in range(m)})
+    return module_colon(basis, [ones], m, ideals[0].guard)
 
 
-def colon(ideal, f, guard=None):
+def colon(ideal, f):
     """ideal : f on its reduced basis, for a polynomial or an ideal f: one
     ``module_colon`` of I's basis by f's generators in rank 1, so one graph
     (g_1, ..., g_k, 1) and one Buchberger call."""
@@ -179,23 +193,23 @@ def colon(ideal, f, guard=None):
     elif f.is_zero():
         raise ValueError("colon by zero")
     gens = f.gens if isinstance(f, Ideal) else [f]
-    return module_colon(ideal.groebner(guard=guard), list(gens), 1, guard=guard)
+    return module_colon(ideal.groebner(), list(gens), 1, ideal.guard)
 
 
-def saturate(ideal, f, guard=None):
+def saturate(ideal, f):
     """(ideal : f^infinity, e) with e the least exponent reaching the limit;
     f is a polynomial or an ideal."""
     current = ideal
     e = 0
     while True:
-        nxt = colon(current, f, guard=guard)
-        if nxt.equals(current, guard=guard):
+        nxt = colon(current, f)
+        if nxt.equals(current):
             return current, e
         current = nxt
         e += 1
 
 
-def radical_contains(ideal, f, guard=None):
+def radical_contains(ideal, f):
     """f in rad(ideal), for a homogeneous ideal and form.
 
     V(I) is a cone, so a zero p with f(p) != 0 scales to lambda*p with
@@ -207,19 +221,19 @@ def radical_contains(ideal, f, guard=None):
     if not (f.is_homogeneous() and all(g.is_homogeneous() for g in ideal.gens)):
         raise ValueError("radical membership for an inhomogeneous ideal or form")
     if f.is_constant():
-        return f.is_zero() or ideal.is_one(guard=guard)
-    ideal._unreduced(guard)  # so that the sum starts from I's basis
-    return ideal.plus(Ideal(ideal.ring, [f - 1])).is_one(guard=guard)
+        return f.is_zero() or ideal.is_one()
+    ideal._unreduced()  # so that the sum starts from I's basis
+    return ideal.plus(Ideal(ideal.ring, [f - 1])).is_one()
 
 
-def same_zero_locus(a, b, guard=None):
+def same_zero_locus(a, b):
     """Equality of radicals, generator by generator."""
-    return all(radical_contains(b, g, guard=guard) for g in a.gens) and all(
-        radical_contains(a, g, guard=guard) for g in b.gens
+    return all(radical_contains(b, g) for g in a.gens) and all(
+        radical_contains(a, g) for g in b.gens
     )
 
 
-def is_irrelevant_primary(ideal, guard=None):
+def is_irrelevant_primary(ideal):
     """Empty projective zero locus, for a homogeneous ideal only.
 
     V(I) in P^(n-1) is empty exactly when the affine cone V(I) is finite,
@@ -231,7 +245,7 @@ def is_irrelevant_primary(ideal, guard=None):
     if not all(g.is_homogeneous() for g in ideal.gens):
         raise ValueError("projective zero locus of an inhomogeneous ideal")
     # x_i^k has k == sum only in slot i; a constant lead has it in every slot
-    pure = {i for e in ideal.leads(guard=guard) for i, a in enumerate(e) if a == sum(e)}
+    pure = {i for e in ideal.leads() for i, a in enumerate(e) if a == sum(e)}
     return len(pure) == ideal.ring.nvars
 
 
@@ -239,8 +253,9 @@ def is_irrelevant_primary(ideal, guard=None):
 # module colon / annihilator helpers
 
 
-def fitting_ideal(module, r):
-    """Ideal of (g - r)-minors of the relation matrix, g = generator count.
+def fitting_ideal(module, r, guard=None):
+    """Ideal of (g - r)-minors of the relation matrix, g = generator count,
+    built with ``guard``.
 
     Fitt_r = (1) for r >= g and the zero ideal for r < 0; invariant under
     changes of presentation.
@@ -248,9 +263,9 @@ def fitting_ideal(module, r):
     ring = module.ring
     g = module.rank
     if r >= g:
-        return Ideal(ring, [ring.one()])
+        return Ideal(ring, [ring.one()], guard)
     # for r < 0 there are no (g - r)-minors
-    return Ideal(ring, [m for m in minors(module.matrix(), g - r) if m])
+    return Ideal(ring, [m for m in minors(module.matrix(), g - r) if m], guard)
 
 
 def module_colon(im_gens, vs, rank, guard=None):
@@ -260,37 +275,37 @@ def module_colon(im_gens, vs, rank, guard=None):
     (v_0, ..., v_{m-1}) is in the span of the image copies: one
     ``syzygies`` of that vector modulo the copies, a Groebner basis in each
     copy (Greuel-Pfister, *A Singular Introduction to Commutative Algebra*,
-    2.8)."""
+    2.8).  The colon ideal is built with ``guard``."""
     ring, m = vs[0].ring, len(vs)
     stacked = Vec(ring, None, {t: c for k, v in enumerate(vs)
                                for t, c in v.shifted(k * rank).terms.items()})
     copies = [g.shifted(k * rank) for k in range(m) for g in im_gens]
     kernel = syzygies([stacked], rank=m * rank, guard=guard, modulo=copies)
-    return Ideal.from_basis(ring, kernel)
+    return Ideal.from_basis(ring, kernel, guard)
 
 
 # ---------------------------------------------------------------------------
 # Ext annihilators and unmixedness
 
 
-def ext_annihilator(ideal, i, guard=None):
+def ext_annihilator(ideal, i):
     """Annihilator of Ext^i(R/I, R), cached on the ideal; the unit ideal when
     the Ext vanishes."""
     if i < 0:
         raise ValueError("negative cohomological index")
     if i not in ideal._ext:
-        ideal._ext[i] = _ext_annihilator(ideal, i, guard)
+        ideal._ext[i] = _ext_annihilator(ideal, i)
     return ideal._ext[i]
 
 
-def _ext_annihilator(ideal, i, guard):
+def _ext_annihilator(ideal, i):
     """ann(ker d_{i+1}^T / im d_i^T), over the cached resolution of R/I: one
     ``module_colon`` of the image by every kernel generator outside it."""
-    ring = ideal.ring
-    resolution = quotient_resolution(ideal, guard=guard)
+    ring, guard = ideal.ring, ideal.guard
+    resolution = quotient_resolution(ideal)
     L = resolution.length
     if i > L:
-        return Ideal(ring, [ring.one()])
+        return Ideal(ring, [ring.one()], guard)
     ranks = [len(degs) for degs in resolution.degrees]
     if i == L:
         kernel = [Vec.unit(ring, b) for b in range(ranks[i])]
@@ -298,12 +313,12 @@ def _ext_annihilator(ideal, i, guard):
         dual = _transpose(ring, resolution.maps[i], ranks[i])
         kernel = syzygies(dual, rank=ranks[i + 1], guard=guard)
     image = _transpose(ring, resolution.maps[i - 1], ranks[i - 1]) if i else []
-    gb_im = buchberger(image, guard=guard)
+    gb_im = buchberger(image, guard)
     index = lead_index(gb_im)
     nontrivial = [k for k in kernel if not module_contains(k, index)]
     if not nontrivial:
-        return Ideal(ring, [ring.one()])
-    return module_colon(gb_im, nontrivial, ranks[i], guard=guard)
+        return Ideal(ring, [ring.one()], guard)
+    return module_colon(gb_im, nontrivial, ranks[i], guard)
 
 
 def _transpose(ring, cols, nrows):
@@ -316,29 +331,29 @@ def _transpose(ring, cols, nrows):
     return [Vec(ring, None, terms) for terms in out]
 
 
-def ext_window(ideal, guard=None):
+def ext_window(ideal):
     """(i, ann Ext^i(R/I, R)) for codim I < i <= pd(R/I), read from the
     ideal's cache; the codimension comes from its cached Hilbert series.
     Ext^i vanishes beyond pd(R/I) = the resolution's length; the term
     i = nvars (depth R/I = 0) has an irrelevant annihilator."""
-    res = quotient_resolution(ideal, guard=guard)
-    for i in range(ideal.codimension(guard=guard) + 1, res.length + 1):
-        yield i, ext_annihilator(ideal, i, guard=guard)
+    res = quotient_resolution(ideal)
+    for i in range(ideal.codimension() + 1, res.length + 1):
+        yield i, ext_annihilator(ideal, i)
 
 
-def quotient_resolution(ideal, guard=None):
+def quotient_resolution(ideal):
     """Minimal free resolution of R/I, computed once and cached on the ideal.
 
     It starts from the cached reduced basis; ``free_resolution`` prunes the
     unit entries of the first syzygies, which drops the redundant elements.
     """
     if ideal._res is None:
-        columns = ideal.groebner(guard=guard)
-        ideal._res = free_resolution(GradedModule(ideal.ring, (0,), columns), guard=guard)
+        columns = ideal.groebner()
+        ideal._res = free_resolution(GradedModule(ideal.ring, (0,), columns), ideal.guard)
     return ideal._res
 
 
-def unmixed_part(ideal, guard=None):
+def unmixed_part(ideal):
     """Equidimensional hull: the intersection of the top-dimensional primary
     components, returned on its reduced basis, as one saturation I : J^infinity.
 
@@ -353,19 +368,19 @@ def unmixed_part(ideal, guard=None):
     I's cached basis, series and resolution.
     """
     ring = ideal.ring
-    if is_irrelevant_primary(ideal, guard=guard):
-        return Ideal(ring, [ring.one()])
-    bad = [ann for _, ann in ext_window(ideal, guard=guard) if not ann.is_one(guard=guard)]
-    hull = saturate(ideal, intersect(*bad, guard=guard), guard=guard)[0] if bad else ideal
+    if is_irrelevant_primary(ideal):
+        return Ideal(ring, [ring.one()], ideal.guard)
+    bad = [ann for _, ann in ext_window(ideal) if not ann.is_one()]
+    hull = saturate(ideal, intersect(*bad))[0] if bad else ideal
     if hull is not ideal:  # saturate returns its input when nothing changes
         return hull  # a colon, so an ideal made from_basis
-    same = Ideal.from_basis(ring, ideal.groebner(guard=guard))
+    same = Ideal.from_basis(ring, ideal.groebner(), ideal.guard)
     same._series, same._res, same._ext = ideal._series, ideal._res, ideal._ext
     return same
 
 
-def is_unmixed(ideal, guard=None):
+def is_unmixed(ideal):
     """No embedded components away from the irrelevant ideal; the window is
     empty for the zero ideal and for an empty V(I)."""
-    window = ext_window(ideal, guard=guard)
-    return all(ann.codimension(guard=guard) > i for i, ann in window if i < ideal.ring.nvars)
+    window = ext_window(ideal)
+    return all(ann.codimension() > i for i, ann in window if i < ideal.ring.nvars)

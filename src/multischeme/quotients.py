@@ -94,7 +94,7 @@ def solution_space(module, twist):
         for km, cm in rel.terms.items():
             i, km = km >> pk.cs, (km & pk.mask) - pk.off
             for k in monos[i]:
-                eqs.setdefault(k + km, [fieldk.zero()] * ncols)[index[(i, k)]] += cm
+                eqs.setdefault(k + km, [0] * ncols)[index[(i, k)]] += cm
         rows.extend(eqs.values())
     basis = nullspace(fieldk, rows, ncols)
     return [
@@ -162,7 +162,7 @@ def line_bundle_quotients(module, twist_range, samples=100, seed=0, guard=None):
             continue
         witness = None
         for row in basis:
-            if is_irrelevant_primary(Ideal(ring, row), guard=guard):
+            if is_irrelevant_primary(Ideal(ring, row, guard)):
                 witness = row
                 break
         tested = 0
@@ -193,7 +193,7 @@ def line_bundle_quotients(module, twist_range, samples=100, seed=0, guard=None):
                                 terms[k] = terms.get(k, 0) + v * c
                 row = [Vec(ring, None, add_terms({}, terms.items(), ring.char)) for terms in acc]
                 tested += 1
-                if is_irrelevant_primary(Ideal(ring, row), guard=guard):
+                if is_irrelevant_primary(Ideal(ring, row, guard)):
                     witness = row
                     break
         verdict = "SAMPLED-NONE" if witness is None else "SURJECTION"

@@ -51,8 +51,8 @@ def _check_exponent(e):
 
 class Rationals:
     """The field Q.  An element is an ``int`` or a ``Fraction``, never a float:
-    ``coerce``, ``zero``, ``one`` and ``inv`` return an ``int`` for an integral
-    value, mixed arithmetic is exact and ``Fraction(n, 1) == n``, hash included."""
+    ``coerce`` and ``inv`` return an ``int`` for an integral value, mixed
+    arithmetic is exact and ``Fraction(n, 1) == n``, hash included."""
 
     char = 0
 
@@ -62,12 +62,6 @@ class Rationals:
         if type(v) is not Fraction:
             v = Fraction(v)
         return v.numerator if v.denominator == 1 else v
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
 
     def inv(self, a):
         return int(a) if a in (1, -1) else self.coerce(1 / Fraction(a))
@@ -117,12 +111,6 @@ class PrimeField:
                 raise ZeroDivisionError("denominator vanishes mod %d" % self.p)
             return v.numerator * pow(den, self.p - 2, self.p) % self.p
         return int(v) % self.p
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
 
     def inv(self, a):
         a = a % self.p
@@ -391,7 +379,7 @@ class Vec:
 
     @classmethod
     def unit(cls, ring, comp):
-        return cls(ring, None, {(comp << ring.pk.cs) + ring.pk.off: ring.field.one()})
+        return cls(ring, None, {(comp << ring.pk.cs) + ring.pk.off: 1})
 
     @property
     def data(self):
@@ -621,8 +609,8 @@ def nullspace(field, rows, ncols):
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        v = [field.zero()] * ncols
-        v[fc] = field.one()
+        v = [0] * ncols
+        v[fc] = 1
         for pr, pc in enumerate(pivots):
             v[pc] = -m[pr][fc]
             if field.char:

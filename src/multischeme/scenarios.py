@@ -29,12 +29,7 @@ from .modules import GradedModule, matrix_rank
 from .parse import format_ideal
 from .quotients import line_bundle_quotients
 from .ring import PolyRing
-from .structures import (
-    MultiStructure,
-    is_locally_CM,
-    is_S1,
-    thicken,
-)
+from .structures import Embedding, MultiStructure, is_locally_CM, is_S1, thicken
 
 
 @dataclass
@@ -80,31 +75,36 @@ class _Recorder:
             self.diffs.append(
                 {
                     "check": name,
-                    "expected": _text(expected),
-                    "computed": _text(computed),
+                    "expected": str(expected),
+                    "computed": str(computed),
                 }
             )
         return ok
 
-    def check_ideal(self, name, expected, computed, guard=None):
-        if not expected.equals(computed, guard=guard):
+    def check_ideal(self, name, expected, computed):
+        if not expected.equals(computed):
             self.diffs.append(
                 {
                     "check": name,
-                    "expected": _ideal_text(expected, guard),
-                    "computed": _ideal_text(computed, guard),
+                    "expected": _ideal_text(expected),
+                    "computed": _ideal_text(computed),
                 }
             )
 
 
-def _text(v):
-    if isinstance(v, Ideal):
-        return _ideal_text(v)
-    return str(v)
+def _ideal_text(ideal):
+    return format_ideal(ideal.groebner())
 
 
-def _ideal_text(ideal, guard=None):
-    return format_ideal(ideal.groebner(guard=guard))
+def _catalog_rows(opts, keep):
+    """The (entry, characteristic) rows of the catalog entries ``keep``
+    accepts, in the characteristics ``opts.char`` admits; the catalog is
+    read once per run."""
+    opts.catalog = opts.catalog or load_catalog()
+    for entry in filter(keep, opts.catalog):
+        for ch in entry.chars:
+            if opts.char in (None, ch):
+                yield entry, ch
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +118,8 @@ def _ambient_ring(char=0):
 def _scn_example_2_9(rec, opts):
     """The four-term filtration obtained by removing embedded components."""
     ring = _ambient_ring()
-    st = MultiStructure.parse(ring, "(x^2 + z0*y, y^2)", guard=opts.guard)
+    emb = Embedding(ring, ("x", "y"), opts.guard)
+    st = MultiStructure(emb, Ideal.parse(ring, "(x^2 + z0*y, y^2)", opts.guard))
     expected = [
         "(x, y)",
         "(x^2, y)",
@@ -129,9 +130,7 @@ def _scn_example_2_9(rec, opts):
     rec.check("chain-length", len(expected), len(filt.ideals))
     for j, text in enumerate(expected):
         if j < len(filt.ideals):
-            rec.check_ideal(
-                "term-%d" % j, Ideal.parse(ring, text), filt.ideals[j], opts.guard
-            )
+            rec.check_ideal("term-%d" % j, Ideal.parse(ring, text, opts.guard), filt.ideals[j])
     rec.check("reaches-top", True, filt.reaches_top)
     rec.check("multiplicity", 4, st.multiplicity())
     rec.check("locally-cm", True, st.locally_cm()[0])
@@ -140,13 +139,8 @@ def _scn_example_2_9(rec, opts):
 
 def _table_scenario(table_id):
     def run(rec, opts):
-        opts.catalog = opts.catalog or load_catalog()
-        for entry in (e for e in opts.catalog if e.table == table_id):
-            chars = entry.chars
-            if opts.char is not None:
-                chars = tuple(c for c in chars if c == opts.char)
-            for ch in chars:
-                _verify_entry(rec, opts, entry, ch)
+        for entry, ch in _catalog_rows(opts, lambda e: e.table == table_id):
+            _verify_entry(rec, opts, entry, ch)
 
     return run
 
@@ -155,13 +149,13 @@ def _verify_entry(rec, opts, entry, ch):
     tag = "%s@p%d" % (entry.id, ch)
     st = entry.structure(char=ch, check=False, guard=opts.guard)
     support = st.embedding.support_ideal()
-    rec.check(tag + ":radical", True, same_zero_locus(st.ideal, support, guard=opts.guard))
+    rec.check(tag + ":radical", True, same_zero_locus(st.ideal, support))
     rec.check(tag + ":multiplicity", entry.multiplicity, st.multiplicity())
     rec.check(tag + ":locally-cm", entry.locally_cm, st.locally_cm()[0])
     rec.check(tag + ":type-i", entry.type_i, st.is_type_I()[0])
     # Hilbert additivity across the filtration layers
     filt = st.filtration()
-    total = support.hilbert_polynomial(guard=opts.guard)
+    total = support.hilbert_polynomial()
     for hp in filt.layer_polynomials:
         total = total + hp
     rec.check(tag + ":hilbert-additivity", st.hilbert_polynomial(), total)
@@ -185,7 +179,7 @@ def _apply_xy(ideal, mat):
         "x": x.scale(mat[0][0]) + y.scale(mat[0][1]),
         "y": x.scale(mat[1][0]) + y.scale(mat[1][1]),
     }
-    return Ideal(ring, [g.substitute(images) for g in ideal.gens])
+    return Ideal(ring, [g.substitute(images) for g in ideal.gens], ideal.guard)
 
 
 def _scn_char_dichotomy(rec, opts):
@@ -199,20 +193,17 @@ def _scn_char_dichotomy(rec, opts):
     # characteristic zero: x -> x, y -> x/2 + y turns (x^2, y^2) into
     # (x^2, xy + y^2); then x -> x - y, y -> y turns that into (xy, x^2+y^2).
     ring0 = _ambient_ring(0)
-    sq = Ideal.parse(ring0, "(x^2, y^2)")
+    sq = Ideal.parse(ring0, "(x^2, y^2)", guard)
     half = ((1, 0), (Fraction(1, 2), 1))
     step1 = _apply_xy(sq, half)
-    rec.check_ideal("q-half-substitution", Ideal.parse(ring0, "(x^2, x*y + y^2)"), step1, guard)
+    rec.check_ideal("q-half-substitution", Ideal.parse(ring0, "(x^2, x*y + y^2)", guard), step1)
     step2 = _apply_xy(step1, ((1, -1), (0, 1)))
-    rec.check_ideal("q-shear-substitution", Ideal.parse(ring0, "(x*y, x^2 + y^2)"), step2, guard)
+    rec.check_ideal("q-shear-substitution", Ideal.parse(ring0, "(x*y, x^2 + y^2)", guard), step2)
     # the multiplicity-four pair with the z0-term
-    pair7 = Ideal.parse(ring0, "(x^2 + z0*y, y^2)")
+    pair7 = Ideal.parse(ring0, "(x^2 + z0*y, y^2)", guard)
     moved = _apply_xy(pair7, ((1, Fraction(1, 2)), (0, 1)))
     rec.check_ideal(
-        "q-crossterm-substitution",
-        Ideal.parse(ring0, "(x^2 + x*y + z0*y, y^2)"),
-        moved,
-        guard,
+        "q-crossterm-substitution", Ideal.parse(ring0, "(x^2 + x*y + z0*y, y^2)", guard), moved
     )
     # characteristic two: exhaust the 6 invertible scalar maps
     ring2 = _ambient_ring(2)
@@ -223,37 +214,30 @@ def _scn_char_dichotomy(rec, opts):
         ("(x^2 + z0*y, y^2)", "(x^2 + x*y + z0*y, y^2)"),
     ]
     for src_text, dst_text in pairs:
-        src = Ideal.parse(ring2, src_text)
-        dst = Ideal.parse(ring2, dst_text)
-        hits = [
-            m for m in mats2 if _apply_xy(src, m).equals(dst, guard=guard)
-        ]
+        src = Ideal.parse(ring2, src_text, guard)
+        dst = Ideal.parse(ring2, dst_text, guard)
+        hits = [m for m in mats2 if _apply_xy(src, m).equals(dst)]
         rec.check("f2-no-identification %s -> %s" % (src_text, dst_text), [], hits)
     # cube analogue: J = (x^3, a*x^2*y + b*x*y^2 + y^3) + (x,y)^4 is a pair
     # of cubes only when b^2 = 3a, solvable over Q (a = b = 3 gives
     # (x^3, (x+y)^3)) but never over F_3 with a, b nonzero.
     ring_q = PolyRing(("x", "y"), char=0)
     m4 = Ideal.parse(ring_q, "(x^4, x^3*y, x^2*y^2, x*y^3, y^4)")
-    j_q = Ideal.parse(ring_q, "(x^3, 3*x^2*y + 3*x*y^2 + y^3)").plus(m4)
-    cubes = Ideal.parse(ring_q, "(x^3, x^3 + 3*x^2*y + 3*x*y^2 + y^3)").plus(m4)
-    rec.check_ideal("q-cube-pair", cubes, j_q, guard)
+    j_q = Ideal.parse(ring_q, "(x^3, 3*x^2*y + 3*x*y^2 + y^3)", guard).plus(m4)
+    cubes = Ideal.parse(ring_q, "(x^3, x^3 + 3*x^2*y + 3*x*y^2 + y^3)", guard).plus(m4)
+    rec.check_ideal("q-cube-pair", cubes, j_q)
     ring3 = PolyRing(("x", "y"), char=3)
     mats3 = _gl2(3)
     rec.check("gl2-f3-order", 48, len(mats3))
     m4_3 = Ideal.parse(ring3, "(x^4, x^3*y, x^2*y^2, x*y^3, y^4)")
-    target = Ideal.parse(ring3, "(x^3, y^3)").plus(m4_3)
+    target = Ideal.parse(ring3, "(x^3, y^3)", guard).plus(m4_3)
     x, y = ring3.var("x"), ring3.var("y")
     checked = 0
     for a in (1, 2):
         for b in (1, 2):
-            j3 = Ideal(
-                ring3,
-                [x ** 3, x * x * y.scale(a) + x * y * y.scale(b) + y ** 3]
-                + list(m4_3.gens),
-            )
-            hits = [
-                m for m in mats3 if _apply_xy(j3, m).equals(target, guard=guard)
-            ]
+            cubic = x * x * y.scale(a) + x * y * y.scale(b) + y ** 3
+            j3 = Ideal(ring3, [x ** 3, cubic] + list(m4_3.gens), guard)
+            hits = [m for m in mats3 if _apply_xy(j3, m).equals(target)]
             rec.check("f3-no-cube-form a=%d b=%d" % (a, b), [], hits)
             checked += 1
     rec.certificates["scalar-search"] = {
@@ -335,25 +319,18 @@ def _scn_nontype1(rec, opts):
         rec.check(tag + ":multiplicity-manifest", expect["multiplicity"], st.multiplicity())
         rec.check(tag + ":locally-cm", True, st.locally_cm()[0])
         # locally CM, so S1: I_Y is its own hull
-        hull = unmixed_part(st.ideal, guard=opts.guard)
-        rec.check_ideal(tag + ":s1-hull", st.ideal, hull, opts.guard)
+        rec.check_ideal(tag + ":s1-hull", st.ideal, unmixed_part(st.ideal))
         verdict, flags = st.is_type_I()
         rec.check(tag + ":type-i", False, verdict)
         bad = [j for j, f in enumerate(flags) if not f]
         rec.check(tag + ":one-non-cm-term", 1, len(bad))
         if len(bad) == 1:
             z_ideal = st.filtration().ideals[bad[0]]
-            rec.check(tag + ":term-s1", True, is_S1(z_ideal, guard=opts.guard))
-            _, locus = is_locally_CM(z_ideal, guard=opts.guard)
-            expected_locus = Ideal(
-                st.embedding.ring,
-                [st.embedding.ring.var(v) for v in locus_vars],
-            )
-            rec.check(
-                tag + ":non-cm-locus",
-                True,
-                same_zero_locus(locus, expected_locus, guard=opts.guard),
-            )
+            rec.check(tag + ":term-s1", True, is_S1(z_ideal))
+            _, locus = is_locally_CM(z_ideal)
+            ring = st.embedding.ring
+            expected_locus = Ideal(ring, [ring.var(v) for v in locus_vars], opts.guard)
+            rec.check(tag + ":non-cm-locus", True, same_zero_locus(locus, expected_locus))
 
 
 def _scn_hm_hilbert(rec, opts):
@@ -407,12 +384,8 @@ def _scn_split(rec, opts):
     ring = triple.embedding.ring
     w_forms = [ring.var(nm) for nm in ("w0", "w1", "w2")]
     x_forms = [ring.var(nm) for nm in ("x0", "x1", "x2")]
-    rec.check_ideal(
-        "cut-by-w", double_a.ideal, triple.ideal.plus(Ideal(ring, w_forms)), opts.guard
-    )
-    rec.check_ideal(
-        "cut-by-x", double_b.ideal, triple.ideal.plus(Ideal(ring, x_forms)), opts.guard
-    )
+    rec.check_ideal("cut-by-w", double_a.ideal, triple.ideal.plus(Ideal(ring, w_forms)))
+    rec.check_ideal("cut-by-x", double_b.ideal, triple.ideal.plus(Ideal(ring, x_forms)))
     for st, expect, tag in zip(
         fam.structures, fam.manifest, ("triple", "double-a", "double-b")
     ):
@@ -431,17 +404,12 @@ def _scn_ci_lattice(rec, opts):
         rec.check(tag + ":multiplicity", expect["multiplicity"], st.multiplicity())
         rec.check(tag + ":locally-cm", True, st.locally_cm()[0])
         # locally CM, so S1: I_Y is its own hull
-        hull = unmixed_part(st.ideal, guard=opts.guard)
-        rec.check_ideal(tag + ":s1-hull", st.ideal, hull, opts.guard)
+        rec.check_ideal(tag + ":s1-hull", st.ideal, unmixed_part(st.ideal))
     for i, S in enumerate(subsets):
         for j, T in enumerate(subsets):
             # Z_S inside Z_T as schemes means I_T inside I_S as ideals
-            contained = fam.structures[i].ideal.contains_ideal(
-                fam.structures[j].ideal, guard=opts.guard
-            )
-            rec.check(
-                "Z%s-in-Z%s" % (S, T), set(S) <= set(T), contained
-            )
+            contained = fam.structures[i].ideal.contains_ideal(fam.structures[j].ideal)
+            rec.check("Z%s-in-Z%s" % (S, T), set(S) <= set(T), contained)
 
 
 def _scn_koszul(rec, opts):
@@ -454,49 +422,33 @@ def _scn_koszul(rec, opts):
     rec.check("multiplicity", expect["multiplicity"], st.multiplicity())
     rec.check("locally-cm", True, st.locally_cm()[0])
     # locally CM, so S1: I_Y is its own hull
-    rec.check_ideal("s1-hull", st.ideal, unmixed_part(st.ideal, guard=opts.guard), opts.guard)
+    rec.check_ideal("s1-hull", st.ideal, unmixed_part(st.ideal))
     rec.check("hilbert", expect["hilb"], st.hilbert_polynomial())
     ext = build_family("koszul", n=2, extend=True, guard=opts.guard)
     st_e = ext.structures[0]
     cm, locus = st_e.locally_cm()
     rec.check("extended-not-cm", False, cm)
     ring = st_e.embedding.ring
-    expected_locus = Ideal(
-        ring, [ring.var(v) for v in ext.manifest[0]["non_cm_locus"]]
-    )
-    rec.check(
-        "extended-locus", True, same_zero_locus(locus, expected_locus, guard=opts.guard)
-    )
+    expected_locus = Ideal(ring, [ring.var(v) for v in ext.manifest[0]["non_cm_locus"]], opts.guard)
+    rec.check("extended-locus", True, same_zero_locus(locus, expected_locus))
 
 
 def _scn_thicken_roundtrip(rec, opts):
     """Thickening each filtration term by its layer quotient, free or
     presented, must reproduce the next term, for every type-I entry of
     multiplicity <= 4."""
-    opts.catalog = opts.catalog or load_catalog()
-    entries = [
-        e
-        for e in opts.catalog
-        if e.table in ("thm-3.6", "thm-3.8") and e.type_i and e.multiplicity <= 4
-    ]
-    for entry in entries:
-        chars = entry.chars
-        if opts.char is not None:
-            chars = tuple(c for c in chars if c == opts.char)
-        for ch in chars:
-            tag = "%s@p%d" % (entry.id, ch)
-            st = entry.structure(char=ch, check=False, guard=opts.guard)
-            filt = st.filtration()
-            rec.check(tag + ":reaches-top", True, filt.reaches_top)
-            for j in range(len(filt.ideals) - 1):
-                base = MultiStructure(st.embedding, filt.ideals[j], check=False)
-                candidate = thicken(base, filt.layers[j], filt.layer_lifts[j], guard=opts.guard)
-                rec.check_ideal(
-                    "%s:step-%d" % (tag, j),
-                    filt.ideals[j + 1],
-                    candidate.ideal,
-                    opts.guard,
-                )
+    def keep(e):
+        return e.table in ("thm-3.6", "thm-3.8") and e.type_i and e.multiplicity <= 4
+
+    for entry, ch in _catalog_rows(opts, keep):
+        tag = "%s@p%d" % (entry.id, ch)
+        st = entry.structure(char=ch, check=False, guard=opts.guard)
+        filt = st.filtration()
+        rec.check(tag + ":reaches-top", True, filt.reaches_top)
+        for j in range(len(filt.ideals) - 1):
+            base = MultiStructure(st.embedding, filt.ideals[j], check=False)
+            candidate = thicken(base, filt.layers[j], filt.layer_lifts[j])
+            rec.check_ideal("%s:step-%d" % (tag, j), filt.ideals[j + 1], candidate.ideal)
 
 
 _SCENARIOS = {

@@ -7,13 +7,21 @@ the remaining variables span the "support ring" over which layer modules and
 conormal-type modules are presented.  A layer, and the lift of I_j's minimal
 generators onto it, stay column Vecs from the syzygies through ``thicken``,
 which reads surjectivity off the Fitting ideal Fitt_0.
+
+The resource budget is fixed with the embedding: ``Embedding(ring,
+support_vars, guard)`` builds I_X with that ``Guard``, and a ``MultiStructure``
+builds I_Y with its embedding's.  Every verdict reads the caches of those
+ideals and of the ideals derived from them, which keep their guard.  The
+module-level calls take it explicitly: ``is_locally_free`` on a presented
+module, and ``syzygies`` and ``module_hilbert_series`` read it off the ideal
+at hand.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .groebner import syzygies
+from .groebner import DEFAULT_GUARD, syzygies
 from .hilbert import module_hilbert_series
 from .ideals import (
     Ideal,
@@ -34,10 +42,12 @@ class StructureError(ValueError):
 
 @dataclass
 class Embedding:
-    """A support subscheme X ⊂ P^N cut out by a subset of the variables."""
+    """A support subscheme X ⊂ P^N cut out by a subset of the variables, with
+    the resource budget of every structure on it."""
 
     ring: object
     support_vars: tuple
+    guard: object = field(default=None, compare=False, repr=False)
     # I_X, built once so every caller shares its basis, series and resolution
     _support: Ideal = field(init=False, compare=False, repr=False)
     # the support ring, built once so every restricted Vec shares it
@@ -45,6 +55,7 @@ class Embedding:
 
     def __post_init__(self):
         self.support_vars = tuple(self.support_vars)
+        self.guard = self.guard or DEFAULT_GUARD
         missing = [v for v in self.support_vars if v not in self.ring._index]
         if missing:
             raise StructureError("unknown support variables %r" % missing)
@@ -54,7 +65,7 @@ class Embedding:
             raise StructureError(
                 "support %r takes every variable, so X is empty" % (self.support_vars,)
             )
-        self._support = Ideal(self.ring, [self.ring.var(v) for v in self.support_vars])
+        self._support = Ideal(self.ring, [self.ring.var(v) for v in self.support_vars], self.guard)
         rest = tuple(n for n in self.ring.names if n not in self.support_vars)
         self._sub = self.ring.subring(rest)
 
@@ -81,57 +92,60 @@ class Embedding:
 
 
 class MultiStructure:
-    """A multiple structure Y on X: rad(I_Y) = I_X."""
+    """A multiple structure Y on X: rad(I_Y) = I_X.  ``ideal`` is an Ideal
+    built with the embedding's guard, or the generators of one."""
 
-    def __init__(self, embedding, ideal, check=True, guard=None):
+    def __init__(self, embedding, ideal, check=True):
         self.embedding = embedding
         if not isinstance(ideal, Ideal):
-            ideal = Ideal(embedding.ring, ideal)
+            ideal = Ideal(embedding.ring, ideal, embedding.guard)
+        elif ideal.guard != embedding.guard:
+            raise StructureError("I_Y is built with %r, its embedding with %r"
+                                 % (ideal.guard, embedding.guard))
         self.ideal = ideal
-        self.guard = guard
         self._filtration = None
         if check:
             self.validate()
 
     @classmethod
-    def parse(cls, ring, text, support_vars=("x", "y"), check=True, guard=None):
+    def parse(cls, ring, text, support_vars=("x", "y"), check=True):
         emb = Embedding(ring, support_vars)
-        return cls(emb, Ideal.parse(ring, text), check=check, guard=guard)
+        return cls(emb, Ideal.parse(ring, text), check=check)
 
     def validate(self):
         ix = self.embedding.support_ideal()
         for g in self.ideal.gens:
             if not g.is_homogeneous():
                 raise StructureError("inhomogeneous generator %s" % g)
-            if not ix.contains(g, guard=self.guard):
+            if not ix.contains(g):
                 raise StructureError("generator %s not supported on X" % g)
         for v in self.embedding.support_vars:
-            if not radical_contains(self.ideal, self.embedding.ring.var(v), guard=self.guard):
+            if not radical_contains(self.ideal, self.embedding.ring.var(v)):
                 raise StructureError("radical of I_Y misses %s" % v)
 
     def nilpotency_index(self):
         """Minimal k with I_X^{k+1} ⊆ I_Y."""
         ix = power = self.embedding.support_ideal()
         for k in range(65):
-            if self.ideal.contains_ideal(power, guard=self.guard):  # power = I_X^(k+1)
+            if self.ideal.contains_ideal(power):  # power = I_X^(k+1)
                 return k
             power = power.times(ix)
         raise StructureError("nilpotency index exceeds 64")
 
     def multiplicity(self):
-        dim_y, deg_y = self.ideal.dimension_degree(guard=self.guard)
-        dim_x, deg_x = self.embedding.support_ideal().dimension_degree(guard=self.guard)
+        dim_y, deg_y = self.ideal.dimension_degree()
+        dim_x, deg_x = self.embedding.support_ideal().dimension_degree()
         if dim_y != dim_x or deg_y % deg_x:
             raise StructureError("degree ratio is not an integer multiplicity")
         return deg_y // deg_x
 
     def hilbert_polynomial(self):
-        return self.ideal.hilbert_polynomial(guard=self.guard)
+        return self.ideal.hilbert_polynomial()
 
     def filtration(self):
         # the built Filtration has no Ideal to live on, so it is kept here
         if self._filtration is None:
-            self._filtration = s1_filtration(self, guard=self.guard)
+            self._filtration = s1_filtration(self)
         return self._filtration
 
     def is_S1(self):
@@ -139,12 +153,12 @@ class MultiStructure:
         return self.filtration().reaches_top
 
     def locally_cm(self):
-        return is_locally_CM(self.ideal, guard=self.guard)
+        return is_locally_CM(self.ideal)
 
     def is_type_I(self):
         """(verdict, per-term CM flags); requires the filtration."""
         filt = self.filtration()
-        flags = [is_locally_CM(i, guard=self.guard)[0] for i in filt.ideals]
+        flags = [is_locally_CM(i)[0] for i in filt.ideals]
         return all(flags) and filt.reaches_top, flags
 
     def report(self, seed=None):
@@ -164,14 +178,14 @@ class MultiStructure:
             )
         return {
             "ring": format_ring(self.embedding.ring),
-            "ideal": format_ideal(self.ideal.groebner(guard=self.guard)),
+            "ideal": format_ideal(self.ideal.groebner()),
             "support": list(self.embedding.support_vars),
             "char": self.embedding.ring.char,
             "multiplicity": self.multiplicity(),
             "nilpotency_index": self.nilpotency_index(),
             "filtration": [
                 {
-                    "ideal": format_ideal(i.groebner(guard=self.guard)),
+                    "ideal": format_ideal(i.groebner()),
                     "locally_cm": flags[j],
                 }
                 for j, i in enumerate(filt.ideals)
@@ -179,8 +193,8 @@ class MultiStructure:
             "layers": layers,
             "verdicts": {"cm": cm, "s1": self.is_S1(), "type_i": type1},
             "certificates": {
-                "ext_indices": [i for i, _ in ext_window(self.ideal, guard=self.guard)],
-                "non_cm_locus": None if cm else format_ideal(locus.groebner(guard=self.guard)),
+                "ext_indices": [i for i, _ in ext_window(self.ideal)],
+                "non_cm_locus": None if cm else format_ideal(locus.groebner()),
             },
             "seed": seed,
         }
@@ -201,7 +215,7 @@ class Filtration:
     layer_lifts: list        # per layer: images of I_j's minimal gens, as column Vecs
 
 
-def s1_filtration(structure, guard=None):
+def s1_filtration(structure):
     """Filtration by unmixed parts of I_Y + I_X^{j+1}, with layer modules."""
     emb = structure.embedding
     iy = structure.ideal
@@ -213,24 +227,24 @@ def s1_filtration(structure, guard=None):
     for j in range(1, k + 1):
         # I_X^(k+1) lies in I_Y, so the last sum is I_Y and shares its caches
         total = iy if j == k else iy.plus(power := power.times(ix))  # I_X^(j+1)
-        ideals.append(unmixed_part(total, guard=guard))
+        ideals.append(unmixed_part(total))
     # sanity: chain inclusions
     for j in range(len(ideals) - 1):
-        if not ideals[j].contains_ideal(ideals[j + 1], guard=guard):
+        if not ideals[j].contains_ideal(ideals[j + 1]):
             raise StructureError("filtration terms fail to nest at step %d" % j)
-    reaches_top = ideals[-1].equals(iy, guard=guard)
+    reaches_top = ideals[-1].equals(iy)
     layers = []
     polys = []
     lifts = []
     for j in range(len(ideals) - 1):
-        layer, ser, lift = layer_module(emb, ideals[j], ideals[j + 1], guard=guard)
+        layer, ser, lift = layer_module(emb, ideals[j], ideals[j + 1])
         layers.append(layer)
         polys.append(ser.polynomial())
         lifts.append(lift)
     return Filtration(ideals, layers, polys, reaches_top, lifts)
 
 
-def layer_module(emb, upper, lower, guard=None):
+def layer_module(emb, upper, lower):
     """L = upper/(I_X*upper + lower) presented over the support ring.
 
     The relations are the syzygies of upper's minimal generators g modulo
@@ -239,32 +253,32 @@ def layer_module(emb, upper, lower, guard=None):
     upper's minimal generators onto the minimal presentation, the images
     ``thicken`` takes to rebuild lower from upper.
     """
-    gens = upper.minimal_gens(guard=guard)
+    gens = upper.minimal_gens()
     # sum h_i g_i in I_X*upper + lower iff h is in (relations modulo lower)
     # + I_X*R^s; restricting kills I_X, so taking lower alone loses nothing
-    kernel = syzygies(gens, rank=1, guard=guard, modulo=lower.groebner(guard=guard))
+    kernel = syzygies(gens, rank=1, guard=upper.guard, modulo=lower.groebner())
     # the nonzero restrictions, in syzygy order (which fixes the pivot order)
     restricted = (emb.restrict(h, len(gens)) for h in kernel)
     degs = tuple(g.degree() for g in gens)
     presented = GradedModule(emb.support_ring(), degs, [v for v in restricted if v])
     minimal, lift = presented.minimal_with_map()
-    hs_upper = upper.hilbert_series(guard=guard)
-    hs_lower = lower.hilbert_series(guard=guard)
+    hs_upper = upper.hilbert_series()
+    hs_lower = lower.hilbert_series()
     ser = hs_lower - hs_upper  # dim(S/lower)_t - dim(S/upper)_t = dim(upper/lower)_t
-    _check_layer_series(minimal, ser, guard=guard)
+    _check_layer_series(minimal, ser, upper.guard)
     return minimal, ser, lift
 
 
 def _check_layer_series(layer, ambient_diff, guard=None):
     """The presentation's series must equal the ideal-quotient difference."""
-    own, pole = module_hilbert_series(layer, guard=guard).reduced()
+    own, pole = module_hilbert_series(layer, guard).reduced()
     ambient, ambient_pole = ambient_diff.reduced()
     # two zero series are equal whatever their pole orders
     if own != ambient or (own and pole != ambient_pole):
         raise StructureError("layer Hilbert series mismatch")
 
 
-def is_locally_CM(ideal, guard=None):
+def is_locally_CM(ideal):
     """(verdict, non-CM locus ideal).
 
     True when every Ext^i annihilator beyond the ideal's own codimension
@@ -272,15 +286,14 @@ def is_locally_CM(ideal, guard=None):
     of the nontrivial supports.
     """
     ring = ideal.ring
-    window = ext_window(ideal, guard=guard)
-    bad = [ann for _, ann in window if not is_irrelevant_primary(ann, guard=guard)]
+    bad = [ann for _, ann in ext_window(ideal) if not is_irrelevant_primary(ann)]
     if not bad:
-        return True, Ideal(ring, [ring.one()])
-    return False, intersect(*bad, guard=guard)
+        return True, Ideal(ring, [ring.one()], ideal.guard)
+    return False, intersect(*bad)
 
 
-def is_S1(ideal, guard=None):
-    return unmixed_part(ideal, guard=guard).equals(ideal, guard=guard)
+def is_S1(ideal):
+    return unmixed_part(ideal).equals(ideal)
 
 
 def is_locally_free(module, rank, guard=None):
@@ -291,10 +304,10 @@ def is_locally_free(module, rank, guard=None):
         raise StructureError("expected rank exceeds generator count")
     if not fitting_ideal(module, rank - 1).is_zero():
         raise StructureError("module rank is below the expected %d" % rank)
-    return is_irrelevant_primary(fitting_ideal(module, rank), guard=guard)
+    return is_irrelevant_primary(fitting_ideal(module, rank, guard))
 
 
-def thicken(structure, layer, images, guard=None):
+def thicken(structure, layer, images):
     """Thicken Y by a quotient of I_Y/(I_X I_Y) onto the module ``layer``
     over the support ring.
 
@@ -304,20 +317,21 @@ def thicken(structure, layer, images, guard=None):
     coker [images | relations] has no projective zero, as Supp = V(Fitt_0)
     (Eisenbud, *Commutative Algebra*, §20.2).  The new ideal is
     I_X*I_Y plus the lifts sum_i h_i g_i of the kernel vectors h of
-    [images | relations] (the relation components dropped).
+    [images | relations] (the relation components dropped).  Every step runs
+    under the structure's guard.
     """
     emb = structure.embedding
-    ring = emb.ring
+    ring, guard = emb.ring, emb.guard
     iy = structure.ideal
-    gens = iy.minimal_gens(guard=guard)
+    gens = iy.minimal_gens()
     if len(images) != len(gens):
         raise StructureError("%d images for %d minimal generators" % (len(images), len(gens)))
     columns = list(images) + layer.relations
-    locus = fitting_ideal(GradedModule(layer.ring, layer.gen_degrees, columns), 0)
-    if not is_irrelevant_primary(locus, guard=guard):
+    locus = fitting_ideal(GradedModule(layer.ring, layer.gen_degrees, columns), 0, guard)
+    if not is_irrelevant_primary(locus):
         raise StructureError(
             "the images are not onto the layer; Fitt_0 = (%s)"
-            % ", ".join(str(m) for m in locus.groebner(guard=guard))
+            % ", ".join(str(m) for m in locus.groebner())
         )
     kernel = syzygies(columns, rank=layer.rank, guard=guard)
     lifted = (
@@ -325,4 +339,4 @@ def thicken(structure, layer, images, guard=None):
         for h in kernel
     )
     new_ideal = emb.support_ideal().times(iy).plus(Ideal(ring, lifted))
-    return MultiStructure(emb, new_ideal, check=True, guard=guard)
+    return MultiStructure(emb, new_ideal, check=True)

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from multischeme import modules
-from multischeme.scenarios import _ideal_text, _Recorder, _text, run_scenario
+from multischeme.scenarios import _ideal_text, _Recorder, run_scenario
 
 
 @pytest.fixture(scope="session")
@@ -33,12 +33,12 @@ def scenario_result(scenario_texts):
 
             def recording_check(self, name, expected, computed):
                 ok = check(self, name, expected, computed)
-                texts.append(_text(computed))
+                texts.append(str(computed))
                 return ok
 
-            def recording_check_ideal(self, name, expected, computed, guard=None):
-                check_ideal(self, name, expected, computed, guard)
-                texts.append(_ideal_text(computed, guard))
+            def recording_check_ideal(self, name, expected, computed):
+                check_ideal(self, name, expected, computed)
+                texts.append(_ideal_text(computed))
 
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(_Recorder, "check", recording_check)

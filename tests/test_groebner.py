@@ -253,7 +253,7 @@ def _reference_syzygies(vecs, rank):
     the elements that lie in the components >= rank."""
     ring = vecs[0].ring
     aug = [
-        Vec(ring, {**v.data, (rank + i, (0,) * ring.nvars): ring.field.one()})
+        Vec(ring, {**v.data, (rank + i, (0,) * ring.nvars): 1})
         for i, v in enumerate(vecs)
     ]
     return [

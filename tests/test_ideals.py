@@ -5,7 +5,15 @@ from prop_suites import _random_form
 from test_modules import _random_presentation
 
 from multischeme.catalog import load_catalog
-from multischeme.groebner import buchberger, groebner_basis, interreduce, normal_form, syzygies
+from multischeme.groebner import (
+    DEFAULT_GUARD,
+    Guard,
+    buchberger,
+    groebner_basis,
+    interreduce,
+    normal_form,
+    syzygies,
+)
 from multischeme.hilbert import ideal_hilbert_series
 from multischeme.ideals import (
     Ideal,
@@ -231,7 +239,7 @@ def test_ext_annihilators_of_theorem_rows_match_the_syzygy_reference(monkeypatch
                     expected = ext_annihilator(I, i)
                     with monkeypatch.context() as mp:
                         mp.setattr(ideals, "module_colon", reference_colon)
-                        reference = _ext_annihilator(I, i, None)
+                        reference = _ext_annihilator(I, i)
                     assert expected.groebner() == reference.groebner(), (entry.id, char, i)
     # several ext annihilators fold two or more kernel vectors into one graph
     assert sum(w >= 2 for w in widths) >= 3
@@ -275,7 +283,7 @@ def test_module_colon_forms_no_s_pair_of_two_image_basis_elements(ring, monkeypa
         lambda: colon(I, _ideal(ring, "(x, y*z0)")),
         lambda: intersect(_ideal(ring, "(x^2, x*y, z0^2)"), _ideal(ring, "(y^2, x*z0, y*z0)"),
                           _ideal(ring, "(x*y, y^3, z0^3)")),
-        lambda: [_ext_annihilator(J, i, None) for i in range(1, quotient_resolution(J).length + 1)],
+        lambda: [_ext_annihilator(J, i) for i in range(1, quotient_resolution(J).length + 1)],
     ):
         del pairs[:]
         run()
@@ -688,12 +696,12 @@ def test_unmixed_part_is_one_saturation(monkeypatch):
     saturations, built = [], []
     real_saturate, real_init = ideals.saturate, Ideal.__init__
 
-    def counting(ideal, f, guard=None):
+    def counting(ideal, f):
         saturations.append(f)
-        return real_saturate(ideal, f, guard=guard)
+        return real_saturate(ideal, f)
 
-    def recording(self, ring, gens):
-        real_init(self, ring, gens)
+    def recording(self, ring, gens, guard=None):
+        real_init(self, ring, gens, guard)
         built.append(self.gens)
 
     monkeypatch.setattr(ideals, "saturate", counting)
@@ -761,3 +769,16 @@ def test_minimal_gens_builds_one_basis_per_kept_generator(ring, monkeypatch):
     assert kept == expected
     assert sorted(map(str, kept)) == ["x", "y", "z0^2"]
     assert len(calls) <= len(kept)
+
+
+def test_derived_ideals_keep_the_guard(ring):
+    guard = Guard(max_degree=30)
+    I = Ideal.parse(ring, "(x^2, x*y)", guard)
+    J = Ideal.parse(ring, "(y)")
+    derived = [
+        I.plus(J), I.times(J), colon(I, J), saturate(I, J)[0], intersect(I, J),
+        unmixed_part(I), ext_annihilator(I, 2), eliminate(I, ("z0",)),
+        Ideal.from_basis(ring, I.groebner(), guard),
+    ]
+    assert all(d.guard is guard for d in derived)
+    assert intersect(J, I).guard is J.guard is DEFAULT_GUARD

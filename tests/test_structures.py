@@ -6,11 +6,12 @@ from test_ideals import _rabinowitsch_contains
 
 from multischeme.catalog import load_catalog
 from multischeme.families import build_family
-from multischeme.groebner import buchberger, interreduce, submodule_equal, syzygies
+from multischeme.groebner import Guard, buchberger, interreduce, submodule_equal, syzygies
 from multischeme.hilbert import HilbertPoly, HilbertSeries, module_hilbert_series
 from multischeme.ideals import Ideal
 from multischeme.modules import GradedModule
-from multischeme.ring import PolyRing
+from multischeme.parse import parse_ideal
+from multischeme.ring import PolyRing, ResourceGuardExceeded
 from multischeme.scenarios import run_scenario
 from multischeme.structures import (
     Embedding,
@@ -500,3 +501,19 @@ def test_verdicts_after_report_resolve_nothing(monkeypatch):
         assert st.locally_cm()[0] == rep["verdicts"]["cm"]
         monkeypatch.undo()
         assert calls == [], name
+
+
+def test_a_verdict_does_not_depend_on_call_history():
+    # each structure computes under its embedding's guard, so a verdict
+    # reached under the default budget leaves a strict budget's trip standing
+    ring = PolyRing(("z0", "z1", "z2", "x", "y"))
+    text = "(x^2 + z0*y, y^2)"
+    strict_emb = Embedding(ring, ("x", "y"), Guard(max_degree=2))
+    strict = MultiStructure(strict_emb, parse_ideal(ring, text), check=False)
+    default = MultiStructure.parse(ring, text)
+    assert strict.ideal.guard is strict_emb.guard and default.locally_cm()[0]
+    with pytest.raises(ResourceGuardExceeded, match="S-pair degree 4 exceeds budget 2"):
+        is_locally_CM(strict.ideal)
+    # an ideal built with another budget than its embedding's is refused
+    with pytest.raises(StructureError, match="built with"):
+        MultiStructure(strict_emb, default.ideal, check=False)
