@@ -11,10 +11,10 @@ which reads surjectivity off the Fitting ideal Fitt_0.
 The resource budget is fixed with the embedding: ``Embedding(ring,
 support_vars, guard)`` builds I_X with that ``Guard``, and a ``MultiStructure``
 builds I_Y with its embedding's.  Every verdict reads the caches of those
-ideals and of the ideals derived from them, which keep their guard.  The
-module-level calls take it explicitly: ``is_locally_free`` on a presented
-module, and ``syzygies`` and ``module_hilbert_series`` read it off the ideal
-at hand.
+ideals and of the ideals derived from them, which keep their guard.
+``is_locally_free`` starts from a presented module, so it takes the guard
+explicitly; ``layer_module`` and ``thicken`` hand their ideals' guard to
+``syzygies``, ``module_hilbert_series`` and ``fitting_ideal``.
 """
 
 from __future__ import annotations
