@@ -53,6 +53,8 @@ from .ring import ResourceGuardExceeded, _cleared
 
 @dataclass
 class Guard:
+    """The resource budget: basis size ``max_basis`` and S-pair degree ``max_degree``."""
+
     max_basis: int = 20000
     max_degree: int = 40
 

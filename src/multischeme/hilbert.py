@@ -163,11 +163,10 @@ def ideal_hilbert_series(ring, leads):
     return hilbert_series_of_leads({0: leads}, (0,), ring.nvars)
 
 
-def module_hilbert_series(module, guard=None):
-    """Series of a GradedModule presentation coker(F1 -> F0)."""
-    gb = buchberger(module.relations, guard=guard)
+def module_hilbert_series(module):
+    """Series of a GradedModule presentation coker(F1 -> F0), under its guard."""
     by_comp = {}
-    for g in gb:
+    for g in buchberger(module.relations, guard=module.guard):
         (j, e), _ = g.lead()
         by_comp.setdefault(j, []).append(e)
     return hilbert_series_of_leads(by_comp, module.gen_degrees, module.ring.nvars)

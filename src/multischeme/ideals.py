@@ -17,9 +17,9 @@ guard)`` (and ``from_basis``, ``parse``) keeps the ``Guard`` it is given, the
 default one if none, and runs every computation under it, so no cache needs
 the guard in its key.  What is derived from an ideal keeps its guard: a sum,
 a product, a colon, a saturation, the hull, an Ext annihilator, and an
-intersection the first ideal's.  ``fitting_ideal`` and ``module_colon`` start
-from vectors, with no ideal in reach, so they take the guard explicitly and
-build their ideal with it.
+intersection the first ideal's.  ``fitting_ideal`` builds its ideal with
+its module's guard; ``module_colon`` starts from vectors, with no ideal or
+module in reach, so it takes the guard explicitly.
 
 All operations are exact and work over Q or a prime field.
 """
@@ -50,6 +50,9 @@ class Ideal:
     def __init__(self, ring, gens, guard=None):
         self.ring = ring
         self.gens = tuple(g for g in gens if g)
+        for g in self.gens:
+            if g.ring is not ring and g.ring != ring:
+                raise ValueError("a generator over %r in an ideal over %r" % (g.ring, ring))
         self.guard = guard or DEFAULT_GUARD
         self._raw = None  # the unreduced Groebner basis, as Vecs
         self._gb = None  # the reduced basis
@@ -253,15 +256,14 @@ def is_irrelevant_primary(ideal):
 # module colon / annihilator helpers
 
 
-def fitting_ideal(module, r, guard=None):
+def fitting_ideal(module, r):
     """Ideal of (g - r)-minors of the relation matrix, g = generator count,
-    built with ``guard``.
+    built with the module's guard.
 
     Fitt_r = (1) for r >= g and the zero ideal for r < 0; invariant under
     changes of presentation.
     """
-    ring = module.ring
-    g = module.rank
+    ring, g, guard = module.ring, module.rank, module.guard
     if r >= g:
         return Ideal(ring, [ring.one()], guard)
     # for r < 0 there are no (g - r)-minors
@@ -349,7 +351,7 @@ def quotient_resolution(ideal):
     """
     if ideal._res is None:
         columns = ideal.groebner()
-        ideal._res = free_resolution(GradedModule(ideal.ring, (0,), columns), ideal.guard)
+        ideal._res = free_resolution(GradedModule(ideal.ring, (0,), columns, ideal.guard))
     return ideal._res
 
 

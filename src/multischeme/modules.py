@@ -6,14 +6,18 @@ and Hilbert data make sense.  The lift of a minimalization is a column Vec
 per original generator too.  Polynomial matrices appear only at the edges:
 a hand-written presentation is converted once, and minors and ranks read
 ``GradedModule.matrix()``.
+
+The resource budget is fixed where a module is built: a ``GradedModule`` or
+``Resolution`` keeps its ``Guard`` (the default one if none), and all that
+is computed from it, its minimal presentation and resolution too, keeps it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
 
-from .groebner import buchberger, lead_index, module_contains, syzygies
+from .groebner import DEFAULT_GUARD, buchberger, lead_index, module_contains, syzygies
 from .ring import Vec, poly_divide_exact
 
 
@@ -122,9 +126,11 @@ class GradedModule:
     ring: object
     gen_degrees: tuple
     relations: list  # column Vecs in F_0
+    guard: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         self.gen_degrees = tuple(self.gen_degrees)
+        self.guard = self.guard or DEFAULT_GUARD
         rel = list(self.relations)
         is_matrix = not all(isinstance(v, Vec) for v in rel)
         for f in (f for row in rel for f in row) if is_matrix else rel:
@@ -162,7 +168,7 @@ class GradedModule:
         for a, subst in reversed(steps):
             lift[a] = sum((c * lift[i] for i, c in subst.items()), ring.zero())
         degs = tuple(self.gen_degrees[a] for a in rows)
-        return GradedModule(ring, degs, rel), [lift[a] for a in range(self.rank)]
+        return GradedModule(ring, degs, rel, self.guard), [lift[a] for a in range(self.rank)]
 
 
 def _prune_units(ring, cols, nrows):
@@ -207,6 +213,10 @@ class Resolution:
     ring: object
     degrees: list  # degrees[i] = generator degrees of F_i
     maps: list     # maps[i] = len(degrees[i + 1]) column Vecs in F_i
+    guard: object = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        self.guard = self.guard or DEFAULT_GUARD
 
     @property
     def length(self):
@@ -219,27 +229,27 @@ class Resolution:
                 table[(i, d)] = table.get((i, d), 0) + 1
         return table
 
-    def verify(self, guard=None):
+    def verify(self):
         """Check d_i o d_{i+1} = 0 and exactness at each interior step."""
         for i, (d, nxt) in enumerate(zip(self.maps, self.maps[1:])):
             if any(_apply(d, v) for v in nxt):
                 return False
-            ker = syzygies(d, rank=len(self.degrees[i]), guard=guard)
-            gb = lead_index(buchberger(nxt, guard=guard))
+            ker = syzygies(d, rank=len(self.degrees[i]), guard=self.guard)
+            gb = lead_index(buchberger(nxt, guard=self.guard))
             if not all(module_contains(v, gb) for v in ker):
                 return False
         return True
 
 
-def free_resolution(module, guard=None):
+def free_resolution(module):
     """Minimal graded free resolution of a GradedModule (coker presentation).
 
     Each syzygy step is pruned before the next one, so every map has entries
     in the irrelevant maximal ideal and, by the syzygy theorem, the length is
     at most the number of variables.
     """
-    ring = module.ring
-    res = Resolution(ring, [list(module.gen_degrees)], [])
+    ring, guard = module.ring, module.guard
+    res = Resolution(ring, [list(module.gen_degrees)], [], guard)
     current = module.relations
     while current:
         degs = [v.degree(res.degrees[-1]) for v in current]

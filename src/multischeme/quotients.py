@@ -3,8 +3,9 @@
 For each twist d, the maps M -> O(d) with zero composite against the
 relation matrix form a finite-dimensional solution space computed by exact
 linear algebra degree by degree.  A candidate map is onto exactly when its
-entries have no common projective zero (``is_irrelevant_primary``).  When no
-surjection is found the verdict explains why:
+entries have no common projective zero (``is_irrelevant_primary`` of their
+ideal, built with the module's guard).  When no surjection is found the
+verdict explains why:
 
 * EXACT-NONE      -- the solution space is zero;
 * CERTIFIED-NONE  -- every map in the space provably drops rank at a point
@@ -148,10 +149,10 @@ def _certificate(module, basis, degs):
     return None
 
 
-def line_bundle_quotients(module, twist_range, samples=100, seed=0, guard=None):
+def line_bundle_quotients(module, twist_range, samples=100, seed=0):
     """Scan twists for surjections M -> O(d); see module docstring."""
     lo, hi = twist_range
-    ring = module.ring
+    ring, guard = module.ring, module.guard
     out = []
     rng = _LCG(seed)
     for d in range(lo, hi + 1):

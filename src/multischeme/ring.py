@@ -10,7 +10,7 @@ reduced mod p in characteristic p, never floats.
 The key of x^e in component j is one int j*2^cs + K(e), with K(e) = OFF +
 sum(e_i * W_i) (Bachmann-Schoenemann, ISSAC 1998; Monagan-Pearce, JSC 46,
 2011), laid out by the ``_Packing`` that the rings of one (nvars, order)
-share.  The high digits of K(e), the flattened ``TermOrder.lead_key`` of e,
+share.  The high digits of K(e), the ``TermOrder.lead_key`` of e,
 make ascending keys the descending position-over-term order; K is linear in
 e, so a product adds keys, less OFF, and a shift to another component adds
 a multiple of 2^cs.  Its low 16-bit fields hold e, a guard bit over 15 bits
@@ -140,14 +140,14 @@ class TermOrder:
     front: int = 0
 
     def lead_key(self, exps):
-        """A key whose ascending order is this order's descending order."""
+        """A flat tuple whose ascending order is this order's descending order."""
         if self.kind == "grevlex":
-            return (-sum(exps), exps[::-1])
+            return (-sum(exps),) + exps[::-1]
         if self.kind == "lex":
             return tuple(-e for e in exps)
         if self.kind == "block":
             f, r = exps[: self.front], exps[self.front:]
-            return (-sum(f), f[::-1], -sum(r), r[::-1])
+            return (-sum(f),) + f[::-1] + (-sum(r),) + r[::-1]
         raise ValueError("unknown order %r" % self.kind)
 
 
@@ -162,10 +162,7 @@ class _Packing:
     low part of a key, both through tables of the exponents met so far."""
 
     def __init__(self, n, order):
-        def flat(key):
-            return [b for a in key for b in (flat(a) if isinstance(a, tuple) else (a,))]
-
-        rows = [flat(order.lead_key(tuple(int(i == k) for i in range(n)))) for k in range(n)]
+        rows = [order.lead_key(tuple(int(i == k) for i in range(n))) for k in range(n)]
         m = len(rows[0]) if rows else 0
         spread = max((sum(abs(r[d]) for r in rows) for d in range(m)), default=0)
         b = (spread << _FIELD).bit_length() + 1  # a digit's |value| < 2^b / 2

@@ -247,7 +247,7 @@ def _scn_char_dichotomy(rec, opts):
     }
 
 
-def _nonexistence_module(char=0):
+def _nonexistence_module(char=0, guard=None):
     """Presentation of J/IJ for the rigid multiplicity-four structure,
     with the undetermined forms instantiated at F_i = z_i (so s = 1):
     seven degree-three generators, six block relations and one Koszul tail."""
@@ -263,14 +263,14 @@ def _nonexistence_module(char=0):
         [o, o, o, o, o, o, -F2],
         [o, o, o, o, o, o, F3],
     ]
-    module = GradedModule(sub, (3,) * 7, phi)
+    module = GradedModule(sub, (3,) * 7, phi, guard)
     B = [row[:6] for row in phi[:4]]
     return sub, module, B, (F1, F2, F3)
 
 
 def _scn_nonexistence(rec, opts):
     """No line-bundle quotient of J/IJ in the twist window [-10, 0]."""
-    _, module, B, (F1, F2, F3) = _nonexistence_module()
+    _, module, B, (F1, F2, F3) = _nonexistence_module(guard=opts.guard)
     rec.check("rank-B", 4, matrix_rank(B))
     # syzygies of (F1, -F2, F3) are exactly the Koszul relations f_j e_i - f_i e_j
     seq = [F1, -F2, F3]
@@ -280,13 +280,7 @@ def _scn_nonexistence(rec, opts):
     rec.check(
         "koszul-syzygies", True, submodule_equal(syz, koszul, guard=opts.guard)
     )
-    verdicts = line_bundle_quotients(
-        module,
-        (-10, 0),
-        samples=100,
-        seed=opts.seed,
-        guard=opts.guard,
-    )
+    verdicts = line_bundle_quotients(module, (-10, 0), samples=100, seed=opts.seed)
     rec.check(
         "no-surjection", [], [v.twist for v in verdicts if v.verdict == "SURJECTION"]
     )

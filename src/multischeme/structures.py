@@ -12,9 +12,9 @@ The resource budget is fixed with the embedding: ``Embedding(ring,
 support_vars, guard)`` builds I_X with that ``Guard``, and a ``MultiStructure``
 builds I_Y with its embedding's.  Every verdict reads the caches of those
 ideals and of the ideals derived from them, which keep their guard.
-``is_locally_free`` starts from a presented module, so it takes the guard
-explicitly; ``layer_module`` and ``thicken`` hand their ideals' guard to
-``syzygies``, ``module_hilbert_series`` and ``fitting_ideal``.
+``layer_module`` and ``thicken`` build their modules with the guard of the
+ideal or embedding they start from, and a module's Hilbert series and
+Fitting ideals run under the module's own.
 """
 
 from __future__ import annotations
@@ -102,6 +102,8 @@ class MultiStructure:
         elif ideal.guard != embedding.guard:
             raise StructureError("I_Y is built with %r, its embedding with %r"
                                  % (ideal.guard, embedding.guard))
+        if ideal.ring != embedding.ring:
+            raise StructureError("I_Y is over %r, X over %r" % (ideal.ring, embedding.ring))
         self.ideal = ideal
         self._filtration = None
         if check:
@@ -260,18 +262,18 @@ def layer_module(emb, upper, lower):
     # the nonzero restrictions, in syzygy order (which fixes the pivot order)
     restricted = (emb.restrict(h, len(gens)) for h in kernel)
     degs = tuple(g.degree() for g in gens)
-    presented = GradedModule(emb.support_ring(), degs, [v for v in restricted if v])
+    presented = GradedModule(emb.support_ring(), degs, [v for v in restricted if v], upper.guard)
     minimal, lift = presented.minimal_with_map()
     hs_upper = upper.hilbert_series()
     hs_lower = lower.hilbert_series()
     ser = hs_lower - hs_upper  # dim(S/lower)_t - dim(S/upper)_t = dim(upper/lower)_t
-    _check_layer_series(minimal, ser, upper.guard)
+    _check_layer_series(minimal, ser)
     return minimal, ser, lift
 
 
-def _check_layer_series(layer, ambient_diff, guard=None):
+def _check_layer_series(layer, ambient_diff):
     """The presentation's series must equal the ideal-quotient difference."""
-    own, pole = module_hilbert_series(layer, guard).reduced()
+    own, pole = module_hilbert_series(layer).reduced()
     ambient, ambient_pole = ambient_diff.reduced()
     # two zero series are equal whatever their pole orders
     if own != ambient or (own and pole != ambient_pole):
@@ -296,7 +298,7 @@ def is_S1(ideal):
     return unmixed_part(ideal).equals(ideal)
 
 
-def is_locally_free(module, rank, guard=None):
+def is_locally_free(module, rank):
     """Locally free of the given rank on Proj of the support ring: Fitt_(rank-1)
     is zero and Fitt_rank has no projective zero (Eisenbud, *Commutative
     Algebra*, Prop. 20.8).  A nonzero Fitt_(rank-1) means a smaller rank."""
@@ -304,7 +306,7 @@ def is_locally_free(module, rank, guard=None):
         raise StructureError("expected rank exceeds generator count")
     if not fitting_ideal(module, rank - 1).is_zero():
         raise StructureError("module rank is below the expected %d" % rank)
-    return is_irrelevant_primary(fitting_ideal(module, rank, guard))
+    return is_irrelevant_primary(fitting_ideal(module, rank))
 
 
 def thicken(structure, layer, images):
@@ -327,7 +329,7 @@ def thicken(structure, layer, images):
     if len(images) != len(gens):
         raise StructureError("%d images for %d minimal generators" % (len(images), len(gens)))
     columns = list(images) + layer.relations
-    locus = fitting_ideal(GradedModule(layer.ring, layer.gen_degrees, columns), 0, guard)
+    locus = fitting_ideal(GradedModule(layer.ring, layer.gen_degrees, columns, guard), 0)
     if not is_irrelevant_primary(locus):
         raise StructureError(
             "the images are not onto the layer; Fitt_0 = (%s)"

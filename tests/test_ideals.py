@@ -771,6 +771,14 @@ def test_minimal_gens_builds_one_basis_per_kept_generator(ring, monkeypatch):
     assert len(calls) <= len(kept)
 
 
+def test_a_generator_over_another_ring_is_refused():
+    a = PolyRing(("a", "b", "c")).var("a")
+    # read over k[x, y], a^2's packed key would be another monomial
+    both = r"over QQ\[a,b,c\]/grevlex in an ideal over QQ\[x,y\]/grevlex"
+    with pytest.raises(ValueError, match=both):
+        Ideal(PolyRing(("x", "y")), [a * a])
+
+
 def test_derived_ideals_keep_the_guard(ring):
     guard = Guard(max_degree=30)
     I = Ideal.parse(ring, "(x^2, x*y)", guard)

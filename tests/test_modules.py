@@ -4,8 +4,9 @@ from itertools import combinations
 import pytest
 
 from multischeme import modules
-from multischeme.groebner import buchberger, module_contains
+from multischeme.groebner import DEFAULT_GUARD, Guard, buchberger, module_contains
 from multischeme.hilbert import module_hilbert_series
+from multischeme.ideals import Ideal, quotient_resolution
 from multischeme.modules import (
     GradedModule,
     Resolution,
@@ -17,8 +18,8 @@ from multischeme.modules import (
     minors,
     vecs_to_columns,
 )
-from multischeme.quotients import solution_space
-from multischeme.ring import PolyRing, Vec
+from multischeme.quotients import line_bundle_quotients, solution_space
+from multischeme.ring import PolyRing, ResourceGuardExceeded, Vec
 
 
 @pytest.fixture
@@ -177,6 +178,39 @@ def test_a_relation_over_another_ring_is_refused():
         GradedModule(sub, (0,), [x])
     with pytest.raises(ValueError, match=both):
         GradedModule(sub, (0,), [[x]])
+
+
+def test_derived_modules_keep_the_guard(ring):
+    guard = Guard(max_degree=30)
+    x, y = ring.gens()
+    mod = GradedModule(ring, (0, 1), [[x, x * x], [-ring.one(), y]], guard)
+    derived = [
+        mod.minimal_with_map()[0], free_resolution(mod),
+        quotient_resolution(Ideal(ring, [x * x, x * y], guard)),
+    ]
+    assert all(d.guard is guard for d in derived)
+    plain = GradedModule(ring, (0,), [[x, y]])
+    assert free_resolution(plain).guard is plain.guard is DEFAULT_GUARD
+
+
+def test_a_module_runs_under_its_own_guard(ring):
+    x, y = ring.gens()
+    strict = Guard(max_degree=1)
+    mod = GradedModule(ring, (0,), [[x * x, x * y, y * y]], strict)
+    free = GradedModule(ring, (0, 0), [], strict)
+    trip = "S-pair degree 3 exceeds budget 1"
+    with pytest.raises(ResourceGuardExceeded, match=trip):
+        free_resolution(mod)
+    with pytest.raises(ResourceGuardExceeded, match=trip):
+        module_hilbert_series(mod)
+    # the basis rows of twist 2 are single monomials; the first sampled row
+    # is two quadrics, whose basis needs a pair of degree past 1
+    with pytest.raises(ResourceGuardExceeded, match="S-pair degree 2 exceeds budget 1"):
+        line_bundle_quotients(free, (2, 2))
+    # the same modules under the default budget
+    assert free_resolution(GradedModule(ring, (0,), mod.relations)).length == 2
+    (v,) = line_bundle_quotients(GradedModule(ring, (0, 0), []), (2, 2))
+    assert v.verdict == "SURJECTION"
 
 
 def test_minimal_presentation_prunes_unit_pivot(ring):

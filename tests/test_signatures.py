@@ -1,19 +1,31 @@
-"""The resource budget is fixed where an ideal or an embedding is built: no
-public function or method of ``ideals`` or ``structures`` takes a ``guard``
-except those constructors and the entry points that start from vectors or
-presented modules, with no ideal in reach."""
+"""The resource budget is fixed where an ideal, an embedding or a module is
+built: across the package, no public function or method takes a ``guard``
+except those constructors, the builders that make a structure from scratch,
+and the Vec-level kernel, which starts from vectors with no ideal or module
+in reach."""
 
+import importlib
 import inspect
+import pkgutil
 import types
 
-from multischeme import ideals, structures
+import multischeme
 
 ALLOWED = {
-    "multischeme.ideals": {
-        "Ideal", "Ideal.from_basis", "Ideal.parse", "fitting_ideal", "module_colon",
-    },
-    "multischeme.structures": {"Embedding", "is_locally_free"},
+    "multischeme.catalog": {"CatalogEntry.structure"},
+    "multischeme.families": {"build_family"},
+    "multischeme.groebner": {"buchberger", "groebner_basis", "syzygies", "submodule_equal"},
+    "multischeme.ideals": {"Ideal", "Ideal.from_basis", "Ideal.parse", "module_colon"},
+    "multischeme.modules": {"GradedModule", "Resolution"},
+    "multischeme.scenarios": {"ScenarioOptions"},
+    "multischeme.structures": {"Embedding"},
 }
+
+
+def package_modules():
+    """Every submodule of the package, imported."""
+    infos = pkgutil.iter_modules(multischeme.__path__, multischeme.__name__ + ".")
+    return [importlib.import_module(info.name) for info in infos]
 
 
 def public_callables(module):
@@ -57,7 +69,9 @@ def test_the_lint_sees_functions_methods_and_constructors():
     assert guarded(module) == ["C", "C.k", "C.m", "f"]
 
 
-def test_only_constructors_and_vector_entry_points_take_a_guard():
-    for module in (ideals, structures):
-        assert set(guarded(module)) <= ALLOWED[module.__name__], module.__name__
-    assert len(list(public_callables(ideals))) > 20 and len(list(public_callables(structures))) > 15
+def test_only_constructors_builders_and_the_kernel_take_a_guard():
+    modules = package_modules()
+    assert set(ALLOWED) <= {m.__name__ for m in modules}
+    for module in modules:
+        assert guarded(module) == sorted(ALLOWED.get(module.__name__, ())), module.__name__
+    assert sum(len(list(public_callables(m))) for m in modules) > 150

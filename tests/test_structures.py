@@ -503,6 +503,26 @@ def test_verdicts_after_report_resolve_nothing(monkeypatch):
         assert calls == [], name
 
 
+def test_an_ideal_over_another_ring_is_refused(ring):
+    emb = Embedding(ring, ("x", "y"))
+    mod5 = PolyRing(ring.names, char=5)
+    with pytest.raises(StructureError, match=r"I_Y is over GF\(5\)\[z0,z1,x,y\]"):
+        MultiStructure(emb, Ideal.parse(mod5, "(x^2, y)"))
+    wider = PolyRing(("z0", "z1", "z2", "x", "y"))
+    with pytest.raises(StructureError, match=r"I_Y is over QQ\[z0,z1,z2,x,y\]"):
+        MultiStructure(emb, Ideal.parse(wider, "(x^2, y)"))
+    # generators over another ring are refused by the ideal they would build
+    with pytest.raises(ValueError, match="in an ideal over"):
+        MultiStructure(emb, parse_ideal(mod5, "(x^2, y)"))
+
+
+def test_layers_keep_the_structure_guard(ring):
+    guard = Guard(max_degree=30)
+    st = MultiStructure(Embedding(ring, ("x", "y"), guard), parse_ideal(ring, "(x^2, x*y, y^2)"))
+    layers = st.filtration().layers
+    assert layers and all(layer.guard is guard for layer in layers)
+
+
 def test_a_verdict_does_not_depend_on_call_history():
     # each structure computes under its embedding's guard, so a verdict
     # reached under the default budget leaves a strict budget's trip standing
