@@ -5,9 +5,12 @@ instantiated at canonical smallest choices, recorded in ``instantiation``),
 the expected multiplicity and verdicts, characteristic and dimension
 constraints, and the source text it transcribes.
 
-The schema validator (jsonschema) is imported on the first catalog load,
-not with the package: its import takes about 0.11 s, more than a whole
-``syzygy`` benchmark pass, and most runs never load the catalog.
+Every load checks the catalog against the shipped ``catalog.schema.json``
+with a small checker of the draft-2020-12 keywords that schema uses; a
+schema keyword the checker does not implement is refused rather than
+skipped.  It then checks that entry ids are unique and that characteristic
+two pairs name each other.  Only the standard library is imported, so a
+load takes milliseconds.
 """
 
 from __future__ import annotations
@@ -66,20 +69,89 @@ def _data_text(name):
     return resources.files("multischeme.data").joinpath(name).read_text()
 
 
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "integer": int}
+_KEYWORDS = {"$schema", "title", "type", "required", "properties", "additionalProperties",
+             "items", "minimum"}
+
+
+def _is_type(value, name):
+    # draft 2020-12: a boolean is no integer, and a float with no fraction is one
+    if name == "integer" and isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, _TYPES[name]) and not (name == "integer" and isinstance(value, bool))
+
+
+def _check_schema(schema):
+    """Refuse a schema that uses what ``_validate`` does not implement."""
+    unknown = sorted(set(schema) - _KEYWORDS)
+    if schema.get("additionalProperties", False) is not False:
+        unknown.append("additionalProperties other than false")
+    if schema.get("type") not in (None, *_TYPES):
+        unknown.append("type %r" % (schema["type"],))
+    if unknown:
+        raise CatalogError("catalog schema uses unsupported %s" % ", ".join(unknown))
+    for sub in schema.get("properties", {}).values():
+        _check_schema(sub)
+    if "items" in schema:
+        _check_schema(schema["items"])
+
+
+def _validate(value, schema, path=()):
+    """Raise a CatalogError at the first place where ``value`` violates
+    ``schema``, a schema that ``_check_schema`` accepts."""
+    def fail(message):
+        where = "/".join(str(p) for p in path)
+        raise CatalogError("catalog schema violation at %s: %s" % (where, message))
+
+    if "type" in schema and not _is_type(value, schema["type"]):
+        fail("%r is not of type %r" % (value, schema["type"]))
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in value:
+                fail("%r is a required property" % key)
+        for key, item in value.items():
+            if key in props:
+                _validate(item, props[key], path + (key,))
+            elif "additionalProperties" in schema:
+                fail("additional property %r is not allowed" % key)
+    elif isinstance(value, list) and "items" in schema:
+        for i, item in enumerate(value):
+            _validate(item, schema["items"], path + (i,))
+    elif "minimum" in schema and _is_type(value, "integer") and value < schema["minimum"]:
+        fail("%r is less than the minimum of %r" % (value, schema["minimum"]))
+
+
+def _check_references(raw):
+    """Entry ids are unique, and a ``char2_pair`` names another entry that
+    names it back."""
+    entries = {}
+    for table in raw["tables"]:
+        for e in table["entries"]:
+            if e["id"] in entries:
+                raise CatalogError("duplicate catalog entry id %r" % e["id"])
+            entries[e["id"]] = e
+    for eid, e in entries.items():
+        pair = e.get("char2_pair")
+        if pair is not None and (pair == eid or entries.get(pair, {}).get("char2_pair") != eid):
+            raise CatalogError("entry %s: char2_pair %r does not name it back" % (eid, pair))
+
+
 def _load_raw(path=None):
     if path is None:
         raw = json.loads(_data_text("catalog.json"))
     else:
-        with open(path) as fh:
-            raw = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except OSError as exc:
+            raise CatalogError("cannot read catalog %s: %s" % (path, exc.strerror or exc))
+        except ValueError as exc:  # malformed JSON, or bytes that are not UTF-8
+            raise CatalogError("catalog %s is not valid JSON: %s" % (path, exc))
     schema = json.loads(_data_text("catalog.schema.json"))
-    import jsonschema  # here, not at the top: only catalog loads pay its ~0.11 s import
-
-    try:
-        jsonschema.validate(raw, schema)
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path)
-        raise CatalogError("catalog schema violation at %s: %s" % (where, exc.message))
+    _check_schema(schema)
+    _validate(raw, schema)
+    _check_references(raw)
     return raw
 
 

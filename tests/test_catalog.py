@@ -1,8 +1,9 @@
 import json
+import re
 
 import pytest
 
-from multischeme.catalog import CatalogError, load_catalog, table_ids
+from multischeme.catalog import CatalogError, _data_text, load_catalog, table_ids
 from multischeme.ideals import Ideal, quotient_resolution
 
 
@@ -20,6 +21,12 @@ def test_characteristic_rows():
     assert rows == 34
     pairs = [e for e in entries if e.char2_pair is not None]
     assert pairs and all(e.chars == (0, 2) for e in pairs)
+    assert sorted((e.id, e.char2_pair) for e in pairs) == [
+        ("thm-3.8/2", "thm-3.8/3"),
+        ("thm-3.8/3", "thm-3.8/2"),
+        ("thm-3.8/7", "thm-3.8/8"),
+        ("thm-3.8/8", "thm-3.8/7"),
+    ]
     only2 = [e for e in entries if e.chars == (2,)]
     assert only2  # characteristic-two-only entries exist
 
@@ -96,3 +103,53 @@ def test_unparseable_generators_reported(tmp_path):
     p.write_text(json.dumps(raw))
     with pytest.raises(CatalogError, match="unparseable"):
         load_catalog(path=str(p))
+
+
+def _written(tmp_path, raw):
+    p = tmp_path / "cat.json"
+    p.write_text(json.dumps(raw))
+    return str(p)
+
+
+def _shipped():
+    return json.loads(_data_text("catalog.json"))
+
+
+@pytest.mark.parametrize("read", [load_catalog, table_ids])
+def test_a_missing_catalog_file_is_a_catalog_error(tmp_path, read):
+    p = str(tmp_path / "absent.json")
+    with pytest.raises(CatalogError, match="cannot read catalog %s" % re.escape(p)):
+        read(path=p)
+
+
+@pytest.mark.parametrize("read", [load_catalog, table_ids])
+def test_malformed_catalog_json_is_a_catalog_error(tmp_path, read):
+    p = tmp_path / "cat.json"
+    p.write_text('{"version": 1, "tables": [')
+    with pytest.raises(CatalogError, match="catalog %s is not valid JSON" % re.escape(str(p))):
+        read(path=str(p))
+
+
+def test_duplicate_entry_ids_are_refused(tmp_path):
+    raw = _shipped()
+    entries = raw["tables"][0]["entries"]
+    entries[1]["id"] = entries[0]["id"]
+    with pytest.raises(CatalogError, match="duplicate catalog entry id 'thm-3.6/1'"):
+        load_catalog(path=_written(tmp_path, raw))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda e: e["thm-3.8/2"].update(char2_pair="thm-3.8/9"),
+        lambda e: e["thm-3.8/3"].pop("char2_pair"),
+        lambda e: e["thm-3.8/7"].update(char2_pair="thm-3.8/2"),
+        lambda e: [e[k].update(char2_pair=k) for k in ("thm-3.8/2", "thm-3.8/3")],
+    ],
+    ids=["no-such-entry", "one-sided", "names-another-pair", "names-itself"],
+)
+def test_a_char2_pair_must_name_an_entry_that_names_it_back(tmp_path, edit):
+    raw = _shipped()
+    edit({e["id"]: e for t in raw["tables"] for e in t["entries"]})
+    with pytest.raises(CatalogError, match="char2_pair .* does not name it back"):
+        load_catalog(path=_written(tmp_path, raw))

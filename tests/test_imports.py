@@ -1,5 +1,5 @@
 """Every name a package module, test file or script imports is used in
-that file, and importing the package leaves the schema validator out.
+that file, and the package imports nothing outside the standard library.
 
 ``__init__.py`` is left out of the unused-import check: its imports are the
 package's re-exports.
@@ -94,17 +94,21 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
-def test_package_import_leaves_jsonschema_to_the_first_catalog_load():
+def test_the_package_imports_only_the_standard_library():
     code = (
-        "import json, sys\n"
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import json\n"
         "sys.path.insert(0, %r)\n"
         "import multischeme, multischeme.cli\n"
-        "seen = ['jsonschema' in sys.modules]\n"
         "multischeme.load_catalog()\n"
-        "seen.append('jsonschema' in sys.modules)\n"
-        "print(json.dumps(seen))\n"
+        "status = multischeme.run_scenario('thm-3.6').status\n"
+        "new = sorted({name.split('.')[0] for name in set(sys.modules) - before})\n"
+        "print(json.dumps([status, new]))\n"
     ) % str(ROOT / "src")
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     ).stdout
-    assert json.loads(out) == [False, True]
+    status, new = json.loads(out)
+    assert status == "PASS" and "multischeme" in new and "jsonschema" not in new
+    assert [name for name in new if name not in sys.stdlib_module_names] == ["multischeme"]
