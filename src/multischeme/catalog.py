@@ -75,10 +75,9 @@ _KEYWORDS = {"$schema", "title", "type", "required", "properties", "additionalPr
 
 
 def _is_type(value, name):
-    # draft 2020-12: a boolean is no integer, and a float with no fraction is one
-    if name == "integer" and isinstance(value, float):
-        return value.is_integer()
-    return isinstance(value, _TYPES[name]) and not (name == "integer" and isinstance(value, bool))
+    if name == "integer":  # draft 2020-12: True is no integer, and 2.0 is one
+        return type(value) is int or type(value) is float and value.is_integer()
+    return isinstance(value, _TYPES[name])
 
 
 def _check_schema(schema):
@@ -118,7 +117,7 @@ def _validate(value, schema, path=()):
     elif isinstance(value, list) and "items" in schema:
         for i, item in enumerate(value):
             _validate(item, schema["items"], path + (i,))
-    elif "minimum" in schema and _is_type(value, "integer") and value < schema["minimum"]:
+    elif "minimum" in schema and type(value) in (int, float) and value < schema["minimum"]:
         fail("%r is less than the minimum of %r" % (value, schema["minimum"]))
 
 
