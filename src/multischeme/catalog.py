@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from importlib import resources
 
 from .ideals import Ideal
-from .parse import parse_ring
+from .parse import parse_ideal, parse_ring
 from .ring import PolyRing
 from .structures import Embedding, MultiStructure
 
@@ -54,10 +54,6 @@ class CatalogEntry:
                 "entry %s is not asserted in characteristic %d" % (self.id, char)
             )
         return PolyRing(base.names, char=char, order=base.order)
-
-    def ideal(self, char=None):
-        ring = self.ring(char=char)
-        return Ideal.parse(ring, self.gens_text)
 
     def structure(self, char=None, check=True, guard=None):
         ring = self.ring(char=char)
@@ -167,9 +163,9 @@ def load_catalog(which="all", path=None):
     for table in raw["tables"]:
         if which not in ("all", table["id"]):
             continue
-        for e in table["entries"]:
+        for e in table["entries"]:  # integers stored as ints: the schema admits 2.0
             if "char" in e:
-                chars = (e["char"],)
+                chars = (int(e["char"]),)
             elif "char2_pair" in e:
                 chars = (0, 2)
             else:
@@ -180,11 +176,11 @@ def load_catalog(which="all", path=None):
                 ring_decl=table["ring"],
                 support=tuple(table["support"]),
                 gens_text=e["gens"],
-                multiplicity=e["multiplicity"],
+                multiplicity=int(e["multiplicity"]),
                 locally_cm=e["locally_cm"],
                 type_i=e["type_i"],
                 chars=chars,
-                dim_only=e.get("dim_only"),
+                dim_only=int(e["dim_only"]) if "dim_only" in e else None,
                 char2_pair=e.get("char2_pair"),
                 instantiation=e.get("instantiation", {}),
                 metadata=e.get("metadata", {}),
@@ -192,7 +188,7 @@ def load_catalog(which="all", path=None):
             )
             # invariant: generator texts parse in the declared ring
             try:
-                entry.ideal()
+                parse_ideal(entry.ring(), entry.gens_text)
             except Exception as exc:
                 raise CatalogError(
                     "entry %s: unparseable generators: %s" % (entry.id, exc)

@@ -32,14 +32,6 @@ def _minimalize(gens):
     return out
 
 
-def _poly_mul(a, b):
-    out = {}
-    for i, ca in a.items():
-        for j, cb in b.items():
-            out[i + j] = out.get(i + j, 0) + ca * cb
-    return {k: v for k, v in out.items() if v}
-
-
 def monomial_numerator(gens, nvars):
     """Numerator of Hilb(R/(gens)) over (1-t)^nvars, as {degree: int}."""
     gens = _minimalize([tuple(g) for g in gens])
@@ -59,8 +51,8 @@ def _numerator(gens, nvars):
     ):
         # pairwise coprime generators form a regular sequence
         out = {0: 1}
-        for g in gens:
-            out = _poly_mul(out, {0: 1, sum(g): -1})
+        for g in gens:  # out * (1 - t^|g|)
+            add_terms(out, [(k + sum(g), v) for k, v in out.items()], 0, -1)
         return out
     nontrivial = [g for g in gens if sum(1 for e in g if e) > 1]
     counts = [0] * nvars

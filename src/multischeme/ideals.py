@@ -182,7 +182,7 @@ def intersect(*ideals):
         return ideals[0]
     ring, m = ideals[0].ring, len(ideals)
     basis = [g.shifted(k) for k, a in enumerate(ideals) for g in a.groebner()]
-    ones = Vec(ring, None, {(k << ring.pk.cs) + ring.pk.off: 1 for k in range(m)})
+    ones = sum((Vec.unit(ring, k) for k in range(m)), ring.zero())
     return module_colon(basis, [ones], m, ideals[0].guard)
 
 
@@ -226,7 +226,7 @@ def radical_contains(ideal, f):
     if f.is_constant():
         return f.is_zero() or ideal.is_one()
     ideal._unreduced()  # so that the sum starts from I's basis
-    return ideal.plus(Ideal(ideal.ring, [f - 1])).is_one()
+    return ideal.plus(Ideal(ideal.ring, [f - 1], ideal.guard)).is_one()
 
 
 def same_zero_locus(a, b):
@@ -279,8 +279,7 @@ def module_colon(im_gens, vs, rank, guard=None):
     copy (Greuel-Pfister, *A Singular Introduction to Commutative Algebra*,
     2.8).  The colon ideal is built with ``guard``."""
     ring, m = vs[0].ring, len(vs)
-    stacked = Vec(ring, None, {t: c for k, v in enumerate(vs)
-                               for t, c in v.shifted(k * rank).terms.items()})
+    stacked = sum((v.shifted(k * rank) for k, v in enumerate(vs)), ring.zero())
     copies = [g.shifted(k * rank) for k in range(m) for g in im_gens]
     kernel = syzygies([stacked], rank=m * rank, guard=guard, modulo=copies)
     return Ideal.from_basis(ring, kernel, guard)
@@ -312,25 +311,15 @@ def _ext_annihilator(ideal, i):
     if i == L:
         kernel = [Vec.unit(ring, b) for b in range(ranks[i])]
     else:
-        dual = _transpose(ring, resolution.maps[i], ranks[i])
+        dual = ring.transpose(resolution.maps[i], ranks[i])
         kernel = syzygies(dual, rank=ranks[i + 1], guard=guard)
-    image = _transpose(ring, resolution.maps[i - 1], ranks[i - 1]) if i else []
+    image = ring.transpose(resolution.maps[i - 1], ranks[i - 1]) if i else []
     gb_im = buchberger(image, guard)
     index = lead_index(gb_im)
     nontrivial = [k for k in kernel if not module_contains(k, index)]
     if not nontrivial:
         return Ideal(ring, [ring.one()], guard)
     return module_colon(gb_im, nontrivial, ranks[i], guard)
-
-
-def _transpose(ring, cols, nrows):
-    """The columns of the transpose of the map into R^nrows whose columns
-    are ``cols``."""
-    out, cs, m = [{} for _ in range(nrows)], ring.pk.cs, ring.pk.mask
-    for j, v in enumerate(cols):
-        for k, c in v.terms.items():
-            out[k >> cs][(j << cs) + (k & m)] = c
-    return [Vec(ring, None, terms) for terms in out]
 
 
 def ext_window(ideal):

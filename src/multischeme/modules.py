@@ -23,33 +23,21 @@ from .ring import Vec, poly_divide_exact
 
 def columns_to_vecs(ring, matrix):
     """rows x cols polynomial matrix -> list of column Vecs."""
-    cs = ring.pk.cs
-    return [
-        Vec(ring, None, {(i << cs) + k: c for i, row in enumerate(matrix)
-                         for k, c in row[j].terms.items()})
-        for j in range(len(matrix[0]) if matrix else 0)
-    ]
+    return [sum((row[j].shifted(i) for i, row in enumerate(matrix)), ring.zero())
+            for j in range(len(matrix[0]) if matrix else 0)]
 
 
 def vecs_to_columns(ring, vecs, nrows):
     """list of column Vecs -> nrows x len(vecs) polynomial matrix."""
     zero = ring.zero()
-    split = [_components(v) for v in vecs]
+    split = [v.components() for v in vecs]
     return [[parts.get(i, zero) for parts in split] for i in range(nrows)]
-
-
-def _components(v):
-    """{component: polynomial} of a Vec, in one pass over its terms."""
-    parts, cs, m = {}, v.pk.cs, v.pk.mask
-    for k, c in v.terms.items():
-        parts.setdefault(k >> cs, {})[k & m] = c
-    return {i: Vec(v.ring, None, terms) for i, terms in sorted(parts.items())}
 
 
 def _apply(cols, v):
     """The image of v under the map whose column j is ``cols[j]``: the sum
     of v_j * cols[j] over the components v_j of v."""
-    return sum((f * cols[j] for j, f in _components(v).items()), v.ring.zero())
+    return sum((f * cols[j] for j, f in v.components().items()), v.ring.zero())
 
 
 def _bareiss(matrix):
@@ -141,7 +129,7 @@ class GradedModule:
                 raise ValueError("relation matrix shape does not match %d generators" % self.rank)
             rel = columns_to_vecs(self.ring, rel)
         for col in rel:
-            if col and max(col.terms) >> col.pk.cs >= self.rank:
+            if col.rank() > self.rank:
                 raise ValueError("relation column outside rank %d" % self.rank)
             if not col.is_homogeneous(self.gen_degrees):
                 raise ValueError("inhomogeneous relation column")
@@ -183,19 +171,18 @@ def _prune_units(ring, cols, nrows):
     renumbered onto the surviving rows, and per pivot ``(a, {i: c})`` with
     g_a = sum c * g_i in the cokernel.
     """
-    cs, m, one = ring.pk.cs, ring.pk.mask, ring.pk.off
     live = dict(enumerate(cols))
     rows = list(range(nrows))
     steps = []
-    while units := [(k >> cs, b) for b, v in live.items() for k in v.terms if k & m == one]:
+    while units := [(a, b) for b, v in live.items() for a in v.constants()]:
         a, b = min(units)
         col = live.pop(b)
-        col = col.scale(ring.field.inv(col.terms[(a << cs) + one]))
+        col = col.scale(ring.field.inv(col.constants()[a]))
         for j, v in live.items():
             if entry := v.component(a):
                 live[j] = v - entry * col
         rows.remove(a)
-        steps.append((a, {i: -f for i, f in _components(col).items() if i != a}))
+        steps.append((a, {i: -f for i, f in col.components().items() if i != a}))
     kept = [j for j, v in live.items() if v]
     pruned = [live[j] for j in kept]
     if steps:  # a pivot removed a row: renumber onto the surviving rows

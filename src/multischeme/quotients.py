@@ -78,9 +78,8 @@ class TwistVerdict:
 def solution_space(module, twist):
     """Basis of maps M -> O(twist): rows (l_1..l_g) with row . relations = 0."""
     ring = module.ring
-    fieldk, pk = ring.field, ring.pk
     degs = [gd + twist for gd in module.gen_degrees]
-    monos = [[pk.key(e) for e in monomials_of_degree(ring, d)] for d in degs]
+    monos = [[ring.key(e) for e in monomials_of_degree(ring, d)] for d in degs]
     index = {}
     for i, keys in enumerate(monos):
         for k in keys:
@@ -89,15 +88,16 @@ def solution_space(module, twist):
         return []
     ncols = len(index)
     rows = []
-    # one equation per monomial of each relation column's image
+    # one equation per monomial of each relation column's image; keys add
+    # to the product's key plus a constant, so k + km names the product
     for rel in module.relations:
         eqs = {}
-        for km, cm in rel.terms.items():
-            i, km = km >> pk.cs, (km & pk.mask) - pk.off
-            for k in monos[i]:
-                eqs.setdefault(k + km, [0] * ncols)[index[(i, k)]] += cm
+        for i, f in rel.components().items():
+            for km, cm in f.terms.items():
+                for k in monos[i]:
+                    eqs.setdefault(k + km, [0] * ncols)[index[(i, k)]] += cm
         rows.extend(eqs.values())
-    basis = nullspace(fieldk, rows, ncols)
+    basis = nullspace(ring.field, rows, ncols)
     return [
         [Vec(ring, None, add_terms({}, ((k, v[index[(i, k)]]) for k in keys), ring.char))
          for i, keys in enumerate(monos)]
@@ -127,7 +127,7 @@ def _certificate(module, basis, degs):
         # generic combination is identically singular
         # in a ring of the coefficient variables a0, a1, ... alone
         sym = PolyRing(["a%d" % k for k in range(len(basis))], ring.char)
-        linear = [ring.pk.key(e) for e in monomials_of_degree(ring, 1)]  # x_0, x_1, ...
+        linear = [ring.key(e) for e in monomials_of_degree(ring, 1)]  # x_0, x_1, ...
         rows = []
         for i in support:
             entries = []

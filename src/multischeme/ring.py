@@ -19,8 +19,13 @@ below ``LIMIT`` = 2^15: encoding checks them and a product or power past it
 raises ``ResourceGuardExceeded``, so no field carries into the next.
 Exponent tuples are made only at the edges: ``PolyRing.poly`` and
 ``Vec(ring, data)`` (parsing), printing, ``lead`` (Hilbert leads), the
-decoded ``data`` view, and ``transfer`` through one key map per pair of
-rings.
+decoded ``data`` view, and ``transfer`` and ``restrict`` through one key map
+per pair of rings.
+
+Only this module and ``groebner``, whose speed depends on it, read the
+layout (``pk``).  The others go through ``Vec.components``, ``rank``,
+``constants``, ``unit`` and ``shifted`` and ``PolyRing.key``, ``restrict``
+and ``transpose``.
 
 Every term dictionary (a ``Vec``'s, a Hilbert numerator) is added or
 subtracted by ``add_terms`` and scaled by ``scale_terms``, which keep these
@@ -225,13 +230,17 @@ class PolyRing:
 
     # -- constructors ------------------------------------------------------
 
+    def key(self, e):
+        """The packed key of the monomial x^e."""
+        return self.pk.key(tuple(e))
+
     def poly(self, terms):
         """Build a polynomial from {exponent tuple: coefficient}."""
         clean = {}
         for e, c in terms.items():
             c = self.field.coerce(c)
             if c:
-                clean[self.pk.key(tuple(e))] = c
+                clean[self.key(e)] = c
         return Vec(self, None, clean)
 
     def zero(self):
@@ -293,6 +302,26 @@ class PolyRing:
             lacking = sorted(f.variables() - set(other.names))
             raise ValueError("variables %s not in target ring" % lacking)
         return Vec(other, None, terms)
+
+    def restrict(self, v, other, n):
+        """The first n components of v in ``other``'s free module of rank n,
+        matching variables by name: a term in a variable ``other`` lacks is
+        dropped (that variable is set to zero)."""
+        cs, m, move, to = self.pk.cs, self.pk.mask, self.mover(other), other.pk.cs
+        return Vec(other, None, {
+            (k >> cs << to) + r: c
+            for k, c in v.terms.items()
+            if k >> cs < n and (r := move(k & m)) is not None
+        })
+
+    def transpose(self, cols, nrows):
+        """The columns of the transpose of the map into R^nrows whose columns
+        are ``cols``."""
+        out, cs, m = [{} for _ in range(nrows)], self.pk.cs, self.pk.mask
+        for j, v in enumerate(cols):
+            for k, c in v.terms.items():
+                out[k >> cs][(j << cs) + (k & m)] = c
+        return [Vec(self, None, terms) for terms in out]
 
     def __eq__(self, other):
         return (
@@ -470,6 +499,22 @@ class Vec:
         cs = self.pk.cs
         s = i << cs
         return self._with({k - s: c for k, c in self.terms.items() if k >> cs == i})
+
+    def components(self):
+        """{component: polynomial} in ascending order, in one pass over the terms."""
+        parts, cs, m = {}, self.pk.cs, self.pk.mask
+        for k, c in self.terms.items():
+            parts.setdefault(k >> cs, {})[k & m] = c
+        return {i: self._with(terms) for i, terms in sorted(parts.items())}
+
+    def rank(self):
+        """One more than the highest component with a term; 0 for zero."""
+        return (max(self.terms) >> self.pk.cs) + 1 if self.terms else 0
+
+    def constants(self):
+        """{component: coefficient} of the constant entries."""
+        cs, m, one = self.pk.cs, self.pk.mask, self.pk.off
+        return {k >> cs: c for k, c in self.terms.items() if k & m == one}
 
     def shifted(self, d):
         """This vector with component j moved to j + d."""

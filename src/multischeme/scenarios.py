@@ -222,14 +222,14 @@ def _scn_char_dichotomy(rec, opts):
     # of cubes only when b^2 = 3a, solvable over Q (a = b = 3 gives
     # (x^3, (x+y)^3)) but never over F_3 with a, b nonzero.
     ring_q = PolyRing(("x", "y"), char=0)
-    m4 = Ideal.parse(ring_q, "(x^4, x^3*y, x^2*y^2, x*y^3, y^4)")
+    m4 = Ideal.parse(ring_q, "(x^4, x^3*y, x^2*y^2, x*y^3, y^4)", guard)
     j_q = Ideal.parse(ring_q, "(x^3, 3*x^2*y + 3*x*y^2 + y^3)", guard).plus(m4)
     cubes = Ideal.parse(ring_q, "(x^3, x^3 + 3*x^2*y + 3*x*y^2 + y^3)", guard).plus(m4)
     rec.check_ideal("q-cube-pair", cubes, j_q)
     ring3 = PolyRing(("x", "y"), char=3)
     mats3 = _gl2(3)
     rec.check("gl2-f3-order", 48, len(mats3))
-    m4_3 = Ideal.parse(ring3, "(x^4, x^3*y, x^2*y^2, x*y^3, y^4)")
+    m4_3 = Ideal.parse(ring3, "(x^4, x^3*y, x^2*y^2, x*y^3, y^4)", guard)
     target = Ideal.parse(ring3, "(x^3, y^3)", guard).plus(m4_3)
     x, y = ring3.var("x"), ring3.var("y")
     checked = 0
@@ -378,8 +378,8 @@ def _scn_split(rec, opts):
     ring = triple.embedding.ring
     w_forms = [ring.var(nm) for nm in ("w0", "w1", "w2")]
     x_forms = [ring.var(nm) for nm in ("x0", "x1", "x2")]
-    rec.check_ideal("cut-by-w", double_a.ideal, triple.ideal.plus(Ideal(ring, w_forms)))
-    rec.check_ideal("cut-by-x", double_b.ideal, triple.ideal.plus(Ideal(ring, x_forms)))
+    rec.check_ideal("cut-by-w", double_a.ideal, triple.ideal.plus(Ideal(ring, w_forms, opts.guard)))
+    rec.check_ideal("cut-by-x", double_b.ideal, triple.ideal.plus(Ideal(ring, x_forms, opts.guard)))
     for st, expect, tag in zip(
         fam.structures, fam.manifest, ("triple", "double-a", "double-b")
     ):

@@ -33,7 +33,6 @@ from .ideals import (
     unmixed_part,
 )
 from .modules import GradedModule
-from .ring import Vec
 
 
 class StructureError(ValueError):
@@ -78,13 +77,7 @@ class Embedding:
     def restrict(self, v, n):
         """Image of the first n components of v in the support ring's free
         module of rank n (set the support variables to zero)."""
-        pk, sub = self.ring.pk, self.support_ring()
-        move, cs = self.ring.mover(sub), sub.pk.cs
-        return Vec(sub, None, {
-            (k >> pk.cs << cs) + r: c
-            for k, c in v.terms.items()
-            if k >> pk.cs < n and (r := move(k & pk.mask)) is not None
-        })
+        return self.ring.restrict(v, self.support_ring(), n)
 
     def extend(self, f):
         """Transfer a support-ring polynomial into the ambient ring."""
@@ -340,5 +333,5 @@ def thicken(structure, layer, images):
         sum((emb.extend(h.component(i)) * g for i, g in enumerate(gens)), ring.zero())
         for h in kernel
     )
-    new_ideal = emb.support_ideal().times(iy).plus(Ideal(ring, lifted))
+    new_ideal = emb.support_ideal().times(iy).plus(Ideal(ring, lifted, guard))
     return MultiStructure(emb, new_ideal, check=True)

@@ -153,3 +153,16 @@ def test_a_char2_pair_must_name_an_entry_that_names_it_back(tmp_path, edit):
     edit({e["id"]: e for t in raw["tables"] for e in t["entries"]})
     with pytest.raises(CatalogError, match="char2_pair .* does not name it back"):
         load_catalog(path=_written(tmp_path, raw))
+
+
+def test_integral_floats_are_stored_as_ints(tmp_path):
+    # draft 2020-12 counts 2.0 an integer, so the schema check admits it
+    raw = _shipped()
+    entries = {e["id"]: e for t in raw["tables"] for e in t["entries"]}
+    entries["thm-3.14/15"].update(char=2.0, multiplicity=5.0)
+    entries["thm-3.14/7"]["dim_only"] = 2.0
+    loaded = {e.id: e for e in load_catalog(path=_written(tmp_path, raw))}
+    row, dim = loaded["thm-3.14/15"], loaded["thm-3.14/7"]
+    assert (row.chars, row.multiplicity, dim.dim_only) == ((2,), 5, 2)
+    assert {type(v) for v in (*row.chars, row.multiplicity, dim.dim_only)} == {int}
+    assert row.structure().multiplicity() == 5

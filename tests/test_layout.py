@@ -1,0 +1,44 @@
+"""The packed term layout is read in two modules only: ``ring``, which
+defines it, and ``groebner``, whose speed depends on it.  Every other
+module reaches components, monomials and constants through the ``Vec`` and
+``PolyRing`` operations."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import multischeme
+
+READERS = {"multischeme.ring", "multischeme.groebner"}
+
+
+def layout_reads(source):
+    """Line numbers at which ``source`` reads a ``.pk`` attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "pk"
+        and isinstance(node.ctx, ast.Load)
+    )
+
+
+def test_the_lint_sees_every_read_of_the_layout():
+    source = (
+        "def f(ring, v, pk):\n"
+        "    cs = ring.pk.cs\n"
+        "    return v.pk, v.pkg, pk\n"
+        "class C:\n"
+        "    def __init__(self, ring):\n"
+        "        self.pk = ring.pk\n"
+    )
+    assert layout_reads(source) == [2, 3, 6]
+
+
+def test_only_ring_and_groebner_read_the_packed_layout():
+    reads = {}
+    for info in pkgutil.iter_modules(multischeme.__path__, multischeme.__name__ + "."):
+        source = Path(importlib.import_module(info.name).__file__).read_text()
+        if lines := layout_reads(source):
+            reads[info.name] = lines
+    assert set(reads) == READERS, reads

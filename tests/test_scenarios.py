@@ -8,6 +8,7 @@ import pytest
 
 from multischeme import scenarios
 from multischeme.groebner import Guard
+from multischeme.ideals import Ideal
 from multischeme.scenarios import (
     ScenarioOptions,
     ScenarioResult,
@@ -175,3 +176,21 @@ def test_degree_budget_table(budget):
         for sid, d in zip(_IDS, _TRIPS[budget])
     }
     assert got == expected
+
+
+def test_every_ideal_a_scenario_builds_carries_its_guard(monkeypatch):
+    # an ideal that only lends its generators to a sum trips no budget, so
+    # the table above cannot see one built with the default guard
+    built, init = [], Ideal.__init__
+
+    def spy(self, ring, gens, guard=None):
+        init(self, ring, gens, guard)
+        built.append(self.guard)
+
+    monkeypatch.setattr(Ideal, "__init__", spy)
+    for sid in scenario_ids():
+        guard = Guard(max_degree=40)
+        before = len(built)
+        assert run_scenario(sid, ScenarioOptions(guard=guard)).status == "PASS", sid
+        assert [g for g in built[before:] if g is not guard] == [], sid
+    assert built
