@@ -24,8 +24,8 @@ per pair of rings.
 
 Only this module and ``groebner``, whose speed depends on it, read the
 layout (``pk``).  The others go through ``Vec.components``, ``rank``,
-``constants``, ``unit`` and ``shifted`` and ``PolyRing.key``, ``restrict``
-and ``transpose``.
+``constants``, ``unit`` and ``shifted`` and ``PolyRing.key``, ``restrict``,
+``split`` and ``transpose``.
 
 Every term dictionary (a ``Vec``'s, a Hilbert numerator) is added or
 subtracted by ``add_terms`` and scaled by ``scale_terms``, which keep these
@@ -313,6 +313,21 @@ class PolyRing:
             for k, c in v.terms.items()
             if k >> cs < n and (r := move(k & m)) is not None
         })
+
+    def split(self, f, front, other):
+        """f as {exponents of a monomial m in the first ``front`` variables:
+        its coefficient, a polynomial in the others moved into ``other``}, f
+        the sum of m * coefficient and the m in the order of f's terms, so the
+        first is the lead's under an order that eliminates them.  The one
+        coefficient split: for the filtration hull, and for the generic-row
+        and equivalence verdicts of ROADMAP items 3 and 4."""
+        pk, move, pad = self.pk, self.mover(other), (0,) * (self.nvars - front)
+        parts = {}
+        for k, c in sorted(f.terms.items()):  # ascending keys: greatest term first
+            head = pk.exps(k)[:front]
+            # K is linear in e, so the rest of the monomial is one subtraction
+            parts.setdefault(head, {})[move(k - pk.key(head + pad) + pk.off)] = c
+        return {head: Vec(other, None, terms) for head, terms in parts.items()}
 
     def transpose(self, cols, nrows):
         """The columns of the transpose of the map into R^nrows whose columns

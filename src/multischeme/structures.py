@@ -8,6 +8,11 @@ conormal-type modules are presented.  A layer, and the lift of I_j's minimal
 generators onto it, stay column Vecs from the syzygies through ``thicken``,
 which reads surjectivity off the Fitting ideal Fitt_0.
 
+Each filtration term is the hull of J = I_Y + I_X^(j+1), its I_X-primary
+component: J when R/J is free over k[z], else J : h^∞ (Gianni-Trager-
+Zacharias 1988), and ``unmixed_part`` for I_Y itself.  The nilpotency index k
+certifies I_X ⊆ rad(I_Y), as I_X^(k+1) ⊆ I_Y.
+
 The resource budget is fixed with the embedding: ``Embedding(ring,
 support_vars, guard)`` builds I_X with that ``Guard``, and a ``MultiStructure``
 builds I_Y with its embedding's.  Every verdict reads the caches of those
@@ -20,8 +25,9 @@ Fitting ideals run under the module's own.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import le
 
-from .groebner import DEFAULT_GUARD, syzygies
+from .groebner import DEFAULT_GUARD, buchberger, syzygies
 from .hilbert import module_hilbert_series
 from .ideals import (
     Ideal,
@@ -30,6 +36,7 @@ from .ideals import (
     intersect,
     is_irrelevant_primary,
     radical_contains,
+    saturate,
     unmixed_part,
 )
 from .modules import GradedModule
@@ -51,6 +58,9 @@ class Embedding:
     _support: Ideal = field(init=False, compare=False, repr=False)
     # the support ring, built once so every restricted Vec shares it
     _sub: object = field(init=False, compare=False, repr=False)
+    # the hull's rings: the support variables first in a block order, and k[x, y]
+    _block: object = field(init=False, compare=False, repr=False)
+    _fibre: object = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.support_vars = tuple(self.support_vars)
@@ -67,6 +77,8 @@ class Embedding:
         self._support = Ideal(self.ring, [self.ring.var(v) for v in self.support_vars], self.guard)
         rest = tuple(n for n in self.ring.names if n not in self.support_vars)
         self._sub = self.ring.subring(rest)
+        self._block = self._sub.extended(self.support_vars)
+        self._fibre = self.ring.subring(self.support_vars)
 
     def support_ideal(self):
         return self._support
@@ -99,6 +111,7 @@ class MultiStructure:
             raise StructureError("I_Y is over %r, X over %r" % (ideal.ring, embedding.ring))
         self.ideal = ideal
         self._filtration = None
+        self._nilpotency = None
         if check:
             self.validate()
 
@@ -108,24 +121,33 @@ class MultiStructure:
         return cls(emb, Ideal.parse(ring, text), check=check)
 
     def validate(self):
+        """Homogeneous generators in I_X, and I_X ⊆ rad(I_Y): the nilpotency
+        index certifies it, as I_X^(k+1) ⊆ I_Y.  Only when its search fails
+        does ``radical_contains`` name the support variable the radical misses."""
         ix = self.embedding.support_ideal()
         for g in self.ideal.gens:
             if not g.is_homogeneous():
                 raise StructureError("inhomogeneous generator %s" % g)
             if not ix.contains(g):
                 raise StructureError("generator %s not supported on X" % g)
-        for v in self.embedding.support_vars:
-            if not radical_contains(self.ideal, self.embedding.ring.var(v)):
-                raise StructureError("radical of I_Y misses %s" % v)
+        try:
+            self.nilpotency_index()
+        except StructureError:
+            for v in self.embedding.support_vars:
+                if not radical_contains(self.ideal, self.embedding.ring.var(v)):
+                    raise StructureError("radical of I_Y misses %s" % v) from None
 
     def nilpotency_index(self):
-        """Minimal k with I_X^{k+1} ⊆ I_Y."""
-        ix = power = self.embedding.support_ideal()
-        for k in range(65):
-            if self.ideal.contains_ideal(power):  # power = I_X^(k+1)
-                return k
-            power = power.times(ix)
-        raise StructureError("nilpotency index exceeds 64")
+        """Minimal k with I_X^{k+1} ⊆ I_Y, computed once."""
+        if self._nilpotency is None:
+            ix = power = self.embedding.support_ideal()
+            for k in range(65):
+                if self.ideal.contains_ideal(power):  # power = I_X^(k+1)
+                    self._nilpotency = k
+                    return k
+                power = power.times(ix)
+            raise StructureError("nilpotency index exceeds 64")
+        return self._nilpotency
 
     def multiplicity(self):
         dim_y, deg_y = self.ideal.dimension_degree()
@@ -211,7 +233,17 @@ class Filtration:
 
 
 def s1_filtration(structure):
-    """Filtration by unmixed parts of I_Y + I_X^{j+1}, with layer modules."""
+    """The filtration I_j = hull(I_Y + I_X^{j+1}), j <= k the nilpotency
+    index, with layer modules.
+
+    Each sum J has radical I_X, so its hull is its I_X-primary component
+    J k(z)[x, y] ∩ R: J when R/J is free over k[z], else J : h^∞, with h the
+    product of the k[z]-coefficients of the lead x,y-monomials of a basis of
+    J under an order that eliminates x and y (Gianni-Trager-Zacharias, JSC 6,
+    1988; Greuel-Pfister, *A Singular Introduction to Commutative Algebra*,
+    4.3.1).  The last sum is I_Y, whose hull is ``unmixed_part``, as
+    ``locally_cm`` reads its Ext window too.
+    """
     emb = structure.embedding
     iy = structure.ideal
     ix = emb.support_ideal()
@@ -219,10 +251,15 @@ def s1_filtration(structure):
     # with k = 0, I_Y = I_X: start from I_Y so both share one resolution
     ideals = [iy if k == 0 else ix]
     power = ix
-    for j in range(1, k + 1):
-        # I_X^(k+1) lies in I_Y, so the last sum is I_Y and shares its caches
-        total = iy if j == k else iy.plus(power := power.times(ix))  # I_X^(j+1)
-        ideals.append(unmixed_part(total))
+    # k[x, y]/I_Y|_(z=0), which each sum's fibre truncates
+    fibre = Ideal(emb._fibre, (emb.ring.restrict(g, emb._fibre, 1) for g in iy.gens),
+                  iy.guard) if k > 1 else None
+    block = []  # I_Y's basis in the block ring, once a sum needs it
+    for _ in range(1, k):
+        power = power.times(ix)  # I_X^(j+1)
+        ideals.append(_primary_component(emb, iy, power, fibre, block))
+    if k:  # I_X^(k+1) lies in I_Y, so the last sum is I_Y and shares its caches
+        ideals.append(unmixed_part(iy))
     # sanity: chain inclusions
     for j in range(len(ideals) - 1):
         if not ideals[j].contains_ideal(ideals[j + 1]):
@@ -237,6 +274,32 @@ def s1_filtration(structure):
         polys.append(ser.polynomial())
         lifts.append(lift)
     return Filtration(ideals, layers, polys, reaches_top, lifts)
+
+
+def _primary_component(emb, iy, power, fibre, block):
+    """The hull of J = I_Y + ``power``, a power I_X^(j+1).  R/J is free over
+    k[z] exactly when its series is its fibre's, I_Y's fibre truncated below
+    degree j + 1, over (1 - t)^s (graded Nakayama).  ``block`` keeps I_Y's
+    basis in the block order, which J's extends."""
+    ring, guard, front = emb.ring, iy.guard, len(emb.support_vars)
+    total = iy.plus(power)
+    series = fibre.hilbert_series()
+    truncated = {d: v for d in range(power.gens[0].degree()) if (v := series.value(d))}
+    if total.hilbert_series().reduced() == (truncated, ring.nvars - front):
+        return total
+    if not block:
+        block += buchberger([ring.transfer(g, emb._block) for g in iy.gens], guard)
+    moved = [ring.transfer(g, emb._block) for g in power.gens]
+    basis = buchberger(block + moved, guard, known=len(block))
+    leads = [g.lead()[0][1] for g in basis]
+    minimal = (g for g, e in zip(basis, leads)
+               if not any(d != e and all(map(le, d, e)) for d in leads))
+    # the first coefficient is the lead x,y-monomial's; a constant one is 1 once monic
+    h = ring.one()
+    for c in dict.fromkeys(next(iter(emb._block.split(g, front, ring).values())).monic()
+                           for g in minimal):
+        h = h * c
+    return total if h.is_constant() else saturate(total, h)[0]
 
 
 def layer_module(emb, upper, lower):

@@ -166,6 +166,28 @@ def test_transfer_between_rings_matches_names():
         big.transfer(big.var("x"), small)
 
 
+@pytest.mark.parametrize("char", [0, 5])
+def test_split_by_front_monomials_round_trips(char):
+    block = PolyRing(("x", "y", "z0", "z1"), char, TermOrder("block", front=2))
+    ring = PolyRing(("z0", "z1", "x", "y"), char)
+    rng = random.Random(char)
+    for _ in range(30):
+        f = block.poly({
+            tuple(rng.randrange(4) for _ in range(4)): Fraction(rng.randrange(-6, 7), rng.randint(1, 3))
+            for _ in range(rng.randrange(8))
+        })
+        parts = block.split(f, 2, ring)
+        # the sum of coefficient * monomial gives f back
+        back = sum(
+            (block.poly({head + (0, 0): 1}) * ring.transfer(c, block) for head, c in parts.items()),
+            block.zero(),
+        )
+        assert back == f
+        assert all(c and c.ring is ring and c.variables() <= {"z0", "z1"} for c in parts.values())
+        # under the block order the first monomial is the lead's
+        assert not f or next(iter(parts)) == f.lead()[0][1][:2]
+
+
 def test_is_homogeneous_by_total_degree(ring):
     x, y, _ = ring.gens()
     f = x + x * y + y

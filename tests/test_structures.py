@@ -8,7 +8,7 @@ from multischeme.catalog import load_catalog
 from multischeme.families import build_family
 from multischeme.groebner import Guard, buchberger, interreduce, submodule_equal, syzygies
 from multischeme.hilbert import HilbertPoly, HilbertSeries, module_hilbert_series
-from multischeme.ideals import Ideal
+from multischeme.ideals import Ideal, unmixed_part
 from multischeme.modules import GradedModule
 from multischeme.parse import parse_ideal
 from multischeme.ring import PolyRing, ResourceGuardExceeded
@@ -110,6 +110,20 @@ def test_support_check_at_one_agrees_with_the_radical(ring, text):
     assert verdict == expected
 
 
+@pytest.mark.parametrize("text", ["(x)", "(x^2, x*y)", "(x, z0*y^2)"])
+def test_a_radical_that_misses_y_is_named(ring, text):
+    # no power of I_X lies in I_Y, so the nilpotency search runs to 64 and
+    # fails; the radical test then names the variable, from either entry
+    with pytest.raises(StructureError, match="radical of I_Y misses y"):
+        MultiStructure.parse(ring, text)
+    emb = Embedding(ring, ("x", "y"))
+    with pytest.raises(StructureError, match="radical of I_Y misses y"):
+        MultiStructure(emb, Ideal.parse(ring, text), check=True)
+    st = MultiStructure(emb, Ideal.parse(ring, text), check=False)
+    with pytest.raises(StructureError, match="nilpotency index exceeds 64"):
+        st.nilpotency_index()
+
+
 def test_nilpotency_index_and_multiplicity(ring):
     double = _structure(ring, "(x^2, y)")
     assert double.nilpotency_index() == 1
@@ -165,6 +179,55 @@ def test_report_computes_each_hull_once(monkeypatch):
     # one hull per filtration term past I_X; I_Y's own is the last of them
     assert st.nilpotency_index() == 3
     assert len(calls) == 3
+
+
+# (family, parameters) of the hull cross-check, each in characteristics 0 and 5
+_HULL_FAMILIES = (
+    ("nontypeI", {"a": 1, "b": 1}),
+    ("nontypeI", {"a": 1, "b": 2}),
+    ("nontypeI", {"a": 2, "b": 2}),
+    ("primitive", {}),
+    ("koszul", {}),
+    ("split", {}),
+    ("nystruktur", {}),
+    ("bundle", {}),
+    ("ci_subsets", {}),
+)
+
+
+def test_primary_component_is_the_hull_of_every_intermediate_sum(monkeypatch):
+    """The filtration hull of each sum I_Y + I_X^(j+1), j < k, equals the
+    Ext-window hull ``unmixed_part`` on every catalog row in each asserted
+    characteristic and on the families in characteristics 0 and 5; both the
+    free shortcut and the saturation answer some of them."""
+    import multischeme.structures as structures
+
+    structures_ = [e.structure(char=c) for e in load_catalog() for c in e.chars]
+    for char in (0, 5):
+        for name, params in _HULL_FAMILIES:
+            structures_ += build_family(name, char=char, **params).structures
+    calls, branches = [], []
+    for name in ("saturate", "buchberger"):
+
+        def counting(*args, _name=name, _counted=getattr(structures, name), **kwargs):
+            calls.append(_name)
+            return _counted(*args, **kwargs)
+
+        monkeypatch.setattr(structures, name, counting)
+    component = structures._primary_component
+
+    def checked(emb, iy, power, fibre, block):
+        before = len(calls)
+        hull = component(emb, iy, power, fibre, block)
+        assert hull.groebner() == unmixed_part(iy.plus(power)).groebner(), (iy, power)
+        # the free shortcut runs no block basis; a saturation comes after one
+        branches.append(calls[-1] if len(calls) > before else "free")
+        return hull
+
+    monkeypatch.setattr(structures, "_primary_component", checked)
+    for st in structures_:
+        st.filtration()
+    assert {"free", "saturate"} <= set(branches)
 
 
 def test_report_lists_the_ext_indices_it_read(ring):
