@@ -26,12 +26,21 @@ def test_perfbench_selftest_passes():
 # S-pairs formed by one seed-0 check pass: a work-count gate, so kernels
 # computed in full and then cut, or sums that pair known basis elements
 # again, bring wasted S-pairs back and fail here
-_SPAIRS = {"catalog": 2132, "syzygy": 802, "quotients": 709}
+_SPAIRS = {"catalog": 1549, "syzygy": 583, "quotients": 709}
 # Buchberger runs of the same pass, and a ceiling on its interreductions:
 # a second Buchberger path, or a reduced basis made where the unreduced run
 # answers (leads, membership), fails here
-_RUNS = {"catalog": 860, "syzygy": 101, "quotients": 226}
-_INTERREDUCE_AT_MOST = {"catalog": 790, "syzygy": 97, "quotients": 0}
+_RUNS = {"catalog": 705, "syzygy": 73, "quotients": 226}
+_INTERREDUCE_AT_MOST = {"catalog": 531, "syzygy": 54, "quotients": 0}
+# Ext annihilators computed, free resolutions made and radical tests run by
+# the same pass: the filtration hulls of the sums I_Y + I_X^(j+1) read no
+# Ext window and the support check reads the nilpotency index, so an Ext
+# window computed and discarded, or a radical test beside the index, fails here
+_HULL_WORK = {
+    "catalog": {"_ext_annihilator": 5, "free_resolution": 122, "radical_contains": 0},
+    "syzygy": {"_ext_annihilator": 6, "free_resolution": 8, "radical_contains": 0},
+    "quotients": {"_ext_annihilator": 0, "free_resolution": 0, "radical_contains": 0},
+}
 
 
 @pytest.mark.parametrize("workload", ["catalog", "syzygy", "quotients"])
@@ -39,6 +48,8 @@ def test_check_pass_reproduces_golden_digest(workload, monkeypatch, rebind):
     # the benchmark's check pass, hashed as its child process hashes it: every
     # reduced basis, Betti table, verdict and certificate must stay identical
     import multischeme.groebner as groebner
+    import multischeme.ideals as ideals
+    import multischeme.modules as modules
     from multischeme.ring import Vec
 
     # terms stay packed end to end: a (component, exps) view of a polynomial
@@ -54,7 +65,10 @@ def test_check_pass_reproduces_golden_digest(workload, monkeypatch, rebind):
 
     with open(os.path.join(ROOT, "perfbench", "golden.json")) as fh:
         golden = json.load(fh)
-    calls = {"_spair": 0, "buchberger": 0, "interreduce": 0}
+    owners = {"_spair": groebner, "buchberger": groebner, "interreduce": groebner,
+              "_ext_annihilator": ideals, "free_resolution": modules,
+              "radical_contains": ideals}
+    calls = dict.fromkeys(owners, 0)
 
     def counting(name):
         def wrap(original):
@@ -68,12 +82,13 @@ def test_check_pass_reproduces_golden_digest(workload, monkeypatch, rebind):
 
     canon = []
     items = workloads.setup(workload, workloads.DEFAULT_SEED)
-    for name in calls:
-        rebind(groebner, name, counting(name))
+    for name, module in owners.items():
+        rebind(module, name, counting(name))
     results = workloads.run_pass(items, canon=canon)
     assert [bad for _, _, _, bad in results if bad] == []
     assert hashlib.sha256("\n".join(canon).encode()).hexdigest() == golden[workload]
     assert calls["_spair"] == _SPAIRS[workload]
     assert calls["buchberger"] == _RUNS[workload]
     assert calls["interreduce"] <= _INTERREDUCE_AT_MOST[workload]
+    assert {name: calls[name] for name in _HULL_WORK[workload]} == _HULL_WORK[workload]
     assert decoded == []

@@ -167,18 +167,19 @@ def test_report_computes_each_hull_once(monkeypatch):
     entry = next(e for e in load_catalog("thm-3.8") if e.id == "thm-3.8/1")
     st = entry.structure(char=0)
     calls = []
-    counted = structures.unmixed_part
+    for name in ("unmixed_part", "_primary_component"):
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return counted(*args, **kwargs)
+        def counting(*args, _name=name, _counted=getattr(structures, name)):
+            calls.append(_name)
+            return _counted(*args)
 
-    monkeypatch.setattr(structures, "unmixed_part", counting)
+        monkeypatch.setattr(structures, name, counting)
     rep = st.report()
     assert rep["verdicts"]["s1"] is True
-    # one hull per filtration term past I_X; I_Y's own is the last of them
+    # one hull per filtration term past I_X: the I_X-primary components of
+    # the two sums, then I_Y's own hull
     assert st.nilpotency_index() == 3
-    assert len(calls) == 3
+    assert calls == ["_primary_component", "_primary_component", "unmixed_part"]
 
 
 # (family, parameters) of the hull cross-check, each in characteristics 0 and 5
