@@ -156,7 +156,7 @@ _IDS = (
 _TRIPS = {
     3: (4, 4, 4, 5, 4, 4, 4, None, None, None, None, 4, 4),
     4: (None, None, 5, 5, 5, 5, 5, None, None, None, None, None, 5),
-    6: (None, None, None, 7, None, None, 7, None, None, None, None, None, None),
+    6: (None, None, None, 7, None, None, 10, None, None, None, None, None, None),
 }
 
 
