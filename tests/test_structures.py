@@ -203,10 +203,10 @@ def test_primary_component_is_the_hull_of_every_intermediate_sum(monkeypatch):
     free shortcut and the saturation answer some of them."""
     import multischeme.structures as structures
 
-    structures_ = [e.structure(char=c) for e in load_catalog() for c in e.chars]
+    rows = [e.structure(char=c) for e in load_catalog() for c in e.chars]
     for char in (0, 5):
         for name, params in _HULL_FAMILIES:
-            structures_ += build_family(name, char=char, **params).structures
+            rows += build_family(name, char=char, **params).structures
     calls, branches = [], []
     for name in ("saturate", "buchberger"):
 
@@ -226,7 +226,7 @@ def test_primary_component_is_the_hull_of_every_intermediate_sum(monkeypatch):
         return hull
 
     monkeypatch.setattr(structures, "_primary_component", checked)
-    for st in structures_:
+    for st in rows:
         st.filtration()
     assert {"free", "saturate"} <= set(branches)
 
