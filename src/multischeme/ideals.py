@@ -78,10 +78,10 @@ class Ideal:
 
     def groebner(self):
         if self._gb is None:
-            self._gb = interreduce(self._unreduced())
+            self._gb = interreduce(self.unreduced())
         return self._gb
 
-    def _unreduced(self):
+    def unreduced(self):
         """The unreduced basis of one Buchberger run (an ideal made
         ``from_basis`` holds its basis already)."""
         if self._raw is None:
@@ -90,12 +90,12 @@ class Ideal:
 
     def leads(self):
         """Lead exponents of the unreduced basis: they span in(I)."""
-        return [v.lead()[0][1] for v in self._unreduced()]
+        return [v.lead()[0][1] for v in self.unreduced()]
 
     def reduce(self, f):
         """The normal form of f, read modulo the unreduced basis."""
         if self._index is None:
-            self._index = lead_index(self._unreduced())
+            self._index = lead_index(self.unreduced())
         return normal_form(f, self._index)
 
     def contains(self, f):
@@ -225,7 +225,7 @@ def radical_contains(ideal, f):
         raise ValueError("radical membership for an inhomogeneous ideal or form")
     if f.is_constant():
         return f.is_zero() or ideal.is_one()
-    ideal._unreduced()  # so that the sum starts from I's basis
+    ideal.unreduced()  # so that the sum starts from I's basis
     return ideal.plus(Ideal(ideal.ring, [f - 1], ideal.guard)).is_one()
 
 

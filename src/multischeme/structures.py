@@ -8,10 +8,11 @@ conormal-type modules are presented.  A layer, and the lift of I_j's minimal
 generators onto it, stay column Vecs from the syzygies through ``thicken``,
 which reads surjectivity off the Fitting ideal Fitt_0.
 
-Each filtration term is the hull of J = I_Y + I_X^(j+1), its I_X-primary
-component: J when R/J is free over k[z], else J : h^∞ (Gianni-Trager-
-Zacharias 1988), and ``unmixed_part`` for I_Y itself.  The nilpotency index k
-certifies I_X ⊆ rad(I_Y), as I_X^(k+1) ⊆ I_Y.
+Each filtration term past I_X is the hull of J = I_Y + I_X^(j+1), its
+I_X-primary component: J when R/J is free over k[z], else J : h^∞ (Gianni-
+Trager-Zacharias 1988).  The nilpotency index k certifies I_X ⊆ rad(I_Y), as
+I_X^(k+1) ⊆ I_Y, so the last sum is I_Y itself and takes its hull by the
+same rule.
 
 The resource budget is fixed with the embedding: ``Embedding(ring,
 support_vars, guard)`` builds I_X with that ``Guard``, and a ``MultiStructure``
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import le
 
-from .groebner import DEFAULT_GUARD, buchberger, syzygies
+from .groebner import DEFAULT_GUARD, syzygies
 from .hilbert import module_hilbert_series
 from .ideals import (
     Ideal,
@@ -241,25 +242,23 @@ def s1_filtration(structure):
     product of the k[z]-coefficients of the lead x,y-monomials of a basis of
     J under an order that eliminates x and y (Gianni-Trager-Zacharias, JSC 6,
     1988; Greuel-Pfister, *A Singular Introduction to Commutative Algebra*,
-    4.3.1).  The last sum is I_Y, whose hull is ``unmixed_part``, as
-    ``locally_cm`` reads its Ext window too.
+    4.3.1).  The last sum is I_Y itself, as I_X^(k+1) ⊆ I_Y; a hull that
+    stays I_Y shares its basis, series, resolution and Ext window.
     """
     emb = structure.embedding
-    iy = structure.ideal
+    ring, iy = emb.ring, structure.ideal
     ix = emb.support_ideal()
     k = structure.nilpotency_index()
     # with k = 0, I_Y = I_X: start from I_Y so both share one resolution
     ideals = [iy if k == 0 else ix]
     power = ix
-    # k[x, y]/I_Y|_(z=0), which each sum's fibre truncates
-    fibre = Ideal(emb._fibre, (emb.ring.restrict(g, emb._fibre, 1) for g in iy.gens),
-                  iy.guard) if k > 1 else None
-    block = []  # I_Y's basis in the block ring, once a sum needs it
-    for _ in range(1, k):
+    # I_Y's fibre k[x, y]/I_Y|_(z=0) and I_Y in the block order, for every sum
+    fibre = Ideal(emb._fibre, (ring.restrict(g, emb._fibre, 1) for g in iy.gens), iy.guard)
+    block = Ideal(emb._block, (ring.transfer(g, emb._block) for g in iy.gens), iy.guard)
+    for j in range(1, k + 1):
         power = power.times(ix)  # I_X^(j+1)
-        ideals.append(_primary_component(emb, iy, power, fibre, block))
-    if k:  # I_X^(k+1) lies in I_Y, so the last sum is I_Y and shares its caches
-        ideals.append(unmixed_part(iy))
+        total = iy.plus(power) if j < k else iy
+        ideals.append(_primary_component(emb, total, power, fibre, block))
     # sanity: chain inclusions
     for j in range(len(ideals) - 1):
         if not ideals[j].contains_ideal(ideals[j + 1]):
@@ -276,21 +275,20 @@ def s1_filtration(structure):
     return Filtration(ideals, layers, polys, reaches_top, lifts)
 
 
-def _primary_component(emb, iy, power, fibre, block):
-    """The hull of J = I_Y + ``power``, a power I_X^(j+1).  R/J is free over
-    k[z] exactly when its series is its fibre's, I_Y's fibre truncated below
-    degree j + 1, over (1 - t)^s (graded Nakayama).  ``block`` keeps I_Y's
-    basis in the block order, which J's extends."""
-    ring, guard, front = emb.ring, iy.guard, len(emb.support_vars)
-    total = iy.plus(power)
+def _primary_component(emb, total, power, fibre, block):
+    """The hull of J = ``total`` = I_Y + ``power``, a power I_X^(j+1); J
+    itself when it is its own hull, so the last term is I_Y.  R/J is free
+    over k[z] exactly when its series is its fibre's, I_Y's ``fibre``
+    truncated below degree j + 1, over (1 - t)^s (graded Nakayama).  J's
+    basis in the block order extends ``block``'s, I_Y's there."""
+    ring, front = emb.ring, len(emb.support_vars)
     series = fibre.hilbert_series()
     truncated = {d: v for d in range(power.gens[0].degree()) if (v := series.value(d))}
     if total.hilbert_series().reduced() == (truncated, ring.nvars - front):
         return total
-    if not block:
-        block += buchberger([ring.transfer(g, emb._block) for g in iy.gens], guard)
-    moved = [ring.transfer(g, emb._block) for g in power.gens]
-    basis = buchberger(block + moved, guard, known=len(block))
+    block.unreduced()  # so that the sum starts from I_Y's basis
+    moved = Ideal(emb._block, (ring.transfer(g, emb._block) for g in power.gens), block.guard)
+    basis = block.plus(moved).unreduced()
     leads = [g.lead()[0][1] for g in basis]
     minimal = (g for g, e in zip(basis, leads)
                if not any(d != e and all(map(le, d, e)) for d in leads))
