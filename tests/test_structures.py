@@ -196,39 +196,59 @@ _HULL_FAMILIES = (
 )
 
 
-def test_primary_component_is_the_hull_of_every_intermediate_sum(monkeypatch):
-    """The filtration hull of each sum I_Y + I_X^(j+1), j < k, equals the
-    Ext-window hull ``unmixed_part`` on every catalog row in each asserted
-    characteristic and on the families in characteristics 0 and 5; both the
-    free shortcut and the saturation answer some of them."""
+def test_primary_component_is_the_hull_of_every_filtration_term(monkeypatch):
+    """The hull of each sum I_Y + I_X^(j+1), j = 1..k, the last one I_Y
+    itself, equals the Ext-window hull ``unmixed_part`` on every catalog row
+    in each asserted characteristic, on the families and on a structure with
+    an embedded point, in characteristics 0 and 5.  Both the free shortcut
+    and the saturation answer some intermediate sum and some I_Y term; an
+    I_Y term that is its own hull is I_Y, caches and all, and the embedded
+    point's is not."""
+    import multischeme.ideals as ideals
     import multischeme.structures as structures
 
     rows = [e.structure(char=c) for e in load_catalog() for c in e.chars]
     for char in (0, 5):
         for name, params in _HULL_FAMILIES:
             rows += build_family(name, char=char, **params).structures
-    calls, branches = [], []
-    for name in ("saturate", "buchberger"):
+        rows.append(_structure(PolyRing(("z0", "z1", "x", "y"), char=char),
+                               "(x^2 + z0*y, y^2, x^3)"))
+    calls, branches = [], {"sum": [], "I_Y": []}
+    saturate, buchberger = structures.saturate, ideals.buchberger
 
-        def counting(*args, _name=name, _counted=getattr(structures, name), **kwargs):
-            calls.append(_name)
-            return _counted(*args, **kwargs)
+    def saturating(*args):
+        calls.append("saturate")
+        return saturate(*args)
 
-        monkeypatch.setattr(structures, name, counting)
+    def running(vecs, *args):
+        calls.append(vecs[0].ring if vecs else None)
+        return buchberger(vecs, *args)
+
+    monkeypatch.setattr(structures, "saturate", saturating)
+    monkeypatch.setattr(ideals, "buchberger", running)
     component = structures._primary_component
 
-    def checked(emb, iy, power, fibre, block):
+    def checked(emb, total, power, fibre, block):
         before = len(calls)
-        hull = component(emb, iy, power, fibre, block)
-        assert hull.groebner() == unmixed_part(iy.plus(power)).groebner(), (iy, power)
+        hull = component(emb, total, power, fibre, block)
+        assert hull.groebner() == unmixed_part(total).groebner(), (total, power)
+        made = calls[before:]
         # the free shortcut runs no block basis; a saturation comes after one
-        branches.append(calls[-1] if len(calls) > before else "free")
+        branch = "saturate" if "saturate" in made else "constant" if emb._block in made else "free"
+        if total is iy:
+            assert (hull is iy) == hull.equals(iy), iy
+            branches["I_Y"].append((branch, hull is iy))
+        else:
+            branches["sum"].append((branch, True))
         return hull
 
     monkeypatch.setattr(structures, "_primary_component", checked)
     for st in rows:
+        iy = st.ideal
         st.filtration()
-    assert {"free", "saturate"} <= set(branches)
+    for term in ("sum", "I_Y"):
+        assert {"free", "saturate"} <= {branch for branch, _ in branches[term]}, term
+    assert {own for _, own in branches["I_Y"]} == {True, False}
 
 
 def test_report_lists_the_ext_indices_it_read(ring):
