@@ -177,9 +177,9 @@ def test_report_computes_each_hull_once(monkeypatch):
     rep = st.report()
     assert rep["verdicts"]["s1"] is True
     # one hull per filtration term past I_X: the I_X-primary components of
-    # the two sums, then I_Y's own hull
+    # the two sums and of I_Y itself, and no Ext-window hull
     assert st.nilpotency_index() == 3
-    assert calls == ["_primary_component", "_primary_component", "unmixed_part"]
+    assert calls == ["_primary_component"] * 3
 
 
 # (family, parameters) of the hull cross-check, each in characteristics 0 and 5
@@ -580,7 +580,8 @@ def test_verdicts_after_report_resolve_nothing(monkeypatch):
     for name, st in _pinned_structures().items():
         rep = st.report()
         monkeypatch.setattr(ideals, "free_resolution", counting("resolution", ideals.free_resolution))
-        monkeypatch.setattr(structures, "unmixed_part", counting("hull", structures.unmixed_part))
+        for hull in ("unmixed_part", "_primary_component"):
+            monkeypatch.setattr(structures, hull, counting("hull", getattr(structures, hull)))
         assert st.is_type_I() == (rep["verdicts"]["type_i"], [t["locally_cm"] for t in rep["filtration"]])
         assert st.locally_cm()[0] == rep["verdicts"]["cm"]
         monkeypatch.undo()
