@@ -1,7 +1,10 @@
 """The packed term layout is read in two modules only: ``ring``, which
 defines it, and ``groebner``, whose speed depends on it.  Every other
 module reaches components, monomials and constants through the ``Vec`` and
-``PolyRing`` operations."""
+``PolyRing`` operations.  Likewise a Groebner basis is held by an ``Ideal``
+or a module: ``buchberger`` runs only in ``groebner``, in ``ideals`` and
+``modules``, which define them, and in ``hilbert``, which reads a module's
+leads."""
 
 import ast
 import importlib
@@ -11,6 +14,8 @@ from pathlib import Path
 import multischeme
 
 READERS = {"multischeme.ring", "multischeme.groebner"}
+RUNNERS = {"multischeme.groebner", "multischeme.ideals", "multischeme.modules",
+           "multischeme.hilbert"}
 
 
 def layout_reads(source):
@@ -20,6 +25,17 @@ def layout_reads(source):
         for node in ast.walk(ast.parse(source))
         if isinstance(node, ast.Attribute) and node.attr == "pk"
         and isinstance(node.ctx, ast.Load)
+    )
+
+
+def buchberger_uses(source):
+    """Line numbers at which ``source`` reads the name ``buchberger``, called
+    or passed on, bare or as a module attribute."""
+    return sorted(
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+        and "buchberger" in (getattr(node, "id", None), getattr(node, "attr", None))
     )
 
 
@@ -42,3 +58,23 @@ def test_only_ring_and_groebner_read_the_packed_layout():
         if lines := layout_reads(source):
             reads[info.name] = lines
     assert set(reads) == READERS, reads
+
+
+def test_the_lint_sees_every_buchberger_run():
+    source = (
+        "from .groebner import buchberger\n"
+        "def f(vecs, groebner, buchberger_calls):\n"
+        "    basis = buchberger(vecs)\n"
+        "    run = groebner.buchberger\n"
+        "    return list(map(buchberger, vecs)), buchberger_calls, run\n"
+    )
+    assert buchberger_uses(source) == [3, 4, 5]
+
+
+def test_only_the_basis_holders_run_buchberger():
+    uses = {}
+    for info in pkgutil.iter_modules(multischeme.__path__, multischeme.__name__ + "."):
+        source = Path(importlib.import_module(info.name).__file__).read_text()
+        if lines := buchberger_uses(source):
+            uses[info.name] = lines
+    assert set(uses) == RUNNERS, uses
