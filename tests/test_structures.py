@@ -213,7 +213,7 @@ def test_primary_component_is_the_hull_of_every_filtration_term(monkeypatch):
             rows += build_family(name, char=char, **params).structures
         rows.append(_structure(PolyRing(("z0", "z1", "x", "y"), char=char),
                                "(x^2 + z0*y, y^2, x^3)"))
-    calls, branches = [], {"sum": [], "I_Y": []}
+    calls, branches, own = [], {"sum": set(), "I_Y": set()}, set()
     saturate, buchberger = structures.saturate, ideals.buchberger
 
     def saturating(*args):
@@ -235,20 +235,18 @@ def test_primary_component_is_the_hull_of_every_filtration_term(monkeypatch):
         made = calls[before:]
         # the free shortcut runs no block basis; a saturation comes after one
         branch = "saturate" if "saturate" in made else "constant" if emb._block in made else "free"
+        branches["I_Y" if total is iy else "sum"].add(branch)
         if total is iy:
             assert (hull is iy) == hull.equals(iy), iy
-            branches["I_Y"].append((branch, hull is iy))
-        else:
-            branches["sum"].append((branch, True))
+            own.add(hull is iy)
         return hull
 
     monkeypatch.setattr(structures, "_primary_component", checked)
     for st in rows:
-        iy = st.ideal
+        iy = st.ideal  # the last term's sum, which ``checked`` tells apart
         st.filtration()
-    for term in ("sum", "I_Y"):
-        assert {"free", "saturate"} <= {branch for branch, _ in branches[term]}, term
-    assert {own for _, own in branches["I_Y"]} == {True, False}
+    assert all({"free", "saturate"} <= found for found in branches.values()), branches
+    assert own == {True, False}
 
 
 def test_report_lists_the_ext_indices_it_read(ring):
