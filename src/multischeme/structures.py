@@ -6,7 +6,10 @@ The support subscheme X is cut out by a subset of the variables (x, y, ...);
 the remaining variables span the "support ring" over which layer modules and
 conormal-type modules are presented.  A layer, and the lift of I_j's minimal
 generators onto it, stay column Vecs from the syzygies through ``thicken``,
-which reads surjectivity off the Fitting ideal Fitt_0.
+which reads surjectivity off the Fitting ideal Fitt_0.  The verdicts read
+only the filtration terms, and a layer's Hilbert polynomial is the
+difference of its terms' series; so a layer is presented, and its
+presentation checked against that series, only when first read.
 
 Each filtration term past I_X is the hull of J = I_Y + I_X^(j+1), its
 I_X-primary component: J when R/J is free over k[z], else J : h^∞ (Gianni-
@@ -26,6 +29,7 @@ Fitting ideals run under the module's own.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from operator import le
 
 from .groebner import DEFAULT_GUARD, syzygies
@@ -224,18 +228,37 @@ def hilb_to_json(hp):
 
 @dataclass
 class Filtration:
-    """The S1-filtration I_0 = I_X ⊇ I_1 ⊇ ... ⊇ I_k (plus layer data)."""
+    """The S1-filtration I_0 = I_X ⊇ I_1 ⊇ ... ⊇ I_k and its layers
+    I_j/(I_X I_j + I_(j+1)).  The terms and the layer polynomials are made
+    with it; the layer presentations only on first use, then kept."""
 
+    embedding: Embedding
     ideals: list
-    layers: list             # GradedModules over the support ring
-    layer_polynomials: list  # HilbertPoly per layer
+    layer_polynomials: list  # HilbertPoly per layer, from the terms' series
     reaches_top: bool        # I_k == I_Y (holds exactly when Y is S1)
-    layer_lifts: list        # per layer: images of I_j's minimal gens, as column Vecs
+
+    @cached_property
+    def _presentations(self):
+        built = [layer_module(self.embedding, upper, lower)
+                 for upper, lower in zip(self.ideals, self.ideals[1:])]
+        return [layer for layer, _, _ in built], [lift for _, _, lift in built]
+
+    @property
+    def layers(self):
+        """GradedModules over the support ring, checked against their series."""
+        return self._presentations[0]
+
+    @property
+    def layer_lifts(self):
+        """Per layer: images of I_j's minimal gens, as column Vecs."""
+        return self._presentations[1]
 
 
 def s1_filtration(structure):
     """The filtration I_j = hull(I_Y + I_X^{j+1}), j <= k the nilpotency
-    index, with layer modules.
+    index, with its layer polynomials: each layer's is the difference of
+    its two terms' series.  The layer presentations, which only the report,
+    ``thicken`` and the quotient scan read, are built on first use.
 
     Each sum J has radical I_X, so its hull is its I_X-primary component
     J k(z)[x, y] ∩ R: J when R/J is free over k[z], else J : h^∞, with h the
@@ -264,15 +287,10 @@ def s1_filtration(structure):
         if not ideals[j].contains_ideal(ideals[j + 1]):
             raise StructureError("filtration terms fail to nest at step %d" % j)
     reaches_top = ideals[-1].equals(iy)
-    layers = []
-    polys = []
-    lifts = []
-    for j in range(len(ideals) - 1):
-        layer, ser, lift = layer_module(emb, ideals[j], ideals[j + 1])
-        layers.append(layer)
-        polys.append(ser.polynomial())
-        lifts.append(lift)
-    return Filtration(ideals, layers, polys, reaches_top, lifts)
+    # dim(upper/lower)_t = dim(R/lower)_t - dim(R/upper)_t
+    polys = [(lower.hilbert_series() - upper.hilbert_series()).polynomial()
+             for upper, lower in zip(ideals, ideals[1:])]
+    return Filtration(emb, ideals, polys, reaches_top)
 
 
 def _primary_component(emb, total, power, fibre, block):
