@@ -143,14 +143,22 @@ class MultiStructure:
                     raise StructureError("radical of I_Y misses %s" % v) from None
 
     def nilpotency_index(self):
-        """Minimal k with I_X^{k+1} ⊆ I_Y, computed once."""
+        """Minimal k with I_X^{k+1} ⊆ I_Y, computed once.  A step at which
+        some pure power x_i^(k+1) misses I_Y forms no I_X^(k+1), which would
+        miss it too."""
         if self._nilpotency is None:
             ix = power = self.embedding.support_ideal()
+            pure, formed = ix.gens, 1  # the x_i^(k+1), and power = I_X^formed
             for k in range(65):
-                if self.ideal.contains_ideal(power):  # power = I_X^(k+1)
+                if not all(map(self.ideal.contains, pure)):
+                    pure = [p * x for p, x in zip(pure, ix.gens)]
+                    continue
+                pure = ()  # they stay in I_Y at every later step
+                while formed <= k:
+                    power, formed = power.times(ix), formed + 1
+                if self.ideal.contains_ideal(power):
                     self._nilpotency = k
                     return k
-                power = power.times(ix)
             raise StructureError("nilpotency index exceeds 64")
         return self._nilpotency
 

@@ -124,6 +124,22 @@ def test_a_radical_that_misses_y_is_named(ring, text):
         st.nilpotency_index()
 
 
+@pytest.mark.parametrize("text, missed", [("(x)", "y"), ("(x^2, y, w^3, x*v, u^2)", "v")])
+def test_a_radical_that_misses_a_variable_is_refused_before_any_power(monkeypatch, text, missed):
+    # a pure power x_i^(k+1) outside I_Y keeps I_X^(k+1) out too, so the
+    # search to 64 forms no power of I_X at all: (x, y, w, v, u)^65 alone
+    # has C(69, 4) generators
+    ring = PolyRing(("z0", "z1", "x", "y", "w", "v", "u"))
+    emb = Embedding(ring, ("x", "y", "w", "v", "u"))
+
+    def times(a, b):
+        raise AssertionError("a product of ideals was formed")
+
+    monkeypatch.setattr(Ideal, "times", times)
+    with pytest.raises(StructureError, match="radical of I_Y misses %s$" % missed):
+        MultiStructure(emb, Ideal.parse(ring, text))
+
+
 def test_nilpotency_index_and_multiplicity(ring):
     double = _structure(ring, "(x^2, y)")
     assert double.nilpotency_index() == 1
