@@ -4,7 +4,8 @@ module reaches components, monomials and constants through the ``Vec`` and
 ``PolyRing`` operations.  Likewise a Groebner basis is held by an ``Ideal``
 or a module: ``buchberger`` runs only in ``groebner``, in ``ideals`` and
 ``modules``, which define them, and in ``hilbert``, which reads a module's
-leads."""
+leads.  A layer presentation is built only where a ``Filtration`` builds its
+layers on first use, so no verdict pays for one it does not read."""
 
 import ast
 import importlib
@@ -28,15 +29,35 @@ def layout_reads(source):
     )
 
 
+def _reads(node, name):
+    """Whether ``node`` reads ``name``, bare or as a module attribute."""
+    return (isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+            and name in (getattr(node, "id", None), getattr(node, "attr", None)))
+
+
 def buchberger_uses(source):
     """Line numbers at which ``source`` reads the name ``buchberger``, called
     or passed on, bare or as a module attribute."""
-    return sorted(
-        node.lineno
-        for node in ast.walk(ast.parse(source))
-        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
-        and "buchberger" in (getattr(node, "id", None), getattr(node, "attr", None))
-    )
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if _reads(node, "buchberger"))
+
+
+def layer_module_readers(source):
+    """The qualified names of the functions and methods of ``source`` that
+    read the name ``layer_module``, called or passed on, bare or as a module
+    attribute; ``<module>`` for a read outside every function."""
+    found = set()
+
+    def visit(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope += (node.name,)
+        elif _reads(node, "layer_module"):
+            found.add(".".join(scope) or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
 
 
 def test_the_lint_sees_every_read_of_the_layout():
@@ -78,3 +99,28 @@ def test_only_the_basis_holders_run_buchberger():
         if lines := buchberger_uses(source):
             uses[info.name] = lines
     assert set(uses) == RUNNERS, uses
+
+
+def test_the_lint_sees_every_reader_of_layer_module():
+    source = (
+        "from .structures import layer_module\n"
+        "def layer_modules(layer_module_calls):\n"
+        "    return layer_module_calls\n"
+        "def f(emb, upper, lower):\n"
+        "    return layer_module(emb, upper, lower)\n"
+        "class C:\n"
+        "    @property\n"
+        "    def g(self):\n"
+        "        return list(map(structures.layer_module, self.pairs))\n"
+        "build = layer_module\n"
+    )
+    assert layer_module_readers(source) == {"f", "C.g", "<module>"}
+
+
+def test_only_the_filtration_builds_layers_on_first_use():
+    readers = {}
+    for info in pkgutil.iter_modules(multischeme.__path__, multischeme.__name__ + "."):
+        source = Path(importlib.import_module(info.name).__file__).read_text()
+        if found := layer_module_readers(source):
+            readers[info.name] = found
+    assert readers == {"multischeme.structures": {"Filtration._presentations"}}, readers

@@ -52,6 +52,7 @@ def test_check_pass_reproduces_golden_digest(workload, monkeypatch, rebind):
     import multischeme.groebner as groebner
     import multischeme.ideals as ideals
     import multischeme.modules as modules
+    import multischeme.structures as structures
     from multischeme.ring import Vec
 
     # terms stay packed end to end: a (component, exps) view of a polynomial
@@ -69,7 +70,7 @@ def test_check_pass_reproduces_golden_digest(workload, monkeypatch, rebind):
         golden = json.load(fh)
     owners = {"_spair": groebner, "buchberger": groebner, "interreduce": groebner,
               "_ext_annihilator": ideals, "free_resolution": modules,
-              "radical_contains": ideals}
+              "radical_contains": ideals, "layer_module": structures}
     calls = dict.fromkeys(owners, 0)
 
     def counting(name):
@@ -93,4 +94,6 @@ def test_check_pass_reproduces_golden_digest(workload, monkeypatch, rebind):
     assert calls["buchberger"] == _RUNS[workload]
     assert calls["interreduce"] <= _INTERREDUCE_AT_MOST[workload]
     assert {name: calls[name] for name in _HULL_WORK[workload]} == _HULL_WORK[workload]
+    # the pass reads the layer polynomials only, so it presents no layer
+    assert calls["layer_module"] == 0
     assert decoded == []

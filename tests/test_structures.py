@@ -483,6 +483,40 @@ def test_every_catalog_layer_is_locally_free_of_its_generic_rank():
     assert layers >= 80
 
 
+def test_layers_are_presented_on_first_read_only(rebind):
+    # the verdicts and the layer polynomials read the terms alone; the first
+    # read of the layers presents each one once, lifts included, and the
+    # filtration keeps them
+    import multischeme.structures as structures
+
+    calls = []
+
+    def counting(original):
+        def wrapped(emb, upper, lower):
+            calls.append((upper, lower))
+            return original(emb, upper, lower)
+
+        return wrapped
+
+    rebind(structures, "layer_module", counting)
+    layers = 0
+    for entry in load_catalog():
+        for char in entry.chars:
+            st = entry.structure(char=char)
+            st.is_type_I(), st.locally_cm(), st.is_S1()
+            filt = st.filtration()
+            assert len(filt.layer_polynomials) == st.nilpotency_index()
+            assert calls == []
+            presented, built = filt.layers, list(calls)
+            assert built == list(zip(filt.ideals, filt.ideals[1:])), (entry.id, char)
+            assert len(filt.layer_lifts) == len(presented)
+            assert filt.layers is presented and st.filtration().layers is presented
+            assert calls == built
+            layers += len(calls)
+            calls.clear()
+    assert layers == 88
+
+
 def test_thicken_produces_next_multiplicity(ring):
     st = _structure(ring, "(x, y)")
     sub = st.embedding.support_ring()
