@@ -8,8 +8,10 @@ an ideal, e.g.::
     (x^2 + z0*y, y^2)
 
 Blank lines and ``#`` comments are ignored; the ideal may span lines.
-Exit codes: 0 success / all scenarios pass, 1 failure, 2 inconclusive
-(resource guard), 3 usage error.
+Exit codes: 0 success / all scenarios pass, 1 failure (a scenario fails,
+or ``filt`` or ``cm`` refuses the ideal as a structure on its support and
+prints ``error: ...``, e.g. ``error: radical of I_Y misses y``), 2
+inconclusive (resource guard), 3 usage error.
 """
 
 from __future__ import annotations

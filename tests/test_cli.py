@@ -159,6 +159,18 @@ def test_degree_budget_counts_only_reduced_pairs(tmp_path, capsys, command, idea
     assert ("exceeds budget 40" in capsys.readouterr().err) == bool(code)
 
 
+@pytest.mark.parametrize("command", ["filt", "cm"])
+@pytest.mark.parametrize("ideal, message", [
+    ("(x)", "radical of I_Y misses y"),
+    ("(x, x*z0 + z1*y + z0^2)", "generator z0^2 + z0*x + z1*y not supported on X"),
+])
+def test_a_structure_refused_by_validation_exits_1(tmp_path, capsys, command, ideal, message):
+    p = tmp_path / "refused.ms"
+    p.write_text("ring z0,z1,x,y\nsupport x, y\n%s\n" % ideal)
+    assert main([command, str(p)]) == 1
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+
+
 @pytest.mark.parametrize("command, code", [("filt", 3), ("cm", 3), ("gb", 0), ("hilb", 0)])
 def test_support_with_every_variable_is_a_usage_error(tmp_path, capsys, command, code):
     p = tmp_path / "empty.ms"
