@@ -7,9 +7,8 @@ the remaining variables span the "support ring" over which layer modules and
 conormal-type modules are presented.  A layer, and the lift of I_j's minimal
 generators onto it, stay column Vecs from the syzygies through ``thicken``,
 which reads surjectivity off the Fitting ideal Fitt_0.  The verdicts read
-only the filtration terms, and a layer's Hilbert polynomial is the
-difference of its terms' series; so a layer is presented, and its
-presentation checked against that series, only when first read.
+only the filtration terms, so a layer is presented, and checked against
+its terms' series, only when first read.
 
 Each filtration term past I_X is the hull of J = I_Y + I_X^(j+1), its
 I_X-primary component: J when R/J is free over k[z], else J : h^∞ (Gianni-
@@ -143,9 +142,8 @@ class MultiStructure:
                     raise StructureError("radical of I_Y misses %s" % v) from None
 
     def nilpotency_index(self):
-        """Minimal k with I_X^{k+1} ⊆ I_Y, computed once.  A step at which
-        some pure power x_i^(k+1) misses I_Y forms no I_X^(k+1), which would
-        miss it too."""
+        """Minimal k with I_X^{k+1} ⊆ I_Y, computed once.  No I_X^(k+1) is
+        formed while a pure power x_i^(k+1), one of its generators, misses I_Y."""
         if self._nilpotency is None:
             ix = power = self.embedding.support_ideal()
             pure, formed = ix.gens, 1  # the x_i^(k+1), and power = I_X^formed
@@ -237,8 +235,7 @@ def hilb_to_json(hp):
 @dataclass
 class Filtration:
     """The S1-filtration I_0 = I_X ⊇ I_1 ⊇ ... ⊇ I_k and its layers
-    I_j/(I_X I_j + I_(j+1)).  The terms and the layer polynomials are made
-    with it; the layer presentations only on first use, then kept."""
+    I_j/(I_X I_j + I_(j+1)), presented on first read and then kept."""
 
     embedding: Embedding
     ideals: list
@@ -251,22 +248,16 @@ class Filtration:
                  for upper, lower in zip(self.ideals, self.ideals[1:])]
         return [layer for layer, _, _ in built], [lift for _, _, lift in built]
 
-    @property
-    def layers(self):
-        """GradedModules over the support ring, checked against their series."""
-        return self._presentations[0]
-
-    @property
-    def layer_lifts(self):
-        """Per layer: images of I_j's minimal gens, as column Vecs."""
-        return self._presentations[1]
+    # GradedModules over the support ring, each checked against its series,
+    # and per layer the images of I_j's minimal gens, as column Vecs
+    layers = property(lambda self: self._presentations[0])
+    layer_lifts = property(lambda self: self._presentations[1])
 
 
 def s1_filtration(structure):
     """The filtration I_j = hull(I_Y + I_X^{j+1}), j <= k the nilpotency
-    index, with its layer polynomials: each layer's is the difference of
-    its two terms' series.  The layer presentations, which only the report,
-    ``thicken`` and the quotient scan read, are built on first use.
+    index.  Each layer polynomial is the difference of its terms' series;
+    the presentations, which no verdict reads, are built on first use.
 
     Each sum J has radical I_X, so its hull is its I_X-primary component
     J k(z)[x, y] ∩ R: J when R/J is free over k[z], else J : h^∞, with h the
