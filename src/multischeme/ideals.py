@@ -295,15 +295,16 @@ def ext_annihilator(ideal, i):
     if i < 0:
         raise ValueError("negative cohomological index")
     if i not in ideal._ext:
-        ideal._ext[i] = _ext_annihilator(ideal, i)
+        ideal._ext[i] = _ext_annihilator(quotient_resolution(ideal), i)
     return ideal._ext[i]
 
 
-def _ext_annihilator(ideal, i):
-    """ann(ker d_{i+1}^T / im d_i^T), over the cached resolution of R/I: one
-    ``module_colon`` of the image by every kernel generator outside it."""
-    ring, guard = ideal.ring, ideal.guard
-    resolution = quotient_resolution(ideal)
+def _ext_annihilator(resolution, i):
+    """ann Ext^i(M, S) = ann(ker d_(i+1)^T / im d_i^T) over a minimal
+    resolution of M, over any ring S (R/I's over R, a pushforward's over
+    the support ring): one ``module_colon`` of the image by every kernel
+    generator outside it."""
+    ring, guard = resolution.ring, resolution.guard
     L = resolution.length
     if i > L:
         return Ideal(ring, [ring.one()], guard)

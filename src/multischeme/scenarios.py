@@ -29,7 +29,7 @@ from .modules import GradedModule, matrix_rank
 from .parse import format_ideal
 from .quotients import line_bundle_quotients
 from .ring import PolyRing
-from .structures import Embedding, MultiStructure, is_locally_CM, is_S1, thicken
+from .structures import Embedding, MultiStructure, is_S1, thicken
 
 
 @dataclass
@@ -321,7 +321,7 @@ def _scn_nontype1(rec, opts):
         if len(bad) == 1:
             z_ideal = st.filtration().ideals[bad[0]]
             rec.check(tag + ":term-s1", True, is_S1(z_ideal))
-            _, locus = is_locally_CM(z_ideal)
+            _, locus = st.locally_cm(bad[0])
             ring = st.embedding.ring
             expected_locus = Ideal(ring, [ring.var(v) for v in locus_vars], opts.guard)
             rec.check(tag + ":non-cm-locus", True, same_zero_locus(locus, expected_locus))

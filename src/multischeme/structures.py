@@ -14,7 +14,10 @@ Each filtration term past I_X is the hull of J = I_Y + I_X^(j+1), its
 I_X-primary component: J when R/J is free over k[z], else J : h^∞ (Gianni-
 Trager-Zacharias 1988).  The nilpotency index k certifies I_X ⊆ rad(I_Y), as
 I_X^(k+1) ⊆ I_Y, so the last sum is I_Y itself and takes its hull by the
-same rule.
+same rule.  The CM verdicts read R/I as a module over k[z], π_*O_Y for the
+finite projection Y → X, presented from I's generators with no Buchberger
+run over R, and test it for local freeness; a term the hull found free over
+k[z] needs no presentation.
 
 The resource budget is fixed with the embedding: ``Embedding(ring,
 support_vars, guard)`` builds I_X with that ``Guard``, and a ``MultiStructure``
@@ -29,13 +32,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import le
+from itertools import combinations_with_replacement
+from operator import add, le
 
-from .groebner import DEFAULT_GUARD, syzygies
+from .groebner import DEFAULT_GUARD, ResourceGuardExceeded, syzygies
 from .hilbert import module_hilbert_series
 from .ideals import (
     Ideal,
-    ext_window,
+    _ext_annihilator,
     fitting_ideal,
     intersect,
     is_irrelevant_primary,
@@ -43,11 +47,15 @@ from .ideals import (
     saturate,
     unmixed_part,
 )
-from .modules import GradedModule
+from .modules import GradedModule, free_resolution
 
 
 class StructureError(ValueError):
     pass
+
+
+class IndexBudgetExceeded(ResourceGuardExceeded, StructureError):
+    """The nilpotency search ran past 64: inconclusive, and no index to read."""
 
 
 @dataclass
@@ -62,7 +70,7 @@ class Embedding:
     _support: Ideal = field(init=False, compare=False, repr=False)
     # the support ring, built once so every restricted Vec shares it
     _sub: object = field(init=False, compare=False, repr=False)
-    # the hull's rings: the support variables first in a block order, and k[x, y]
+    # the support variables first in a block order (hull, pushforward), and k[x, y]
     _block: object = field(init=False, compare=False, repr=False)
     _fibre: object = field(init=False, compare=False, repr=False)
 
@@ -75,9 +83,8 @@ class Embedding:
         if len(set(self.support_vars)) < len(self.support_vars):
             raise StructureError("repeated support variables %r" % (self.support_vars,))
         if len(self.support_vars) == self.ring.nvars:
-            raise StructureError(
-                "support %r takes every variable, so X is empty" % (self.support_vars,)
-            )
+            raise StructureError("support %r takes every variable, so X is empty"
+                                 % (self.support_vars,))
         self._support = Ideal(self.ring, [self.ring.var(v) for v in self.support_vars], self.guard)
         rest = tuple(n for n in self.ring.names if n not in self.support_vars)
         self._sub = self.ring.subring(rest)
@@ -99,6 +106,25 @@ class Embedding:
         """Transfer a support-ring polynomial into the ambient ring."""
         return f.ring.transfer(f, self.ring)
 
+    def pushforward(self, ideal, t):
+        """R/I as a graded module over the support ring k[z], for
+        I ⊇ I_X^(t+1): π_*O_Y, Y = V(I) finite over X.  Its generators are
+        the support monomials u of degree <= t, its relations the
+        truncations of u*g below support degree t + 1, g a generator of I;
+        ``PolyRing.split`` gives g's k[z]-coefficients once, and u shifts them."""
+        front, sub = len(self.support_vars), self._sub
+        monomials = [tuple(c.count(i) for i in range(front)) for d in range(t + 1)
+                     for c in combinations_with_replacement(range(front), d)]
+        position = {e: j for j, e in enumerate(monomials)}
+        relations = []
+        for g in ideal.gens:
+            parts = self._block.split(self.ring.transfer(g, self._block), front, sub)
+            low = min(map(sum, parts))
+            relations += [sum((c.shifted(position[m]) for e, c in parts.items()
+                               if (m := tuple(map(add, e, u))) in position), sub.zero())
+                          for u in monomials if sum(u) <= t - low]
+        return GradedModule(sub, tuple(map(sum, monomials)), relations, ideal.guard)
+
 
 class MultiStructure:
     """A multiple structure Y on X: rad(I_Y) = I_X.  ``ideal`` is an Ideal
@@ -116,6 +142,7 @@ class MultiStructure:
         self.ideal = ideal
         self._filtration = None
         self._nilpotency = None
+        self._verdicts = {}  # term (None: I_Y) -> (CM verdict, locus, Ext indices read)
         if check:
             self.validate()
 
@@ -126,8 +153,9 @@ class MultiStructure:
 
     def validate(self):
         """Homogeneous generators in I_X, and I_X ⊆ rad(I_Y): the nilpotency
-        index certifies it, as I_X^(k+1) ⊆ I_Y.  Only when its search fails
-        does ``radical_contains`` name the support variable the radical misses."""
+        index certifies it, as I_X^(k+1) ⊆ I_Y.  Only when its search runs
+        past 64 does ``radical_contains`` name a support variable the
+        radical misses; with none, reading the index is inconclusive."""
         ix = self.embedding.support_ideal()
         for g in self.ideal.gens:
             if not g.is_homogeneous():
@@ -136,14 +164,15 @@ class MultiStructure:
                 raise StructureError("generator %s not supported on X" % g)
         try:
             self.nilpotency_index()
-        except StructureError:
+        except IndexBudgetExceeded:
             for v in self.embedding.support_vars:
                 if not radical_contains(self.ideal, self.embedding.ring.var(v)):
                     raise StructureError("radical of I_Y misses %s" % v) from None
 
     def nilpotency_index(self):
-        """Minimal k with I_X^{k+1} ⊆ I_Y, computed once.  No I_X^(k+1) is
-        formed while a pure power x_i^(k+1), one of its generators, misses I_Y."""
+        """Minimal k <= 64 with I_X^{k+1} ⊆ I_Y, searched once.  No I_X^(k+1)
+        is formed while a pure power x_i^(k+1) misses I_Y, and then only its
+        other generators are tested."""
         if self._nilpotency is None:
             ix = power = self.embedding.support_ideal()
             pure, formed = ix.gens, 1  # the x_i^(k+1), and power = I_X^formed
@@ -154,10 +183,13 @@ class MultiStructure:
                 pure = ()  # they stay in I_Y at every later step
                 while formed <= k:
                     power, formed = power.times(ix), formed + 1
-                if self.ideal.contains_ideal(power):
-                    self._nilpotency = k
-                    return k
-            raise StructureError("nilpotency index exceeds 64")
+                if all(self.ideal.contains(g) for g in power.gens if len(g.variables()) > 1):
+                    break
+            else:
+                k = 65  # kept, so a later read fails at once
+            self._nilpotency = k
+        if self._nilpotency > 64:
+            raise IndexBudgetExceeded("nilpotency index exceeds 64, the search budget")
         return self._nilpotency
 
     def multiplicity(self):
@@ -180,30 +212,42 @@ class MultiStructure:
         # the last filtration term is the hull of I_Y (I_Y = I_X, prime, at k = 0)
         return self.filtration().reaches_top
 
-    def locally_cm(self):
-        return is_locally_CM(self.ideal)
+    def locally_cm(self, term=None):
+        """(verdict, non-CM locus) of Y, or of the filtration term I_term."""
+        return self._cm(term)[:2]
 
     def is_type_I(self):
         """(verdict, per-term CM flags); requires the filtration."""
         filt = self.filtration()
-        flags = [is_locally_CM(i)[0] for i in filt.ideals]
+        flags = [self._cm(j)[0] for j in range(len(filt.ideals))]
         return all(flags) and filt.reaches_top, flags
+
+    def _cm(self, term):
+        """``is_locally_CM`` of I_term, or of I_Y for None, decided once.  A
+        term the hull found free over k[z] (I_X too) is CM as it stands; the
+        terms past I_X are S1, and so is I_Y when the filtration reaches it."""
+        filt = self.filtration()
+        if term is None and filt.reaches_top:
+            term = len(filt.ideals) - 1
+        if term not in self._verdicts:
+            emb = self.embedding
+            if term is None:
+                found = is_locally_CM(emb, self.ideal, self.nilpotency_index())
+            elif filt.free[term]:
+                found = True, Ideal(emb.ring, [emb.ring.one()], emb.guard), []
+            else:
+                found = is_locally_CM(emb, filt.ideals[term], term, s1=True)
+            self._verdicts[term] = found
+        return self._verdicts[term]
 
     def report(self, seed=None):
         from .parse import format_ideal, format_ring
 
         filt = self.filtration()
-        cm, locus = self.locally_cm()
+        cm, locus, indices = self._cm(None)
         type1, flags = self.is_type_I()
-        layers = []
-        for j, layer in enumerate(filt.layers):
-            layers.append(
-                {
-                    "rank": layer.rank,
-                    "gen_twists": layer.twists(),
-                    "hilb": hilb_to_json(filt.layer_polynomials[j]),
-                }
-            )
+        layers = [{"rank": layer.rank, "gen_twists": layer.twists(), "hilb": hilb_to_json(poly)}
+                  for layer, poly in zip(filt.layers, filt.layer_polynomials)]
         return {
             "ring": format_ring(self.embedding.ring),
             "ideal": format_ideal(self.ideal.groebner()),
@@ -211,17 +255,12 @@ class MultiStructure:
             "char": self.embedding.ring.char,
             "multiplicity": self.multiplicity(),
             "nilpotency_index": self.nilpotency_index(),
-            "filtration": [
-                {
-                    "ideal": format_ideal(i.groebner()),
-                    "locally_cm": flags[j],
-                }
-                for j, i in enumerate(filt.ideals)
-            ],
+            "filtration": [{"ideal": format_ideal(i.groebner()), "locally_cm": flag}
+                           for i, flag in zip(filt.ideals, flags)],
             "layers": layers,
             "verdicts": {"cm": cm, "s1": self.is_S1(), "type_i": type1},
             "certificates": {
-                "ext_indices": [i for i, _ in ext_window(self.ideal)],
+                "ext_indices": indices,
                 "non_cm_locus": None if cm else format_ideal(locus.groebner()),
             },
             "seed": seed,
@@ -241,6 +280,7 @@ class Filtration:
     ideals: list
     layer_polynomials: list  # HilbertPoly per layer, from the terms' series
     reaches_top: bool        # I_k == I_Y (holds exactly when Y is S1)
+    free: list               # per term: R/I_j free over k[z], as I_X's is
 
     @cached_property
     def _presentations(self):
@@ -271,16 +311,20 @@ def s1_filtration(structure):
     ring, iy = emb.ring, structure.ideal
     ix = emb.support_ideal()
     k = structure.nilpotency_index()
-    # with k = 0, I_Y = I_X: start from I_Y so both share one resolution
-    ideals = [iy if k == 0 else ix]
-    power = ix
+    # (term, R/term free over k[z]), from I_X: I_Y itself at k = 0
+    terms, power = [(iy if k == 0 else ix, True)], ix
     # I_Y's fibre k[x, y]/I_Y|_(z=0) and I_Y in the block order, for every sum
     fibre = Ideal(emb._fibre, (ring.restrict(g, emb._fibre, 1) for g in iy.gens), iy.guard)
     block = Ideal(emb._block, (ring.transfer(g, emb._block) for g in iy.gens), iy.guard)
     for j in range(1, k + 1):
         power = power.times(ix)  # I_X^(j+1)
-        total = iy.plus(power) if j < k else iy
-        ideals.append(_primary_component(emb, total, power, fibre, block))
+        series = fibre.hilbert_series()
+        # R/J's fibre: I_Y's, truncated below degree j + 1
+        truncated = {d: v for d in range(j + 1) if (v := series.value(d))}
+        added = power if j < k else None  # the last sum is I_Y, which holds I_X^(k+1)
+        terms.append(_primary_component(emb, iy.plus(added) if added else iy, added,
+                                        truncated, block))
+    ideals, free = map(list, zip(*terms))
     # sanity: chain inclusions
     for j in range(len(ideals) - 1):
         if not ideals[j].contains_ideal(ideals[j + 1]):
@@ -289,23 +333,24 @@ def s1_filtration(structure):
     # dim(upper/lower)_t = dim(R/lower)_t - dim(R/upper)_t
     polys = [(lower.hilbert_series() - upper.hilbert_series()).polynomial()
              for upper, lower in zip(ideals, ideals[1:])]
-    return Filtration(emb, ideals, polys, reaches_top)
+    return Filtration(emb, ideals, polys, reaches_top, free)
 
 
-def _primary_component(emb, total, power, fibre, block):
-    """The hull of J = ``total`` = I_Y + ``power``, a power I_X^(j+1); J
-    itself when it is its own hull, so the last term is I_Y.  R/J is free
-    over k[z] exactly when its series is its fibre's, I_Y's ``fibre``
-    truncated below degree j + 1, over (1 - t)^s (graded Nakayama).  J's
-    basis in the block order extends ``block``'s, I_Y's there."""
+def _primary_component(emb, total, power, truncated, block):
+    """(hull, free) of J = ``total`` = I_Y + ``power``, a power I_X^(j+1),
+    or of I_Y itself for ``power`` None: J when it is its own hull, so the
+    last term is I_Y.  R/J is free over k[z] exactly when its series is
+    ``truncated``, its fibre's, over (1 - t)^s (graded Nakayama).  J's
+    basis in the block order extends ``block``'s, I_Y's there, by the
+    power's generators; I_Y's is ``block``'s."""
     ring, front = emb.ring, len(emb.support_vars)
-    series = fibre.hilbert_series()
-    truncated = {d: v for d in range(power.gens[0].degree()) if (v := series.value(d))}
     if total.hilbert_series().reduced() == (truncated, ring.nvars - front):
-        return total
-    block.unreduced()  # so that the sum starts from I_Y's basis
-    moved = Ideal(emb._block, (ring.transfer(g, emb._block) for g in power.gens), block.guard)
-    basis = block.plus(moved).unreduced()
+        return total, True
+    block.unreduced()  # so that a sum starts from I_Y's basis
+    if power is not None:
+        block = block.plus(Ideal(emb._block, (ring.transfer(g, emb._block) for g in power.gens),
+                                 block.guard))
+    basis = block.unreduced()
     leads = [g.lead()[0][1] for g in basis]
     minimal = (g for g, e in zip(basis, leads)
                if not any(d != e and all(map(le, d, e)) for d in leads))
@@ -314,7 +359,7 @@ def _primary_component(emb, total, power, fibre, block):
     for c in dict.fromkeys(next(iter(emb._block.split(g, front, ring).values())).monic()
                            for g in minimal):
         h = h * c
-    return total if h.is_constant() else saturate(total, h)[0]
+    return (total if h.is_constant() else saturate(total, h)[0]), False
 
 
 def layer_module(emb, upper, lower):
@@ -335,9 +380,7 @@ def layer_module(emb, upper, lower):
     degs = tuple(g.degree() for g in gens)
     presented = GradedModule(emb.support_ring(), degs, [v for v in restricted if v], upper.guard)
     minimal, lift = presented.minimal_with_map()
-    hs_upper = upper.hilbert_series()
-    hs_lower = lower.hilbert_series()
-    ser = hs_lower - hs_upper  # dim(S/lower)_t - dim(S/upper)_t = dim(upper/lower)_t
+    ser = lower.hilbert_series() - upper.hilbert_series()  # dim(upper/lower)_t
     _check_layer_series(minimal, ser)
     return minimal, ser, lift
 
@@ -351,18 +394,24 @@ def _check_layer_series(layer, ambient_diff):
         raise StructureError("layer Hilbert series mismatch")
 
 
-def is_locally_CM(ideal):
-    """(verdict, non-CM locus ideal).
+def is_locally_CM(emb, ideal, t, s1=False):
+    """(verdict, non-CM locus, Ext indices read) of Y = V(I), I ⊇ I_X^(t+1).
 
-    True when every Ext^i annihilator beyond the ideal's own codimension
-    (``ext_window``) has empty projective zero set; the locus is the union
-    of the nontrivial supports.
-    """
-    ring = ideal.ring
-    bad = [ann for _, ann in ext_window(ideal) if not is_irrelevant_primary(ann)]
+    π: Y → X = P^(s-1) is finite and π_*O_Y is M = R/I over k[z]
+    (``Embedding.pushforward``), so Y is CM exactly where M is free
+    (Hironaka's criterion; Eisenbud, *Commutative Algebra*, Cor. 18.17):
+    off the zeros of ann Ext^i(M, k[z]), 1 <= i <= s - 1, extended to R
+    with I_X to give the locus.  An S1 (I_X-primary) I gives M depth >= 1
+    at each point, so pd <= s - 2 there (Auslander-Buchsbaum): i = s - 1
+    is skipped."""
+    res = free_resolution(emb.pushforward(ideal, t))
+    window = list(range(1, min(res.length, emb._sub.nvars - (2 if s1 else 1)) + 1))
+    bad = [ann for ann in (_ext_annihilator(res, i) for i in window)
+           if not is_irrelevant_primary(ann)]
     if not bad:
-        return True, Ideal(ring, [ring.one()], ideal.guard)
-    return False, intersect(*bad)
+        return True, Ideal(emb.ring, [emb.ring.one()], ideal.guard), window
+    locus = [emb.extend(g) for g in intersect(*bad).groebner()] + list(emb.support_ideal().gens)
+    return False, Ideal(emb.ring, locus, ideal.guard), window
 
 
 def is_S1(ideal):

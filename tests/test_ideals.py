@@ -239,7 +239,7 @@ def test_ext_annihilators_of_theorem_rows_match_the_syzygy_reference(monkeypatch
                     expected = ext_annihilator(I, i)
                     with monkeypatch.context() as mp:
                         mp.setattr(ideals, "module_colon", reference_colon)
-                        reference = _ext_annihilator(I, i)
+                        reference = _ext_annihilator(quotient_resolution(I), i)
                     assert expected.groebner() == reference.groebner(), (entry.id, char, i)
     # several ext annihilators fold two or more kernel vectors into one graph
     assert sum(w >= 2 for w in widths) >= 3
@@ -283,7 +283,8 @@ def test_module_colon_forms_no_s_pair_of_two_image_basis_elements(ring, monkeypa
         lambda: colon(I, _ideal(ring, "(x, y*z0)")),
         lambda: intersect(_ideal(ring, "(x^2, x*y, z0^2)"), _ideal(ring, "(y^2, x*z0, y*z0)"),
                           _ideal(ring, "(x*y, y^3, z0^3)")),
-        lambda: [_ext_annihilator(J, i) for i in range(1, quotient_resolution(J).length + 1)],
+        lambda: [_ext_annihilator(quotient_resolution(J), i)
+                 for i in range(1, quotient_resolution(J).length + 1)],
     ):
         del pairs[:]
         run()

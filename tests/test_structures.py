@@ -246,16 +246,17 @@ def test_primary_component_is_the_hull_of_every_filtration_term(monkeypatch):
 
     def checked(emb, total, power, fibre, block):
         before = len(calls)
-        hull = component(emb, total, power, fibre, block)
+        hull, free = component(emb, total, power, fibre, block)
         assert hull.groebner() == unmixed_part(total).groebner(), (total, power)
         made = calls[before:]
         # the free shortcut runs no block basis; a saturation comes after one
-        branch = "saturate" if "saturate" in made else "constant" if emb._block in made else "free"
+        assert not (free and (emb._block in made or "saturate" in made)), total
+        branch = "saturate" if "saturate" in made else "free" if free else "constant"
         branches["I_Y" if total is iy else "sum"].add(branch)
         if total is iy:
             assert (hull is iy) == hull.equals(iy), iy
             own.add(hull is iy)
-        return hull
+        return hull, free
 
     monkeypatch.setattr(structures, "_primary_component", checked)
     for st in rows:
@@ -589,7 +590,7 @@ def test_thicken_roundtrip_converts_only_for_its_fitting_minors(conversions):
 
 
 def test_is_locally_cm_on_plain_ideal(ring):
-    ok, locus = is_locally_CM(Ideal.parse(ring, "(x^3, y)"))
+    ok, locus, _ = is_locally_CM(Embedding(ring, ("x", "y")), Ideal.parse(ring, "(x^3, y)"), 2)
     assert ok and locus.is_one()
 
 
