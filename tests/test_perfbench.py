@@ -27,22 +27,39 @@ def test_perfbench_selftest_passes():
 # computed in full and then cut, sums that pair known basis elements again,
 # or a layer presentation built where no caller reads it, bring wasted
 # S-pairs back and fail here
-_SPAIRS = {"catalog": 1119, "syzygy": 452, "quotients": 709}
+_SPAIRS = {"catalog": 1032, "syzygy": 341, "quotients": 709}
 # Buchberger runs of the same pass, and a ceiling on its interreductions:
 # a second Buchberger path, or a reduced basis made where the unreduced run
 # answers (leads, membership), fails here
-_RUNS = {"catalog": 536, "syzygy": 61, "quotients": 226}
-_INTERREDUCE_AT_MOST = {"catalog": 443, "syzygy": 46, "quotients": 0}
+_RUNS = {"catalog": 534, "syzygy": 61, "quotients": 226}
+_INTERREDUCE_AT_MOST = {"catalog": 446, "syzygy": 50, "quotients": 0}
 # Ext annihilators computed, free resolutions made and radical tests run by
 # the same pass: the filtration hulls of the sums I_Y + I_X^(j+1), I_Y's
-# included, read no Ext window and the support check reads the nilpotency
-# index, so an Ext window computed and discarded, or a radical test beside
-# the index, fails here
+# included, read no Ext window, the support check reads the nilpotency
+# index, and the CM verdicts read the Ext of R/I over the support ring
+# only, so an Ext window of R/I over R (``ext_annihilator``), or a radical
+# test beside the index, fails here.  The check pass resolves R/I over R
+# for the digest's Betti tables (122 / 8 / 0 resolutions); the rest are
+# the verdicts' resolutions over the support ring
 _HULL_WORK = {
-    "catalog": {"_ext_annihilator": 5, "free_resolution": 122, "radical_contains": 0},
-    "syzygy": {"_ext_annihilator": 6, "free_resolution": 8, "radical_contains": 0},
-    "quotients": {"_ext_annihilator": 0, "free_resolution": 0, "radical_contains": 0},
+    "catalog": {"_ext_annihilator": 3, "ext_annihilator": 0, "free_resolution": 157,
+                "radical_contains": 0},
+    "syzygy": {"_ext_annihilator": 4, "ext_annihilator": 0, "free_resolution": 13,
+               "radical_contains": 0},
+    "quotients": {"_ext_annihilator": 0, "ext_annihilator": 0, "free_resolution": 0,
+                  "radical_contains": 0},
 }
+
+
+def _counting(calls, name):
+    def wrap(original):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapped
+
+    return wrap
 
 
 @pytest.mark.parametrize("workload", ["catalog", "syzygy", "quotients"])
@@ -69,24 +86,13 @@ def test_check_pass_reproduces_golden_digest(workload, monkeypatch, rebind):
     with open(os.path.join(ROOT, "perfbench", "golden.json")) as fh:
         golden = json.load(fh)
     owners = {"_spair": groebner, "buchberger": groebner, "interreduce": groebner,
-              "_ext_annihilator": ideals, "free_resolution": modules,
+              "_ext_annihilator": ideals, "ext_annihilator": ideals, "free_resolution": modules,
               "radical_contains": ideals, "layer_module": structures}
     calls = dict.fromkeys(owners, 0)
-
-    def counting(name):
-        def wrap(original):
-            def wrapped(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            return wrapped
-
-        return wrap
-
     canon = []
     items = workloads.setup(workload, workloads.DEFAULT_SEED)
     for name, module in owners.items():
-        rebind(module, name, counting(name))
+        rebind(module, name, _counting(calls, name))
     results = workloads.run_pass(items, canon=canon)
     assert [bad for _, _, _, bad in results if bad] == []
     assert hashlib.sha256("\n".join(canon).encode()).hexdigest() == golden[workload]
@@ -97,3 +103,27 @@ def test_check_pass_reproduces_golden_digest(workload, monkeypatch, rebind):
     # the pass reads the layer polynomials only, so it presents no layer
     assert calls["layer_module"] == 0
     assert decoded == []
+
+
+@pytest.mark.parametrize("workload, resolutions", [("catalog", 35), ("syzygy", 5)])
+def test_timed_pass_resolves_no_quotient_over_the_whole_ring(workload, resolutions, monkeypatch,
+                                                            rebind):
+    # a timed pass (no canonical text) asks for verdicts only: each CM
+    # verdict reads R/I over the support ring, or the hull's freeness, and
+    # no verdict resolves R/I over R or reads its Ext window
+    import multischeme.ideals as ideals
+    import multischeme.modules as modules
+
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import workloads
+
+    owners = {"quotient_resolution": ideals, "ext_annihilator": ideals,
+              "free_resolution": modules}
+    calls = dict.fromkeys(owners, 0)
+    items = workloads.setup(workload, workloads.DEFAULT_SEED)
+    for name, module in owners.items():
+        rebind(module, name, _counting(calls, name))
+    results = workloads.run_pass(items, canon=None)
+    assert [bad for _, _, _, bad in results if bad] == []
+    assert calls == {"quotient_resolution": 0, "ext_annihilator": 0,
+                     "free_resolution": resolutions}

@@ -267,11 +267,12 @@ def test_primary_component_is_the_hull_of_every_filtration_term(monkeypatch):
 
 
 def test_report_lists_the_ext_indices_it_read(ring):
-    # a complete intersection: pd(R/I) = codim = 2, so the window is empty
+    # R/(x^2, y) is free over k[z0, z1], so no Ext over k[z] is read
     assert _structure(ring, "(x^2, y)").report()["certificates"]["ext_indices"] == []
-    # a plane with an embedded line is read at i = 2 = pd(R/I) only
+    # a plane with an embedded line is not S1, so its window is 1 <= i <=
+    # s - 1 = 2, cut at pd = 1: M = k[z0,z1,y] + k[z0,z1,y]/(y) x
     mixed = MultiStructure(Embedding(ring, ("x",)), Ideal.parse(ring, "(x^2, x*y)"), check=False)
-    assert mixed.report()["certificates"]["ext_indices"] == [2]
+    assert mixed.report()["certificates"]["ext_indices"] == [1]
 
 
 def test_layer_relations_modulo_the_lower_term_match_the_full_modulus(monkeypatch):
@@ -383,7 +384,8 @@ def test_s1_filtration_converts_no_presentation(conversions):
 def test_non_cm_locus_is_reported():
     ring = PolyRing(("z0", "z1", "x", "y"))
     # a plane with an embedded line: fails CM along x = y = 0
-    cm, locus = is_locally_CM(Ideal.parse(ring, "(x^2, x*y)"))
+    st = MultiStructure(Embedding(ring, ("x",)), Ideal.parse(ring, "(x^2, x*y)"), check=False)
+    cm, locus = st.locally_cm()
     assert not cm
     assert locus.equals(Ideal.parse(ring, "(x, y)"))
 
@@ -403,25 +405,28 @@ def test_filtration_shape_and_type_one(ring):
     assert total == st.hilbert_polynomial()
 
 
-def test_reduced_structure_filtration_starts_from_its_own_ideal(monkeypatch):
-    import multischeme.ideals as ideals
+def test_reduced_structure_filtration_starts_from_its_own_ideal(rebind):
+    import multischeme.modules as modules
 
     entry = next(e for e in load_catalog("thm-3.6") if e.id == "thm-3.6/1")
     st = entry.structure()
     assert st.nilpotency_index() == 0
     calls = []
-    counted = ideals.free_resolution
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return counted(*args, **kwargs)
+    def counting(counted):
+        def wrapped(*args, **kwargs):
+            calls.append(args)
+            return counted(*args, **kwargs)
 
-    monkeypatch.setattr(ideals, "free_resolution", counting)
+        return wrapped
+
+    rebind(modules, "free_resolution", counting)
     filt = st.filtration()
     assert filt.ideals[0] is st.ideal
     assert st.locally_cm()[0] and st.is_type_I() == (True, [True])
-    # R/(x, y) is resolved once, for the CM verdict and the term-0 flag
-    assert len(calls) == 1
+    # R/(x, y) = k[z] is free over the support ring: the CM verdict and the
+    # term-0 flag resolve nothing
+    assert len(calls) == 0
 
 
 def test_layer_series_check(ring):
@@ -666,8 +671,8 @@ def test_a_verdict_does_not_depend_on_call_history():
     strict = MultiStructure(strict_emb, parse_ideal(ring, text), check=False)
     default = MultiStructure.parse(ring, text)
     assert strict.ideal.guard is strict_emb.guard and default.locally_cm()[0]
-    with pytest.raises(ResourceGuardExceeded, match="S-pair degree 4 exceeds budget 2"):
-        is_locally_CM(strict.ideal)
+    with pytest.raises(ResourceGuardExceeded, match="S-pair degree 3 exceeds budget 2"):
+        strict.locally_cm()
     # an ideal built with another budget than its embedding's is refused
     with pytest.raises(StructureError, match="built with"):
         MultiStructure(strict_emb, default.ideal, check=False)
