@@ -8,13 +8,21 @@ from multischeme.catalog import load_catalog
 from multischeme.families import build_family
 from multischeme.groebner import Guard, buchberger, interreduce, submodule_equal, syzygies
 from multischeme.hilbert import HilbertPoly, HilbertSeries, module_hilbert_series
-from multischeme.ideals import Ideal, unmixed_part
+from multischeme.ideals import (
+    Ideal,
+    ext_window,
+    intersect,
+    is_irrelevant_primary,
+    same_zero_locus,
+    unmixed_part,
+)
 from multischeme.modules import GradedModule
 from multischeme.parse import parse_ideal
 from multischeme.ring import PolyRing, ResourceGuardExceeded
 from multischeme.scenarios import run_scenario
 from multischeme.structures import (
     Embedding,
+    IndexBudgetExceeded,
     MultiStructure,
     StructureError,
     _check_layer_series,
@@ -138,6 +146,36 @@ def test_a_radical_that_misses_a_variable_is_refused_before_any_power(monkeypatc
     monkeypatch.setattr(Ideal, "times", times)
     with pytest.raises(StructureError, match="radical of I_Y misses %s$" % missed):
         MultiStructure(emb, Ideal.parse(ring, text))
+
+
+def test_an_index_past_the_search_budget_is_searched_once(ring, monkeypatch):
+    # the radical of (x^40, y^40) holds x and y, so it validates; its index
+    # 78 is past the search's 64, and every later reading is that outcome,
+    # a spent budget, with no second search
+    st = MultiStructure.parse(ring, "(x^40, y^40)")
+    tested, contains = [], Ideal.contains
+    monkeypatch.setattr(Ideal, "contains", lambda self, f: tested.append(f) or contains(self, f))
+    for read in (st.nilpotency_index, st.filtration, st.locally_cm, st.is_type_I, st.report):
+        with pytest.raises(ResourceGuardExceeded, match="nilpotency index exceeds 64") as exc:
+            read()
+        assert isinstance(exc.value, IndexBudgetExceeded)
+    assert tested == []
+
+
+def test_the_index_search_tests_each_generator_once(ring, monkeypatch):
+    # the pure powers x^(k+1), y^(k+1) are tested before I_X^(k+1) is formed,
+    # and only its other generators after
+    st = MultiStructure.parse(ring, "(x^2 + z0*y, y^2)", check=False)
+    tested, contains = [], Ideal.contains
+
+    def spy(self, f):
+        if self is st.ideal:
+            tested.append(str(f))
+        return contains(self, f)
+
+    monkeypatch.setattr(Ideal, "contains", spy)
+    assert st.nilpotency_index() == 3
+    assert tested == ["x", "x^2", "x^3", "x^4", "y^4", "x^3*y", "x^2*y^2", "x*y^3"]
 
 
 def test_nilpotency_index_and_multiplicity(ring):
@@ -264,6 +302,66 @@ def test_primary_component_is_the_hull_of_every_filtration_term(monkeypatch):
         st.filtration()
     assert all({"free", "saturate"} <= found for found in branches.values()), branches
     assert own == {True, False}
+
+
+def _cm_over_the_whole_ring(ideal):
+    """The reference CM test, on R/I alone: (verdict, locus) from the
+    annihilators of Ext^i(R/I, R), codim I < i <= pd(R/I), that have a
+    projective zero; the locus is the union of those zero sets."""
+    ring = ideal.ring
+    bad = [ann for _, ann in ext_window(ideal) if not is_irrelevant_primary(ann)]
+    return not bad, intersect(*bad) if bad else Ideal(ring, [ring.one()], ideal.guard)
+
+
+def _cm_rows():
+    """Every catalog row in each asserted characteristic, the families of
+    the hull cross-check and the extended Koszul structure, and two
+    structures with an embedded component, in characteristics 0 and 5."""
+    rows = [("%s@p%d" % (e.id, c), e.structure(char=c)) for e in load_catalog() for c in e.chars]
+    for char in (0, 5):
+        for name, params in _HULL_FAMILIES + (("koszul", {"extend": True}),):
+            structures = build_family(name, char=char, **params).structures
+            rows += [("%s%s@p%d" % (name, params, char), st) for st in structures]
+        ring = PolyRing(("z0", "z1", "x", "y"), char=char)
+        rows.append(("embedded point@p%d" % char, _structure(ring, "(x^2 + z0*y, y^2, x^3)")))
+        line = Ideal.parse(ring, "(x^2, x*y)")
+        rows.append(("embedded line@p%d" % char,
+                     MultiStructure(Embedding(ring, ("x",)), line, check=False)))
+    return rows
+
+
+def test_cm_verdicts_over_the_support_ring_match_the_ext_window_of_the_quotient():
+    """Each verdict over k[z], of I_Y and of every filtration term, agrees
+    with the reference on R/I, and a non-CM locus has the reference's zero
+    set.  The split triple is locally free over k[z] but not free, so a
+    test of global freeness would call it not CM."""
+    found = {True: 0, False: 0}
+    for name, st in _cm_rows():
+        terms = [(None, st.ideal)] + list(enumerate(st.filtration().ideals))
+        for term, ideal in terms:
+            cm, locus = st.locally_cm(term)
+            expected, expected_locus = _cm_over_the_whole_ring(ideal)
+            assert cm == expected, (name, term)
+            assert cm or same_zero_locus(locus, expected_locus), (name, term, locus)
+            found[cm] += 1
+    assert found[True] >= 250 and found[False] >= 12, found
+
+
+def test_the_terms_are_cm_up_to_j_plus_1_exactly_when_the_layers_to_j_are_locally_free():
+    """0 -> L_j -> O_(Y_(j+1)) -> O_(Y_j) -> 0 with Y_0 = X smooth: by the
+    depth lemma (Bruns-Herzog 1.2.9) Y_0, ..., Y_(j+1) are all CM exactly
+    when L_0, ..., L_j are maximal CM on X, that is locally free."""
+    chains = {True: 0, False: 0}
+    for name, st in _cm_rows():
+        filt = st.filtration()
+        flags = st.is_type_I()[1]
+        free = []
+        for j, (layer, poly) in enumerate(zip(filt.layers, filt.layer_polynomials)):
+            # X is linear, so the top P-coefficient is the generic rank
+            free.append(is_locally_free(layer, poly.coeffs[-1][1] if poly.coeffs else 0))
+            assert all(flags[:j + 2]) == all(free), (name, j, flags, free)
+            chains[all(free)] += 1
+    assert chains[True] >= 100 and chains[False] >= 10, chains
 
 
 def test_report_lists_the_ext_indices_it_read(ring):
