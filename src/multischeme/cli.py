@@ -11,7 +11,7 @@ Blank lines and ``#`` comments are ignored; the ideal may span lines.
 Exit codes: 0 success / all scenarios pass, 1 failure (a scenario fails,
 or ``filt`` or ``cm`` refuses the ideal as a structure on its support and
 prints ``error: ...``, e.g. ``error: radical of I_Y misses y``), 2
-inconclusive (resource guard), 3 usage error.
+inconclusive (a resource guard, or a nilpotency index past 64), 3 usage error.
 """
 
 from __future__ import annotations

@@ -14,10 +14,9 @@ Each filtration term past I_X is the hull of J = I_Y + I_X^(j+1), its
 I_X-primary component: J when R/J is free over k[z], else J : h^∞ (Gianni-
 Trager-Zacharias 1988).  The nilpotency index k certifies I_X ⊆ rad(I_Y), as
 I_X^(k+1) ⊆ I_Y, so the last sum is I_Y itself and takes its hull by the
-same rule.  The CM verdicts read R/I as a module over k[z], π_*O_Y for the
-finite projection Y → X, presented from I's generators with no Buchberger
-run over R, and test it for local freeness; a term the hull found free over
-k[z] needs no presentation.
+same rule.  CM verdicts read R/I as a k[z]-module, π_*O_Y for the finite
+Y → X, presented with no Buchberger run over R: Y is CM where it is locally
+free, and a term the hull found free over k[z] is CM as it stands.
 
 The resource budget is fixed with the embedding: ``Embedding(ring,
 support_vars, guard)`` builds I_X with that ``Guard``, and a ``MultiStructure``
@@ -83,8 +82,9 @@ class Embedding:
         if len(set(self.support_vars)) < len(self.support_vars):
             raise StructureError("repeated support variables %r" % (self.support_vars,))
         if len(self.support_vars) == self.ring.nvars:
-            raise StructureError("support %r takes every variable, so X is empty"
-                                 % (self.support_vars,))
+            raise StructureError(
+                "support %r takes every variable, so X is empty" % (self.support_vars,)
+            )
         self._support = Ideal(self.ring, [self.ring.var(v) for v in self.support_vars], self.guard)
         rest = tuple(n for n in self.ring.names if n not in self.support_vars)
         self._sub = self.ring.subring(rest)
@@ -153,9 +153,8 @@ class MultiStructure:
 
     def validate(self):
         """Homogeneous generators in I_X, and I_X ⊆ rad(I_Y): the nilpotency
-        index certifies it, as I_X^(k+1) ⊆ I_Y.  Only when its search runs
-        past 64 does ``radical_contains`` name a support variable the
-        radical misses; with none, reading the index is inconclusive."""
+        index certifies it, as I_X^(k+1) ⊆ I_Y.  Only a search past 64 has
+        ``radical_contains`` name a support variable the radical misses."""
         ix = self.embedding.support_ideal()
         for g in self.ideal.gens:
             if not g.is_homogeneous():
@@ -280,7 +279,7 @@ class Filtration:
     ideals: list
     layer_polynomials: list  # HilbertPoly per layer, from the terms' series
     reaches_top: bool        # I_k == I_Y (holds exactly when Y is S1)
-    free: list               # per term: R/I_j free over k[z], as I_X's is
+    free: list               # per term: R/I_j found free over k[z] (I_X's is)
 
     @cached_property
     def _presentations(self):
@@ -321,9 +320,9 @@ def s1_filtration(structure):
         series = fibre.hilbert_series()
         # R/J's fibre: I_Y's, truncated below degree j + 1
         truncated = {d: v for d in range(j + 1) if (v := series.value(d))}
-        added = power if j < k else None  # the last sum is I_Y, which holds I_X^(k+1)
-        terms.append(_primary_component(emb, iy.plus(added) if added else iy, added,
-                                        truncated, block))
+        last = j == k  # the last sum is I_Y itself, which holds I_X^(k+1)
+        terms.append(_primary_component(emb, iy if last else iy.plus(power),
+                                        None if last else power, truncated, block))
     ideals, free = map(list, zip(*terms))
     # sanity: chain inclusions
     for j in range(len(ideals) - 1):
@@ -380,7 +379,9 @@ def layer_module(emb, upper, lower):
     degs = tuple(g.degree() for g in gens)
     presented = GradedModule(emb.support_ring(), degs, [v for v in restricted if v], upper.guard)
     minimal, lift = presented.minimal_with_map()
-    ser = lower.hilbert_series() - upper.hilbert_series()  # dim(upper/lower)_t
+    hs_upper = upper.hilbert_series()
+    hs_lower = lower.hilbert_series()
+    ser = hs_lower - hs_upper  # dim(S/lower)_t - dim(S/upper)_t = dim(upper/lower)_t
     _check_layer_series(minimal, ser)
     return minimal, ser, lift
 
@@ -397,13 +398,12 @@ def _check_layer_series(layer, ambient_diff):
 def is_locally_CM(emb, ideal, t, s1=False):
     """(verdict, non-CM locus, Ext indices read) of Y = V(I), I ⊇ I_X^(t+1).
 
-    π: Y → X = P^(s-1) is finite and π_*O_Y is M = R/I over k[z]
-    (``Embedding.pushforward``), so Y is CM exactly where M is free
-    (Hironaka's criterion; Eisenbud, *Commutative Algebra*, Cor. 18.17):
-    off the zeros of ann Ext^i(M, k[z]), 1 <= i <= s - 1, extended to R
-    with I_X to give the locus.  An S1 (I_X-primary) I gives M depth >= 1
-    at each point, so pd <= s - 2 there (Auslander-Buchsbaum): i = s - 1
-    is skipped."""
+    Y → X = P^(s-1) is finite, so Y is CM exactly where M = π_*O_Y, R/I
+    over k[z] (``Embedding.pushforward``), is free (Hironaka's criterion;
+    Eisenbud, *Commutative Algebra*, Cor. 18.17): off the zeros of
+    ann Ext^i(M, k[z]), 1 <= i <= s - 1, which with I_X make the locus.  An
+    S1 I gives M depth >= 1 at each point, so pd <= s - 2 there
+    (Auslander-Buchsbaum) and i = s - 1 is not read."""
     res = free_resolution(emb.pushforward(ideal, t))
     window = list(range(1, min(res.length, emb._sub.nvars - (2 if s1 else 1)) + 1))
     bad = [ann for ann in (_ext_annihilator(res, i) for i in window)
