@@ -11,8 +11,10 @@ only the filtration terms, so a layer is presented, and checked against
 its terms' series, only when first read.
 
 Each filtration term past I_X is the hull of J = I_Y + I_X^(j+1), its
-I_X-primary component: J when R/J is free over k[z], else J : h^∞ (Gianni-
-Trager-Zacharias 1988).  The nilpotency index k certifies I_X ⊆ rad(I_Y), as
+I_X-primary component J : h^∞ (Gianni-Trager-Zacharias 1988), I_X^(j+1)
+written down as the support monomials of degree j + 1.  The colons by h stop
+at the first ideal free over k[z], J itself included, or at one equal to
+its input.  The nilpotency index k certifies I_X ⊆ rad(I_Y), as
 I_X^(k+1) ⊆ I_Y, so the last sum is I_Y itself and takes its hull by the
 same rule.  CM verdicts read R/I as a k[z]-module, π_*O_Y for the finite
 Y → X, presented with no Buchberger run over R: Y is CM where it is locally
@@ -39,11 +41,11 @@ from .hilbert import module_hilbert_series
 from .ideals import (
     Ideal,
     _ext_annihilator,
+    colon,
     fitting_ideal,
     intersect,
     is_irrelevant_primary,
     radical_contains,
-    saturate,
     unmixed_part,
 )
 from .modules import GradedModule, free_resolution
@@ -106,6 +108,21 @@ class Embedding:
         """Transfer a support-ring polynomial into the ambient ring."""
         return f.ring.transfer(f, self.ring)
 
+    def power(self, j, pure=False):
+        """I_X^j on its reduced basis, the support monomials of degree j
+        written down with no product formed; with ``pure`` the ideal of the
+        pure powers x_i^j alone."""
+        front, fibre = len(self.support_vars), self._fibre
+        exps = ([tuple(j * (i == p) for i in range(front)) for p in range(front)] if pure
+                else _exponents(front, j))
+        gens = (fibre.transfer(fibre.poly({e: 1}), self.ring) for e in exps)
+        return Ideal.from_basis(self.ring, sorted(gens, key=lambda g: g.top()[0]), self.guard)
+
+    def fibre(self, ideal):
+        """The ideal's image I|_(z=0) in k[x, y], whose quotient is R/I's fibre."""
+        return Ideal(self._fibre, (self.ring.restrict(g, self._fibre, 1) for g in ideal.gens),
+                     ideal.guard)
+
     def pushforward(self, ideal, t):
         """R/I as a graded module over the support ring k[z], for
         I ⊇ I_X^(t+1): π_*O_Y, Y = V(I) finite over X.  Its generators are
@@ -113,8 +130,7 @@ class Embedding:
         truncations of u*g below support degree t + 1, g a generator of I;
         ``PolyRing.split`` gives g's k[z]-coefficients once, and u shifts them."""
         front, sub = len(self.support_vars), self._sub
-        monomials = [tuple(c.count(i) for i in range(front)) for d in range(t + 1)
-                     for c in combinations_with_replacement(range(front), d)]
+        monomials = [e for d in range(t + 1) for e in _exponents(front, d)]
         position = {e: j for j, e in enumerate(monomials)}
         relations = []
         for g in ideal.gens:
@@ -124,6 +140,11 @@ class Embedding:
                                if (m := tuple(map(add, e, u))) in position), sub.zero())
                           for u in monomials if sum(u) <= t - low]
         return GradedModule(sub, tuple(map(sum, monomials)), relations, ideal.guard)
+
+
+def _exponents(n, d):
+    """The exponent tuples of the monomials of degree d in n variables."""
+    return [tuple(c.count(i) for i in range(n)) for c in combinations_with_replacement(range(n), d)]
 
 
 class MultiStructure:
@@ -169,20 +190,17 @@ class MultiStructure:
                     raise StructureError("radical of I_Y misses %s" % v) from None
 
     def nilpotency_index(self):
-        """Minimal k <= 64 with I_X^{k+1} ⊆ I_Y, searched once.  No I_X^(k+1)
-        is formed while a pure power x_i^(k+1) misses I_Y, and then only its
-        other generators are tested."""
+        """Minimal k <= 64 with I_X^{k+1} ⊆ I_Y, searched once.  While a pure
+        power x_i^(k+1) misses I_Y no other monomial of I_X^(k+1) is tested,
+        and then only the others are."""
         if self._nilpotency is None:
-            ix = power = self.embedding.support_ideal()
-            pure, formed = ix.gens, 1  # the x_i^(k+1), and power = I_X^formed
+            emb, contains = self.embedding, self.ideal.contains
+            pure = True  # a pure power may miss I_Y; once none does, none will
             for k in range(65):
-                if not all(map(self.ideal.contains, pure)):
-                    pure = [p * x for p, x in zip(pure, ix.gens)]
+                if pure and not all(map(contains, emb.power(k + 1, pure=True).gens)):
                     continue
-                pure = ()  # they stay in I_Y at every later step
-                while formed <= k:
-                    power, formed = power.times(ix), formed + 1
-                if all(self.ideal.contains(g) for g in power.gens if len(g.variables()) > 1):
+                pure = False
+                if all(contains(g) for g in emb.power(k + 1).gens if len(g.variables()) > 1):
                     break
             else:
                 k = 65  # kept, so a later read fails at once
@@ -299,51 +317,51 @@ def s1_filtration(structure):
     the presentations, which no verdict reads, are built on first use.
 
     Each sum J has radical I_X, so its hull is its I_X-primary component
-    J k(z)[x, y] ∩ R: J when R/J is free over k[z], else J : h^∞, with h the
-    product of the k[z]-coefficients of the lead x,y-monomials of a basis of
-    J under an order that eliminates x and y (Gianni-Trager-Zacharias, JSC 6,
-    1988; Greuel-Pfister, *A Singular Introduction to Commutative Algebra*,
-    4.3.1).  The last sum is I_Y itself, as I_X^(k+1) ⊆ I_Y; a hull that
-    stays I_Y shares its basis, series, resolution and Ext window.
+    J k(z)[x, y] ∩ R = J : h^∞, with h the product of the k[z]-coefficients
+    of the lead x,y-monomials of a basis of J under an order that eliminates
+    x and y (Gianni-Trager-Zacharias, JSC 6, 1988; Greuel-Pfister, *A
+    Singular Introduction to Commutative Algebra*, 4.3.1), and I_X^(j+1) is
+    written down (``Embedding.power``).  The last sum is I_Y itself, as
+    I_X^(k+1) ⊆ I_Y; a hull that stays I_Y is I_Y, caches and all, so the
+    filtration reaches the top exactly when its last term is I_Y.
     """
     emb = structure.embedding
     ring, iy = emb.ring, structure.ideal
-    ix = emb.support_ideal()
     k = structure.nilpotency_index()
     # (term, R/term free over k[z]), from I_X: I_Y itself at k = 0
-    terms, power = [(iy if k == 0 else ix, True)], ix
+    terms = [(iy if k == 0 else emb.support_ideal(), True)]
     # I_Y's fibre k[x, y]/I_Y|_(z=0) and I_Y in the block order, for every sum
-    fibre = Ideal(emb._fibre, (ring.restrict(g, emb._fibre, 1) for g in iy.gens), iy.guard)
+    fibre = emb.fibre(iy)
     block = Ideal(emb._block, (ring.transfer(g, emb._block) for g in iy.gens), iy.guard)
     for j in range(1, k + 1):
-        power = power.times(ix)  # I_X^(j+1)
         series = fibre.hilbert_series()
         # R/J's fibre: I_Y's, truncated below degree j + 1
         truncated = {d: v for d in range(j + 1) if (v := series.value(d))}
-        last = j == k  # the last sum is I_Y itself, which holds I_X^(k+1)
-        terms.append(_primary_component(emb, iy if last else iy.plus(power),
-                                        None if last else power, truncated, block))
+        # the last sum is I_Y itself, which holds I_X^(k+1)
+        power = None if j == k else emb.power(j + 1)
+        terms.append(_primary_component(emb, iy if power is None else iy.plus(power),
+                                        power, truncated, block))
     ideals, free = map(list, zip(*terms))
     # sanity: chain inclusions
     for j in range(len(ideals) - 1):
         if not ideals[j].contains_ideal(ideals[j + 1]):
             raise StructureError("filtration terms fail to nest at step %d" % j)
-    reaches_top = ideals[-1].equals(iy)
     # dim(upper/lower)_t = dim(R/lower)_t - dim(R/upper)_t
     polys = [(lower.hilbert_series() - upper.hilbert_series()).polynomial()
              for upper, lower in zip(ideals, ideals[1:])]
-    return Filtration(emb, ideals, polys, reaches_top, free)
+    return Filtration(emb, ideals, polys, ideals[-1] is iy, free)
 
 
 def _primary_component(emb, total, power, truncated, block):
     """(hull, free) of J = ``total`` = I_Y + ``power``, a power I_X^(j+1),
-    or of I_Y itself for ``power`` None: J when it is its own hull, so the
-    last term is I_Y.  R/J is free over k[z] exactly when its series is
-    ``truncated``, its fibre's, over (1 - t)^s (graded Nakayama).  J's
-    basis in the block order extends ``block``'s, I_Y's there, by the
-    power's generators; I_Y's is ``block``'s."""
+    or of I_Y itself for ``power`` None: the first of J, J : h, (J : h) : h,
+    ... free over k[z], its series its fibre's over (1 - t)^s (graded
+    Nakayama; J's fibre is ``truncated``), else the first Q with Q : h = Q.
+    A free Q is the hull: each associated prime of R/Q meets k[z] in 0, so
+    Q is I_X-primary.  J's basis in the block order extends ``block``'s,
+    I_Y's there, by the power's generators; I_Y's is ``block``'s."""
     ring, front = emb.ring, len(emb.support_vars)
-    if total.hilbert_series().reduced() == (truncated, ring.nvars - front):
+    if _free(emb, total, truncated):
         return total, True
     block.unreduced()  # so that a sum starts from I_Y's basis
     if power is not None:
@@ -358,7 +376,18 @@ def _primary_component(emb, total, power, truncated, block):
     for c in dict.fromkeys(next(iter(emb._block.split(g, front, ring).values())).monic()
                            for g in minimal):
         h = h * c
-    return (total if h.is_constant() else saturate(total, h)[0]), False
+    hull = total
+    while not h.is_constant() and not (quotient := colon(hull, h)).equals(hull):
+        hull = quotient
+        if _free(emb, hull, emb.fibre(hull).hilbert_series().reduced()[0]):
+            return hull, True
+    return hull, False
+
+
+def _free(emb, ideal, fibre):
+    """R/I free over k[z]: its series is ``fibre``, its fibre's numerator,
+    over (1 - t)^s."""
+    return ideal.hilbert_series().reduced() == (fibre, emb.ring.nvars - len(emb.support_vars))
 
 
 def layer_module(emb, upper, lower):
