@@ -254,10 +254,11 @@ def test_primary_component_is_the_hull_of_every_filtration_term(monkeypatch):
     """The hull of each sum I_Y + I_X^(j+1), j = 1..k, the last one I_Y
     itself, equals the Ext-window hull ``unmixed_part`` on every catalog row
     in each asserted characteristic, on the families and on a structure with
-    an embedded point, in characteristics 0 and 5.  Both the free shortcut
-    and the saturation answer some intermediate sum and some I_Y term; an
-    I_Y term that is its own hull is I_Y, caches and all, and the embedded
-    point's is not."""
+    an embedded point, in characteristics 0 and 5.  The free shortcut, a
+    colon free over k[z] after one colon, and a colon equal to its input
+    each answer some intermediate sum and some I_Y term.  A hull marked free
+    is the last colon made, so no colon confirms it; an I_Y term that is
+    its own hull is I_Y, caches and all, and the embedded point's is not."""
     import multischeme.ideals as ideals
     import multischeme.structures as structures
 
@@ -268,17 +269,17 @@ def test_primary_component_is_the_hull_of_every_filtration_term(monkeypatch):
         rows.append(_structure(PolyRing(("z0", "z1", "x", "y"), char=char),
                                "(x^2 + z0*y, y^2, x^3)"))
     calls, branches, own = [], {"sum": set(), "I_Y": set()}, set()
-    saturate, buchberger = structures.saturate, ideals.buchberger
+    colon, buchberger = structures.colon, ideals.buchberger
 
-    def saturating(*args):
-        calls.append("saturate")
-        return saturate(*args)
+    def colons(*args):
+        calls.append(colon(*args))
+        return calls[-1]
 
     def running(vecs, *args):
         calls.append(vecs[0].ring if vecs else None)
         return buchberger(vecs, *args)
 
-    monkeypatch.setattr(structures, "saturate", saturating)
+    monkeypatch.setattr(structures, "colon", colons)
     monkeypatch.setattr(ideals, "buchberger", running)
     component = structures._primary_component
 
@@ -287,9 +288,16 @@ def test_primary_component_is_the_hull_of_every_filtration_term(monkeypatch):
         hull, free = component(emb, total, power, fibre, block)
         assert hull.groebner() == unmixed_part(total).groebner(), (total, power)
         made = calls[before:]
-        # the free shortcut runs no block basis; a saturation comes after one
-        assert not (free and (emb._block in made or "saturate" in made)), total
-        branch = "saturate" if "saturate" in made else "free" if free else "constant"
+        quotients = [q for q in made if isinstance(q, Ideal)]
+        # the free shortcut runs no block basis; a free colon is the last
+        # one, and any other hull's last colon gave it back
+        assert not (free and not quotients and emb._block in made), total
+        if quotients:
+            assert hull is quotients[-1] if free else quotients[-1].equals(hull), total
+        if not quotients:
+            branch = "free" if free else "constant"
+        else:
+            branch = "free after %d colon(s)" % len(quotients) if free else "colon"
         branches["I_Y" if total is iy else "sum"].add(branch)
         if total is iy:
             assert (hull is iy) == hull.equals(iy), iy
@@ -300,7 +308,8 @@ def test_primary_component_is_the_hull_of_every_filtration_term(monkeypatch):
     for st in rows:
         iy = st.ideal  # the last term's sum, which ``checked`` tells apart
         st.filtration()
-    assert all({"free", "saturate"} <= found for found in branches.values()), branches
+    expected = {"free", "free after 1 colon(s)", "colon"}
+    assert all(expected <= found for found in branches.values()), branches
     assert own == {True, False}
 
 
