@@ -5,7 +5,9 @@ module reaches components, monomials and constants through the ``Vec`` and
 or a module: ``buchberger`` runs only in ``groebner``, in ``ideals`` and
 ``modules``, which define them, and in ``hilbert``, which reads a module's
 leads.  A layer presentation is built only where a ``Filtration`` builds its
-layers on first use, so no verdict pays for one it does not read."""
+layers on first use, so no verdict pays for one it does not read.  The
+filtration hulls run their own colons, each tested for freeness over the
+support ring, so ``structures`` names no ``saturate``."""
 
 import ast
 import importlib
@@ -40,6 +42,15 @@ def buchberger_uses(source):
     or passed on, bare or as a module attribute."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
                   if _reads(node, "buchberger"))
+
+
+def name_uses(source, name):
+    """Line numbers at which ``source`` names ``name``: read, written, bound
+    by an import or as a parameter, or as an attribute."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if name in (getattr(node, k, None) for k in ("id", "attr", "arg"))
+                  or isinstance(node, ast.ImportFrom)
+                  and name in (a.asname or a.name for a in node.names))
 
 
 def layer_module_readers(source):
@@ -124,3 +135,24 @@ def test_only_the_filtration_builds_layers_on_first_use():
         if found := layer_module_readers(source):
             readers[info.name] = found
     assert readers == {"multischeme.structures": {"Filtration._presentations"}}, readers
+
+
+def test_the_lint_sees_every_name_of_saturate():
+    source = (
+        "from .ideals import (\n"
+        "    saturate,\n"
+        ")\n"
+        "def f(ideal, h, saturated):\n"
+        "    ideals.saturate(ideal, h)\n"
+        "    saturate = saturated\n"
+        "    return saturated\n"
+        "def g(saturate):\n"
+        "    return 'saturate'\n"
+    )
+    assert name_uses(source, "saturate") == [1, 5, 6, 8]
+
+
+def test_the_structures_module_names_no_saturate():
+    from multischeme import structures
+
+    assert name_uses(Path(structures.__file__).read_text(), "saturate") == []

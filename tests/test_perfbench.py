@@ -132,3 +132,25 @@ def test_timed_pass_resolves_no_quotient_over_the_whole_ring(workload, monkeypat
     assert calls == {"quotient_resolution": 0, "ext_annihilator": 0,
                      "free_resolution": _TIMED_RESOLUTIONS[workload]}
 
+
+def test_timed_catalog_pass_stops_each_hull_at_its_first_free_colon(monkeypatch, rebind):
+    # each hull ends at the first colon free over k[z], or at one equal to
+    # its input, never in ``saturate``'s confirming colon; a hull found free
+    # gets its CM verdict with no presentation; I_X^(j+1) is written down,
+    # never multiplied out
+    import multischeme.ideals as ideals
+    import multischeme.structures as structures
+
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import workloads
+
+    owners = {"colon": ideals, "saturate": ideals, "is_locally_CM": structures}
+    calls = dict.fromkeys(list(owners) + ["times"], 0)
+    items = workloads.setup("catalog", workloads.DEFAULT_SEED)
+    for name, module in owners.items():
+        rebind(module, name, _counting(calls, name))
+    monkeypatch.setattr(ideals.Ideal, "times", _counting(calls, "times")(ideals.Ideal.times))
+    results = workloads.run_pass(items, canon=None)
+    assert [bad for _, _, _, bad in results if bad] == []
+    assert calls["colon"] <= 35 and calls["is_locally_CM"] <= 3, calls
+    assert calls["saturate"] == 0 and calls["times"] == 0, calls

@@ -18,7 +18,7 @@ from multischeme.ideals import (
 )
 from multischeme.modules import GradedModule
 from multischeme.parse import parse_ideal
-from multischeme.ring import PolyRing, ResourceGuardExceeded
+from multischeme.ring import LEX, PolyRing, ResourceGuardExceeded
 from multischeme.scenarios import run_scenario
 from multischeme.structures import (
     Embedding,
@@ -42,6 +42,24 @@ def ring():
 
 def _structure(ring, text):
     return MultiStructure.parse(ring, text)
+
+
+@pytest.mark.parametrize("order", ["grevlex", "lex"])
+def test_power_writes_down_the_reduced_basis_of_the_product(order):
+    """I_X^j written down by ``Embedding.power`` is the reduced basis of
+    the repeated product, for j <= 6 on 1-3 support variables anywhere in
+    the ring; its pure powers are the x_i^j."""
+    names = ("z0", "x", "z1", "y", "w")
+    ring = PolyRing(names, order=LEX) if order == "lex" else PolyRing(names)
+    for support in (("y",), ("x", "z1"), ("w", "x", "z0")):
+        emb = Embedding(ring, support)
+        product = ix = emb.support_ideal()
+        for j in range(1, 7):
+            written = emb.power(j)
+            assert written.gens == tuple(written.groebner()) == tuple(product.groebner())
+            pure = emb.power(j, pure=True).gens
+            assert sorted(map(str, pure)) == sorted(str(ring.var(v) ** j) for v in support)
+            product = product.times(ix)
 
 
 def test_embedding_basics(ring):
@@ -371,6 +389,23 @@ def test_the_terms_are_cm_up_to_j_plus_1_exactly_when_the_layers_to_j_are_locall
             assert all(flags[:j + 2]) == all(free), (name, j, flags, free)
             chains[all(free)] += 1
     assert chains[True] >= 100 and chains[False] >= 10, chains
+
+
+def test_a_term_the_hull_found_free_has_the_verdict_of_a_free_pushforward():
+    """The CM shortcut for a term marked free, I_X's and each hull's that
+    stopped at a free sum or colon, gives the verdict ``is_locally_CM``
+    reads off the term's presentation over k[z]: CM, an empty locus and no
+    Ext read."""
+    free = 0
+    for name, st in _cm_rows():
+        filt = st.filtration()
+        for j, term in enumerate(filt.ideals):
+            if filt.free[j]:
+                read = is_locally_CM(st.embedding, term, j, s1=True)
+                for cm, locus, window in (st._cm(j), read):
+                    assert (cm, locus.is_one(), window) == (True, True, []), (name, j)
+                free += j > 0
+    assert free >= 110, free
 
 
 def test_report_lists_the_ext_indices_it_read(ring):
