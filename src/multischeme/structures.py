@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations_with_replacement
 from operator import add, le
 
 from .groebner import DEFAULT_GUARD, ResourceGuardExceeded, syzygies
@@ -49,6 +48,7 @@ from .ideals import (
     unmixed_part,
 )
 from .modules import GradedModule, free_resolution
+from .quotients import monomials_of_degree
 
 
 class StructureError(ValueError):
@@ -114,7 +114,7 @@ class Embedding:
         pure powers x_i^j alone."""
         front, fibre = len(self.support_vars), self._fibre
         exps = ([tuple(j * (i == p) for i in range(front)) for p in range(front)] if pure
-                else _exponents(front, j))
+                else monomials_of_degree(fibre, j))
         gens = (fibre.transfer(fibre.poly({e: 1}), self.ring) for e in exps)
         return Ideal.from_basis(self.ring, sorted(gens, key=lambda g: g.top()[0]), self.guard)
 
@@ -130,7 +130,7 @@ class Embedding:
         truncations of u*g below support degree t + 1, g a generator of I;
         ``PolyRing.split`` gives g's k[z]-coefficients once, and u shifts them."""
         front, sub = len(self.support_vars), self._sub
-        monomials = [e for d in range(t + 1) for e in _exponents(front, d)]
+        monomials = [e for d in range(t + 1) for e in monomials_of_degree(self._fibre, d)]
         position = {e: j for j, e in enumerate(monomials)}
         relations = []
         for g in ideal.gens:
@@ -140,11 +140,6 @@ class Embedding:
                                if (m := tuple(map(add, e, u))) in position), sub.zero())
                           for u in monomials if sum(u) <= t - low]
         return GradedModule(sub, tuple(map(sum, monomials)), relations, ideal.guard)
-
-
-def _exponents(n, d):
-    """The exponent tuples of the monomials of degree d in n variables."""
-    return [tuple(c.count(i) for i in range(n)) for c in combinations_with_replacement(range(n), d)]
 
 
 class MultiStructure:
