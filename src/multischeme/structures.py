@@ -112,11 +112,14 @@ class Embedding:
         """I_X^j on its reduced basis, the support monomials of degree j
         written down with no product formed; with ``pure`` the ideal of the
         pure powers x_i^j alone."""
-        front, fibre = len(self.support_vars), self._fibre
-        exps = ([tuple(j * (i == p) for i in range(front)) for p in range(front)] if pure
-                else monomials_of_degree(fibre, j))
-        gens = (fibre.transfer(fibre.poly({e: 1}), self.ring) for e in exps)
-        return Ideal.from_basis(self.ring, sorted(gens, key=lambda g: g.top()[0]), self.guard)
+        ring, front = self.ring, len(self.support_vars)
+        exps = ([(0,) * p + (j,) + (0,) * (front - 1 - p) for p in range(front)] if pure
+                else monomials_of_degree(self._fibre, j))
+        # each ring variable's slot in a support exponent padded by a 0
+        slots = [self.support_vars.index(n) if n in self.support_vars else front
+                 for n in ring.names]
+        full = sorted((tuple((e + (0,))[i] for i in slots) for e in exps), key=ring.key)
+        return Ideal.from_basis(ring, [ring.poly({e: 1}) for e in full], self.guard)
 
     def fibre(self, ideal):
         """The ideal's image I|_(z=0) in k[x, y], whose quotient is R/I's fibre."""
