@@ -273,7 +273,7 @@ def test_primary_component_is_the_hull_of_every_filtration_term(monkeypatch):
     itself, equals the Ext-window hull ``unmixed_part`` on every catalog row
     in each asserted characteristic, on the families and on a structure with
     an embedded point, in characteristics 0 and 5.  The free shortcut, a
-    colon free over k[z] after one colon, and a colon equal to its input
+    hull free over k[z] after one colon, and a colon equal to its input
     each answer some intermediate sum and some I_Y term.  A hull marked free
     is the last colon made, so no colon confirms it; an I_Y term that is
     its own hull is I_Y, caches and all, and the embedded point's is not."""
