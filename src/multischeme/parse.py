@@ -69,6 +69,9 @@ def parse_ring(text):
     names = [n.strip() for n in parts[0][4:].split(",") if n.strip()]
     if not names:
         raise ParseError("no variables declared")
+    for name in names:
+        if not _is_name(name):
+            raise ParseError("variable name %r is not one identifier" % name)
     char = 0
     order = GREVLEX
     for part in parts[1:]:

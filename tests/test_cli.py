@@ -99,6 +99,7 @@ def test_bad_subcommand_is_usage_error(capsys):
         ("ring z,x,y / char 3317044064679887385961981", "below"),
         ("ring z,x,y / char %d" % (2**89 - 1), "below"),
         ("ring z,x,y / char 0 / block 9", "block of 9 variables in a ring of 3"),
+        ("ring z0 x y", "variable name 'z0 x y' is not one identifier"),
     ],
 )
 def test_bad_ring_declaration_is_usage_error(tmp_path, capsys, decl, message):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from multischeme.groebner import ResourceGuardExceeded
@@ -32,6 +34,11 @@ def test_ring_declaration_errors():
         parse_ring("ring x,y / char 0 / mystery")
     with pytest.raises(ParseError):
         parse_ring("ring ")
+    # a name the polynomial grammar cannot read back as one variable
+    for decl, name in [("ring z0 x y", "z0 x y"), ("ring z0,2x,y", "2x"), ("ring z,x-1,y", "x-1"),
+                       ("ring z,x y / char 3", "x y"), ("ring z,x^2", "x^2")]:
+        with pytest.raises(ParseError, match=re.escape("variable name %r is not one" % name)):
+            parse_ring(decl)
 
 
 def test_polynomial_grammar():
