@@ -1,20 +1,23 @@
 """Hilbert series, Hilbert polynomials, and the P-basis.
 
-The series of R/I is computed from the lead-term ideal by pivot recursion on
-monomial generators.  Hilbert polynomials are written in the basis
-P_i(t) = binom(t + i, i), whose generating function is 1/(1-t)^(i+1).  Every
-polynomial comes from a series q(t)/(1-t)^n by integer division: write
-q = q(1) + (1-t)*q', take q(1) as the coefficient of P_(n-1) and recurse on
-q'/(1-t)^(n-1) (Bruns-Herzog, Cohen-Macaulay Rings, 4.1).  Twisted free
-modules, Euler sums and dense input are turned into series first.  Numerators
-and P-basis coefficients are added and scaled by ``ring``'s term kernels.
+The series of R/I comes from the lead-term ideal, minimalized once: Bigatti's
+pivot recursion (JPAA 119, 1997) keeps its generators minimal, minimalizing
+only colons, down to pure powers, whose numerator is the product of the
+(1 - t^|g|).  Hilbert polynomials are in the basis P_i(t) = binom(t + i, i),
+with generating function 1/(1-t)^(i+1).  A series q(t)/(1-t)^n gives its
+polynomial by integer division on a dense coefficient list: q(1) is the
+coefficient of P_(n-1), and q' = (q - q(1))/(1-t), the running sums of
+q - q(1), recurses over (1-t)^(n-1) (Bruns-Herzog, Cohen-Macaulay Rings,
+4.1).  Twisted free modules, Euler sums and dense input become series first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
+from operator import le
 
 from .groebner import buchberger
 from .ring import add_terms, scale_terms
@@ -25,48 +28,43 @@ from .ring import add_terms, scale_terms
 
 
 def _minimalize(gens):
+    """The distinct exponent tuples of ``gens`` that no other one divides."""
     out = []
-    for m in sorted(gens, key=sum):
-        if not any(all(a <= b for a, b in zip(g, m)) for g in out):
+    for m in sorted(set(gens), key=sum):
+        if not any(all(map(le, g, m)) for g in out):
             out.append(m)
     return out
 
 
 def monomial_numerator(gens, nvars):
     """Numerator of Hilb(R/(gens)) over (1-t)^nvars, as {degree: int}."""
-    gens = _minimalize([tuple(g) for g in gens])
-    return _numerator(tuple(sorted(gens)), nvars)
+    return {d: c for d, c in enumerate(_numerator(_minimalize(map(tuple, gens)))) if c}
 
 
-def _numerator(gens, nvars):
-    if not gens:
-        return {0: 1}
-    if any(sum(g) == 0 for g in gens):
-        return {}
-    supports = [frozenset(i for i, e in enumerate(g) if e) for g in gens]
-    if all(
-        supports[a].isdisjoint(supports[b])
-        for a in range(len(gens))
-        for b in range(a + 1, len(gens))
-    ):
-        # pairwise coprime generators form a regular sequence
-        out = {0: 1}
-        for g in gens:  # out * (1 - t^|g|)
-            add_terms(out, [(k + sum(g), v) for k, v in out.items()], 0, -1)
+def _numerator(gens):
+    """Dense numerator of R/(gens) for minimal generators, by Bigatti's pivot
+    recursion N(I) = N(I + (p)) + t^deg(p) N(I : p)."""
+    mixed = [g for g in gens if len(g) - g.count(0) > 1]
+    if not mixed:  # minimal pure powers (or 1) are coprime: the product of (1 - t^|g|)
+        out = [1]
+        for d in map(sum, gens):
+            out += [0] * d
+            for k in range(len(out) - 1, d - 1, -1):
+                out[k] -= out[k - d]
         return out
-    nontrivial = [g for g in gens if sum(1 for e in g if e) > 1]
-    counts = [0] * nvars
-    for g in nontrivial:
-        for i, e in enumerate(g):
-            if e:
-                counts[i] += 1
-    piv = max(range(nvars), key=lambda i: counts[i])
-    pvec = tuple(1 if i == piv else 0 for i in range(nvars))
-    plus = _minimalize(list(gens) + [pvec])
-    quot = _minimalize([tuple(max(e - p, 0) for e, p in zip(g, pvec)) for g in gens])
-    left = _numerator(tuple(sorted(plus)), nvars)
-    right = _numerator(tuple(sorted(quot)), nvars)
-    return add_terms(left, ((k + 1, v) for k, v in right.items()), 0)
+    # p = x_i^e: x_i the variable of most mixed generators, e their median exponent
+    counts = [len(col) - col.count(0) for col in zip(*mixed)]
+    i = counts.index(max(counts))
+    e = sorted(g[i] for g in mixed if g[i])[(counts[i] - 1) // 2]
+    # every pure power of x_i among the minimal gens is above e, so I + (p) is
+    # minimal as it stands; only the colon needs minimalizing
+    plus = [g for g in gens if g[i] < e] + [(0,) * i + (e,) + (0,) * (len(counts) - i - 1)]
+    colon = _minimalize([g[:i] + (max(g[i] - e, 0),) + g[i + 1:] if g[i] else g for g in gens])
+    out, right = _numerator(plus), _numerator(colon)
+    out += [0] * (len(right) + e - len(out))
+    for k, c in enumerate(right, e):
+        out[k] += c
+    return out
 
 
 @dataclass(frozen=True)
@@ -80,17 +78,22 @@ class HilbertSeries:
     def make(cls, numer, nvars):
         return cls(tuple(sorted((k, v) for k, v in numer.items() if v)), nvars)
 
-    def numer_dict(self):
-        return dict(self.numerator)
-
     def reduced(self):
         """(numerator with all (1-t) factors cancelled, remaining pole order)."""
-        numer = self.numer_dict()
-        pole = self.nvars
-        while numer and sum(numer.values()) == 0:
-            numer = _divide_by_one_minus_t(numer)
+        numer, pole = self.numerator, self.nvars
+        lo, hi = (numer[0][0], numer[-1][0]) if numer else (0, -1)
+        dense = self._dense(lo, hi)
+        while dense and not sum(dense):  # p(1) = 0: p/(1-t) is made of p's partial sums
+            dense = list(accumulate(dense))[:-1]
             pole -= 1
-        return numer, pole
+        return {d: c for d, c in enumerate(dense, lo) if c}, pole
+
+    def _dense(self, lo, hi):
+        """The numerator's coefficients at degrees lo..hi, which hold its support."""
+        dense = [0] * (hi - lo + 1)
+        for d, c in self.numerator:
+            dense[d - lo] = c
+        return dense
 
     def dimension_degree(self):
         """(projective dimension of the zero set, degree).  Empty set: (-1, 0)."""
@@ -110,13 +113,17 @@ class HilbertSeries:
         Cross-checked against the exact dimension count at five consecutive
         degrees from the agreement bound on.
         """
-        numer = self.numer_dict()
-        start = max(max(numer, default=0) - self.nvars + 1, 0)
+        numer = self.numerator
+        lo, top = (min(numer[0][0], 0), numer[-1][0]) if numer else (0, 0)
+        dense = self._dense(lo, max(top, 0))
         coeffs = {}
         for i in reversed(range(self.nvars)):
-            coeffs[i] = sum(numer.values())
-            numer = _divide_by_one_minus_t(add_terms(numer, [(0, coeffs[i])], 0, -1))
+            # q = q(1) + (1-t) q': q(1) is the P_i coefficient, recurse on q'
+            coeffs[i] = sum(dense)
+            dense[-lo] -= coeffs[i]
+            dense = list(accumulate(dense))
         hp = HilbertPoly.make(coeffs)
+        start = max(top - self.nvars + 1, 0)
         for t in range(start, start + 5):
             if hp(t) != self.value(t):
                 raise ArithmeticError("Hilbert polynomial disagrees with series at t=%d" % t)
@@ -124,19 +131,8 @@ class HilbertSeries:
 
     def __sub__(self, other):
         assert self.nvars == other.nvars
-        return HilbertSeries.make(add_terms(self.numer_dict(), other.numerator, 0, -1), self.nvars)
-
-
-def _divide_by_one_minus_t(numer):
-    # divide a Laurent polynomial with p(1) = 0 by (1 - t)
-    out = {}
-    acc = 0
-    for d in range(min(numer, default=0), max(numer, default=-1) + 1):
-        acc += numer.get(d, 0)
-        if acc:
-            out[d] = acc
-    # p(t) = (1-t) q(t) with q as accumulated partial sums
-    return out
+        numer = add_terms(dict(self.numerator), other.numerator, 0, -1)
+        return HilbertSeries.make(numer, self.nvars)
 
 
 def hilbert_series_of_leads(lead_exps_by_comp, gen_degrees, nvars):

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
+from operator import le
 
 import pytest
 
@@ -37,6 +39,41 @@ def test_monomial_numerator_regular_sequence():
 def test_monomial_numerator_with_overlap():
     # R/(x^2, x*y): numerator 1 - t^2 - t^2 + t^3
     assert monomial_numerator([(2, 0), (1, 1)], 2) == {0: 1, 2: -2, 3: 1}
+
+
+def _taylor_numerator(gens):
+    """Inclusion-exclusion over the Taylor complex, kept as a reference:
+    sum over subsets S of gens of (-1)^|S| t^deg(lcm S)."""
+    out = {}
+    for r in range(len(gens) + 1):
+        for subset in combinations(gens, r):
+            d = sum(map(max, zip(*subset))) if subset else 0
+            out[d] = out.get(d, 0) + (-1) ** r
+    return {d: c for d, c in out.items() if c}
+
+
+def test_monomial_numerator_matches_inclusion_exclusion():
+    rng = random.Random(39)
+    seen = dict.fromkeys(("duplicate", "divisible", "unit", "pure power"), 0)
+    for case in range(600):
+        nvars = rng.randint(1, 5)
+        gens = [tuple(rng.randint(0, 4) for _ in range(nvars)) for _ in range(rng.randint(0, 8))]
+        if gens and case % 4 == 0:  # a duplicate, or a multiple of a generator
+            g = rng.choice(gens)
+            gens.append(g if rng.random() < 0.5 else tuple(e + rng.randint(0, 2) for e in g))
+        elif case % 4 == 1 and len(gens) < 8:  # pure powers
+            gens += [tuple(rng.randint(1, 4) * (j == i) for j in range(nvars))
+                     for i in rng.sample(range(nvars), rng.randint(1, nvars))][:8 - len(gens)]
+        elif case % 20 == 2 and gens:
+            gens[-1] = (0,) * nvars  # the unit ideal
+        pairs = list(combinations(gens, 2))
+        seen["duplicate"] += any(a == b for a, b in pairs)
+        seen["divisible"] += any(a != b and (all(map(le, a, b)) or all(map(le, b, a)))
+                                 for a, b in pairs)
+        seen["unit"] += (0,) * nvars in gens
+        seen["pure power"] += any(sum(1 for e in g if e) == 1 for g in gens)
+        assert monomial_numerator(gens, nvars) == _taylor_numerator(gens), gens
+    assert min(seen.values()) >= 25, seen
 
 
 def test_series_values_count_monomials():
@@ -205,22 +242,57 @@ def _dense_fraction_polynomial(series):
     return HilbertPoly.make(out)
 
 
+def _dict_reduced(series):
+    """The former reduced(), kept as a reference: divide the numerator dict by
+    (1 - t) one degree at a time while it vanishes at t = 1."""
+
+    def divide_by_one_minus_t(numer):
+        out = {}
+        acc = 0
+        for d in range(min(numer, default=0), max(numer, default=-1) + 1):
+            acc += numer.get(d, 0)
+            if acc:
+                out[d] = acc
+        return out
+
+    numer, pole = dict(series.numerator), series.nvars
+    while numer and sum(numer.values()) == 0:
+        numer = divide_by_one_minus_t(numer)
+        pole -= 1
+    return numer, pole
+
+
 def test_polynomial_matches_the_dense_fraction_reference():
-    checked = 0
+    """polynomial() against the dense Fraction route and reduced() against the
+    dict division, on every catalog and layer series and on edge cases."""
+    series = []
     for entry in load_catalog():
         for char in entry.chars:
             st = entry.structure(char=char)
             filt = st.filtration()
-            series = [i.hilbert_series() for i in [st.ideal] + list(filt.ideals)]
+            series += [i.hilbert_series() for i in [st.ideal] + list(filt.ideals)]
             series += [module_hilbert_series(layer) for layer in filt.layers]
-            for s in series:
-                assert s.polynomial() == _dense_fraction_polynomial(s), (entry.id, char, s)
-                checked += 1
-    assert checked == 244  # 156 ideal series and 88 layer series
+    assert len(series) == 244  # 156 ideal series and 88 layer series
+    # Laurent numerators: O(2) on P^1 and O(1)^3 - O on P^2 (twisted_free_hilbert,
+    # euler_characteristic), a finite-length R/(x^2, y^3) of pole 0, the zero series
+    series += [HilbertSeries.make({-2: 1}, 2), HilbertSeries.make({-1: 3, 0: -1}, 3),
+               HilbertSeries.make({-3: 2, -1: 1, 0: -1}, 4),
+               HilbertSeries.make(monomial_numerator([(2, 0), (0, 3)], 2), 2),
+               HilbertSeries.make({}, 3), HilbertSeries.make({}, 0)]
     rng = random.Random(8)
     for _ in range(200):
         nvars = rng.randint(1, 5)
         lo = rng.randint(-4, 2)
         numer = {d: rng.randint(-5, 5) for d in range(lo, lo + rng.randint(1, 6))}
-        s = HilbertSeries.make(numer, nvars)
+        for _ in range(rng.randint(0, 3)):  # times (1 - t)
+            numer = {d: numer.get(d, 0) - numer.get(d - 1, 0)
+                     for d in range(min(numer), max(numer) + 2)}
+        series.append(HilbertSeries.make(numer, nvars))
+    for s in series:
         assert s.polynomial() == _dense_fraction_polynomial(s), s
+        assert s.reduced() == _dict_reduced(s), s
+    assert HilbertSeries.make(monomial_numerator([(2, 0), (0, 3)], 2), 2).reduced() == (
+        {0: 1, 1: 2, 2: 2, 3: 1}, 0)
+    assert HilbertSeries.make({}, 3).reduced() == ({}, 3)
+    assert series[244].polynomial() == twisted_free_hilbert(1, 2)
+    assert series[245].polynomial() == euler_characteristic(2, [[(1, 3)], [(0, 1)]])
