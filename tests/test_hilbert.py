@@ -294,5 +294,7 @@ def test_polynomial_matches_the_dense_fraction_reference():
     assert HilbertSeries.make(monomial_numerator([(2, 0), (0, 3)], 2), 2).reduced() == (
         {0: 1, 1: 2, 2: 2, 3: 1}, 0)
     assert HilbertSeries.make({}, 3).reduced() == ({}, 3)
-    assert series[244].polynomial() == twisted_free_hilbert(1, 2)
-    assert series[245].polynomial() == euler_characteristic(2, [[(1, 3)], [(0, 1)]])
+    # P_1(t + 2) = P_1 + 2 P_0, and 3 P_2(t + 1) - P_2 = 2 P_2 + 3 P_1 + 3 P_0
+    assert twisted_free_hilbert(1, 2) == series[244].polynomial() == HilbertPoly.make({1: 1, 0: 2})
+    assert euler_characteristic(2, [[(1, 3)], [(0, 1)]]) == series[245].polynomial() == (
+        HilbertPoly.make({2: 2, 1: 3, 0: 3}))
