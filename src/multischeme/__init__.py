@@ -31,7 +31,6 @@ from .structures import (
     MultiStructure,
     StructureError,
     is_locally_CM,
-    is_locally_free,
     is_S1,
     s1_filtration,
     thicken,

@@ -130,7 +130,9 @@ class HilbertSeries:
         return hp
 
     def __sub__(self, other):
-        assert self.nvars == other.nvars
+        if self.nvars != other.nvars:
+            raise ValueError("difference of series with poles of order %d and %d"
+                             % (self.nvars, other.nvars))
         numer = add_terms(dict(self.numerator), other.numerator, 0, -1)
         return HilbertSeries.make(numer, self.nvars)
 

@@ -9,14 +9,18 @@ for; an ideal made ``from_basis`` reads its generators and runs nothing.
 Every colon, intersection and Ext annihilator is one ``module_colon``: one
 ``syzygies`` of a stacked vector modulo the image's known basis; a sum I + J
 extends the basis I holds, J's generators entering reduced.  Each zero-locus
-question has one test: f in rad(I) when I + (f - 1) is the unit ideal, V(I)
-empty by ``is_irrelevant_primary``, and the hull by one saturation.
+question has one test: f in rad(I) when I + (f - 1) is the unit ideal, and
+V(I) empty by ``is_irrelevant_primary``.  An Ext window beyond the
+codimension (``ext_window``) runs over any minimal resolution: the CM
+verdicts read it over the support ring.  The hull of R/I by one saturation
+(``unmixed_part``) and the Ext annihilators of R/I over R are the reference
+the tests hold the filtration hulls and CM verdicts to.
 
 The resource budget is fixed where an ideal is built: ``Ideal(ring, gens,
 guard)`` (and ``from_basis``, ``parse``) keeps the ``Guard`` it is given, the
 default one if none, and runs every computation under it, so no cache needs
 the guard in its key.  What is derived from an ideal keeps its guard: a sum,
-a product, a colon, a saturation, the hull, an Ext annihilator, and an
+a product, a colon, a saturation, the hull, an Ext annihilator of R/I, and an
 intersection the first ideal's.  ``fitting_ideal`` builds its ideal with
 its module's guard; ``module_colon`` starts from vectors, with no ideal or
 module in reach, so it takes the guard explicitly.
@@ -43,9 +47,9 @@ from .ring import Vec
 
 class Ideal:
     """An ideal with its Groebner bases (in the ring's order: the unreduced one
-    of one Buchberger run, interreduced on demand), Hilbert series, minimal
-    resolution of R/I and Ext^i(R/I, R) annihilators cached.  Every one of
-    them is computed under the ideal's own ``guard``, fixed when it is built."""
+    of one Buchberger run, interreduced on demand), Hilbert series and
+    minimal resolution of R/I cached.  Every one of them is computed under
+    the ideal's own ``guard``, fixed when it is built."""
 
     def __init__(self, ring, gens, guard=None):
         self.ring = ring
@@ -60,7 +64,6 @@ class Ideal:
         self._index = None  # lead_index of the unreduced basis
         self._series = None
         self._res = None
-        self._ext = {}  # i -> ann Ext^i(R/I, R)
 
     @classmethod
     def from_basis(cls, ring, basis, guard=None):
@@ -290,13 +293,12 @@ def module_colon(im_gens, vs, rank, guard=None):
 
 
 def ext_annihilator(ideal, i):
-    """Annihilator of Ext^i(R/I, R), cached on the ideal; the unit ideal when
-    the Ext vanishes."""
+    """Annihilator of Ext^i(R/I, R), read off the cached resolution of R/I;
+    the unit ideal when the Ext vanishes.  No verdict reads it: it is the
+    tests' reference over R."""
     if i < 0:
         raise ValueError("negative cohomological index")
-    if i not in ideal._ext:
-        ideal._ext[i] = _ext_annihilator(quotient_resolution(ideal), i)
-    return ideal._ext[i]
+    return _ext_annihilator(quotient_resolution(ideal), i)
 
 
 def _ext_annihilator(resolution, i):
@@ -323,14 +325,12 @@ def _ext_annihilator(resolution, i):
     return module_colon(gb_im, nontrivial, ranks[i], guard)
 
 
-def ext_window(ideal):
-    """(i, ann Ext^i(R/I, R)) for codim I < i <= pd(R/I), read from the
-    ideal's cache; the codimension comes from its cached Hilbert series.
-    Ext^i vanishes beyond pd(R/I) = the resolution's length; the term
-    i = nvars (depth R/I = 0) has an irrelevant annihilator."""
-    res = quotient_resolution(ideal)
-    for i in range(ideal.codimension() + 1, res.length + 1):
-        yield i, ext_annihilator(ideal, i)
+def ext_window(resolution, codim, top):
+    """[(i, ann Ext^i(M, S))] for codim < i <= min(top, pd M), over a minimal
+    resolution of M over any ring S.  Ext^i vanishes beyond pd M, the
+    resolution's length, so the window stops there."""
+    stop = min(top, resolution.length)
+    return [(i, _ext_annihilator(resolution, i)) for i in range(codim + 1, stop + 1)]
 
 
 def quotient_resolution(ideal):
@@ -350,7 +350,8 @@ def unmixed_part(ideal):
     components, returned on its reduced basis, as one saturation I : J^infinity.
 
     Let c = codim I and J the intersection of the non-unit annihilators
-    ann Ext^i(R/I, R) of the window c < i <= pd(R/I) (``ext_window``).
+    ann Ext^i(R/I, R) of the window c < i <= pd(R/I) (``ext_window``, read
+    to the top n = nvars, which pd(R/I) never passes).
     Every associated prime of codimension i > c contains ann Ext^i(R/I, R),
     so it contains J; no codimension-c prime P contains any of them, since
     (R/I)_P is Artinian (Eisenbud-Huneke-Vasconcelos, *Direct methods for
@@ -362,17 +363,20 @@ def unmixed_part(ideal):
     ring = ideal.ring
     if is_irrelevant_primary(ideal):
         return Ideal(ring, [ring.one()], ideal.guard)
-    bad = [ann for _, ann in ext_window(ideal) if not ann.is_one()]
+    window = ext_window(quotient_resolution(ideal), ideal.codimension(), ring.nvars)
+    bad = [ann for _, ann in window if not ann.is_one()]
     hull = saturate(ideal, intersect(*bad))[0] if bad else ideal
     if hull is not ideal:  # saturate returns its input when nothing changes
         return hull  # a colon, so an ideal made from_basis
     same = Ideal.from_basis(ring, ideal.groebner(), ideal.guard)
-    same._series, same._res, same._ext = ideal._series, ideal._res, ideal._ext
+    same._series, same._res = ideal._series, ideal._res
     return same
 
 
 def is_unmixed(ideal):
     """No embedded components away from the irrelevant ideal; the window is
-    empty for the zero ideal and for an empty V(I)."""
-    window = ext_window(ideal)
-    return all(ann.codimension() > i for i, ann in window if i < ideal.ring.nvars)
+    empty for the zero ideal and for an empty V(I).  The term i = nvars
+    (depth R/I = 0) has an irrelevant annihilator and is not read."""
+    n = ideal.ring.nvars
+    window = ext_window(quotient_resolution(ideal), ideal.codimension(), n)
+    return all(ann.codimension() > i for i, ann in window if i < n)

@@ -256,9 +256,6 @@ class PolyRing:
     def var(self, name):
         return Vec(self, None, {self.pk.off + self.pk.weights[self._index[name]]: 1})
 
-    def gens(self):
-        return [self.var(n) for n in self.names]
-
     # -- derived rings -----------------------------------------------------
 
     def extended(self, new_names):
@@ -478,9 +475,6 @@ class Vec:
 
     __radd__ = __add__
     __rmul__ = __mul__
-
-    def __rsub__(self, other):
-        return self._coerce(other) - self
 
     def __pow__(self, n):
         if n < 0:

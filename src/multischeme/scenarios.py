@@ -24,12 +24,12 @@ from .hilbert import (
     euler_characteristic,
     reduced_degree3_membership,
 )
-from .ideals import Ideal, same_zero_locus, unmixed_part
+from .ideals import Ideal, same_zero_locus
 from .modules import GradedModule, matrix_rank
 from .parse import format_ideal
 from .quotients import line_bundle_quotients
 from .ring import PolyRing
-from .structures import Embedding, MultiStructure, is_S1, thicken
+from .structures import Embedding, MultiStructure, thicken
 
 
 @dataclass
@@ -312,15 +312,16 @@ def _scn_nontype1(rec, opts):
         rec.check(tag + ":multiplicity", a * b + 2, st.multiplicity())
         rec.check(tag + ":multiplicity-manifest", expect["multiplicity"], st.multiplicity())
         rec.check(tag + ":locally-cm", True, st.locally_cm()[0])
-        # locally CM, so S1: I_Y is its own hull
-        rec.check_ideal(tag + ":s1-hull", st.ideal, unmixed_part(st.ideal))
+        # locally CM, so S1: I_Y is its own hull, the filtration's last term
+        rec.check_ideal(tag + ":s1-hull", st.ideal, st.filtration().ideals[-1])
         verdict, flags = st.is_type_I()
         rec.check(tag + ":type-i", False, verdict)
         bad = [j for j, f in enumerate(flags) if not f]
         rec.check(tag + ":one-non-cm-term", 1, len(bad))
         if len(bad) == 1:
             z_ideal = st.filtration().ideals[bad[0]]
-            rec.check(tag + ":term-s1", True, is_S1(z_ideal))
+            term = MultiStructure(st.embedding, z_ideal, check=False)
+            rec.check(tag + ":term-s1", True, term.is_S1())
             _, locus = st.locally_cm(bad[0])
             ring = st.embedding.ring
             expected_locus = Ideal(ring, [ring.var(v) for v in locus_vars], opts.guard)
@@ -397,8 +398,8 @@ def _scn_ci_lattice(rec, opts):
         tag = "S=%s" % (S,)
         rec.check(tag + ":multiplicity", expect["multiplicity"], st.multiplicity())
         rec.check(tag + ":locally-cm", True, st.locally_cm()[0])
-        # locally CM, so S1: I_Y is its own hull
-        rec.check_ideal(tag + ":s1-hull", st.ideal, unmixed_part(st.ideal))
+        # locally CM, so S1: I_Y is its own hull, the filtration's last term
+        rec.check_ideal(tag + ":s1-hull", st.ideal, st.filtration().ideals[-1])
     for i, S in enumerate(subsets):
         for j, T in enumerate(subsets):
             # Z_S inside Z_T as schemes means I_T inside I_S as ideals
@@ -415,8 +416,8 @@ def _scn_koszul(rec, opts):
     expect = fam.manifest[0]
     rec.check("multiplicity", expect["multiplicity"], st.multiplicity())
     rec.check("locally-cm", True, st.locally_cm()[0])
-    # locally CM, so S1: I_Y is its own hull
-    rec.check_ideal("s1-hull", st.ideal, unmixed_part(st.ideal))
+    # locally CM, so S1: I_Y is its own hull, the filtration's last term
+    rec.check_ideal("s1-hull", st.ideal, st.filtration().ideals[-1])
     rec.check("hilbert", expect["hilb"], st.hilbert_polynomial())
     ext = build_family("koszul", n=2, extend=True, guard=opts.guard)
     st_e = ext.structures[0]

@@ -39,8 +39,8 @@ from .groebner import DEFAULT_GUARD, ResourceGuardExceeded, syzygies
 from .hilbert import module_hilbert_series
 from .ideals import (
     Ideal,
-    _ext_annihilator,
     colon,
+    ext_window,
     fitting_ideal,
     intersect,
     is_irrelevant_primary,
@@ -131,7 +131,13 @@ class Embedding:
         I ⊇ I_X^(t+1): π_*O_Y, Y = V(I) finite over X.  Its generators are
         the support monomials u of degree <= t, its relations the
         truncations of u*g below support degree t + 1, g a generator of I;
-        ``PolyRing.split`` gives g's k[z]-coefficients once, and u shifts them."""
+        ``PolyRing.split`` gives g's k[z]-coefficients once, and u shifts them.
+        A t below the nilpotency index would present R/(I + I_X^(t+1)), so
+        it is refused, naming a monomial of I_X^(t+1) outside I."""
+        missed = next((m for m in self.power(t + 1).gens if not ideal.contains(m)), None)
+        if missed is not None:
+            raise StructureError("t = %d is below the nilpotency index: %s in I_X^(t+1) is "
+                                 "not in I" % (t, missed))
         front, sub = len(self.support_vars), self._sub
         monomials = [e for d in range(t + 1) for e in monomials_of_degree(self._fibre, d)]
         position = {e: j for j, e in enumerate(monomials)}
@@ -164,11 +170,6 @@ class MultiStructure:
         self._verdicts = {}  # term (None: I_Y) -> (CM verdict, locus, Ext indices read)
         if check:
             self.validate()
-
-    @classmethod
-    def parse(cls, ring, text, support_vars=("x", "y"), check=True):
-        emb = Embedding(ring, support_vars)
-        return cls(emb, Ideal.parse(ring, text), check=check)
 
     def validate(self):
         """Homogeneous generators in I_X, and I_X ⊆ rad(I_Y): the nilpotency
@@ -423,37 +424,29 @@ def _check_layer_series(layer, ambient_diff):
 
 
 def is_locally_CM(emb, ideal, t, s1=False):
-    """(verdict, non-CM locus, Ext indices read) of Y = V(I), I ⊇ I_X^(t+1).
+    """(verdict, non-CM locus, Ext indices read) of Y = V(I), I ⊇ I_X^(t+1);
+    a t below the nilpotency index is refused (``Embedding.pushforward``).
 
     Y → X = P^(s-1) is finite, so Y is CM exactly where M = π_*O_Y, R/I
     over k[z] (``Embedding.pushforward``), is free (Hironaka's criterion;
     Eisenbud, *Commutative Algebra*, Cor. 18.17): off the zeros of
-    ann Ext^i(M, k[z]), 1 <= i <= s - 1, which with I_X make the locus.  An
-    S1 I gives M depth >= 1 at each point, so pd <= s - 2 there
-    (Auslander-Buchsbaum) and i = s - 1 is not read."""
+    ann Ext^i(M, k[z]), 1 <= i <= s - 1 (``ext_window`` from codim 0), which
+    with I_X make the locus.  An S1 I gives M depth >= 1 at each point, so
+    pd <= s - 2 there (Auslander-Buchsbaum) and i = s - 1 is not read."""
     res = free_resolution(emb.pushforward(ideal, t))
-    window = list(range(1, min(res.length, emb._sub.nvars - (2 if s1 else 1)) + 1))
-    bad = [ann for ann in (_ext_annihilator(res, i) for i in window)
-           if not is_irrelevant_primary(ann)]
+    window = ext_window(res, 0, emb._sub.nvars - (2 if s1 else 1))
+    bad = [ann for _, ann in window if not is_irrelevant_primary(ann)]
+    indices = [i for i, _ in window]
     if not bad:
-        return True, Ideal(emb.ring, [emb.ring.one()], ideal.guard), window
+        return True, Ideal(emb.ring, [emb.ring.one()], ideal.guard), indices
     locus = [emb.extend(g) for g in intersect(*bad).groebner()] + list(emb.support_ideal().gens)
-    return False, Ideal(emb.ring, locus, ideal.guard), window
+    return False, Ideal(emb.ring, locus, ideal.guard), indices
 
 
 def is_S1(ideal):
+    """I is its own Ext-window hull over R: the tests' reference for
+    ``MultiStructure.is_S1``, which no verdict calls."""
     return unmixed_part(ideal).equals(ideal)
-
-
-def is_locally_free(module, rank):
-    """Locally free of the given rank on Proj of the support ring: Fitt_(rank-1)
-    is zero and Fitt_rank has no projective zero (Eisenbud, *Commutative
-    Algebra*, Prop. 20.8).  A nonzero Fitt_(rank-1) means a smaller rank."""
-    if rank > module.rank:
-        raise StructureError("expected rank exceeds generator count")
-    if not fitting_ideal(module, rank - 1).is_zero():
-        raise StructureError("module rank is below the expected %d" % rank)
-    return is_irrelevant_primary(fitting_ideal(module, rank))
 
 
 def thicken(structure, layer, images):

@@ -190,7 +190,7 @@ def irrelevance_agrees_with_radical(seed, count=COUNT):
             for _ in range(rng.randint(1, ring.nvars + 1))
         ]
         ideal = Ideal(ring, gens)
-        expected = all(radical_contains(ideal, v) for v in ring.gens())
+        expected = all(radical_contains(ideal, v) for v in map(ring.var, ring.names))
         assert is_irrelevant_primary(ideal) == expected
         verdicts.append(expected)
     assert 0.2 < sum(verdicts) / count < 0.8
@@ -219,7 +219,7 @@ def hull_matches_ext_annihilator(seed, count=COUNT):
         elif kind == 1:  # embedded along top + (line)
             ideal = top.times(Ideal(ring, top.gens + (line,)))
         elif kind == 2:  # embedded irrelevant component
-            ideal = top.times(Ideal(ring, ring.gens()))
+            ideal = top.times(Ideal(ring, map(ring.var, ring.names)))
         else:  # a lower-dimensional linear component
             ideal = top.times(Ideal(ring, [line] + [_random_form(rng, ring, 1) for _ in range(2)]))
         hull = unmixed_part(ideal)

@@ -157,7 +157,7 @@ def test_euler_characteristic_with_positive_twists():
 
 def test_module_series_matches_ideal_series():
     ring = PolyRing(("x", "y"))
-    x, y = ring.gens()
+    x, y = map(ring.var, ring.names)
     mod = GradedModule(ring, (0,), [[x * x, x * y]])
     s1 = module_hilbert_series(mod)
     s2 = _series(ring, "(x^2, x*y)")
@@ -172,6 +172,9 @@ def test_series_sub_and_add():
     assert isinstance(c, HilbertSeries)
     assert [c.value(t) for t in range(4)] == [0, 1, 2, 3]
     assert a - c == b
+    # numerators over poles of different orders have no difference
+    with pytest.raises(ValueError, match="poles of order 2 and 3"):
+        a - HilbertSeries.make({0: 1}, 3)
 
 
 def test_laurent_series_values_and_polynomial():

@@ -489,7 +489,7 @@ def _zero_locus_case(rng, ring, k):
     if kind == 0:
         return [_random_form(rng, ring, rng.randint(1, 2)), ring.const(rng.randint(1, 4))]
     if kind == 1:
-        xs = ring.gens()
+        xs = [ring.var(n) for n in ring.names]
         lin = [xs[i] + sum((ring.const(rng.randint(-2, 2)) * xs[j] for j in range(i)), ring.zero())
                for i in range(n)]
         gens = []
@@ -609,7 +609,7 @@ def test_membership_reads_the_unreduced_run(char, monkeypatch):
 
 def test_is_one_reads_the_leads_with_and_without_the_reduced_basis():
     ring = PolyRing(("x", "y"))
-    x, y = ring.gens()
+    x, y = map(ring.var, ring.names)
     cases = [([], False), ([x, x + ring.one()], True), ([x * y, x * x + y * y], False)]
     for gens, unit in cases:
         ideal = Ideal(ring, gens)

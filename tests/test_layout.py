@@ -7,7 +7,9 @@ or a module: ``buchberger`` runs only in ``groebner``, in ``ideals`` and
 leads.  A layer presentation is built only where a ``Filtration`` builds its
 layers on first use, so no verdict pays for one it does not read.  The
 filtration hulls run their own colons, each tested for freeness over the
-support ring, so ``structures`` names no ``saturate``."""
+support ring, so ``structures`` names no ``saturate``; and the hull and Ext
+window of R/I over R are the tests' reference, which no product module
+names."""
 
 import ast
 import importlib
@@ -19,6 +21,11 @@ import multischeme
 READERS = {"multischeme.ring", "multischeme.groebner"}
 RUNNERS = {"multischeme.groebner", "multischeme.ideals", "multischeme.modules",
            "multischeme.hilbert"}
+# the R/I references the tests hold the hulls and verdicts to, and the
+# modules that make the product paths (``is_S1`` is left out: the method of
+# that name is the verdict)
+REFERENCES = ("unmixed_part", "is_unmixed", "ext_annihilator", "saturate", "eliminate")
+PRODUCT = ("scenarios", "cli", "catalog", "families", "quotients")
 
 
 def layout_reads(source):
@@ -46,11 +53,17 @@ def buchberger_uses(source):
 
 def name_uses(source, name):
     """Line numbers at which ``source`` names ``name``: read, written, bound
-    by an import or as a parameter, or as an attribute."""
+    by an import (aliased or not) or as a parameter, or as an attribute."""
     return sorted(node.lineno for node in ast.walk(ast.parse(source))
                   if name in (getattr(node, k, None) for k in ("id", "attr", "arg"))
                   or isinstance(node, ast.ImportFrom)
-                  and name in (a.asname or a.name for a in node.names))
+                  and any(name in (a.name, a.asname) for a in node.names))
+
+
+def reference_uses(source):
+    """Each name of ``REFERENCES`` that ``source`` names, with the line
+    numbers at which it does (``name_uses``)."""
+    return {name: lines for name in REFERENCES if (lines := name_uses(source, name))}
 
 
 def layer_module_readers(source):
@@ -156,3 +169,28 @@ def test_the_structures_module_names_no_saturate():
     from multischeme import structures
 
     assert name_uses(Path(structures.__file__).read_text(), "saturate") == []
+
+
+def test_the_lint_sees_every_name_of_a_reference():
+    source = (
+        "from .ideals import ext_annihilator, is_unmixed\n"
+        "from . import ideals\n"
+        "def f(ideal, eliminated):\n"
+        "    hull = ideals.unmixed_part(ideal)\n"
+        "    return ideals.saturate(hull, eliminated), 'eliminate'\n"
+        "def g(structure):\n"
+        "    return structure.is_S1()\n"
+        "from .ideals import eliminate as drop\n"
+    )
+    assert reference_uses(source) == {"unmixed_part": [4], "is_unmixed": [1],
+                                      "ext_annihilator": [1], "saturate": [5],
+                                      "eliminate": [8]}
+
+
+def test_the_product_modules_name_no_reference_of_r_mod_i():
+    found = {}
+    for name in PRODUCT:
+        source = Path(importlib.import_module("multischeme." + name).__file__).read_text()
+        if uses := reference_uses(source):
+            found[name] = uses
+    assert found == {}

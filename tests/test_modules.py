@@ -28,20 +28,20 @@ def ring():
 
 
 def test_determinant_two_by_two(ring):
-    x, y = ring.gens()
+    x, y = map(ring.var, ring.names)
     assert determinant([[x, y], [y, x]]) == x * x - y * y
     assert determinant([[x, y], [x, y]]).is_zero()
 
 
 def test_determinant_three_by_three_triangular(ring):
-    x, y = ring.gens()
+    x, y = map(ring.var, ring.names)
     z = ring.zero()
     m = [[x, y, y], [z, y, x], [z, z, x]]
     assert determinant(m) == x * y * x
 
 
 def test_minors_counts_and_values(ring):
-    x, y = ring.gens()
+    x, y = map(ring.var, ring.names)
     m = [[x, y, ring.zero()], [ring.zero(), x, y]]
     ones = minors(m, 1)
     assert len(ones) == 6
@@ -53,7 +53,7 @@ def test_minors_counts_and_values(ring):
 
 
 def test_matrix_rank(ring):
-    x, y = ring.gens()
+    x, y = map(ring.var, ring.names)
     assert matrix_rank([[x, y], [y, x]]) == 2
     assert matrix_rank([[x, y], [x, y]]) == 1
     assert matrix_rank([[ring.zero(), ring.zero()]]) == 0
@@ -122,7 +122,7 @@ def test_determinant_and_rank_match_cofactor_and_minor_references(char):
 
 
 def test_minimal_presentation_back_substitutes_chained_pivots(ring):
-    x, y = ring.gens()
+    x, y = map(ring.var, ring.names)
     one, zero = ring.one(), ring.zero()
     # g0 = x*g1 is cancelled first, then g1 = y*g2, so g0 = x*y*g2
     rel = [[one, zero, zero], [-x, one, x], [zero, -y, y * y]]
@@ -140,21 +140,21 @@ def test_minimal_presentation_back_substitutes_chained_pivots(ring):
 
 
 def test_column_vec_round_trip(ring):
-    x, y = ring.gens()
+    x, y = map(ring.var, ring.names)
     m = [[x, ring.zero()], [y * y, x + y]]
     vecs = columns_to_vecs(ring, m)
     assert vecs_to_columns(ring, vecs, 2) == m
 
 
 def test_inhomogeneous_relation_rejected(ring):
-    x, y = ring.gens()
+    x, y = map(ring.var, ring.names)
     with pytest.raises(ValueError):
         GradedModule(ring, (0, 1), [[x], [x]])
 
 
 def test_presentation_shape_must_match_the_generators():
     ring = PolyRing(("x", "y", "z"))
-    x, y, z = ring.gens()
+    x, y, z = map(ring.var, ring.names)
     bad = [
         ((0,), [[x], [y]]),        # two rows for one generator
         ((0, 0), [[x, y], [z]]),   # ragged rows
@@ -182,7 +182,7 @@ def test_a_relation_over_another_ring_is_refused():
 
 def test_derived_modules_keep_the_guard(ring):
     guard = Guard(max_degree=30)
-    x, y = ring.gens()
+    x, y = map(ring.var, ring.names)
     mod = GradedModule(ring, (0, 1), [[x, x * x], [-ring.one(), y]], guard)
     derived = [
         mod.minimal_with_map()[0], free_resolution(mod),
@@ -194,7 +194,7 @@ def test_derived_modules_keep_the_guard(ring):
 
 
 def test_a_module_runs_under_its_own_guard(ring):
-    x, y = ring.gens()
+    x, y = map(ring.var, ring.names)
     strict = Guard(max_degree=1)
     mod = GradedModule(ring, (0,), [[x * x, x * y, y * y]], strict)
     free = GradedModule(ring, (0, 0), [], strict)
@@ -214,7 +214,7 @@ def test_a_module_runs_under_its_own_guard(ring):
 
 
 def test_minimal_presentation_prunes_unit_pivot(ring):
-    x, y = ring.gens()
+    x, y = map(ring.var, ring.names)
     # second generator equals x * (first); the unit column kills it
     rel = [[x], [-ring.one()]]
     mod = GradedModule(ring, (0, 1), rel)
@@ -228,7 +228,7 @@ def test_minimal_presentation_prunes_unit_pivot(ring):
 
 
 def test_columns_are_renumbered_only_when_a_row_goes(ring, monkeypatch):
-    x, y = ring.gens()
+    x, y = map(ring.var, ring.names)
     calls = []
     renumbered = Vec.renumbered
     monkeypatch.setattr(Vec, "renumbered", lambda v, new: calls.append(new) or renumbered(v, new))
@@ -245,7 +245,7 @@ def test_columns_are_renumbered_only_when_a_row_goes(ring, monkeypatch):
 
 
 def test_free_resolution_of_two_variable_quotient(ring):
-    x, y = ring.gens()
+    x, y = map(ring.var, ring.names)
     mod = GradedModule(ring, (0,), [[x, y]])
     res = free_resolution(mod)
     assert res.length == 2
@@ -266,7 +266,7 @@ def _column(ring, *entries):
 
 
 def test_resolution_verify_rejects_non_complex(ring):
-    x, y = ring.gens()
+    x, y = map(ring.var, ring.names)
     d1 = [_column(ring, x), _column(ring, y)]
     d2 = [_column(ring, x, y)]
     bad = Resolution(ring, [[0], [1, 1], [2]], [d1, d2])
@@ -275,7 +275,7 @@ def test_resolution_verify_rejects_non_complex(ring):
 
 
 def test_resolution_verify_rejects_a_complex_that_is_not_exact(ring):
-    x, y = ring.gens()
+    x, y = map(ring.var, ring.names)
     d1 = [_column(ring, x), _column(ring, y)]
     d2 = [_column(ring, y * y, -x * y)]
     res = Resolution(ring, [[0], [1, 1], [3]], [d1, d2])
@@ -288,7 +288,7 @@ def test_resolution_verify_rejects_a_complex_that_is_not_exact(ring):
 
 def test_free_resolution_converts_only_its_input(conversions):
     ring = PolyRing(("x", "y", "z"))
-    x, y, z = ring.gens()
+    x, y, z = map(ring.var, ring.names)
     # a redundant generator, so the first syzygies carry a unit to prune;
     # the matrix is converted here, before the count starts
     mod = GradedModule(ring, (0,), [[x * x, x * y, y * z, x * x + x * y]])

@@ -69,7 +69,7 @@ def test_conormal_style_module_dimension_certificate(sub):
 
 
 def test_sampling_is_seed_deterministic(sub):
-    z0, z1, z2 = sub.gens()
+    z0, z1, z2 = map(sub.var, sub.names)
     # rank-2 module whose relation ties the generators: maps are pairs of
     # linear forms, never surjective but with full variable support
     mod = GradedModule(sub, (0, 0), [[z0], [-z1]])

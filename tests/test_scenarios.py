@@ -49,6 +49,30 @@ def test_split_and_koszul_scenarios_pass(scenario_result):
         assert result.status == "PASS", (sid, result.diffs)
 
 
+def test_hull_and_s1_checks_read_the_filtration_not_the_ext_window_of_r_mod_i(rebind):
+    # the s1-hull and term-s1 checks read the filtration the verdicts read:
+    # no Ext-window hull, Ext annihilator, saturation or resolution over R
+    import multischeme.ideals as ideals
+    import multischeme.structures as structures
+
+    owners = {"unmixed_part": ideals, "is_S1": structures, "ext_annihilator": ideals,
+              "is_unmixed": ideals, "saturate": ideals, "quotient_resolution": ideals}
+    calls = dict.fromkeys(owners, 0)
+    for name, module in owners.items():
+
+        def wrap(original, _name=name):
+            def wrapped(*args, **kwargs):
+                calls[_name] += 1
+                return original(*args, **kwargs)
+
+            return wrapped
+
+        rebind(module, name, wrap)
+    for sid in ("thm-5.1", "ci-lattice-4.24", "koszul-3.11"):
+        assert run_scenario(sid).status == "PASS", sid
+    assert calls == dict.fromkeys(owners, 0)
+
+
 def test_guard_overrun_is_inconclusive_not_pass():
     opts = ScenarioOptions(guard=Guard(max_degree=1))
     result = run_scenario("example-2.9", opts)

@@ -1,5 +1,7 @@
 import json
 import os
+import re
+from functools import partial
 
 import pytest
 from test_ideals import _rabinowitsch_contains
@@ -11,8 +13,10 @@ from multischeme.hilbert import HilbertPoly, HilbertSeries, module_hilbert_serie
 from multischeme.ideals import (
     Ideal,
     ext_window,
+    fitting_ideal,
     intersect,
     is_irrelevant_primary,
+    quotient_resolution,
     same_zero_locus,
     unmixed_part,
 )
@@ -27,7 +31,6 @@ from multischeme.structures import (
     StructureError,
     _check_layer_series,
     is_locally_CM,
-    is_locally_free,
     is_S1,
     layer_module,
     s1_filtration,
@@ -40,8 +43,9 @@ def ring():
     return PolyRing(("z0", "z1", "x", "y"))
 
 
-def _structure(ring, text):
-    return MultiStructure.parse(ring, text)
+def _structure(ring, text, check=True):
+    """The structure ``text`` on X = V(x, y)."""
+    return MultiStructure(Embedding(ring, ("x", "y")), parse_ideal(ring, text), check=check)
 
 
 @pytest.mark.parametrize("order", ["grevlex", "lex"])
@@ -125,7 +129,7 @@ def test_structure_validation_rejects_wrong_support(ring):
     ],
 )
 def test_support_check_at_one_agrees_with_the_radical(ring, text):
-    st = MultiStructure.parse(ring, text, check=False)
+    st = _structure(ring, text, check=False)
     expected = all(_rabinowitsch_contains(st.ideal, ring.var(v)) for v in ("x", "y"))
     try:
         st.validate()
@@ -141,7 +145,7 @@ def test_a_radical_that_misses_y_is_named(ring, text):
     # no power of I_X lies in I_Y, so the nilpotency search runs to 64 and
     # fails; the radical test then names the variable, from either entry
     with pytest.raises(StructureError, match="radical of I_Y misses y"):
-        MultiStructure.parse(ring, text)
+        _structure(ring, text)
     emb = Embedding(ring, ("x", "y"))
     with pytest.raises(StructureError, match="radical of I_Y misses y"):
         MultiStructure(emb, Ideal.parse(ring, text), check=True)
@@ -170,7 +174,7 @@ def test_an_index_past_the_search_budget_is_searched_once(ring, monkeypatch):
     # the radical of (x^40, y^40) holds x and y, so it validates; its index
     # 78 is past the search's 64, and every later reading is that outcome,
     # a spent budget, with no second search
-    st = MultiStructure.parse(ring, "(x^40, y^40)")
+    st = _structure(ring, "(x^40, y^40)")
     tested, contains = [], Ideal.contains
     monkeypatch.setattr(Ideal, "contains", lambda self, f: tested.append(f) or contains(self, f))
     for read in (st.nilpotency_index, st.filtration, st.locally_cm, st.is_type_I, st.report):
@@ -183,7 +187,7 @@ def test_an_index_past_the_search_budget_is_searched_once(ring, monkeypatch):
 def test_the_index_search_tests_each_generator_once(ring, monkeypatch):
     # the pure powers x^(k+1), y^(k+1) are tested before I_X^(k+1) is formed,
     # and only its other generators after
-    st = MultiStructure.parse(ring, "(x^2 + z0*y, y^2)", check=False)
+    st = _structure(ring, "(x^2 + z0*y, y^2)", check=False)
     tested, contains = [], Ideal.contains
 
     def spy(self, f):
@@ -211,7 +215,7 @@ def test_s1_and_cm_verdicts(ring):
     assert good.is_S1()
     cm, locus = good.locally_cm()
     assert cm and locus.is_one()
-    bad = MultiStructure.parse(ring, "(x^2 + z0*y, y^2, x^3)")
+    bad = _structure(ring, "(x^2 + z0*y, y^2, x^3)")
     assert not bad.is_S1()
 
 
@@ -231,6 +235,21 @@ def test_structure_s1_verdict_is_the_filtration_reaching_the_top(ring):
     for name, st in rows:
         assert st.is_S1() == is_S1(st.ideal), name
     assert not rows[-1][1].is_S1()
+    # each term past I_X read as a structure of its own, as the term-s1
+    # check of thm-5.1 reads it, on the hull families and the embedded point;
+    # every such term is a hull, so S1 (the embedded point's last one too)
+    found = {True: 0, False: 0}
+    for char in (0, 5):
+        rows = [("embedded point", _structure(PolyRing(ring.names, char=char),
+                                              "(x^2 + z0*y, y^2, x^3)"))]
+        for name, params in _HULL_FAMILIES:
+            rows += [(name, st) for st in build_family(name, char=char, **params).structures]
+        for name, st in rows:
+            for j, term in enumerate(st.filtration().ideals[1:], 1):
+                verdict = MultiStructure(st.embedding, term, check=False).is_S1()
+                assert verdict == is_S1(term), (name, char, j)
+                found[verdict] += 1
+    assert found == {True: 52, False: 0}
 
 
 def test_report_computes_each_hull_once(monkeypatch):
@@ -336,7 +355,8 @@ def _cm_over_the_whole_ring(ideal):
     annihilators of Ext^i(R/I, R), codim I < i <= pd(R/I), that have a
     projective zero; the locus is the union of those zero sets."""
     ring = ideal.ring
-    bad = [ann for _, ann in ext_window(ideal) if not is_irrelevant_primary(ann)]
+    window = ext_window(quotient_resolution(ideal), ideal.codimension(), ring.nvars)
+    bad = [ann for _, ann in window if not is_irrelevant_primary(ann)]
     return not bad, intersect(*bad) if bad else Ideal(ring, [ring.one()], ideal.guard)
 
 
@@ -374,6 +394,17 @@ def test_cm_verdicts_over_the_support_ring_match_the_ext_window_of_the_quotient(
     assert found[True] >= 250 and found[False] >= 12, found
 
 
+def _is_locally_free(module, rank):
+    """Locally free of the given rank on Proj of the support ring: Fitt_(rank-1)
+    is zero and Fitt_rank has no projective zero (Eisenbud, *Commutative
+    Algebra*, Prop. 20.8).  A nonzero Fitt_(rank-1) means a smaller rank."""
+    if rank > module.rank:
+        raise StructureError("expected rank exceeds generator count")
+    if not fitting_ideal(module, rank - 1).is_zero():
+        raise StructureError("module rank is below the expected %d" % rank)
+    return is_irrelevant_primary(fitting_ideal(module, rank))
+
+
 def test_the_terms_are_cm_up_to_j_plus_1_exactly_when_the_layers_to_j_are_locally_free():
     """0 -> L_j -> O_(Y_(j+1)) -> O_(Y_j) -> 0 with Y_0 = X smooth: by the
     depth lemma (Bruns-Herzog 1.2.9) Y_0, ..., Y_(j+1) are all CM exactly
@@ -385,7 +416,7 @@ def test_the_terms_are_cm_up_to_j_plus_1_exactly_when_the_layers_to_j_are_locall
         free = []
         for j, (layer, poly) in enumerate(zip(filt.layers, filt.layer_polynomials)):
             # X is linear, so the top P-coefficient is the generic rank
-            free.append(is_locally_free(layer, poly.coeffs[-1][1] if poly.coeffs else 0))
+            free.append(_is_locally_free(layer, poly.coeffs[-1][1] if poly.coeffs else 0))
             assert all(flags[:j + 2]) == all(free), (name, j, flags, free)
             chains[all(free)] += 1
     assert chains[True] >= 100 and chains[False] >= 10, chains
@@ -604,18 +635,18 @@ def test_report_shape(ring):
 
 def test_is_locally_free(ring):
     sub = PolyRing(("z0", "z1"))
-    z0, z1 = sub.gens()
+    z0, z1 = map(sub.var, sub.names)
     free = GradedModule(sub, (0,), [[]])
-    assert is_locally_free(free, 1)
+    assert _is_locally_free(free, 1)
     twisted = GradedModule(sub, (0, 0), [[z0], [z1]])
-    assert is_locally_free(twisted, 1)
+    assert _is_locally_free(twisted, 1)
     not_free = GradedModule(sub, (0, 0), [[z0], [sub.zero()]])
-    assert not is_locally_free(not_free, 1)
+    assert not _is_locally_free(not_free, 1)
     with pytest.raises(StructureError, match="exceeds generator count"):
-        is_locally_free(free, 2)
+        _is_locally_free(free, 2)
     # coker of (z0, z1)^T has rank 1, so Fitt_1 = (z0, z1) is not zero
     with pytest.raises(StructureError, match="below the expected 2"):
-        is_locally_free(twisted, 2)
+        _is_locally_free(twisted, 2)
 
 
 def test_every_catalog_layer_is_locally_free_of_its_generic_rank():
@@ -626,7 +657,7 @@ def test_every_catalog_layer_is_locally_free_of_its_generic_rank():
             for layer, poly in zip(filt.layers, filt.layer_polynomials):
                 # X is linear, so the top P-coefficient is the generic rank
                 assert poly.degree() == layer.ring.nvars - 1
-                assert is_locally_free(layer, poly.coeffs[-1][1]), (entry.id, char)
+                assert _is_locally_free(layer, poly.coeffs[-1][1]), (entry.id, char)
                 layers += 1
     assert layers >= 80
 
@@ -736,6 +767,24 @@ def test_thicken_roundtrip_converts_only_for_its_fitting_minors(conversions):
     assert calls == {"columns_to_vecs": 0, "vecs_to_columns": 36}
 
 
+@pytest.mark.parametrize("text, named", [
+    ("(x^2 + z0*y, y^2, x^3)", ("x", "x^2")),
+    ("(x^2, x*y*z0, y^2)", ("x", "x*y")),
+])
+def test_a_t_below_the_nilpotency_index_is_refused(ring, text, named):
+    # below the index the pushforward would present R/(I + I_X^(t+1)),
+    # which is CM where R/I is not
+    emb = Embedding(ring, ("x", "y"))
+    ideal = Ideal(ring, parse_ideal(ring, text))
+    assert MultiStructure(emb, ideal).nilpotency_index() == 2
+    for t, monomial in enumerate(named):
+        message = r"t = %d is below the nilpotency index: %s in" % (t, re.escape(monomial))
+        for read in (emb.pushforward, partial(is_locally_CM, emb)):
+            with pytest.raises(StructureError, match=message):
+                read(ideal, t)
+    assert not is_locally_CM(emb, ideal, 2)[0]
+
+
 def test_is_locally_cm_on_plain_ideal(ring):
     ok, locus, _ = is_locally_CM(Embedding(ring, ("x", "y")), Ideal.parse(ring, "(x^3, y)"), 2)
     assert ok and locus.is_one()
@@ -745,7 +794,7 @@ def _pinned_structures():
     ring = PolyRing(("z0", "z1", "z2", "x", "y"))
     entry = next(e for e in load_catalog("thm-3.8") if e.id == "thm-3.8/5")
     return {
-        "example-2.9": MultiStructure.parse(ring, "(x^2 + z0*y, y^2)"),
+        "example-2.9": _structure(ring, "(x^2 + z0*y, y^2)"),
         "thm-3.8/5@p0": entry.structure(char=0),
         "nontypeI(1,2)": build_family("nontypeI", a=1, b=2).structures[0],
     }
@@ -811,7 +860,7 @@ def test_a_verdict_does_not_depend_on_call_history():
     text = "(x^2 + z0*y, y^2)"
     strict_emb = Embedding(ring, ("x", "y"), Guard(max_degree=2))
     strict = MultiStructure(strict_emb, parse_ideal(ring, text), check=False)
-    default = MultiStructure.parse(ring, text)
+    default = _structure(ring, text)
     assert strict.ideal.guard is strict_emb.guard and default.locally_cm()[0]
     with pytest.raises(ResourceGuardExceeded, match="S-pair degree 3 exceeds budget 2"):
         strict.locally_cm()
