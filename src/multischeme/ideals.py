@@ -5,16 +5,16 @@ An ``Ideal`` keeps the unreduced output of one Buchberger run and asks it
 everything but the printed basis: the leads (the Hilbert series, the unit
 ideal, an empty V(I)) and membership, since a normal form is the same modulo
 any Groebner basis.  It is interreduced only when the reduced basis is asked
-for; an ideal made ``from_basis`` reads its generators and runs nothing.
+for; an ideal made ``from_basis``, as I_X and its powers are, runs nothing.
 Every colon, intersection and Ext annihilator is one ``module_colon``: one
 ``syzygies`` of a stacked vector modulo the image's known basis; a sum I + J
 extends the basis I holds, J's generators entering reduced.  Each zero-locus
 question has one test: f in rad(I) when I + (f - 1) is the unit ideal, and
 V(I) empty by ``is_irrelevant_primary``.  An Ext window beyond the
 codimension (``ext_window``) runs over any minimal resolution: the CM
-verdicts read it over the support ring.  The hull of R/I by one saturation
-(``unmixed_part``) and the Ext annihilators of R/I over R are the reference
-the tests hold the filtration hulls and CM verdicts to.
+verdicts read it over the support ring.  Minimal generators survive the unit
+prune of their syzygies, so R/I is resolved over R only for the tests'
+reference: its hull by one saturation (``unmixed_part``) and Ext annihilators.
 
 The resource budget is fixed where an ideal is built: ``Ideal(ring, gens,
 guard)`` (and ``from_basis``, ``parse``) keeps the ``Guard`` it is given, the
@@ -41,7 +41,7 @@ from .groebner import (
     syzygies,
 )
 from .hilbert import ideal_hilbert_series
-from .modules import GradedModule, free_resolution, minors
+from .modules import GradedModule, _prune_units, free_resolution, minors
 from .ring import Vec
 
 
@@ -148,16 +148,13 @@ class Ideal:
         return (self.ring.nvars - 1) - self.dimension_degree()[0]
 
     def minimal_gens(self):
-        """A minimal homogeneous generating set, sorted by degree.
-
-        These are the generators of the first map of ``quotient_resolution``,
-        a subset of the reduced basis.  That resolution's maps have no unit
-        entries, so by graded Nakayama none of them is redundant.  Without a
-        map (the zero or the unit ideal) it is the reduced basis.
-        """
-        res = quotient_resolution(self)
-        gens = res.maps[0] if res.maps else self.groebner()
-        return sorted(gens, key=lambda g: g.degree())
+        """A minimal homogeneous generating set, sorted by degree: the reduced
+        basis less the elements ``_prune_units`` removes from its first
+        syzygies, as ``free_resolution`` does for R/I.  With no unit entry
+        left, none is redundant (graded Nakayama; Eisenbud, Ch. 19)."""
+        basis = self.groebner()
+        rows = _prune_units(self.ring, syzygies(basis, rank=1, guard=self.guard), len(basis))[0]
+        return sorted((basis[a] for a in rows), key=lambda g: g.degree())
 
     def __repr__(self):
         return "Ideal(%s)" % ", ".join(str(g) for g in self.gens)

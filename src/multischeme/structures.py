@@ -18,7 +18,8 @@ its input.  The nilpotency index k certifies I_X ⊆ rad(I_Y), as
 I_X^(k+1) ⊆ I_Y, so the last sum is I_Y itself and takes its hull by the
 same rule.  CM verdicts read R/I as a k[z]-module, π_*O_Y for the finite
 Y → X, presented with no Buchberger run over R: Y is CM where it is locally
-free, and a term the hull found free over k[z] is CM as it stands.
+free, and a term the hull found free over k[z] is CM as it stands.  No path
+here resolves R/I over R, and I_X is written down as ``power(1)``.
 
 The resource budget is fixed with the embedding: ``Embedding(ring,
 support_vars, guard)`` builds I_X with that ``Guard``, and a ``MultiStructure``
@@ -67,7 +68,7 @@ class Embedding:
     ring: object
     support_vars: tuple
     guard: object = field(default=None, compare=False, repr=False)
-    # I_X, built once so every caller shares its basis, series and resolution
+    # I_X = ``power(1)``, written down once so every caller shares its basis and series
     _support: Ideal = field(init=False, compare=False, repr=False)
     # the support ring, built once so every restricted Vec shares it
     _sub: object = field(init=False, compare=False, repr=False)
@@ -87,11 +88,11 @@ class Embedding:
             raise StructureError(
                 "support %r takes every variable, so X is empty" % (self.support_vars,)
             )
-        self._support = Ideal(self.ring, [self.ring.var(v) for v in self.support_vars], self.guard)
         rest = tuple(n for n in self.ring.names if n not in self.support_vars)
         self._sub = self.ring.subring(rest)
         self._block = self._sub.extended(self.support_vars)
         self._fibre = self.ring.subring(self.support_vars)
+        self._support = self.power(1)
 
     def support_ideal(self):
         return self._support
@@ -302,7 +303,7 @@ class Filtration:
     def _presentations(self):
         built = [layer_module(self.embedding, upper, lower)
                  for upper, lower in zip(self.ideals, self.ideals[1:])]
-        return [layer for layer, _, _ in built], [lift for _, _, lift in built]
+        return [layer for layer, _ in built], [lift for _, lift in built]
 
     # GradedModules over the support ring, each checked against its series,
     # and per layer the images of I_j's minimal gens, as column Vecs
@@ -393,10 +394,10 @@ def layer_module(emb, upper, lower):
     """L = upper/(I_X*upper + lower) presented over the support ring.
 
     The relations are the syzygies of upper's minimal generators g modulo
-    lower's cached basis, restricted to the support ring.  Returns
-    (presentation, Hilbert series of the layer, lift): the lift maps
-    upper's minimal generators onto the minimal presentation, the images
-    ``thicken`` takes to rebuild lower from upper.
+    lower's cached basis, restricted to the support ring.  Returns the
+    minimal presentation, checked against the series, and its lift, which
+    maps upper's minimal generators onto it: the images ``thicken`` takes to
+    rebuild lower from upper.
     """
     gens = upper.minimal_gens()
     # sum h_i g_i in I_X*upper + lower iff h is in (relations modulo lower)
@@ -407,11 +408,9 @@ def layer_module(emb, upper, lower):
     degs = tuple(g.degree() for g in gens)
     presented = GradedModule(emb.support_ring(), degs, [v for v in restricted if v], upper.guard)
     minimal, lift = presented.minimal_with_map()
-    hs_upper = upper.hilbert_series()
-    hs_lower = lower.hilbert_series()
-    ser = hs_lower - hs_upper  # dim(S/lower)_t - dim(S/upper)_t = dim(upper/lower)_t
-    _check_layer_series(minimal, ser)
-    return minimal, ser, lift
+    # dim(S/lower)_t - dim(S/upper)_t = dim(upper/lower)_t
+    _check_layer_series(minimal, lower.hilbert_series() - upper.hilbert_series())
+    return minimal, lift
 
 
 def _check_layer_series(layer, ambient_diff):

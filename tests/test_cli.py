@@ -277,6 +277,27 @@ def test_every_command_refuses_an_exponent_past_the_limit(tmp_path, capsys, comm
     assert err.startswith("inconclusive: Groebner kernel: exponent ") and "Traceback" not in err
 
 
+def test_no_command_resolves_r_mod_i_over_the_whole_ring(infile, capsys, rebind):
+    # minimal generators come from the unit prune of the first syzygies, so
+    # neither a layer presentation nor a thickening resolves R/I over R
+    import multischeme.ideals as ideals
+
+    calls = []
+
+    def counting(original):
+        def wrapped(*args):
+            calls.append(args)
+            return original(*args)
+
+        return wrapped
+
+    rebind(ideals, "quotient_resolution", counting)
+    assert main(["filt", infile]) == 0
+    assert main(["verify", "thicken-roundtrip"]) == 0
+    assert "1/1 scenarios passed" in capsys.readouterr().out
+    assert calls == []
+
+
 def test_verify_all_reads_the_catalog_once(monkeypatch, capsys):
     import multischeme.catalog as catalog
 

@@ -8,12 +8,16 @@ leads.  A layer presentation is built only where a ``Filtration`` builds its
 layers on first use, so no verdict pays for one it does not read.  The
 filtration hulls run their own colons, each tested for freeness over the
 support ring, so ``structures`` names no ``saturate``; and the hull and Ext
-window of R/I over R are the tests' reference, which no product module
-names."""
+window of R/I over R, and the resolution of R/I over R they read, are the
+tests' reference, which no product module names; minimal generators come
+from the unit prune of the first syzygies, so neither ``structures`` nor
+``Ideal.minimal_gens`` names a resolution of R/I."""
 
 import ast
 import importlib
+import inspect
 import pkgutil
+import textwrap
 from pathlib import Path
 
 import multischeme
@@ -24,7 +28,8 @@ RUNNERS = {"multischeme.groebner", "multischeme.ideals", "multischeme.modules",
 # the R/I references the tests hold the hulls and verdicts to, and the
 # modules that make the product paths (``is_S1`` is left out: the method of
 # that name is the verdict)
-REFERENCES = ("unmixed_part", "is_unmixed", "ext_annihilator", "saturate", "eliminate")
+REFERENCES = ("unmixed_part", "is_unmixed", "ext_annihilator", "saturate", "eliminate",
+              "quotient_resolution")
 PRODUCT = ("scenarios", "cli", "catalog", "families", "quotients")
 
 
@@ -169,6 +174,15 @@ def test_the_structures_module_names_no_saturate():
     from multischeme import structures
 
     assert name_uses(Path(structures.__file__).read_text(), "saturate") == []
+
+
+def test_no_structure_path_resolves_r_mod_i_over_the_whole_ring():
+    from multischeme import structures
+    from multischeme.ideals import Ideal
+
+    assert name_uses(Path(structures.__file__).read_text(), "quotient_resolution") == []
+    source = textwrap.dedent(inspect.getsource(Ideal.minimal_gens))
+    assert [n for n in ("quotient_resolution", "free_resolution") if name_uses(source, n)] == []
 
 
 def test_the_lint_sees_every_name_of_a_reference():

@@ -52,18 +52,42 @@ def _structure(ring, text, check=True):
 def test_power_writes_down_the_reduced_basis_of_the_product(order):
     """I_X^j written down by ``Embedding.power`` is the reduced basis of
     the repeated product, for j <= 6 on 1-3 support variables anywhere in
-    the ring; its pure powers are the x_i^j."""
+    the ring; its pure powers are the x_i^j.  The product starts from I_X
+    computed by Buchberger, not from ``support_ideal``, which is ``power(1)``."""
     names = ("z0", "x", "z1", "y", "w")
     ring = PolyRing(names, order=LEX) if order == "lex" else PolyRing(names)
     for support in (("y",), ("x", "z1"), ("w", "x", "z0")):
         emb = Embedding(ring, support)
-        product = ix = emb.support_ideal()
+        product = ix = Ideal(ring, [ring.var(v) for v in support])
         for j in range(1, 7):
             written = emb.power(j)
             assert written.gens == tuple(written.groebner()) == tuple(product.groebner())
             pure = emb.power(j, pure=True).gens
             assert sorted(map(str, pure)) == sorted(str(ring.var(v) ** j) for v in support)
             product = product.times(ix)
+
+
+def test_the_support_ideal_is_written_down_with_no_buchberger_run(ring, rebind):
+    """I_X is ``power(1)``: building the embedding and reading I_X's basis,
+    leads, membership and series run no Buchberger and no interreduction."""
+    import multischeme.groebner as groebner
+
+    calls = dict.fromkeys(("buchberger", "interreduce"), 0)
+    for name in calls:
+        def counting(original, _name=name):
+            def wrapped(*args, **kwargs):
+                calls[_name] += 1
+                return original(*args, **kwargs)
+
+            return wrapped
+
+        rebind(groebner, name, counting)
+    ix = Embedding(ring, ("x", "y")).support_ideal()
+    assert [str(g) for g in ix.groebner()] == ["x", "y"]
+    assert ix.leads() == [(0, 0, 1, 0), (0, 0, 0, 1)]
+    assert ix.contains(ring.var("x")) and not ix.contains(ring.var("z0"))
+    assert ix.hilbert_series().dimension_degree() == (1, 1)
+    assert calls == {"buchberger": 0, "interreduce": 0}
 
 
 def test_embedding_basics(ring):
@@ -103,7 +127,7 @@ def test_support_ring_is_built_once(ring, monkeypatch):
         return restricted[-1]
 
     monkeypatch.setattr(Embedding, "restrict", recording)
-    layer, _, _ = layer_module(emb, upper, lower)
+    layer, _ = layer_module(emb, upper, lower)
     assert restricted and all(v.ring is sub for v in restricted)
     assert layer.ring is sub
 
