@@ -6,15 +6,17 @@ Ring declaration::
 
 Ideal text is a parenthesized comma-separated list of polynomials, e.g.
 ``(x^2 + z0*y, y^2)``.  Multiplication ``*`` is optional between factors,
-``^`` is exponentiation, coefficients are integers or fractions ``a/b``.
-Every exponent must stay below 2^15 = 32768, the packed key's field (see
-``ring``): a larger one, written or made by a product or power, raises
-``ResourceGuardExceeded`` naming it, which ``ms`` reports as inconclusive.
+``^`` is exponentiation, coefficients are integers or fractions ``a/b`` of
+any length.  Every exponent, written or made by a product or power, must
+stay below 2^15 = 32768, the packed key's field (see ``ring``): a larger one
+raises ``ResourceGuardExceeded`` naming it, which ``ms`` reports as inconclusive.
 """
 
 from __future__ import annotations
 
 import re
+from decimal import Decimal
+from fractions import Fraction
 
 from .ring import GREVLEX, LEX, PolyRing, TermOrder
 
@@ -92,9 +94,10 @@ def parse_ring(text):
 
 
 def _count(text, what):
-    if not text.isdigit():
+    """The int a decimal literal spells, of any length (``int`` stops at 4300 digits)."""
+    if not text.isdecimal():
         raise ParseError("%s must be a non-negative integer, got %r" % (what, text))
-    return int(text)
+    return int(Decimal(text))
 
 
 def parse_poly(ring, text):
@@ -143,10 +146,7 @@ def _parse_product(ring, s):
             f = f * _parse_factor(ring, s)
         elif t == "/":
             s.next()
-            d = s.next()
-            if not d.isdigit():
-                raise ParseError("expected integer denominator, got %r" % d)
-            f = f.scale(_fraction(ring, 1, int(d)))
+            f = f.scale(_inverse(ring, s.next()))
         elif t is not None and (t.isdigit() or t == "(" or _is_name(t)):
             f = f * _parse_factor(ring, s)
         else:
@@ -163,7 +163,7 @@ def _parse_factor(ring, s):
         f = _parse_sum(ring, s)
         s.expect(")")
     elif t.isdigit():
-        f = ring.const(int(t))
+        f = ring.const(_count(t, "coefficient"))
     elif _is_name(t):
         if t not in ring._index:
             raise ParseError("unknown variable %r" % t)
@@ -172,21 +172,17 @@ def _parse_factor(ring, s):
         raise ParseError("unexpected token %r" % t)
     if s.peek() == "^":
         s.next()
-        e = s.next()
-        if not e.isdigit():
-            raise ParseError("expected integer exponent, got %r" % e)
-        f = f ** int(e)
+        f = f ** _count(s.next(), "exponent")
     return f
 
 
-def _fraction(ring, num, den):
-    from fractions import Fraction
-
+def _inverse(ring, text):
+    den = _count(text, "denominator")
     if den == 0:
         raise ParseError("zero denominator")
     if ring.char and den % ring.char == 0:
-        raise ParseError("denominator %d vanishes mod %d" % (den, ring.char))
-    return Fraction(num, den)
+        raise ParseError("denominator %s vanishes mod %d" % (text, ring.char))
+    return Fraction(1, den)
 
 
 def _is_name(t):

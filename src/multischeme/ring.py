@@ -36,6 +36,7 @@ multiply-subtract: a kernel call per term made the S-pair 10-15% slower.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -51,7 +52,13 @@ class ResourceGuardExceeded(RuntimeError):
 def _check_exponent(e):
     if e >= LIMIT:
         raise ResourceGuardExceeded(
-            "Groebner kernel: exponent %d exceeds the limit %d" % (e, LIMIT - 1))
+            "Groebner kernel: exponent %s exceeds the limit %d" % (exact_text(e), LIMIT - 1))
+
+
+def exact_text(c):
+    """An int, or a Fraction as "p/q", in full: ``str`` refuses past 4300 digits."""
+    text = str(Decimal(c.numerator))
+    return text if c.denominator == 1 else "%s/%s" % (text, Decimal(c.denominator))
 
 
 class Rationals:
@@ -103,7 +110,7 @@ class PrimeField:
 
     def __init__(self, p):
         if p >= _MR_BOUND:
-            raise ValueError("characteristic must be below %d: %r" % (_MR_BOUND, p))
+            raise ValueError("characteristic must be below %d: %s" % (_MR_BOUND, exact_text(p)))
         if not _is_prime(p):
             raise ValueError("characteristic must be prime: %r" % p)
         self.p = p
@@ -217,7 +224,8 @@ class PolyRing:
         if len(set(names)) != len(names):
             raise ValueError("duplicate variable names")
         if order.front > len(names):
-            raise ValueError("block of %d variables in a ring of %d" % (order.front, len(names)))
+            raise ValueError("block of %s variables in a ring of %d"
+                             % (exact_text(order.front), len(names)))
         self.names = names
         self.nvars = len(names)
         self.char = char
@@ -479,9 +487,9 @@ class Vec:
     def __pow__(self, n):
         if n < 0:
             raise ValueError("negative exponent %d" % n)
-        # a variable of degree d in self has degree n*d in self^n
-        exps, m = self.pk.exps, self.pk.mask
-        _check_exponent(n * max((max(exps(k & m), default=0) for k in self.terms), default=0))
+        # a variable of degree d in self has degree n*d in self^n; a constant counts n
+        top = max((max(self.pk.exps(k & self.pk.mask), default=0) for k in self.terms), default=0)
+        _check_exponent(n * (top or 1))
         out = self.ring.one()
         base = self
         while n:
@@ -622,7 +630,7 @@ class Vec:
         for k, c in sorted(self.terms.items()):  # ascending keys: greatest term first
             mono = "*".join(n if a == 1 else "%s^%d" % (n, a)
                             for n, a in zip(names, exps(k & m)) if a)
-            text = str(c)  # an int, or a Fraction as "p/q"
+            text = exact_text(c)
             if mono:
                 text = text[:-1] if text in ("1", "-1") else text + "*"
             parts.setdefault(k >> cs, []).append(text + mono)

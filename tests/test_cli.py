@@ -95,6 +95,7 @@ def test_bad_subcommand_is_usage_error(capsys):
         ("ring z,x,y / char 4", "prime"),
         ("ring z,x,x,y", "duplicate"),
         ("ring z,x,y / char abc", "integer"),
+        ("ring z,x,y / char \u00b2", "integer"),  # a digit, but not a decimal one
         ("ring z,x,y / char %d" % (2**61 + 1), "prime"),
         ("ring z,x,y / char 3317044064679887385961981", "below"),
         ("ring z,x,y / char %d" % (2**89 - 1), "below"),
@@ -275,6 +276,40 @@ def test_every_command_refuses_an_exponent_past_the_limit(tmp_path, capsys, comm
     assert main([command, str(p)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("inconclusive: Groebner kernel: exponent ") and "Traceback" not in err
+
+
+# numbers just past CPython's 4300-digit limit on int <-> str conversion
+_LONG = "1" * 4301
+_LONG_INPUTS = {  # case -> (ring declaration, ideal, exit code)
+    "computed-coefficient": ("ring z0,z1,x,y", "(2^14300*x^2 + z0*y, y^2)", 0),
+    "coefficient-literal": ("ring z0,z1,x,y", "(x^2 + %s*z0*y, y^2)" % _LONG, 0),
+    "exponent-literal": ("ring z0,z1,x,y", "(x^%s, y)" % _LONG, 2),
+    "characteristic-literal": ("ring z0,z1,x,y / char %s" % _LONG, "(x, y)", 3),
+}
+
+
+@pytest.mark.parametrize("command", ["gb", "filt", "cm", "hilb"])
+@pytest.mark.parametrize("case", sorted(_LONG_INPUTS))
+def test_long_numbers_get_documented_exit_codes(tmp_path, capsys, command, case):
+    """A coefficient of any length is read and printed exactly; an exponent
+    literal past the limit trips the exponent guard and a characteristic
+    literal is a usage error, each in one line on stderr."""
+    from decimal import Decimal
+
+    decl, ideal, code = _LONG_INPUTS[case]
+    p = tmp_path / "long.ms"
+    p.write_text("%s\nsupport x, y\n%s\n" % (decl, ideal))
+    assert main([command, str(p)]) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert err == ""
+        printed = {"computed-coefficient": "x^2 + 1/%s*z0*y" % Decimal(2**14300),
+                   "coefficient-literal": "x^2 + %s*z0*y" % _LONG}[case]
+        assert (printed in out) == (command in ("gb", "filt"))
+    else:
+        assert out == "" and err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith({2: "inconclusive: Groebner kernel: exponent 1111",
+                               3: "%s: characteristic must be below " % p}[code])
 
 
 def test_no_command_resolves_r_mod_i_over_the_whole_ring(infile, capsys, rebind):

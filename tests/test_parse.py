@@ -58,7 +58,7 @@ def test_fraction_coefficients():
 
 
 @pytest.mark.parametrize("text, exponent", [("x^40000", 40000), ("x^16384*x^16384", 32768),
-                                            ("(y + x^2)^20000", 40000)])
+                                            ("(y + x^2)^20000", 40000), ("2^40000", 40000)])
 def test_an_exponent_past_the_limit_is_refused_when_parsed(text, exponent):
     """Every exponent stays below 2^15, the packed key's field: a power or a
     product past it trips the guard with the limit and the exponent it
