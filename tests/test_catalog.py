@@ -49,13 +49,11 @@ def test_minimal_gens_of_row_ideals_and_filtration_terms_are_minimal():
             for ideal in [st.ideal] + list(st.filtration().ideals):
                 gens = ideal.minimal_gens()
                 where = (entry.id, char, ideal)
+                # the unit prune keeps the generators of the minimal resolution's
+                # first map, element for element, sorted by degree
                 first = quotient_resolution(ideal).maps[0]
-                # the unit prune keeps the generators of the resolution's first map
                 assert gens == sorted(first, key=lambda g: g.degree()), where
-                assert len(gens) == len(quotient_resolution(ideal).degrees[1]), where
                 assert Ideal(ideal.ring, gens).equals(ideal), where
-                degrees = [g.degree() for g in gens]
-                assert degrees == sorted(degrees), where
 
 
 def test_unknown_table_rejected():
