@@ -9,10 +9,11 @@ polynomial where one is known in closed form).  Parameter preconditions
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
+from operator import add, sub
 
 from .hilbert import HilbertPoly, twisted_free_hilbert
 from .ideals import Ideal, is_irrelevant_primary
-from .quotients import monomials_of_degree
 from .ring import PolyRing
 from .structures import Embedding, MultiStructure, StructureError
 
@@ -40,12 +41,6 @@ def build_family(name, char=0, guard=None, **params):
             "unknown family %r; choose from %s" % (name, sorted(builders))
         )
     return builders[name](char=char, guard=guard, **params)
-
-
-def _monomials(ring, vars_, degree):
-    """All monomials of the given degree in the listed variables."""
-    sub = ring.subring(tuple(vars_))
-    return [sub.transfer(sub.poly({e: 1}), ring) for e in monomials_of_degree(sub, degree)]
 
 
 def _require_no_common_zero(ring, forms, label, guard):
@@ -102,7 +97,7 @@ def _koszul(n=2, extend=False, char=0, guard=None):
     F = [ring.var("z%d" % i) for i in range(n + 1)]
     if not extend:
         _require_no_common_zero(ring, F, "F_i", guard)
-    gens = _koszul_binomials(ring, F, x, y, n) + _monomials(ring, ("x", "y"), n + 1)
+    gens = _koszul_binomials(ring, F, x, y, n) + ring.monomials(n + 1, ("x", "y"))
     emb = Embedding(ring, ("x", "y"), guard)
     structure = MultiStructure(emb, gens)
     mult = n * (n + 1) // 2 + 1
@@ -129,9 +124,7 @@ def _nystruktur(char=0, guard=None):
     x, y = ring.var("x"), ring.var("y")
     P = [ring.var("z0"), ring.var("z1"), ring.var("z2")]
     _require_no_common_zero(ring, P, "P_i", guard)
-    gens = [P[0] * x * x + P[1] * x * y + P[2] * y * y] + _monomials(
-        ring, ("x", "y"), 3
-    )
+    gens = [P[0] * x * x + P[1] * x * y + P[2] * y * y] + ring.monomials(3, ("x", "y"))
     emb = Embedding(ring, ("x", "y"), guard)
     structure = MultiStructure(emb, gens)
     manifest = [
@@ -154,7 +147,7 @@ def _bundle(char=0, guard=None):
     xv = [ring.var("x1"), ring.var("x2"), ring.var("x3")]
     _require_no_common_zero(ring, f, "f_i", guard)
     linear = f[0] * xv[0] + f[1] * xv[1] + f[2] * xv[2]
-    gens = [linear] + _monomials(ring, ("x1", "x2", "x3"), 2)
+    gens = [linear] + ring.monomials(2, ("x1", "x2", "x3"))
     emb = Embedding(ring, ("x1", "x2", "x3"), guard)
     structure = MultiStructure(emb, gens)
     manifest = [
@@ -171,53 +164,19 @@ def _split(n=2, a=0, b=0, char=0, guard=None):
     if a < 0 or b < 0:
         raise ValueError("twists a, b must be non-negative")
     z_names = tuple("z%d" % i for i in range(n + 1))
-    # exponents in ascending lex order: the x and w names follow it
-    base = PolyRing(z_names)
-    tuples_a = monomials_of_degree(base, a + 1)[::-1]
-    tuples_b = monomials_of_degree(base, b + 1)[::-1]
-    x_names = tuple("x%d" % i for i in range(len(tuples_a)))
-    w_names = tuple("w%d" % i for i in range(len(tuples_b)))
+    # one normal variable per z-monomial of the summand's degree
+    x_names = tuple("x%d" % i for i in range(comb(n + a + 1, n)))
+    w_names = tuple("w%d" % i for i in range(comb(n + b + 1, n)))
     ring = PolyRing(z_names + x_names + w_names, char=char)
-    z = [ring.var(nm) for nm in z_names]
-
-    def z_mono(tup):
-        m = ring.one()
-        for zi, e in zip(z, tup):
-            m = m * zi ** e
-        return m
-
-    def block(tuples, names):
-        var = {t: ring.var(nm) for t, nm in zip(tuples, names)}
-        rels = []
-        seen = set()
-        for t1 in tuples:
-            for t2 in tuples:
-                for t3 in tuples:
-                    t4 = tuple(p + q - r for p, q, r in zip(t1, t2, t3))
-                    if any(e < 0 for e in t4) or sum(t4) != sum(t2):
-                        continue
-                    if t4 not in var or (t1, t2) == (t3, t4):
-                        continue
-                    key = frozenset(((t1, t2), (t3, t4)))
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    rels.append(var[t1] * z_mono(t2) - var[t3] * z_mono(t4))
-        return rels
-
-    rels_a = block(tuples_a, x_names)
-    rels_b = block(tuples_b, w_names)
+    rels_a = _split_block(ring, z_names, a + 1, x_names)
+    rels_b = _split_block(ring, z_names, b + 1, w_names)
     support = x_names + w_names
-    squares = _monomials(ring, support, 2)
+    squares = ring.monomials(2, support)
     emb = Embedding(ring, support, guard)
     triple = MultiStructure(emb, rels_a + rels_b + squares)
     # Cohen-Macaulay double substructures, one per summand
-    double_a = MultiStructure(
-        emb, rels_a + [ring.var(nm) for nm in w_names] + _monomials(ring, x_names, 2)
-    )
-    double_b = MultiStructure(
-        emb, rels_b + [ring.var(nm) for nm in x_names] + _monomials(ring, w_names, 2)
-    )
+    double_a = MultiStructure(emb, rels_a + ring.monomials(1, w_names) + ring.monomials(2, x_names))
+    double_b = MultiStructure(emb, rels_b + ring.monomials(1, x_names) + ring.monomials(2, w_names))
     hilb3 = (
         twisted_free_hilbert(n, 0, 1)
         + twisted_free_hilbert(n, a, 1)
@@ -244,6 +203,19 @@ def _split(n=2, a=0, b=0, char=0, guard=None):
     )
 
 
+def _split_block(ring, z_names, d, names):
+    """One summand's binomials x_t1*z^t2 - x_t3*z^t4 over the z-exponents t
+    of degree d, the names following them in ascending lex order: t1 before
+    t3 and t4 = t1 + t2 - t3 one of them, so each binomial comes once, where
+    a loop over t1, t2, t3 first meets it."""
+    tuples = ring.exponents(d, z_names)[::-1]
+    var = dict(zip(tuples, map(ring.var, names)))
+    z = {t: ring.poly({t: 1}) for t in tuples}
+    return [var[t1] * z[t2] - var[t3] * z[t4]
+            for i, t1 in enumerate(tuples) for t2 in tuples for t3 in tuples[i + 1:]
+            if (t4 := tuple(map(sub, map(add, t1, t2), t3))) in var]
+
+
 def _ci_subsets(c=2, char=0, guard=None):
     """For a codimension-c complete-intersection support: one structure in
     the first infinitesimal neighbourhood per subset S of the cutting
@@ -253,7 +225,7 @@ def _ci_subsets(c=2, char=0, guard=None):
     ring = PolyRing(("z0", "z1", "z2", "x", "y"), char=char)
     F = [ring.var("x"), ring.var("y")]
     emb = Embedding(ring, ("x", "y"), guard)
-    squares = _monomials(ring, ("x", "y"), 2)
+    squares = ring.monomials(2, ("x", "y"))
     subsets = [(), (0,), (1,), (0, 1)]
     structures = []
     manifest = []

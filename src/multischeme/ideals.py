@@ -42,6 +42,7 @@ from .groebner import (
 )
 from .hilbert import ideal_hilbert_series
 from .modules import GradedModule, _prune_units, free_resolution, minors
+from .parse import parse_ideal
 from .ring import Vec
 
 
@@ -75,8 +76,6 @@ class Ideal:
 
     @classmethod
     def parse(cls, ring, text, guard=None):
-        from .parse import parse_ideal
-
         return cls(ring, parse_ideal(ring, text), guard)
 
     def groebner(self):

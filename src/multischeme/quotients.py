@@ -18,25 +18,10 @@ verdict explains why:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 from .ideals import Ideal, is_irrelevant_primary
 from .modules import determinant
 from .ring import PolyRing, Vec, add_terms, nullspace
-
-
-def monomials_of_degree(ring, d):
-    """All exponent tuples of total degree d."""
-    if d < 0:
-        return []
-    n = ring.nvars
-    out = []
-    for combo in combinations_with_replacement(range(n), d):
-        e = [0] * n
-        for i in combo:
-            e[i] += 1
-        out.append(tuple(e))
-    return out
 
 
 class _LCG:
@@ -79,7 +64,7 @@ def solution_space(module, twist):
     """Basis of maps M -> O(twist): rows (l_1..l_g) with row . relations = 0."""
     ring = module.ring
     degs = [gd + twist for gd in module.gen_degrees]
-    monos = [[ring.key(e) for e in monomials_of_degree(ring, d)] for d in degs]
+    monos = [[ring.key(e) for e in ring.exponents(d)] for d in degs]
     index = {}
     for i, keys in enumerate(monos):
         for k in keys:
@@ -127,7 +112,7 @@ def _certificate(module, basis, degs):
         # generic combination is identically singular
         # in a ring of the coefficient variables a0, a1, ... alone
         sym = PolyRing(["a%d" % k for k in range(len(basis))], ring.char)
-        linear = [ring.key(e) for e in monomials_of_degree(ring, 1)]  # x_0, x_1, ...
+        linear = [ring.key(e) for e in ring.exponents(1)]  # x_0, x_1, ...
         rows = []
         for i in support:
             entries = []

@@ -18,9 +18,9 @@ each: x^a divides x^b when ``(K(b) - K(a)) & GUARD == 0``.  Exponents stay
 below ``LIMIT`` = 2^15: encoding checks them and a product or power past it
 raises ``ResourceGuardExceeded``, so no field carries into the next.
 Exponent tuples are made only at the edges: ``PolyRing.poly`` and
-``Vec(ring, data)`` (parsing), printing, ``lead`` (Hilbert leads), the
-decoded ``data`` view, and ``transfer`` and ``restrict`` through one key map
-per pair of rings.
+``Vec(ring, data)`` (parsing), the monomial writer ``PolyRing.exponents``,
+printing, ``lead`` (Hilbert leads), the decoded ``data`` view, and
+``transfer`` and ``restrict`` through one key map per pair of rings.
 
 Only this module and ``groebner``, whose speed depends on it, read the
 layout (``pk``).  The others go through ``Vec.components``, ``rank``,
@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import gcd, lcm
 from operator import mul
 
@@ -263,6 +264,22 @@ class PolyRing:
 
     def var(self, name):
         return Vec(self, None, {self.pk.off + self.pk.weights[self._index[name]]: 1})
+
+    def exponents(self, d, names=None):
+        """The exponent tuples, in this ring's coordinates, of the monomials
+        of degree d (none for d < 0) in the named variables, all of them by
+        default: the one monomial writer.  The first name's d-th power comes
+        first, in the order ``combinations_with_replacement`` runs through
+        the names, which fixes the unknowns of ``quotients.solution_space``."""
+        if d < 0:
+            return []
+        places = range(self.nvars) if names is None else [self._index[n] for n in names]
+        return [tuple(map(combo.count, range(self.nvars)))
+                for combo in combinations_with_replacement(places, d)]
+
+    def monomials(self, d, names=None):
+        """The monomials of ``exponents(d, names)``, in its order."""
+        return [Vec(self, None, {self.key(e): 1}) for e in self.exponents(d, names)]
 
     # -- derived rings -----------------------------------------------------
 

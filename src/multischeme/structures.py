@@ -48,8 +48,8 @@ from .ideals import (
     radical_contains,
     unmixed_part,
 )
-from .modules import GradedModule, free_resolution
-from .quotients import monomials_of_degree
+from .modules import GradedModule, _apply, free_resolution
+from .parse import format_ideal, format_ring
 
 
 class StructureError(ValueError):
@@ -109,18 +109,11 @@ class Embedding:
         """Transfer a support-ring polynomial into the ambient ring."""
         return f.ring.transfer(f, self.ring)
 
-    def power(self, j, pure=False):
+    def power(self, j):
         """I_X^j on its reduced basis, the support monomials of degree j
-        written down with no product formed; with ``pure`` the ideal of the
-        pure powers x_i^j alone."""
-        ring, front = self.ring, len(self.support_vars)
-        exps = ([(0,) * p + (j,) + (0,) * (front - 1 - p) for p in range(front)] if pure
-                else monomials_of_degree(self._fibre, j))
-        # each ring variable's slot in a support exponent padded by a 0
-        slots = [self.support_vars.index(n) if n in self.support_vars else front
-                 for n in ring.names]
-        full = sorted((tuple((e + (0,))[i] for i in slots) for e in exps), key=ring.key)
-        return Ideal.from_basis(ring, [ring.poly({e: 1}) for e in full], self.guard)
+        written down with no product formed."""
+        gens = sorted(self.ring.monomials(j, self.support_vars), key=lambda m: m.top())
+        return Ideal.from_basis(self.ring, gens, self.guard)
 
     def fibre(self, ideal):
         """The ideal's image I|_(z=0) in k[x, y], whose quotient is R/I's fibre."""
@@ -140,7 +133,7 @@ class Embedding:
             raise StructureError("t = %d is below the nilpotency index: %s in I_X^(t+1) is "
                                  "not in I" % (t, missed))
         front, sub = len(self.support_vars), self._sub
-        monomials = [e for d in range(t + 1) for e in monomials_of_degree(self._fibre, d)]
+        monomials = [e for d in range(t + 1) for e in self._fibre.exponents(d)]
         position = {e: j for j, e in enumerate(monomials)}
         relations = []
         for g in ideal.gens:
@@ -197,7 +190,7 @@ class MultiStructure:
             emb, contains = self.embedding, self.ideal.contains
             pure = True  # a pure power may miss I_Y; once none does, none will
             for k in range(65):
-                if pure and not all(map(contains, emb.power(k + 1, pure=True).gens)):
+                if pure and not all(contains(emb.ring.var(v) ** (k + 1)) for v in emb.support_vars):
                     continue
                 pure = False
                 if all(contains(g) for g in emb.power(k + 1).gens if len(g.variables()) > 1):
@@ -258,8 +251,6 @@ class MultiStructure:
         return self._verdicts[term]
 
     def report(self, seed=None):
-        from .parse import format_ideal, format_ring
-
         filt = self.filtration()
         cm, locus, indices = self._cm(None)
         type1, flags = self.is_type_I()
@@ -457,9 +448,9 @@ def thicken(structure, layer, images):
     on the layer's generators.  The map must be onto: Fitt_0 of
     coker [images | relations] has no projective zero, as Supp = V(Fitt_0)
     (Eisenbud, *Commutative Algebra*, §20.2).  The new ideal is
-    I_X*I_Y plus the lifts sum_i h_i g_i of the kernel vectors h of
-    [images | relations] (the relation components dropped).  Every step runs
-    under the structure's guard.
+    I_X*I_Y plus the lifts sum_i h_i g_i (``modules._apply``) of the kernel
+    vectors h of [images | relations], their relation components dropped by
+    ``restrict``.  Every step runs under the structure's guard.
     """
     emb = structure.embedding
     ring, guard = emb.ring, emb.guard
@@ -475,9 +466,6 @@ def thicken(structure, layer, images):
             % ", ".join(str(m) for m in locus.groebner())
         )
     kernel = syzygies(columns, rank=layer.rank, guard=guard)
-    lifted = (
-        sum((emb.extend(h.component(i)) * g for i, g in enumerate(gens)), ring.zero())
-        for h in kernel
-    )
+    lifted = (_apply(gens, layer.ring.restrict(h, ring, len(gens))) for h in kernel)
     new_ideal = emb.support_ideal().times(iy).plus(Ideal(ring, lifted, guard))
     return MultiStructure(emb, new_ideal, check=True)

@@ -1,8 +1,11 @@
+from math import comb
+
 import pytest
 
-from multischeme.families import build_family
+from multischeme.families import _split_block, build_family
 from multischeme.ideals import Ideal, same_zero_locus
 from multischeme.modules import matrix_rank
+from multischeme.ring import PolyRing
 
 
 def test_unknown_family_rejected():
@@ -71,6 +74,48 @@ def test_split_family_decomposes():
     ]
     # each double contains the triple
     assert da.ideal.contains_ideal(triple.ideal) or triple.ideal.contains_ideal(da.ideal)
+
+
+def _reference_block(ring, z_names, d, names):
+    """The split block as a triple loop over t1, t2, t3, each binomial kept
+    the first time a set of the pairs (t1, t2), (t3, t4) is met."""
+    base = PolyRing(z_names)
+    tuples = base.exponents(d)[::-1]
+    var = {t: ring.var(nm) for t, nm in zip(tuples, names)}
+    z = [ring.var(nm) for nm in z_names]
+
+    def z_mono(tup):
+        m = ring.one()
+        for zi, e in zip(z, tup):
+            m = m * zi ** e
+        return m
+
+    rels, seen = [], set()
+    for t1 in tuples:
+        for t2 in tuples:
+            for t3 in tuples:
+                t4 = tuple(p + q - r for p, q, r in zip(t1, t2, t3))
+                if any(e < 0 for e in t4) or sum(t4) != sum(t2):
+                    continue
+                if t4 not in var or (t1, t2) == (t3, t4):
+                    continue
+                key = frozenset(((t1, t2), (t3, t4)))
+                if key in seen:
+                    continue
+                seen.add(key)
+                rels.append(var[t1] * z_mono(t2) - var[t3] * z_mono(t4))
+    return rels
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_split_block_matches_the_deduplicated_triple_loop(n):
+    z_names = tuple("z%d" % i for i in range(n + 1))
+    for a in range(3):
+        x_names = tuple("x%d" % i for i in range(comb(n + a + 1, n)))
+        ring = PolyRing(z_names + x_names + ("w0",), char=5)
+        block = _split_block(ring, z_names, a + 1, x_names)
+        assert block == _reference_block(ring, z_names, a + 1, x_names)
+        assert len(block) == len(set(block))
 
 
 def test_bundle_family_smoke():

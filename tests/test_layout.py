@@ -11,7 +11,8 @@ support ring, so ``structures`` names no ``saturate``; and the hull and Ext
 window of R/I over R, and the resolution of R/I over R they read, are the
 tests' reference, which no product module names; minimal generators come
 from the unit prune of the first syzygies, so neither ``structures`` nor
-``Ideal.minimal_gens`` names a resolution of R/I."""
+``Ideal.minimal_gens`` names a resolution of R/I.  Each module imports only
+the modules below it in ``LAYERS``."""
 
 import ast
 import importlib
@@ -31,6 +32,9 @@ RUNNERS = {"multischeme.groebner", "multischeme.ideals", "multischeme.modules",
 REFERENCES = ("unmixed_part", "is_unmixed", "ext_annihilator", "saturate", "eliminate",
               "quotient_resolution")
 PRODUCT = ("scenarios", "cli", "catalog", "families", "quotients")
+# the package modules, each importing only those before it
+LAYERS = ("ring", "groebner", "hilbert", "modules", "parse", "ideals", "structures",
+          "quotients", "families", "catalog", "scenarios", "cli")
 
 
 def layout_reads(source):
@@ -69,6 +73,13 @@ def reference_uses(source):
     """Each name of ``REFERENCES`` that ``source`` names, with the line
     numbers at which it does (``name_uses``)."""
     return {name: lines for name in REFERENCES if (lines := name_uses(source, name))}
+
+
+def package_imports(source):
+    """(line, module) of each ``from .module import`` in ``source``, at
+    module level or inside a function."""
+    return [(node.lineno, node.module) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.level == 1]
 
 
 def layer_module_readers(source):
@@ -208,3 +219,27 @@ def test_the_product_modules_name_no_reference_of_r_mod_i():
         if uses := reference_uses(source):
             found[name] = uses
     assert found == {}
+
+
+def test_the_lint_sees_every_package_import():
+    source = (
+        "from __future__ import annotations\n"
+        "from .ring import Vec\n"
+        "from . import ideals\n"
+        "def f():\n"
+        "    from .parse import format_ideal\n"
+        "    return format_ideal\n"
+    )
+    assert package_imports(source) == [(2, "ring"), (3, None), (5, "parse")]
+
+
+def test_each_module_imports_only_the_layers_below_it():
+    upward = {}
+    for name in LAYERS:
+        source = Path(importlib.import_module("multischeme." + name).__file__).read_text()
+        for line, module in package_imports(source):
+            if module not in LAYERS[:LAYERS.index(name)]:
+                upward.setdefault(name, []).append((line, module))
+    assert upward == {}
+    modules = {info.name for info in pkgutil.iter_modules(multischeme.__path__)}
+    assert modules == set(LAYERS)

@@ -1,25 +1,13 @@
 import pytest
 
 from multischeme.modules import GradedModule
-from multischeme.quotients import (
-    line_bundle_quotients,
-    monomials_of_degree,
-    solution_space,
-)
+from multischeme.quotients import line_bundle_quotients, solution_space
 from multischeme.ring import PolyRing
 
 
 @pytest.fixture
 def sub():
     return PolyRing(("z0", "z1", "z2"))
-
-
-def test_monomials_of_degree_counts(sub):
-    assert monomials_of_degree(sub, 0) == [(0, 0, 0)]
-    assert len(monomials_of_degree(sub, 1)) == 3
-    assert len(monomials_of_degree(sub, 2)) == 6
-    assert len(monomials_of_degree(sub, 3)) == 10
-    assert monomials_of_degree(sub, -1) == []
 
 
 def test_solution_space_of_free_module(sub):

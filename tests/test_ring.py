@@ -166,6 +166,22 @@ def test_transfer_between_rings_matches_names():
         big.transfer(big.var("x"), small)
 
 
+def test_exponents_count_order_and_named_variables():
+    ring = PolyRing(("z0", "x", "z1", "y", "z2"))
+    assert ring.exponents(0) == [(0, 0, 0, 0, 0)]
+    assert [len(ring.exponents(d)) for d in range(4)] == [1, 5, 15, 35]
+    assert ring.exponents(-1) == ring.exponents(-1, ("x",)) == []
+    # the first variable's highest power first, in combinations_with_replacement's order
+    sub = PolyRing(("z0", "z1", "z2"))
+    assert sub.exponents(2) == [(2, 0, 0), (1, 1, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)]
+    # named variables in ring coordinates, run through in the order they are named
+    assert ring.exponents(2, ("y", "x")) == [(0, 0, 0, 2, 0), (0, 1, 0, 1, 0), (0, 2, 0, 0, 0)]
+    assert ring.exponents(0, ("x", "y")) == [(0,) * 5]
+    for d in range(4):
+        for names in (None, ("y", "x"), ("z2", "x", "z0")):
+            assert ring.monomials(d, names) == [ring.poly({e: 1}) for e in ring.exponents(d, names)]
+
+
 @pytest.mark.parametrize("char", [0, 5])
 def test_split_by_front_monomials_round_trips(char):
     block = PolyRing(("x", "y", "z0", "z1"), char, TermOrder("block", front=2))

@@ -52,7 +52,7 @@ def _structure(ring, text, check=True):
 def test_power_writes_down_the_reduced_basis_of_the_product(order):
     """I_X^j written down by ``Embedding.power`` is the reduced basis of
     the repeated product, for j <= 6 on 1-3 support variables anywhere in
-    the ring; its pure powers are the x_i^j.  The product starts from I_X
+    the ring, which holds the pure powers x_i^j.  The product starts from I_X
     computed by Buchberger, not from ``support_ideal``, which is ``power(1)``."""
     names = ("z0", "x", "z1", "y", "w")
     ring = PolyRing(names, order=LEX) if order == "lex" else PolyRing(names)
@@ -62,8 +62,7 @@ def test_power_writes_down_the_reduced_basis_of_the_product(order):
         for j in range(1, 7):
             written = emb.power(j)
             assert written.gens == tuple(written.groebner()) == tuple(product.groebner())
-            pure = emb.power(j, pure=True).gens
-            assert sorted(map(str, pure)) == sorted(str(ring.var(v) ** j) for v in support)
+            assert {ring.var(v) ** j for v in support} <= set(written.gens)
             product = product.times(ix)
 
 
