@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Input files contain a ring declaration, an optional support declaration and
-an ideal, e.g.::
+Input files contain a ring declaration, an optional support declaration
+(``filt`` and ``cm`` default to x, y) and an ideal, e.g.::
 
     ring z0,z1,z2,x,y / char 0 / grevlex
     support x, y
@@ -23,7 +23,7 @@ import sys
 from .catalog import CatalogError, load_catalog
 from .groebner import Guard, ResourceGuardExceeded
 from .ideals import Ideal
-from .parse import ParseError, format_ideal, parse_ring
+from .parse import ParseError, _count, format_ideal, parse_ring
 from .ring import PolyRing
 from .scenarios import ScenarioOptions, emit_report, run_scenario, scenario_ids
 from .structures import Embedding, MultiStructure, StructureError, hilb_to_json
@@ -69,13 +69,7 @@ def _read_input(path, guard):
         ideal = Ideal.parse(ring, " ".join(rest), guard)
     except ParseError as exc:
         raise _UsageError("%s: %s" % (path, exc))
-    if support is None:
-        if not {"x", "y"} <= set(ring.names):
-            raise _UsageError(
-                "%s: no support declaration and no default x, y variables" % path
-            )
-        support = ("x", "y")
-    for k, v in enumerate(support):
+    for k, v in enumerate(support or ()):
         if v not in ring.names:
             raise _UsageError("%s: support variable %s not in ring" % (path, v))
         if v in support[:k]:
@@ -88,10 +82,13 @@ class _UsageError(Exception):
 
 
 def _characteristic(text):
-    """0 or a prime, checked by building its field as a ring declaration does."""
+    """0 or a prime, read as a ring declaration reads it, of any length, and
+    checked by building its field; a sign is read, so -3 is refused as no prime."""
+    digits = text.removeprefix("-")
     try:
-        return PolyRing((), char=int(text)).char
-    except ValueError as exc:
+        char = _count(digits, "characteristic")
+        return PolyRing((), char=char if digits == text else -char).char
+    except ValueError as exc:  # a ParseError too
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
@@ -105,7 +102,12 @@ def _read_homogeneous(path, guard):
 
 
 def _structure(path, guard):
+    """The structure on the declared support, by default on (x, y)."""
     ring, support, ideal = _read_homogeneous(path, guard)
+    if support is None:
+        if not {"x", "y"} <= set(ring.names):
+            raise _UsageError("%s: no support declaration and no default x, y variables" % path)
+        support = ("x", "y")
     try:
         emb = Embedding(ring, support, guard)
     except StructureError as exc:  # an empty X is bad input, not a verdict

@@ -79,6 +79,17 @@ def test_repeated_support_variable_is_usage_error(tmp_path, capsys, command):
     assert "support variable x repeated" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, code", [("gb", 0), ("hilb", 0), ("filt", 3), ("cm", 3)])
+def test_only_the_structure_commands_need_a_support(tmp_path, capsys, command, code):
+    # gb and hilb read no support, so a ring without x, y needs no support line
+    p = tmp_path / "no_xy.ms"
+    p.write_text("ring a,b,c / char 0 / grevlex\n(a^2, b*c)\n")
+    assert main([command, str(p)]) == code
+    err = capsys.readouterr().err
+    assert ("no support declaration and no default x, y variables" in err) == (code == 3)
+    assert "Traceback" not in err
+
+
 def test_missing_file_is_usage_error(capsys):
     assert main(["gb", "/nonexistent/file.ms"]) == 3
 
@@ -201,12 +212,19 @@ def test_negative_max_degree_is_a_usage_error(infile, capsys):
     assert "non-negative" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("char, message", [(4, "prime"), (-3, "prime"), (2**82, "below")])
+@pytest.mark.parametrize("char, message", [
+    ("4", "prime"), ("-3", "prime"), (str(2**82), "below"),
+    # past CPython's 4300-digit limit on int(str), read as a ring declaration reads it
+    pytest.param("1" * 4301, "below", id="4301-digits-below"),
+    ("abc", "must be a non-negative integer, got 'abc'"),
+])
 def test_verify_rejects_a_characteristic_that_is_not_a_field(char, message, capsys):
     with pytest.raises(SystemExit) as exc:
-        main(["verify", "thm-3.6", "--char", str(char)])
+        main(["verify", "thm-3.6", "--char", char])
     assert exc.value.code == 3
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert "sys.set_int_max_str_digits" not in err and "decimal" not in err
 
 
 def test_catalog_list(capsys):
