@@ -32,6 +32,14 @@ USAGE_ERROR = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    def parse_known_args(self, args=None, namespace=None):
+        # argparse reads an =-joined "--" as no value and skips its type and choices
+        args = sys.argv[1:] if args is None else list(args)
+        for arg in args[:args.index("--") if "--" in args else None]:
+            if arg.startswith("-") and arg.endswith("=--"):
+                self.error("argument %s: expected one argument" % arg[:-3])
+        return super().parse_known_args(args, namespace)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print("%s: error: %s" % (self.prog, message), file=sys.stderr)
@@ -79,6 +87,13 @@ def _read_input(path, guard):
 
 class _UsageError(Exception):
     pass
+
+
+def _max_degree(text):
+    try:
+        return _count(text, "max degree")
+    except ParseError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _characteristic(text):
@@ -149,18 +164,7 @@ def _cmd_hilb(args, guard):
 
 
 def _cmd_verify(args, guard):
-    known = scenario_ids()
-    if args.scenario == "all":
-        targets = known
-    elif args.scenario in known:
-        targets = [args.scenario]
-    else:
-        print(
-            "unknown scenario %r; choose from %s or 'all'"
-            % (args.scenario, ", ".join(known)),
-            file=sys.stderr,
-        )
-        return USAGE_ERROR
+    targets = scenario_ids() if args.scenario == "all" else [args.scenario]
     opts = ScenarioOptions(char=args.char, seed=args.seed, guard=guard)
     results = [run_scenario(sid, opts) for sid in targets]
     text, code = emit_report(results, fmt=args.format)
@@ -169,9 +173,6 @@ def _cmd_verify(args, guard):
 
 
 def _cmd_catalog(args, guard):
-    if args.action != "list":
-        print("unknown catalog action %r; expected 'list'" % args.action, file=sys.stderr)
-        return USAGE_ERROR
     for entry in load_catalog():
         chars = ",".join("p%d" % c for c in entry.chars)
         print(
@@ -190,12 +191,8 @@ def _cmd_catalog(args, guard):
 
 def build_parser():
     parser = _Parser(prog="ms", description="multiple-structure workbench")
-    parser.add_argument(
-        "--max-degree",
-        type=int,
-        default=None,
-        help="degree budget for Groebner computations",
-    )
+    parser.add_argument("--max-degree", type=_max_degree,
+                        help="degree budget for Groebner computations")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gb", help="reduced Groebner basis of the input ideal")
@@ -216,14 +213,15 @@ def build_parser():
     p.set_defaults(fn=_cmd_hilb)
 
     p = sub.add_parser("verify", help="run verification scenarios")
-    p.add_argument("scenario", help="scenario id or 'all'")
+    p.add_argument("scenario", choices=scenario_ids() + ["all"], metavar="scenario",
+                   help="scenario id or 'all'")
     p.add_argument("--char", type=_characteristic, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.set_defaults(fn=_cmd_verify)
 
     p = sub.add_parser("catalog", help="inspect the classification catalog")
-    p.add_argument("action", help="'list'")
+    p.add_argument("action", choices=("list",))
     p.set_defaults(fn=_cmd_catalog)
 
     return parser
@@ -232,8 +230,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.max_degree is not None and args.max_degree < 0:
-        parser.error("--max-degree must be non-negative, got %d" % args.max_degree)
     guard = None if args.max_degree is None else Guard(max_degree=args.max_degree)
     try:
         return args.fn(args, guard)

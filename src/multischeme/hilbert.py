@@ -206,18 +206,9 @@ class HilbertPoly:
         return (i, self.as_dict()[i])
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        pieces = []
-        for i, c in sorted(self.coeffs, reverse=True):
-            mag = abs(c)
-            body = "P_%d" % i if mag == 1 else "%d*P_%d" % (mag, i)
-            pieces.append(("-" if c < 0 else "+", body))
-        sign, body = pieces[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in pieces[1:]:
-            out += " %s %s" % (sign, body)
-        return out
+        terms = ("%sP_%d" % ({1: "", -1: "-"}.get(c, "%d*" % c), i)
+                 for i, c in sorted(self.coeffs, reverse=True))
+        return " + ".join(terms).replace(" + -", " - ") or "0"
 
     __repr__ = __str__
 

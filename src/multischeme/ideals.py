@@ -8,7 +8,7 @@ any Groebner basis.  It is interreduced only when the reduced basis is asked
 for; an ideal made ``from_basis``, as I_X and its powers are, runs nothing.
 Every colon, intersection and Ext annihilator is one ``module_colon``: one
 ``syzygies`` of a stacked vector modulo the image's known basis; a sum I + J
-extends the basis I holds, J's generators entering reduced.  Each zero-locus
+extends I's unreduced basis, J's generators entering reduced.  Each zero-locus
 question has one test: f in rad(I) when I + (f - 1) is the unit ideal, and
 V(I) empty by ``is_irrelevant_primary``.  An Ext window beyond the
 codimension (``ext_window``) runs over any minimal resolution: the CM
@@ -116,13 +116,11 @@ class Ideal:
         return not all(map(any, self.leads()))  # some lead is constant
 
     def plus(self, other):
-        """I + J; once I holds its unreduced basis (computed, or the basis of
-        an ideal made ``from_basis``), the sum's basis extends it, and J's
-        generators enter it reduced modulo that basis.  It keeps I's guard."""
-        known = self._raw
-        gens = tuple(self.gens if known is None else known) + tuple(other.gens)
-        out = Ideal(self.ring, gens, self.guard)
-        out._known = len(known or ())
+        """I + J, extending I's unreduced basis (computed first if need be):
+        J's generators enter it reduced.  It keeps I's guard."""
+        known = self.unreduced()
+        out = Ideal(self.ring, (*known, *other.gens), self.guard)
+        out._known = len(known)
         return out
 
     def times(self, other):
@@ -224,7 +222,6 @@ def radical_contains(ideal, f):
         raise ValueError("radical membership for an inhomogeneous ideal or form")
     if f.is_constant():
         return f.is_zero() or ideal.is_one()
-    ideal.unreduced()  # so that the sum starts from I's basis
     return ideal.plus(Ideal(ideal.ring, [f - 1], ideal.guard)).is_one()
 
 

@@ -10,6 +10,7 @@ Ideal text is a parenthesized comma-separated list of polynomials, e.g.
 any length.  Every exponent, written or made by a product or power, must
 stay below 2^15 = 32768, the packed key's field (see ``ring``): a larger one
 raises ``ResourceGuardExceeded`` naming it, which ``ms`` reports as inconclusive.
+So does a product or power past ``BUDGET``, checked before it is built.
 """
 
 from __future__ import annotations
@@ -17,8 +18,17 @@ from __future__ import annotations
 import re
 from decimal import Decimal
 from fractions import Fraction
+from math import comb
 
-from .ring import GREVLEX, LEX, PolyRing, TermOrder
+from .ring import GREVLEX, LEX, PolyRing, ResourceGuardExceeded, TermOrder
+
+# The size budget of one product or power, checked before it is built: a
+# product counts its t1*t2 term products, a power f^n of t terms the square of
+# the multinomial bound C(n + t - 1, t - 1) on its terms or, if larger, the
+# (b - 1)*n bits its b-bit coefficients may reach.  2^20 term products of
+# small coefficients take about 0.3 s (2-core x86, CPython 3.11), far beyond
+# any input the tests parse; 2^20 bits are 315,653 digits.
+BUDGET = 1 << 20
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|[()+\-*/^,])")
 
@@ -143,12 +153,12 @@ def _parse_product(ring, s):
         t = s.peek()
         if t == "*":
             s.next()
-            f = f * _parse_factor(ring, s)
+            f = _product(f, _parse_factor(ring, s))
         elif t == "/":
             s.next()
             f = f.scale(_inverse(ring, s.next()))
         elif t is not None and (t.isdigit() or t == "(" or _is_name(t)):
-            f = f * _parse_factor(ring, s)
+            f = _product(f, _parse_factor(ring, s))
         else:
             return f
 
@@ -172,8 +182,28 @@ def _parse_factor(ring, s):
         raise ParseError("unexpected token %r" % t)
     if s.peek() == "^":
         s.next()
-        f = f ** _count(s.next(), "exponent")
+        f = _power(f, _count(s.next(), "exponent"))
     return f
+
+
+def _product(f, g):
+    _within(len(f.terms) * len(g.terms), "(%d terms)*(%d terms)", len(f.terms), len(g.terms))
+    return f * g
+
+
+def _power(f, n):
+    f.check_power(n)  # the exponent guard first, so that its message wins
+    t = len(f.terms) or 1
+    b = max((max(abs(c.numerator), c.denominator).bit_length() for c in f.terms.values()),
+            default=0)
+    _within(max(comb(n + t - 1, t - 1) ** 2, (b - 1) * n),
+            "(%d terms, %d-bit coefficients)^%d", t, b, n)
+    return f ** n
+
+
+def _within(count, what, *args):
+    if count > BUDGET:
+        raise ResourceGuardExceeded("parser: %s is past the size budget %d" % (what % args, BUDGET))
 
 
 def _inverse(ring, text):

@@ -501,12 +501,16 @@ class Vec:
     __radd__ = __add__
     __rmul__ = __mul__
 
-    def __pow__(self, n):
+    def check_power(self, n):
+        """Refuse self^n before it is built: a negative n, or an exponent past LIMIT."""
         if n < 0:
             raise ValueError("negative exponent %d" % n)
         # a variable of degree d in self has degree n*d in self^n; a constant counts n
         top = max((max(self.pk.exps(k & self.pk.mask), default=0) for k in self.terms), default=0)
         _check_exponent(n * (top or 1))
+
+    def __pow__(self, n):
+        self.check_power(n)
         out = self.ring.one()
         base = self
         while n:

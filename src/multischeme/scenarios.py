@@ -11,8 +11,9 @@ from __future__ import annotations
 import json
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from itertools import product
 
 from .catalog import load_catalog
 from .families import build_family
@@ -51,15 +52,7 @@ class ScenarioResult:
     char: int = None
 
     def to_json(self):
-        return {
-            "id": self.id,
-            "status": self.status,
-            "elapsed": self.elapsed,
-            "diffs": self.diffs,
-            "certificates": self.certificates,
-            "seed": self.seed,
-            "char": self.char,
-        }
+        return asdict(self)
 
 
 class _Recorder:
@@ -72,24 +65,15 @@ class _Recorder:
     def check(self, name, expected, computed):
         ok = expected == computed
         if not ok:
-            self.diffs.append(
-                {
-                    "check": name,
-                    "expected": str(expected),
-                    "computed": str(computed),
-                }
-            )
+            self._differ(name, expected, computed)
         return ok
 
     def check_ideal(self, name, expected, computed):
         if not expected.equals(computed):
-            self.diffs.append(
-                {
-                    "check": name,
-                    "expected": _ideal_text(expected),
-                    "computed": _ideal_text(computed),
-                }
-            )
+            self._differ(name, _ideal_text(expected), _ideal_text(computed))
+
+    def _differ(self, name, expected, computed):
+        self.diffs.append({"check": name, "expected": str(expected), "computed": str(computed)})
 
 
 def _ideal_text(ideal):
@@ -154,22 +138,12 @@ def _verify_entry(rec, opts, entry, ch):
     rec.check(tag + ":locally-cm", entry.locally_cm, st.locally_cm()[0])
     rec.check(tag + ":type-i", entry.type_i, st.is_type_I()[0])
     # Hilbert additivity across the filtration layers
-    filt = st.filtration()
-    total = support.hilbert_polynomial()
-    for hp in filt.layer_polynomials:
-        total = total + hp
+    total = sum(st.filtration().layer_polynomials, support.hilbert_polynomial())
     rec.check(tag + ":hilbert-additivity", st.hilbert_polynomial(), total)
 
 
 def _gl2(p):
-    mats = []
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                for d in range(p):
-                    if (a * d - b * c) % p:
-                        mats.append(((a, b), (c, d)))
-    return mats
+    return [((a, b), (c, d)) for a, b, c, d in product(range(p), repeat=4) if (a * d - b * c) % p]
 
 
 def _apply_xy(ideal, mat):
@@ -511,11 +485,12 @@ def exit_code(results):
 def emit_report(results, fmt="text"):
     """Serialize results; returns (text, exit_code)."""
     code = exit_code(results)
+    passed = sum(1 for r in results if r.status == "PASS")
     if fmt == "json":
         payload = {
             "scenarios": [r.to_json() for r in results],
             "summary": {
-                "passed": sum(1 for r in results if r.status == "PASS"),
+                "passed": passed,
                 "total": len(results),
                 "exit_code": code,
             },
@@ -532,6 +507,5 @@ def emit_report(results, fmt="text"):
             lines.append("    guard    %s" % r.certificates["resource_guard"])
         if r.status == "ERROR":
             lines.append("    error    %s" % r.certificates["error"])
-    passed = sum(1 for r in results if r.status == "PASS")
     lines.append("%d/%d scenarios passed" % (passed, len(results)))
     return "\n".join(lines), code

@@ -354,7 +354,6 @@ def _primary_component(emb, total, power, truncated, block):
     ring, front = emb.ring, len(emb.support_vars)
     if _free(emb, total, truncated):
         return total, True
-    block.unreduced()  # so that a sum starts from I_Y's basis
     if power is not None:
         block = block.plus(Ideal(emb._block, (ring.transfer(g, emb._block) for g in power.gens),
                                  block.guard))
@@ -467,5 +466,6 @@ def thicken(structure, layer, images):
         )
     kernel = syzygies(columns, rank=layer.rank, guard=guard)
     lifted = (_apply(gens, layer.ring.restrict(h, ring, len(gens))) for h in kernel)
-    new_ideal = emb.support_ideal().times(iy).plus(Ideal(ring, lifted, guard))
+    # from generators: I_X*I_Y holds no basis, and ``plus`` would compute one (more S-pairs)
+    new_ideal = Ideal(ring, (*emb.support_ideal().times(iy).gens, *lifted), guard)
     return MultiStructure(emb, new_ideal, check=True)

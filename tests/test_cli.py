@@ -62,7 +62,17 @@ def test_verify_json_format(capsys):
 
 
 def test_verify_unknown_scenario_is_usage_error(capsys):
-    assert main(["verify", "nope"]) == 3
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "nope"])
+    assert exc.value.code == 3
+    assert "argument scenario: invalid choice: 'nope'" in capsys.readouterr().err
+
+
+def test_catalog_unknown_action_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["catalog", "foo"])
+    assert exc.value.code == 3
+    assert "argument action: invalid choice: 'foo' (choose from 'list')" in capsys.readouterr().err
 
 
 def test_missing_ring_declaration_is_usage_error(tmp_path, capsys):
@@ -212,6 +222,21 @@ def test_negative_max_degree_is_a_usage_error(infile, capsys):
     assert "non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, argv", [
+    ("--max-degree", ["--max-degree=--", "verify", "hm-hilbert"]),
+    ("--char", ["verify", "hm-hilbert", "--char=--"]),
+    ("--seed", ["verify", "hm-hilbert", "--seed=--"]),
+    ("--format", ["verify", "hm-hilbert", "--format=--"]),
+])
+def test_an_option_whose_joined_value_is_a_double_dash_is_a_usage_error(capsys, option, argv):
+    # argparse would store [] for the value and skip its type and choices
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines()[-1] == "ms: error: argument %s: expected one argument" % option
+
+
 @pytest.mark.parametrize("char, message", [
     ("4", "prime"), ("-3", "prime"), (str(2**82), "below"),
     # past CPython's 4300-digit limit on int(str), read as a ring declaration reads it
@@ -294,6 +319,19 @@ def test_every_command_refuses_an_exponent_past_the_limit(tmp_path, capsys, comm
     assert main([command, str(p)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("inconclusive: Groebner kernel: exponent ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("poly", ["(x+y+z)^250", "(x+y+z)^500", "(x+y+z)^89*(x+y+z)^89",
+                                  "(2^30000)^300*x"])
+def test_a_short_input_past_the_parser_budget_is_inconclusive(tmp_path, capsys, poly):
+    p = tmp_path / "big.ms"
+    p.write_text("ring z0,z1,x,y,z\nsupport x, y\n(%s)\n" % poly)
+    start = time.perf_counter()
+    assert main(["gb", str(p)]) == 2
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("inconclusive: parser: ") and err.count("\n") == 1
+    assert err.endswith(" is past the size budget 1048576\n")
 
 
 # numbers just past CPython's 4300-digit limit on int <-> str conversion

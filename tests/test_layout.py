@@ -12,7 +12,9 @@ window of R/I over R, and the resolution of R/I over R they read, are the
 tests' reference, which no product module names; minimal generators come
 from the unit prune of the first syzygies, so neither ``structures`` nor
 ``Ideal.minimal_gens`` names a resolution of R/I.  Each module imports only
-the modules below it in ``LAYERS``."""
+the modules below it in ``LAYERS``.  A cache is filled by the one that
+reads it: no statement computes a basis, leads or series only to discard
+them, as ``Ideal.plus`` extends I's basis, computing it first if need be."""
 
 import ast
 import importlib
@@ -32,6 +34,8 @@ RUNNERS = {"multischeme.groebner", "multischeme.ideals", "multischeme.modules",
 REFERENCES = ("unmixed_part", "is_unmixed", "ext_annihilator", "saturate", "eliminate",
               "quotient_resolution")
 PRODUCT = ("scenarios", "cli", "catalog", "families", "quotients")
+# the cached computations of an Ideal
+CACHED = ("unreduced", "groebner", "leads", "hilbert_series")
 # the package modules, each importing only those before it
 LAYERS = ("ring", "groebner", "hilbert", "modules", "parse", "ideals", "structures",
           "quotients", "families", "catalog", "scenarios", "cli")
@@ -98,6 +102,16 @@ def layer_module_readers(source):
 
     visit(ast.parse(source), ())
     return found
+
+
+def discarded_calls(source):
+    """(line, name) of each statement of ``source`` that calls a name of
+    ``CACHED``, bare or as an attribute, and discards the result."""
+    calls = (node for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call))
+    named = ((node.lineno, getattr(node.value.func, "attr", getattr(node.value.func, "id", None)))
+             for node in calls)
+    return sorted((line, name) for line, name in named if name in CACHED)
 
 
 def test_the_lint_sees_every_read_of_the_layout():
@@ -243,3 +257,24 @@ def test_each_module_imports_only_the_layers_below_it():
     assert upward == {}
     modules = {info.name for info in pkgutil.iter_modules(multischeme.__path__)}
     assert modules == set(LAYERS)
+
+
+def test_the_lint_sees_every_discarded_cache_call():
+    source = (
+        "def f(ideal, block):\n"
+        "    ideal.unreduced()  # so that a sum starts from its basis\n"
+        "    basis = block.groebner()\n"
+        "    if block.leads():\n"
+        "        hilbert_series()\n"
+        "    return [ideal.hilbert_series() for _ in basis], block.leads\n"
+    )
+    assert discarded_calls(source) == [(2, "unreduced"), (5, "hilbert_series")]
+
+
+def test_no_statement_primes_a_cache():
+    found = {}
+    for info in pkgutil.iter_modules(multischeme.__path__, multischeme.__name__ + "."):
+        source = Path(importlib.import_module(info.name).__file__).read_text()
+        if calls := discarded_calls(source):
+            found[info.name] = calls
+    assert found == {}

@@ -71,6 +71,23 @@ def test_an_exponent_past_the_limit_is_refused_when_parsed(text, exponent):
     assert parse_poly(ring, "x^16383*x^16384").data == {(0, (32767, 0)): 1}
 
 
+@pytest.mark.parametrize("within, past, what", [
+    ("(x+y+z+w+u)^10", "(x+y+z+w+u)^11", "(5 terms, 1-bit coefficients)^11"),
+    ("(x+y+z)^31*(x+y+z)^31", "(x+y+z)^31*(x+y+z)^31*(x+y+z)^31", "(2016 terms)*(528 terms)"),
+    ("(2^32)^32767*x", "(2^33)^32767*x", "(1 terms, 34-bit coefficients)^32767"),
+    ("(2^32*x)^32767", "(2^33*x)^32767", "(1 terms, 34-bit coefficients)^32767"),
+])
+def test_a_product_or_power_past_the_size_budget_is_refused(within, past, what):
+    """The budget of 2^20 counts a product's term products and the larger of
+    the square of a power's multinomial bound on its terms and the bits its
+    coefficients may reach, each checked before the product or power is built."""
+    ring = PolyRing(("x", "y", "z", "w", "u"))
+    assert parse_poly(ring, within)
+    with pytest.raises(ResourceGuardExceeded,
+                       match=re.escape("parser: %s is past the size budget 1048576" % what)):
+        parse_poly(ring, past)
+
+
 def test_ideal_requires_parentheses():
     ring = PolyRing(("x", "y"))
     assert parse_ideal(ring, "( )") == []
