@@ -9,10 +9,11 @@ polynomial where one is known in closed form).  Parameter preconditions
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 from operator import add, sub
 
-from .hilbert import HilbertPoly, twisted_free_hilbert
+from .hilbert import twisted_free_hilbert
 from .ideals import Ideal, is_irrelevant_primary
 from .ring import PolyRing
 from .structures import Embedding, MultiStructure, StructureError
@@ -76,11 +77,8 @@ def _primitive(nu=2, n=2, char=0, guard=None):
 
 
 def _koszul_binomials(ring, F, x, y, n):
-    out = []
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            out.append(F[j] * x ** (n - i) * y ** i - F[i] * x ** (n - j) * y ** j)
-    return out
+    return [F[j] * x ** (n - i) * y ** i - F[i] * x ** (n - j) * y ** j
+            for i, j in combinations(range(n + 1), 2)]
 
 
 def _koszul(n=2, extend=False, char=0, guard=None):
@@ -104,11 +102,8 @@ def _koszul(n=2, extend=False, char=0, guard=None):
     entry = {"multiplicity": mult, "locally_cm": not extend}
     if not extend:
         # Hilb = sum_{i<n} (i+1)*Hilb(O_X(-i)) + Hilb(O_X(-(n-1)))
-        hp = HilbertPoly.zero()
-        for i in range(n):
-            hp = hp + twisted_free_hilbert(n, -i, i + 1)
-        hp = hp + twisted_free_hilbert(n, -(n - 1), 1)
-        entry["hilb"] = hp
+        entry["hilb"] = sum((twisted_free_hilbert(n, -i, i + 1) for i in range(n)),
+                            twisted_free_hilbert(n, -(n - 1), 1))
     else:
         entry["non_cm_locus"] = ["z%d" % i for i in range(n + 1)] + ["x", "y"]
     return Family(

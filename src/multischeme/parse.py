@@ -10,7 +10,8 @@ Ideal text is a parenthesized comma-separated list of polynomials, e.g.
 any length.  Every exponent, written or made by a product or power, must
 stay below 2^15 = 32768, the packed key's field (see ``ring``): a larger one
 raises ``ResourceGuardExceeded`` naming it, which ``ms`` reports as inconclusive.
-So does a product or power past ``BUDGET``, checked before it is built.
+So does a product or power that takes the input past ``BUDGET``, counted
+before it is built.
 """
 
 from __future__ import annotations
@@ -22,13 +23,15 @@ from math import comb
 
 from .ring import GREVLEX, LEX, PolyRing, ResourceGuardExceeded, TermOrder
 
-# The size budget of one product or power, checked before it is built: a
-# product counts its t1*t2 term products, a power f^n of t terms the square of
-# the multinomial bound C(n + t - 1, t - 1) on its terms or, if larger, the
-# (b - 1)*n bits its b-bit coefficients may reach.  2^20 term products of
-# small coefficients take about 0.3 s (2-core x86, CPython 3.11), far beyond
-# any input the tests parse; 2^20 bits are 315,653 digits.
-BUDGET = 1 << 20
+# The size budget of one parse, in term products, a term of a b-bit
+# coefficient weighing 1 + b // 256; each product or power spends its count
+# before it is built: a product its factors' weights multiplied, a power f^n
+# of t terms of b bits the square of the weight bound of its largest factor
+# f^m, m = n - n // 2: C(m + t - 1, t - 1) terms of m*(b + log2 t) bits.
+# 2^16 products of rational terms of a few hundred bits take about 0.3 s
+# (2-core x86, CPython 3.11), of integers a tenth of that; the tests' inputs
+# spend below 2^14 but for the budget's own, 2^14300 below 2^12.
+BUDGET = 1 << 16
 
 _TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|[()+\-*/^,])")
 
@@ -55,6 +58,7 @@ class _Stream:
     def __init__(self, tokens):
         self.tokens = tokens
         self.i = 0
+        self.spent = 0  # of BUDGET, by the products and powers parsed so far
 
     def peek(self):
         return self.tokens[self.i] if self.i < len(self.tokens) else None
@@ -153,12 +157,12 @@ def _parse_product(ring, s):
         t = s.peek()
         if t == "*":
             s.next()
-            f = _product(f, _parse_factor(ring, s))
+            f = _product(s, f, _parse_factor(ring, s))
         elif t == "/":
             s.next()
             f = f.scale(_inverse(ring, s.next()))
         elif t is not None and (t.isdigit() or t == "(" or _is_name(t)):
-            f = _product(f, _parse_factor(ring, s))
+            f = _product(s, f, _parse_factor(ring, s))
         else:
             return f
 
@@ -182,28 +186,40 @@ def _parse_factor(ring, s):
         raise ParseError("unexpected token %r" % t)
     if s.peek() == "^":
         s.next()
-        f = _power(f, _count(s.next(), "exponent"))
+        f = _power(s, f, _count(s.next(), "exponent"))
     return f
 
 
-def _product(f, g):
-    _within(len(f.terms) * len(g.terms), "(%d terms)*(%d terms)", len(f.terms), len(g.terms))
+def _product(s, f, g):
+    (k, b), (t, c) = _size(f), _size(g)
+    _within(s, _weight(k, b) * _weight(t, c), "(%d terms, %d-bit)*(%d terms, %d-bit)", k, b, t, c)
     return f * g
 
 
-def _power(f, n):
-    f.check_power(n)  # the exponent guard first, so that its message wins
-    t = len(f.terms) or 1
-    b = max((max(abs(c.numerator), c.denominator).bit_length() for c in f.terms.values()),
-            default=0)
-    _within(max(comb(n + t - 1, t - 1) ** 2, (b - 1) * n),
-            "(%d terms, %d-bit coefficients)^%d", t, b, n)
+def _power(s, f, n):
+    f.check_power(n)  # the exponent guard first: its message wins, and n < 2^15 for comb
+    t, b = _size(f)
+    t, m = t or 1, n - n // 2
+    _within(s, _weight(comb(m + t - 1, t - 1), m * (b + (t - 1).bit_length())) ** 2,
+            "(%d terms, %d-bit)^%d", t, b, n)
     return f ** n
 
 
-def _within(count, what, *args):
-    if count > BUDGET:
-        raise ResourceGuardExceeded("parser: %s is past the size budget %d" % (what % args, BUDGET))
+def _size(f):
+    """(terms, bits of the longest coefficient) of f."""
+    return len(f.terms), max((max(abs(c.numerator), c.denominator).bit_length()
+                              for c in f.terms.values()), default=0)
+
+
+def _weight(terms, bits):
+    return terms * (1 + bits // 256)
+
+
+def _within(s, count, what, *args):
+    s.spent += count
+    if s.spent > BUDGET:
+        raise ResourceGuardExceeded("parser: %s takes the input past the size budget %d"
+                                    % (what % args, BUDGET))
 
 
 def _inverse(ring, text):

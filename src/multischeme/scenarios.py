@@ -43,6 +43,9 @@ class ScenarioOptions:
 
 @dataclass
 class ScenarioResult:
+    """A scenario's outcome, and its recorder while it runs: the checks add
+    each expected-vs-computed mismatch to ``diffs``."""
+
     id: str
     status: str                 # PASS | FAIL | INCONCLUSIVE | ERROR
     elapsed: float
@@ -54,19 +57,9 @@ class ScenarioResult:
     def to_json(self):
         return asdict(self)
 
-
-class _Recorder:
-    """Collects expected-vs-computed mismatches and certificate summaries."""
-
-    def __init__(self):
-        self.diffs = []
-        self.certificates = {}
-
     def check(self, name, expected, computed):
-        ok = expected == computed
-        if not ok:
+        if expected != computed:
             self._differ(name, expected, computed)
-        return ok
 
     def check_ideal(self, name, expected, computed):
         if not expected.equals(computed):
@@ -206,18 +199,16 @@ def _scn_char_dichotomy(rec, opts):
     m4_3 = Ideal.parse(ring3, "(x^4, x^3*y, x^2*y^2, x*y^3, y^4)", guard)
     target = Ideal.parse(ring3, "(x^3, y^3)", guard).plus(m4_3)
     x, y = ring3.var("x"), ring3.var("y")
-    checked = 0
-    for a in (1, 2):
-        for b in (1, 2):
-            cubic = x * x * y.scale(a) + x * y * y.scale(b) + y ** 3
-            j3 = Ideal(ring3, [x ** 3, cubic] + list(m4_3.gens), guard)
-            hits = [m for m in mats3 if _apply_xy(j3, m).equals(target)]
-            rec.check("f3-no-cube-form a=%d b=%d" % (a, b), [], hits)
-            checked += 1
+    coefficients = list(product((1, 2), repeat=2))
+    for a, b in coefficients:
+        cubic = x * x * y.scale(a) + x * y * y.scale(b) + y ** 3
+        j3 = Ideal(ring3, [x ** 3, cubic] + list(m4_3.gens), guard)
+        hits = [m for m in mats3 if _apply_xy(j3, m).equals(target)]
+        rec.check("f3-no-cube-form a=%d b=%d" % (a, b), [], hits)
     rec.certificates["scalar-search"] = {
         "gl2_f2_maps": len(mats2),
         "gl2_f3_maps": len(mats3),
-        "f3_coefficient_pairs": checked,
+        "f3_coefficient_pairs": len(coefficients),
     }
 
 
@@ -448,30 +439,21 @@ def run_scenario(scenario_id, options=None):
             "unknown scenario %r; choose from %s" % (scenario_id, scenario_ids())
         )
     opts = options or ScenarioOptions()
-    rec = _Recorder()
+    rec = ScenarioResult(scenario_id, "PASS", 0.0, seed=opts.seed, char=opts.char)
     start = time.monotonic()
-    status = "PASS"
     try:
         _SCENARIOS[scenario_id](rec, opts)
         if rec.diffs:
-            status = "FAIL"
+            rec.status = "FAIL"
     except ResourceGuardExceeded as exc:
-        status = "INCONCLUSIVE"
+        rec.status = "INCONCLUSIVE"
         rec.certificates["resource_guard"] = str(exc)
     except Exception as exc:
-        status = "ERROR"
+        rec.status = "ERROR"
         rec.certificates["error"] = "%s: %s" % (type(exc).__name__, exc)
         rec.certificates["traceback"] = traceback.format_exc()
-    elapsed = time.monotonic() - start
-    return ScenarioResult(
-        id=scenario_id,
-        status=status,
-        elapsed=elapsed,
-        diffs=rec.diffs,
-        certificates=rec.certificates,
-        seed=opts.seed,
-        char=opts.char,
-    )
+    rec.elapsed = time.monotonic() - start
+    return rec
 
 
 def exit_code(results):

@@ -34,10 +34,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import add, le
+from operator import add
 
 from .groebner import DEFAULT_GUARD, ResourceGuardExceeded, syzygies
-from .hilbert import module_hilbert_series
+from .hilbert import _minimalize, module_hilbert_series
 from .ideals import (
     Ideal,
     colon,
@@ -357,14 +357,12 @@ def _primary_component(emb, total, power, truncated, block):
     if power is not None:
         block = block.plus(Ideal(emb._block, (ring.transfer(g, emb._block) for g in power.gens),
                                  block.guard))
-    basis = block.unreduced()
-    leads = [g.lead()[0][1] for g in basis]
-    minimal = (g for g, e in zip(basis, leads)
-               if not any(d != e and all(map(le, d, e)) for d in leads))
+    leads = block.leads()
+    minimal = set(_minimalize(leads))
     # the first coefficient is the lead x,y-monomial's; a constant one is 1 once monic
     h = ring.one()
     for c in dict.fromkeys(next(iter(emb._block.split(g, front, ring).values())).monic()
-                           for g in minimal):
+                           for g, e in zip(block.unreduced(), leads) if e in minimal):
         h = h * c
     hull = total
     while not h.is_constant() and not (quotient := colon(hull, h)).equals(hull):

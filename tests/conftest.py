@@ -7,13 +7,13 @@ import sys
 import pytest
 
 from multischeme import modules
-from multischeme.scenarios import _ideal_text, _Recorder, run_scenario
+from multischeme.scenarios import ScenarioResult, _ideal_text, run_scenario
 
 
 @pytest.fixture(scope="session")
 def scenario_texts():
     """sid -> the canonical text of every value the scenario's checks
-    computed, in recorder order; filled by ``scenario_result``."""
+    computed, in check order; filled by ``scenario_result``."""
     return {}
 
 
@@ -21,7 +21,7 @@ def scenario_texts():
 def scenario_result(scenario_texts):
     """``run_scenario(sid)`` with default options, run at most once per
     session: the acceptance gate, the scenario tests and the pinned report
-    all read the same results.  The recorder's checks are wrapped so that
+    all read the same results.  The result's checks are wrapped so that
     each computed value is also kept as text (ideals as their reduced basis
     in the ring's own variable names) for the scenario digests."""
     results = {}
@@ -29,20 +29,19 @@ def scenario_result(scenario_texts):
     def get(sid):
         if sid not in results:
             texts = scenario_texts[sid] = []
-            check, check_ideal = _Recorder.check, _Recorder.check_ideal
+            check, check_ideal = ScenarioResult.check, ScenarioResult.check_ideal
 
             def recording_check(self, name, expected, computed):
-                ok = check(self, name, expected, computed)
+                check(self, name, expected, computed)
                 texts.append(str(computed))
-                return ok
 
             def recording_check_ideal(self, name, expected, computed):
                 check_ideal(self, name, expected, computed)
                 texts.append(_ideal_text(computed))
 
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(_Recorder, "check", recording_check)
-                mp.setattr(_Recorder, "check_ideal", recording_check_ideal)
+                mp.setattr(ScenarioResult, "check", recording_check)
+                mp.setattr(ScenarioResult, "check_ideal", recording_check_ideal)
                 results[sid] = run_scenario(sid)
         return results[sid]
 

@@ -322,7 +322,11 @@ def test_every_command_refuses_an_exponent_past_the_limit(tmp_path, capsys, comm
 
 
 @pytest.mark.parametrize("poly", ["(x+y+z)^250", "(x+y+z)^500", "(x+y+z)^89*(x+y+z)^89",
-                                  "(2^30000)^300*x"])
+                                  "(2^30000)^300*x",
+                                  # long coefficients, rational ones, and many products
+                                  "(1000000*x+999999*y)^1023", "(x/3+y/5)^500",
+                                  pytest.param(" + ".join(["(x+y)^100*(x+y)^100"] * 10),
+                                               id="ten-products")])
 def test_a_short_input_past_the_parser_budget_is_inconclusive(tmp_path, capsys, poly):
     p = tmp_path / "big.ms"
     p.write_text("ring z0,z1,x,y,z\nsupport x, y\n(%s)\n" % poly)
@@ -331,7 +335,7 @@ def test_a_short_input_past_the_parser_budget_is_inconclusive(tmp_path, capsys, 
     assert time.perf_counter() - start < 1
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("inconclusive: parser: ") and err.count("\n") == 1
-    assert err.endswith(" is past the size budget 1048576\n")
+    assert err.endswith(" takes the input past the size budget 65536\n")
 
 
 # numbers just past CPython's 4300-digit limit on int <-> str conversion

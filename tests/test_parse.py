@@ -72,19 +72,22 @@ def test_an_exponent_past_the_limit_is_refused_when_parsed(text, exponent):
 
 
 @pytest.mark.parametrize("within, past, what", [
-    ("(x+y+z+w+u)^10", "(x+y+z+w+u)^11", "(5 terms, 1-bit coefficients)^11"),
-    ("(x+y+z)^31*(x+y+z)^31", "(x+y+z)^31*(x+y+z)^31*(x+y+z)^31", "(2016 terms)*(528 terms)"),
-    ("(2^32)^32767*x", "(2^33)^32767*x", "(1 terms, 34-bit coefficients)^32767"),
-    ("(2^32*x)^32767", "(2^33*x)^32767", "(1 terms, 34-bit coefficients)^32767"),
+    ("(x+y+z+w+u)^12", "(x+y+z+w+u)^13", "(5 terms, 1-bit)^13"),
+    ("(x+y+z)^20*(x+y+z)^20", "(x+y+z)^20*(x+y+z)^21", "(231 terms, 27-bit)*(253 terms, 29-bit)"),
+    ("(2^30000*x)^2", "(2^30000*x)^3", "(1 terms, 30001-bit)^3"),
+    ("2^30000*2^30000", "2^30000*2^30000*2^30000", "(1 terms, 60001-bit)*(1 terms, 30001-bit)"),
+    # the budget is the whole input's: each product and power here is within it
+    ("(x+y+z)^20*(x+y+z)^20", "(x+y+z)^20*(x+y+z)^20 + (x+y+z)^20", "(3 terms, 1-bit)^20"),
 ])
 def test_a_product_or_power_past_the_size_budget_is_refused(within, past, what):
-    """The budget of 2^20 counts a product's term products and the larger of
-    the square of a power's multinomial bound on its terms and the bits its
-    coefficients may reach, each checked before the product or power is built."""
+    """One parse spends at most 2^16 term products, a term weighing
+    1 + b // 256 for a b-bit coefficient: a product its factors' weights
+    multiplied, a power the square of the weight bound of its largest
+    factor, each counted before the product or power is built."""
     ring = PolyRing(("x", "y", "z", "w", "u"))
     assert parse_poly(ring, within)
-    with pytest.raises(ResourceGuardExceeded,
-                       match=re.escape("parser: %s is past the size budget 1048576" % what)):
+    with pytest.raises(ResourceGuardExceeded, match=re.escape(
+            "parser: %s takes the input past the size budget 65536" % what)):
         parse_poly(ring, past)
 
 
