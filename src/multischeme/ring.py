@@ -341,7 +341,7 @@ class PolyRing:
         its coefficient, a polynomial in the others moved into ``other``}, f
         the sum of m * coefficient and the m in the order of f's terms, so the
         first is the lead's under an order that eliminates them.  The one
-        coefficient split: for the filtration hull, and for the generic-row
+        coefficient split: for ``Embedding.pushforward``, and for the generic-row
         and equivalence verdicts of ROADMAP items 3 and 4."""
         pk, move, pad = self.pk, self.mover(other), (0,) * (self.nvars - front)
         parts = {}

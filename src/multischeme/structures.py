@@ -10,16 +10,16 @@ which reads surjectivity off the Fitting ideal Fitt_0.  The verdicts read
 only the filtration terms, so a layer is presented, and checked against
 its terms' series, only when first read.
 
-Each filtration term past I_X is the hull of J = I_Y + I_X^(j+1), its
-I_X-primary component J : h^∞ (Gianni-Trager-Zacharias 1988), I_X^(j+1)
-written down as the support monomials of degree j + 1.  The colons by h stop
-at the first ideal free over k[z], J itself included, or at one equal to
-its input.  The nilpotency index k certifies I_X ⊆ rad(I_Y), as
-I_X^(k+1) ⊆ I_Y, so the last sum is I_Y itself and takes its hull by the
-same rule.  CM verdicts read R/I as a k[z]-module, π_*O_Y for the finite
-Y → X, presented with no Buchberger run over R: Y is CM where it is locally
-free, and a term the hull found free over k[z] is CM as it stands.  No path
-here resolves R/I over R, and I_X is written down as ``power(1)``.
+Each filtration term past I_X is the hull of J = I_Y + I_X^(j+1): J plus
+the lifts of the k[z]-torsion T of M = R/J, the kernel of M → M**
+(Bănică-Forster 1986; Vasconcelos 1998), M presented by ``pushforward``
+and I_X^(j+1) written down as the support monomials of degree j + 1.  The
+nilpotency index k certifies I_X ⊆ rad(I_Y), as I_X^(k+1) ⊆ I_Y, so the
+last sum is I_Y itself and takes its hull by the same rule.  CM verdicts
+read R/I as a k[z]-module, π_*O_Y for the finite Y → X, presented with no
+Buchberger run over R: Y is CM where it is locally free, and a term the
+hull found free over k[z] is CM as it stands.  No path here resolves R/I
+over R, and I_X is written down as ``power(1)``.
 
 The resource budget is fixed with the embedding: ``Embedding(ring,
 support_vars, guard)`` builds I_X with that ``Guard``, and a ``MultiStructure``
@@ -37,10 +37,9 @@ from functools import cached_property
 from operator import add
 
 from .groebner import DEFAULT_GUARD, ResourceGuardExceeded, syzygies
-from .hilbert import _minimalize, module_hilbert_series
+from .hilbert import module_hilbert_series
 from .ideals import (
     Ideal,
-    colon,
     ext_window,
     fitting_ideal,
     intersect,
@@ -48,7 +47,7 @@ from .ideals import (
     radical_contains,
     unmixed_part,
 )
-from .modules import GradedModule, _apply, free_resolution
+from .modules import GradedModule, _apply, _prune_units, free_resolution
 from .parse import format_ideal, format_ring
 
 
@@ -72,9 +71,8 @@ class Embedding:
     _support: Ideal = field(init=False, compare=False, repr=False)
     # the support ring, built once so every restricted Vec shares it
     _sub: object = field(init=False, compare=False, repr=False)
-    # the support variables first in a block order (hull, pushforward), and k[x, y]
+    # the support variables first in a block order, for ``pushforward``
     _block: object = field(init=False, compare=False, repr=False)
-    _fibre: object = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.support_vars = tuple(self.support_vars)
@@ -91,7 +89,6 @@ class Embedding:
         rest = tuple(n for n in self.ring.names if n not in self.support_vars)
         self._sub = self.ring.subring(rest)
         self._block = self._sub.extended(self.support_vars)
-        self._fibre = self.ring.subring(self.support_vars)
         self._support = self.power(1)
 
     def support_ideal(self):
@@ -115,25 +112,16 @@ class Embedding:
         gens = sorted(self.ring.monomials(j, self.support_vars), key=lambda m: m.top())
         return Ideal.from_basis(self.ring, gens, self.guard)
 
-    def fibre(self, ideal):
-        """The ideal's image I|_(z=0) in k[x, y], whose quotient is R/I's fibre."""
-        return Ideal(self._fibre, (self.ring.restrict(g, self._fibre, 1) for g in ideal.gens),
-                     ideal.guard)
-
     def pushforward(self, ideal, t):
-        """R/I as a graded module over the support ring k[z], for
-        I ⊇ I_X^(t+1): π_*O_Y, Y = V(I) finite over X.  Its generators are
-        the support monomials u of degree <= t, its relations the
-        truncations of u*g below support degree t + 1, g a generator of I;
-        ``PolyRing.split`` gives g's k[z]-coefficients once, and u shifts them.
-        A t below the nilpotency index would present R/(I + I_X^(t+1)), so
-        it is refused, naming a monomial of I_X^(t+1) outside I."""
-        missed = next((m for m in self.power(t + 1).gens if not ideal.contains(m)), None)
-        if missed is not None:
-            raise StructureError("t = %d is below the nilpotency index: %s in I_X^(t+1) is "
-                                 "not in I" % (t, missed))
+        """R/(I + I_X^(t+1)) as a graded module over the support ring k[z]:
+        π_*O_Y, Y = V(I) finite over X, when I ⊇ I_X^(t+1).  Its generators
+        are the support monomials u of degree <= t, in ``exponents`` order,
+        its relations the truncations of u*g below support degree t + 1, g a
+        generator of I; ``PolyRing.split`` gives g's k[z]-coefficients once,
+        and u shifts them."""
         front, sub = len(self.support_vars), self._sub
-        monomials = [e for d in range(t + 1) for e in self._fibre.exponents(d)]
+        monomials = [e[:front] for d in range(t + 1)
+                     for e in self._block.exponents(d, self.support_vars)]
         position = {e: j for j, e in enumerate(monomials)}
         relations = []
         for g in ideal.gens:
@@ -307,31 +295,17 @@ def s1_filtration(structure):
     index.  Each layer polynomial is the difference of its terms' series;
     the presentations, which no verdict reads, are built on first use.
 
-    Each sum J has radical I_X, so its hull is its I_X-primary component
-    J k(z)[x, y] ∩ R = J : h^∞, with h the product of the k[z]-coefficients
-    of the lead x,y-monomials of a basis of J under an order that eliminates
-    x and y (Gianni-Trager-Zacharias, JSC 6, 1988; Greuel-Pfister, *A
-    Singular Introduction to Commutative Algebra*, 4.3.1), and I_X^(j+1) is
-    written down (``Embedding.power``).  The last sum is I_Y itself, as
+    Each sum J has radical I_X, so its hull, the I_X-primary component
+    J k(z)[x, y] ∩ R, is the preimage of the k[z]-torsion of R/J
+    (``_primary_component``).  The last sum is I_Y itself, as
     I_X^(k+1) ⊆ I_Y; a hull that stays I_Y is I_Y, caches and all, so the
     filtration reaches the top exactly when its last term is I_Y.
     """
-    emb = structure.embedding
-    ring, iy = emb.ring, structure.ideal
+    emb, iy = structure.embedding, structure.ideal
     k = structure.nilpotency_index()
     # (term, R/term free over k[z]), from I_X: I_Y itself at k = 0
     terms = [(iy if k == 0 else emb.support_ideal(), True)]
-    # I_Y's fibre k[x, y]/I_Y|_(z=0) and I_Y in the block order, for every sum
-    fibre = emb.fibre(iy)
-    block = Ideal(emb._block, (ring.transfer(g, emb._block) for g in iy.gens), iy.guard)
-    for j in range(1, k + 1):
-        series = fibre.hilbert_series()
-        # R/J's fibre: I_Y's, truncated below degree j + 1
-        truncated = {d: v for d in range(j + 1) if (v := series.value(d))}
-        # the last sum is I_Y itself, which holds I_X^(k+1)
-        power = None if j == k else emb.power(j + 1)
-        terms.append(_primary_component(emb, iy if power is None else iy.plus(power),
-                                        power, truncated, block))
+    terms += [_primary_component(emb, iy, j, j == k) for j in range(1, k + 1)]
     ideals, free = map(list, zip(*terms))
     # sanity: chain inclusions
     for j in range(len(ideals) - 1):
@@ -343,39 +317,31 @@ def s1_filtration(structure):
     return Filtration(emb, ideals, polys, ideals[-1] is iy, free)
 
 
-def _primary_component(emb, total, power, truncated, block):
-    """(hull, free) of J = ``total`` = I_Y + ``power``, a power I_X^(j+1),
-    or of I_Y itself for ``power`` None: the first of J, J : h, (J : h) : h,
-    ... free over k[z], its series its fibre's over (1 - t)^s (graded
-    Nakayama; J's fibre is ``truncated``), else the first Q with Q : h = Q.
-    A free Q is the hull: each associated prime of R/Q meets k[z] in 0, so
-    Q is I_X-primary.  J's basis in the block order extends ``block``'s,
-    I_Y's there, by the power's generators; I_Y's is ``block``'s."""
-    ring, front = emb.ring, len(emb.support_vars)
-    if _free(emb, total, truncated):
-        return total, True
-    if power is not None:
-        block = block.plus(Ideal(emb._block, (ring.transfer(g, emb._block) for g in power.gens),
-                                 block.guard))
-    leads = block.leads()
-    minimal = set(_minimalize(leads))
-    # the first coefficient is the lead x,y-monomial's; a constant one is 1 once monic
-    h = ring.one()
-    for c in dict.fromkeys(next(iter(emb._block.split(g, front, ring).values())).monic()
-                           for g, e in zip(block.unreduced(), leads) if e in minimal):
-        h = h * c
-    hull = total
-    while not h.is_constant() and not (quotient := colon(hull, h)).equals(hull):
-        hull = quotient
-        if _free(emb, hull, emb.fibre(hull).hilbert_series().reduced()[0]):
-            return hull, True
-    return hull, False
-
-
-def _free(emb, ideal, fibre):
-    """R/I free over k[z]: its series is ``fibre``, its fibre's numerator,
-    over (1 - t)^s."""
-    return ideal.hilbert_series().reduced() == (fibre, emb.ring.nvars - len(emb.support_vars))
+def _primary_component(emb, iy, j, top):
+    """(hull, R/hull free over k[z]) of J = I_Y + I_X^(j+1), I_Y itself at
+    the ``top``.  hull/J is the k[z]-torsion of M = R/J (``pushforward``),
+    the kernel of M → M** (Vasconcelos, *Computational Methods in
+    Commutative Algebra and Algebraic Geometry*, 1998): its preimage K in
+    M's free module, on the generators u left by the unit prune, is the
+    kernel of the rows of M* = ker(rel^T), and each vector of K lifts to
+    sum K_a u_a in R, as ``thicken`` lifts.  M with no relation left is
+    free, and J its own hull; R/hull = coker K is free when K prunes away.
+    At the top the hull is I_Y, caches and all, when every lift is in it."""
+    ring, sub, guard = emb.ring, emb._sub, iy.guard
+    module = emb.pushforward(iy, j)
+    rows, _, rel, _ = _prune_units(sub, module.relations, module.rank)
+    lifts, free = [], True
+    if rel:
+        n = len(rows)
+        dual = syzygies(sub.transpose(rel, n), rank=len(rel), guard=guard)
+        kernel = syzygies(sub.transpose(dual, n), rank=len(dual), guard=guard)
+        units = [u for d in range(j + 1) for u in ring.monomials(d, emb.support_vars)]
+        lifts = [_apply([units[a] for a in rows], sub.restrict(v, ring, n)) for v in kernel]
+        free = not _prune_units(sub, kernel, n)[1]
+    if top and all(map(iy.contains, lifts)):
+        return iy, free
+    power = () if top else emb.power(j + 1).gens
+    return iy.plus(Ideal(ring, (*power, *lifts), guard)), free
 
 
 def layer_module(emb, upper, lower):
@@ -412,7 +378,7 @@ def _check_layer_series(layer, ambient_diff):
 
 def is_locally_CM(emb, ideal, t, s1=False):
     """(verdict, non-CM locus, Ext indices read) of Y = V(I), I ⊇ I_X^(t+1);
-    a t below the nilpotency index is refused (``Embedding.pushforward``).
+    a t below the nilpotency index, where M presents R/(I + I_X^(t+1)), is refused.
 
     Y → X = P^(s-1) is finite, so Y is CM exactly where M = π_*O_Y, R/I
     over k[z] (``Embedding.pushforward``), is free (Hironaka's criterion;
@@ -420,6 +386,10 @@ def is_locally_CM(emb, ideal, t, s1=False):
     ann Ext^i(M, k[z]), 1 <= i <= s - 1 (``ext_window`` from codim 0), which
     with I_X make the locus.  An S1 I gives M depth >= 1 at each point, so
     pd <= s - 2 there (Auslander-Buchsbaum) and i = s - 1 is not read."""
+    missed = next((m for m in emb.power(t + 1).gens if not ideal.contains(m)), None)
+    if missed is not None:
+        raise StructureError("t = %d is below the nilpotency index: %s in I_X^(t+1) is "
+                             "not in I" % (t, missed))
     res = free_resolution(emb.pushforward(ideal, t))
     window = ext_window(res, 0, emb._sub.nvars - (2 if s1 else 1))
     bad = [ann for _, ann in window if not is_irrelevant_primary(ann)]

@@ -6,8 +6,8 @@ or a module: ``buchberger`` runs only in ``groebner``, in ``ideals`` and
 ``modules``, which define them, and in ``hilbert``, which reads a module's
 leads.  A layer presentation is built only where a ``Filtration`` builds its
 layers on first use, so no verdict pays for one it does not read.  The
-filtration hulls run their own colons, each tested for freeness over the
-support ring, so ``structures`` names no ``saturate``; and the hull and Ext
+filtration hulls lift the k[z]-torsion of the pushforward, so ``structures``
+names no ``saturate`` and no ``colon``; and the hull and Ext
 window of R/I over R, and the resolution of R/I over R they read, are the
 tests' reference, which no product module names; minimal generators come
 from the unit prune of the first syzygies, so neither ``structures`` nor
@@ -198,7 +198,9 @@ def test_the_lint_sees_every_name_of_saturate():
 def test_the_structures_module_names_no_saturate():
     from multischeme import structures
 
-    assert name_uses(Path(structures.__file__).read_text(), "saturate") == []
+    source = Path(structures.__file__).read_text()
+    assert {name: name_uses(source, name) for name in ("saturate", "colon")} == {
+        "saturate": [], "colon": []}
 
 
 def test_no_structure_path_resolves_r_mod_i_over_the_whole_ring():

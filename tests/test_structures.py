@@ -1,7 +1,6 @@
 import json
 import os
 import re
-from functools import partial
 
 import pytest
 from test_ideals import _rabinowitsch_contains
@@ -311,65 +310,49 @@ _HULL_FAMILIES = (
 
 
 def test_primary_component_is_the_hull_of_every_filtration_term(monkeypatch):
-    """The hull of each sum I_Y + I_X^(j+1), j = 1..k, the last one I_Y
+    """The hull of each sum J = I_Y + I_X^(j+1), j = 1..k, the last one I_Y
     itself, equals the Ext-window hull ``unmixed_part`` on every catalog row
-    in each asserted characteristic, on the families and on a structure with
-    an embedded point, in characteristics 0 and 5.  The free shortcut, a
-    hull free over k[z] after one colon, and a colon equal to its input
-    each answer some intermediate sum and some I_Y term.  A hull marked free
-    is the last colon made, so no colon confirms it; an I_Y term that is
-    its own hull is I_Y, caches and all, and the embedded point's is not."""
-    import multischeme.ideals as ideals
+    in each asserted characteristic, on the families, on a structure with an
+    embedded point and on one with an embedded line, in characteristics 0
+    and 5.  Its free flag is graded Nakayama's: R/hull has the series of
+    its fibre R/(hull + (z)) over (1 - t)^s.  Some J is free, some hull is J
+    though R/J is not free, and some hull removes torsion; an I_Y term that
+    is its own hull is I_Y, caches and all, and the embedded point's and
+    line's are not."""
     import multischeme.structures as structures
 
     rows = [e.structure(char=c) for e in load_catalog() for c in e.chars]
     for char in (0, 5):
         for name, params in _HULL_FAMILIES:
             rows += build_family(name, char=char, **params).structures
-        rows.append(_structure(PolyRing(("z0", "z1", "x", "y"), char=char),
-                               "(x^2 + z0*y, y^2, x^3)"))
-    calls, branches, own = [], {"sum": set(), "I_Y": set()}, set()
-    colon, buchberger = structures.colon, ideals.buchberger
-
-    def colons(*args):
-        calls.append(colon(*args))
-        return calls[-1]
-
-    def running(vecs, *args):
-        calls.append(vecs[0].ring if vecs else None)
-        return buchberger(vecs, *args)
-
-    monkeypatch.setattr(structures, "colon", colons)
-    monkeypatch.setattr(ideals, "buchberger", running)
+        ring = PolyRing(("z0", "z1", "x", "y"), char=char)
+        rows.append(_structure(ring, "(x^2 + z0*y, y^2, x^3)"))
+        rows.append(MultiStructure(Embedding(ring, ("x",)), Ideal.parse(ring, "(x^2, x*y)"),
+                                   check=False))
+    branches, own = set(), set()
     component = structures._primary_component
 
-    def checked(emb, total, power, fibre, block):
-        before = len(calls)
-        hull, free = component(emb, total, power, fibre, block)
-        assert hull.groebner() == unmixed_part(total).groebner(), (total, power)
-        made = calls[before:]
-        quotients = [q for q in made if isinstance(q, Ideal)]
-        # the free shortcut runs no block basis; a free colon is the last
-        # one, and any other hull's last colon gave it back
-        assert not (free and not quotients and emb._block in made), total
-        if quotients:
-            assert hull is quotients[-1] if free else quotients[-1].equals(hull), total
-        if not quotients:
-            branch = "free" if free else "constant"
+    def checked(emb, iy, j, top):
+        hull, free = component(emb, iy, j, top)
+        ring = emb.ring
+        total = iy if top else Ideal(ring, (*iy.gens, *emb.power(j + 1).gens))
+        assert hull.groebner() == unmixed_part(total).groebner(), (total, j)
+        fibre = Ideal(ring, (*hull.gens, *map(ring.var, emb.support_ring().names)))
+        s = emb.support_ring().nvars
+        assert free == (hull.hilbert_series().reduced() == (fibre.hilbert_series().reduced()[0], s))
+        if not hull.equals(total):
+            branches.add("torsion removed")
         else:
-            branch = "free after %d colon(s)" % len(quotients) if free else "colon"
-        branches["I_Y" if total is iy else "sum"].add(branch)
-        if total is iy:
+            branches.add("free" if free else "torsion-free, not free")
+        if top:
             assert (hull is iy) == hull.equals(iy), iy
             own.add(hull is iy)
         return hull, free
 
     monkeypatch.setattr(structures, "_primary_component", checked)
     for st in rows:
-        iy = st.ideal  # the last term's sum, which ``checked`` tells apart
         st.filtration()
-    expected = {"free", "free after 1 colon(s)", "colon"}
-    assert all(expected <= found for found in branches.values()), branches
+    assert branches == {"free", "torsion-free, not free", "torsion removed"}
     assert own == {True, False}
 
 
@@ -795,16 +778,18 @@ def test_thicken_roundtrip_converts_only_for_its_fitting_minors(conversions):
     ("(x^2, x*y*z0, y^2)", ("x", "x*y")),
 ])
 def test_a_t_below_the_nilpotency_index_is_refused(ring, text, named):
-    # below the index the pushforward would present R/(I + I_X^(t+1)),
-    # which is CM where R/I is not
+    # below the index the pushforward presents R/(I + I_X^(t+1)), which is
+    # CM where R/I is not, so the CM verdict refuses that t
     emb = Embedding(ring, ("x", "y"))
     ideal = Ideal(ring, parse_ideal(ring, text))
     assert MultiStructure(emb, ideal).nilpotency_index() == 2
     for t, monomial in enumerate(named):
         message = r"t = %d is below the nilpotency index: %s in" % (t, re.escape(monomial))
-        for read in (emb.pushforward, partial(is_locally_CM, emb)):
-            with pytest.raises(StructureError, match=message):
-                read(ideal, t)
+        with pytest.raises(StructureError, match=message):
+            is_locally_CM(emb, ideal, t)
+        low, summed = emb.pushforward(ideal, t), emb.pushforward(ideal.plus(emb.power(t + 1)), t)
+        assert low.gen_degrees == summed.gen_degrees
+        assert submodule_equal(low.relations, summed.relations)
     assert not is_locally_CM(emb, ideal, 2)[0]
 
 
