@@ -27,13 +27,14 @@ def test_perfbench_selftest_passes():
 # computed in full and then cut, sums that pair known basis elements again,
 # or a layer presentation built where no caller reads it, bring wasted
 # S-pairs back and fail here
-_SPAIRS = {"catalog": 936, "syzygy": 343, "quotients": 709}
+_SPAIRS = {"catalog": 571, "syzygy": 228, "quotients": 709}
 # Buchberger runs of the same pass, and a ceiling on its interreductions:
 # a second Buchberger path, or a reduced basis made where the unreduced run
 # answers (leads, membership), fails here; I_X is written down, so building
-# an embedding runs none
-_RUNS = {"catalog": 500, "syzygy": 61, "quotients": 226}
-_INTERREDUCE_AT_MOST = {"catalog": 414, "syzygy": 49, "quotients": 0}
+# an embedding runs none.  Each hull whose pushforward keeps a relation
+# interreduces its two kernels, M* and the torsion's preimage
+_RUNS = {"catalog": 421, "syzygy": 54, "quotients": 226}
+_INTERREDUCE_AT_MOST = {"catalog": 416, "syzygy": 50, "quotients": 0}
 # Ext annihilators computed, free resolutions made and radical tests run by
 # the same pass: the filtration hulls of the sums I_Y + I_X^(j+1), I_Y's
 # included, read no Ext window, the support check reads the nilpotency
@@ -134,11 +135,10 @@ def test_timed_pass_resolves_no_quotient_over_the_whole_ring(workload, monkeypat
                      "free_resolution": _TIMED_RESOLUTIONS[workload]}
 
 
-def test_timed_catalog_pass_stops_each_hull_at_its_first_free_colon(monkeypatch, rebind):
-    # each hull ends at the first colon free over k[z], or at one equal to
-    # its input, never in ``saturate``'s confirming colon; a hull found free
-    # gets its CM verdict with no presentation; I_X^(j+1) is written down,
-    # never multiplied out
+def test_timed_catalog_pass_takes_every_hull_with_no_colon(monkeypatch, rebind):
+    # each hull lifts the k[z]-torsion of its pushforward, so no colon or
+    # saturation runs; a hull found free gets its CM verdict with no
+    # presentation; I_X^(j+1) is written down, never multiplied out
     import multischeme.ideals as ideals
     import multischeme.structures as structures
 
@@ -153,5 +153,5 @@ def test_timed_catalog_pass_stops_each_hull_at_its_first_free_colon(monkeypatch,
     monkeypatch.setattr(ideals.Ideal, "times", _counting(calls, "times")(ideals.Ideal.times))
     results = workloads.run_pass(items, canon=None)
     assert [bad for _, _, _, bad in results if bad] == []
-    assert calls["colon"] <= 35 and calls["is_locally_CM"] <= 3, calls
-    assert calls["saturate"] == 0 and calls["times"] == 0, calls
+    assert calls["is_locally_CM"] <= 3, calls
+    assert calls["colon"] == calls["saturate"] == calls["times"] == 0, calls

@@ -178,9 +178,9 @@ _IDS = (
 )
 # max_degree -> the degree of the S-pair that trips, per scenario (None: PASS)
 _TRIPS = {
-    3: (4, None, 4, 5, 4, 4, 4, None, None, 4, None, 4, 4),
-    4: (None, None, 5, 5, 5, 5, 5, None, None, None, None, 5, 5),
-    6: (None, None, None, 7, None, None, 10, None, None, None, None, None, None),
+    3: (None, None, 4, 5, 4, 4, 4, None, None, None, None, 4, 4),
+    4: (None, None, None, 5, 5, 5, 5, None, None, None, None, None, 5),
+    6: (None, None, None, None, None, None, 7, None, None, None, None, None, None),
 }
 
 
