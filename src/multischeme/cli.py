@@ -33,10 +33,14 @@ USAGE_ERROR = 3
 
 class _Parser(argparse.ArgumentParser):
     def parse_known_args(self, args=None, namespace=None):
-        # argparse reads an =-joined "--" as no value and skips its type and choices
+        # argparse reads an =-joined "--" as no value and skips its type and
+        # choices; each parser refuses it for its own valued options, which
+        # argparse also matches by a prefix, so a subcommand's usage names it
         args = sys.argv[1:] if args is None else list(args)
+        own = [s for s, action in self._option_string_actions.items() if action.nargs != 0]
         for arg in args[:args.index("--") if "--" in args else None]:
-            if arg.startswith("-") and arg.endswith("=--"):
+            if arg.startswith("--") and arg.endswith("=--") and any(
+                    s.startswith(arg[:-3]) for s in own):
                 self.error("argument %s: expected one argument" % arg[:-3])
         return super().parse_known_args(args, namespace)
 

@@ -172,15 +172,18 @@ def _prune_units(ring, cols, nrows):
     g_a = sum c * g_i in the cokernel.
     """
     live = dict(enumerate(cols))
+    # each column's entries and constant entries, read anew where a pivot changed it
+    read = {b: (v.components(), v.constants()) for b, v in live.items()}
     rows = list(range(nrows))
     steps = []
-    while units := [(a, b) for b, v in live.items() for a in v.constants()]:
+    while units := [(a, b) for b, (_, found) in read.items() for a in found]:
         a, b = min(units)
         col = live.pop(b)
-        col = col.scale(ring.field.inv(col.constants()[a]))
+        col = col.scale(ring.field.inv(read.pop(b)[1][a]))
         for j, v in live.items():
-            if entry := v.component(a):
-                live[j] = v - entry * col
+            if entry := read[j][0].get(a):
+                live[j] = v = v - entry * col
+                read[j] = v.components(), v.constants()
         rows.remove(a)
         steps.append((a, {i: -f for i, f in col.components().items() if i != a}))
     kept = [j for j, v in live.items() if v]

@@ -21,7 +21,7 @@ from decimal import Decimal
 from fractions import Fraction
 from math import comb
 
-from .ring import GREVLEX, LEX, PolyRing, ResourceGuardExceeded, TermOrder
+from .ring import GREVLEX, LEX, PolyRing, ResourceGuardExceeded, TermOrder, Vec, add_terms
 
 # The size budget of one parse, in term products, a term of a b-bit
 # coefficient weighing 1 + b // 256; each product or power spends its count
@@ -143,12 +143,12 @@ def parse_ideal(ring, text):
 
 
 def _parse_sum(ring, s):
-    f = _parse_product(ring, s)
+    # one term dict for the whole sum: adding Vecs would copy it per summand
+    terms = dict(_parse_product(ring, s).terms)
     while s.peek() in ("+", "-"):
-        op = s.next()
-        g = _parse_product(ring, s)
-        f = f + g if op == "+" else f - g
-    return f
+        sign = 1 if s.next() == "+" else -1
+        add_terms(terms, _parse_product(ring, s).terms.items(), ring.char, sign)
+    return Vec(ring, None, terms)
 
 
 def _parse_product(ring, s):

@@ -227,14 +227,22 @@ def test_negative_max_degree_is_a_usage_error(infile, capsys):
     ("--char", ["verify", "hm-hilbert", "--char=--"]),
     ("--seed", ["verify", "hm-hilbert", "--seed=--"]),
     ("--format", ["verify", "hm-hilbert", "--format=--"]),
+    # argparse takes a unique prefix of an option for the option
+    ("--max", ["--max=--", "verify", "hm-hilbert"]),
+    ("--se", ["verify", "hm-hilbert", "--se=--"]),
+    # a top-level option after the subcommand is the top level's to refuse
+    ("--max-degree", ["verify", "hm-hilbert", "--max-degree=--"]),
 ])
 def test_an_option_whose_joined_value_is_a_double_dash_is_a_usage_error(capsys, option, argv):
-    # argparse would store [] for the value and skip its type and choices
+    # argparse would store [] for the value and skip its type and choices;
+    # the parser that owns the option refuses it, under its own usage line
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 3
     out, err = capsys.readouterr()
-    assert out == "" and err.splitlines()[-1] == "ms: error: argument %s: expected one argument" % option
+    prog = "ms" if option.startswith("--max") else "ms verify"
+    assert out == "" and err.startswith("usage: %s [-h] " % prog)
+    assert err.splitlines()[-1] == "%s: error: argument %s: expected one argument" % (prog, option)
 
 
 @pytest.mark.parametrize("char, message", [

@@ -1,4 +1,5 @@
 import re
+from itertools import product
 
 import pytest
 
@@ -11,7 +12,7 @@ from multischeme.parse import (
     parse_poly,
     parse_ring,
 )
-from multischeme.ring import PolyRing
+from multischeme.ring import PolyRing, Vec
 
 
 def test_ring_declaration_round_trip():
@@ -89,6 +90,24 @@ def test_a_product_or_power_past_the_size_budget_is_refused(within, past, what):
     with pytest.raises(ResourceGuardExceeded, match=re.escape(
             "parser: %s takes the input past the size budget 65536" % what)):
         parse_poly(ring, past)
+
+
+@pytest.mark.parametrize("char", [0, 5])
+def test_a_long_sum_is_added_into_one_term_dict(char, monkeypatch):
+    # adding each summand to the Vec built so far copies its terms, which
+    # makes a long sum quadratic: 8000 summands, each a distinct monomial
+    # of degree below 60 (so within the size budget), signs alternating, and
+    # mod 5 a fifth of the coefficients cancelling
+    ring = PolyRing(("x", "y", "z"), char=char)
+    exps = list(product(range(20), repeat=3))
+    text = " ".join("%s %d*x^%d*y^%d*z^%d" % ("-+"[i % 2], i, *e) for i, e in enumerate(exps, 1))
+    added = []
+    for name in ("__add__", "__sub__"):
+        monkeypatch.setattr(Vec, name, lambda *args, _name=name: added.append(_name))
+    f = parse_poly(ring, text)
+    monkeypatch.undo()
+    assert added == []
+    assert f == ring.poly({e: i if i % 2 else -i for i, e in enumerate(exps, 1)})
 
 
 def test_ideal_requires_parentheses():
