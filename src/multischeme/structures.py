@@ -17,9 +17,9 @@ and I_X^(j+1) written down as the support monomials of degree j + 1.  The
 nilpotency index k certifies I_X ⊆ rad(I_Y), as I_X^(k+1) ⊆ I_Y, so the
 last sum is I_Y itself and takes its hull by the same rule.  CM verdicts
 read R/I as a k[z]-module, π_*O_Y for the finite Y → X, presented with no
-Buchberger run over R: Y is CM where it is locally free, and a term the
-hull found free over k[z] is CM as it stands.  No path here resolves R/I
-over R, and I_X is written down as ``power(1)``.
+Buchberger run over R: Y is CM where it is locally free, and a term's
+verdict reads the module M/T = R/I_j that its hull built.  No path here
+resolves R/I over R, and I_X is written down as ``power(1)``.
 
 The resource budget is fixed with the embedding: ``Embedding(ring,
 support_vars, guard)`` builds I_X with that ``Guard``, and a ``MultiStructure``
@@ -221,9 +221,10 @@ class MultiStructure:
         return all(flags) and filt.reaches_top, flags
 
     def _cm(self, term):
-        """``is_locally_CM`` of I_term, or of I_Y for None, decided once.  A
-        term the hull found free over k[z] (I_X too) is CM as it stands; the
-        terms past I_X are S1, and so is I_Y when the filtration reaches it."""
+        """The CM verdict of I_term, read off the module R/I_term over k[z]
+        its hull built, or of I_Y for None, decided once.  Every term is S1,
+        and I_Y is the last one when the filtration reaches it; otherwise
+        I_Y is presented on its own (``is_locally_CM``)."""
         filt = self.filtration()
         if term is None and filt.reaches_top:
             term = len(filt.ideals) - 1
@@ -231,10 +232,8 @@ class MultiStructure:
             emb = self.embedding
             if term is None:
                 found = is_locally_CM(emb, self.ideal, self.nilpotency_index())
-            elif filt.free[term]:
-                found = True, Ideal(emb.ring, [emb.ring.one()], emb.guard), []
             else:
-                found = is_locally_CM(emb, filt.ideals[term], term, s1=True)
+                found = _module_cm(emb, filt.modules[term], s1=True)
             self._verdicts[term] = found
         return self._verdicts[term]
 
@@ -269,14 +268,14 @@ def hilb_to_json(hp):
 
 @dataclass
 class Filtration:
-    """The S1-filtration I_0 = I_X ⊇ I_1 ⊇ ... ⊇ I_k and its layers
-    I_j/(I_X I_j + I_(j+1)), presented on first read and then kept."""
+    """The S1-filtration I_0 = I_X ⊇ I_1 ⊇ ... ⊇ I_k, each R/I_j over k[z],
+    and its layers I_j/(I_X I_j + I_(j+1)), presented on first read and kept."""
 
     embedding: Embedding
     ideals: list
     layer_polynomials: list  # HilbertPoly per layer, from the terms' series
     reaches_top: bool        # I_k == I_Y (holds exactly when Y is S1)
-    free: list               # per term: R/I_j found free over k[z] (I_X's is)
+    modules: list            # per term: R/I_j over k[z], as its hull presented it
 
     @cached_property
     def _presentations(self):
@@ -303,10 +302,10 @@ def s1_filtration(structure):
     """
     emb, iy = structure.embedding, structure.ideal
     k = structure.nilpotency_index()
-    # (term, R/term free over k[z]), from I_X: I_Y itself at k = 0
-    terms = [(iy if k == 0 else emb.support_ideal(), True)]
+    # (term, R/term over k[z]), from I_X, R/I_X = k[z]: I_Y itself at k = 0
+    terms = [(iy if k == 0 else emb.support_ideal(), GradedModule(emb._sub, (0,), [], iy.guard))]
     terms += [_primary_component(emb, iy, j, j == k) for j in range(1, k + 1)]
-    ideals, free = map(list, zip(*terms))
+    ideals, modules = map(list, zip(*terms))
     # sanity: chain inclusions
     for j in range(len(ideals) - 1):
         if not ideals[j].contains_ideal(ideals[j + 1]):
@@ -314,34 +313,34 @@ def s1_filtration(structure):
     # dim(upper/lower)_t = dim(R/lower)_t - dim(R/upper)_t
     polys = [(lower.hilbert_series() - upper.hilbert_series()).polynomial()
              for upper, lower in zip(ideals, ideals[1:])]
-    return Filtration(emb, ideals, polys, ideals[-1] is iy, free)
+    return Filtration(emb, ideals, polys, ideals[-1] is iy, modules)
 
 
 def _primary_component(emb, iy, j, top):
-    """(hull, R/hull free over k[z]) of J = I_Y + I_X^(j+1), I_Y itself at
-    the ``top``.  hull/J is the k[z]-torsion of M = R/J (``pushforward``),
-    the kernel of M → M** (Vasconcelos, *Computational Methods in
-    Commutative Algebra and Algebraic Geometry*, 1998): its preimage K in
-    M's free module, on the generators u left by the unit prune, is the
-    kernel of the rows of M* = ker(rel^T), and each vector of K lifts to
-    sum K_a u_a in R, as ``thicken`` lifts.  M with no relation left is
-    free, and J its own hull; R/hull = coker K is free when K prunes away.
+    """(hull, R/hull over k[z]) of J = I_Y + I_X^(j+1), I_Y itself at the
+    ``top``.  hull/J is the k[z]-torsion of M = R/J (``pushforward``), the
+    kernel of M → M** (Vasconcelos, *Computational Methods in Commutative
+    Algebra and Algebraic Geometry*, 1998): its preimage K in M's free
+    module, on the generators u left by the unit prune, is the kernel of
+    the rows of M* = ker(rel^T), and each vector of K lifts to sum K_a u_a
+    in R, as ``thicken`` lifts.  R/hull is coker K on those generators, the
+    free module on them when M keeps no relation, and J is its own hull.
     At the top the hull is I_Y, caches and all, when every lift is in it."""
     ring, sub, guard = emb.ring, emb._sub, iy.guard
     module = emb.pushforward(iy, j)
     rows, _, rel, _ = _prune_units(sub, module.relations, module.rank)
-    lifts, free = [], True
+    lifts, kernel = [], []
     if rel:
         n = len(rows)
         dual = syzygies(sub.transpose(rel, n), rank=len(rel), guard=guard)
         kernel = syzygies(sub.transpose(dual, n), rank=len(dual), guard=guard)
         units = [u for d in range(j + 1) for u in ring.monomials(d, emb.support_vars)]
         lifts = [_apply([units[a] for a in rows], sub.restrict(v, ring, n)) for v in kernel]
-        free = not _prune_units(sub, kernel, n)[1]
+    quotient = GradedModule(sub, [module.gen_degrees[a] for a in rows], kernel, guard)
     if top and all(map(iy.contains, lifts)):
-        return iy, free
+        return iy, quotient
     power = () if top else emb.power(j + 1).gens
-    return iy.plus(Ideal(ring, (*power, *lifts), guard)), free
+    return iy.plus(Ideal(ring, (*power, *lifts), guard)), quotient
 
 
 def layer_module(emb, upper, lower):
@@ -377,27 +376,32 @@ def _check_layer_series(layer, ambient_diff):
 
 
 def is_locally_CM(emb, ideal, t, s1=False):
-    """(verdict, non-CM locus, Ext indices read) of Y = V(I), I ⊇ I_X^(t+1);
-    a t below the nilpotency index, where M presents R/(I + I_X^(t+1)), is refused.
-
-    Y → X = P^(s-1) is finite, so Y is CM exactly where M = π_*O_Y, R/I
-    over k[z] (``Embedding.pushforward``), is free (Hironaka's criterion;
-    Eisenbud, *Commutative Algebra*, Cor. 18.17): off the zeros of
-    ann Ext^i(M, k[z]), 1 <= i <= s - 1 (``ext_window`` from codim 0), which
-    with I_X make the locus.  An S1 I gives M depth >= 1 at each point, so
-    pd <= s - 2 there (Auslander-Buchsbaum) and i = s - 1 is not read."""
+    """(verdict, non-CM locus, Ext indices read) of Y = V(I), I ⊇ I_X^(t+1),
+    from M = π_*O_Y, R/I over k[z] (``Embedding.pushforward``, read by
+    ``_module_cm``); a t below the nilpotency index, where M presents
+    R/(I + I_X^(t+1)), is refused."""
     missed = next((m for m in emb.power(t + 1).gens if not ideal.contains(m)), None)
     if missed is not None:
         raise StructureError("t = %d is below the nilpotency index: %s in I_X^(t+1) is "
                              "not in I" % (t, missed))
-    res = free_resolution(emb.pushforward(ideal, t))
-    window = ext_window(res, 0, emb._sub.nvars - (2 if s1 else 1))
+    return _module_cm(emb, emb.pushforward(ideal, t), s1)
+
+
+def _module_cm(emb, module, s1):
+    """(verdict, non-CM locus, Ext indices read) of Y from M = π_*O_Y over
+    k[z], any presentation of it.  Y → X = P^(s-1) is finite, so Y is CM
+    exactly where M is free (Hironaka's criterion; Eisenbud, *Commutative
+    Algebra*, Cor. 18.17): off the zeros of ann Ext^i(M, k[z]),
+    1 <= i <= s - 1 (``ext_window`` from codim 0), which with I_X make the
+    locus.  An S1 Y gives M depth >= 1 at each point, so pd <= s - 2 there
+    (Auslander-Buchsbaum) and i = s - 1 is not read."""
+    window = ext_window(free_resolution(module), 0, emb._sub.nvars - (2 if s1 else 1))
     bad = [ann for _, ann in window if not is_irrelevant_primary(ann)]
     indices = [i for i, _ in window]
     if not bad:
-        return True, Ideal(emb.ring, [emb.ring.one()], ideal.guard), indices
+        return True, Ideal(emb.ring, [emb.ring.one()], module.guard), indices
     locus = [emb.extend(g) for g in intersect(*bad).groebner()] + list(emb.support_ideal().gens)
-    return False, Ideal(emb.ring, locus, ideal.guard), indices
+    return False, Ideal(emb.ring, locus, module.guard), indices
 
 
 def is_S1(ideal):

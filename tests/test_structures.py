@@ -19,7 +19,7 @@ from multischeme.ideals import (
     same_zero_locus,
     unmixed_part,
 )
-from multischeme.modules import GradedModule
+from multischeme.modules import GradedModule, _prune_units
 from multischeme.parse import parse_ideal
 from multischeme.ring import LEX, PolyRing, ResourceGuardExceeded
 from multischeme.scenarios import run_scenario
@@ -314,11 +314,12 @@ def test_primary_component_is_the_hull_of_every_filtration_term(monkeypatch):
     itself, equals the Ext-window hull ``unmixed_part`` on every catalog row
     in each asserted characteristic, on the families, on a structure with an
     embedded point and on one with an embedded line, in characteristics 0
-    and 5.  Its free flag is graded Nakayama's: R/hull has the series of
-    its fibre R/(hull + (z)) over (1 - t)^s.  Some J is free, some hull is J
-    though R/J is not free, and some hull removes torsion; an I_Y term that
-    is its own hull is I_Y, caches and all, and the embedded point's and
-    line's are not."""
+    and 5.  The module it returns presents R/hull over k[z]: its series is
+    the hull's, and it is free after its own unit prune exactly when graded
+    Nakayama says so, R/hull having the series of its fibre R/(hull + (z))
+    over (1 - t)^s.  Some J is free, some hull is J though R/J is not free,
+    and some hull removes torsion; an I_Y term that is its own hull is I_Y,
+    caches and all, and the embedded point's and line's are not."""
     import multischeme.structures as structures
 
     rows = [e.structure(char=c) for e in load_catalog() for c in e.chars]
@@ -333,10 +334,12 @@ def test_primary_component_is_the_hull_of_every_filtration_term(monkeypatch):
     component = structures._primary_component
 
     def checked(emb, iy, j, top):
-        hull, free = component(emb, iy, j, top)
+        hull, module = component(emb, iy, j, top)
         ring = emb.ring
         total = iy if top else Ideal(ring, (*iy.gens, *emb.power(j + 1).gens))
         assert hull.groebner() == unmixed_part(total).groebner(), (total, j)
+        assert module_hilbert_series(module).reduced() == hull.hilbert_series().reduced()
+        free = not _prune_units(module.ring, module.relations, module.rank)[2]
         fibre = Ideal(ring, (*hull.gens, *map(ring.var, emb.support_ring().names)))
         s = emb.support_ring().nvars
         assert free == (hull.hilbert_series().reduced() == (fibre.hilbert_series().reduced()[0], s))
@@ -347,7 +350,7 @@ def test_primary_component_is_the_hull_of_every_filtration_term(monkeypatch):
         if top:
             assert (hull is iy) == hull.equals(iy), iy
             own.add(hull is iy)
-        return hull, free
+        return hull, module
 
     monkeypatch.setattr(structures, "_primary_component", checked)
     for st in rows:
@@ -428,21 +431,21 @@ def test_the_terms_are_cm_up_to_j_plus_1_exactly_when_the_layers_to_j_are_locall
     assert chains[True] >= 100 and chains[False] >= 10, chains
 
 
-def test_a_term_the_hull_found_free_has_the_verdict_of_a_free_pushforward():
-    """The CM shortcut for a term marked free, I_X's and each hull's that
-    stopped at a free sum or colon, gives the verdict ``is_locally_CM``
-    reads off the term's presentation over k[z]: CM, an empty locus and no
-    Ext read."""
-    free = 0
+def test_each_term_verdict_read_off_its_hull_module_is_that_of_its_pushforward():
+    """The verdict each filtration term reads off the module its hull built,
+    I_X's free k[z] included, is the one ``is_locally_CM`` reads off the
+    term presented anew: the same verdict, locus basis and Ext indices,
+    as both read a presentation of the one module R/I_j over k[z].  Every
+    hull family is covered in characteristics 0 and 5, and enough terms
+    are not free to read a non-empty Ext window."""
+    windows = 0
     for name, st in _cm_rows():
-        filt = st.filtration()
-        for j, term in enumerate(filt.ideals):
-            if filt.free[j]:
-                read = is_locally_CM(st.embedding, term, j, s1=True)
-                for cm, locus, window in (st._cm(j), read):
-                    assert (cm, locus.is_one(), window) == (True, True, []), (name, j)
-                free += j > 0
-    assert free >= 110, free
+        for j, term in enumerate(st.filtration().ideals):
+            read = [(cm, locus.groebner(), indices) for cm, locus, indices
+                    in (st._cm(j), is_locally_CM(st.embedding, term, j, s1=True))]
+            assert read[0] == read[1], (name, j)
+            windows += bool(read[0][2])
+    assert windows >= 25, windows
 
 
 def test_report_lists_the_ext_indices_it_read(ring):
@@ -603,9 +606,10 @@ def test_reduced_structure_filtration_starts_from_its_own_ideal(rebind):
     filt = st.filtration()
     assert filt.ideals[0] is st.ideal
     assert st.locally_cm()[0] and st.is_type_I() == (True, [True])
-    # R/(x, y) = k[z] is free over the support ring: the CM verdict and the
-    # term-0 flag resolve nothing
-    assert len(calls) == 0
+    # R/(x, y) = k[z] is free over the support ring: the CM verdict reads
+    # term 0's module, which has no relation, so its one resolution forms
+    # no syzygy
+    assert [module.relations for module, in calls] == [[]]
 
 
 def test_layer_series_check(ring):
