@@ -26,8 +26,9 @@ def test_perfbench_selftest_passes():
 # S-pairs formed by one seed-0 check pass: a work-count gate, so kernels
 # computed in full and then cut, sums that pair known basis elements again,
 # or a layer presentation built where no caller reads it, bring wasted
-# S-pairs back and fail here
-_SPAIRS = {"catalog": 571, "syzygy": 228, "quotients": 709}
+# S-pairs back and fail here.  A term's CM verdict resolves the module its
+# hull built, coker K on the reduced kernel K, not the term presented anew
+_SPAIRS = {"catalog": 571, "syzygy": 209, "quotients": 709}
 # Buchberger runs of the same pass, and a ceiling on its interreductions:
 # a second Buchberger path, or a reduced basis made where the unreduced run
 # answers (leads, membership), fails here; I_X is written down, so building
@@ -42,11 +43,12 @@ _INTERREDUCE_AT_MOST = {"catalog": 416, "syzygy": 50, "quotients": 0}
 # only, so an Ext window of R/I over R (``ext_annihilator``), or a radical
 # test beside the index, fails here.  The check pass resolves R/I over R
 # for the digest's Betti tables (122 / 8 / 0 resolutions); the rest are
-# the verdicts' resolutions over the support ring
+# the verdicts' resolutions over the support ring, one per filtration term
+# (``_TIMED_RESOLUTIONS``)
 _HULL_WORK = {
-    "catalog": {"_ext_annihilator": 3, "ext_annihilator": 0, "free_resolution": 125,
+    "catalog": {"_ext_annihilator": 3, "ext_annihilator": 0, "free_resolution": 244,
                 "radical_contains": 0},
-    "syzygy": {"_ext_annihilator": 4, "ext_annihilator": 0, "free_resolution": 12,
+    "syzygy": {"_ext_annihilator": 4, "ext_annihilator": 0, "free_resolution": 16,
                "radical_contains": 0},
     "quotients": {"_ext_annihilator": 0, "ext_annihilator": 0, "free_resolution": 0,
                   "radical_contains": 0},
@@ -107,16 +109,18 @@ def test_check_pass_reproduces_golden_digest(workload, monkeypatch, rebind):
     assert decoded == []
 
 
-# free resolutions made by a timed seed-0 pass: the CM verdicts' k[z]
-# resolutions of the terms the hull did not find free
-_TIMED_RESOLUTIONS = {"catalog": 3, "syzygy": 4}
+# free resolutions made by a timed seed-0 pass: one k[z] resolution per
+# filtration term, of the module its hull built; 119 of catalog's and 4 of
+# syzygy's modules keep no relation after the unit prune, so only 3 and 4
+# form an S-pair
+_TIMED_RESOLUTIONS = {"catalog": 122, "syzygy": 8}
 
 
 @pytest.mark.parametrize("workload", sorted(_TIMED_RESOLUTIONS))
 def test_timed_pass_resolves_no_quotient_over_the_whole_ring(workload, monkeypatch, rebind):
     # a timed pass (no canonical text) asks for verdicts only: each CM
-    # verdict reads R/I over the support ring, or the hull's freeness, and
-    # no verdict resolves R/I over R or reads its Ext window
+    # verdict reads R/I over the support ring, as its hull presented it,
+    # and no verdict resolves R/I over R or reads its Ext window
     import multischeme.ideals as ideals
     import multischeme.modules as modules
 
@@ -135,10 +139,32 @@ def test_timed_pass_resolves_no_quotient_over_the_whole_ring(workload, monkeypat
                      "free_resolution": _TIMED_RESOLUTIONS[workload]}
 
 
+@pytest.mark.parametrize("workload", sorted(_TIMED_RESOLUTIONS))
+def test_timed_pass_presents_each_hull_once_and_no_term_again(workload, monkeypatch, rebind):
+    # R/J goes over k[z] once per hull, and each term's verdict reads the
+    # module that hull built: no term is presented a second time
+    import multischeme.structures as structures
+
+    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
+    import workloads
+
+    calls = dict.fromkeys(("_primary_component", "is_locally_CM", "pushforward"), 0)
+    items = workloads.setup(workload, workloads.DEFAULT_SEED)
+    for name in ("_primary_component", "is_locally_CM"):
+        rebind(structures, name, _counting(calls, name))
+    monkeypatch.setattr(structures.Embedding, "pushforward",
+                        _counting(calls, "pushforward")(structures.Embedding.pushforward))
+    results = workloads.run_pass(items, canon=None)
+    assert [bad for _, _, _, bad in results if bad] == []
+    assert calls["pushforward"] == calls["_primary_component"] > 0, calls
+    assert calls["is_locally_CM"] == 0, calls
+
+
 def test_timed_catalog_pass_takes_every_hull_with_no_colon(monkeypatch, rebind):
     # each hull lifts the k[z]-torsion of its pushforward, so no colon or
-    # saturation runs; a hull found free gets its CM verdict with no
-    # presentation; I_X^(j+1) is written down, never multiplied out
+    # saturation runs; each term's CM verdict reads the module its hull
+    # built, with no presentation of its own; I_X^(j+1) is written down,
+    # never multiplied out
     import multischeme.ideals as ideals
     import multischeme.structures as structures
 
@@ -153,5 +179,5 @@ def test_timed_catalog_pass_takes_every_hull_with_no_colon(monkeypatch, rebind):
     monkeypatch.setattr(ideals.Ideal, "times", _counting(calls, "times")(ideals.Ideal.times))
     results = workloads.run_pass(items, canon=None)
     assert [bad for _, _, _, bad in results if bad] == []
-    assert calls["is_locally_CM"] <= 3, calls
+    assert calls["is_locally_CM"] == 0, calls
     assert calls["colon"] == calls["saturate"] == calls["times"] == 0, calls
