@@ -200,7 +200,8 @@ def _power(s, f, n):
     f.check_power(n)  # the exponent guard first: its message wins, and n < 2^15 for comb
     t, b = _size(f)
     t, m = t or 1, n - n // 2
-    _within(s, _weight(comb(m + t - 1, t - 1), m * (b + (t - 1).bit_length())) ** 2,
+    # |±1|^m = 1: a 1-bit coefficient grows only by the multinomial factors
+    _within(s, _weight(comb(m + t - 1, t - 1), m * ((b > 1) * b + (t - 1).bit_length())) ** 2,
             "(%d terms, %d-bit)^%d", t, b, n)
     return f ** n
 

@@ -92,6 +92,14 @@ def test_a_product_or_power_past_the_size_budget_is_refused(within, past, what):
         parse_poly(ring, past)
 
 
+def test_a_power_of_a_unit_monomial_weighs_one_term():
+    # x^n is one term with coefficient 1, so each power spends one term
+    # product of the budget, not a coefficient grown by n/2 bits
+    ring = PolyRing(("x", "y"))
+    f = parse_poly(ring, " + ".join("x^%d" % n for n in range(1, 4001)))
+    assert len(f.terms) == 4000
+
+
 @pytest.mark.parametrize("char", [0, 5])
 def test_a_long_sum_is_added_into_one_term_dict(char, monkeypatch):
     # adding each summand to the Vec built so far copies its terms, which
