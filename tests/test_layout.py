@@ -7,7 +7,9 @@ or a module: ``buchberger`` runs only in ``groebner``, in ``ideals`` and
 leads.  A layer presentation is built only where a ``Filtration`` builds its
 layers on first use, so no verdict pays for one it does not read.  The
 filtration hulls lift the k[z]-torsion of the pushforward, so ``structures``
-names no ``saturate`` and no ``colon``; and the hull and Ext
+names no ``saturate`` and no ``colon``, and a term's CM verdict reads the
+module its hull built, so only the hull and ``is_locally_CM`` present a
+pushforward; and the hull and Ext
 window of R/I over R, and the resolution of R/I over R they read, are the
 tests' reference, which no product module names; minimal generators come
 from the unit prune of the first syzygies, so neither ``structures`` nor
@@ -86,16 +88,16 @@ def package_imports(source):
             if isinstance(node, ast.ImportFrom) and node.level == 1]
 
 
-def layer_module_readers(source):
+def readers(source, name):
     """The qualified names of the functions and methods of ``source`` that
-    read the name ``layer_module``, called or passed on, bare or as a module
-    attribute; ``<module>`` for a read outside every function."""
+    read ``name``, called or passed on, bare or as an attribute;
+    ``<module>`` for a read outside every function."""
     found = set()
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope += (node.name,)
-        elif _reads(node, "layer_module"):
+        elif _reads(node, name):
             found.add(".".join(scope) or "<module>")
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
@@ -168,16 +170,43 @@ def test_the_lint_sees_every_reader_of_layer_module():
         "        return list(map(structures.layer_module, self.pairs))\n"
         "build = layer_module\n"
     )
-    assert layer_module_readers(source) == {"f", "C.g", "<module>"}
+    assert readers(source, "layer_module") == {"f", "C.g", "<module>"}
+
+
+def package_readers(name):
+    """{package module: ``readers`` of ``name`` in it}, for the modules that read it."""
+    found = {}
+    for info in pkgutil.iter_modules(multischeme.__path__, multischeme.__name__ + "."):
+        source = Path(importlib.import_module(info.name).__file__).read_text()
+        if names := readers(source, name):
+            found[info.name] = names
+    return found
 
 
 def test_only_the_filtration_builds_layers_on_first_use():
-    readers = {}
-    for info in pkgutil.iter_modules(multischeme.__path__, multischeme.__name__ + "."):
-        source = Path(importlib.import_module(info.name).__file__).read_text()
-        if found := layer_module_readers(source):
-            readers[info.name] = found
-    assert readers == {"multischeme.structures": {"Filtration._presentations"}}, readers
+    found = package_readers("layer_module")
+    assert found == {"multischeme.structures": {"Filtration._presentations"}}, found
+
+
+def test_the_lint_sees_every_reader_of_pushforward():
+    source = (
+        "class Embedding:\n"
+        "    def pushforward(self, ideal, t):\n"
+        "        return ideal\n"
+        "def hull(emb, iy, pushforward_calls):\n"
+        "    return emb.pushforward(iy, 1), pushforward_calls\n"
+        "class S:\n"
+        "    def verdict(self, emb, terms):\n"
+        "        present = emb.pushforward\n"
+        "        return [present(term, j) for j, term in enumerate(terms)]\n"
+        "pushed = Embedding().pushforward\n"
+    )
+    assert readers(source, "pushforward") == {"hull", "S.verdict", "<module>"}
+
+
+def test_only_the_hull_and_is_locally_cm_present_a_pushforward():
+    found = package_readers("pushforward")
+    assert found == {"multischeme.structures": {"_primary_component", "is_locally_CM"}}, found
 
 
 def test_the_lint_sees_every_name_of_saturate():
