@@ -120,44 +120,29 @@ _TIMED_RESOLUTIONS = {"catalog": 122, "syzygy": 8}
 def test_timed_pass_resolves_no_quotient_over_the_whole_ring(workload, monkeypatch, rebind):
     # a timed pass (no canonical text) asks for verdicts only: each CM
     # verdict reads R/I over the support ring, as its hull presented it,
-    # and no verdict resolves R/I over R or reads its Ext window
+    # and no verdict resolves R/I over R or reads its Ext window; R/J goes
+    # over k[z] once per hull, and no term is presented a second time
     import multischeme.ideals as ideals
     import multischeme.modules as modules
-
-    monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
-    import workloads
-
-    owners = {"quotient_resolution": ideals, "ext_annihilator": ideals,
-              "free_resolution": modules}
-    calls = dict.fromkeys(owners, 0)
-    items = workloads.setup(workload, workloads.DEFAULT_SEED)
-    for name, module in owners.items():
-        rebind(module, name, _counting(calls, name))
-    results = workloads.run_pass(items, canon=None)
-    assert [bad for _, _, _, bad in results if bad] == []
-    assert calls == {"quotient_resolution": 0, "ext_annihilator": 0,
-                     "free_resolution": _TIMED_RESOLUTIONS[workload]}
-
-
-@pytest.mark.parametrize("workload", sorted(_TIMED_RESOLUTIONS))
-def test_timed_pass_presents_each_hull_once_and_no_term_again(workload, monkeypatch, rebind):
-    # R/J goes over k[z] once per hull, and each term's verdict reads the
-    # module that hull built: no term is presented a second time
     import multischeme.structures as structures
 
     monkeypatch.syspath_prepend(os.path.join(ROOT, "perfbench"))
     import workloads
 
-    calls = dict.fromkeys(("_primary_component", "is_locally_CM", "pushforward"), 0)
+    owners = {"quotient_resolution": ideals, "ext_annihilator": ideals,
+              "free_resolution": modules, "_primary_component": structures,
+              "is_locally_CM": structures}
+    calls = dict.fromkeys(list(owners) + ["pushforward"], 0)
     items = workloads.setup(workload, workloads.DEFAULT_SEED)
-    for name in ("_primary_component", "is_locally_CM"):
-        rebind(structures, name, _counting(calls, name))
+    for name, module in owners.items():
+        rebind(module, name, _counting(calls, name))
     monkeypatch.setattr(structures.Embedding, "pushforward",
                         _counting(calls, "pushforward")(structures.Embedding.pushforward))
     results = workloads.run_pass(items, canon=None)
     assert [bad for _, _, _, bad in results if bad] == []
-    assert calls["pushforward"] == calls["_primary_component"] > 0, calls
-    assert calls["is_locally_CM"] == 0, calls
+    assert calls.pop("pushforward") == calls.pop("_primary_component") > 0
+    assert calls == {"quotient_resolution": 0, "ext_annihilator": 0, "is_locally_CM": 0,
+                     "free_resolution": _TIMED_RESOLUTIONS[workload]}
 
 
 def test_timed_catalog_pass_takes_every_hull_with_no_colon(monkeypatch, rebind):
