@@ -336,19 +336,19 @@ class PolyRing:
             if k >> cs < n and (r := move(k & m)) is not None
         })
 
-    def split(self, f, front, other):
-        """f as {exponents of a monomial m in the first ``front`` variables:
-        its coefficient, a polynomial in the others moved into ``other``}, f
-        the sum of m * coefficient and the m in the order of f's terms, so the
-        first is the lead's under an order that eliminates them.  The one
-        coefficient split: for ``Embedding.pushforward``, and for the generic-row
-        and equivalence verdicts of ROADMAP items 3 and 4."""
-        pk, move, pad = self.pk, self.mover(other), (0,) * (self.nvars - front)
+    def split(self, f, names, other):
+        """f as {exponents, in this ring's coordinates, of a monomial m in the
+        named variables: its coefficient, a polynomial in the others moved
+        into ``other``}, f the sum of m * coefficient and the m in the order
+        of f's terms, so the first is the lead's.  The one coefficient split:
+        for ``Embedding.pushforward``, and for the generic-row and equivalence
+        verdicts of ROADMAP items 5 and 6."""
+        pk, move, named = self.pk, self.mover(other), {self._index[n] for n in names}
         parts = {}
         for k, c in sorted(f.terms.items()):  # ascending keys: greatest term first
-            head = pk.exps(k)[:front]
+            head = tuple(a if i in named else 0 for i, a in enumerate(pk.exps(k)))
             # K is linear in e, so the rest of the monomial is one subtraction
-            parts.setdefault(head, {})[move(k - pk.key(head + pad) + pk.off)] = c
+            parts.setdefault(head, {})[move(k - pk.key(head) + pk.off)] = c
         return {head: Vec(other, None, terms) for head, terms in parts.items()}
 
     def transpose(self, cols, nrows):

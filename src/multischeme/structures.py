@@ -12,14 +12,14 @@ its terms' series, only when first read.
 
 Each filtration term past I_X is the hull of J = I_Y + I_X^(j+1): J plus
 the lifts of the k[z]-torsion T of M = R/J, the kernel of M → M**
-(Bănică-Forster 1986; Vasconcelos 1998), M presented by ``pushforward``
-and I_X^(j+1) written down as the support monomials of degree j + 1.  The
-nilpotency index k certifies I_X ⊆ rad(I_Y), as I_X^(k+1) ⊆ I_Y, so the
-last sum is I_Y itself and takes its hull by the same rule.  CM verdicts
-read R/I as a k[z]-module, π_*O_Y for the finite Y → X, presented with no
-Buchberger run over R: Y is CM where it is locally free, and a term's
-verdict reads the module M/T = R/I_j that its hull built.  No path here
-resolves R/I over R, and I_X is written down as ``power(1)``.
+(Bănică-Forster 1986; Vasconcelos 1998).  ``pushforward`` presents
+π_*O_Y = R/I_Y over k[z] for the finite Y → X, once per structure and
+with no Buchberger run over R, and M is π_*O_Y cut to support degree <= j.
+The index k certifies I_X ⊆ rad(I_Y), as I_X^(k+1) ⊆ I_Y, so the last sum
+is I_Y and takes its hull by the same rule.  Y is CM where π_*O_Y is
+locally free: a term's verdict reads the M/T = R/I_j its hull built, and a
+Y that is not S1 reads π_*O_Y.  No path here resolves R/I over R, and I_X
+is written down as ``power(1)``.
 
 The resource budget is fixed with the embedding: ``Embedding(ring,
 support_vars, guard)`` builds I_X with that ``Guard``, and a ``MultiStructure``
@@ -71,8 +71,6 @@ class Embedding:
     _support: Ideal = field(init=False, compare=False, repr=False)
     # the support ring, built once so every restricted Vec shares it
     _sub: object = field(init=False, compare=False, repr=False)
-    # the support variables first in a block order, for ``pushforward``
-    _block: object = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.support_vars = tuple(self.support_vars)
@@ -88,7 +86,6 @@ class Embedding:
             )
         rest = tuple(n for n in self.ring.names if n not in self.support_vars)
         self._sub = self.ring.subring(rest)
-        self._block = self._sub.extended(self.support_vars)
         self._support = self.power(1)
 
     def support_ideal(self):
@@ -119,13 +116,12 @@ class Embedding:
         its relations the truncations of u*g below support degree t + 1, g a
         generator of I; ``PolyRing.split`` gives g's k[z]-coefficients once,
         and u shifts them."""
-        front, sub = len(self.support_vars), self._sub
-        monomials = [e[:front] for d in range(t + 1)
-                     for e in self._block.exponents(d, self.support_vars)]
+        ring, names, sub = self.ring, self.support_vars, self._sub
+        monomials = [e for d in range(t + 1) for e in ring.exponents(d, names)]
         position = {e: j for j, e in enumerate(monomials)}
         relations = []
         for g in ideal.gens:
-            parts = self._block.split(self.ring.transfer(g, self._block), front, sub)
+            parts = ring.split(g, names, sub)
             low = min(map(sum, parts))
             relations += [sum((c.shifted(position[m]) for e, c in parts.items()
                                if (m := tuple(map(add, e, u))) in position), sub.zero())
@@ -224,17 +220,13 @@ class MultiStructure:
         """The CM verdict of I_term, read off the module R/I_term over k[z]
         its hull built, or of I_Y for None, decided once.  Every term is S1,
         and I_Y is the last one when the filtration reaches it; otherwise
-        I_Y is presented on its own (``is_locally_CM``)."""
+        the verdict reads π_*O_Y as the filtration presented it."""
         filt = self.filtration()
         if term is None and filt.reaches_top:
             term = len(filt.ideals) - 1
         if term not in self._verdicts:
-            emb = self.embedding
-            if term is None:
-                found = is_locally_CM(emb, self.ideal, self.nilpotency_index())
-            else:
-                found = _module_cm(emb, filt.modules[term], s1=True)
-            self._verdicts[term] = found
+            module = filt.direct_image if term is None else filt.modules[term]
+            self._verdicts[term] = _module_cm(self.embedding, module, s1=term is not None)
         return self._verdicts[term]
 
     def report(self, seed=None):
@@ -268,14 +260,15 @@ def hilb_to_json(hp):
 
 @dataclass
 class Filtration:
-    """The S1-filtration I_0 = I_X ⊇ I_1 ⊇ ... ⊇ I_k, each R/I_j over k[z],
-    and its layers I_j/(I_X I_j + I_(j+1)), presented on first read and kept."""
+    """The S1-filtration I_0 = I_X ⊇ I_1 ⊇ ... ⊇ I_k, each R/I_j and π_*O_Y
+    over k[z], and the layers I_j/(I_X I_j + I_(j+1)), presented on first read."""
 
     embedding: Embedding
     ideals: list
     layer_polynomials: list  # HilbertPoly per layer, from the terms' series
     reaches_top: bool        # I_k == I_Y (holds exactly when Y is S1)
     modules: list            # per term: R/I_j over k[z], as its hull presented it
+    direct_image: object     # π_*O_Y, ``pushforward`` at the nilpotency index
 
     @cached_property
     def _presentations(self):
@@ -295,16 +288,18 @@ def s1_filtration(structure):
     the presentations, which no verdict reads, are built on first use.
 
     Each sum J has radical I_X, so its hull, the I_X-primary component
-    J k(z)[x, y] ∩ R, is the preimage of the k[z]-torsion of R/J
-    (``_primary_component``).  The last sum is I_Y itself, as
-    I_X^(k+1) ⊆ I_Y; a hull that stays I_Y is I_Y, caches and all, so the
-    filtration reaches the top exactly when its last term is I_Y.
+    J k(z)[x, y] ∩ R, is the preimage of the k[z]-torsion of R/J, π_*O_Y
+    presented once and cut (``_primary_component``).  The last sum is I_Y
+    itself, as I_X^(k+1) ⊆ I_Y; a hull that stays I_Y is I_Y, caches and
+    all, so the filtration reaches the top exactly when its last term is I_Y.
     """
     emb, iy = structure.embedding, structure.ideal
     k = structure.nilpotency_index()
+    pushed = emb.pushforward(iy, k)
     # (term, R/term over k[z]), from I_X, R/I_X = k[z]: I_Y itself at k = 0
-    terms = [(iy if k == 0 else emb.support_ideal(), GradedModule(emb._sub, (0,), [], iy.guard))]
-    terms += [_primary_component(emb, iy, j, j == k) for j in range(1, k + 1)]
+    terms = [(iy if k == 0 else emb.support_ideal(),
+              GradedModule(emb.support_ring(), (0,), [], iy.guard))]
+    terms += [_primary_component(emb, iy, pushed, j) for j in range(1, k + 1)]
     ideals, modules = map(list, zip(*terms))
     # sanity: chain inclusions
     for j in range(len(ideals) - 1):
@@ -313,22 +308,26 @@ def s1_filtration(structure):
     # dim(upper/lower)_t = dim(R/lower)_t - dim(R/upper)_t
     polys = [(lower.hilbert_series() - upper.hilbert_series()).polynomial()
              for upper, lower in zip(ideals, ideals[1:])]
-    return Filtration(emb, ideals, polys, ideals[-1] is iy, modules)
+    return Filtration(emb, ideals, polys, ideals[-1] is iy, modules, pushed)
 
 
-def _primary_component(emb, iy, j, top):
+def _primary_component(emb, iy, pushed, j):
     """(hull, R/hull over k[z]) of J = I_Y + I_X^(j+1), I_Y itself at the
-    ``top``.  hull/J is the k[z]-torsion of M = R/J (``pushforward``), the
-    kernel of M → M** (Vasconcelos, *Computational Methods in Commutative
-    Algebra and Algebraic Geometry*, 1998): its preimage K in M's free
-    module, on the generators u left by the unit prune, is the kernel of
-    the rows of M* = ker(rel^T), and each vector of K lifts to sum K_a u_a
-    in R, as ``thicken`` lifts.  R/hull is coker K on those generators, the
-    free module on them when M keeps no relation, and J is its own hull.
-    At the top the hull is I_Y, caches and all, when every lift is in it."""
-    ring, sub, guard = emb.ring, emb._sub, iy.guard
-    module = emb.pushforward(iy, j)
-    rows, _, rel, _ = _prune_units(sub, module.relations, module.rank)
+    top, j the nilpotency index.  M = R/J is π_*O_Y (``pushed``) cut to its
+    generators u of support degree <= j, zero relations dropped, as u*g has
+    support degree >= deg u + low(g), g's least.  hull/J is the k[z]-torsion
+    of M, the kernel of M → M** (Vasconcelos 1998): its preimage K in M's
+    free module, on the generators left by the unit prune, is the kernel
+    of the rows of M* = ker(rel^T), and each vector of K lifts to sum
+    K_a u_a in R, as ``thicken`` lifts.  R/hull is coker K on those
+    generators, the free module on them when M keeps no relation, and J is
+    its own hull.  At the top the hull is I_Y, caches and all, when every
+    lift is in it."""
+    ring, sub, guard = emb.ring, emb.support_ring(), iy.guard
+    n = sum(d <= j for d in pushed.gen_degrees)
+    top = n == pushed.rank  # the truncation kept every generator
+    cut = list(filter(None, (sub.restrict(v, sub, n) for v in pushed.relations)))
+    rows, _, rel, _ = _prune_units(sub, cut, n)
     lifts, kernel = [], []
     if rel:
         n = len(rows)
@@ -336,7 +335,7 @@ def _primary_component(emb, iy, j, top):
         kernel = syzygies(sub.transpose(dual, n), rank=len(dual), guard=guard)
         units = [u for d in range(j + 1) for u in ring.monomials(d, emb.support_vars)]
         lifts = [_apply([units[a] for a in rows], sub.restrict(v, ring, n)) for v in kernel]
-    quotient = GradedModule(sub, [module.gen_degrees[a] for a in rows], kernel, guard)
+    quotient = GradedModule(sub, [pushed.gen_degrees[a] for a in rows], kernel, guard)
     if top and all(map(iy.contains, lifts)):
         return iy, quotient
     power = () if top else emb.power(j + 1).gens
@@ -375,16 +374,16 @@ def _check_layer_series(layer, ambient_diff):
         raise StructureError("layer Hilbert series mismatch")
 
 
-def is_locally_CM(emb, ideal, t, s1=False):
+def is_locally_CM(emb, ideal, t):
     """(verdict, non-CM locus, Ext indices read) of Y = V(I), I ⊇ I_X^(t+1),
     from M = π_*O_Y, R/I over k[z] (``Embedding.pushforward``, read by
     ``_module_cm``); a t below the nilpotency index, where M presents
-    R/(I + I_X^(t+1)), is refused."""
+    R/(I + I_X^(t+1)), is refused.  The public path and the tests' reference."""
     missed = next((m for m in emb.power(t + 1).gens if not ideal.contains(m)), None)
     if missed is not None:
         raise StructureError("t = %d is below the nilpotency index: %s in I_X^(t+1) is "
                              "not in I" % (t, missed))
-    return _module_cm(emb, emb.pushforward(ideal, t), s1)
+    return _module_cm(emb, emb.pushforward(ideal, t), s1=False)
 
 
 def _module_cm(emb, module, s1):
@@ -395,7 +394,7 @@ def _module_cm(emb, module, s1):
     1 <= i <= s - 1 (``ext_window`` from codim 0), which with I_X make the
     locus.  An S1 Y gives M depth >= 1 at each point, so pd <= s - 2 there
     (Auslander-Buchsbaum) and i = s - 1 is not read."""
-    window = ext_window(free_resolution(module), 0, emb._sub.nvars - (2 if s1 else 1))
+    window = ext_window(free_resolution(module), 0, emb.support_ring().nvars - (2 if s1 else 1))
     bad = [ann for _, ann in window if not is_irrelevant_primary(ann)]
     indices = [i for i, _ in window]
     if not bad:
