@@ -7,9 +7,10 @@ or a module: ``buchberger`` runs only in ``groebner``, in ``ideals`` and
 leads.  A layer presentation is built only where a ``Filtration`` builds its
 layers on first use, so no verdict pays for one it does not read.  The
 filtration hulls lift the k[z]-torsion of the pushforward, so ``structures``
-names no ``saturate`` and no ``colon``, and a term's CM verdict reads the
-module its hull built, so only the hull and ``is_locally_CM`` present a
-pushforward; and the hull and Ext
+names no ``saturate`` and no ``colon``; the filtration presents π_*O_Y once,
+each hull cuts its sum's module from it and each CM verdict reads a module
+the filtration holds, so only ``s1_filtration`` and ``is_locally_CM``
+present a pushforward; and the hull and Ext
 window of R/I over R, and the resolution of R/I over R they read, are the
 tests' reference, which no product module names; minimal generators come
 from the unit prune of the first syzygies, so neither ``structures`` nor
@@ -206,7 +207,7 @@ def test_the_lint_sees_every_reader_of_pushforward():
 
 def test_only_the_hull_and_is_locally_cm_present_a_pushforward():
     found = package_readers("pushforward")
-    assert found == {"multischeme.structures": {"_primary_component", "is_locally_CM"}}, found
+    assert found == {"multischeme.structures": {"s1_filtration", "is_locally_CM"}}, found
 
 
 def test_the_lint_sees_every_name_of_saturate():

@@ -32,7 +32,7 @@ _SPAIRS = {"catalog": 571, "syzygy": 209, "quotients": 709}
 # Buchberger runs of the same pass, and a ceiling on its interreductions:
 # a second Buchberger path, or a reduced basis made where the unreduced run
 # answers (leads, membership), fails here; I_X is written down, so building
-# an embedding runs none.  Each hull whose pushforward keeps a relation
+# an embedding runs none.  Each hull whose cut of π_*O_Y keeps a relation
 # interreduces its two kernels, M* and the torsion's preimage
 _RUNS = {"catalog": 421, "syzygy": 54, "quotients": 226}
 _INTERREDUCE_AT_MOST = {"catalog": 416, "syzygy": 50, "quotients": 0}
@@ -120,8 +120,9 @@ _TIMED_RESOLUTIONS = {"catalog": 122, "syzygy": 8}
 def test_timed_pass_resolves_no_quotient_over_the_whole_ring(workload, monkeypatch, rebind):
     # a timed pass (no canonical text) asks for verdicts only: each CM
     # verdict reads R/I over the support ring, as its hull presented it,
-    # and no verdict resolves R/I over R or reads its Ext window; R/J goes
-    # over k[z] once per hull, and no term is presented a second time
+    # and no verdict resolves R/I over R or reads its Ext window; π_*O_Y
+    # goes over k[z] once per filtration, each hull cuts its R/J from it,
+    # and no term is presented a second time
     import multischeme.ideals as ideals
     import multischeme.modules as modules
     import multischeme.structures as structures
@@ -130,7 +131,7 @@ def test_timed_pass_resolves_no_quotient_over_the_whole_ring(workload, monkeypat
     import workloads
 
     owners = {"quotient_resolution": ideals, "ext_annihilator": ideals,
-              "free_resolution": modules, "_primary_component": structures,
+              "free_resolution": modules, "s1_filtration": structures,
               "is_locally_CM": structures}
     calls = dict.fromkeys(list(owners) + ["pushforward"], 0)
     items = workloads.setup(workload, workloads.DEFAULT_SEED)
@@ -140,13 +141,13 @@ def test_timed_pass_resolves_no_quotient_over_the_whole_ring(workload, monkeypat
                         _counting(calls, "pushforward")(structures.Embedding.pushforward))
     results = workloads.run_pass(items, canon=None)
     assert [bad for _, _, _, bad in results if bad] == []
-    assert calls.pop("pushforward") == calls.pop("_primary_component") > 0
+    assert calls.pop("pushforward") == calls.pop("s1_filtration") > 0
     assert calls == {"quotient_resolution": 0, "ext_annihilator": 0, "is_locally_CM": 0,
                      "free_resolution": _TIMED_RESOLUTIONS[workload]}
 
 
 def test_timed_catalog_pass_takes_every_hull_with_no_colon(monkeypatch, rebind):
-    # each hull lifts the k[z]-torsion of its pushforward, so no colon or
+    # each hull lifts the k[z]-torsion of its cut of π_*O_Y, so no colon or
     # saturation runs; each term's CM verdict reads the module its hull
     # built, with no presentation of its own; I_X^(j+1) is written down,
     # never multiplied out

@@ -183,23 +183,30 @@ def test_exponents_count_order_and_named_variables():
 
 
 @pytest.mark.parametrize("char", [0, 5])
-def test_split_by_front_monomials_round_trips(char):
-    block = PolyRing(("x", "y", "z0", "z1"), char, TermOrder("block", front=2))
-    ring = PolyRing(("z0", "z1", "x", "y"), char)
+def test_split_by_named_monomials_round_trips(char):
+    """``split`` cuts f in its own ring by any set of named variables, a
+    prefix of the ring or not, named in any order, under any term order."""
+    rings = (PolyRing(("z0", "x", "z1", "y"), char),
+             PolyRing(("x", "y", "z0", "z1"), char, TermOrder("block", front=2)),
+             PolyRing(("y", "z1", "x", "z0"), char, LEX))
     rng = random.Random(char)
-    for _ in range(30):
-        exps = [tuple(rng.randrange(4) for _ in range(4)) for _ in range(rng.randrange(8))]
-        f = block.poly({e: Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for e in exps})
-        parts = block.split(f, 2, ring)
-        # the sum of coefficient * monomial gives f back
-        back = sum(
-            (block.poly({head + (0, 0): 1}) * ring.transfer(c, block) for head, c in parts.items()),
-            block.zero(),
-        )
-        assert back == f
-        assert all(c and c.ring is ring and c.variables() <= {"z0", "z1"} for c in parts.values())
-        # under the block order the first monomial is the lead's
-        assert not f or next(iter(parts)) == f.lead()[0][1][:2]
+    for ring in rings:
+        for names in (("x", "y"), ("y", "x"), ("z1",), ("y", "z0")):
+            other = ring.subring(tuple(n for n in ring.names if n not in names))
+            for _ in range(10):
+                exps = [tuple(rng.randrange(4) for _ in range(4)) for _ in range(rng.randrange(8))]
+                f = ring.poly({e: Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for e in exps})
+                parts = ring.split(f, names, other)
+                # the sum of coefficient * monomial gives f back
+                back = sum((ring.poly({head: 1}) * other.transfer(c, ring)
+                            for head, c in parts.items()), ring.zero())
+                assert back == f
+                assert all(c and c.ring is other for c in parts.values())
+                # each head is in f's coordinates, a monomial in the named variables
+                assert all(not a or n in names for head in parts for n, a in zip(ring.names, head))
+                if f:  # in f's term order the first monomial is the lead's
+                    head = [a if n in names else 0 for n, a in zip(ring.names, f.lead()[0][1])]
+                    assert next(iter(parts)) == tuple(head)
 
 
 def test_is_homogeneous_by_total_degree(ring):

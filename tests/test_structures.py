@@ -29,6 +29,7 @@ from multischeme.structures import (
     MultiStructure,
     StructureError,
     _check_layer_series,
+    _module_cm,
     is_locally_CM,
     is_S1,
     layer_module,
@@ -333,9 +334,9 @@ def test_primary_component_is_the_hull_of_every_filtration_term(monkeypatch):
     branches, own = set(), set()
     component = structures._primary_component
 
-    def checked(emb, iy, j, top):
-        hull, module = component(emb, iy, j, top)
-        ring = emb.ring
+    def checked(emb, iy, pushed, j):
+        hull, module = component(emb, iy, pushed, j)
+        ring, top = emb.ring, j == pushed.gen_degrees[-1]
         total = iy if top else Ideal(ring, (*iy.gens, *emb.power(j + 1).gens))
         assert hull.groebner() == unmixed_part(total).groebner(), (total, j)
         assert module_hilbert_series(module).reduced() == hull.hilbert_series().reduced()
@@ -433,16 +434,17 @@ def test_the_terms_are_cm_up_to_j_plus_1_exactly_when_the_layers_to_j_are_locall
 
 def test_each_term_verdict_read_off_its_hull_module_is_that_of_its_pushforward():
     """The verdict each filtration term reads off the module its hull built,
-    I_X's free k[z] included, is the one ``is_locally_CM`` reads off the
-    term presented anew: the same verdict, locus basis and Ext indices,
-    as both read a presentation of the one module R/I_j over k[z].  Every
-    hull family is covered in characteristics 0 and 5, and enough terms
-    are not free to read a non-empty Ext window."""
+    I_X's free k[z] included, is the one ``_module_cm`` reads off the term
+    presented anew by ``pushforward``: the same verdict, locus basis and
+    Ext indices, as both read a presentation of the one module R/I_j over
+    k[z].  Every hull family is covered in characteristics 0 and 5, and
+    enough terms are not free to read a non-empty Ext window."""
     windows = 0
     for name, st in _cm_rows():
+        emb = st.embedding
         for j, term in enumerate(st.filtration().ideals):
             read = [(cm, locus.groebner(), indices) for cm, locus, indices
-                    in (st._cm(j), is_locally_CM(st.embedding, term, j, s1=True))]
+                    in (st._cm(j), _module_cm(emb, emb.pushforward(term, j), True))]
             assert read[0] == read[1], (name, j)
             windows += bool(read[0][2])
     assert windows >= 25, windows
