@@ -19,7 +19,7 @@ from multischeme.ideals import (
     same_zero_locus,
     unmixed_part,
 )
-from multischeme.modules import GradedModule, _prune_units
+from multischeme.modules import GradedModule, _prune_units, free_resolution
 from multischeme.parse import parse_ideal
 from multischeme.ring import LEX, PolyRing, ResourceGuardExceeded
 from multischeme.scenarios import run_scenario
@@ -360,6 +360,38 @@ def test_primary_component_is_the_hull_of_every_filtration_term(monkeypatch):
     assert own == {True, False}
 
 
+def test_each_sum_is_pi_star_of_y_cut_to_its_support_degree(monkeypatch):
+    """The module each hull prunes for J = I_Y + I_X^(j+1), j below the
+    index k, is ``pushforward(I_Y, j)``: π_*O_Y = ``pushforward(I_Y, k)``
+    cut to its generators of support degree <= j has the same generator
+    degrees and the same nonzero relations, in order.  Every catalog row
+    and every hull family in characteristics 0 and 5 is read."""
+    import multischeme.structures as structures
+
+    rows = [e.structure(char=c) for e in load_catalog() for c in e.chars]
+    for char in (0, 5):
+        for name, params in _HULL_FAMILIES:
+            rows += build_family(name, char=char, **params).structures
+    pruned, prune = [], structures._prune_units
+
+    def recorded(ring, cols, nrows):
+        pruned.append((list(cols), nrows))
+        return prune(ring, cols, nrows)
+
+    monkeypatch.setattr(structures, "_prune_units", recorded)
+    pairs = 0
+    for st in rows:
+        pruned.clear()
+        filt, emb, k = st.filtration(), st.embedding, st.nilpotency_index()
+        assert len(pruned) == k
+        for j, (cols, nrows) in enumerate(pruned[:-1], 1):
+            reference = emb.pushforward(st.ideal, j)
+            assert filt.direct_image.gen_degrees[:nrows] == reference.gen_degrees, (st.ideal, j)
+            assert cols == reference.relations, (st.ideal, j)
+            pairs += 1
+    assert pairs >= 70, pairs
+
+
 def _cm_over_the_whole_ring(ideal):
     """The reference CM test, on R/I alone: (verdict, locus) from the
     annihilators of Ext^i(R/I, R), codim I < i <= pd(R/I), that have a
@@ -448,6 +480,60 @@ def test_each_term_verdict_read_off_its_hull_module_is_that_of_its_pushforward()
             assert read[0] == read[1], (name, j)
             windows += bool(read[0][2])
     assert windows >= 25, windows
+
+
+def test_every_module_a_verdict_reads_has_its_ideal_series_as_k_polynomial():
+    """Each module a CM verdict reads, every term's R/I_j over k[z] and the
+    kept π_*O_Y, has a resolution over k[z] whose K-polynomial
+    sum_i (-1)^i sum_(d in F_i) t^d over (1 - t)^s is the series of R/I_j,
+    of R/I_Y for π_*O_Y, as the ideal's own series gives it: no syzygy of
+    R is used.  Enough of the modules keep a relation to resolve."""
+    related = 0
+    for name, st in _cm_rows():
+        filt, s = st.filtration(), st.embedding.support_ring().nvars
+        for module, ideal in [*zip(filt.modules, filt.ideals), (filt.direct_image, st.ideal)]:
+            numerator = {}
+            for i, degrees in enumerate(free_resolution(module).degrees):
+                for d in degrees:
+                    numerator[d] = numerator.get(d, 0) + (-1) ** i
+            series = HilbertSeries.make(numerator, s).reduced()
+            assert series == ideal.hilbert_series().reduced(), (name, ideal)
+            related += bool(module.relations)
+    assert related >= 120, related
+
+
+# the example ideals above and three more: free, S1 of index 3, embedded
+# components, the square of I_X, a triple plane, and two that are not CM
+# where a layer is not locally free, one S1 and one reading Ext^1 and Ext^2
+_EXAMPLES = ("(x^2, y)", "(x^2 + z0*y, y^2)", "(x^2 + z0*y, y^2, x^3)", "(x^2, x*y*z0, y^2)",
+             "(x^2, x*y, y^2)", "(x^3, y)", "(x^2 + z2*y, x*y, y^3)",
+             "(x^2, x*y, y^2, z0*y - z1*x)", "(x^2, y^2, z0*y - z1*x)")
+
+
+@pytest.mark.parametrize("names, support", [
+    (("x", "z0", "y", "z1", "z2"), ("x", "y")),
+    (("z0", "y", "z1", "x", "z2"), ("y", "x")),
+])
+def test_interleaved_and_reversed_supports_read_the_same_structure(names, support):
+    """A structure on a ring whose support variables sit between the z's,
+    or are named in reverse, gets the index, verdicts, Ext indices and
+    layer polynomials it gets with the support last, and its filtration
+    terms and non-CM loci, moved into that ring, are the same ideals."""
+    base, ring = PolyRing(("z0", "z1", "z2", "x", "y")), PolyRing(names)
+    for text in _EXAMPLES:
+        expected = _structure(base, text)
+        st = MultiStructure(Embedding(ring, support), parse_ideal(ring, text))
+        assert st.nilpotency_index() == expected.nilpotency_index(), text
+        assert (st.is_S1(), st.is_type_I()) == (expected.is_S1(), expected.is_type_I()), text
+        filt, want = st.filtration(), expected.filtration()
+        assert filt.layer_polynomials == want.layer_polynomials, text
+        moved = [Ideal(base, [ring.transfer(g, base) for g in term.gens]) for term in filt.ideals]
+        assert len(moved) == len(want.ideals), text
+        assert all(a.equals(b) for a, b in zip(moved, want.ideals)), text
+        for term in [None, *range(len(want.ideals))]:
+            (cm, locus, indices), reference = st._cm(term), expected._cm(term)
+            assert (cm, indices) == (reference[0], reference[2]), (text, term)
+            assert Ideal(base, [ring.transfer(g, base) for g in locus.gens]).equals(reference[1])
 
 
 def test_report_lists_the_ext_indices_it_read(ring):
