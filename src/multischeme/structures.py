@@ -268,7 +268,7 @@ class Filtration:
     layer_polynomials: list  # HilbertPoly per layer, from the terms' series
     reaches_top: bool        # I_k == I_Y (holds exactly when Y is S1)
     modules: list            # per term: R/I_j over k[z], as its hull presented it
-    direct_image: object     # π_*O_Y, ``pushforward`` at the nilpotency index
+    direct_image: GradedModule  # π_*O_Y, ``pushforward`` at the nilpotency index
 
     @cached_property
     def _presentations(self):
