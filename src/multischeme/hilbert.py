@@ -155,8 +155,13 @@ def ideal_hilbert_series(ring, leads):
 
 def module_hilbert_series(module):
     """Series of a GradedModule presentation coker(F1 -> F0), under its guard."""
+    return basis_hilbert_series(module, buchberger(module.relations, guard=module.guard))
+
+
+def basis_hilbert_series(module, basis):
+    """Series of coker(F1 -> F0) from the leads of a Groebner basis of its relations."""
     by_comp = {}
-    for g in buchberger(module.relations, guard=module.guard):
+    for g in basis:
         (j, e), _ = g.lead()
         by_comp.setdefault(j, []).append(e)
     return hilbert_series_of_leads(by_comp, module.gen_degrees, module.ring.nvars)

@@ -15,11 +15,12 @@ the lifts of the k[z]-torsion T of M = R/J, the kernel of M → M**
 (Bănică-Forster 1986; Vasconcelos 1998).  ``pushforward`` presents
 π_*O_Y = R/I_Y over k[z] for the finite Y → X, once per structure and
 with no Buchberger run over R, and M is π_*O_Y cut to support degree <= j.
-The index k certifies I_X ⊆ rad(I_Y), as I_X^(k+1) ⊆ I_Y, so the last sum
-is I_Y and takes its hull by the same rule.  Y is CM where π_*O_Y is
-locally free: a term's verdict reads the M/T = R/I_j its hull built, and a
-Y that is not S1 reads π_*O_Y.  No path here resolves R/I over R, and I_X
-is written down as ``power(1)``.
+The terms nest, with their layer series, over k[z] (``_nests``): only I_Y
+runs Buchberger over R.  The index k certifies I_X ⊆ rad(I_Y), as
+I_X^(k+1) ⊆ I_Y, so the last sum is I_Y and takes its hull by the same
+rule.  Y is CM where π_*O_Y is locally free: a term's verdict reads the
+M/T = R/I_j its hull built, and a Y that is not S1 reads π_*O_Y.  No path
+here resolves R/I over R, and I_X is written down as ``power(1)``.
 
 The resource budget is fixed with the embedding: ``Embedding(ring,
 support_vars, guard)`` builds I_X with that ``Guard``, and a ``MultiStructure``
@@ -36,8 +37,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from operator import add
 
-from .groebner import DEFAULT_GUARD, ResourceGuardExceeded, syzygies
-from .hilbert import module_hilbert_series
+from .groebner import DEFAULT_GUARD, ResourceGuardExceeded, lead_index, module_contains, syzygies
+from .hilbert import basis_hilbert_series, module_hilbert_series
 from .ideals import (
     Ideal,
     ext_window,
@@ -265,7 +266,7 @@ class Filtration:
 
     embedding: Embedding
     ideals: list
-    layer_polynomials: list  # HilbertPoly per layer, from the terms' series
+    layer_polynomials: list  # HilbertPoly per layer, from its terms' k[z] modules
     reaches_top: bool        # I_k == I_Y (holds exactly when Y is S1)
     modules: list            # per term: R/I_j over k[z], as its hull presented it
     direct_image: GradedModule  # π_*O_Y, ``pushforward`` at the nilpotency index
@@ -284,7 +285,8 @@ class Filtration:
 
 def s1_filtration(structure):
     """The filtration I_j = hull(I_Y + I_X^{j+1}), j <= k the nilpotency
-    index.  Each layer polynomial is the difference of its terms' series;
+    index.  Each layer polynomial is the difference of the series of its
+    terms' k[z] modules, read off their reduced relations K_j with no run;
     the presentations, which no verdict reads, are built on first use.
 
     Each sum J has radical I_X, so its hull, the I_X-primary component
@@ -296,26 +298,44 @@ def s1_filtration(structure):
     emb, iy = structure.embedding, structure.ideal
     k = structure.nilpotency_index()
     pushed = emb.pushforward(iy, k)
-    # (term, R/term over k[z]), from I_X, R/I_X = k[z]: I_Y itself at k = 0
+    # (term, R/term over k[z], its cut), from I_X, R/I_X = k[z] on u = 1: I_Y itself at k = 0
     terms = [(iy if k == 0 else emb.support_ideal(),
-              GradedModule(emb.support_ring(), (0,), [], iy.guard))]
+              GradedModule(emb.support_ring(), (0,), [], iy.guard), (1, [0], []))]
     terms += [_primary_component(emb, iy, pushed, j) for j in range(1, k + 1)]
-    ideals, modules = map(list, zip(*terms))
-    # sanity: chain inclusions
-    for j in range(len(ideals) - 1):
-        if not ideals[j].contains_ideal(ideals[j + 1]):
+    ideals, modules, cuts = map(list, zip(*terms))
+    for j in range(k):
+        if not _nests(modules[j], cuts[j], modules[j + 1], cuts[j + 1][1]):
             raise StructureError("filtration terms fail to nest at step %d" % j)
-    # dim(upper/lower)_t = dim(R/lower)_t - dim(R/upper)_t
-    polys = [(lower.hilbert_series() - upper.hilbert_series()).polynomial()
-             for upper, lower in zip(ideals, ideals[1:])]
+    # dim(upper/lower)_t = dim(R/lower)_t - dim(R/upper)_t, each R/I_j over k[z]
+    series = [basis_hilbert_series(m, m.relations) for m in modules]
+    polys = [(lower - upper).polynomial() for upper, lower in zip(series, series[1:])]
     return Filtration(emb, ideals, polys, ideals[-1] is iy, modules, pushed)
 
 
+def _nests(module, cut, below, below_rows):
+    """Whether I_(j+1) ⊆ I_j over k[z]: I_(j+1) is I_Y, I_X^(j+2) and the lifts
+    of ``below``'s K_(j+1), so each vector of K_(j+1), at ``below_rows`` and
+    cut to I_j's n generators (one of support degree > j is in I_X^(j+1)),
+    moved through I_j's prune steps in order, is 0 modulo its reduced K_j."""
+    (n, rows, steps), zero = cut, module.ring.zero()
+    position, index = {a: i for i, a in enumerate(rows)}, lead_index(module.relations)
+
+    def moved(v):
+        parts = {a: f for i, f in v.components().items() if (a := below_rows[i]) < n}
+        for a, subst in steps:  # g_a = sum c * g_i in the cokernel
+            f = parts.pop(a, zero)
+            parts.update({i: parts.get(i, zero) + f * c for i, c in subst.items()})
+        return sum((f.shifted(position[a]) for a, f in parts.items()), zero)
+
+    return all(module_contains(moved(v), index) for v in below.relations)
+
+
 def _primary_component(emb, iy, pushed, j):
-    """(hull, R/hull over k[z]) of J = I_Y + I_X^(j+1), I_Y itself at the
-    top, j the nilpotency index.  M = R/J is π_*O_Y (``pushed``) cut to its
-    generators u of support degree <= j, zero relations dropped, as u*g has
-    support degree >= deg u + low(g), g's least.  hull/J is the k[z]-torsion
+    """(hull, R/hull over k[z], (n, rows, steps)) of J = I_Y + I_X^(j+1), I_Y
+    itself at the top, j the nilpotency index.  M = R/J is π_*O_Y (``pushed``)
+    cut to its n generators u of support degree <= j, zero relations dropped,
+    as u*g has support degree >= deg u + low(g), g's least; ``_prune_units``
+    leaves M's ``rows`` by its ``steps``.  hull/J is the k[z]-torsion
     of M, the kernel of M → M** (Vasconcelos 1998): its preimage K in M's
     free module, on the generators left by the unit prune, is the kernel
     of the rows of M* = ker(rel^T), and each vector of K lifts to sum
@@ -327,8 +347,8 @@ def _primary_component(emb, iy, pushed, j):
     n = sum(d <= j for d in pushed.gen_degrees)
     top = n == pushed.rank  # the truncation kept every generator
     cut = list(filter(None, (sub.restrict(v, sub, n) for v in pushed.relations)))
-    rows, _, rel, _ = _prune_units(sub, cut, n)
-    lifts, kernel = [], []
+    rows, _, rel, steps = _prune_units(sub, cut, n)
+    lifts, kernel, pruned = [], [], (n, rows, steps)
     if rel:
         n = len(rows)
         dual = syzygies(sub.transpose(rel, n), rank=len(rel), guard=guard)
@@ -337,9 +357,9 @@ def _primary_component(emb, iy, pushed, j):
         lifts = [_apply([units[a] for a in rows], sub.restrict(v, ring, n)) for v in kernel]
     quotient = GradedModule(sub, [pushed.gen_degrees[a] for a in rows], kernel, guard)
     if top and all(map(iy.contains, lifts)):
-        return iy, quotient
+        return iy, quotient, pruned
     power = () if top else emb.power(j + 1).gens
-    return iy.plus(Ideal(ring, (*power, *lifts), guard)), quotient
+    return iy.plus(Ideal(ring, (*power, *lifts), guard)), quotient, pruned
 
 
 def layer_module(emb, upper, lower):

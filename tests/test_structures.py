@@ -21,7 +21,7 @@ from multischeme.ideals import (
 )
 from multischeme.modules import GradedModule, _prune_units, free_resolution
 from multischeme.parse import parse_ideal
-from multischeme.ring import LEX, PolyRing, ResourceGuardExceeded
+from multischeme.ring import LEX, PolyRing, ResourceGuardExceeded, Vec
 from multischeme.scenarios import run_scenario
 from multischeme.structures import (
     Embedding,
@@ -30,6 +30,7 @@ from multischeme.structures import (
     StructureError,
     _check_layer_series,
     _module_cm,
+    _nests,
     is_locally_CM,
     is_S1,
     layer_module,
@@ -335,8 +336,13 @@ def test_primary_component_is_the_hull_of_every_filtration_term(monkeypatch):
     component = structures._primary_component
 
     def checked(emb, iy, pushed, j):
-        hull, module = component(emb, iy, pushed, j)
+        hull, module, (n, rows, steps) = component(emb, iy, pushed, j)
         ring, top = emb.ring, j == pushed.gen_degrees[-1]
+        # the cut keeps the generators of support degree <= j, and the
+        # module's are the rows its prune leaves
+        assert n == sum(d <= j for d in pushed.gen_degrees)
+        assert sorted(rows + [a for a, _ in steps]) == list(range(n))
+        assert module.gen_degrees == tuple(pushed.gen_degrees[a] for a in rows)
         total = iy if top else Ideal(ring, (*iy.gens, *emb.power(j + 1).gens))
         assert hull.groebner() == unmixed_part(total).groebner(), (total, j)
         assert module_hilbert_series(module).reduced() == hull.hilbert_series().reduced()
@@ -351,7 +357,7 @@ def test_primary_component_is_the_hull_of_every_filtration_term(monkeypatch):
         if top:
             assert (hull is iy) == hull.equals(iy), iy
             own.add(hull is iy)
-        return hull, module
+        return hull, module, (n, rows, steps)
 
     monkeypatch.setattr(structures, "_primary_component", checked)
     for st in rows:
@@ -500,6 +506,73 @@ def test_every_module_a_verdict_reads_has_its_ideal_series_as_k_polynomial():
             assert series == ideal.hilbert_series().reduced(), (name, ideal)
             related += bool(module.relations)
     assert related >= 120, related
+
+
+def test_the_terms_nest_and_give_their_layer_polynomials_as_over_the_whole_ring():
+    """The filtration reads its terms' nesting and layer polynomials off
+    their k[z] modules; the references hold over R: every adjacent pair of
+    terms nests under ``contains_ideal``, and every layer polynomial is the
+    difference of the terms' series over R."""
+    pairs = 0
+    for name, st in _cm_rows():
+        filt = st.filtration()
+        for j, (upper, lower) in enumerate(zip(filt.ideals, filt.ideals[1:])):
+            assert upper.contains_ideal(lower), (name, j)
+            series = lower.hilbert_series() - upper.hilbert_series()
+            assert filt.layer_polynomials[j] == series.polynomial(), (name, j)
+            pairs += 1
+    assert pairs == 146, pairs
+
+
+def test_the_nesting_moves_each_vector_through_the_prune_steps_in_order():
+    """I_j's prune sets g_0 = g_1, then g_1 = g_2, and keeps row 2 modulo
+    (z0): a vector of K_(j+1) at row 0 lands on row 2 only through both
+    steps, taken in order, and one past I_j's n = 3 generators is dropped."""
+    sub = PolyRing(("z0", "z1"))
+    (z0, z1), e = map(sub.var, sub.names), [Vec.unit(sub, i) for i in range(3)]
+    rows, _, _, steps = _prune_units(sub, [e[0] - e[1], e[1] - e[2]], 3)
+    assert rows == [2] and [a for a, _ in steps] == [0, 1]
+    upper, cut = GradedModule(sub, (0,), [z0]), (3, rows, steps)
+    assert _nests(upper, cut, GradedModule(sub, (0,), [z0]), [0])
+    assert not _nests(upper, cut, GradedModule(sub, (0,), [z1]), [0])
+    assert _nests(upper, cut, GradedModule(sub, (0,), [z1]), [3])
+
+
+def test_the_nesting_read_over_k_z_fails_where_it_fails_over_the_whole_ring(monkeypatch):
+    """Term 1 left unhulled, J = I_Y + I_X^2 with coker of its pruned
+    relations, on their reduced basis, as its module: the filtration
+    refuses to nest at step 1 on exactly the catalog rows where J misses
+    the hull I_2 over R, and on some it does."""
+    import multischeme.structures as structures
+
+    component = structures._primary_component
+
+    def unhulled(emb, iy, pushed, j):
+        hull, module, (n, rows, steps) = component(emb, iy, pushed, j)
+        if j != 1:
+            return hull, module, (n, rows, steps)
+        sub = emb.support_ring()
+        cut = [v for v in (sub.restrict(v, sub, n) for v in pushed.relations) if v]
+        relations = interreduce(buchberger(_prune_units(sub, cut, n)[2]))
+        total = Ideal(emb.ring, (*iy.gens, *emb.power(2).gens), iy.guard)
+        return total, GradedModule(sub, module.gen_degrees, relations), (n, rows, steps)
+
+    rows = [("%s@p%d" % (e.id, c), e.structure(char=c)) for e in load_catalog() for c in e.chars]
+    missed = set()
+    for name, st in rows:
+        ideals, emb = st.filtration().ideals, st.embedding
+        total = Ideal(emb.ring, (*st.ideal.gens, *emb.power(2).gens))
+        if len(ideals) > 2 and not total.contains_ideal(ideals[2]):
+            missed.add(name)
+    monkeypatch.setattr(structures, "_primary_component", unhulled)
+    refused = set()
+    for name, st in rows:
+        try:
+            s1_filtration(st)
+        except StructureError as exc:
+            assert str(exc) == "filtration terms fail to nest at step 1", name
+            refused.add(name)
+    assert refused == missed and len(refused) == 4, (refused, missed)
 
 
 # the example ideals above and three more: free, S1 of index 3, embedded
@@ -955,15 +1028,14 @@ def test_layers_keep_the_structure_guard(ring):
 
 def test_a_verdict_does_not_depend_on_call_history():
     # each structure computes under its embedding's guard, so a verdict
-    # reached under the default budget leaves a strict budget's trip standing
-    ring = PolyRing(("z0", "z1", "z2", "x", "y"))
-    text = "(x^2 + z0*y, y^2)"
-    strict_emb = Embedding(ring, ("x", "y"), Guard(max_degree=2))
-    strict = MultiStructure(strict_emb, parse_ideal(ring, text), check=False)
-    default = _structure(ring, text)
-    assert strict.ideal.guard is strict_emb.guard and default.locally_cm()[0]
-    with pytest.raises(ResourceGuardExceeded, match="S-pair degree 3 exceeds budget 2"):
+    # reached under the default budget leaves a strict budget's trip
+    # standing: nontypeI (1, 2) passes its support check at degree 6, and
+    # its CM verdict trips the budget in a hull's M* kernel
+    default = build_family("nontypeI", a=1, b=2).structures[0]
+    strict = build_family("nontypeI", a=1, b=2, guard=Guard(max_degree=6)).structures[0]
+    assert strict.ideal.guard is strict.embedding.guard and default.locally_cm()[0]
+    with pytest.raises(ResourceGuardExceeded, match="S-pair degree 7 exceeds budget 6"):
         strict.locally_cm()
     # an ideal built with another budget than its embedding's is refused
     with pytest.raises(StructureError, match="built with"):
-        MultiStructure(strict_emb, default.ideal, check=False)
+        MultiStructure(strict.embedding, default.ideal, check=False)
