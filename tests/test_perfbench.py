@@ -114,6 +114,9 @@ def test_check_pass_reproduces_golden_digest(workload, monkeypatch, rebind):
 # syzygy's modules keep no relation after the unit prune, so only 3 and 4
 # form an S-pair
 _TIMED_RESOLUTIONS = {"catalog": 122, "syzygy": 8}
+# Buchberger runs of the same pass over the whole ring: I_Y's, one per item;
+# the terms nest, and give their layer polynomials, over k[z]
+_TIMED_RING_RUNS = {"catalog": 34, "syzygy": 2}
 
 
 @pytest.mark.parametrize("workload", sorted(_TIMED_RESOLUTIONS))
@@ -122,7 +125,10 @@ def test_timed_pass_resolves_no_quotient_over_the_whole_ring(workload, monkeypat
     # verdict reads R/I over the support ring, as its hull presented it,
     # and no verdict resolves R/I over R or reads its Ext window; π_*O_Y
     # goes over k[z] once per filtration, each hull cuts its R/J from it,
-    # and no term is presented a second time
+    # and no term is presented a second time; the terms nest, and give
+    # their layer polynomials, over k[z], so no ideal inclusion is tested
+    # and only I_Y runs Buchberger over the whole ring
+    import multischeme.groebner as groebner
     import multischeme.ideals as ideals
     import multischeme.modules as modules
     import multischeme.structures as structures
@@ -133,17 +139,31 @@ def test_timed_pass_resolves_no_quotient_over_the_whole_ring(workload, monkeypat
     owners = {"quotient_resolution": ideals, "ext_annihilator": ideals,
               "free_resolution": modules, "s1_filtration": structures,
               "is_locally_CM": structures}
-    calls = dict.fromkeys(list(owners) + ["pushforward"], 0)
+    calls = dict.fromkeys(list(owners) + ["pushforward", "contains_ideal", "ring_runs"], 0)
     items = workloads.setup(workload, workloads.DEFAULT_SEED)
     for name, module in owners.items():
         rebind(module, name, _counting(calls, name))
     monkeypatch.setattr(structures.Embedding, "pushforward",
                         _counting(calls, "pushforward")(structures.Embedding.pushforward))
+    monkeypatch.setattr(ideals.Ideal, "contains_ideal",
+                        _counting(calls, "contains_ideal")(ideals.Ideal.contains_ideal))
+
+    def ring_runs(original):
+        # every workload ring is k[z0, z1, z2, x, y] on the support (x, y),
+        # so a run over k[z] names no x
+        def wrapped(vecs, *args, **kwargs):
+            calls["ring_runs"] += any("x" in v.ring.names for v in vecs[:1])
+            return original(vecs, *args, **kwargs)
+
+        return wrapped
+
+    rebind(groebner, "buchberger", ring_runs)
     results = workloads.run_pass(items, canon=None)
     assert [bad for _, _, _, bad in results if bad] == []
     assert calls.pop("pushforward") == calls.pop("s1_filtration") > 0
     assert calls == {"quotient_resolution": 0, "ext_annihilator": 0, "is_locally_CM": 0,
-                     "free_resolution": _TIMED_RESOLUTIONS[workload]}
+                     "free_resolution": _TIMED_RESOLUTIONS[workload], "contains_ideal": 0,
+                     "ring_runs": _TIMED_RING_RUNS[workload]}
 
 
 def test_timed_catalog_pass_takes_every_hull_with_no_colon(monkeypatch, rebind):
