@@ -10,9 +10,12 @@ filtration hulls lift the k[z]-torsion of the pushforward, so ``structures``
 names no ``saturate`` and no ``colon``; the filtration presents π_*O_Y once,
 each hull cuts its sum's module from it and each CM verdict reads a module
 the filtration holds, so only ``s1_filtration`` and ``is_locally_CM``
-present a pushforward; and the hull and Ext
-window of R/I over R, and the resolution of R/I over R they read, are the
-tests' reference, which no product module names; minimal generators come
+present a pushforward; the filtration reads its terms' nesting and layer
+polynomials off their k[z] modules, so its path tests no ideal inclusion
+and reads no ideal's series, and only ``hilbert`` turns leads into a
+series; and the hull and Ext window of R/I over R, and the resolution of
+R/I over R they read, are the tests' reference, which no product module
+names; minimal generators come
 from the unit prune of the first syzygies, so neither ``structures`` nor
 ``Ideal.minimal_gens`` names a resolution of R/I.  Each module imports only
 the modules below it in ``LAYERS``.  A cache is filled by the one that
@@ -223,6 +226,27 @@ def test_the_lint_sees_every_name_of_saturate():
         "    return 'saturate'\n"
     )
     assert name_uses(source, "saturate") == [1, 5, 6, 8]
+
+
+def test_the_filtration_tests_no_inclusion_and_reads_no_series_of_an_ideal():
+    from multischeme import structures
+
+    found = {}
+    for fn in (structures.s1_filtration, structures._nests, structures._primary_component):
+        source = textwrap.dedent(inspect.getsource(fn))
+        found[fn.__name__] = [n for n in ("contains_ideal", "hilbert_series")
+                              if name_uses(source, n)]
+    assert found == {"s1_filtration": [], "_nests": [], "_primary_component": []}
+
+
+def test_only_hilbert_turns_leads_into_a_series():
+    found = {}
+    for info in pkgutil.iter_modules(multischeme.__path__, multischeme.__name__ + "."):
+        source = Path(importlib.import_module(info.name).__file__).read_text()
+        if names := [n for n in ("hilbert_series_of_leads", "monomial_numerator")
+                     if name_uses(source, n)]:
+            found[info.name] = names
+    assert set(found) == {"multischeme.hilbert"}, found
 
 
 def test_the_structures_module_names_no_saturate():
