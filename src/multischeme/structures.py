@@ -348,18 +348,18 @@ def _primary_component(emb, iy, pushed, j):
     top = n == pushed.rank  # the truncation kept every generator
     cut = list(filter(None, (sub.restrict(v, sub, n) for v in pushed.relations)))
     rows, _, rel, steps = _prune_units(sub, cut, n)
-    lifts, kernel, pruned = [], [], (n, rows, steps)
+    lifts, kernel = [], []
     if rel:
-        n = len(rows)
-        dual = syzygies(sub.transpose(rel, n), rank=len(rel), guard=guard)
-        kernel = syzygies(sub.transpose(dual, n), rank=len(dual), guard=guard)
+        m = len(rows)
+        dual = syzygies(sub.transpose(rel, m), rank=len(rel), guard=guard)
+        kernel = syzygies(sub.transpose(dual, m), rank=len(dual), guard=guard)
         units = [u for d in range(j + 1) for u in ring.monomials(d, emb.support_vars)]
-        lifts = [_apply([units[a] for a in rows], sub.restrict(v, ring, n)) for v in kernel]
+        lifts = [_apply([units[a] for a in rows], sub.restrict(v, ring, m)) for v in kernel]
     quotient = GradedModule(sub, [pushed.gen_degrees[a] for a in rows], kernel, guard)
     if top and all(map(iy.contains, lifts)):
-        return iy, quotient, pruned
+        return iy, quotient, (n, rows, steps)
     power = () if top else emb.power(j + 1).gens
-    return iy.plus(Ideal(ring, (*power, *lifts), guard)), quotient, pruned
+    return iy.plus(Ideal(ring, (*power, *lifts), guard)), quotient, (n, rows, steps)
 
 
 def layer_module(emb, upper, lower):
